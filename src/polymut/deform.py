@@ -38,13 +38,14 @@ from .geom import (
     Vector2,
     dilate,
     dual,
+    extgcd,
     fraction_str,
     lattice_equivalent,
     mat_apply,
     polygon_to_json,
     vector_to_json,
 )
-from .mutation import MutationData, mutate
+from .mutation import MutationData, SlabView, mutate
 
 
 class Inadmissible(DomainError):
@@ -319,33 +320,26 @@ def _normalizer_for(w: Vector2) -> Mat2:
     """Unimodular U with heights of U*P under (0,-1) matching heights of P
     under w, and with the factor direction mapped to (1, 0)."""
     p, q = w.as_ints()
-    g, x, y = _extgcd(p, q)
+    g, x, y = extgcd(p, q)
     # rows: (-y, x) and -w; det = 1, U*(-q, p) = (1, 0)
     return ((-y, x), (-p, -q))
 
 
-def _extgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_x, xx = 1, 0
-    old_y, yy = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, xx = xx, old_x - qt * xx
-        old_y, yy = yy, old_y - qt * yy
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-def _transform_mutation(md: MutationData, U: Mat2) -> MutationData:
+def _transform_mutation(P: Polygon, md: MutationData, U: Mat2, Pn: Polygon) -> MutationData:
+    """md for P along w, re-expressed for Pn = U*P along (0, -1)."""
+    w, f0 = Vector2(0, -1), Vector2(1, 0)
+    view = md.gh
+    if isinstance(view, SlabView) and (view.polygon, view.w, view.ts) == (P, md.w, md.t):
+        # U keeps heights and sends the factor direction to f0, so it carries
+        # the maximal slabs of P onto those of Pn
+        return MutationData(w=w, t=md.t, f0=f0, gh=SlabView(Pn, w, md.t))
     gh = {}
     for h, seg in md.gh.items():
         if seg is None:
             gh[h] = None
         else:
             gh[h] = Segment(mat_apply(U, seg.a), mat_apply(U, seg.b))
-    return MutationData(w=Vector2(0, -1), t=md.t, f0=Vector2(1, 0), gh=gh)
+    return MutationData(w=w, t=md.t, f0=f0, gh=gh)
 
 
 def _denominator_lcm(P: Polygon) -> int:
@@ -379,7 +373,7 @@ def mutation_to_deformation(
         raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
     U = _normalizer_for(md.w)
     Pn = Polygon([mat_apply(U, v) for v in P.vertices])
-    mdn = _transform_mutation(md, U)
+    mdn = _transform_mutation(P, md, U, Pn)
     Q = mutate(Pn, mdn)
     Pstar = dual(Pn)
     Qstar = dual(Q)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .geom import Polygon, Vector2, is_primitive
+from .geom import Polygon, Vector2, extgcd, is_primitive
 
 WeightTriple = tuple[int, int, int]
 MarkovTriple = tuple[int, int, int]
@@ -112,22 +112,8 @@ def fake_plane_data(T: Polygon) -> FakePlaneData:
 
 def _unimodular_elim(l1: int, l2: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """2x2 determinant-1 matrix sending the column (l1, l2) to (gcd, 0)."""
-    g, x, y = _extgcd(l1, l2)
+    g, x, y = extgcd(l1, l2)
     return ((x, y), (-l2 // g, l1 // g))
-
-
-def _extgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def triangle_from_weights(w: WeightTriple) -> Polygon:

@@ -318,7 +318,7 @@ def _halfplanes(P: Polygon) -> list[tuple[Vector2, Fraction]]:
     return out
 
 
-def _clip(loop: list[Vector2], n: Vector2, c: Fraction) -> list[Vector2]:
+def clip_halfplane(loop: list[Vector2], n: Vector2, c: Fraction) -> list[Vector2]:
     """One Sutherland-Hodgman step: keep the side n.x >= c."""
     if not loop:
         return []
@@ -342,7 +342,7 @@ def intersect(P: Polygon, Q: Polygon) -> Optional[Polygon]:
     """Exact intersection of two convex polygons, or None if empty."""
     loop = list(P.vertices)
     for n, c in _halfplanes(Q):
-        loop = _clip(loop, n, c)
+        loop = clip_halfplane(loop, n, c)
         if not loop:
             return None
     return Polygon(loop)
@@ -398,13 +398,13 @@ def height_basis(w: Vector2) -> tuple[Vector2, Vector2, Vector2]:
         raise DomainError(f"height function must be primitive: {w}")
     p, q = w.as_ints()
     f0 = Vector2(-q, p)
-    g, a, b = _extgcd(p, q)
+    g, a, b = extgcd(p, q)
     vw = Vector2(a, b)  # a*p + b*q == 1
     s = Vector2(-b, a)
     return f0, vw, s
 
 
-def _extgcd(a: int, b: int) -> tuple[int, int, int]:
+def extgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b == g == gcd(a, b), g >= 0."""
     old_r, r = a, b
     old_x, x = 1, 0

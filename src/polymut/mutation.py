@@ -6,6 +6,14 @@ negative heights squeezed between the height-h vertices and the lattice
 slice at height h.  The mutated polygon shrinks the negative-height slabs
 and fattens the nonnegative slices by h copies of F.
 
+The kernel works at the vertices only.  In the grading by w the slice
+endpoints of P are piecewise linear and break only at vertex heights, so
+the valid factor lengths and the mutant are read off the rows at vertex
+heights (Akhtar, Coates, Galkin and Kasprzyk, "Minkowski polynomials and
+mutations", arXiv:1212.1785); the cost does not grow with the range of
+heights.  The slabs are kept as a lazy SlabView, computed per height only
+when read (for JSON output).
+
 Sign convention: for Laurent polynomials, dividing the second variable by
 g(x) corresponds to w = (0,-1) with F = Newt(g); this is the unique choice
 under which the Newton polygon of the mutated polynomial equals the
@@ -15,9 +23,10 @@ mutation of the Newton polygon.  CLI certificates record it.
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 from .errors import DomainError
 from . import fano
@@ -25,6 +34,7 @@ from .geom import (
     Polygon,
     Segment,
     Vector2,
+    clip_halfplane,
     height_basis,
     is_primitive,
     linear_equivalent,
@@ -44,8 +54,12 @@ class InvalidFactor(DomainError):
 class MutationData:
     """Height function w, factor conv(0, t*f0), and slab segments G_h.
 
-    gh maps every height h in [h_min, -1] to the maximal slab (a Segment)
-    or to None where no slab is needed or possible.
+    gh maps every height h in [h_min, -1] to a slab (a Segment) or to None
+    where no slab is needed or possible.  find_factors and inverse_data
+    give the maximal slabs as a SlabView, which computes a slab only when
+    it is read; mutate trusts such a view for its own polygon and checks
+    only the factor length.  Any other mapping, such as a dict built by a
+    caller, is checked height by height.
     """
 
     w: Vector2
@@ -175,7 +189,7 @@ class _Profile:
 
 
 def _find_seg(segs, h):
-    # linear scan is fine: callers sweep monotonically or polygons are tiny
+    # linear scan is fine: polygons have few vertices
     for h0, k0, dh, dk in segs:
         if h0 <= h <= h0 + dh:
             return h0, k0, dh, dk
@@ -199,62 +213,82 @@ def _require_fano(P: Polygon) -> None:
         raise fano.NotFano("operation requires a Fano polygon")
 
 
+def _slab_bounds(prof: _Profile, h: int, ts: int) -> Optional[tuple[int, int]]:
+    """k-interval of the lattice slice at height h with its factor-side end
+    moved by h*ts primitive steps: the slab G_h for h < 0, the fattened
+    slice for h >= 0.  None when the result has no lattice point."""
+    b = prof.bounds(h)
+    if b is None:
+        return None
+    a, bb = b
+    if ts >= 0:
+        bb += h * ts
+    else:
+        a += h * ts
+    return (a, bb) if a <= bb else None
+
+
+def _t_max(prof: _Profile) -> int:
+    """Longest factor: each negative vertex height h must keep a slab after
+    removing (-h)*t steps from its lattice slice."""
+    caps = []
+    for h in prof.heights_of_vertices:
+        if h < 0:
+            a, b = prof.bounds(h)  # vertices are lattice points of P
+            caps.append((b - a) // (-h))
+    return min(caps, default=0)
+
+
+class SlabView(Mapping):
+    """The maximal slabs of P for (w, signed t) as a read-only mapping.
+
+    Keys are the heights h_min..-1 in increasing order; the value at h is
+    the Segment G_h, or None where no slab fits.  Each value is computed
+    when it is read, so holding the view costs nothing along huge height
+    ranges; only JSON output and explicit iteration pay per height.
+    """
+
+    def __init__(self, P: Polygon, w: Vector2, ts: int):
+        self.polygon = P
+        self.w = w
+        self.ts = ts
+        self._prof = _Profile(P, w)
+
+    def __getitem__(self, h) -> Optional[Segment]:
+        if not isinstance(h, int) or not self._prof.hmin <= h < 0:
+            raise KeyError(h)
+        iv = _slab_bounds(self._prof, h, self.ts)
+        if iv is None:
+            return None
+        return Segment(self._prof.from_hk(h, iv[0]), self._prof.from_hk(h, iv[1]))
+
+    def __iter__(self):
+        return iter(range(self._prof.hmin, 0))
+
+    def __len__(self) -> int:
+        return max(0, -self._prof.hmin)
+
+
 def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     """All nontrivial factors conv(0, t*f0) of P with respect to w.
 
-    Each valid t comes with the maximal slab map: G_h is the Minkowski
-    difference of the height-h lattice slice by (-h) copies of the factor,
-    checked to contain the height-h vertices.  The list is empty when no
-    factor exists (for instance when some negative-height vertex sits alone
-    in a point slice).
+    The valid lengths are exactly t = 1..t_max, read off the negative
+    vertex heights: at such a height h the slab G_h is the lattice slice
+    [A_h, B_h] cut down to [A_h, B_h - (-h)t], which is nonempty exactly
+    for t <= (B_h - A_h) // (-h), and then G_h + (-h)F = [A_h, B_h] covers
+    the height-h vertices because they are lattice points of that slice.
+    Each factor carries the maximal slab map as a lazy SlabView.  The list
+    is empty when no factor exists (for instance when some negative-height
+    vertex sits alone in a point slice).
     """
     _require_fano(P)
     if not is_primitive(w):
         raise NotPrimitive(f"height function must be primitive: {w}")
     prof = _Profile(P, w)
-    hmin = prof.hmin
-    if hmin >= 0:  # cannot happen for Fano P; guard anyway
-        return []
-    mandatory = {h for h in prof.heights_of_vertices if h < 0}
-    # factor length bound: at each vertex-carrying height the slice must
-    # survive removing (-h)*t steps
-    t_max = None
-    for h in mandatory:
-        b = prof.bounds(h)
-        assert b is not None  # vertices are lattice points of P
-        cap = (b[1] - b[0]) // (-h)
-        t_max = cap if t_max is None else min(t_max, cap)
-    if not t_max:
-        return []
-    out = []
-    for t in range(1, t_max + 1):
-        gh: dict[int, Optional[Segment]] = {}
-        ok = True
-        for h in range(hmin, 0):
-            b = prof.bounds(h)
-            if b is None:
-                gh[h] = None
-                continue
-            a, bb = b
-            hi = bb + h * t
-            if hi < a:
-                if h in mandatory:  # slab too short for its vertices
-                    ok = False
-                    break
-                gh[h] = None
-                continue
-            seg = Segment(prof.from_hk(h, a), prof.from_hk(h, hi))
-            if h in mandatory:
-                lo_v = min(prof.heights_of_vertices[h])
-                hi_v = max(prof.heights_of_vertices[h])
-                # G_h + (-h)F must cover the vertices at height h
-                if not (a <= lo_v and hi_v <= hi + (-h) * t):
-                    ok = False
-                    break
-            gh[h] = seg
-        if ok:
-            out.append(MutationData(w=w, t=t, f0=prof.f0, gh=gh))
-    return out
+    return [
+        MutationData(w=w, t=t, f0=prof.f0, gh=SlabView(P, w, t))
+        for t in range(1, _t_max(prof) + 1)
+    ]
 
 
 def factor_for(P: Polygon, w: Vector2, t: int) -> MutationData:
@@ -293,6 +327,15 @@ def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int
     ts = _signed_length(prof, md)
     if ts == 0:
         return prof, 0
+    view = md.gh
+    if isinstance(view, SlabView) and (view.polygon, view.w, view.ts) == (P, md.w, ts):
+        # The maximal slabs of P itself are valid by construction once the
+        # length is (see find_factors): each fits its slice, and at a vertex
+        # height G_h + (-h)F is the whole lattice slice, so it covers the
+        # vertices.  Only the length needs checking, at the vertex heights.
+        if md.t > _t_max(prof):
+            raise InvalidFactor(f"no factor of length {md.t} for w={md.w}")
+        return prof, ts
     _, _, s = height_basis(md.w)
     for h in range(prof.hmin, 0):
         g = md.gh.get(h)
@@ -323,65 +366,28 @@ def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int
 def mutate(P: Polygon, md: MutationData) -> Polygon:
     """The combinatorial mutation of P by md.
 
-    Hull of the maximal slabs at negative heights together with the lattice
-    slices fattened by h copies of the factor at nonnegative heights; the
-    result does not depend on the particular valid slab choice stored in md.
+    The hull of the maximal slabs at negative heights together with the
+    lattice slices fattened by h copies of the factor at nonnegative
+    heights; the result does not depend on the particular valid slab choice
+    stored in md.  Only the rows at vertex heights are built (see below).
     """
     prof, t = _validate_mutation_data(P, md)
-    lo_hull: list[tuple[int, int]] = []
-    up_hull: list[tuple[int, int]] = []
-    lo_push = _make_pusher(lo_hull, 1)
-    up_push = _make_pusher(up_hull, -1)
-    lo_i = up_i = 0
-    lo_segs, up_segs = prof.lo_segs, prof.up_segs
-    for h in range(prof.hmin, prof.hmax + 1):
-        while lo_i + 1 < len(lo_segs) and h > lo_segs[lo_i][0] + lo_segs[lo_i][2]:
-            lo_i += 1
-        while up_i + 1 < len(up_segs) and h > up_segs[up_i][0] + up_segs[up_i][2]:
-            up_i += 1
-        h0, k0, dh, dk = lo_segs[lo_i]
-        num = k0 * dh + dk * (h - h0)
-        a = -((-num) // dh)
-        h0, k0, dh, dk = up_segs[up_i]
-        num = k0 * dh + dk * (h - h0)
-        b = num // dh
-        if a > b:
-            continue
-        # slabs at h<0 and fattened slices at h>=0 share one interval form:
-        # the endpoint on the factor side moves by h*t primitive steps
-        if t >= 0:
-            a2, b2 = a, b + h * t
-        else:
-            a2, b2 = a + h * t, b
-        if h < 0 and a2 > b2:
-            continue
-        lo_push((h, a2))
-        lo_push((h, b2))
-        up_push((h, a2))
-        up_push((h, b2))
-    pts = {prof.from_hk(h, k) for h, k in lo_hull + up_hull}
+    # In (h, k) coordinates every row above is the lattice part of
+    # [kmin(h), kmax(h) + h*t] (t >= 0; mirrored for t < 0).  kmin is convex,
+    # kmax + h*t concave, and both break only at vertex heights of P, where
+    # they pass through lattice vertices; a valid factor keeps the row
+    # nonempty at every vertex height, hence everywhere between.  So the
+    # region is a lattice polygon whose vertices all lie in the rows at
+    # vertex heights, and the hull of those rows is the whole mutant.
+    pts = []
+    for h in prof.heights_of_vertices:
+        a, b = _slab_bounds(prof, h, t)
+        pts.append(prof.from_hk(h, a))
+        pts.append(prof.from_hk(h, b))
     Q = Polygon(pts)
     if not Q.is_lattice():  # pragma: no cover - structural guarantee
         raise AssertionError("mutation produced a non-lattice polygon")
     return Q
-
-
-def _make_pusher(stack: list[tuple[int, int]], orient: int):
-    """Online monotone-chain insert for lex-increasing points; orient=1
-    builds the lower hull, orient=-1 the upper hull."""
-
-    def push(p: tuple[int, int]) -> None:
-        while len(stack) >= 2:
-            a, b = stack[-2], stack[-1]
-            cr = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if cr * orient <= 0:
-                stack.pop()
-            else:
-                break
-        if not stack or stack[-1] != p:
-            stack.append(p)
-
-    return push
 
 
 def inverse_data(P: Polygon, md: MutationData) -> MutationData:
@@ -392,22 +398,7 @@ def inverse_data(P: Polygon, md: MutationData) -> MutationData:
     prof = _Profile(Q, w2)
     md_probe = MutationData(w=w2, t=md.t, f0=md.f0, gh={})
     ts = _signed_length(prof, md_probe)
-    gh: dict[int, Optional[Segment]] = {}
-    for h in range(prof.hmin, 0):
-        b = prof.bounds(h)
-        if b is None:
-            gh[h] = None
-            continue
-        a, bb = b
-        if ts >= 0:
-            a2, b2 = a, bb + h * ts
-        else:
-            a2, b2 = a + h * ts, bb
-        if a2 > b2:
-            gh[h] = None
-            continue
-        gh[h] = Segment(prof.from_hk(h, a2), prof.from_hk(h, b2))
-    return MutationData(w=w2, t=md.t, f0=md.f0, gh=gh)
+    return MutationData(w=w2, t=md.t, f0=md.f0, gh=SlabView(Q, w2, ts))
 
 
 def dual_map(pm: PLMap, Q: Polygon) -> Polygon:
@@ -419,12 +410,10 @@ def dual_map(pm: PLMap, Q: Polygon) -> Polygon:
         return Polygon([u - pm.w.scale(u.dot(f)) for u in Q.vertices])
     fa, fb = fv
     d = fa - fb
-    from .geom import _clip  # reuse the exact clipper
-
     pieces = []
     for n, f in ((d, fb), (-d, fa)):
         # on the side <u, d> >= 0 the minimizer is fb (and vice versa)
-        loop = _clip(list(Q.vertices), n, Fraction(0))
+        loop = clip_halfplane(list(Q.vertices), n, Fraction(0))
         if loop:
             pieces.extend(u - pm.w.scale(u.dot(f)) for u in loop)
     return Polygon(pieces)

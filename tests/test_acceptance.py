@@ -72,6 +72,19 @@ def test_criterion_1_markov_chain_reproduction(markov_graph):
           f"({len(got)} classes in {elapsed:.2f}s)")
 
 
+def test_deep_markov_graph():
+    start = time.monotonic()
+    g = mutation_graph(fano.triangle_from_weights((1, 1, 1)), 8)
+    elapsed = time.monotonic() - start
+    expected = {tuple(sorted(a * a for a in t)) for t in fano.markov_tree(8)}
+    assert len(expected) == 129
+    assert len(g.nodes) == 129
+    assert g.weight_triples() == expected
+    assert elapsed < 10.0
+    print(f"PASS deep Markov graph: depth-8 graph nodes = squares of "
+          f"markov_tree(8) ({len(g.nodes)} classes in {elapsed:.2f}s)")
+
+
 def test_criterion_2_weight_formula(markov_graph):
     g, _ = markov_graph
     failures = 0

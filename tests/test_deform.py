@@ -204,6 +204,23 @@ class TestPipeline:
         a = cert.dilation
         assert area(cert.fiber_polygon) == a * a * area(dual(cert.normalized_source))
 
+    def test_slab_view_and_explicit_slabs_certify_alike(self, p2_triangle):
+        # the normalizer carries a slab view as a view of the normalized
+        # source; the same slabs given as a dict are transformed one by one
+        from dataclasses import replace
+
+        g = mutation_graph(p2_triangle, 4)
+        checked = 0
+        for e in g.edges:
+            src = g.nodes[e.source].polygon
+            md = factor_for(src, e.w, e.t)
+            if is_weight_reducing(src, md):
+                explicit = replace(md, gh=dict(md.gh))
+                lazy = mutation_to_deformation(src, md).to_json()
+                assert mutation_to_deformation(src, explicit).to_json() == lazy
+                checked += 1
+        assert checked >= 3
+
     def test_markov_graph_edges_depth3(self, p2_triangle):
         g = mutation_graph(p2_triangle, 3)
         for e in g.edges:

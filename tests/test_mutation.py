@@ -12,6 +12,7 @@ from polymut.mutation import (
     InvalidFactor,
     MutationData,
     NotPrimitive,
+    SlabView,
     dual_map,
     factor_directions,
     factor_for,
@@ -88,6 +89,31 @@ class TestMutate:
         for w in factor_directions(p2_triangle):
             for md in find_factors(p2_triangle, w):
                 assert fano.is_fano(mutate(p2_triangle, md))
+
+    def test_slab_view_too_long_rejected(self):
+        # the trapezoid's factors stop at t = 4; a view claiming t = 5 is
+        # trusted for its slabs but not for its length
+        Q = P((-2, 1), (2, 1), (1, -1), (-1, -1))
+        w, f0 = Vector2(0, -1), Vector2(1, 0)
+        bad = MutationData(w=w, t=5, f0=f0, gh=SlabView(Q, w, 5))
+        with pytest.raises(InvalidFactor):
+            mutate(Q, bad)
+
+    def test_slab_view_of_other_polygon_checked_per_height(self, p114_triangle):
+        # same w and t as p114's own factor, but the trapezoid's slabs stop
+        # at height -1 and p114 has its vertices at height -2
+        Q = P((-2, 1), (2, 1), (1, -1), (-1, -1))
+        borrowed = find_factors(Q, Vector2(0, -1))[0]
+        assert mutate(p114_triangle, factor_for(p114_triangle, borrowed.w, 1))
+        with pytest.raises(InvalidFactor):
+            mutate(p114_triangle, borrowed)
+
+    def test_slab_view_reads_like_a_dict(self, p114_triangle):
+        md = find_factors(p114_triangle, Vector2(0, -1))[0]
+        assert list(md.gh) == [-2, -1]
+        assert len(md.gh) == 2
+        assert dict(md.gh) == {-2: Segment(Vector2(-1, 2), Vector2(-1, 2)), -1: None}
+        assert md.gh.get(0) is None and 0 not in md.gh
 
     def test_invalid_factor_rejected(self, p114_triangle):
         bad = MutationData(
@@ -181,6 +207,90 @@ class TestMutateAgainstDefinition:
                     assert mutate(Q, md) == _mutate_by_definition(Q, md)
                     checked += 1
 
+    def test_oracle_agreement_on_graph_edges(self, p2_triangle):
+        g = mutation_graph(p2_triangle, 4)
+        for e in g.edges:
+            src = g.nodes[e.source].polygon
+            md = factor_for(src, e.w, e.t)
+            assert mutate(src, md) == _mutate_by_definition(src, md)
+        assert len(g.edges) == 15
+
+
+def _find_factors_by_definition(P, w):
+    """Per-t, per-height sweep of the factor definition using only public
+    geometry ops.  For each t up to the lattice length of the lowest slice,
+    every negative height gets the maximal slab G_h (its lattice slice cut
+    short by (-h)t steps at the f0 end); t is valid when every height that
+    carries vertices keeps a slab and G_h + (-h)F covers those vertices.
+    Returns [(t, gh)].  Oracle for the closed form in find_factors."""
+    from polymut.geom import height_basis, height_range, lattice_slice
+
+    f0, _, s = height_basis(w)
+    lo = int(height_range(P, w)[0])
+    out = []
+    for t in range(1, lattice_slice(P, w, lo).lattice_length() + 1):
+        gh = {}
+        for h in range(lo, 0):
+            sl = lattice_slice(P, w, h)
+            ks = [s.dot(v) for v in P.vertices if w.dot(v) == h]
+            if sl is None:
+                gh[h] = None
+                continue
+            pa, pb = sorted((sl.a, sl.b), key=s.dot)
+            a, b = s.dot(pa), s.dot(pb)
+            hi = b + h * t
+            if hi < a:
+                if ks:
+                    break
+                gh[h] = None
+                continue
+            if ks and not (a <= min(ks) and max(ks) <= hi + (-h) * t):
+                break
+            gh[h] = Segment(pa, pb + f0.scale(h * t))
+        else:
+            out.append((t, gh))
+    return out
+
+
+def _assert_factors_match_definition(Q, w):
+    got = [(md.t, dict(md.gh)) for md in find_factors(Q, w)]
+    assert got == _find_factors_by_definition(Q, w)
+    return len(got)
+
+
+class TestFindFactorsAgainstDefinition:
+    def test_oracle_agreement_randomized(self):
+        import random
+
+        from polymut.geom import Polygon, is_primitive
+
+        box = [
+            Vector2(p, q)
+            for p in range(-2, 3)
+            for q in range(-2, 3)
+            if is_primitive(Vector2(p, q))
+        ]
+        rng = random.Random(43)
+        polygons = found = 0
+        while polygons < 60:
+            Q = Polygon(
+                [Vector2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)]
+            )
+            if not fano.is_fano(Q):
+                continue
+            polygons += 1
+            for w in set(factor_directions(Q)) | set(box):
+                found += _assert_factors_match_definition(Q, w)
+        assert found >= 40
+
+    def test_oracle_agreement_on_graph_nodes(self, p2_triangle):
+        g = mutation_graph(p2_triangle, 4)
+        found = 0
+        for n in g.nodes:
+            for w in factor_directions(n.polygon):
+                found += _assert_factors_match_definition(n.polygon, w)
+        assert found >= len(g.edges)
+
 
 class TestDualMap:
     def test_p114_image(self, p114_triangle):
@@ -225,6 +335,21 @@ class TestMutationGraph:
             src = g.nodes[e.source].polygon
             md = factor_for(src, e.w, e.t)
             assert dual(dual_map(md.pl_map, dual(src))) == mutate(src, md)
+
+    def test_duality_and_involution_out_of_depth_five(self, p2_triangle):
+        # every mutation of every depth-5 class, i.e. the edges of depth 6;
+        # heights there span up to 4.9e7, too far for the definition oracle
+        g = mutation_graph(p2_triangle, 5)
+        checked = 0
+        for n in g.nodes:
+            src = n.polygon
+            for w in factor_directions(src):
+                for md in find_factors(src, w):
+                    Q = mutate(src, md)
+                    assert dual(dual_map(md.pl_map, dual(src))) == Q
+                    assert mutate(Q, inverse_data(src, md)) == src
+                    checked += 1
+        assert checked == 51
 
     def test_nodes_deduplicated_by_linear_equivalence(self, p114_triangle):
         g = mutation_graph(p114_triangle, 2)
