@@ -74,6 +74,19 @@ def _read_polygon(arg: str) -> Polygon:
     return polygon_from_json(_read_json_arg(arg))
 
 
+def _field(obj, key: str, what: str):
+    """obj[key] of a decoded JSON object, or DomainError naming what lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"{what} JSON needs a {key!r} entry")
+    return obj[key]
+
+
+def _json_weights(v) -> tuple[int, int, int]:
+    if not (isinstance(v, list) and len(v) == 3 and all(type(x) is int for x in v)):
+        raise DomainError(f"'weights' must be a list of three integers: {v!r}")
+    return tuple(v)
+
+
 def _parse_w(s: str) -> Vector2:
     try:
         p, q = s.split(",")
@@ -285,14 +298,11 @@ def _default_reducing_factor(P: Polygon) -> mutation.MutationData:
 
 
 def _cmd_check_corollary(args) -> dict:
-    obj = _read_json_arg(args.certificate)
-    if "decomposition" not in obj:
-        raise DomainError("certificate JSON needs a 'decomposition' entry")
-    dobj = obj["decomposition"]
+    dobj = _field(_read_json_arg(args.certificate), "decomposition", "certificate")
     d = deform.Decomposition(
-        divpoly.PointLabel.parse(dobj["label"]),
-        divpoly.PLFunc.from_json(dobj["part0"]),
-        divpoly.PLFunc.from_json(dobj["part1"]),
+        divpoly.PointLabel.parse(_field(dobj, "label", "decomposition")),
+        divpoly.PLFunc.from_json(_field(dobj, "part0", "decomposition")),
+        divpoly.PLFunc.from_json(_field(dobj, "part1", "decomposition")),
     )
     return deform.corollary_check(d).to_json()
 
@@ -331,7 +341,7 @@ def _verify_entry(path: Path, obj) -> list[dict]:
     if "laurent" in obj:
         return _verify_laurent(path, obj)
     if "weights" in obj:
-        T = fano.triangle_from_weights(tuple(obj["weights"]))
+        T = fano.triangle_from_weights(_json_weights(obj["weights"]))
     elif "vertices" in obj:
         T = polygon_from_json(obj)
     else:
@@ -371,7 +381,9 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
 def _verify_laurent(path: Path, obj) -> list[dict]:
     out = []
     f = laurent.parse(obj["laurent"])
-    spec = laurent.MutationSpec(obj.get("divide", "y"), laurent.parse(obj["g"]))
+    spec = laurent.MutationSpec(
+        obj.get("divide", "y"), laurent.parse(_field(obj, "g", "laurent entry"))
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = laurent.algebraic_mutate(f, spec)

@@ -34,7 +34,6 @@ from .divpoly import (
 from .geom import (
     Mat2,
     Polygon,
-    Segment,
     Vector2,
     dilate,
     dual,
@@ -45,7 +44,7 @@ from .geom import (
     polygon_to_json,
     vector_to_json,
 )
-from .mutation import MutationData, SlabView, mutate
+from .mutation import InvalidFactor, MutationData, mutate
 
 
 class Inadmissible(DomainError):
@@ -325,21 +324,17 @@ def _normalizer_for(w: Vector2) -> Mat2:
     return ((-y, x), (-p, -q))
 
 
-def _transform_mutation(P: Polygon, md: MutationData, U: Mat2, Pn: Polygon) -> MutationData:
-    """md for P along w, re-expressed for Pn = U*P along (0, -1)."""
-    w, f0 = Vector2(0, -1), Vector2(1, 0)
-    view = md.gh
-    if isinstance(view, SlabView) and (view.polygon, view.w, view.ts) == (P, md.w, md.t):
-        # U keeps heights and sends the factor direction to f0, so it carries
-        # the maximal slabs of P onto those of Pn
-        return MutationData(w=w, t=md.t, f0=f0, gh=SlabView(Pn, w, md.t))
-    gh = {}
-    for h, seg in md.gh.items():
-        if seg is None:
-            gh[h] = None
-        else:
-            gh[h] = Segment(mat_apply(U, seg.a), mat_apply(U, seg.b))
-    return MutationData(w=w, t=md.t, f0=f0, gh=gh)
+def _transform_mutation(md: MutationData, U: Mat2) -> MutationData:
+    """md re-expressed for U*P along (0, -1).  U = _normalizer_for(md.w)
+    keeps heights and sends the kernel direction (-q, p) of w = (p, q) to
+    (1, 0); a factor along the other direction is refused, since it would
+    silently turn into its negative."""
+    if mat_apply(U, md.f0) != Vector2(1, 0):
+        raise InvalidFactor(
+            f"factor direction {md.f0} is not the direction "
+            f"{Vector2(-md.w.y, md.w.x)} that deform normalizes to (1, 0) for w={md.w}"
+        )
+    return MutationData(w=Vector2(0, -1), t=md.t, f0=Vector2(1, 0))
 
 
 def _denominator_lcm(P: Polygon) -> int:
@@ -373,7 +368,7 @@ def mutation_to_deformation(
         raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
     U = _normalizer_for(md.w)
     Pn = Polygon([mat_apply(U, v) for v in P.vertices])
-    mdn = _transform_mutation(P, md, U, Pn)
+    mdn = _transform_mutation(md, U)
     Q = mutate(Pn, mdn)
     Pstar = dual(Pn)
     Qstar = dual(Q)

@@ -54,7 +54,10 @@ def to_fraction(v: RationalLike) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as e:
+            raise DomainError(f"not an exact rational: {v!r}") from e
     raise DomainError(f"not an exact rational: {v!r}")
 
 

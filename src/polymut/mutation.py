@@ -1,18 +1,17 @@
 """Combinatorial mutations of Fano polygons.
 
-A mutation is driven by a primitive height function w, a factor segment
-F = conv(0, t*f0) lying in the kernel of w, and slab polytopes G_h at the
-negative heights squeezed between the height-h vertices and the lattice
-slice at height h.  The mutated polygon shrinks the negative-height slabs
-and fattens the nonnegative slices by h copies of F.
+A mutation is fixed by a primitive height function w and a factor segment
+F = conv(0, t*f0) lying in the kernel of w (Akhtar, Coates, Galkin and
+Kasprzyk, "Minkowski polynomials and mutations", arXiv:1212.1785).  The
+mutated polygon shrinks each negative-height lattice slice to its slab G_h,
+cut short by (-h) copies of F, and fattens each nonnegative slice by h
+copies of F.  The slabs are implied by (w, F) and never stored: they exist
+exactly when t <= t_max, read off the negative vertex heights.
 
 The kernel works at the vertices only.  In the grading by w the slice
 endpoints of P are piecewise linear and break only at vertex heights, so
 the valid factor lengths and the mutant are read off the rows at vertex
-heights (Akhtar, Coates, Galkin and Kasprzyk, "Minkowski polynomials and
-mutations", arXiv:1212.1785); the cost does not grow with the range of
-heights.  The slabs are kept as a lazy SlabView, computed per height only
-when read (for JSON output).
+heights; the cost does not grow with the range of heights.
 
 Sign convention: for Laurent polynomials, dividing the second variable by
 g(x) corresponds to w = (0,-1) with F = Newt(g); this is the unique choice
@@ -22,9 +21,7 @@ mutation of the Newton polygon.  CLI certificates record it.
 
 from __future__ import annotations
 
-import os
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -52,20 +49,17 @@ class InvalidFactor(DomainError):
 
 @dataclass(frozen=True)
 class MutationData:
-    """Height function w, factor conv(0, t*f0), and slab segments G_h.
+    """Height function w and factor F = conv(0, t*f0), f0 spanning the
+    kernel of w; t = 0 is the identity.
 
-    gh maps every height h in [h_min, -1] to a slab (a Segment) or to None
-    where no slab is needed or possible.  find_factors and inverse_data
-    give the maximal slabs as a SlabView, which computes a slab only when
-    it is read; mutate trusts such a view for its own polygon and checks
-    only the factor length.  Any other mapping, such as a dict built by a
-    caller, is checked height by height.
+    This is the whole mutation: the slabs G_h only witness that F exists.
+    mutate accepts md for P exactly when t <= t_max(P, w), with f0 either
+    primitive direction of the kernel.
     """
 
     w: Vector2
     t: int
     f0: Vector2
-    gh: Mapping[int, Optional[Segment]] = field(hash=False)
 
     @property
     def factor(self) -> Segment:
@@ -75,19 +69,6 @@ class MutationData:
     def pl_map(self) -> "PLMap":
         return PLMap(self.w, self.factor.vertices())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MutationData):
-            return NotImplemented
-        return (self.w, self.t, self.f0, dict(self.gh)) == (
-            other.w,
-            other.t,
-            other.f0,
-            dict(other.gh),
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.w, self.t, self.f0))
-
     def to_json(self) -> dict:
         from .geom import segment_to_json, vector_to_json
 
@@ -96,7 +77,6 @@ class MutationData:
             "t": self.t,
             "f0": vector_to_json(self.f0),
             "F": segment_to_json(self.factor),
-            "gh": {str(h): segment_to_json(s) for h, s in sorted(self.gh.items())},
             "convention": "w=(0,-1) matches dividing the second variable by g",
         }
 
@@ -239,36 +219,6 @@ def _t_max(prof: _Profile) -> int:
     return min(caps, default=0)
 
 
-class SlabView(Mapping):
-    """The maximal slabs of P for (w, signed t) as a read-only mapping.
-
-    Keys are the heights h_min..-1 in increasing order; the value at h is
-    the Segment G_h, or None where no slab fits.  Each value is computed
-    when it is read, so holding the view costs nothing along huge height
-    ranges; only JSON output and explicit iteration pay per height.
-    """
-
-    def __init__(self, P: Polygon, w: Vector2, ts: int):
-        self.polygon = P
-        self.w = w
-        self.ts = ts
-        self._prof = _Profile(P, w)
-
-    def __getitem__(self, h) -> Optional[Segment]:
-        if not isinstance(h, int) or not self._prof.hmin <= h < 0:
-            raise KeyError(h)
-        iv = _slab_bounds(self._prof, h, self.ts)
-        if iv is None:
-            return None
-        return Segment(self._prof.from_hk(h, iv[0]), self._prof.from_hk(h, iv[1]))
-
-    def __iter__(self):
-        return iter(range(self._prof.hmin, 0))
-
-    def __len__(self) -> int:
-        return max(0, -self._prof.hmin)
-
-
 def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     """All nontrivial factors conv(0, t*f0) of P with respect to w.
 
@@ -277,25 +227,21 @@ def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     [A_h, B_h] cut down to [A_h, B_h - (-h)t], which is nonempty exactly
     for t <= (B_h - A_h) // (-h), and then G_h + (-h)F = [A_h, B_h] covers
     the height-h vertices because they are lattice points of that slice.
-    Each factor carries the maximal slab map as a lazy SlabView.  The list
-    is empty when no factor exists (for instance when some negative-height
-    vertex sits alone in a point slice).
+    The list is empty when no factor exists (for instance when some
+    negative-height vertex sits alone in a point slice).
     """
     _require_fano(P)
     if not is_primitive(w):
         raise NotPrimitive(f"height function must be primitive: {w}")
     prof = _Profile(P, w)
-    return [
-        MutationData(w=w, t=t, f0=prof.f0, gh=SlabView(P, w, t))
-        for t in range(1, _t_max(prof) + 1)
-    ]
+    return [MutationData(w=w, t=t, f0=prof.f0) for t in range(1, _t_max(prof) + 1)]
 
 
 def factor_for(P: Polygon, w: Vector2, t: int) -> MutationData:
     """The factor of length t for (P, w), or InvalidFactor if there is none."""
     if t == 0:
-        prof = _Profile(P, primitivize(w))
-        return MutationData(w=primitivize(w), t=0, f0=prof.f0, gh={})
+        w = primitivize(w)
+        return MutationData(w=w, t=0, f0=height_basis(w)[0])
     for md in find_factors(P, w):
         if md.t == t:
             return md
@@ -314,6 +260,7 @@ def _signed_length(prof: _Profile, md: MutationData) -> int:
 
 
 def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int]:
+    """P's profile along md.w and the factor length signed along its f0."""
     if not is_primitive(md.w):
         raise InvalidFactor(f"w must be primitive: {md.w}")
     if md.t < 0:
@@ -325,41 +272,10 @@ def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int
     _require_fano(P)
     prof = _Profile(P, md.w)
     ts = _signed_length(prof, md)
-    if ts == 0:
-        return prof, 0
-    view = md.gh
-    if isinstance(view, SlabView) and (view.polygon, view.w, view.ts) == (P, md.w, ts):
-        # The maximal slabs of P itself are valid by construction once the
-        # length is (see find_factors): each fits its slice, and at a vertex
-        # height G_h + (-h)F is the whole lattice slice, so it covers the
-        # vertices.  Only the length needs checking, at the vertex heights.
-        if md.t > _t_max(prof):
-            raise InvalidFactor(f"no factor of length {md.t} for w={md.w}")
-        return prof, ts
-    _, _, s = height_basis(md.w)
-    for h in range(prof.hmin, 0):
-        g = md.gh.get(h)
-        b = prof.bounds(h)
-        verts = prof.heights_of_vertices.get(h, [])
-        if g is None:
-            if verts:
-                raise InvalidFactor(f"height {h} has vertices but an empty slab")
-            continue
-        if b is None:
-            raise InvalidFactor(f"height {h} has a slab but no lattice slice")
-        if md.w.dot(g.a) != h or md.w.dot(g.b) != h:
-            raise InvalidFactor(f"slab at height {h} sits at the wrong height")
-        ka, kb = sorted((int(s.dot(g.a)), int(s.dot(g.b))))
-        lo, hi = b
-        # (-h)F spans [min(0, (-h)ts), max(0, (-h)ts)] along prof.f0
-        span = (-h) * ts
-        add_lo, add_hi = min(0, span), max(0, span)
-        # G_h + (-h)F inside the lattice slice, vertices covered
-        if not (lo <= ka + add_lo and kb + add_hi <= hi):
-            raise InvalidFactor(f"slab at height {h} does not fit in the slice")
-        for kv in verts:
-            if not (ka + add_lo <= kv <= kb + add_hi):
-                raise InvalidFactor(f"slab at height {h} misses a vertex")
+    # the slab at a vertex height h is the lattice slice cut short by (-h)t
+    # steps at either end, so both directions share t_max (see find_factors)
+    if md.t > _t_max(prof):
+        raise InvalidFactor(f"no factor of length {md.t} for w={md.w}")
     return prof, ts
 
 
@@ -368,8 +284,7 @@ def mutate(P: Polygon, md: MutationData) -> Polygon:
 
     The hull of the maximal slabs at negative heights together with the
     lattice slices fattened by h copies of the factor at nonnegative
-    heights; the result does not depend on the particular valid slab choice
-    stored in md.  Only the rows at vertex heights are built (see below).
+    heights.  Only the rows at vertex heights are built (see below).
     """
     prof, t = _validate_mutation_data(P, md)
     # In (h, k) coordinates every row above is the lattice part of
@@ -392,13 +307,10 @@ def mutate(P: Polygon, md: MutationData) -> Polygon:
 
 def inverse_data(P: Polygon, md: MutationData) -> MutationData:
     """Mutation data that undoes md on mutate(P, md): the height function
-    is negated and the factor segment kept, so mutating back recovers P."""
-    Q = mutate(P, md)
-    w2 = -md.w
-    prof = _Profile(Q, w2)
-    md_probe = MutationData(w=w2, t=md.t, f0=md.f0, gh={})
-    ts = _signed_length(prof, md_probe)
-    return MutationData(w=w2, t=md.t, f0=md.f0, gh=SlabView(Q, w2, ts))
+    is negated and the factor segment kept, so mutating back recovers P.
+    md is checked against P; the mutant is not built."""
+    _validate_mutation_data(P, md)
+    return MutationData(w=-md.w, t=md.t, f0=md.f0)
 
 
 def dual_map(pm: PLMap, Q: Polygon) -> Polygon:
@@ -481,20 +393,7 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     return sorted(set(out))
 
 
-def _scan_candidates(P: Polygon, extra_scan: Optional[int]) -> list[Vector2]:
-    cands = factor_directions(P)
-    if extra_scan:
-        box = set(cands)
-        for p in range(-extra_scan, extra_scan + 1):
-            for q in range(-extra_scan, extra_scan + 1):
-                v = Vector2(p, q)
-                if not v.is_zero() and is_primitive(v):
-                    box.add(v)
-        cands = sorted(box)
-    return cands
-
-
-def mutation_graph(P: Polygon, depth: int, extra_scan: Optional[int] = None) -> MutationGraph:
+def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     """Breadth-first graph of mutation classes reachable from P.
 
     Nodes are origin-preserving (linear) lattice-equivalence classes with
@@ -505,9 +404,6 @@ def mutation_graph(P: Polygon, depth: int, extra_scan: Optional[int] = None) -> 
     _require_fano(P)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    if extra_scan is None:
-        env = os.environ.get("POLYMUT_MAX_SCAN")
-        extra_scan = int(env) if env else None
 
     nodes: list[GraphNode] = [_make_node(P)]
     edges: list[GraphEdge] = []
@@ -516,7 +412,7 @@ def mutation_graph(P: Polygon, depth: int, extra_scan: Optional[int] = None) -> 
         next_frontier: list[int] = []
         for src in frontier:
             Psrc = nodes[src].polygon
-            for w in _scan_candidates(Psrc, extra_scan):
+            for w in factor_directions(Psrc):
                 for md in find_factors(Psrc, w):
                     Q = mutate(Psrc, md)
                     tgt = _find_class(nodes, Q)
@@ -530,9 +426,11 @@ def mutation_graph(P: Polygon, depth: int, extra_scan: Optional[int] = None) -> 
         frontier = next_frontier
         if not frontier:
             break
+    # "extra_scan" stays in the graph JSON as a constant: the edge normals
+    # are complete, so no wider box of height functions is ever scanned
     meta = {
         "scan": "edge-normals (complete for factors)",
-        "extra_scan": extra_scan,
+        "extra_scan": None,
         "depth": depth,
     }
     return MutationGraph(tuple(nodes), tuple(edges), meta)

@@ -153,6 +153,24 @@ class TestSubcommands:
         assert out["dilation"] == 2
         check_schema(out, "deform")
 
+    def test_factors_of_deep_markov_node_are_small(self, capsys, p2_triangle):
+        # the depth-5 class (841, 187489, 1418727556) reaches height -37,666
+        # along w = (-4, -1); factor JSON must not grow with the height range
+        from polymut.geom import polygon_to_json
+        from polymut.mutation import mutation_graph
+
+        g = mutation_graph(p2_triangle, 5)
+        node = next(n for n in g.nodes if sorted(n.weights) == [841, 187489, 1418727556])
+        code, out = run_json(
+            capsys, "factors", "--polygon", json.dumps(polygon_to_json(node.polygon))
+        )
+        assert code == 0
+        assert out["factors"]
+        for md in out["factors"]:
+            assert set(md) == {"w", "t", "f0", "F", "convention"}
+            assert len(json.dumps(md)) < 1024
+        check_schema(out, "factors")
+
     def test_check_corollary_roundtrip(self, capsys, tmp_path):
         code, cert = run_json(capsys, "deform", "--weights", "1,1,4")
         assert code == 0
@@ -193,6 +211,24 @@ class TestErrorsAndDeterminism:
         assert code == 1
         check_schema(out, "error")
 
+    def test_non_numeric_coordinate_exit_1(self, capsys):
+        code, out = run_json(
+            capsys, "dual", "--polygon", '{"vertices":[["a","b"],[0,1],[-1,-1]]}'
+        )
+        assert code == 1
+        assert out["error"]["type"] == "DomainError"
+        check_schema(out, "error")
+
+    @pytest.mark.parametrize("missing", ["label", "part0", "part1"])
+    def test_check_corollary_missing_field_exit_1(self, capsys, missing):
+        code, cert = run_json(capsys, "deform", "--weights", "1,1,4")
+        assert code == 0
+        del cert["decomposition"][missing]
+        code, out = run_json(capsys, "check-corollary", "--certificate", json.dumps(cert))
+        assert code == 1
+        assert repr(missing) in out["error"]["message"]
+        check_schema(out, "error")
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["mutate", "--polygon", P114, "--bogus-flag"])
@@ -228,6 +264,28 @@ class TestBatchVerify:
         assert code == 1
         assert out["results"][0]["status"] == "error"
         check_schema(out, "batch_report")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"laurent": "y^-1 + x^-1*(1+x)^2*y^2", "divide": "y"}',
+            '{"weights": [1, 1]}',
+        ],
+        ids=["laurent-without-g", "two-weights"],
+    )
+    def test_bad_entry_reported_and_batch_continues(self, capsys, tmp_path, bad):
+        corpus = Path(__file__).resolve().parents[1] / "corpus"
+        for entry in corpus.glob("*.json"):
+            (tmp_path / entry.name).write_text(entry.read_text())
+        (tmp_path / "bad.json").write_text(bad)
+        code, out = run_json(capsys, "batch-verify", str(tmp_path))
+        assert code == 1
+        check_schema(out, "batch_report")
+        bad_rows = [r for r in out["results"] if r["file"] == "bad.json"]
+        assert [r["status"] for r in bad_rows] == ["error"]
+        others = [r for r in out["results"] if r["file"] != "bad.json"]
+        assert {r["file"] for r in others} == {p.name for p in corpus.glob("*.json")}
+        assert all(r["status"] == "pass" for r in others)
 
     def test_empty_corpus(self, capsys, tmp_path):
         code, out = run_json(capsys, "batch-verify", str(tmp_path))

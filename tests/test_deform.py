@@ -32,7 +32,7 @@ from polymut.geom import (
     dual,
     lattice_equivalent,
 )
-from polymut.mutation import factor_for, find_factors, mutation_graph
+from polymut.mutation import factor_directions, factor_for, find_factors, mutation_graph
 from conftest import P
 
 BOX = (-6, 6)
@@ -204,22 +204,30 @@ class TestPipeline:
         a = cert.dilation
         assert area(cert.fiber_polygon) == a * a * area(dual(cert.normalized_source))
 
-    def test_slab_view_and_explicit_slabs_certify_alike(self, p2_triangle):
-        # the normalizer carries a slab view as a view of the normalized
-        # source; the same slabs given as a dict are transformed one by one
-        from dataclasses import replace
+    def test_factor_against_normalized_direction_refused(self, p114_triangle):
+        # inverse_data keeps f0 while negating w, so its factor points along
+        # -f0 of the normalizer; deform refuses it instead of flipping F
+        from polymut.mutation import InvalidFactor, inverse_data, mutate
 
-        g = mutation_graph(p2_triangle, 4)
+        T = p114_triangle
         checked = 0
-        for e in g.edges:
-            src = g.nodes[e.source].polygon
-            md = factor_for(src, e.w, e.t)
-            if is_weight_reducing(src, md):
-                explicit = replace(md, gh=dict(md.gh))
-                lazy = mutation_to_deformation(src, md).to_json()
-                assert mutation_to_deformation(src, explicit).to_json() == lazy
+        for w in factor_directions(T):
+            for md in find_factors(T, w):
+                Q = mutate(T, md)
+                back = inverse_data(T, md)
+                assert mutate(Q, back) == T
+                with pytest.raises(InvalidFactor, match="factor direction"):
+                    mutation_to_deformation(Q, back)
+                # the factor along the normalized direction gives T up to a
+                # shear along w, and deform accepts it
+                fwd = factor_for(Q, back.w, back.t)
+                assert lattice_equivalent(mutate(Q, fwd), T) is not None
+                try:
+                    mutation_to_deformation(Q, fwd)
+                except FiberMismatch:
+                    assert not is_weight_reducing(Q, fwd)
                 checked += 1
-        assert checked >= 3
+        assert checked == 3
 
     def test_markov_graph_edges_depth3(self, p2_triangle):
         g = mutation_graph(p2_triangle, 3)

@@ -12,7 +12,6 @@ from polymut.mutation import (
     InvalidFactor,
     MutationData,
     NotPrimitive,
-    SlabView,
     dual_map,
     factor_directions,
     factor_for,
@@ -31,8 +30,6 @@ class TestFindFactors:
         md = mds[0]
         assert md.t == 1
         assert md.f0 == Vector2(1, 0)
-        assert md.gh[-1] is None
-        assert md.gh[-2] == Segment(Vector2(-1, 2), Vector2(-1, 2))
 
     def test_isolated_vertex_blocks_factor(self, p114_triangle):
         # h_min is attained at the single vertex (0,-1)
@@ -90,40 +87,14 @@ class TestMutate:
             for md in find_factors(p2_triangle, w):
                 assert fano.is_fano(mutate(p2_triangle, md))
 
-    def test_slab_view_too_long_rejected(self):
-        # the trapezoid's factors stop at t = 4; a view claiming t = 5 is
-        # trusted for its slabs but not for its length
+    def test_too_long_factor_rejected(self):
+        # the trapezoid's factors stop at t = 4, in either direction of f0
         Q = P((-2, 1), (2, 1), (1, -1), (-1, -1))
         w, f0 = Vector2(0, -1), Vector2(1, 0)
-        bad = MutationData(w=w, t=5, f0=f0, gh=SlabView(Q, w, 5))
-        with pytest.raises(InvalidFactor):
-            mutate(Q, bad)
-
-    def test_slab_view_of_other_polygon_checked_per_height(self, p114_triangle):
-        # same w and t as p114's own factor, but the trapezoid's slabs stop
-        # at height -1 and p114 has its vertices at height -2
-        Q = P((-2, 1), (2, 1), (1, -1), (-1, -1))
-        borrowed = find_factors(Q, Vector2(0, -1))[0]
-        assert mutate(p114_triangle, factor_for(p114_triangle, borrowed.w, 1))
-        with pytest.raises(InvalidFactor):
-            mutate(p114_triangle, borrowed)
-
-    def test_slab_view_reads_like_a_dict(self, p114_triangle):
-        md = find_factors(p114_triangle, Vector2(0, -1))[0]
-        assert list(md.gh) == [-2, -1]
-        assert len(md.gh) == 2
-        assert dict(md.gh) == {-2: Segment(Vector2(-1, 2), Vector2(-1, 2)), -1: None}
-        assert md.gh.get(0) is None and 0 not in md.gh
-
-    def test_invalid_factor_rejected(self, p114_triangle):
-        bad = MutationData(
-            w=Vector2(0, -1),
-            t=1,
-            f0=Vector2(1, 0),
-            gh={-1: None, -2: Segment(Vector2(-1, 2), Vector2(1, 2))},
-        )
-        with pytest.raises(InvalidFactor):
-            mutate(p114_triangle, bad)
+        assert mutate(Q, MutationData(w, 4, f0)) == mutate(Q, factor_for(Q, w, 4))
+        for f in (f0, -f0):
+            with pytest.raises(InvalidFactor):
+                mutate(Q, MutationData(w, 5, f))
 
     def test_dual_area_preserved(self, p114_triangle):
         md = find_factors(p114_triangle, Vector2(0, -1))[0]
@@ -222,7 +193,8 @@ def _find_factors_by_definition(P, w):
     every negative height gets the maximal slab G_h (its lattice slice cut
     short by (-h)t steps at the f0 end); t is valid when every height that
     carries vertices keeps a slab and G_h + (-h)F covers those vertices.
-    Returns [(t, gh)].  Oracle for the closed form in find_factors."""
+    Returns [(t, gh)].  Oracle for the closed form in find_factors, which
+    must return the same t values."""
     from polymut.geom import height_basis, height_range, lattice_slice
 
     f0, _, s = height_basis(w)
@@ -253,8 +225,8 @@ def _find_factors_by_definition(P, w):
 
 
 def _assert_factors_match_definition(Q, w):
-    got = [(md.t, dict(md.gh)) for md in find_factors(Q, w)]
-    assert got == _find_factors_by_definition(Q, w)
+    got = [md.t for md in find_factors(Q, w)]
+    assert got == [t for t, _ in _find_factors_by_definition(Q, w)]
     return len(got)
 
 
@@ -290,6 +262,45 @@ class TestFindFactorsAgainstDefinition:
             for w in factor_directions(n.polygon):
                 found += _assert_factors_match_definition(n.polygon, w)
         assert found >= len(g.edges)
+
+
+def _assert_directions_complete(Q, r=3):
+    """Brute-force box scan: no primitive w with entries in [-r, r] outside
+    factor_directions(Q) admits a factor."""
+    from polymut.geom import is_primitive
+
+    dirs = set(factor_directions(Q))
+    scanned = 0
+    for p in range(-r, r + 1):
+        for q in range(-r, r + 1):
+            w = Vector2(p, q)
+            if is_primitive(w) and w not in dirs:
+                assert find_factors(Q, w) == [], (Q, w)
+                scanned += 1
+    return scanned
+
+
+class TestFactorDirectionsComplete:
+    def test_box_scan_randomized(self):
+        import random
+
+        from polymut.geom import Polygon
+
+        rng = random.Random(43)
+        polygons = 0
+        while polygons < 60:
+            Q = Polygon(
+                [Vector2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)]
+            )
+            if not fano.is_fano(Q):
+                continue
+            polygons += 1
+            assert _assert_directions_complete(Q) > 0
+
+    def test_box_scan_on_graph_nodes(self, p2_triangle):
+        g = mutation_graph(p2_triangle, 4)
+        for n in g.nodes:
+            assert _assert_directions_complete(n.polygon) > 0
 
 
 class TestDualMap:
