@@ -14,6 +14,7 @@ from .geom import (
     lattice_points,
     lattice_slice,
     linear_equivalent,
+    linear_normal_form,
     minkowski_difference,
     minkowski_sum,
     primitivize,

@@ -39,12 +39,13 @@ from .geom import (
     dual,
     extgcd,
     fraction_str,
+    is_primitive,
     lattice_equivalent,
     mat_apply,
     polygon_to_json,
     vector_to_json,
 )
-from .mutation import InvalidFactor, MutationData, mutate
+from .mutation import InvalidFactor, MutationData, NotPrimitive, mutate
 
 
 class Inadmissible(DomainError):
@@ -317,7 +318,11 @@ class DeformationCertificate:
 
 def _normalizer_for(w: Vector2) -> Mat2:
     """Unimodular U with heights of U*P under (0,-1) matching heights of P
-    under w, and with the factor direction mapped to (1, 0)."""
+    under w, and with the factor direction mapped to (1, 0).  For a
+    non-primitive w these rows would have determinant gcd(w), so it is
+    refused."""
+    if not is_primitive(w):
+        raise NotPrimitive(f"height function must be primitive: {w}")
     p, q = w.as_ints()
     g, x, y = extgcd(p, q)
     # rows: (-y, x) and -w; det = 1, U*(-q, p) = (1, 0)

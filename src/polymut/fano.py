@@ -162,14 +162,35 @@ def predicted_mutation_weights(w: WeightTriple, i: int) -> WeightTriple:
     return (out[0] // g, out[1] // g, out[2] // g)
 
 
+# Work budget of squarefree_part: trial division stops with DomainError once
+# the divisor passes this bound while its cube is still at most the
+# unfactored cofactor.  Every n below 8e18 is settled within 10^6 divisions.
+SQUAREFREE_TRIAL_LIMIT = 2_000_000
+
+
 def squarefree_part(n: int) -> tuple[int, int]:
-    """(c, x) with n = c * x^2 and c squarefree, by trial division."""
+    """(c, x) with n = c * x^2 and c squarefree.
+
+    A perfect square, such as a Markov weight, is (1, isqrt(n)) at once.
+    Otherwise trial division runs only while p^3 <= m for the unfactored
+    cofactor m; then every prime factor of m exceeds its cube root, so m is
+    1, a prime, a product of two distinct primes (all squarefree) or a
+    prime square, and one integer square root tells them apart.  Raises
+    DomainError past SQUAREFREE_TRIAL_LIMIT.
+    """
     if n < 1:
         raise DomainError("squarefree part needs a positive integer")
+    r = math.isqrt(n)
+    if r * r == n:
+        return 1, r
     c, x = 1, 1
     p = 2
     m = n
-    while p * p <= m:
+    while p * p * p <= m:
+        if p > SQUAREFREE_TRIAL_LIMIT:
+            raise DomainError(
+                f"squarefree part of {n} needs trial division past {SQUAREFREE_TRIAL_LIMIT}"
+            )
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -179,8 +200,10 @@ def squarefree_part(n: int) -> tuple[int, int]:
                 c *= p
             x *= p ** (e // 2)
         p += 1 if p == 2 else 2
-    c *= m
-    return c, x
+    r = math.isqrt(m)
+    if r * r == m:
+        return c, x * r
+    return c * m, x
 
 
 def diophantine_class(w: WeightTriple) -> DiophantineClass:

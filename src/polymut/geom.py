@@ -561,6 +561,45 @@ def linear_equivalent(P: Polygon, Q: Polygon) -> Optional[Mat2]:
     return None
 
 
+def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:
+    """Exact GL2(Z) invariant of a lattice polygon with the origin fixed:
+    linear_normal_form(P) == linear_normal_form(Q) exactly when
+    linear_equivalent(P, Q) is not None.
+
+    For each starting vertex and each orientation, the 2 x n matrix of the
+    vertices in cyclic order is brought to row Hermite normal form, and the
+    lexicographically smallest result, read as its sequence of columns, is
+    kept (Grinis and Kasprzyk, "Normal forms of convex lattice polytopes",
+    arXiv:1301.6641).  Every candidate is U*P for some U in GL2(Z), so the
+    normal form is the vertex cycle of a polygon in the class of P.
+    """
+    _require_lattice_2d(P)
+    vs = [v.as_ints() for v in P.vertices]
+    n = len(vs)
+    return min(
+        _hermite_columns(cyc[i:] + cyc[:i]) for cyc in (vs, vs[::-1]) for i in range(n)
+    )
+
+
+def _hermite_columns(cols: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Columns of the row Hermite normal form of a rank-2 integer 2 x n
+    matrix: pivots g > 0 and p > 0, zeros left of and below the first pivot,
+    and 0 <= (entry above the second pivot) < p.  Unique in the GL2(Z)
+    orbit of the matrix under left multiplication."""
+    j1 = next(j for j, c in enumerate(cols) if c != (0, 0))
+    a, b = cols[j1]
+    g, x, y = extgcd(a, b)
+    # ((x, y), (-b/g, a/g)) has determinant 1 and sends column j1 to (g, 0)
+    u, v = -b // g, a // g
+    r1 = [x * c0 + y * c1 for c0, c1 in cols]
+    r2 = [u * c0 + v * c1 for c0, c1 in cols]
+    j2 = next(j for j in range(j1 + 1, len(cols)) if r2[j])
+    if r2[j2] < 0:
+        r2 = [-e for e in r2]
+    q = r1[j2] // r2[j2]
+    return tuple((e1 - q * e2, e2) for e1, e2 in zip(r1, r2))
+
+
 def _require_lattice_2d(*polys: Polygon) -> None:
     for P in polys:
         if P.dim() != 2:

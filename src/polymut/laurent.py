@@ -305,6 +305,8 @@ def parse(s: str) -> LaurentPoly:
     """Parse an expression in x, y (aliases x1, x2) with integer or p/q
     coefficients, signed integer exponents, and parenthesized
     subexpressions with integer powers (expanded eagerly)."""
+    if not isinstance(s, str):
+        raise DomainError(f"a Laurent polynomial must be a string, not {type(s).__name__}")
     return _Parser(s).parse()
 
 

@@ -34,7 +34,7 @@ from .geom import (
     clip_halfplane,
     height_basis,
     is_primitive,
-    linear_equivalent,
+    linear_normal_form,
     primitivize,
 )
 
@@ -396,17 +396,19 @@ def factor_directions(P: Polygon) -> list[Vector2]:
 def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     """Breadth-first graph of mutation classes reachable from P.
 
-    Nodes are origin-preserving (linear) lattice-equivalence classes with
-    the first-discovered polygon as canonical representative; edges record
-    the (w, t) of each mutation found.  Fano polygons anchor the origin, so
-    translations are not quotiented out.
+    Nodes are origin-preserving (linear) lattice-equivalence classes, keyed
+    by geom.linear_normal_form, so each mutant costs one dict lookup; the
+    representative of a class is the first polygon found in it.  Edges
+    record the (w, t) of each mutation found, in the order found.  Fano
+    polygons anchor the origin, so translations are not quotiented out.
     """
     _require_fano(P)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
 
     nodes: list[GraphNode] = [_make_node(P)]
-    edges: list[GraphEdge] = []
+    classes = {linear_normal_form(P): 0}
+    edges: dict[GraphEdge, None] = {}  # a set that keeps insertion order
     frontier = [0]
     for _ in range(depth):
         next_frontier: list[int] = []
@@ -415,14 +417,11 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
             for w in factor_directions(Psrc):
                 for md in find_factors(Psrc, w):
                     Q = mutate(Psrc, md)
-                    tgt = _find_class(nodes, Q)
-                    if tgt is None:
+                    tgt = classes.setdefault(linear_normal_form(Q), len(nodes))
+                    if tgt == len(nodes):
                         nodes.append(_make_node(Q))
-                        tgt = len(nodes) - 1
                         next_frontier.append(tgt)
-                    edge = GraphEdge(src, tgt, md.w, md.t)
-                    if edge not in edges:
-                        edges.append(edge)
+                    edges[GraphEdge(src, tgt, md.w, md.t)] = None
         frontier = next_frontier
         if not frontier:
             break
@@ -441,13 +440,3 @@ def _make_node(P: Polygon) -> GraphNode:
         return GraphNode(P, fano.weights(P), fano.multiplicity(P))
     return GraphNode(P, None, None)
 
-
-def _find_class(nodes: list[GraphNode], Q: Polygon) -> Optional[int]:
-    wq = tuple(sorted(fano.weights(Q))) if len(Q.vertices) == 3 else None
-    for i, n in enumerate(nodes):
-        nw = tuple(sorted(n.weights)) if n.weights else None
-        if nw != wq:
-            continue
-        if n.polygon == Q or linear_equivalent(n.polygon, Q) is not None:
-            return i
-    return None

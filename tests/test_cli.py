@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +107,23 @@ class TestSubcommands:
         assert code == 0
         assert out == {"c": [1, 1, 1], "k": 1, "m": 3}
         check_schema(out, "diophantine")
+
+    def test_diophantine_large_prime_weight(self):
+        # trial division stops at the cube root: about 5e5 divisions here,
+        # where the square-root loop needed 5e8
+        start = time.monotonic()
+        r = subprocess.run(
+            [sys.executable, "-m", "polymut", "diophantine", "--weights", "1,1,1000000000000000003"],
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SCHEMA_DIR.parents[1] / "src")},
+        )
+        elapsed = time.monotonic() - start
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        assert out == {"c": [1, 1, 1000000000000000003], "k": 1, "m": 1000000000000000005}
+        check_schema(out, "diophantine")
+        assert elapsed < 2.0
 
     def test_graph(self, capsys):
         code, out = run_json(capsys, "graph", "--polygon", P114, "--depth", "1")
@@ -270,8 +291,9 @@ class TestBatchVerify:
         [
             '{"laurent": "y^-1 + x^-1*(1+x)^2*y^2", "divide": "y"}',
             '{"weights": [1, 1]}',
+            '{"laurent": 5, "g": "1+x"}',
         ],
-        ids=["laurent-without-g", "two-weights"],
+        ids=["laurent-without-g", "two-weights", "laurent-not-a-string"],
     )
     def test_bad_entry_reported_and_batch_continues(self, capsys, tmp_path, bad):
         corpus = Path(__file__).resolve().parents[1] / "corpus"

@@ -229,6 +229,16 @@ class TestPipeline:
                 checked += 1
         assert checked == 3
 
+    def test_non_primitive_height_function_refused(self, p114_triangle):
+        # gcd(w) = 2 would give a normalizer of determinant 2, which used to
+        # surface as a misleading NotFano for the normalized polygon
+        from polymut.mutation import MutationData, NotPrimitive
+
+        md = MutationData(Vector2(0, -2), 1, Vector2(1, 0))
+        for T in (p114_triangle, fano.triangle_from_weights((1, 1, 4))):
+            with pytest.raises(NotPrimitive, match="primitive"):
+                mutation_to_deformation(T, md)
+
     def test_markov_graph_edges_depth3(self, p2_triangle):
         g = mutation_graph(p2_triangle, 3)
         for e in g.edges:

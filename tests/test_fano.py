@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polymut import fano
+from polymut.errors import DomainError
 from polymut.fano import (
     DiophantineClass,
     NotATriangle,
@@ -149,6 +150,28 @@ class TestDiophantineClass:
         assert squarefree_part(1) == (1, 1)
         assert squarefree_part(12) == (3, 2)
 
+    def test_squarefree_part_against_square_root_trial_division(self):
+        rng = random.Random(23)
+        cases = list(range(1, 20000))
+        cases += [rng.randrange(1, 10**10) for _ in range(300)]
+        cases += [rng.randrange(2, 10**4) ** 2 * rng.randrange(1, 10**4) for _ in range(300)]
+        for n in cases:
+            assert squarefree_part(n) == _squarefree_by_trial_division(n), n
+
+    def test_squarefree_part_of_large_cofactors(self):
+        p, q = 1000000007, 998244353  # primes beyond the trial-division limit
+        assert squarefree_part(p) == (p, 1)
+        assert squarefree_part(12 * p * q) == (3 * p * q, 2)
+        assert squarefree_part(5 * p * p) == (5, p)
+        assert squarefree_part((2**61 - 1) ** 2) == (1, 2**61 - 1)
+
+    def test_squarefree_part_budget(self):
+        # three primes past the limit: the cofactor is not settled by one
+        # square root, and trial division would have to pass 2e6
+        n = 10000019 * 10000079 * 10000103
+        with pytest.raises(DomainError, match="trial division"):
+            squarefree_part(n)
+
     def test_constant_under_predicted_mutation(self):
         seen = {(1, 2, 9)}
         frontier = [(1, 2, 9)]
@@ -206,3 +229,18 @@ class TestAreaRelations:
             m = multiplicity(T)
             assert area(T) == Fraction(m * sum(w), 2)
             assert area(dual(T)) == Fraction(sum(w) ** 2, 2 * w[0] * w[1] * w[2] * m)
+
+
+def _squarefree_by_trial_division(n):
+    """(c, x) with n = c * x^2 by trial division up to the square root of
+    the cofactor.  Oracle for squarefree_part."""
+    c, x, p, m = 1, 1, 2, n
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        c *= p ** (e % 2)
+        x *= p ** (e // 2)
+        p += 1
+    return c * m, x

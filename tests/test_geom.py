@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from polymut.geom import (
+    NotFullDimensional,
+    NotLattice,
     OriginNotInterior,
     Polygon,
     Segment,
@@ -17,7 +19,9 @@ from polymut.geom import (
     lattice_points,
     lattice_slice,
     linear_equivalent,
+    linear_normal_form,
     mat_apply,
+    mat_mul,
     minkowski_difference,
     minkowski_sum,
     polygon_from_json,
@@ -274,3 +278,76 @@ def test_minkowski_adjunction_equality_for_parallel_segments():
     A = P((1, 1), (4, 4))
     F = P((0, 0), (2, 2))
     assert minkowski_difference(minkowski_sum(A, F), F) == A
+
+
+def _random_unimodular(rng, steps=5):
+    """Product of random generators of GL2(Z): two shears and a reflection."""
+    gens = [((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)), ((0, 1), (1, 0))]
+    U = ((1, 0), (0, 1))
+    for _ in range(rng.randint(1, steps)):
+        U = mat_mul(gens[rng.randrange(len(gens))], U)
+    return U
+
+
+def _random_fano_polygons(rng, count, span=3):
+    from polymut.fano import is_fano
+
+    out = []
+    while len(out) < count:
+        Q = _random_lattice_polygon(rng, span=span, n=rng.randint(3, 6))
+        if is_fano(Q):
+            out.append(Q)
+    return out
+
+
+class TestLinearNormalForm:
+    def test_invariant_and_exact_randomized(self):
+        # linear_equivalent is the oracle: over every pair of a pool of random
+        # Fano polygons and random GL2(Z) images of them, the normal forms are
+        # equal exactly when a witness exists
+        rng = random.Random(17)
+        pool = []
+        for Q in _random_fano_polygons(rng, 30):
+            pool.append(Q)
+            for _ in range(2):
+                U = _random_unimodular(rng)
+                image = Polygon([mat_apply(U, v) for v in Q.vertices])
+                assert linear_normal_form(image) == linear_normal_form(Q)
+                pool.append(image)
+        forms = [linear_normal_form(Q) for Q in pool]
+        same = near_misses = 0
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                a, b = pool[i], pool[j]
+                if len(a.vertices) != len(b.vertices) or area(a) != area(b):
+                    assert forms[i] != forms[j]
+                    continue
+                equivalent = linear_equivalent(a, b) is not None
+                assert (forms[i] == forms[j]) == equivalent, (a, b)
+                same += equivalent and a != b
+                near_misses += not equivalent
+        assert same >= 60 and near_misses >= 50
+
+    def test_is_a_vertex_cycle_of_the_class(self):
+        rng = random.Random(19)
+        for Q in _random_fano_polygons(rng, 40):
+            nf = linear_normal_form(Q)
+            R = Polygon([Vector2(x, y) for x, y in nf])
+            assert len(R.vertices) == len(nf)
+            assert linear_equivalent(Q, R) is not None
+            assert linear_normal_form(R) == nf
+
+    def test_hermite_shape(self, p114_triangle):
+        nf = linear_normal_form(p114_triangle)
+        (g, zero), (above, pivot) = nf[0], nf[1]
+        assert g > 0 and zero == 0 and pivot > 0 and 0 <= above < pivot
+
+    def test_translates_differ(self, p2_triangle):
+        moved = p2_triangle.translate(Vector2(1, 0))
+        assert linear_normal_form(moved) != linear_normal_form(p2_triangle)
+
+    def test_needs_a_full_dimensional_lattice_polygon(self):
+        with pytest.raises(NotFullDimensional):
+            linear_normal_form(P((0, 0), (1, 1)))
+        with pytest.raises(NotLattice):
+            linear_normal_form(P((0, 0), (Fraction(1, 2), 0), (0, 1)))

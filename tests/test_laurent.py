@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polymut.errors import DomainError
 from polymut.geom import Polygon, Vector2, minkowski_sum
 from polymut.laurent import (
     DivisibilityFails,
@@ -49,6 +50,11 @@ class TestParse:
 
     def test_juxtaposition(self):
         assert parse("2x y") == parse("2*x*y")
+
+    @pytest.mark.parametrize("bad", [5, None, ["x"]], ids=["int", "none", "list"])
+    def test_non_string_rejected(self, bad):
+        with pytest.raises(DomainError, match="must be a string"):
+            parse(bad)
 
     def test_unknown_variable(self):
         with pytest.raises(LaurentSyntaxError):

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import time
+
 import pytest
 
 from polymut import fano
@@ -9,6 +13,7 @@ from polymut.geom import (
     linear_equivalent,
 )
 from polymut.mutation import (
+    GraphEdge,
     InvalidFactor,
     MutationData,
     NotPrimitive,
@@ -367,3 +372,67 @@ class TestMutationGraph:
         for i, n in enumerate(g.nodes):
             for m in g.nodes[i + 1 :]:
                 assert linear_equivalent(n.polygon, m.polygon) is None
+
+
+def _find_class_pairwise(nodes, Q):
+    """The class lookup mutation_graph made before normal forms: the first
+    node with the same weights whose polygon is linearly equivalent to Q.
+    Oracle for the normal-form lookup."""
+    wq = tuple(sorted(fano.weights(Q))) if len(Q.vertices) == 3 else None
+    for i, n in enumerate(nodes):
+        nw = tuple(sorted(n.weights)) if n.weights else None
+        if nw == wq and (n.polygon == Q or linear_equivalent(n.polygon, Q) is not None):
+            return i
+    return None
+
+
+def _graph_sha256(g):
+    return hashlib.sha256(json.dumps(g.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+class TestGraphClasses:
+    @pytest.mark.parametrize(
+        "weights,depth", [((2, 3, 5), 3), ((1, 1, 1), 5)], ids=["235-depth3", "111-depth5"]
+    )
+    def test_normal_form_classes_match_pairwise_scan(self, weights, depth):
+        g = mutation_graph(fano.triangle_from_weights(weights), depth)
+        # no node is equivalent to an earlier one ...
+        for i, n in enumerate(g.nodes):
+            assert _find_class_pairwise(g.nodes[: i + 1], n.polygon) == i
+        # ... and every mutant of every expanded node gets the class index
+        # the pairwise scan gives it
+        edges = set(g.edges)
+        expected = set()
+        for src in {e.source for e in g.edges}:
+            Psrc = g.nodes[src].polygon
+            for w in factor_directions(Psrc):
+                for md in find_factors(Psrc, w):
+                    tgt = _find_class_pairwise(g.nodes, mutate(Psrc, md))
+                    expected.add(GraphEdge(src, tgt, md.w, md.t))
+        assert edges == expected
+        assert len(edges) == len(g.edges)
+
+    # sha256 of json.dumps(graph.to_json(), sort_keys=True): the first-found
+    # representatives and the node and edge order are part of the output
+    @pytest.mark.parametrize(
+        "weights,depth,classes,n_edges,digest",
+        [
+            ((1, 1, 1), 3, 5, 9, "771236749906f1789aa4e2d2f48c14bb078e941b84e9ad01195278cd9a3ed2f2"),
+            ((1, 1, 1), 5, 17, 27, "b00d7c214bf917929f6a6a5323b961fc7ae0192fdac9cf9fcac8e441574bed06"),
+            ((2, 3, 5), 2, 19, 35, "68e5e5bff08e8339ef55e4659b360fd4ee8392a0fd95c18afb79765cf591f01c"),
+            ((2, 3, 5), 4, 177, 371, "7228995a721ff7899a17e6b94a771f06ef5efa718a7e5e65ec30d45f4401fb5a"),
+        ],
+        ids=["111-depth3", "111-depth5", "235-depth2", "235-depth4"],
+    )
+    def test_graph_json_bytes_pinned(self, weights, depth, classes, n_edges, digest):
+        g = mutation_graph(fano.triangle_from_weights(weights), depth)
+        assert (len(g.nodes), len(g.edges)) == (classes, n_edges)
+        assert _graph_sha256(g) == digest
+
+    def test_wide_graph_depth_five(self):
+        start = time.monotonic()
+        g = mutation_graph(fano.triangle_from_weights((2, 3, 5)), 5)
+        elapsed = time.monotonic() - start
+        assert (len(g.nodes), len(g.edges)) == (588, 1239)
+        assert _graph_sha256(g) == "828a7213cd0244c8ec2d3ad226ceb0188b90f64bada132205a8e32a064abeef8"
+        assert elapsed < 5.0
