@@ -287,7 +287,13 @@ def mutate(P: Polygon, md: MutationData) -> Polygon:
     heights.  Only the rows at vertex heights are built (see below).
     """
     prof, t = _validate_mutation_data(P, md)
-    # In (h, k) coordinates every row above is the lattice part of
+    return _mutant(prof, t)
+
+
+def _mutant(prof: _Profile, t: int) -> Polygon:
+    """The mutant by the factor of signed length t along prof.f0, which
+    must not exceed t_max in size."""
+    # In (h, k) coordinates every row of the mutant is the lattice part of
     # [kmin(h), kmax(h) + h*t] (t >= 0; mirrored for t < 0).  kmin is convex,
     # kmax + h*t concave, and both break only at vertex heights of P, where
     # they pass through lattice vertices; a valid factor keeps the row
@@ -414,14 +420,20 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
         next_frontier: list[int] = []
         for src in frontier:
             Psrc = nodes[src].polygon
+            if src:  # the root was proven Fano above
+                _require_fano(Psrc)
+            # the edge normals are primitive, and one profile per (node, w)
+            # gives both the factor lengths and every mutant (find_factors
+            # and mutate would each rebuild it and re-prove Psrc Fano)
             for w in factor_directions(Psrc):
-                for md in find_factors(Psrc, w):
-                    Q = mutate(Psrc, md)
+                prof = _Profile(Psrc, w)
+                for t in range(1, _t_max(prof) + 1):
+                    Q = _mutant(prof, t)
                     tgt = classes.setdefault(linear_normal_form(Q), len(nodes))
                     if tgt == len(nodes):
                         nodes.append(_make_node(Q))
                         next_frontier.append(tgt)
-                    edges[GraphEdge(src, tgt, md.w, md.t)] = None
+                    edges[GraphEdge(src, tgt, w, t)] = None
         frontier = next_frontier
         if not frontier:
             break

@@ -85,6 +85,32 @@ def test_deep_markov_graph():
           f"markov_tree(8) ({len(g.nodes)} classes in {elapsed:.2f}s)")
 
 
+def _constant_terms_by_convolution(terms, dmax):
+    """Constant terms of f^0..f^dmax for integer coefficients by unpruned
+    integer convolution."""
+    out = [1]
+    power = {(0, 0): 1}
+    for _ in range(dmax):
+        nxt = {}
+        for (a, b), c in power.items():
+            for (e, f), k in terms.items():
+                nxt[(a + e, b + f)] = nxt.get((a + e, b + f), 0) + c * k
+        power = nxt
+        out.append(power.get((0, 0), 0))
+    return out
+
+
+def test_hexagon_period_speed():
+    hexagon = {(1, 0): 1, (0, 1): 1, (-1, 0): 1, (0, -1): 1, (1, -1): 1, (-1, 1): 1}
+    f = LaurentPoly(hexagon)
+    start = time.monotonic()
+    seq = period_sequence(f, 40)
+    elapsed = time.monotonic() - start
+    assert seq == _constant_terms_by_convolution(hexagon, 40)
+    assert elapsed < 1.0
+    print(f"PASS hexagon period: d=40 matches integer convolution in {elapsed:.2f}s")
+
+
 def test_criterion_2_weight_formula(markov_graph):
     g, _ = markov_graph
     failures = 0

@@ -240,6 +240,13 @@ class TestErrorsAndDeterminism:
         assert out["error"]["type"] == "DomainError"
         check_schema(out, "error")
 
+    def test_period_dmax_over_budget_exit_1(self, capsys):
+        code, out = run_json(capsys, "period", "--f", "x+y", "--dmax", "10000000000")
+        assert code == 1
+        assert out["error"]["type"] == "DomainError"
+        assert "PERIOD_DMAX_LIMIT" in out["error"]["message"]
+        check_schema(out, "error")
+
     @pytest.mark.parametrize("missing", ["label", "part0", "part1"])
     def test_check_corollary_missing_field_exit_1(self, capsys, missing):
         code, cert = run_json(capsys, "deform", "--weights", "1,1,4")

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from polymut.errors import DomainError
 from polymut.geom import Polygon, Vector2, minkowski_sum
 from polymut.laurent import (
+    PERIOD_DMAX_LIMIT,
     DivisibilityFails,
     LaurentPoly,
     LaurentSyntaxError,
@@ -208,6 +210,33 @@ class TestAlgebraicMutate:
         assert newton_polytope(g) == sheared
 
 
+def _period_by_definition(f: LaurentPoly, dmax: int) -> list[Fraction]:
+    """Constant terms of f^d by repeated LaurentPoly multiplication: the
+    unpruned Fraction loop that period_sequence replaces."""
+    if dmax < 0:
+        raise DomainError("dmax must be nonnegative")
+    out = [Fraction(1)]
+    power = LaurentPoly.const(1)
+    for _ in range(dmax):
+        power = power * f
+        out.append(power.constant_term())
+    return out
+
+
+def _random_laurent(rng: random.Random) -> LaurentPoly:
+    """Up to six terms in [-2, 2]^2 with rational coefficients of both
+    signs; a quarter satisfy f(1/x, y) = -f(x, y), so the constant terms
+    of their odd powers cancel to 0."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = (rng.randint(-2, 2), rng.randint(-2, 2))
+        terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 4]))
+    if rng.random() < 0.25:
+        terms = {(a, b): c for (a, b), c in terms.items() if a > 0}
+        terms.update({(-a, b): -c for (a, b), c in list(terms.items())})
+    return LaurentPoly(terms)
+
+
 class TestPeriodSequence:
     def test_p2_period(self):
         f = parse("x + y + x^-1*y^-1")
@@ -220,3 +249,56 @@ class TestPeriodSequence:
         f = parse(F_P114)
         g = algebraic_mutate(f, MutationSpec("y", parse("1+x")))
         assert period_sequence(f, 8) == period_sequence(g, 8)
+
+    def test_matches_definition_randomized(self):
+        rng = random.Random(20181)
+        for _ in range(300):
+            f = _random_laurent(rng)
+            d = rng.randint(0, 9)
+            assert period_sequence(f, d) == _period_by_definition(f, d), (f, d)
+
+    def test_cancelling_coefficients(self):
+        # in each power some reachable coefficient sums to exactly 0, e.g.
+        # the x*y coefficient of (1 + x + y - x*y)^2 is 2 - 2
+        for text in (
+            "x^-1*y^-1 + 1 + x + y - x*y",
+            "x + y - x^-1 - y^-1 + x*y^-1 - x^-1*y",
+            "1/2*x^-1*y^-1 + 1 + 3*x + 2/3*y - 2*x*y",
+        ):
+            f = parse(text)
+            assert period_sequence(f, 12) == _period_by_definition(f, 12), text
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0", "3/7", "x", "x+x^-1", "1+x+y", "x+y", "-2/3*x + 5/4 - 1/6*x^-1*y"],
+        ids=["zero", "constant", "point", "segment", "origin-vertex", "origin-outside", "rational"],
+    )
+    @pytest.mark.parametrize("dmax", [0, 1, 7])
+    def test_edge_cases_match_definition(self, text, dmax):
+        f = parse(text)
+        got = period_sequence(f, dmax)
+        assert got == _period_by_definition(f, dmax)
+        assert len(got) == dmax + 1 and got[0] == 1
+
+    def test_p2_closed_form_d40(self):
+        seq = period_sequence(parse("x + y + x^-1*y^-1"), 40)
+        expected = [
+            math.factorial(d) // math.factorial(d // 3) ** 3 if d % 3 == 0 else 0
+            for d in range(41)
+        ]
+        assert seq == expected
+
+    def test_p1xp1_closed_form_d40(self):
+        seq = period_sequence(parse("x + x^-1 + y + y^-1"), 40)
+        expected = [math.comb(d, d // 2) ** 2 if d % 2 == 0 else 0 for d in range(41)]
+        assert seq == expected
+
+    def test_negative_dmax_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            period_sequence(parse("x+y"), -1)
+
+    def test_dmax_budget(self):
+        assert len(period_sequence(parse("x+y"), PERIOD_DMAX_LIMIT)) == PERIOD_DMAX_LIMIT + 1
+        for dmax in (PERIOD_DMAX_LIMIT + 1, 10**10):
+            with pytest.raises(DomainError, match="PERIOD_DMAX_LIMIT"):
+                period_sequence(parse("x+y"), dmax)

@@ -367,6 +367,27 @@ class TestMutationGraph:
                     checked += 1
         assert checked == 51
 
+    def test_one_profile_per_direction_and_one_fano_proof_per_node(self, monkeypatch):
+        from polymut import mutation
+
+        profiles, proofs = [], []
+        real_profile, real_require_fano = mutation._Profile, mutation._require_fano
+
+        def counting_profile(Q, w):
+            profiles.append((Q, w))
+            return real_profile(Q, w)
+
+        def counting_require_fano(Q):
+            proofs.append(Q)
+            real_require_fano(Q)
+
+        monkeypatch.setattr(mutation, "_Profile", counting_profile)
+        monkeypatch.setattr(mutation, "_require_fano", counting_require_fano)
+        g = mutation_graph(fano.triangle_from_weights((2, 3, 5)), 3)
+        expanded = [g.nodes[i].polygon for i in sorted({e.source for e in g.edges})]
+        assert proofs == expanded
+        assert profiles == [(Q, w) for Q in expanded for w in factor_directions(Q)]
+
     def test_nodes_deduplicated_by_linear_equivalence(self, p114_triangle):
         g = mutation_graph(p114_triangle, 2)
         for i, n in enumerate(g.nodes):
