@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
@@ -28,12 +27,14 @@ from .divpoly import (
     PLFunc,
     PointLabel,
     from_polygon,
+    interval_str,
     shift_affine,
     to_polygon,
 )
 from .geom import (
     Mat2,
     Polygon,
+    Rational,
     Vector2,
     dilate,
     dual,
@@ -89,7 +90,8 @@ def is_admissible(phi: PLFunc, phi0: PLFunc, phi1: PLFunc) -> AdmissibilityRepor
     slope on each maximal affine piece of phi."""
     if phi.domain != phi0.domain or phi.domain != phi1.domain:
         raise DomainMismatch(
-            f"decomposition domains differ: {phi.domain}, {phi0.domain}, {phi1.domain}"
+            "decomposition domains differ: "
+            f"{interval_str(phi.domain)}, {interval_str(phi0.domain)}, {interval_str(phi1.domain)}"
         )
     violations = []
     for name, part in (("part0", phi0), ("part1", phi1)):
@@ -131,8 +133,8 @@ def general_fiber(dp: DivPoly, d: Decomposition, param_name: str = "s") -> DivPo
 class ShiftRecord:
     frm: PointLabel
     to: PointLabel
-    slope: Fraction
-    intercept: Fraction
+    slope: Rational
+    intercept: Rational
 
     def is_integral(self) -> bool:
         """Integral shifts twist by a principal divisor and a character and
@@ -165,7 +167,7 @@ def _lattice_ok(dp: DivPoly) -> bool:
     return all(dp.coeffs[l].has_lattice_graph() for l in dp.nontrivial_labels())
 
 
-def _shift_candidates(dp: DivPoly) -> list[tuple[int, PointLabel, PointLabel, Fraction, Fraction]]:
+def _shift_candidates(dp: DivPoly) -> list[tuple[int, PointLabel, PointLabel, Rational, Rational]]:
     """Count-reducing single shifts by affine pieces of existing
     coefficients.
 
@@ -245,8 +247,8 @@ class CorollaryReport:
 
     passed: bool
     clauses: dict = field(hash=False)
-    common_slope: Optional[Fraction] = None
-    step_slopes: tuple[Fraction, ...] = ()
+    common_slope: Optional[Rational] = None
+    step_slopes: tuple[Rational, ...] = ()
 
     def slope_decomposition(self) -> str:
         cs = fraction_str(self.common_slope) if self.common_slope is not None else "?"

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
 from .geom import (
     Polygon,
+    Rational,
     RationalLike,
     Vector2,
     fraction_str,
+    qdiv,
     to_fraction,
 )
 
@@ -87,6 +88,11 @@ ZERO = PointLabel(0)
 INFINITY = PointLabel(1)
 
 
+def interval_str(iv: tuple[Rational, Rational]) -> str:
+    """An interval's endpoints as canonical rationals: '(1/2, 3)'."""
+    return f"({fraction_str(iv[0])}, {fraction_str(iv[1])})"
+
+
 class PLFunc:
     """Concave piecewise-linear function on a rational interval, stored by
     breakpoints and values with no redundant breakpoints."""
@@ -103,14 +109,14 @@ class PLFunc:
         # merge breakpoints where the slope does not change
         keep = [0]
         for i in range(1, len(bs) - 1):
-            s_prev = (vs[i] - vs[keep[-1]]) / (bs[i] - bs[keep[-1]])
-            s_next = (vs[i + 1] - vs[i]) / (bs[i + 1] - bs[i])
+            s_prev = qdiv(vs[i] - vs[keep[-1]], bs[i] - bs[keep[-1]])
+            s_next = qdiv(vs[i + 1] - vs[i], bs[i + 1] - bs[i])
             if s_prev != s_next:
                 keep.append(i)
         keep.append(len(bs) - 1)
         bs = tuple(bs[i] for i in keep)
         vs = tuple(vs[i] for i in keep)
-        slopes = [(v2 - v1) / (b2 - b1) for (b1, v1), (b2, v2) in zip(zip(bs, vs), zip(bs[1:], vs[1:]))]
+        slopes = [qdiv(v2 - v1, b2 - b1) for (b1, v1), (b2, v2) in zip(zip(bs, vs), zip(bs[1:], vs[1:]))]
         if any(s1 <= s2 for s1, s2 in zip(slopes, slopes[1:])):
             raise ConcavityBroken("slopes must be nonincreasing")
         object.__setattr__(self, "breaks", bs)
@@ -144,7 +150,7 @@ class PLFunc:
                 s1, c1 = fns[i]
                 s2, c2 = fns[j]
                 if s1 != s2:
-                    u = (c2 - c1) / (s1 - s2)
+                    u = qdiv(c2 - c1, s1 - s2)
                     if a < u < b:
                         us.add(u)
         bs = sorted(us)
@@ -154,34 +160,34 @@ class PLFunc:
     # --- basic queries ---
 
     @property
-    def domain(self) -> tuple[Fraction, Fraction]:
+    def domain(self) -> tuple[Rational, Rational]:
         return self.breaks[0], self.breaks[-1]
 
-    def __call__(self, u: RationalLike) -> Fraction:
+    def __call__(self, u: RationalLike) -> Rational:
         u = to_fraction(u)
         if u < self.breaks[0] or u > self.breaks[-1]:
-            raise DomainError(f"{u} is outside the domain {self.domain}")
+            raise DomainError(f"{fraction_str(u)} is outside the domain {interval_str(self.domain)}")
         i = bisect.bisect_right(self.breaks, u) - 1
         if i == len(self.breaks) - 1:
             return self.values[-1]
         b1, b2 = self.breaks[i], self.breaks[i + 1]
         v1, v2 = self.values[i], self.values[i + 1]
-        return v1 + (v2 - v1) * (u - b1) / (b2 - b1)
+        return v1 + qdiv((v2 - v1) * (u - b1), b2 - b1)
 
-    def slopes(self) -> tuple[Fraction, ...]:
+    def slopes(self) -> tuple[Rational, ...]:
         return tuple(
-            (v2 - v1) / (b2 - b1)
+            qdiv(v2 - v1, b2 - b1)
             for (b1, v1), (b2, v2) in zip(zip(self.breaks, self.values), zip(self.breaks[1:], self.values[1:]))
         )
 
-    def pieces(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    def pieces(self) -> tuple[tuple[Rational, Rational, Rational], ...]:
         """Maximal affine pieces as (left, right, slope)."""
         return tuple(
             (b1, b2, s)
             for (b1, b2), s in zip(zip(self.breaks, self.breaks[1:]), self.slopes())
         )
 
-    def slopes_on(self, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
+    def slopes_on(self, a: Rational, b: Rational) -> tuple[Rational, ...]:
         return tuple(s for l, r, s in self.pieces() if l < b and a < r)
 
     def is_affine(self) -> bool:
@@ -194,18 +200,20 @@ class PLFunc:
         """Graph vertices (breakpoint, value) all lie in the integer lattice."""
         return all(b.denominator == 1 and v.denominator == 1 for b, v in zip(self.breaks, self.values))
 
-    def integral(self) -> Fraction:
+    def integral(self) -> Rational:
         """Exact integral over the domain (trapezoid rule is exact here)."""
-        s = Fraction(0)
+        s = 0
         for (b1, v1), (b2, v2) in zip(zip(self.breaks, self.values), zip(self.breaks[1:], self.values[1:])):
-            s += (v1 + v2) * (b2 - b1) / 2
+            s += qdiv((v1 + v2) * (b2 - b1), 2)
         return s
 
     # --- arithmetic ---
 
     def _binop(self, other: "PLFunc", sign: int) -> "PLFunc":
         if self.domain != other.domain:
-            raise DomainMismatch(f"domains differ: {self.domain} vs {other.domain}")
+            raise DomainMismatch(
+                f"domains differ: {interval_str(self.domain)} vs {interval_str(other.domain)}"
+            )
         us = sorted(set(self.breaks) | set(other.breaks))
         return PLFunc(us, [self(u) + sign * other(u) for u in us])
 
@@ -264,7 +272,10 @@ class DivPoly:
             if not isinstance(label, PointLabel):
                 raise DomainError(f"bad label: {label!r}")
             if f.domain != (lo, hi):
-                raise DomainMismatch(f"coefficient at {label} has domain {f.domain}, box is {(lo, hi)}")
+                raise DomainMismatch(
+                    f"coefficient at {label} has domain {interval_str(f.domain)}, "
+                    f"box is {interval_str((lo, hi))}"
+                )
         object.__setattr__(self, "box", (lo, hi))
         object.__setattr__(self, "coeffs", cs)
 
@@ -280,7 +291,7 @@ class DivPoly:
 
     def __repr__(self) -> str:
         cs = ", ".join(f"{l}: {f!r}" for l, f in sorted(self.coeffs.items()))
-        return f"DivPoly[box={self.box}, {cs}]"
+        return f"DivPoly[box={interval_str(self.box)}, {cs}]"
 
     def labels(self) -> list[PointLabel]:
         return sorted(self.coeffs)
@@ -326,7 +337,7 @@ class DivPoly:
         return DivPoly(box, coeffs)
 
 
-def _lower_chain(P: Polygon) -> list[tuple[Fraction, Fraction]]:
+def _lower_chain(P: Polygon) -> list[tuple[Rational, Rational]]:
     """Breakpoints of the lower envelope of a full-dimensional polygon."""
     verts = P.vertices
     n = len(verts)

@@ -31,14 +31,6 @@ class NotDivisible(DomainError):
 
 
 @dataclass(frozen=True)
-class FakePlaneData:
-    """Weights plus the index of the vertex sublattice."""
-
-    weights: WeightTriple
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class DiophantineClass:
     """The equation m*x1*x2*x3 = k*(c1*x1^2 + c2*x2^2 + c3*x3^2) that the
     weights of a fake plane solve; c is the sorted squarefree-part multiset."""
@@ -72,7 +64,7 @@ def _vertex_minors(v1: Vector2, v2: Vector2, v3: Vector2) -> tuple[int, int, int
         raw = tuple(-r for r in raw)
     if not all(r > 0 for r in raw):
         raise NotFano("vertices do not positively span the plane around the origin")
-    return tuple(int(r) for r in raw)  # type: ignore[return-value]
+    return raw  # type: ignore[return-value]
 
 
 def weights_of_vertices(v1: Vector2, v2: Vector2, v3: Vector2) -> WeightTriple:
@@ -104,10 +96,6 @@ def multiplicity(T: Polygon) -> int:
     """
     v1, v2, v3 = _triangle_vertices(T)
     return math.gcd(*_vertex_minors(v1, v2, v3))
-
-
-def fake_plane_data(T: Polygon) -> FakePlaneData:
-    return FakePlaneData(weights(T), multiplicity(T))
 
 
 def _unimodular_elim(l1: int, l2: int) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -1,8 +1,10 @@
 """Exact 2D lattice geometry over the rationals.
 
-All coordinates are `fractions.Fraction`; every predicate is exact, so
-results compare with ``==``.  Vectors, segments and polygons are immutable
-values and safe to share between threads.
+Coordinates are exact rationals: an `int` when the value is integral, a
+`fractions.Fraction` otherwise, and never a float.  The one division is
+`qdiv`, which returns an `int` for an integral quotient.  Every predicate
+is exact, so results compare with ``==``.  Vectors, segments and polygons
+are immutable values and safe to share between threads.
 
 A vector may play the role of a point of the one-parameter-subgroup
 lattice or of a character (height function); the pairing between the two
@@ -42,28 +44,43 @@ class NotLattice(DomainError):
 
 
 RationalLike = Union[int, str, Fraction]
+# An exact rational as stored: int when integral, Fraction otherwise.
+Rational = Union[int, Fraction]
 
 # 2x2 integer matrix as nested tuples ((a, b), (c, d)), acting on column vectors.
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
-def to_fraction(v: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
-    if isinstance(v, Fraction):
+def to_fraction(v: RationalLike) -> Rational:
+    """Coerce an int, Fraction or 'p/q' string to an exact rational: an
+    int when the value is integral, a reduced Fraction otherwise."""
+    if type(v) is int:
         return v
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            v = Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise DomainError(f"not an exact rational: {v!r}") from e
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, int):  # bool and other int subclasses
+        return int(v)
     raise DomainError(f"not an exact rational: {v!r}")
 
 
-def fraction_str(q: Fraction) -> str:
-    """Canonical string of a reduced fraction: '5', '-1/2'."""
-    q = Fraction(q)
+def qdiv(a: Rational, b: Rational) -> Rational:
+    """Exact quotient a / b: an int when it is integral, else a Fraction.
+    The one division of the package; b == 0 raises ZeroDivisionError."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def fraction_str(q: Rational) -> str:
+    """Canonical string of an exact rational: '5', '-1/2'."""
     return str(q)
 
 
@@ -71,8 +88,8 @@ def fraction_str(q: Fraction) -> str:
 class Vector2:
     """A point/vector of the rational plane with exact coordinates."""
 
-    x: Fraction
-    y: Fraction
+    x: Rational
+    y: Rational
 
     def __init__(self, x: RationalLike, y: RationalLike):
         object.__setattr__(self, "x", to_fraction(x))
@@ -91,10 +108,10 @@ class Vector2:
         r = to_fraction(r)
         return Vector2(r * self.x, r * self.y)
 
-    def dot(self, other: "Vector2") -> Fraction:
+    def dot(self, other: "Vector2") -> Rational:
         return self.x * other.x + self.y * other.y
 
-    def cross(self, other: "Vector2") -> Fraction:
+    def cross(self, other: "Vector2") -> Rational:
         return self.x * other.y - self.y * other.x
 
     def is_zero(self) -> bool:
@@ -106,7 +123,7 @@ class Vector2:
     def as_ints(self) -> tuple[int, int]:
         if not self.is_integral():
             raise NotLattice(f"not a lattice vector: {self}")
-        return int(self.x), int(self.y)
+        return self.x, self.y
 
     def __repr__(self) -> str:
         return f"({fraction_str(self.x)}, {fraction_str(self.y)})"
@@ -253,10 +270,6 @@ def dilate(P: Polygon, r: RationalLike) -> Polygon:
     return Polygon([v.scale(r) for v in P.vertices])
 
 
-def apply_unimodular(U: Mat2, P: Polygon) -> Polygon:
-    return Polygon([mat_apply(U, v) for v in P.vertices])
-
-
 def mat_apply(U: Mat2, v: Vector2) -> Vector2:
     (a, b), (c, d) = U
     return Vector2(a * v.x + b * v.y, c * v.x + d * v.y)
@@ -273,26 +286,18 @@ def mat_mul(U: Mat2, V: Mat2) -> Mat2:
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def mat_inv_unimodular(U: Mat2) -> Mat2:
-    det = mat_det(U)
-    if det not in (1, -1):
-        raise DomainError("matrix is not unimodular")
-    (a, b), (c, d) = U
-    return ((d // det, -b // det), (-c // det, a // det))
-
-
-def area(P: Polygon) -> Fraction:
+def area(P: Polygon) -> Rational:
     """Euclidean area by the shoelace formula (0 for points and segments)."""
     v = P.vertices
     if len(v) < 3:
-        return Fraction(0)
-    s = Fraction(0)
+        return 0
+    s = 0
     for i in range(len(v)):
         s += v[i].cross(v[(i + 1) % len(v)])
-    return abs(s) / 2
+    return qdiv(abs(s), 2)
 
 
-def _halfplanes(P: Polygon) -> list[tuple[Vector2, Fraction]]:
+def _halfplanes(P: Polygon) -> list[tuple[Vector2, Rational]]:
     """Inequalities n.x >= c cutting out P, valid in every dimension."""
     v = P.vertices
     if len(v) == 1:
@@ -321,7 +326,7 @@ def _halfplanes(P: Polygon) -> list[tuple[Vector2, Fraction]]:
     return out
 
 
-def clip_halfplane(loop: list[Vector2], n: Vector2, c: Fraction) -> list[Vector2]:
+def clip_halfplane(loop: list[Vector2], n: Vector2, c: Rational) -> list[Vector2]:
     """One Sutherland-Hodgman step: keep the side n.x >= c."""
     if not loop:
         return []
@@ -336,7 +341,7 @@ def clip_halfplane(loop: list[Vector2], n: Vector2, c: Fraction) -> list[Vector2
         if fc >= 0:
             out.append(cur)
         if (fc > 0 > fn) or (fc < 0 < fn):
-            t = fc / (fc - fn)
+            t = qdiv(fc, fc - fn)
             out.append(cur + (nxt - cur).scale(t))
     return out
 
@@ -378,11 +383,11 @@ def dual(P: Polygon) -> Polygon:
     verts = []
     for a, b in P.edges():
         det = a.cross(b)
-        verts.append(Vector2((a.y - b.y) / det, (b.x - a.x) / det))
+        verts.append(Vector2(qdiv(a.y - b.y, det), qdiv(b.x - a.x, det)))
     return Polygon(verts)
 
 
-def height_range(P: Polygon, w: Vector2) -> tuple[Fraction, Fraction]:
+def height_range(P: Polygon, w: Vector2) -> tuple[Rational, Rational]:
     """Exact (min, max) of <w, v> over P."""
     if w.is_zero():
         raise ZeroVector("height function must be nonzero")
@@ -422,7 +427,7 @@ def extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _row_interval(P: Polygon, w: Vector2, h: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+def _row_interval(P: Polygon, w: Vector2, h: Rational) -> Optional[tuple[Rational, Rational]]:
     """Exact k-interval of the rational slice of P at height h, in the
     coordinates of height_basis(w); None if the slice is empty."""
     f0, vw, s = height_basis(w)
@@ -431,7 +436,7 @@ def _row_interval(P: Polygon, w: Vector2, h: Fraction) -> Optional[tuple[Fractio
     hi = max(hs)
     if h < lo or h > hi:
         return None
-    ks: list[Fraction] = []
+    ks: list[Rational] = []
     verts = P.vertices
     n = len(verts)
     if n == 1:
@@ -445,7 +450,7 @@ def _row_interval(P: Polygon, w: Vector2, h: Fraction) -> Optional[tuple[Fractio
         if ha == hb:  # edge inside the slice line
             ks.extend([s.dot(a), s.dot(b)])
         else:
-            t = (h - ha) / (hb - ha)
+            t = qdiv(h - ha, hb - ha)
             ks.append(s.dot(a) + t * (s.dot(b) - s.dot(a)))
     if not ks:
         return None
@@ -454,7 +459,7 @@ def _row_interval(P: Polygon, w: Vector2, h: Fraction) -> Optional[tuple[Fractio
 
 def lattice_slice(P: Polygon, w: Vector2, h: int) -> Optional[Segment]:
     """Hull of the lattice points of P at height h (not the rational slice)."""
-    iv = _row_interval(P, w, Fraction(h))
+    iv = _row_interval(P, w, h)
     if iv is None:
         return None
     lo, hi = iv
@@ -476,7 +481,7 @@ def lattice_points(P: Polygon) -> list[Vector2]:
     ylo = math.ceil(min(v.y for v in P.vertices))
     yhi = math.floor(max(v.y for v in P.vertices))
     for k in range(ylo, yhi + 1):
-        iv = _row_interval(P, Vector2(0, 1), Fraction(k))
+        iv = _row_interval(P, Vector2(0, 1), k)
         if iv is None:
             continue
         lo, hi = iv
@@ -491,13 +496,13 @@ def lattice_points(P: Polygon) -> list[Vector2]:
 def _solve_pair_map(d1: Vector2, d2: Vector2, e1: Vector2, e2: Vector2) -> Optional[Mat2]:
     """Integer U with U d1 = e1 and U d2 = e2, if unimodular; else None."""
     det = d1.cross(d2)
-    u00 = (e1.x * d2.y - e2.x * d1.y) / det
-    u01 = (-e1.x * d2.x + e2.x * d1.x) / det
-    u10 = (e1.y * d2.y - e2.y * d1.y) / det
-    u11 = (-e1.y * d2.x + e2.y * d1.x) / det
+    u00 = qdiv(e1.x * d2.y - e2.x * d1.y, det)
+    u01 = qdiv(-e1.x * d2.x + e2.x * d1.x, det)
+    u10 = qdiv(e1.y * d2.y - e2.y * d1.y, det)
+    u11 = qdiv(-e1.y * d2.x + e2.y * d1.x, det)
     if any(u.denominator != 1 for u in (u00, u01, u10, u11)):
         return None
-    U = ((int(u00), int(u01)), (int(u10), int(u11)))
+    U = ((u00, u01), (u10, u11))
     if mat_det(U) not in (1, -1):
         return None
     return U
@@ -576,19 +581,37 @@ def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:
     _require_lattice_2d(P)
     vs = [v.as_ints() for v in P.vertices]
     n = len(vs)
+    # both orientations start at the same vertices, so one Bezout step per
+    # vertex serves all 2n candidates
+    bez = {v: _bezout(*v) for v in vs if v != (0, 0)}
     return min(
-        _hermite_columns(cyc[i:] + cyc[:i]) for cyc in (vs, vs[::-1]) for i in range(n)
+        _hermite_columns(cyc[i:] + cyc[:i], bez) for cyc in (vs, vs[::-1]) for i in range(n)
     )
 
 
-def _hermite_columns(cols: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b == g == gcd(a, b) > 0, for (a, b) != (0, 0).
+
+    x is one modular inverse, which beats the Python loop of extgcd on wide
+    integers; the coefficients may differ from extgcd's."""
+    g = math.gcd(a, b)
+    if b == 0:
+        return g, (1 if a > 0 else -1), 0
+    x = pow(a // g, -1, abs(b) // g)
+    return g, x, (g - x * a) // b
+
+
+def _hermite_columns(
+    cols: list[tuple[int, int]], bez: dict[tuple[int, int], tuple[int, int, int]]
+) -> tuple[tuple[int, int], ...]:
     """Columns of the row Hermite normal form of a rank-2 integer 2 x n
     matrix: pivots g > 0 and p > 0, zeros left of and below the first pivot,
     and 0 <= (entry above the second pivot) < p.  Unique in the GL2(Z)
-    orbit of the matrix under left multiplication."""
+    orbit of the matrix under left multiplication, so any Bezout
+    coefficients for the first nonzero column, looked up in bez, give it."""
     j1 = next(j for j, c in enumerate(cols) if c != (0, 0))
     a, b = cols[j1]
-    g, x, y = extgcd(a, b)
+    g, x, y = bez[a, b]
     # ((x, y), (-b/g, a/g)) has determinant 1 and sends column j1 to (g, 0)
     u, v = -b // g, a // g
     r1 = [x * c0 + y * c1 for c0, c1 in cols]
@@ -620,7 +643,7 @@ def vector_from_json(obj) -> Vector2:
     return Vector2(_rat_from_json(obj[0]), _rat_from_json(obj[1]))
 
 
-def _rat_from_json(v) -> Fraction:
+def _rat_from_json(v) -> Rational:
     if isinstance(v, bool) or isinstance(v, float):
         raise DomainError(f"coordinates must be exact integers or 'p/q' strings: {v!r}")
     return to_fraction(v)

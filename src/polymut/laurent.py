@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .geom import Polygon, Vector2, _halfplanes
+from .geom import Polygon, Vector2, _halfplanes, qdiv
 from .mutation import MutationData, factor_for
 
 Exponent = tuple[int, int]
@@ -338,7 +338,7 @@ def div_exact(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
         d = (lt_r[0] - lt_g[0], lt_r[1] - lt_g[1])
         if d[0] < 0 or d[1] < 0:
             return None
-        c = rem[lt_r] / lc_g
+        c = qdiv(rem[lt_r], lc_g)
         quo[d] = c
         for e, ce in gs.items():
             key = (e[0] + d[0], e[1] + d[1])

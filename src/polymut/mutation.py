@@ -22,7 +22,6 @@ mutation of the Newton polygon.  CLI certificates record it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
@@ -93,7 +92,7 @@ class PLMap:
 def _hk_vertices(P: Polygon, w: Vector2) -> tuple[list[tuple[int, int]], Vector2, Vector2]:
     """Vertices of a lattice polygon in (height, kernel-step) coordinates."""
     f0, vw, s = height_basis(w)
-    hk = [(int(w.dot(v)), int(s.dot(v))) for v in P.vertices]
+    hk = [(w.dot(v), s.dot(v)) for v in P.vertices]
     return hk, f0, vw
 
 
@@ -331,7 +330,7 @@ def dual_map(pm: PLMap, Q: Polygon) -> Polygon:
     pieces = []
     for n, f in ((d, fb), (-d, fa)):
         # on the side <u, d> >= 0 the minimizer is fb (and vice versa)
-        loop = clip_halfplane(list(Q.vertices), n, Fraction(0))
+        loop = clip_halfplane(list(Q.vertices), n, 0)
         if loop:
             pieces.extend(u - pm.w.scale(u.dot(f)) for u in loop)
     return Polygon(pieces)

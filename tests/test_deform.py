@@ -20,6 +20,7 @@ from polymut.divpoly import (
     INFINITY,
     ZERO,
     DivPoly,
+    DomainMismatch,
     LabelCollision,
     PLFunc,
     PointLabel,
@@ -80,6 +81,13 @@ class TestIsAdmissible:
         phi = p114_divpoly().coefficient(INFINITY)
         rep = is_admissible(phi, PLFunc.constant(BOX, 1), PLFunc.constant(BOX, 1))
         assert not rep.admissible
+
+    def test_domain_mismatch_message(self):
+        phi = p114_divpoly().coefficient(INFINITY)
+        with pytest.raises(DomainMismatch) as e:
+            is_admissible(phi, PLFunc.constant((Fraction(1, 2), 6), 1), PLFunc.constant(BOX, 1))
+        assert str(e.value) == "decomposition domains differ: (-6, 6), (1/2, 6), (-6, 6)"
+        assert "Fraction(" not in str(e.value)
 
 
 class TestGeneralFiber:

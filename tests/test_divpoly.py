@@ -19,6 +19,7 @@ from polymut.divpoly import (
     to_polygon,
     validate,
 )
+from polymut.errors import DomainError
 from polymut.geom import area
 from conftest import P
 
@@ -76,6 +77,27 @@ class TestPLFunc:
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
             phi_inf_p114() + PLFunc.constant((0, 1), 1)
+
+
+class TestErrorMessages:
+    # endpoints print as canonical rationals, never as Python reprs
+    def test_outside_domain(self):
+        with pytest.raises(DomainError) as e:
+            PLFunc([Fraction(1, 2), 3], [0, 0])(5)
+        assert str(e.value) == "5 is outside the domain (1/2, 3)"
+        assert "Fraction(" not in str(e.value)
+
+    def test_domains_differ(self):
+        with pytest.raises(DomainMismatch) as e:
+            phi_inf_p114() + PLFunc.constant((Fraction(1, 2), 3), 1)
+        assert str(e.value) == "domains differ: (-6, 6) vs (1/2, 3)"
+        assert "Fraction(" not in str(e.value)
+
+    def test_coefficient_domain_against_box(self):
+        with pytest.raises(DomainMismatch) as e:
+            DivPoly((0, 3), {ZERO: PLFunc.constant((Fraction(1, 2), 3), 1)})
+        assert str(e.value) == "coefficient at 0 has domain (1/2, 3), box is (0, 3)"
+        assert "Fraction(" not in str(e.value)
 
 
 class TestFromPolygon:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polymut.errors import DomainError
 from polymut.geom import (
     NotFullDimensional,
     NotLattice,
@@ -27,8 +28,48 @@ from polymut.geom import (
     polygon_from_json,
     polygon_to_json,
     primitivize,
+    qdiv,
+    to_fraction,
 )
 from conftest import P
+
+
+class TestExactRationals:
+    def test_qdiv_matches_fraction_division(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            a, b = rng.randint(-30, 30), rng.choice([-1, 1]) * rng.randint(1, 30)
+            if rng.random() < 0.5:
+                a = Fraction(a, rng.randint(1, 9))
+            if rng.random() < 0.5:
+                b = Fraction(b, rng.randint(1, 9))
+            q = qdiv(a, b)
+            assert q == Fraction(a) / Fraction(b)
+            assert type(q) is (int if Fraction(q).denominator == 1 else Fraction)
+
+    def test_qdiv_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            qdiv(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            qdiv(Fraction(1, 2), Fraction(0))
+
+    @pytest.mark.parametrize("v", [3, Fraction(6, 2), "6/2"], ids=["int", "fraction", "str"])
+    def test_to_fraction_integral_is_int(self, v):
+        q = to_fraction(v)
+        assert type(q) is int and q == 3
+
+    def test_to_fraction_rational_and_invalid(self):
+        q = to_fraction("1/2")
+        assert type(q) is Fraction and q == Fraction(1, 2)
+        with pytest.raises(DomainError):
+            to_fraction("a")
+        with pytest.raises(DomainError):
+            to_fraction(0.5)
+
+    def test_vector_equality_ignores_boxing(self):
+        v = Vector2(Fraction(3), 2)
+        assert v == Vector2(3, 2) and hash(v) == hash(Vector2(3, 2))
+        assert type(v.x) is int
 
 
 class TestConvexHull:
@@ -341,6 +382,18 @@ class TestLinearNormalForm:
         nf = linear_normal_form(p114_triangle)
         (g, zero), (above, pivot) = nf[0], nf[1]
         assert g > 0 and zero == 0 and pivot > 0 and 0 <= above < pivot
+
+    def test_bezout_step(self):
+        # the Bezout step of the normal form against extgcd, on small pairs
+        # with zeros and signs and on Markov-width integers
+        from polymut.geom import _bezout, extgcd
+
+        rng = random.Random(23)
+        pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7) if (a, b) != (0, 0)]
+        pairs += [(rng.getrandbits(1300) - 2**1299, rng.getrandbits(1300)) for _ in range(20)]
+        for a, b in pairs:
+            g, x, y = _bezout(a, b)
+            assert g == extgcd(a, b)[0] > 0 and x * a + y * b == g
 
     def test_translates_differ(self, p2_triangle):
         moved = p2_triangle.translate(Vector2(1, 0))

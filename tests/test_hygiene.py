@@ -16,3 +16,22 @@ def test_library_reads_no_environment():
                 if any(a.name in ENV_NAMES for a in node.names):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_every_division_goes_through_qdiv():
+    # a bare `/` on two ints is a float, and on integral Fractions keeps them
+    # boxed; geom.qdiv is exact and returns an int for an integral quotient
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "geom.py":
+            qdiv = next(
+                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "qdiv"
+            )
+            allowed = {id(n) for n in ast.walk(qdiv)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                if id(node) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -395,6 +395,27 @@ class TestMutationGraph:
                 assert linear_equivalent(n.polygon, m.polygon) is None
 
 
+class TestIntegralCoordinatesAreInts:
+    # integral values are stored as int, not as boxed Fraction(n, 1)
+    @staticmethod
+    def _assert_int_vertices(Q):
+        assert all(type(c) is int for v in Q.vertices for c in (v.x, v.y)), Q
+
+    def test_graph_nodes(self, p2_triangle):
+        for n in mutation_graph(p2_triangle, 5).nodes:
+            self._assert_int_vertices(n.polygon)
+
+    def test_deformation_certificate(self, p114_triangle):
+        from polymut.deform import mutation_to_deformation
+
+        cert = mutation_to_deformation(p114_triangle, find_factors(p114_triangle, Vector2(0, -1))[0])
+        for Q in (cert.source, cert.normalized_source, cert.mutated, cert.fiber_polygon, cert.target):
+            self._assert_int_vertices(Q)
+        for dp in (cert.divpoly, cert.fiber_divpoly):
+            for f in dp.coeffs.values():
+                assert all(type(c) is int for c in f.breaks + f.values), f
+
+
 def _find_class_pairwise(nodes, Q):
     """The class lookup mutation_graph made before normal forms: the first
     node with the same weights whose polygon is linearly equivalent to Q.
