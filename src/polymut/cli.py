@@ -66,7 +66,7 @@ def _read_json_arg(arg: str):
         text = Path(arg).read_text()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
         raise DomainError(f"invalid JSON: {e}") from e
 
 
@@ -95,12 +95,25 @@ def _parse_w(s: str) -> Vector2:
         raise DomainError(f"--w expects 'p,q' integers: {s!r}") from e
 
 
+def _parse_dilation(s: str) -> int | None:
+    if s == "auto":
+        return None
+    try:
+        return int(s)
+    except ValueError as e:
+        raise DomainError(f"--dilation expects 'auto' or a positive integer: {s!r}") from e
+
+
 def _parse_weights(s: str) -> tuple[int, int, int]:
     try:
         a, b, c = (int(x) for x in s.split(","))
         return a, b, c
     except (ValueError, TypeError) as e:
         raise DomainError(f"--weights expects 'a,b,c' integers: {s!r}") from e
+
+
+# argparse takes '-1,0' for an option name, as it is no plain negative number
+_W_NEGATIVE = "write a negative first coordinate as --w=-1,0"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,11 +148,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("factors", help="mutation factors of a Fano polygon")
     p.add_argument("--polygon", required=True)
-    p.add_argument("--w", help="height function p,q (default: scan edge normals)")
+    p.add_argument("--w", help=f"height function p,q (default: scan edge normals); {_W_NEGATIVE}")
 
     p = add("mutate", help="combinatorial mutation")
     p.add_argument("--polygon", required=True)
-    p.add_argument("--w", required=True)
+    p.add_argument("--w", required=True, help=f"height function p,q; {_W_NEGATIVE}")
     p.add_argument("--t", type=int, default=1)
 
     p = add("graph", help="mutation graph of lattice-equivalence classes")
@@ -168,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("deform", help="mutation-to-deformation pipeline with certificate")
     p.add_argument("--polygon")
     p.add_argument("--weights")
-    p.add_argument("--w")
+    p.add_argument("--w", help=f"height function p,q (default: a weight-decreasing factor); {_W_NEGATIVE}")
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--dilation", default="auto", help="'auto' or a positive integer")
 
@@ -284,8 +297,7 @@ def _cmd_deform(args) -> dict:
         md = mutation.factor_for(P, _parse_w(args.w), args.t)
     else:
         md = _default_reducing_factor(P)
-    dil = None if args.dilation == "auto" else int(args.dilation)
-    cert = deform.mutation_to_deformation(P, md, dil)
+    cert = deform.mutation_to_deformation(P, md, _parse_dilation(args.dilation))
     return cert.to_json()
 
 
@@ -320,7 +332,7 @@ def batch_verify(corpus: str) -> dict:
     for path in sorted(root.glob("*.json")):
         try:
             obj = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             results.append(_entry(path, "parse", "error", str(e)))
             continue
         try:

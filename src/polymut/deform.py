@@ -38,8 +38,8 @@ from .geom import (
     Vector2,
     dilate,
     dual,
-    extgcd,
     fraction_str,
+    height_basis,
     is_primitive,
     lattice_equivalent,
     mat_apply,
@@ -325,10 +325,9 @@ def _normalizer_for(w: Vector2) -> Mat2:
     refused."""
     if not is_primitive(w):
         raise NotPrimitive(f"height function must be primitive: {w}")
-    p, q = w.as_ints()
-    g, x, y = extgcd(p, q)
-    # rows: (-y, x) and -w; det = 1, U*(-q, p) = (1, 0)
-    return ((-y, x), (-p, -q))
+    _, _, s = height_basis(w)
+    # rows: s and -w; det = <s, vw> = 1, U*f0 = U*(-q, p) = (1, 0)
+    return ((s.x, s.y), (-w.x, -w.y))
 
 
 def _transform_mutation(md: MutationData, U: Mat2) -> MutationData:
@@ -390,9 +389,6 @@ def mutation_to_deformation(
             )
     dp = from_polygon(dilate(Pstar, a))
     d = standard_decomposition(dp, mdn.t)
-    rep = is_admissible(dp.coefficient(INFINITY), d.part0, d.part1)
-    if not rep.admissible:
-        raise Inadmissible("; ".join(rep.violations))
     fiber_dp = general_fiber(dp, d, "s")
     red = reduce_to_polygon(fiber_dp)
     if not red.reducible:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .geom import Polygon, Vector2, extgcd, is_primitive
+from .geom import Polygon, Vector2, height_basis, is_primitive
 
 WeightTriple = tuple[int, int, int]
 MarkovTriple = tuple[int, int, int]
@@ -98,12 +98,6 @@ def multiplicity(T: Polygon) -> int:
     return math.gcd(*_vertex_minors(v1, v2, v3))
 
 
-def _unimodular_elim(l1: int, l2: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """2x2 determinant-1 matrix sending the column (l1, l2) to (gcd, 0)."""
-    g, x, y = extgcd(l1, l2)
-    return ((x, y), (-l2 // g, l1 // g))
-
-
 def triangle_from_weights(w: WeightTriple) -> Polygon:
     """A Fano triangle with the given pairwise-coprime weights and
     multiplicity 1, built by completing the weight column to a basis of Z^3
@@ -114,19 +108,12 @@ def triangle_from_weights(w: WeightTriple) -> Polygon:
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if math.gcd(w[i], w[j]) != 1:
             raise NotWellFormed(f"weights {w[i]} and {w[j]} share a factor")
-    # Row-reduce (l1,l2,l3) to e1 with unimodular row operations; the two
-    # trailing rows of the accumulated matrix kill the weight vector.
-    (a, b), (c, d) = _unimodular_elim(l1, l2)
-    g12 = a * l1 + b * l2
-    A = [[a, b, 0], [c, d, 0], [0, 0, 1]]
-    (e, f), (gg, hh) = _unimodular_elim(g12, l3)
-    A = [
-        [e * A[0][0], e * A[0][1], f],
-        A[1],
-        [gg * A[0][0], gg * A[0][1], hh],
-    ]
-    r2, r3 = A[1], A[2]
-    verts = [Vector2(r2[j], r3[j]) for j in range(3)]
+    # <vw, (l1, l2)> = 1 and <f0, (l1, l2)> = 0, so the rows (vw, 0),
+    # (f0, 0) and (-l3*vw, 1) form a unimodular matrix sending the weight
+    # column to e1; the last two rows kill it, and their columns are the
+    # triangle's vertices.
+    f0, vw, _ = height_basis(Vector2(l1, l2))
+    verts = [Vector2(f0.x, -l3 * vw.x), Vector2(f0.y, -l3 * vw.y), Vector2(0, 1)]
     T = Polygon(verts)
     got = sorted(weights(T))
     if got != sorted(w) or multiplicity(T) != 1:  # pragma: no cover - sanity

@@ -20,6 +20,7 @@ participate in all operations without special-casing by the caller.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -51,12 +52,20 @@ Rational = Union[int, Fraction]
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
+# The JSON schemas' rational grammar: an ASCII integer or 'p/q' string.
+_RATIONAL_STR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def to_fraction(v: RationalLike) -> Rational:
     """Coerce an int, Fraction or 'p/q' string to an exact rational: an
-    int when the value is integral, a reduced Fraction otherwise."""
+    int when the value is integral, a reduced Fraction otherwise.  Strings
+    follow the schemas' rational grammar, so decimals and exponents (whose
+    size is unbounded, as in '1e1000000') are refused."""
     if type(v) is int:
         return v
     if isinstance(v, str):
+        if not _RATIONAL_STR.fullmatch(v):
+            raise DomainError(f"not an exact rational: {v!r}")
         try:
             v = Fraction(v)
         except (ValueError, ZeroDivisionError) as e:

@@ -81,9 +81,6 @@ class LaurentPoly:
     def constant_term(self) -> Fraction:
         return self.coefficient(0, 0)
 
-    def support(self) -> list[Exponent]:
-        return sorted(self.terms)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
@@ -185,9 +182,9 @@ class _Scanner:
         if i >= len(s):
             return ("end", "", i)
         ch = s[i]
-        if ch.isdigit():
+        if ch in "0123456789":
             j = i
-            while j < len(s) and s[j].isdigit():
+            while j < len(s) and s[j] in "0123456789":
                 j += 1
             return ("num", s[i:j], i)
         if ch.isalpha():
@@ -201,6 +198,13 @@ class _Scanner:
 
     def advance(self, tok: tuple[str, str, int]) -> None:
         self.i = tok[2] + len(tok[1])
+
+
+def _int_token(val: str, pos: int) -> int:
+    try:
+        return int(val)
+    except ValueError as e:  # over the interpreter's int digit limit
+        raise LaurentSyntaxError(f"integer of {len(val)} digits is too long", pos) from e
 
 
 class _Parser:
@@ -246,7 +250,7 @@ class _Parser:
         kind, val, pos = self.sc.peek()
         if kind == "num":
             self.sc.advance((kind, val, pos))
-            num = int(val)
+            num = _int_token(val, pos)
             kind2, val2, pos2 = self.sc.peek()
             if kind2 == "op" and val2 == "/":
                 self.sc.advance((kind2, val2, pos2))
@@ -254,7 +258,7 @@ class _Parser:
                 if kind3 != "num":
                     raise LaurentSyntaxError("expected a denominator", pos3)
                 self.sc.advance((kind3, val3, pos3))
-                den = int(val3)
+                den = _int_token(val3, pos3)
                 if den == 0:
                     raise ZeroDenominator(f"zero denominator at offset {pos3}")
                 return LaurentPoly.const(Fraction(num, den))
@@ -299,7 +303,7 @@ class _Parser:
         if kind != "num":
             raise LaurentSyntaxError("expected an integer exponent", pos)
         self.sc.advance((kind, val, pos))
-        return sign * int(val)
+        return sign * _int_token(val, pos)
 
 
 def parse(s: str) -> LaurentPoly:

@@ -10,8 +10,11 @@ exactly when t <= t_max, read off the negative vertex heights.
 
 The kernel works at the vertices only.  In the grading by w the slice
 endpoints of P are piecewise linear and break only at vertex heights, so
-the valid factor lengths and the mutant are read off the rows at vertex
-heights; the cost does not grow with the range of heights.
+the valid factor lengths and the mutant are read off one table of integer
+rows (A_h, B_h), the lattice k-interval of P at each vertex height h, in
+the unimodular frame of geom.height_basis.  Each row is the least ceiling
+and the greatest floor of the edge crossings at h; the cost does not grow
+with the range of heights.
 
 Sign convention: for Laurent polynomials, dividing the second variable by
 g(x) corresponds to w = (0,-1) with F = Newt(g); this is the unique choice
@@ -89,102 +92,38 @@ class PLMap:
     f_vertices: tuple[Vector2, ...]
 
 
-def _hk_vertices(P: Polygon, w: Vector2) -> tuple[list[tuple[int, int]], Vector2, Vector2]:
-    """Vertices of a lattice polygon in (height, kernel-step) coordinates."""
-    f0, vw, s = height_basis(w)
-    hk = [(w.dot(v), s.dot(v)) for v in P.vertices]
-    return hk, f0, vw
-
-
-def _hk_chains(hk: list[tuple[int, int]]):
-    """Lower and upper k-envelopes of the hull of integer (h, k) points,
-    each a list of breakpoints with strictly increasing h."""
-    by_h_min: dict[int, int] = {}
-    by_h_max: dict[int, int] = {}
-    for h, k in hk:
-        if h not in by_h_min or k < by_h_min[h]:
-            by_h_min[h] = k
-        if h not in by_h_max or k > by_h_max[h]:
-            by_h_max[h] = k
-    lower: list[tuple[int, int]] = []
-    for p in sorted(by_h_min.items()):
-        while len(lower) >= 2 and _cross3(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in sorted(by_h_max.items()):
-        while len(upper) >= 2 and _cross3(upper[-2], upper[-1], p) >= 0:
-            upper.pop()
-        upper.append(p)
-    return lower, upper
-
-
-def _cross3(a, b, c) -> int:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _chain_segments(chain: list[tuple[int, int]]):
-    """Per-piece (h0, k0, dh, dk) linear data for a breakpoint chain."""
-    segs = []
-    for (h0, k0), (h1, k1) in zip(chain, chain[1:]):
-        segs.append((h0, k0, h1 - h0, k1 - k0))
-    if not segs:
-        h0, k0 = chain[0]
-        segs.append((h0, k0, 1, 0))
-    return segs
-
-
 class _Profile:
-    """Integer slice bounds A_h = ceil(kmin(h)), B_h = floor(kmax(h)) of a
-    lattice polygon in the (h, k) frame of a height function."""
+    """The lattice rows of a lattice polygon P in the (h, k) frame of a
+    primitive height function w (geom.height_basis): rows[h] = (A_h, B_h),
+    the least and greatest k of a lattice point of P at height h, for each
+    vertex height h in vertex order."""
 
     def __init__(self, P: Polygon, w: Vector2):
-        hk, f0, vw = _hk_vertices(P, w)
-        self.f0 = f0
-        self.vw = vw
-        lower, upper = _hk_chains(hk)
-        self.hmin = lower[0][0]
-        self.hmax = lower[-1][0]
-        # vertical-edge columns: lower/upper chains built from all points
-        # share hmin/hmax since every h coordinate appears in both chains
-        self.lo_segs = _chain_segments(lower)
-        self.up_segs = _chain_segments(upper)
-        self.heights_of_vertices: dict[int, list[int]] = {}
-        for h, k in hk:
-            self.heights_of_vertices.setdefault(h, []).append(k)
-
-    def bounds(self, h: int) -> Optional[tuple[int, int]]:
-        """(A_h, B_h) or None when the slice has no lattice point."""
-        if h < self.hmin or h > self.hmax:
-            return None
-        a = _eval_ceil(self.lo_segs, h)
-        b = _eval_floor(self.up_segs, h)
-        if a > b:
-            return None
-        return a, b
-
-    def from_hk(self, h: int, k: int) -> Vector2:
-        return self.f0.scale(k) + self.vw.scale(h)
+        self.f0, self.vw, s = height_basis(w)
+        hk = [(w.dot(v), s.dot(v)) for v in P.vertices]
+        self.rows = {h: _row(hk, h) for h in dict.fromkeys(h for h, _ in hk)}
 
 
-def _find_seg(segs, h):
-    # linear scan is fine: polygons have few vertices
-    for h0, k0, dh, dk in segs:
-        if h0 <= h <= h0 + dh:
-            return h0, k0, dh, dk
-    return segs[-1]
-
-
-def _eval_ceil(segs, h) -> int:
-    h0, k0, dh, dk = _find_seg(segs, h)
-    num = k0 * dh + dk * (h - h0)
-    return -((-num) // dh)
-
-
-def _eval_floor(segs, h) -> int:
-    h0, k0, dh, dk = _find_seg(segs, h)
-    num = k0 * dh + dk * (h - h0)
-    return num // dh
+def _row(hk: list[tuple[int, int]], h: int) -> tuple[int, int]:
+    """(A_h, B_h) of the polygon with (h, k) vertex cycle hk at a height h
+    that it meets: the least ceiling and the greatest floor of the k where
+    its edges cross h.  An edge lying in the height line is skipped, since
+    its endpoints are crossings of the neighbouring edges."""
+    lo = hi = None
+    h1, k1 = hk[-1]
+    for h2, k2 in hk:
+        if h1 != h2 and (h1 - h) * (h2 - h) <= 0:
+            d = h2 - h1
+            num = k1 * d + (k2 - k1) * (h - h1)
+            if d < 0:
+                num, d = -num, -d
+            a, b = -(-num // d), num // d
+            if lo is None or a < lo:
+                lo = a
+            if hi is None or b > hi:
+                hi = b
+        h1, k1 = h2, k2
+    return lo, hi
 
 
 def _require_fano(P: Polygon) -> None:
@@ -192,29 +131,10 @@ def _require_fano(P: Polygon) -> None:
         raise fano.NotFano("operation requires a Fano polygon")
 
 
-def _slab_bounds(prof: _Profile, h: int, ts: int) -> Optional[tuple[int, int]]:
-    """k-interval of the lattice slice at height h with its factor-side end
-    moved by h*ts primitive steps: the slab G_h for h < 0, the fattened
-    slice for h >= 0.  None when the result has no lattice point."""
-    b = prof.bounds(h)
-    if b is None:
-        return None
-    a, bb = b
-    if ts >= 0:
-        bb += h * ts
-    else:
-        a += h * ts
-    return (a, bb) if a <= bb else None
-
-
 def _t_max(prof: _Profile) -> int:
     """Longest factor: each negative vertex height h must keep a slab after
-    removing (-h)*t steps from its lattice slice."""
-    caps = []
-    for h in prof.heights_of_vertices:
-        if h < 0:
-            a, b = prof.bounds(h)  # vertices are lattice points of P
-            caps.append((b - a) // (-h))
+    removing (-h)*t steps from its lattice row."""
+    caps = [(b - a) // -h for h, (a, b) in prof.rows.items() if h < 0]
     return min(caps, default=0)
 
 
@@ -249,9 +169,7 @@ def factor_for(P: Polygon, w: Vector2, t: int) -> MutationData:
 
 def _signed_length(prof: _Profile, md: MutationData) -> int:
     """Factor length measured along prof.f0 (negative if md.f0 = -prof.f0)."""
-    if md.t == 0:
-        return 0
-    if md.f0 == prof.f0:
+    if md.t == 0 or md.f0 == prof.f0:
         return md.t
     if md.f0 == -prof.f0:
         return -md.t
@@ -300,10 +218,13 @@ def _mutant(prof: _Profile, t: int) -> Polygon:
     # region is a lattice polygon whose vertices all lie in the rows at
     # vertex heights, and the hull of those rows is the whole mutant.
     pts = []
-    for h in prof.heights_of_vertices:
-        a, b = _slab_bounds(prof, h, t)
-        pts.append(prof.from_hk(h, a))
-        pts.append(prof.from_hk(h, b))
+    for h, (a, b) in prof.rows.items():
+        if t >= 0:
+            b += h * t
+        else:
+            a += h * t
+        base = prof.vw.scale(h)
+        pts += (base + prof.f0.scale(a), base + prof.f0.scale(b))
     Q = Polygon(pts)
     if not Q.is_lattice():  # pragma: no cover - structural guarantee
         raise AssertionError("mutation produced a non-lattice polygon")

@@ -257,6 +257,34 @@ class TestErrorsAndDeterminism:
         assert repr(missing) in out["error"]["message"]
         check_schema(out, "error")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual", "--polygon", '{"vertices":[["1e5000",0],[0,1],[-1,-1]]}'],
+            ["dual", "--polygon", '{"vertices":[["1.5",0],[0,1],[-1,-1]]}'],
+            ["dual", "--polygon", '{"vertices":[[%s,0],[0,1],[-1,-1]]}' % ("7" * 5000)],
+            ["period", "--f", "%s*x+y+x^-1*y^-1" % ("7" * 5000), "--dmax", "1"],
+            ["period", "--f", "x^%s+y" % ("7" * 5000), "--dmax", "1"],
+            ["period", "--f", "2\u00b2*x+y", "--dmax", "2"],
+            ["period", "--f", "\u0663*x+y", "--dmax", "2"],
+            ["deform", "--weights", "1,1,4", "--dilation", "two"],
+        ],
+        ids=[
+            "exponent-string",
+            "decimal-string",
+            "json-5000-digit-integer",
+            "laurent-5000-digit-coefficient",
+            "laurent-5000-digit-exponent",
+            "laurent-superscript-digit",
+            "laurent-non-ascii-digit",
+            "non-integer-dilation",
+        ],
+    )
+    def test_unreadable_number_exit_1(self, capsys, argv):
+        code, out = run_json(capsys, *argv)
+        assert code == 1
+        check_schema(out, "error")
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["mutate", "--polygon", P114, "--bogus-flag"])
@@ -299,8 +327,18 @@ class TestBatchVerify:
             '{"laurent": "y^-1 + x^-1*(1+x)^2*y^2", "divide": "y"}',
             '{"weights": [1, 1]}',
             '{"laurent": 5, "g": "1+x"}',
+            '{"laurent": "%s*x+y+x^-1*y^-1", "g": "1+x"}' % ("7" * 5000),
+            '{"weights": [1, 1, %s]}' % ("7" * 5000),
+            '{"vertices": [["1e0", 0], [0, 1], [-1, -1]]}',
         ],
-        ids=["laurent-without-g", "two-weights", "laurent-not-a-string"],
+        ids=[
+            "laurent-without-g",
+            "two-weights",
+            "laurent-not-a-string",
+            "laurent-5000-digit-coefficient",
+            "json-5000-digit-integer",
+            "exponent-string",
+        ],
     )
     def test_bad_entry_reported_and_batch_continues(self, capsys, tmp_path, bad):
         corpus = Path(__file__).resolve().parents[1] / "corpus"

@@ -302,3 +302,21 @@ def test_fan_rays(p2_triangle):
     assert sorted(rays) == sorted(
         [Vector2(1, 0), Vector2(0, 1), Vector2(-1, -1)]
     )
+
+
+def test_normalizer_rows_are_the_extgcd_rows():
+    # _normalizer_for takes (s, -w) from geom.height_basis; it must equal the
+    # rows built from extgcd directly, so every certificate's normalizer holds
+    from polymut.deform import _normalizer_for
+    from polymut.geom import extgcd, is_primitive
+
+    checked = 0
+    for p in range(-6, 7):
+        for q in range(-6, 7):
+            w = Vector2(p, q)
+            if not is_primitive(w):
+                continue
+            _, x, y = extgcd(p, q)
+            assert _normalizer_for(w) == ((-y, x), (-p, -q))
+            checked += 1
+    assert checked == 96

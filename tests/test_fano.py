@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -113,6 +115,25 @@ class TestTriangleFromWeights:
             assert sorted(weights(T)) == list(w)
             assert multiplicity(T) == 1
             done += 1
+
+
+    def test_digest_of_every_coprime_triple_up_to_40(self):
+        # the construction's unimodular rows come from geom.height_basis;
+        # digest recorded before that change, so each triangle is unchanged
+        from polymut.geom import polygon_to_json
+
+        rows = []
+        for c in range(1, 41):
+            for b in range(1, c + 1):
+                for a in range(1, b + 1):
+                    if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+                        T = triangle_from_weights((a, b, c))
+                        rows.append([[a, b, c], polygon_to_json(T)])
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert len(rows) == 3008
+        assert hashlib.sha256(blob).hexdigest() == (
+            "6f0252d3c805b22772ccecb4bf4b884ff2be3a762e087950efe05c2fbfc994b7"
+        )
 
 
 class TestPredictedMutationWeights:

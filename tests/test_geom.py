@@ -66,6 +66,16 @@ class TestExactRationals:
         with pytest.raises(DomainError):
             to_fraction(0.5)
 
+    @pytest.mark.parametrize(
+        "v", ["1.5", "1e3", "1e1000000", " 1", "+1", "1_0", "\u0663", "1/0", "7" * 5000]
+    )
+    def test_to_fraction_refuses_strings_outside_the_schema_grammar(self, v):
+        # only -?[0-9]+(/[0-9]+)? is read, so no string can ask for a huge
+        # exponent; a zero denominator or an integer past the digit limit
+        # is refused too
+        with pytest.raises(DomainError):
+            to_fraction(v)
+
     def test_vector_equality_ignores_boxing(self):
         v = Vector2(Fraction(3), 2)
         assert v == Vector2(3, 2) and hash(v) == hash(Vector2(3, 2))

@@ -35,3 +35,29 @@ def test_every_division_goes_through_qdiv():
                 if id(node) not in allowed:
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_height_basis_calls_extgcd():
+    # geom.height_basis is the one unimodular frame of a height function;
+    # another extgcd call would be a second basis that can drift from it
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "geom.py":
+            height_basis = next(
+                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "height_basis"
+            )
+            allowed = {id(n) for n in ast.walk(height_basis)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name == "extgcd" and id(node) not in allowed:
+                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert offenders == []

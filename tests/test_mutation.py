@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -306,6 +307,62 @@ class TestFactorDirectionsComplete:
         g = mutation_graph(p2_triangle, 4)
         for n in g.nodes:
             assert _assert_directions_complete(n.polygon) > 0
+
+
+def _assert_rows_match_slices(Q, w):
+    """_Profile(Q, w).rows holds exactly the vertex heights, and each row is
+    the k-interval of the oracle lattice_slice in height_basis coordinates."""
+    from polymut.geom import height_basis, lattice_slice
+    from polymut.mutation import _Profile
+
+    _, _, s = height_basis(w)
+    rows = _Profile(Q, w).rows
+    assert set(rows) == {w.dot(v) for v in Q.vertices}
+    for h, row in rows.items():
+        ks = [s.dot(v) for v in lattice_slice(Q, w, h).vertices()]
+        assert row == (min(ks), max(ks)), (Q, w, h)
+    return len(rows)
+
+
+class TestProfileRows:
+    def test_rows_match_lattice_slices_randomized(self):
+        import random
+
+        from polymut.geom import Polygon
+
+        rng = random.Random(43)
+        polygons = rows = 0
+        while polygons < 60:
+            Q = Polygon(
+                [Vector2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)]
+            )
+            if not fano.is_fano(Q):
+                continue
+            polygons += 1
+            for w in factor_directions(Q):
+                rows += _assert_rows_match_slices(Q, w)
+        assert rows > 60
+
+    def test_rows_match_lattice_slices_on_graph_nodes(self, p2_triangle):
+        g = mutation_graph(p2_triangle, 4)
+        for n in g.nodes:
+            for w in factor_directions(n.polygon):
+                _assert_rows_match_slices(n.polygon, w)
+
+    def test_edge_in_the_kernel(self):
+        # the bottom edge lies in a height line; its endpoints are the row
+        Q = P((-2, -1), (3, -1), (0, 1))
+        w = Vector2(0, 1)
+        assert _assert_rows_match_slices(Q, w) == 2
+
+    def test_non_lattice_crossings(self, p2_triangle):
+        # at height 0 the edges cross at k = -1 and k = 1/2, so the row must
+        # round the rational end inwards to the lattice point k = 0
+        from polymut.geom import _row_interval
+
+        w = Vector2(0, 1)
+        assert _row_interval(p2_triangle, w, 0) == (-1, Fraction(1, 2))
+        assert _assert_rows_match_slices(p2_triangle, w) == 3
 
 
 class TestDualMap:
