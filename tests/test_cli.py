@@ -308,7 +308,8 @@ class TestErrorsAndDeterminism:
 
 class TestBatchVerify:
     def test_shipped_corpus_passes(self, capsys):
-        code, out = run_json(capsys, "batch-verify", "corpus")
+        corpus = Path(__file__).resolve().parents[1] / "corpus"
+        code, out = run_json(capsys, "batch-verify", str(corpus))
         assert code == 0
         assert out["failed"] == 0
         assert out["passed"] > 0

@@ -1,14 +1,17 @@
+import hashlib
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from polymut import fano
+from polymut.errors import DomainError
 from polymut.deform import (
     Decomposition,
     FiberMismatch,
     Inadmissible,
     corollary_check,
-    fan_rays,
     general_fiber,
     is_admissible,
     is_weight_reducing,
@@ -33,7 +36,14 @@ from polymut.geom import (
     dual,
     lattice_equivalent,
 )
-from polymut.mutation import factor_directions, factor_for, find_factors, mutation_graph
+from polymut.mutation import (
+    factor_directions,
+    factor_for,
+    find_factors,
+    inverse_data,
+    mutate,
+    mutation_graph,
+)
 from conftest import P
 
 BOX = (-6, 6)
@@ -297,11 +307,35 @@ class TestStandardDecomposition:
         assert d.part0 + d.part1 == dp.coefficient(INFINITY)
 
 
+def _inner_normals(Q):
+    """Sorted primitive inner edge normals of a CCW lattice polygon."""
+    out = []
+    vs = [v.as_ints() for v in Q.vertices]
+    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+        nx, ny = ay - by, bx - ax
+        g = math.gcd(nx, ny)
+        out.append(Vector2(nx // g, ny // g))
+    return sorted(out)
+
+
 def test_fan_rays(p2_triangle):
-    rays = fan_rays(dilate(dual(p2_triangle), 2))
-    assert sorted(rays) == sorted(
+    # the pipeline's fan rays are mutation.factor_directions: the sorted
+    # primitive inner edge normals, here against the test-side normals
+    import random
+
+    from polymut.geom import Polygon
+
+    assert factor_directions(dilate(dual(p2_triangle), 2)) == sorted(
         [Vector2(1, 0), Vector2(0, 1), Vector2(-1, -1)]
     )
+    rng = random.Random(43)
+    polygons = 0
+    while polygons < 60:
+        Q = Polygon([Vector2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)])
+        if not fano.is_fano(Q):
+            continue
+        polygons += 1
+        assert factor_directions(Q) == _inner_normals(Q), Q
 
 
 def test_normalizer_rows_are_the_extgcd_rows():
@@ -320,3 +354,31 @@ def test_normalizer_rows_are_the_extgcd_rows():
             assert _normalizer_for(w) == ((-y, x), (-p, -q))
             checked += 1
     assert checked == 96
+
+
+def test_digest_of_every_factor_of_every_coprime_triple_up_to_15():
+    # every factor of every pairwise-coprime triple with c <= 15, forward
+    # and back through inverse_data: the certificate JSON, or the error type
+    # and message of the refusal; digest recorded before the weights and
+    # the edge normals of the pipeline were computed once each
+    def attempt(P, md):
+        try:
+            return mutation_to_deformation(P, md).to_json()
+        except DomainError as e:
+            return [type(e).__name__, str(e)]
+
+    rows = []
+    for c in range(1, 16):
+        for b in range(1, c + 1):
+            for a in range(1, b + 1):
+                if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+                    T = fano.triangle_from_weights((a, b, c))
+                    for w in factor_directions(T):
+                        for md in find_factors(T, w):
+                            rows.append(attempt(T, md))
+                            rows.append(attempt(mutate(T, md), inverse_data(T, md)))
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert len(rows) == 1840
+    assert hashlib.sha256(blob).hexdigest() == (
+        "6c56d7ac0b87ae5c32bdad1a29018416448fc49a74a73224f8d722ffadd4c82f"
+    )

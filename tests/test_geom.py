@@ -373,8 +373,11 @@ class TestLinearNormalForm:
                 if len(a.vertices) != len(b.vertices) or area(a) != area(b):
                     assert forms[i] != forms[j]
                     continue
-                equivalent = linear_equivalent(a, b) is not None
+                U = linear_equivalent(a, b)
+                equivalent = U is not None
                 assert (forms[i] == forms[j]) == equivalent, (a, b)
+                if equivalent:
+                    assert Polygon([mat_apply(U, v) for v in a.vertices]) == b
                 same += equivalent and a != b
                 near_misses += not equivalent
         assert same >= 60 and near_misses >= 50
@@ -404,6 +407,17 @@ class TestLinearNormalForm:
         for a, b in pairs:
             g, x, y = _bezout(a, b)
             assert g == extgcd(a, b)[0] > 0 and x * a + y * b == g
+
+    def test_linear_witness_where_the_first_vertex_match_translates(self):
+        # a pair from a seeded search over random fake planes (weights
+        # (13, 10, 7)): the first vertex match of lattice_equivalent has a
+        # translation, yet a linear map exists and must be the witness
+        T = P((-1, -5), (2, 3), (-1, 5))
+        Q = P((-8, 7), (2, -3), (3, -1))
+        _, t = lattice_equivalent(T, Q)
+        assert not t.is_zero()
+        U = linear_equivalent(T, Q)
+        assert Polygon([mat_apply(U, v) for v in T.vertices]) == Q
 
     def test_translates_differ(self, p2_triangle):
         moved = p2_triangle.translate(Vector2(1, 0))

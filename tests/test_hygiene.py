@@ -1,7 +1,10 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "polymut"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "polymut"
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
@@ -61,3 +64,20 @@ def test_only_height_basis_calls_extgcd():
             if name == "extgcd" and id(node) not in allowed:
                 offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert offenders == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # benchmarks/tracer.py wraps each TARGETS entry by module and attribute
+    # name; a renamed or deleted function would break only traced runs
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "benchmarks" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.TARGETS
+    missing = []
+    for modname, attr, _, _ in layers.TARGETS:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{modname}.{attr}")
+    assert missing == []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import warnings
@@ -27,6 +28,14 @@ from polymut.mutation import mutate
 from conftest import P
 
 F_P114 = "y^-1 + x^-1*(1+x)^2*y^2"
+
+# 26 tokens that reach every branch of the parser: variables and aliases,
+# digits, every operator, whitespace, powers of sums and monomials, and
+# characters it must refuse ('z', '$', '_' and a non-ASCII digit)
+PARSE_TOKENS = (
+    "x", "y", "x1", "x2", "z", "0", "1", "2", "3", "+", "-", "*", "/",
+    "^", "(", ")", " ", "^-", "x^-1", "y^2", "(1+x)", "(x+y)", "$", "\u0663", "_", "1/2",
+)
 
 
 class TestParse:
@@ -68,6 +77,21 @@ class TestParse:
     def test_negative_power_of_sum_rejected(self):
         with pytest.raises(LaurentSyntaxError):
             parse("(1+x)^-1")
+
+    def test_digest_of_random_strings(self):
+        # each string gives the same render, or the same error type and
+        # message (hence the first error in reading order); digest recorded
+        # when the scanner and the parser were still two classes
+        rng = random.Random(29)
+        h = hashlib.sha256()
+        for _ in range(20000):
+            s = "".join(rng.choice(PARSE_TOKENS) for _ in range(rng.randint(0, 10)))
+            try:
+                out = render(parse(s))
+            except DomainError as e:
+                out = f"{type(e).__name__}: {e}"
+            h.update(f"{s}\0{out}\n".encode())
+        assert h.hexdigest() == "5604384e1cf2000d70d1bd5937d1455dfe1bd880c1cd48e9ab90f461b13fd1d2"
 
 
 class TestRender:
