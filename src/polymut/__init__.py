@@ -32,7 +32,6 @@ from .fano import (
 )
 from .mutation import (
     MutationData,
-    PLMap,
     dual_map,
     factor_for,
     find_factors,

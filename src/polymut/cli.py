@@ -1,7 +1,7 @@
 """Command-line surface: JSON in, JSON (or tables) out.
 
 Exit codes: 0 success, 1 domain error (with a JSON error object on
-stdout), 2 usage error.  Output is byte-deterministic for fixed inputs:
+stdout) or a batch report with a failed row, 2 usage error.  Output is byte-deterministic for fixed inputs:
 keys are sorted and every rational is a reduced-fraction string.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -87,10 +88,23 @@ def _json_weights(v) -> tuple[int, int, int]:
     return tuple(v)
 
 
+# The JSON schemas' integer grammar: ASCII digits with an optional '-'.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(s: str) -> int:
+    """An integer option in the schemas' grammar, so '+3', ' 3', '1_0' and
+    non-ASCII digits are refused.  argparse names the reader in its error:
+    'invalid integer value'."""
+    if not _INTEGER.fullmatch(s):
+        raise ValueError(f"not an integer: {s!r}")
+    return int(s)
+
+
 def _parse_w(s: str) -> Vector2:
     try:
         p, q = s.split(",")
-        return Vector2(int(p), int(q))
+        return Vector2(integer(p), integer(q))
     except (ValueError, TypeError) as e:
         raise DomainError(f"--w expects 'p,q' integers: {s!r}") from e
 
@@ -99,14 +113,14 @@ def _parse_dilation(s: str) -> int | None:
     if s == "auto":
         return None
     try:
-        return int(s)
+        return integer(s)
     except ValueError as e:
         raise DomainError(f"--dilation expects 'auto' or a positive integer: {s!r}") from e
 
 
 def _parse_weights(s: str) -> tuple[int, int, int]:
     try:
-        a, b, c = (int(x) for x in s.split(","))
+        a, b, c = (integer(x) for x in s.split(","))
         return a, b, c
     except (ValueError, TypeError) as e:
         raise DomainError(f"--weights expects 'a,b,c' integers: {s!r}") from e
@@ -124,71 +138,72 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "table"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
+    def add(name, run, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument(
             "--format", choices=("json", "table"), default=argparse.SUPPRESS
         )
+        p.set_defaults(run=run)
         return p
 
-    p = add("hull", help="convex hull of a point set")
+    p = add("hull", _cmd_hull, help="convex hull of a point set")
     p.add_argument("--points", required=True, help="polygon JSON whose vertices are hulled")
 
-    p = add("dual", help="polar dual of a polygon with interior origin")
+    p = add("dual", _cmd_dual, help="polar dual of a polygon with interior origin")
     p.add_argument("--polygon", required=True)
 
-    p = add("weights", help="fake-plane weights of a Fano triangle (input vertex order)")
+    p = add("weights", _cmd_weights, help="fake-plane weights of a Fano triangle (input vertex order)")
     p.add_argument("--polygon", required=True)
 
-    p = add("multiplicity", help="index of the vertex sublattice of a Fano triangle")
+    p = add("multiplicity", _cmd_multiplicity, help="index of the vertex sublattice of a Fano triangle")
     p.add_argument("--polygon", required=True)
 
-    p = add("triangle", help="Fano triangle with given pairwise-coprime weights")
+    p = add("triangle", _cmd_triangle, help="Fano triangle with given pairwise-coprime weights")
     p.add_argument("--weights", required=True)
 
-    p = add("factors", help="mutation factors of a Fano polygon")
+    p = add("factors", _cmd_factors, help="mutation factors of a Fano polygon")
     p.add_argument("--polygon", required=True)
     p.add_argument("--w", help=f"height function p,q (default: scan edge normals); {_W_NEGATIVE}")
 
-    p = add("mutate", help="combinatorial mutation")
+    p = add("mutate", _cmd_mutate, help="combinatorial mutation")
     p.add_argument("--polygon", required=True)
     p.add_argument("--w", required=True, help=f"height function p,q; {_W_NEGATIVE}")
-    p.add_argument("--t", type=int, default=1)
+    p.add_argument("--t", type=integer, default=1)
 
-    p = add("graph", help="mutation graph of lattice-equivalence classes")
+    p = add("graph", _cmd_graph, help="mutation graph of lattice-equivalence classes")
     p.add_argument("--polygon")
     p.add_argument("--weights")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=integer, required=True)
 
-    p = add("markov", help="Markov triples within a Vieta-step depth")
-    p.add_argument("--depth", type=int, required=True)
+    p = add("markov", _cmd_markov, help="Markov triples within a Vieta-step depth")
+    p.add_argument("--depth", type=integer, required=True)
 
-    p = add("diophantine", help="Diophantine class of a weight triple")
+    p = add("diophantine", _cmd_diophantine, help="Diophantine class of a weight triple")
     p.add_argument("--weights", required=True)
 
-    p = add("laurent-mutate", help="algebraic mutation of a Laurent polynomial")
+    p = add("laurent-mutate", _cmd_laurent_mutate, help="algebraic mutation of a Laurent polynomial")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--divide", choices=("x", "y"), required=True)
 
-    p = add("period", help="period sequence (constant terms of powers)")
+    p = add("period", _cmd_period, help="period sequence (constant terms of powers)")
     p.add_argument("--f", required=True)
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--dmax", type=integer, required=True)
 
-    p = add("divpoly", help="divisorial polytope of a lattice polygon")
+    p = add("divpoly", _cmd_divpoly, help="divisorial polytope of a lattice polygon")
     p.add_argument("--polygon", required=True)
 
-    p = add("deform", help="mutation-to-deformation pipeline with certificate")
+    p = add("deform", _cmd_deform, help="mutation-to-deformation pipeline with certificate")
     p.add_argument("--polygon")
     p.add_argument("--weights")
     p.add_argument("--w", help=f"height function p,q (default: a weight-decreasing factor); {_W_NEGATIVE}")
-    p.add_argument("--t", type=int, default=1)
+    p.add_argument("--t", type=integer, default=1)
     p.add_argument("--dilation", default="auto", help="'auto' or a positive integer")
 
-    p = add("check-corollary", help="re-check the corollary clauses of a certificate")
+    p = add("check-corollary", _cmd_check_corollary, help="re-check the corollary clauses of a certificate")
     p.add_argument("--certificate", required=True, help="certificate JSON (inline, path, or '-')")
 
-    p = add("batch-verify", help="run the cross-module checks over a corpus directory")
+    p = add("batch-verify", lambda args: batch_verify(args.corpus), help="run the cross-module checks over a corpus directory")
     p.add_argument("corpus")
 
     return ap
@@ -375,7 +390,7 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
             Q = mutation.mutate(T, md)
             ok = area(dual(Q)) == area(dual(T))
             out.append(_entry(path, f"dual-area [{tag}]", "pass" if ok else "fail"))
-            ok = dual(mutation.dual_map(md.pl_map, dual(T))) == Q
+            ok = dual(mutation.dual_map(md, dual(T))) == Q
             out.append(_entry(path, f"duality-commutation [{tag}]", "pass" if ok else "fail"))
             if cls is not None and len(Q.vertices) == 3:
                 ok = fano.diophantine_class(fano.weights(Q)) == cls
@@ -410,36 +425,14 @@ def _verify_laurent(path: Path, obj) -> list[dict]:
     return out
 
 
-_COMMANDS = {
-    "hull": _cmd_hull,
-    "dual": _cmd_dual,
-    "weights": _cmd_weights,
-    "multiplicity": _cmd_multiplicity,
-    "triangle": _cmd_triangle,
-    "factors": _cmd_factors,
-    "mutate": _cmd_mutate,
-    "graph": _cmd_graph,
-    "markov": _cmd_markov,
-    "diophantine": _cmd_diophantine,
-    "laurent-mutate": _cmd_laurent_mutate,
-    "period": _cmd_period,
-    "divpoly": _cmd_divpoly,
-    "deform": _cmd_deform,
-    "check-corollary": _cmd_check_corollary,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "batch-verify":
-            report = batch_verify(args.corpus)
-            _emit(report, args.format)
-            return 1 if report["failed"] else 0
-        out = _COMMANDS[args.command](args)
+        out = args.run(args)
         _emit(out, args.format)
-        return 0
+        # a batch report exits 1 when any of its rows failed
+        return 1 if isinstance(out, dict) and out.get("failed") else 0
     except DomainError as e:
         print(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}, sort_keys=True))
         return 1

@@ -46,7 +46,7 @@ from .geom import (
     polygon_to_json,
     vector_to_json,
 )
-from .mutation import InvalidFactor, MutationData, NotPrimitive, mutate
+from .mutation import InvalidFactor, MutationData, NotPrimitive, factor_directions, mutate
 
 
 class Inadmissible(DomainError):
@@ -397,7 +397,9 @@ def mutation_to_deformation(
     # varieties; the deformation theorem sanctions it exactly in the
     # smoothing (weight-decreasing) direction.  In the opposite direction
     # the reduced polygon is formal only, so refuse to certify it.
-    decreasing = len(Q.vertices) == 3 and sum(fano.weights(Q)) < sum(fano.weights(Pn))
+    wp = fano.weights(Pn)  # Pn is a Fano triangle: mutate proved it Fano
+    wq = fano.weights(Q) if len(Q.vertices) == 3 else None
+    decreasing = wq is not None and sum(wq) < sum(wp)
     if any(not s.is_integral() for s in red.shifts) and not decreasing:
         raise FiberMismatch(
             "reduction needs a non-isomorphism shift but the mutation does "
@@ -416,7 +418,7 @@ def mutation_to_deformation(
         if back is not None:
             diag += "; the family is isotrivial (fiber matches the source polarization)"
         else:
-            rays = fan_rays(red.polygon)
+            rays = factor_directions(red.polygon)
             if len(rays) == 3:
                 fw = sorted(fano.weights_of_vertices(*rays))
                 diag += f"; the fiber is a fake plane with weights {tuple(fw)}"
@@ -431,10 +433,8 @@ def mutation_to_deformation(
         for part in (d.part0, d.part1)
     )
     in_class: Optional[bool] = None
-    if len(Q.vertices) == 3:
-        in_class = fano.diophantine_class(fano.weights(Pn)) == fano.diophantine_class(
-            fano.weights(Q)
-        )
+    if wq is not None:
+        in_class = fano.diophantine_class(wp) == fano.diophantine_class(wq)
     return DeformationCertificate(
         source=P,
         normalizer=U,
@@ -453,18 +453,6 @@ def mutation_to_deformation(
         extends_over_p1=extends,
         in_diophantine_class=in_class,
     )
-
-
-def fan_rays(P: Polygon) -> list[Vector2]:
-    """Primitive inner edge normals: the rays of the normal fan of a
-    full-dimensional polygon (the fan of its polarized toric variety)."""
-    from .geom import primitivize
-
-    rays = []
-    for a, b in P.edges():
-        d = b - a
-        rays.append(primitivize(Vector2(-d.y, d.x)))
-    return rays
 
 
 def is_weight_reducing(P: Polygon, md: MutationData) -> bool:

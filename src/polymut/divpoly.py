@@ -106,17 +106,14 @@ class PLFunc:
             raise DomainError("need matching breakpoint and value lists (>= 2 points)")
         if any(b1 >= b2 for b1, b2 in zip(bs, bs[1:])):
             raise DomainError("breakpoints must be strictly increasing")
-        # merge breakpoints where the slope does not change
-        keep = [0]
-        for i in range(1, len(bs) - 1):
-            s_prev = qdiv(vs[i] - vs[keep[-1]], bs[i] - bs[keep[-1]])
-            s_next = qdiv(vs[i + 1] - vs[i], bs[i + 1] - bs[i])
-            if s_prev != s_next:
-                keep.append(i)
+        # merge breakpoints where the slope does not change; the slopes of
+        # the kept segments are then the merged ones
+        slopes = [qdiv(vs[i + 1] - vs[i], bs[i + 1] - bs[i]) for i in range(len(bs) - 1)]
+        keep = [0] + [i for i in range(1, len(bs) - 1) if slopes[i - 1] != slopes[i]]
+        slopes = [slopes[i] for i in keep]
         keep.append(len(bs) - 1)
         bs = tuple(bs[i] for i in keep)
         vs = tuple(vs[i] for i in keep)
-        slopes = [qdiv(v2 - v1, b2 - b1) for (b1, v1), (b2, v2) in zip(zip(bs, vs), zip(bs[1:], vs[1:]))]
         if any(s1 <= s2 for s1, s2 in zip(slopes, slopes[1:])):
             raise ConcavityBroken("slopes must be nonincreasing")
         object.__setattr__(self, "breaks", bs)
@@ -222,10 +219,6 @@ class PLFunc:
 
     def __sub__(self, other: "PLFunc") -> "PLFunc":
         return self._binop(other, -1)
-
-    def shift(self, c: RationalLike) -> "PLFunc":
-        c = to_fraction(c)
-        return PLFunc(self.breaks, [v + c for v in self.values])
 
     def add_affine(self, slope: RationalLike, intercept: RationalLike) -> "PLFunc":
         s, c = to_fraction(slope), to_fraction(intercept)

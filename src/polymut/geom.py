@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError
 
@@ -208,12 +208,9 @@ def _hull_of(points: Iterable[Vector2]) -> list[Vector2]:
 
     lower = chain(pts)
     upper = chain(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if not hull:  # all points equal (cannot happen: len(pts) > 1 and distinct)
-        hull = [pts[0]]
-    if len(hull) == 1 and len(pts) > 1:  # collinear input collapses to extremes
-        hull = [pts[0], pts[-1]]
-    return hull
+    # both chains keep their end points, so two distinct points give at least
+    # two vertices, and collinear input gives exactly the two extremes
+    return lower[:-1] + upper[:-1]
 
 
 class Polygon:
@@ -517,17 +514,19 @@ def _solve_pair_map(d1: Vector2, d2: Vector2, e1: Vector2, e2: Vector2) -> Optio
     return U
 
 
-def lattice_equivalent(P: Polygon, Q: Polygon) -> Optional[tuple[Mat2, Vector2]]:
-    """Unimodular U and integer translation t with U*P + t == Q, or None.
+def _vertex_maps(P: Polygon, Q: Polygon) -> Iterator[tuple[Mat2, Vector2]]:
+    """Every unimodular U and integer translation t with U*P + t == Q.
 
     Brute-force vertex matching: anchor an edge-adjacent basis at one vertex
-    of P and try every vertex of Q with both orientations.
+    of P and try every vertex of Q with both orientations.  Any such map
+    sends the vertex cycle onto the vertex cycle, so these 2n candidates
+    are all of them.
     """
     _require_lattice_2d(P, Q)
     vp, vq = P.vertices, Q.vertices
     n = len(vp)
     if len(vq) != n or area(P) != area(Q):
-        return None
+        return
     p0 = vp[0]
     d1 = vp[1] - p0
     d2 = vp[-1] - p0
@@ -544,8 +543,12 @@ def lattice_equivalent(P: Polygon, Q: Polygon) -> Optional[tuple[Mat2, Vector2]]
             if not t.is_integral():
                 continue
             if {mat_apply(U, v) + t for v in vp} == qset:
-                return U, t
-    return None
+                yield U, t
+
+
+def lattice_equivalent(P: Polygon, Q: Polygon) -> Optional[tuple[Mat2, Vector2]]:
+    """Unimodular U and integer translation t with U*P + t == Q, or None."""
+    return next(_vertex_maps(P, Q), None)
 
 
 def linear_equivalent(P: Polygon, Q: Polygon) -> Optional[Mat2]:
@@ -553,26 +556,7 @@ def linear_equivalent(P: Polygon, Q: Polygon) -> Optional[Mat2]:
 
     This is the right equivalence for Fano polygons, whose origin is pinned.
     """
-    _require_lattice_2d(P, Q)
-    vp, vq = P.vertices, Q.vertices
-    n = len(vp)
-    if len(vq) != n or area(P) != area(Q):
-        return None
-    pa = vp[0]
-    pb = next((v for v in vp[1:] if pa.cross(v) != 0), None)
-    if pb is None:
-        return None
-    qset = set(vq)
-    for qa in vq:
-        for qb in vq:
-            if qa == qb:
-                continue
-            U = _solve_pair_map(pa, pb, qa, qb)
-            if U is None:
-                continue
-            if {mat_apply(U, v) for v in vp} == qset:
-                return U
-    return None
+    return next((U for U, t in _vertex_maps(P, Q) if t.is_zero()), None)
 
 
 def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:

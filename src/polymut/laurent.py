@@ -117,15 +117,17 @@ class LaurentPoly:
         if n < 0:
             if len(self.terms) != 1:
                 raise DomainError("negative powers need a single monomial")
-            return _mono_pow(self, n)
+            ((e1, e2), c), = self.terms.items()
+            return LaurentPoly({(n * e1, n * e2): c**n})
         out = LaurentPoly.const(1)
         base = self
         k = n
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # square only while bits remain
+                base = base * base
         return out
 
     # --- rendering ---
@@ -161,34 +163,30 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
-def _mono_pow(poly: LaurentPoly, n: int) -> LaurentPoly:
-    ((e1, e2), c), = poly.terms.items()
-    return LaurentPoly({(n * e1, n * e2): c**n})
+class _Parser:
+    """Recursive descent over tokens (kind, text, offset) with kind one of
+    'num', 'name', 'op' and 'end'.  Tokens are read lazily, one at a time,
+    so the first error in reading order is the one reported: in 'x ) $' it
+    is the ')', not the '$'."""
 
-
-class _Scanner:
     def __init__(self, s: str):
         self.s = s
         self.i = 0
 
-    def skip_ws(self) -> None:
-        while self.i < len(self.s) and self.s[self.i].isspace():
-            self.i += 1
-
     def peek(self) -> tuple[str, str, int]:
-        self.skip_ws()
-        i = self.i
         s = self.s
+        i = self.i
+        while i < len(s) and s[i].isspace():
+            i += 1
         if i >= len(s):
             return ("end", "", i)
         ch = s[i]
+        j = i + 1
         if ch in "0123456789":
-            j = i
             while j < len(s) and s[j] in "0123456789":
                 j += 1
             return ("num", s[i:j], i)
         if ch.isalpha():
-            j = i
             while j < len(s) and (s[j].isalnum() or s[j] == "_"):
                 j += 1
             return ("name", s[i:j], i)
@@ -196,114 +194,92 @@ class _Scanner:
             return ("op", ch, i)
         raise LaurentSyntaxError(f"unexpected character {ch!r}", i)
 
-    def advance(self, tok: tuple[str, str, int]) -> None:
+    def take(self) -> tuple[str, str, int]:
+        tok = self.peek()
         self.i = tok[2] + len(tok[1])
+        return tok
 
+    def accept(self, ops: str) -> str:
+        """Consume and return the next token if it is an operator in ops, else ''."""
+        kind, val, pos = self.peek()
+        if kind != "op" or val not in ops:
+            return ""
+        self.i = pos + 1
+        return val
 
-def _int_token(val: str, pos: int) -> int:
-    try:
-        return int(val)
-    except ValueError as e:  # over the interpreter's int digit limit
-        raise LaurentSyntaxError(f"integer of {len(val)} digits is too long", pos) from e
-
-
-class _Parser:
-    def __init__(self, s: str):
-        self.sc = _Scanner(s)
+    def integer(self, expected: str) -> int:
+        """Consume an integer literal, or raise `expected` where it is missing."""
+        kind, val, pos = self.take()
+        if kind != "num":
+            raise LaurentSyntaxError(expected, pos)
+        try:
+            return int(val)
+        except ValueError as e:  # over the interpreter's int digit limit
+            raise LaurentSyntaxError(f"integer of {len(val)} digits is too long", pos) from e
 
     def parse(self) -> LaurentPoly:
         poly = self._expr()
-        kind, val, pos = self.sc.peek()
+        kind, val, pos = self.peek()
         if kind != "end":
             raise LaurentSyntaxError(f"unexpected {val!r}", pos)
         return poly
 
     def _expr(self) -> LaurentPoly:
-        sign = 1
-        tok = self.sc.peek()
-        if tok[0] == "op" and tok[1] in "+-":
-            self.sc.advance(tok)
-            sign = -1 if tok[1] == "-" else 1
-        acc = self._term().scale(sign)
-        while True:
-            kind, val, _ = self.sc.peek()
-            if kind == "op" and val in "+-":
-                self.sc.advance(self.sc.peek())
-                nxt = self._term()
-                acc = acc + (nxt.scale(-1) if val == "-" else nxt)
-            else:
-                return acc
+        sign = self.accept("+-")
+        acc = self._term()
+        if sign == "-":
+            acc = -acc
+        while op := self.accept("+-"):
+            nxt = self._term()
+            acc = acc + (-nxt if op == "-" else nxt)
+        return acc
 
     def _term(self) -> LaurentPoly:
         acc = self._factor()
         while True:
-            kind, val, _ = self.sc.peek()
-            if kind == "op" and val == "*":
-                self.sc.advance(self.sc.peek())
+            kind, val, _ = self.peek()
+            # a '*', or juxtaposition with the start of the next factor
+            if self.accept("*") or kind in ("num", "name") or (kind, val) == ("op", "("):
                 acc = acc * self._factor()
-            elif kind in ("num", "name") or (kind == "op" and val == "("):
-                acc = acc * self._factor()  # juxtaposition
             else:
                 return acc
 
     def _factor(self) -> LaurentPoly:
-        kind, val, pos = self.sc.peek()
+        kind, val, pos = self.peek()
         if kind == "num":
-            self.sc.advance((kind, val, pos))
-            num = _int_token(val, pos)
-            kind2, val2, pos2 = self.sc.peek()
-            if kind2 == "op" and val2 == "/":
-                self.sc.advance((kind2, val2, pos2))
-                kind3, val3, pos3 = self.sc.peek()
-                if kind3 != "num":
-                    raise LaurentSyntaxError("expected a denominator", pos3)
-                self.sc.advance((kind3, val3, pos3))
-                den = _int_token(val3, pos3)
+            num = self.integer("expected a number")
+            if self.accept("/"):
+                den_pos = self.peek()[2]
+                den = self.integer("expected a denominator")
                 if den == 0:
-                    raise ZeroDenominator(f"zero denominator at offset {pos3}")
+                    raise ZeroDenominator(f"zero denominator at offset {den_pos}")
                 return LaurentPoly.const(Fraction(num, den))
             return LaurentPoly.const(num)
         if kind == "name":
             if val not in _ALIASES:
                 raise LaurentSyntaxError(f"unknown variable {val!r}", pos)
-            self.sc.advance((kind, val, pos))
-            axis = _ALIASES[val]
-            exp = self._optional_exponent()
+            self.take()
             e = [0, 0]
-            e[axis] = exp
+            e[_ALIASES[val]] = self._exponent()
             return LaurentPoly.monomial(e[0], e[1])
-        if kind == "op" and val == "(":
-            self.sc.advance((kind, val, pos))
+        if self.accept("("):
             inner = self._expr()
-            kind2, val2, pos2 = self.sc.peek()
-            if not (kind2 == "op" and val2 == ")"):
-                raise LaurentSyntaxError("expected ')'", pos2)
-            self.sc.advance((kind2, val2, pos2))
-            exp = self._optional_exponent()
+            if not self.accept(")"):
+                raise LaurentSyntaxError("expected ')'", self.peek()[2])
+            exp = self._exponent()
             if exp == 1:
                 return inner
-            if exp >= 0:
-                return inner**exp
-            if len(inner.terms) == 1:
-                return _mono_pow(inner, exp)
-            raise LaurentSyntaxError("negative power of a non-monomial", pos)
+            if exp < 0 and len(inner.terms) != 1:
+                raise LaurentSyntaxError("negative power of a non-monomial", pos)
+            return inner**exp
         raise LaurentSyntaxError(f"expected a term, found {val!r}" if val else "unexpected end of input", pos)
 
-    def _optional_exponent(self) -> int:
-        kind, val, _ = self.sc.peek()
-        if not (kind == "op" and val == "^"):
+    def _exponent(self) -> int:
+        """The exponent after an optional '^', 1 if there is none."""
+        if not self.accept("^"):
             return 1
-        self.sc.advance(self.sc.peek())
-        sign = 1
-        kind, val, pos = self.sc.peek()
-        if kind == "op" and val == "-":
-            self.sc.advance((kind, val, pos))
-            sign = -1
-            kind, val, pos = self.sc.peek()
-        if kind != "num":
-            raise LaurentSyntaxError("expected an integer exponent", pos)
-        self.sc.advance((kind, val, pos))
-        return sign * _int_token(val, pos)
+        sign = -1 if self.accept("-") else 1
+        return sign * self.integer("expected an integer exponent")
 
 
 def parse(s: str) -> LaurentPoly:

@@ -30,6 +30,7 @@ from typing import Optional
 from .errors import DomainError
 from . import fano
 from .geom import (
+    ORIGIN,
     Polygon,
     Segment,
     Vector2,
@@ -67,10 +68,6 @@ class MutationData:
     def factor(self) -> Segment:
         return Segment(Vector2(0, 0), self.f0.scale(self.t))
 
-    @property
-    def pl_map(self) -> "PLMap":
-        return PLMap(self.w, self.factor.vertices())
-
     def to_json(self) -> dict:
         from .geom import segment_to_json, vector_to_json
 
@@ -81,15 +78,6 @@ class MutationData:
             "F": segment_to_json(self.factor),
             "convention": "w=(0,-1) matches dividing the second variable by g",
         }
-
-
-@dataclass(frozen=True)
-class PLMap:
-    """The piecewise-linear transform u -> u - u_min*w on the dual side,
-    where u_min minimizes <u, .> over the factor vertices."""
-
-    w: Vector2
-    f_vertices: tuple[Vector2, ...]
 
 
 class _Profile:
@@ -239,21 +227,17 @@ def inverse_data(P: Polygon, md: MutationData) -> MutationData:
     return MutationData(w=-md.w, t=md.t, f0=md.f0)
 
 
-def dual_map(pm: PLMap, Q: Polygon) -> Polygon:
-    """Image of Q under u -> u - u_min(u)*w, splitting Q along the loci
-    where the minimizing factor vertex changes; area is preserved."""
-    fv = pm.f_vertices
-    if len(fv) == 1:
-        f = fv[0]
-        return Polygon([u - pm.w.scale(u.dot(f)) for u in Q.vertices])
-    fa, fb = fv
-    d = fa - fb
+def dual_map(md: MutationData, Q: Polygon) -> Polygon:
+    """Image of Q under the piecewise-linear map u -> u - u_min(u)*w on the
+    dual side, u_min the least of <u, .> over the factor vertices 0 and
+    t*f0.  Q is split along <u, f0> = 0, where the minimizing vertex
+    changes; area is preserved."""
+    f = md.f0.scale(md.t)
     pieces = []
-    for n, f in ((d, fb), (-d, fa)):
-        # on the side <u, d> >= 0 the minimizer is fb (and vice versa)
+    for n, fmin in ((f, ORIGIN), (-f, f)):
+        # on the side <u, f> >= 0 the minimizer is the origin (and vice versa)
         loop = clip_halfplane(list(Q.vertices), n, 0)
-        if loop:
-            pieces.extend(u - pm.w.scale(u.dot(f)) for u in loop)
+        pieces.extend(u - md.w.scale(u.dot(fmin)) for u in loop)
     return Polygon(pieces)
 
 
@@ -308,14 +292,14 @@ class MutationGraph:
 
 
 def factor_directions(P: Polygon) -> list[Vector2]:
-    """Height functions that can possibly admit a factor: the negated
-    primitive outer normals of the edges (the minimal face must be an edge,
-    otherwise a negative-height vertex sits alone in a point slice)."""
+    """Height functions that can possibly admit a factor: the primitive
+    inner normals of the edges, sorted (the minimal face must be an edge,
+    otherwise a negative-height vertex sits alone in a point slice).  They
+    are also the rays of the normal fan of P."""
     out = []
     for a, b in P.edges():
         d = b - a
-        n = Vector2(d.y, -d.x)  # outer normal for CCW order
-        out.append(primitivize(-n))
+        out.append(primitivize(Vector2(-d.y, d.x)))  # inner normal for CCW order
     return sorted(set(out))
 
 

@@ -159,10 +159,10 @@ def test_criterion_4_duality_commutation(markov_graph, p114_triangle):
     g, _ = markov_graph
     checked = 0
     for src, md in _edge_data(g):
-        assert dual(dual_map(md.pl_map, dual(src))) == mutate(src, md)
+        assert dual(dual_map(md, dual(src))) == mutate(src, md)
         checked += 1
     md = find_factors(p114_triangle, Vector2(0, -1))[0]
-    img = dual_map(md.pl_map, dual(p114_triangle))
+    img = dual_map(md, dual(p114_triangle))
     assert img == P((-3, -2), (0, 1), (3, 1))
     assert dual(img) == mutate(p114_triangle, md)
     print(f"PASS criterion 4: duality commutation exact on {checked} edges "

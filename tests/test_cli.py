@@ -285,6 +285,26 @@ class TestErrorsAndDeterminism:
         assert code == 1
         check_schema(out, "error")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triangle", "--weights", "\u0661,+1,1_0"],
+            ["deform", "--weights", "1,1,4", "--dilation", "\u0666"],
+        ],
+        ids=["weights-digit-sign-underscore", "non-ascii-dilation"],
+    )
+    def test_integer_option_outside_the_schema_grammar_exit_1(self, capsys, argv):
+        code, out = run_json(capsys, *argv)
+        assert code == 1
+        check_schema(out, "error")
+
+    @pytest.mark.parametrize("depth", ["\u0663", "+3"], ids=["non-ascii-digit", "plus-sign"])
+    def test_integer_argument_outside_the_schema_grammar_exit_2(self, capsys, depth):
+        with pytest.raises(SystemExit) as ei:
+            main(["graph", "--weights", "1,1,1", "--depth", depth])
+        assert ei.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["mutate", "--polygon", P114, "--bogus-flag"])

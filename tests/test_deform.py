@@ -359,8 +359,7 @@ def test_normalizer_rows_are_the_extgcd_rows():
 def test_digest_of_every_factor_of_every_coprime_triple_up_to_15():
     # every factor of every pairwise-coprime triple with c <= 15, forward
     # and back through inverse_data: the certificate JSON, or the error type
-    # and message of the refusal; digest recorded before the weights and
-    # the edge normals of the pipeline were computed once each
+    # and message of the refusal
     def attempt(P, md):
         try:
             return mutation_to_deformation(P, md).to_json()

@@ -80,8 +80,7 @@ class TestParse:
 
     def test_digest_of_random_strings(self):
         # each string gives the same render, or the same error type and
-        # message (hence the first error in reading order); digest recorded
-        # when the scanner and the parser were still two classes
+        # message, hence the first error in reading order
         rng = random.Random(29)
         h = hashlib.sha256()
         for _ in range(20000):
@@ -114,6 +113,25 @@ class TestRender:
 
 
 class TestArithmetic:
+    def test_power_multiplies_once_per_bit(self, monkeypatch):
+        # square-and-multiply: a product per set bit of n and a square per
+        # bit after the first, with no square left over after the last bit
+        f = parse("x+y+x^-1*y^-1")
+        mul = LaurentPoly.__mul__
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        expected = LaurentPoly.const(1)
+        for n in range(1, 21):
+            expected = mul(expected, f)
+            calls.clear()
+            assert f**n == expected
+            assert len(calls) == n.bit_length() - 1 + bin(n).count("1"), n
+
     def test_square(self):
         one_plus_x = parse("1+x")
         assert one_plus_x * one_plus_x == parse("1 + 2*x + x^2")

@@ -368,22 +368,22 @@ class TestProfileRows:
 class TestDualMap:
     def test_p114_image(self, p114_triangle):
         md = find_factors(p114_triangle, Vector2(0, -1))[0]
-        img = dual_map(md.pl_map, dual(p114_triangle))
+        img = dual_map(md, dual(p114_triangle))
         assert img == P((-3, -2), (0, 1), (3, 1))
 
     def test_identity_on_positive_side(self):
         md = factor_for(P((0, -1), (1, 2), (-1, 2)), Vector2(0, -1), 1)
         Q = P((1, 1), (2, 1), (1, 3))  # lies where the minimizer is the origin
-        assert dual_map(md.pl_map, Q) == Q
+        assert dual_map(md, Q) == Q
 
     def test_duality_consistency(self, p114_triangle):
         md = find_factors(p114_triangle, Vector2(0, -1))[0]
-        lhs = dual(dual_map(md.pl_map, dual(p114_triangle)))
+        lhs = dual(dual_map(md, dual(p114_triangle)))
         assert lhs == mutate(p114_triangle, md)
 
     def test_area_preserved(self, p114_triangle):
         md = find_factors(p114_triangle, Vector2(0, -1))[0]
-        img = dual_map(md.pl_map, dual(p114_triangle))
+        img = dual_map(md, dual(p114_triangle))
         assert area(img) == area(dual(p114_triangle))
 
 
@@ -407,7 +407,7 @@ class TestMutationGraph:
         for e in g.edges:
             src = g.nodes[e.source].polygon
             md = factor_for(src, e.w, e.t)
-            assert dual(dual_map(md.pl_map, dual(src))) == mutate(src, md)
+            assert dual(dual_map(md, dual(src))) == mutate(src, md)
 
     def test_duality_and_involution_out_of_depth_five(self, p2_triangle):
         # every mutation of every depth-5 class, i.e. the edges of depth 6;
@@ -419,7 +419,7 @@ class TestMutationGraph:
             for w in factor_directions(src):
                 for md in find_factors(src, w):
                     Q = mutate(src, md)
-                    assert dual(dual_map(md.pl_map, dual(src))) == Q
+                    assert dual(dual_map(md, dual(src))) == Q
                     assert mutate(Q, inverse_data(src, md)) == src
                     checked += 1
         assert checked == 51
