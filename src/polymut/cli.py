@@ -1,8 +1,9 @@
 """Command-line surface: JSON in, JSON (or tables) out.
 
 Exit codes: 0 success, 1 domain error (with a JSON error object on
-stdout) or a batch report with a failed row, 2 usage error.  Output is byte-deterministic for fixed inputs:
-keys are sorted and every rational is a reduced-fraction string.
+stdout) or a batch report with a failed row, 2 usage error.  Output is
+byte-deterministic for fixed inputs: keys are sorted and every rational
+is a reduced-fraction string.
 """
 
 from __future__ import annotations
@@ -88,14 +89,13 @@ def _json_weights(v) -> tuple[int, int, int]:
     return tuple(v)
 
 
-# The JSON schemas' integer grammar: ASCII digits with an optional '-'.
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def integer(s: str) -> int:
-    """An integer option in the schemas' grammar, so '+3', ' 3', '1_0' and
-    non-ASCII digits are refused.  argparse names the reader in its error:
-    'invalid integer value'."""
+    """An integer option in the JSON schemas' integer grammar, ASCII digits
+    with an optional '-', so '+3', ' 3', '1_0' and non-ASCII digits are
+    refused.  argparse names the reader in its error: 'invalid integer value'."""
     if not _INTEGER.fullmatch(s):
         raise ValueError(f"not an integer: {s!r}")
     return int(s)
