@@ -23,7 +23,6 @@ from .geom import (
     Vector2,
     area,
     dual,
-    fraction_str,
     parse_vertices,
     polygon_from_json,
     polygon_to_json,
@@ -290,7 +289,7 @@ def _cmd_laurent_mutate(args) -> dict:
         "newton_before": polygon_to_json(laurent.newton_polytope(f)),
         "newton_after": polygon_to_json(laurent.newton_polytope(g)),
         "mutation_data": md.to_json(),
-        "factor_shear": [fraction_str(shear.x), fraction_str(shear.y)],
+        "factor_shear": [str(shear.x), str(shear.y)],
     }
     if caught:
         out["warnings"] = sorted(str(w.message) for w in caught)
@@ -299,7 +298,7 @@ def _cmd_laurent_mutate(args) -> dict:
 
 def _cmd_period(args) -> list:
     f = laurent.parse(args.f)
-    return [fraction_str(c) for c in laurent.period_sequence(f, args.dmax)]
+    return [str(c) for c in laurent.period_sequence(f, args.dmax)]
 
 
 def _cmd_divpoly(args) -> dict:
@@ -431,11 +430,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = args.run(args)
         _emit(out, args.format)
-        # a batch report exits 1 when any of its rows failed
-        return 1 if isinstance(out, dict) and out.get("failed") else 0
-    except DomainError as e:
+    except ValueError as e:
+        # a DomainError, or str() of an output integer past the interpreter's
+        # int-to-str digit limit, which products of accepted inputs can reach
+        if not isinstance(e, DomainError):
+            if "integer string conversion" not in str(e):
+                raise
+            e = DomainError(f"an output integer is too long to print: {e}")
         print(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}, sort_keys=True))
         return 1
+    # a batch report exits 1 when any of its rows failed
+    return 1 if isinstance(out, dict) and out.get("failed") else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

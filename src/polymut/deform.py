@@ -38,15 +38,13 @@ from .geom import (
     Vector2,
     dilate,
     dual,
-    fraction_str,
     height_basis,
-    is_primitive,
     lattice_equivalent,
     mat_apply,
     polygon_to_json,
     vector_to_json,
 )
-from .mutation import InvalidFactor, MutationData, NotPrimitive, factor_directions, mutate
+from .mutation import InvalidFactor, MutationData, mutate
 
 
 class Inadmissible(DomainError):
@@ -105,9 +103,7 @@ def is_admissible(phi: PLFunc, phi0: PLFunc, phi1: PLFunc) -> AdmissibilityRepor
             if any(s.denominator != 1 for s in part.slopes_on(a, b)):
                 bad += 1
         if bad > 1:
-            violations.append(
-                f"both parts have non-integral slope on [{fraction_str(a)}, {fraction_str(b)}]"
-            )
+            violations.append(f"both parts have non-integral slope on [{a}, {b}]")
     return AdmissibilityReport(not violations, tuple(violations))
 
 
@@ -146,8 +142,8 @@ class ShiftRecord:
         return {
             "from": str(self.frm),
             "to": str(self.to),
-            "slope": fraction_str(self.slope),
-            "intercept": fraction_str(self.intercept),
+            "slope": str(self.slope),
+            "intercept": str(self.intercept),
         }
 
 
@@ -251,8 +247,8 @@ class CorollaryReport:
     step_slopes: tuple[Rational, ...] = ()
 
     def slope_decomposition(self) -> str:
-        cs = fraction_str(self.common_slope) if self.common_slope is not None else "?"
-        steps = ", ".join(fraction_str(s) for s in sorted(self.step_slopes))
+        cs = str(self.common_slope) if self.common_slope is not None else "?"
+        steps = ", ".join(str(s) for s in sorted(self.step_slopes))
         return f"{cs} + {{{steps}}}"
 
     def to_json(self) -> dict:
@@ -321,10 +317,8 @@ class DeformationCertificate:
 def _normalizer_for(w: Vector2) -> Mat2:
     """Unimodular U with heights of U*P under (0,-1) matching heights of P
     under w, and with the factor direction mapped to (1, 0).  For a
-    non-primitive w these rows would have determinant gcd(w), so it is
-    refused."""
-    if not is_primitive(w):
-        raise NotPrimitive(f"height function must be primitive: {w}")
+    non-primitive w these rows would have determinant gcd(w), so
+    height_basis refuses it."""
     _, _, s = height_basis(w)
     # rows: s and -w; det = <s, vw> = 1, U*f0 = U*(-q, p) = (1, 0)
     return ((s.x, s.y), (-w.x, -w.y))
@@ -414,17 +408,8 @@ def mutation_to_deformation(
     witness = lattice_equivalent(red.polygon, target)
     if witness is None:
         diag = "fiber polygon is not equivalent to the dilated mutated dual"
-        back = lattice_equivalent(red.polygon, dilate(Pstar, a))
-        if back is not None:
+        if lattice_equivalent(red.polygon, dilate(Pstar, a)) is not None:
             diag += "; the family is isotrivial (fiber matches the source polarization)"
-        else:
-            rays = factor_directions(red.polygon)
-            if len(rays) == 3:
-                fw = sorted(fano.weights_of_vertices(*rays))
-                diag += f"; the fiber is a fake plane with weights {tuple(fw)}"
-            else:
-                diag += f"; the fiber fan has {len(rays)} rays"
-            diag += " (a non-Q-Gorenstein deformation direction)"
         raise FiberMismatch(diag)
     cor = corollary_check(d)
     phi0_sum = dp.coefficient(ZERO)

@@ -20,7 +20,6 @@ from .geom import (
     Rational,
     RationalLike,
     Vector2,
-    fraction_str,
     qdiv,
     to_fraction,
 )
@@ -90,7 +89,7 @@ INFINITY = PointLabel(1)
 
 def interval_str(iv: tuple[Rational, Rational]) -> str:
     """An interval's endpoints as canonical rationals: '(1/2, 3)'."""
-    return f"({fraction_str(iv[0])}, {fraction_str(iv[1])})"
+    return f"({iv[0]}, {iv[1]})"
 
 
 class PLFunc:
@@ -163,7 +162,7 @@ class PLFunc:
     def __call__(self, u: RationalLike) -> Rational:
         u = to_fraction(u)
         if u < self.breaks[0] or u > self.breaks[-1]:
-            raise DomainError(f"{fraction_str(u)} is outside the domain {interval_str(self.domain)}")
+            raise DomainError(f"{u} is outside the domain {interval_str(self.domain)}")
         i = bisect.bisect_right(self.breaks, u) - 1
         if i == len(self.breaks) - 1:
             return self.values[-1]
@@ -235,13 +234,13 @@ class PLFunc:
         return hash((self.breaks, self.values))
 
     def __repr__(self) -> str:
-        pts = ", ".join(f"({fraction_str(b)}, {fraction_str(v)})" for b, v in zip(self.breaks, self.values))
+        pts = ", ".join(f"({b}, {v})" for b, v in zip(self.breaks, self.values))
         return f"PLFunc[{pts}]"
 
     def to_json(self) -> dict:
         return {
-            "breaks": [fraction_str(b) for b in self.breaks],
-            "values": [fraction_str(v) for v in self.values],
+            "breaks": [str(b) for b in self.breaks],
+            "values": [str(v) for v in self.values],
         }
 
     @staticmethod
@@ -317,7 +316,7 @@ class DivPoly:
 
     def to_json(self) -> dict:
         return {
-            "box": [fraction_str(self.box[0]), fraction_str(self.box[1])],
+            "box": [str(self.box[0]), str(self.box[1])],
             "coeffs": {str(l): self.coeffs[l].to_json() for l in self.labels()},
         }
 
@@ -400,19 +399,17 @@ def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:
         d = deg(u)
         if u in (lo, hi):
             if d < 0:
-                out.append(f"degree negative at endpoint u={fraction_str(u)}")
+                out.append(f"degree negative at endpoint u={u}")
             elif d == 0 and include_notes:
-                out.append(f"note: endpoint u={fraction_str(u)}: principal")
+                out.append(f"note: endpoint u={u}: principal")
         elif d <= 0:
-            out.append(f"degree not positive at interior u={fraction_str(u)}")
+            out.append(f"degree not positive at interior u={u}")
     # a piece that vanishes identically meets the open box in a segment
     for (b1, v1), (b2, v2) in zip(
         zip(deg.breaks, deg.values), zip(deg.breaks[1:], deg.values[1:])
     ):
         if v1 == 0 and v2 == 0:
-            out.append(
-                f"degree vanishes on [{fraction_str(b1)}, {fraction_str(b2)}]"
-            )
+            out.append(f"degree vanishes on [{b1}, {b2}]")
     for label in dp.labels():
         f = dp.coeffs[label]
         if not f.has_lattice_graph():
@@ -422,7 +419,7 @@ def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:
                 if b.denominator != 1 or v.denominator != 1
             )
             out.append(
-                f"coefficient at {label}: graph vertex ({fraction_str(bad[0])}, {fraction_str(bad[1])}) not lattice"
+                f"coefficient at {label}: graph vertex ({bad[0]}, {bad[1]}) not lattice"
             )
     return out
 

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
-from .geom import Polygon, Vector2, height_basis, is_primitive
+from .geom import Polygon, Vector2, height_basis, is_primitive, qdiv
 
 WeightTriple = tuple[int, int, int]
 MarkovTriple = tuple[int, int, int]
@@ -188,7 +187,7 @@ def diophantine_class(w: WeightTriple) -> DiophantineClass:
     xprod = 1
     for _, x in parts:
         xprod *= x
-    mk = Fraction(sum(w), xprod)
+    mk = qdiv(sum(w), xprod)
     m, k = mk.numerator, mk.denominator
     # identity check: m*x1*x2*x3 == k*sum(ci*xi^2) by construction
     assert m * xprod == k * sum(c * x * x for c, x in parts)

@@ -44,6 +44,10 @@ class NotLattice(DomainError):
     pass
 
 
+class NotPrimitive(DomainError):
+    pass
+
+
 RationalLike = Union[int, str, Fraction]
 # An exact rational as stored: int when integral, Fraction otherwise.
 Rational = Union[int, Fraction]
@@ -60,7 +64,8 @@ def to_fraction(v: RationalLike) -> Rational:
     """Coerce an int, Fraction or 'p/q' string to an exact rational: an
     int when the value is integral, a reduced Fraction otherwise.  Strings
     follow the schemas' rational grammar, so decimals and exponents (whose
-    size is unbounded, as in '1e1000000') are refused."""
+    size is unbounded, as in '1e1000000') are refused, and so are floats
+    and booleans."""
     if type(v) is int:
         return v
     if isinstance(v, str):
@@ -72,8 +77,6 @@ def to_fraction(v: RationalLike) -> Rational:
             raise DomainError(f"not an exact rational: {v!r}") from e
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v
-    if isinstance(v, int):  # bool and other int subclasses
-        return int(v)
     raise DomainError(f"not an exact rational: {v!r}")
 
 
@@ -86,11 +89,6 @@ def qdiv(a: Rational, b: Rational) -> Rational:
             return q
     q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
-
-
-def fraction_str(q: Rational) -> str:
-    """Canonical string of an exact rational: '5', '-1/2'."""
-    return str(q)
 
 
 @dataclass(frozen=True, order=True)
@@ -135,7 +133,7 @@ class Vector2:
         return self.x, self.y
 
     def __repr__(self) -> str:
-        return f"({fraction_str(self.x)}, {fraction_str(self.y)})"
+        return f"({self.x}, {self.y})"
 
 
 ORIGIN = Vector2(0, 0)
@@ -406,10 +404,11 @@ def height_basis(w: Vector2) -> tuple[Vector2, Vector2, Vector2]:
 
     f0 spans the kernel of w, <w, vw> = 1, and s is the integral functional
     with s(f0) = 1, s(vw) = 0, so v -> (<w,v>, <s,v>) is unimodular with
-    inverse (h, k) -> k*f0 + h*vw.
+    inverse (h, k) -> k*f0 + h*vw.  The one place that refuses a
+    non-primitive w, as mutations are defined for primitive w only.
     """
     if not is_primitive(w):
-        raise DomainError(f"height function must be primitive: {w}")
+        raise NotPrimitive(f"height function must be primitive: {w}")
     p, q = w.as_ints()
     f0 = Vector2(-q, p)
     g, a, b = extgcd(p, q)
@@ -627,19 +626,13 @@ def _require_lattice_2d(*polys: Polygon) -> None:
 # --- JSON interchange -------------------------------------------------------
 
 def vector_to_json(v: Vector2) -> list[str]:
-    return [fraction_str(v.x), fraction_str(v.y)]
+    return [str(v.x), str(v.y)]
 
 
 def vector_from_json(obj) -> Vector2:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise DomainError(f"bad vector: {obj!r}")
-    return Vector2(_rat_from_json(obj[0]), _rat_from_json(obj[1]))
-
-
-def _rat_from_json(v) -> Rational:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise DomainError(f"coordinates must be exact integers or 'p/q' strings: {v!r}")
-    return to_fraction(v)
+    return Vector2(obj[0], obj[1])
 
 
 def polygon_to_json(P: Polygon) -> dict:

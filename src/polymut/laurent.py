@@ -1,16 +1,18 @@
 """Laurent polynomials in two variables with exact rational coefficients:
-parsing, ring arithmetic, algebraic mutations and period sequences."""
+parsing, ring arithmetic, algebraic mutations and period sequences.
+
+Coefficients and period terms follow geom's convention: an int when
+integral, a Fraction otherwise, made by geom.to_fraction and geom.qdiv."""
 
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .geom import Polygon, Vector2, _halfplanes, qdiv
+from .geom import Polygon, Rational, RationalLike, Vector2, _halfplanes, qdiv, to_fraction
 from .mutation import MutationData, factor_for
 
 Exponent = tuple[int, int]
@@ -40,17 +42,19 @@ class DivisibilityFails(DomainError):
 
 
 class LaurentPoly:
-    """Finite map from integer exponent pairs to nonzero rational
+    """Finite map from integer exponent pairs to nonzero exact rational
     coefficients, with exact ring arithmetic."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Exponent, Fraction] | None = None):
-        cleaned: dict[Exponent, Fraction] = {}
-        for e, c in (terms or {}).items():
-            c = Fraction(c)
+    def __init__(self, terms: dict[Exponent, RationalLike] | None = None):
+        cleaned: dict[Exponent, Rational] = {}
+        for (e1, e2), c in (terms or {}).items():
+            if type(e1) is not int or type(e2) is not int:
+                raise DomainError(f"exponents must be integers: {(e1, e2)!r}")
+            c = to_fraction(c)
             if c != 0:
-                cleaned[(int(e[0]), int(e[1]))] = c
+                cleaned[e1, e2] = c
         object.__setattr__(self, "terms", cleaned)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
@@ -63,22 +67,22 @@ class LaurentPoly:
         return LaurentPoly({})
 
     @staticmethod
-    def const(c) -> "LaurentPoly":
-        return LaurentPoly({(0, 0): Fraction(c)})
+    def const(c: RationalLike) -> "LaurentPoly":
+        return LaurentPoly({(0, 0): c})
 
     @staticmethod
-    def monomial(e1: int, e2: int, c=1) -> "LaurentPoly":
-        return LaurentPoly({(e1, e2): Fraction(c)})
+    def monomial(e1: int, e2: int, c: RationalLike = 1) -> "LaurentPoly":
+        return LaurentPoly({(e1, e2): c})
 
     # --- queries ---
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, e1: int, e2: int) -> Fraction:
-        return self.terms.get((e1, e2), Fraction(0))
+    def coefficient(self, e1: int, e2: int) -> Rational:
+        return self.terms.get((e1, e2), 0)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Rational:
         return self.coefficient(0, 0)
 
     def __eq__(self, other) -> bool:
@@ -92,7 +96,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -102,23 +106,19 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Rational] = {}
         for (a1, a2), ca in self.terms.items():
             for (b1, b2), cb in other.terms.items():
                 e = (a1 + b1, a2 + b2)
-                out[e] = out.get(e, Fraction(0)) + ca * cb
+                out[e] = out.get(e, 0) + ca * cb
         return LaurentPoly(out)
-
-    def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
-        return LaurentPoly({e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             if len(self.terms) != 1:
                 raise DomainError("negative powers need a single monomial")
             ((e1, e2), c), = self.terms.items()
-            return LaurentPoly({(n * e1, n * e2): c**n})
+            return LaurentPoly({(n * e1, n * e2): qdiv(1, c**-n)})
         out = LaurentPoly.const(1)
         base = self
         k = n
@@ -253,7 +253,7 @@ class _Parser:
                 den = self.integer("expected a denominator")
                 if den == 0:
                     raise ZeroDenominator(f"zero denominator at offset {den_pos}")
-                return LaurentPoly.const(Fraction(num, den))
+                return LaurentPoly.const(qdiv(num, den))
             return LaurentPoly.const(num)
         if kind == "name":
             if val not in _ALIASES:
@@ -312,7 +312,7 @@ def div_exact(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
     lt_g = max(gs)
     lc_g = gs[lt_g]
     rem = dict(fs)
-    quo: dict[Exponent, Fraction] = {}
+    quo: dict[Exponent, Rational] = {}
     while rem:
         lt_r = max(rem)
         d = (lt_r[0] - lt_g[0], lt_r[1] - lt_g[1])
@@ -322,7 +322,7 @@ def div_exact(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
         quo[d] = c
         for e, ce in gs.items():
             key = (e[0] + d[0], e[1] + d[1])
-            nv = rem.get(key, Fraction(0)) - c * ce
+            nv = rem.get(key, 0) - c * ce
             if nv == 0:
                 rem.pop(key, None)
             else:
@@ -331,7 +331,7 @@ def div_exact(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
     return LaurentPoly({(e[0] + shift[0], e[1] + shift[1]): c for e, c in quo.items()})
 
 
-def _strip_units(f: LaurentPoly) -> tuple[dict[Exponent, Fraction], Exponent]:
+def _strip_units(f: LaurentPoly) -> tuple[dict[Exponent, Rational], Exponent]:
     m1 = min(e[0] for e in f.terms)
     m2 = min(e[1] for e in f.terms)
     return {(e[0] - m1, e[1] - m2): c for e, c in f.terms.items()}, (m1, m2)
@@ -371,7 +371,7 @@ class MutationSpec:
 
 
 def _grades(f: LaurentPoly, axis: int) -> dict[int, LaurentPoly]:
-    out: dict[int, dict[Exponent, Fraction]] = {}
+    out: dict[int, dict[Exponent, Rational]] = {}
     for e, c in f.terms.items():
         i = e[axis]
         rest = list(e)
@@ -446,7 +446,7 @@ def derive_mutation_data(f: LaurentPoly, spec: MutationSpec) -> tuple[MutationDa
 PERIOD_DMAX_LIMIT = 100
 
 
-def period_sequence(f: LaurentPoly, dmax: int) -> list[Fraction]:
+def period_sequence(f: LaurentPoly, dmax: int) -> list[Rational]:
     """Constant terms of f^d for d = 0..dmax (the period coefficients).
 
     The denominators are cleared once: f = F/D with D the lcm of the
@@ -466,7 +466,7 @@ def period_sequence(f: LaurentPoly, dmax: int) -> list[Fraction]:
         raise DomainError("dmax must be nonnegative")
     if dmax > PERIOD_DMAX_LIMIT:
         raise DomainError(f"dmax {dmax} exceeds the period budget PERIOD_DMAX_LIMIT = {PERIOD_DMAX_LIMIT}")
-    out = [Fraction(1)] + [Fraction(0)] * dmax
+    out: list[Rational] = [1] + [0] * dmax
     if f.is_zero():
         return out
     # integer inequalities n.e >= c of N, stored as (n, -c) so a term e is
@@ -494,5 +494,5 @@ def period_sequence(f: LaurentPoly, dmax: int) -> list[Fraction]:
                         break
                 else:
                     power[e] = c
-        out[k] = Fraction(power.get((0, 0), 0), den**k)
+        out[k] = qdiv(power.get((0, 0), 0), den**k)
     return out

@@ -29,8 +29,9 @@ from typing import Optional
 
 from .errors import DomainError
 from . import fano
-from .geom import (
+from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     ORIGIN,
+    NotPrimitive,
     Polygon,
     Segment,
     Vector2,
@@ -40,10 +41,6 @@ from .geom import (
     linear_normal_form,
     primitivize,
 )
-
-
-class NotPrimitive(DomainError):
-    pass
 
 
 class InvalidFactor(DomainError):
@@ -138,9 +135,7 @@ def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     negative-height vertex sits alone in a point slice).
     """
     _require_fano(P)
-    if not is_primitive(w):
-        raise NotPrimitive(f"height function must be primitive: {w}")
-    prof = _Profile(P, w)
+    prof = _Profile(P, w)  # height_basis refuses a non-primitive w
     return [MutationData(w=w, t=t, f0=prof.f0) for t in range(1, _t_max(prof) + 1)]
 
 
@@ -155,19 +150,10 @@ def factor_for(P: Polygon, w: Vector2, t: int) -> MutationData:
     raise InvalidFactor(f"no factor of length {t} for w={w}")
 
 
-def _signed_length(prof: _Profile, md: MutationData) -> int:
-    """Factor length measured along prof.f0 (negative if md.f0 = -prof.f0)."""
-    if md.t == 0 or md.f0 == prof.f0:
-        return md.t
-    if md.f0 == -prof.f0:
-        return -md.t
-    raise InvalidFactor("factor direction does not span the kernel of w")
-
-
 def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int]:
-    """P's profile along md.w and the factor length signed along its f0."""
-    if not is_primitive(md.w):
-        raise InvalidFactor(f"w must be primitive: {md.w}")
+    """P's profile along md.w and the factor length signed along its f0
+    (negative if md.f0 = -prof.f0).  A non-primitive md.w is refused by
+    height_basis when the profile is built."""
     if md.t < 0:
         raise InvalidFactor("factor length must be nonnegative")
     if not md.f0.is_integral() or md.w.dot(md.f0) != 0:
@@ -176,7 +162,8 @@ def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int
         raise InvalidFactor("factor direction must be primitive")
     _require_fano(P)
     prof = _Profile(P, md.w)
-    ts = _signed_length(prof, md)
+    # w is primitive, so a primitive lattice f0 it kills is +-prof.f0
+    ts = md.t if md.f0 == prof.f0 else -md.t
     # the slab at a vertex height h is the lattice slice cut short by (-h)t
     # steps at either end, so both directions share t_max (see find_factors)
     if md.t > _t_max(prof):

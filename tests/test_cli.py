@@ -20,6 +20,11 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 P114 = '{"vertices":[["0","-1"],["1","2"],["-1","2"]]}'
 P2 = '{"vertices":[[1,0],[0,1],[-1,-1]]}'
 
+# a Fano triangle of accepted coordinates, each under the interpreter's
+# 4,300-digit int-to-str limit, whose dual and weights have integers past it
+_M, _N = 10**2999 + 7, 10**3999 + 3
+WIDE = json.dumps({"vertices": [[_M, 1], [0, 1], [-_N, -_M]]})
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -256,6 +261,57 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert repr(missing) in out["error"]["message"]
         check_schema(out, "error")
+
+    def test_check_corollary_bool_break_exit_1(self, capsys):
+        # JSON true is no exact rational; it used to be read as 1
+        part = {"breaks": [0, 6], "values": [0, 0]}
+        cert = {"decomposition": {"label": "inf", "part0": {"breaks": [True, 6], "values": [0, 6]}, "part1": part}}
+        code, out = run_json(capsys, "check-corollary", "--certificate", json.dumps(cert))
+        assert code == 1
+        assert out["error"] == {"type": "DomainError", "message": "not an exact rational: True"}
+        check_schema(out, "error")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual", "--polygon", WIDE],
+            ["weights", "--polygon", WIDE],
+            ["--format", "table", "weights", "--polygon", WIDE],
+        ],
+        ids=["dual", "weights-json", "weights-table"],
+    )
+    def test_output_integer_past_the_digit_limit_exit_1(self, capsys, argv):
+        # str() of the dual's Fractions fails in the handler, and of the raw
+        # weight integers in the output step; both end in one error object
+        code, out = run_json(capsys, *argv)
+        assert code == 1
+        assert out["error"]["type"] == "DomainError"
+        assert "too long to print" in out["error"]["message"]
+        check_schema(out, "error")
+
+    def test_output_integer_past_the_digit_limit_in_a_child_exit_1(self):
+        r = subprocess.run(
+            [sys.executable, "-m", "polymut", "dual", "--polygon", WIDE],
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SCHEMA_DIR.parents[1] / "src")},
+        )
+        assert r.returncode == 1
+        assert r.stderr == b""
+        out = json.loads(r.stdout)
+        assert "too long to print" in out["error"]["message"]
+        check_schema(out, "error")
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        # only the digit-limit ValueError becomes an error object
+        import polymut.cli
+
+        def refuse(P):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr(polymut.cli, "dual", refuse)
+        with pytest.raises(ValueError, match="not a digit limit"):
+            main(["dual", "--polygon", P2])
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,6 +15,7 @@ from polymut.geom import (
     area,
     convex_hull,
     dual,
+    height_basis,
     height_range,
     lattice_equivalent,
     lattice_points,
@@ -74,6 +75,12 @@ class TestExactRationals:
         # exponent; a zero denominator or an integer past the digit limit
         # is refused too
         with pytest.raises(DomainError):
+            to_fraction(v)
+
+    @pytest.mark.parametrize("v", [True, False, 1.0], ids=["true", "false", "integral-float"])
+    def test_to_fraction_refuses_bool_and_float(self, v):
+        # bool is an int subclass, but JSON true is no number
+        with pytest.raises(DomainError, match="not an exact rational"):
             to_fraction(v)
 
     def test_vector_equality_ignores_boxing(self):
@@ -274,6 +281,17 @@ class TestPrimitivize:
         with pytest.raises(ZeroVector):
             primitivize(Vector2(0, 0))
 
+    @pytest.mark.parametrize("w", [(0, -2), (4, 6), (0, 0), ("1/2", 0)])
+    def test_height_basis_refuses_non_primitive(self, w):
+        # mutations are defined for primitive height functions only, and
+        # height_basis is where that is decided
+        from polymut import mutation
+        from polymut.geom import NotPrimitive
+
+        assert mutation.NotPrimitive is NotPrimitive
+        with pytest.raises(NotPrimitive, match="height function must be primitive"):
+            height_basis(Vector2(*w))
+
 
 class TestJson:
     def test_roundtrip(self, p114_triangle):
@@ -282,6 +300,11 @@ class TestJson:
     def test_accepts_numbers_and_strings(self):
         obj = {"vertices": [[0, -1], ["1", 2], ["-1", "2"]]}
         assert polygon_from_json(obj) == P((0, -1), (1, 2), (-1, 2))
+
+    @pytest.mark.parametrize("c", [True, 1.5], ids=["bool", "float"])
+    def test_refuses_non_rational_coordinates(self, c):
+        with pytest.raises(DomainError, match="not an exact rational"):
+            polygon_from_json({"vertices": [[c, -1], [1, 2], [-1, 2]]})
 
     def test_canonical_output(self):
         obj = polygon_to_json(P((0, Fraction(-1, 2)), (3, 1), (-3, 1)))

@@ -21,48 +21,76 @@ def test_library_reads_no_environment():
     assert offenders == []
 
 
+def _nodes(home_file: str, home_function: str | None = None):
+    """(file name, node, at home) for every AST node of src/polymut/*.py,
+    where a node is at home inside the top-level function home_function of
+    home_file, or anywhere in home_file when home_function is None."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        home = set()
+        if path.name == home_file:
+            scope = tree
+            if home_function is not None:
+                scope = next(
+                    n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == home_function
+                )
+            home = {id(n) for n in ast.walk(scope)}
+        for node in ast.walk(tree):
+            yield path.name, node, id(node) in home
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
 def test_every_division_goes_through_qdiv():
     # a bare `/` on two ints is a float, and on integral Fractions keeps them
     # boxed; geom.qdiv is exact and returns an int for an integral quotient
-    offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        allowed = set()
-        if path.name == "geom.py":
-            qdiv = next(
-                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "qdiv"
-            )
-            allowed = {id(n) for n in ast.walk(qdiv)}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-                if id(node) not in allowed:
-                    offenders.append(f"{path.name}:{node.lineno}")
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, node, at_home in _nodes("geom.py", "qdiv")
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div) and not at_home
+    ]
     assert offenders == []
 
 
 def test_only_height_basis_calls_extgcd():
     # geom.height_basis is the one unimodular frame of a height function;
     # another extgcd call would be a second basis that can drift from it
+    offenders = [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node, at_home in _nodes("geom.py", "height_basis")
+        if _name(node) == "extgcd" and not at_home
+    ]
+    assert offenders == []
+
+
+def test_only_geom_names_fraction():
+    # geom decides how an exact rational is stored (an int when integral);
+    # a Fraction built elsewhere could keep an integral value boxed
+    offenders = [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node, at_home in _nodes("geom.py")
+        if _name(node) == "Fraction" and not at_home
+    ]
+    assert offenders == []
+
+
+def test_only_height_basis_raises_not_primitive():
+    # mutations are defined for primitive height functions only; every
+    # height function reaches height_basis, the one place that refuses it
     offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        allowed = set()
-        if path.name == "geom.py":
-            height_basis = next(
-                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "height_basis"
-            )
-            allowed = {id(n) for n in ast.walk(height_basis)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name == "extgcd" and id(node) not in allowed:
-                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    for name, node, at_home in _nodes("geom.py", "height_basis"):
+        if isinstance(node, ast.Raise) and node.exc is not None and not at_home:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if _name(exc) == "NotPrimitive":
+                offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
 
 

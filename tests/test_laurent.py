@@ -163,6 +163,54 @@ def _random_poly(rng, nterms):
     return LaurentPoly(terms)
 
 
+def _exact(c) -> bool:
+    """c is stored as geom stores rationals: an int when integral, else a Fraction."""
+    return type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize(
+        "text,terms",
+        [
+            ("4/2*x + 1/2*y", {(1, 0): 2, (0, 1): Fraction(1, 2)}),
+            ("(2*x)^-3", {(-3, 0): Fraction(1, 8)}),
+            ("(-3*y)^-1", {(0, -1): Fraction(-1, 3)}),
+            ("(1/2*x*y)^-2", {(-2, -2): 4}),
+            ("2*x*(1/2 + y)", {(1, 0): 1, (1, 1): 2}),
+        ],
+    )
+    def test_integral_coefficients_are_int(self, text, terms):
+        f = parse(text)
+        assert f.terms == terms
+        assert all(_exact(c) for c in f.terms.values())
+
+    def test_quotients_and_missing_coefficients_are_int(self):
+        q = div_exact(parse("2*x + 2"), parse("2"))
+        assert q.terms == {(0, 0): 1, (1, 0): 1}
+        assert all(type(c) is int for c in q.terms.values())
+        assert type(parse("x").constant_term()) is int
+
+    def test_period_terms_are_int_when_integral(self):
+        # ct(f^3) = 6abc and ct(f^6) = 90(abc)^2 for f = a*x + b*y + c/(xy)
+        seq = period_sequence(parse("1/2*x + y + x^-1*y^-1"), 6)
+        assert seq == [1, 0, 0, 3, 0, 0, Fraction(45, 2)]
+        assert all(_exact(c) for c in seq)
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, True], ids=["float", "integral-float", "bool"])
+    def test_float_and_bool_coefficients_refused(self, c):
+        # 0.1 used to be stored as 3602879701896397/36028797018963968
+        with pytest.raises(DomainError, match="not an exact rational"):
+            LaurentPoly.monomial(1, 0, c)
+        with pytest.raises(DomainError, match="not an exact rational"):
+            LaurentPoly({(0, 0): c})
+
+    @pytest.mark.parametrize("e", [(0.5, 0), (0, 1.0), (True, 0), ("1", 0)])
+    def test_non_integer_exponents_refused(self, e):
+        # (0.5, 0) used to be truncated to (0, 0)
+        with pytest.raises(DomainError, match="exponents must be integers"):
+            LaurentPoly({e: 1})
+
+
 class TestNewtonPolytope:
     def test_p2_polynomial(self):
         assert newton_polytope(parse("x + y + x^-1*y^-1")) == P((1, 0), (0, 1), (-1, -1))

@@ -102,6 +102,31 @@ class TestMutate:
             with pytest.raises(InvalidFactor):
                 mutate(Q, MutationData(w, 5, f))
 
+    @pytest.mark.parametrize(
+        "w,t,f0,error,message",
+        [
+            ((0, -1), -1, (1, 0), InvalidFactor, "factor length must be nonnegative"),
+            ((0, -1), 1, (1, 1), InvalidFactor, "lattice vector killed by w"),
+            ((0, -1), 1, ("1/2", 0), InvalidFactor, "lattice vector killed by w"),
+            ((0, -1), 1, (2, 0), InvalidFactor, "factor direction must be primitive"),
+            ((0, -2), 1, (1, 0), NotPrimitive, "height function must be primitive"),
+        ],
+        ids=["negative-t", "f0-outside-kernel", "f0-not-integral", "f0-not-primitive", "w-not-primitive"],
+    )
+    def test_mutation_data_refused(self, p114_triangle, w, t, f0, error, message):
+        # each case changes one field of ((0,-1), 1, (1,0)), the factor
+        # find_factors gives (test_p114_down_direction)
+        md = MutationData(Vector2(*w), t, Vector2(*f0))
+        for op in (mutate, inverse_data):
+            with pytest.raises(error, match=message):
+                op(p114_triangle, md)
+
+    def test_point_factor_takes_any_kernel_vector(self, p114_triangle):
+        # f0 need be primitive only when t > 0; t = 0 is the identity
+        md = MutationData(Vector2(0, -1), 0, Vector2(2, 0))
+        assert mutate(p114_triangle, md) == p114_triangle
+        assert inverse_data(p114_triangle, md) == MutationData(Vector2(0, 1), 0, Vector2(2, 0))
+
     def test_dual_area_preserved(self, p114_triangle):
         md = find_factors(p114_triangle, Vector2(0, -1))[0]
         Q = mutate(p114_triangle, md)
