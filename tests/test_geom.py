@@ -323,6 +323,45 @@ def test_hull_lattice_point_roundtrip_randomized():
         assert convex_hull(lattice_points(Q)) == Q
 
 
+def test_lattice_points_and_slices_match_a_box_scan_randomized():
+    """lattice_points(P) is every point of P's bounding box that P contains,
+    and lattice_slice(P, w, h) is the hull of those at height h, on random
+    rational polygons with 1 to 6 points, so points and segments included."""
+    import math
+
+    rng = random.Random(29)
+    ws = [Vector2(1, 0), Vector2(0, -1), Vector2(1, 1), Vector2(-2, 3), Vector2(3, -1)]
+    slices = 0
+    for _ in range(150):
+        Q = Polygon(
+            [
+                Vector2(Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 6))
+            ]
+        )
+        xs = [v.x for v in Q.vertices]
+        ys = [v.y for v in Q.vertices]
+        pts = [
+            Vector2(x, y)
+            for x in range(math.floor(min(xs)), math.ceil(max(xs)) + 1)
+            for y in range(math.floor(min(ys)), math.ceil(max(ys)) + 1)
+            if Q.contains(Vector2(x, y))
+        ]
+        assert lattice_points(Q) == pts, Q
+        for w in ws:
+            lo, hi = height_range(Q, w)
+            for h in range(math.floor(lo) - 1, math.ceil(hi) + 2):
+                row = [p for p in pts if w.dot(p) == h]
+                got = lattice_slice(Q, w, h)
+                if not row:
+                    assert got is None, (Q, w, h)
+                    continue
+                assert Polygon(got.vertices()) == convex_hull(row), (Q, w, h)
+                slices += 1
+    assert slices > 500
+
+
 def test_area_unimodular_invariance_randomized():
     rng = random.Random(11)
     mats = [((1, 1), (0, 1)), ((0, -1), (1, 0)), ((2, 1), (1, 1)), ((1, 0), (5, 1))]
