@@ -3,7 +3,6 @@ the matching one-parameter deformations of polarized toric surfaces."""
 
 from .geom import (
     Polygon,
-    Segment,
     Vector2,
     area,
     convex_hull,

@@ -26,6 +26,7 @@ from .geom import (
     parse_vertices,
     polygon_from_json,
     polygon_to_json,
+    vector_to_json,
 )
 
 
@@ -246,7 +247,7 @@ def _cmd_factors(args) -> dict:
     for w in ws:
         for md in mutation.find_factors(P, w):
             out.append(md.to_json())
-    return {"factors": out, "directions": [[str(w.x), str(w.y)] for w in ws]}
+    return {"factors": out, "directions": [vector_to_json(w) for w in ws]}
 
 
 def _cmd_mutate(args) -> dict:
@@ -289,7 +290,7 @@ def _cmd_laurent_mutate(args) -> dict:
         "newton_before": polygon_to_json(laurent.newton_polytope(f)),
         "newton_after": polygon_to_json(laurent.newton_polytope(g)),
         "mutation_data": md.to_json(),
-        "factor_shear": [str(shear.x), str(shear.y)],
+        "factor_shear": vector_to_json(shear),
     }
     if caught:
         out["warnings"] = sorted(str(w.message) for w in caught)
@@ -351,8 +352,8 @@ def batch_verify(corpus: str) -> dict:
             continue
         try:
             results.extend(_verify_entry(path, obj))
-        except DomainError as e:
-            results.append(_entry(path, "verify", "error", str(e)))
+        except ValueError as e:
+            results.append(_entry(path, "verify", "error", str(_domain_error(e))))
     failed = sum(1 for r in results if r["status"] != "pass")
     return {"results": results, "passed": len(results) - failed, "failed": failed}
 
@@ -424,6 +425,18 @@ def _verify_laurent(path: Path, obj) -> list[dict]:
     return out
 
 
+def _domain_error(e: ValueError) -> DomainError:
+    """The error boundary of a command and of a batch entry: e if it is a
+    DomainError, a DomainError if it is str() of an output integer past the
+    interpreter's int-to-str digit limit, which products of accepted inputs
+    can reach; any other ValueError is raised again."""
+    if isinstance(e, DomainError):
+        return e
+    if "integer string conversion" not in str(e):
+        raise e
+    return DomainError(f"an output integer is too long to print: {e}")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
@@ -431,12 +444,7 @@ def main(argv: list[str] | None = None) -> int:
         out = args.run(args)
         _emit(out, args.format)
     except ValueError as e:
-        # a DomainError, or str() of an output integer past the interpreter's
-        # int-to-str digit limit, which products of accepted inputs can reach
-        if not isinstance(e, DomainError):
-            if "integer string conversion" not in str(e):
-                raise
-            e = DomainError(f"an output integer is too long to print: {e}")
+        e = _domain_error(e)
         print(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}, sort_keys=True))
         return 1
     # a batch report exits 1 when any of its rows failed

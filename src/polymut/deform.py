@@ -68,6 +68,14 @@ class Decomposition:
     part0: PLFunc
     part1: PLFunc
 
+    def __post_init__(self):
+        # part0 + part1 is undefined on different domains
+        if self.part0.domain != self.part1.domain:
+            raise DomainMismatch(
+                "decomposition parts' domains differ: "
+                f"{interval_str(self.part0.domain)} vs {interval_str(self.part1.domain)}"
+            )
+
     def to_json(self) -> dict:
         return {
             "label": str(self.label),
@@ -163,7 +171,7 @@ def _lattice_ok(dp: DivPoly) -> bool:
     return all(dp.coeffs[l].has_lattice_graph() for l in dp.nontrivial_labels())
 
 
-def _shift_candidates(dp: DivPoly) -> list[tuple[int, PointLabel, PointLabel, Rational, Rational]]:
+def _shift_candidates(dp: DivPoly) -> list[ShiftRecord]:
     """Count-reducing single shifts by affine pieces of existing
     coefficients.
 
@@ -188,17 +196,14 @@ def _shift_candidates(dp: DivPoly) -> list[tuple[int, PointLabel, PointLabel, Ra
                 zeroes_to = dp.coefficient(to).add_affine(slope, intercept).is_zero()
                 if not (zeroes_from or zeroes_to):
                     continue
-                rank = 0 if slope.denominator == 1 and intercept.denominator == 1 else 1
-                cands.append((rank, frm, to, slope, intercept))
-    cands.sort(
-        key=lambda c: (
-            c[0],
-            c[1],
-            (-c[2].kind, c[2].name) if c[0] else (c[2].kind, c[2].name),
-            c[3],
-            c[4],
-        )
-    )
+                cands.append(ShiftRecord(frm, to, slope, intercept))
+
+    def key(c: ShiftRecord):
+        if c.is_integral():
+            return (0, c.frm, (c.to.kind, c.to.name), c.slope, c.intercept)
+        return (1, c.frm, (-c.to.kind, c.to.name), c.slope, c.intercept)
+
+    cands.sort(key=key)
     return cands
 
 
@@ -216,10 +221,10 @@ def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
         if len(nt) <= 2:
             break
         applied = False
-        for _, frm, to, slope, intercept in _shift_candidates(cur):
-            nxt = shift_affine(cur, frm, to, slope, intercept)
+        for c in _shift_candidates(cur):
+            nxt = shift_affine(cur, c.frm, c.to, c.slope, c.intercept)
             if len(nxt.nontrivial_labels()) < len(nt) and _lattice_ok(nxt):
-                shifts.append(ShiftRecord(frm, to, slope, intercept))
+                shifts.append(c)
                 cur = nxt
                 applied = True
                 break

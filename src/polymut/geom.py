@@ -3,8 +3,8 @@
 Coordinates are exact rationals: an `int` when the value is integral, a
 `fractions.Fraction` otherwise, and never a float.  The one division is
 `qdiv`, which returns an `int` for an integral quotient.  Every predicate
-is exact, so results compare with ``==``.  Vectors, segments and polygons
-are immutable values and safe to share between threads.
+is exact, so results compare with ``==``.  Vectors and polygons are
+immutable values and safe to share between threads.
 
 A vector may play the role of a point of the one-parameter-subgroup
 lattice or of a character (height function); the pairing between the two
@@ -153,40 +153,6 @@ def is_primitive(v: Vector2) -> bool:
         return False
     a, b = v.as_ints()
     return math.gcd(a, b) == 1
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A possibly degenerate segment; endpoints are stored lex-sorted."""
-
-    a: Vector2
-    b: Vector2
-
-    def __init__(self, a: Vector2, b: Vector2):
-        if (b.x, b.y) < (a.x, a.y):
-            a, b = b, a
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def is_point(self) -> bool:
-        return self.a == self.b
-
-    def vertices(self) -> tuple[Vector2, ...]:
-        return (self.a,) if self.is_point() else (self.a, self.b)
-
-    def translate(self, v: Vector2) -> "Segment":
-        return Segment(self.a + v, self.b + v)
-
-    def lattice_length(self) -> int:
-        """Number of primitive steps along an integral segment."""
-        if self.is_point():
-            return 0
-        d = self.b - self.a
-        dx, dy = d.as_ints()
-        return math.gcd(dx, dy)
-
-    def __repr__(self) -> str:
-        return f"Segment[{self.a}, {self.b}]"
 
 
 def _hull_of(points: Iterable[Vector2]) -> list[Vector2]:
@@ -432,69 +398,32 @@ def extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _row_interval(P: Polygon, w: Vector2, h: Rational) -> Optional[tuple[Rational, Rational]]:
-    """Exact k-interval of the rational slice of P at height h, in the
-    coordinates of height_basis(w); None if the slice is empty."""
+def _cut(P: Polygon, w: Vector2, h: Rational) -> list[Vector2]:
+    """The rational slice of P on the line <w, x> = h as a loop of points
+    on that line (with repeats), empty when the line misses P."""
+    return clip_halfplane(clip_halfplane(list(P.vertices), w, h), -w, -h)
+
+
+def lattice_slice(P: Polygon, w: Vector2, h: int) -> Optional[Polygon]:
+    """Hull of the lattice points of P at height h (not the rational
+    slice): a one- or two-vertex polygon, or None if there are none."""
     f0, vw, s = height_basis(w)
-    hs = [w.dot(v) for v in P.vertices]
-    lo = min(hs)
-    hi = max(hs)
-    if h < lo or h > hi:
-        return None
-    ks: list[Rational] = []
-    verts = P.vertices
-    n = len(verts)
-    if n == 1:
-        return (s.dot(verts[0]), s.dot(verts[0]))
-    for i in range(n if n > 2 else 1):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        ha, hb = w.dot(a), w.dot(b)
-        if (ha - h) * (hb - h) > 0:
-            continue
-        if ha == hb:  # edge inside the slice line
-            ks.extend([s.dot(a), s.dot(b)])
-        else:
-            t = qdiv(h - ha, hb - ha)
-            ks.append(s.dot(a) + t * (s.dot(b) - s.dot(a)))
+    ks = [s.dot(v) for v in _cut(P, w, h)]
     if not ks:
         return None
-    return min(ks), max(ks)
-
-
-def lattice_slice(P: Polygon, w: Vector2, h: int) -> Optional[Segment]:
-    """Hull of the lattice points of P at height h (not the rational slice)."""
-    iv = _row_interval(P, w, h)
-    if iv is None:
-        return None
-    lo, hi = iv
-    klo = math.ceil(lo)
-    khi = math.floor(hi)
+    klo, khi = math.ceil(min(ks)), math.floor(max(ks))
     if klo > khi:
         return None
-    f0, vw, _ = height_basis(w)
-    base = vw.scale(h)
-    return Segment(base + f0.scale(klo), base + f0.scale(khi))
+    return Polygon([vw.scale(h) + f0.scale(k) for k in (klo, khi)])
 
 
 def lattice_points(P: Polygon) -> list[Vector2]:
     """All lattice points in P, sorted lexicographically."""
-    if P.dim() == 0:
-        v = P.vertices[0]
-        return [v] if v.is_integral() else []
     out = []
-    ylo = math.ceil(min(v.y for v in P.vertices))
-    yhi = math.floor(max(v.y for v in P.vertices))
-    for k in range(ylo, yhi + 1):
-        iv = _row_interval(P, Vector2(0, 1), k)
-        if iv is None:
-            continue
-        lo, hi = iv
-        # _row_interval with w=(0,1) parametrizes by s=(-1,0): k-coords are -x
-        xlo = math.ceil(-hi)
-        xhi = math.floor(-lo)
-        out.extend(Vector2(x, k) for x in range(xlo, xhi + 1))
-    out.sort()
+    xs = [v.x for v in P.vertices]
+    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
+        ys = [v.y for v in _cut(P, Vector2(1, 0), x)]
+        out.extend(Vector2(x, y) for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1))
     return out
 
 
@@ -654,7 +583,6 @@ def parse_vertices(obj) -> list[Vector2]:
     return [vector_from_json(v) for v in vs]
 
 
-def segment_to_json(s: Optional[Segment]):
-    if s is None:
-        return None
-    return {"a": vector_to_json(s.a), "b": vector_to_json(s.b)}
+def segment_to_json(S: Polygon) -> dict:
+    """A point or segment as its ends {"a", "b"}, lex-smallest first."""
+    return {"a": vector_to_json(S.vertices[0]), "b": vector_to_json(S.vertices[-1])}

@@ -33,7 +33,6 @@ from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     ORIGIN,
     NotPrimitive,
     Polygon,
-    Segment,
     Vector2,
     clip_halfplane,
     height_basis,
@@ -62,8 +61,9 @@ class MutationData:
     f0: Vector2
 
     @property
-    def factor(self) -> Segment:
-        return Segment(Vector2(0, 0), self.f0.scale(self.t))
+    def factor(self) -> Polygon:
+        """F = conv(0, t*f0): a segment, or the point 0 when t = 0."""
+        return Polygon([ORIGIN, self.f0.scale(self.t)])
 
     def to_json(self) -> dict:
         from .geom import segment_to_json, vector_to_json
@@ -141,8 +141,7 @@ def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
 
 def factor_for(P: Polygon, w: Vector2, t: int) -> MutationData:
     """The factor of length t for (P, w), or InvalidFactor if there is none."""
-    if t == 0:
-        w = primitivize(w)
+    if t == 0:  # height_basis refuses a non-primitive w, as find_factors does
         return MutationData(w=w, t=0, f0=height_basis(w)[0])
     for md in find_factors(P, w):
         if md.t == t:

@@ -24,6 +24,7 @@ P2 = '{"vertices":[[1,0],[0,1],[-1,-1]]}'
 # 4,300-digit int-to-str limit, whose dual and weights have integers past it
 _M, _N = 10**2999 + 7, 10**3999 + 3
 WIDE = json.dumps({"vertices": [[_M, 1], [0, 1], [-_N, -_M]]})
+_A = 6 * 10**4299
 
 
 def run(capsys, *argv):
@@ -262,6 +263,25 @@ class TestErrorsAndDeterminism:
         assert repr(missing) in out["error"]["message"]
         check_schema(out, "error")
 
+    def test_check_corollary_domain_mismatch_exit_1(self, capsys):
+        # part0 + part1 is undefined when the parts' domains differ
+        part0 = {"breaks": ["1", "6"], "values": ["0", "0"]}
+        part1 = {"breaks": ["0", "3", "6"], "values": ["0", "0", "0"]}
+        cert = {"decomposition": {"label": "inf", "part0": part0, "part1": part1}}
+        code, out = run_json(capsys, "check-corollary", "--certificate", json.dumps(cert))
+        assert code == 1
+        assert out["error"]["type"] == "DomainMismatch"
+        check_schema(out, "error")
+
+    @pytest.mark.parametrize("command", ["mutate", "deform"])
+    @pytest.mark.parametrize("t", ["0", "1"])
+    def test_non_primitive_w_exit_1(self, capsys, command, t):
+        # the identity factor --t 0 used to primitivize --w silently
+        code, out = run_json(capsys, command, "--polygon", P2, "--w=0,-2", "--t", t)
+        assert code == 1
+        assert out["error"]["type"] == "NotPrimitive"
+        check_schema(out, "error")
+
     def test_check_corollary_bool_break_exit_1(self, capsys):
         # JSON true is no exact rational; it used to be read as 1
         part = {"breaks": [0, 6], "values": [0, 0]}
@@ -407,6 +427,9 @@ class TestBatchVerify:
             '{"laurent": "%s*x+y+x^-1*y^-1", "g": "1+x"}' % ("7" * 5000),
             '{"weights": [1, 1, %s]}' % ("7" * 5000),
             '{"vertices": [["1e0", 0], [0, 1], [-1, -1]]}',
+            # accepted 4,300-digit coordinates whose edge normal, printed in
+            # a row tag, has 4,301 digits
+            '{"vertices": [["%s", "1"], ["-%s", "-1"], ["-1", "0"]]}' % (_A, _A - 1),
         ],
         ids=[
             "laurent-without-g",
@@ -415,6 +438,7 @@ class TestBatchVerify:
             "laurent-5000-digit-coefficient",
             "json-5000-digit-integer",
             "exponent-string",
+            "output-integer-past-the-digit-limit",
         ],
     )
     def test_bad_entry_reported_and_batch_continues(self, capsys, tmp_path, bad):

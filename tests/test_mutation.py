@@ -7,7 +7,6 @@ import pytest
 
 from polymut import fano
 from polymut.geom import (
-    Segment,
     Vector2,
     area,
     dual,
@@ -49,6 +48,17 @@ class TestFindFactors:
     def test_not_primitive(self, p114_triangle):
         with pytest.raises(NotPrimitive):
             find_factors(p114_triangle, Vector2(0, -2))
+        # factor_for refuses it at every length, the identity t = 0 included
+        for w in (Vector2(0, -2), Vector2(0, 0)):
+            for t in (0, 1):
+                with pytest.raises(NotPrimitive):
+                    factor_for(p114_triangle, w, t)
+
+    def test_factor_is_a_polygon(self, p114_triangle):
+        # F = conv(0, t*f0) is a segment, and the point 0 for t = 0
+        md = factor_for(p114_triangle, Vector2(0, -1), 1)
+        assert md.factor == P((0, 0), (1, 0))
+        assert factor_for(p114_triangle, Vector2(0, -1), 0).factor.vertices == (Vector2(0, 0),)
 
     def test_not_fano(self):
         with pytest.raises(fano.NotFano):
@@ -161,21 +171,20 @@ def _mutate_by_definition(P, md):
 
     lo, hi = height_range(P, md.w)
     pts = []
-    F = Polygon(md.factor.vertices())
+    F = md.factor
     for h in range(int(lo), int(hi) + 1):
         s = lattice_slice(P, md.w, h)
         if s is None:
             continue
-        S = Polygon(s.vertices())
         if h < 0:
             nF = Polygon([v.scale(-h) for v in F.vertices])
-            G = minkowski_difference(S, nF)
+            G = minkowski_difference(s, nF)
             if G is None:
                 continue
             pts.extend(G.vertices)
         else:
             hF = Polygon([v.scale(h) for v in F.vertices])
-            pts.extend(minkowski_sum(S, hF).vertices)
+            pts.extend(minkowski_sum(s, hF).vertices)
     return Polygon(pts)
 
 
@@ -226,12 +235,13 @@ def _find_factors_by_definition(P, w):
     carries vertices keeps a slab and G_h + (-h)F covers those vertices.
     Returns [(t, gh)].  Oracle for the closed form in find_factors, which
     must return the same t values."""
-    from polymut.geom import height_basis, height_range, lattice_slice
+    from polymut.geom import Polygon, height_basis, height_range, lattice_slice
 
     f0, _, s = height_basis(w)
     lo = int(height_range(P, w)[0])
     out = []
-    for t in range(1, lattice_slice(P, w, lo).lattice_length() + 1):
+    ks_lo = [s.dot(v) for v in lattice_slice(P, w, lo).vertices]
+    for t in range(1, max(ks_lo) - min(ks_lo) + 1):
         gh = {}
         for h in range(lo, 0):
             sl = lattice_slice(P, w, h)
@@ -239,7 +249,7 @@ def _find_factors_by_definition(P, w):
             if sl is None:
                 gh[h] = None
                 continue
-            pa, pb = sorted((sl.a, sl.b), key=s.dot)
+            pa, pb = sorted((sl.vertices[0], sl.vertices[-1]), key=s.dot)
             a, b = s.dot(pa), s.dot(pb)
             hi = b + h * t
             if hi < a:
@@ -249,7 +259,7 @@ def _find_factors_by_definition(P, w):
                 continue
             if ks and not (a <= min(ks) and max(ks) <= hi + (-h) * t):
                 break
-            gh[h] = Segment(pa, pb + f0.scale(h * t))
+            gh[h] = Polygon([pa, pb + f0.scale(h * t)])
         else:
             out.append((t, gh))
     return out
@@ -344,7 +354,7 @@ def _assert_rows_match_slices(Q, w):
     rows = _Profile(Q, w).rows
     assert set(rows) == {w.dot(v) for v in Q.vertices}
     for h, row in rows.items():
-        ks = [s.dot(v) for v in lattice_slice(Q, w, h).vertices()]
+        ks = [s.dot(v) for v in lattice_slice(Q, w, h).vertices]
         assert row == (min(ks), max(ks)), (Q, w, h)
     return len(rows)
 
@@ -383,10 +393,12 @@ class TestProfileRows:
     def test_non_lattice_crossings(self, p2_triangle):
         # at height 0 the edges cross at k = -1 and k = 1/2, so the row must
         # round the rational end inwards to the lattice point k = 0
-        from polymut.geom import _row_interval
+        from polymut.geom import _cut, height_basis
 
         w = Vector2(0, 1)
-        assert _row_interval(p2_triangle, w, 0) == (-1, Fraction(1, 2))
+        _, _, s = height_basis(w)
+        ks = [s.dot(v) for v in _cut(p2_triangle, w, 0)]
+        assert (min(ks), max(ks)) == (-1, Fraction(1, 2))
         assert _assert_rows_match_slices(p2_triangle, w) == 3
 
 
