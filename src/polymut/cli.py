@@ -1,9 +1,9 @@
 """Command-line surface: JSON in, JSON (or tables) out.
 
 Exit codes: 0 success, 1 domain error (with a JSON error object on
-stdout) or a batch report with a failed row, 2 usage error.  Output is
-byte-deterministic for fixed inputs: keys are sorted and every rational
-is a reduced-fraction string.
+stdout), a batch report with a failed row or a failed corollary check, 2
+usage error.  Output is byte-deterministic for fixed inputs: keys are
+sorted and every rational is a reduced-fraction string.
 """
 
 from __future__ import annotations
@@ -447,8 +447,11 @@ def main(argv: list[str] | None = None) -> int:
         e = _domain_error(e)
         print(json.dumps({"error": {"type": type(e).__name__, "message": str(e)}}, sort_keys=True))
         return 1
-    # a batch report exits 1 when any of its rows failed
-    return 1 if isinstance(out, dict) and out.get("failed") else 0
+    # a batch report exits 1 when any of its rows failed, and a corollary
+    # check when it did not pass (a batch report's "passed" is a count)
+    if isinstance(out, dict) and (out.get("failed") or out.get("passed") is False):
+        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -141,22 +141,34 @@ def predicted_mutation_weights(w: WeightTriple, i: int) -> WeightTriple:
 # unfactored cofactor.  Every n below 8e18 is settled within 10^6 divisions.
 SQUAREFREE_TRIAL_LIMIT = 2_000_000
 
+# The squarefree c in 2..10, tried before trial division: n = c*x^2 is then
+# settled by one division and one integer square root, whatever the size of
+# x.  The weights of the four Hacking-Prokhorov families are all c*x^2 with
+# c in {1, 2, 3, 5}, so none of them reaches the trial-division bound.
+_SMALL_SQUAREFREE = (2, 3, 5, 6, 7, 10)
+
 
 def squarefree_part(n: int) -> tuple[int, int]:
     """(c, x) with n = c * x^2 and c squarefree.
 
-    A perfect square, such as a Markov weight, is (1, isqrt(n)) at once.
-    Otherwise trial division runs only while p^3 <= m for the unfactored
-    cofactor m; then every prime factor of m exceeds its cube root, so m is
-    1, a prime, a product of two distinct primes (all squarefree) or a
-    prime square, and one integer square root tells them apart.  Raises
-    DomainError past SQUAREFREE_TRIAL_LIMIT.
+    A perfect square, such as a Markov weight, is (1, isqrt(n)) at once,
+    and so is c times a square for c in _SMALL_SQUAREFREE: c is squarefree,
+    so it is the squarefree part.  Otherwise trial division runs only while
+    p^3 <= m for the unfactored cofactor m; then every prime factor of m
+    exceeds its cube root, so m is 1, a prime, a product of two distinct
+    primes (all squarefree) or a prime square, and one integer square root
+    tells them apart.  Raises DomainError past SQUAREFREE_TRIAL_LIMIT.
     """
     if n < 1:
         raise DomainError("squarefree part needs a positive integer")
     r = math.isqrt(n)
     if r * r == n:
         return 1, r
+    for c in _SMALL_SQUAREFREE:
+        if n % c == 0:
+            r = math.isqrt(n // c)
+            if r * r == n // c:
+                return c, r
     c, x = 1, 1
     p = 2
     m = n

@@ -156,25 +156,32 @@ def is_primitive(v: Vector2) -> bool:
 
 
 def _hull_of(points: Iterable[Vector2]) -> list[Vector2]:
-    pts = sorted(set(points))
-    if not pts:
+    # Andrew's monotone chain on the (x, y) pairs, with the cross products
+    # written out, so the only Vector2s are the input points kept as hull
+    # vertices (pairs sort as the vectors do)
+    byxy = {(p.x, p.y): p for p in points}
+    if not byxy:
         raise DomainError("empty point set has no hull")
+    pts = sorted(byxy)
     if len(pts) == 1:
-        return pts
+        return [byxy[pts[0]]]
 
-    def chain(seq: Sequence[Vector2]) -> list[Vector2]:
-        out: list[Vector2] = []
-        for p in seq:
-            while len(out) >= 2 and (out[-1] - out[-2]).cross(p - out[-1]) <= 0:
+    def chain(seq: Sequence[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
+        out: list[tuple[Rational, Rational]] = []
+        for px, py in seq:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (py - by) - (by - ay) * (px - bx) > 0:
+                    break
                 out.pop()
-            out.append(p)
+            out.append((px, py))
         return out
 
     lower = chain(pts)
     upper = chain(pts[::-1])
     # both chains keep their end points, so two distinct points give at least
     # two vertices, and collinear input gives exactly the two extremes
-    return lower[:-1] + upper[:-1]
+    return [byxy[p] for p in lower[:-1] + upper[:-1]]
 
 
 class Polygon:
@@ -498,6 +505,12 @@ def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:
     kept (Grinis and Kasprzyk, "Normal forms of convex lattice polytopes",
     arXiv:1301.6641).  Every candidate is U*P for some U in GL2(Z), so the
     normal form is the vertex cycle of a polygon in the class of P.
+
+    The candidates are first filtered by their second Hermite column (see
+    _second_column), which decides the order for every Fano polygon, and
+    only those with the least one are brought to the full form.  The form
+    itself is unchanged: when some candidate has no such column, all 2n are
+    compared in full.
     """
     _require_lattice_2d(P)
     vs = [v.as_ints() for v in P.vertices]
@@ -505,9 +518,32 @@ def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:
     # both orientations start at the same vertices, so one Bezout step per
     # vertex serves all 2n candidates
     bez = {v: _bezout(*v) for v in vs if v != (0, 0)}
-    return min(
-        _hermite_columns(cyc[i:] + cyc[:i], bez) for cyc in (vs, vs[::-1]) for i in range(n)
-    )
+    starts = [(cyc, i) for cyc in (vs, vs[::-1]) for i in range(n)]
+    keys = [_second_column(cyc[i], cyc[(i + 1) % n], bez) for cyc, i in starts]
+    if None not in keys:
+        least = min(keys)
+        starts = [s for s, k in zip(starts, keys) if k == least]
+    return min(_hermite_columns(cyc[i:] + cyc[:i], bez) for cyc, i in starts)
+
+
+def _second_column(
+    v0: tuple[int, int], v1: tuple[int, int], bez: dict[tuple[int, int], tuple[int, int, int]]
+) -> Optional[tuple[int, int]]:
+    """The second column (r1 mod d, d) of the Hermite form of any vertex
+    cycle that starts v0, v1, when v0 is primitive, so that its first
+    column is (1, 0), and d = |det(v0, v1)| > 0; else None.
+
+    With x*a + y*b == 1 for v0 = (a, b), the unimodular ((x, y), (-b, a))
+    sends v0 to (1, 0) and v1 to (r1, +-d), r1 = x*v1[0] + y*v1[1], and the
+    Hermite form reduces r1 modulo the pivot d.  Other Bezout coefficients
+    change r1 by a multiple of d, so the column does not depend on them."""
+    if v0 not in bez:
+        return None
+    g, x, y = bez[v0]
+    d = abs(v0[0] * v1[1] - v0[1] * v1[0])
+    if g != 1 or not d:
+        return None
+    return (x * v1[0] + y * v1[1]) % d, d
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:

@@ -191,14 +191,16 @@ def _mutant(prof: _Profile, t: int) -> Polygon:
     # nonempty at every vertex height, hence everywhere between.  So the
     # region is a lattice polygon whose vertices all lie in the rows at
     # vertex heights, and the hull of those rows is the whole mutant.
+    (ux, uy), (fx, fy) = (prof.vw.x, prof.vw.y), (prof.f0.x, prof.f0.y)
     pts = []
     for h, (a, b) in prof.rows.items():
         if t >= 0:
             b += h * t
         else:
             a += h * t
-        base = prof.vw.scale(h)
-        pts += (base + prof.f0.scale(a), base + prof.f0.scale(b))
+        # the row ends h*vw + a*f0 and h*vw + b*f0, one Vector2 each
+        x, y = h * ux, h * uy
+        pts += (Vector2(x + a * fx, y + a * fy), Vector2(x + b * fx, y + b * fy))
     Q = Polygon(pts)
     if not Q.is_lattice():  # pragma: no cover - structural guarantee
         raise AssertionError("mutation produced a non-lattice polygon")

@@ -208,6 +208,33 @@ class TestSubcommands:
         assert out["passed"] is True
         check_schema(out, "corollary")
 
+    def test_check_corollary_failed_exit_1(self, capsys):
+        # a failed check exits 1, as deform and batch-verify do, and its
+        # report is still the corollary object
+        part = {"breaks": [0, 3, 6], "values": [0, 5, 0]}
+        cert = {"decomposition": {"label": "inf", "part0": part, "part1": part}}
+        code, out = run_json(capsys, "check-corollary", "--certificate", json.dumps(cert))
+        assert code == 1
+        assert out["passed"] is False
+        check_schema(out, "corollary")
+
+    # a triangle of the K^2 = 8 family, weights (a^2, b^2, 2c^2) with
+    # a^2 + b^2 + 2c^2 = 4abc; its last weight used to need trial division
+    # past SQUAREFREE_TRIAL_LIMIT
+    K2_EIGHT = "551357361,219438844249,967913776088168931842"
+
+    def test_diophantine_k2_eight_family(self, capsys):
+        code, out = run_json(capsys, "diophantine", "--weights", self.K2_EIGHT)
+        assert code == 0
+        assert out == {"c": [1, 1, 2], "k": 1, "m": 4}
+        check_schema(out, "diophantine")
+
+    def test_deform_k2_eight_family(self, capsys):
+        code, out = run_json(capsys, "deform", "--weights", self.K2_EIGHT)
+        assert code == 0
+        assert out["corollary"]["passed"] is True
+        check_schema(out, "deform")
+
 
 class TestInputModes:
     def test_polygon_from_file(self, capsys, tmp_path):

@@ -186,6 +186,23 @@ class TestDiophantineClass:
         assert squarefree_part(5 * p * p) == (5, p)
         assert squarefree_part((2**61 - 1) ** 2) == (1, 2**61 - 1)
 
+    def test_squarefree_part_of_a_small_multiple_of_a_wide_square(self):
+        # c * x^2 with c squarefree in 2..10 is settled by one square root,
+        # however far past the trial-division limit the primes of x lie;
+        # another c still falls back to the bounded trial division
+        x = 10000019 * 10000079 * 10000103
+        for c in (2, 3, 5, 6, 7, 10):
+            assert squarefree_part(c * x * x) == (c, x)
+        with pytest.raises(DomainError, match="trial division"):
+            squarefree_part(11 * x * x)
+
+    def test_k2_eight_weight_past_the_trial_division_limit(self):
+        # the weights (a^2, b^2, 2c^2) of a triangle of the K^2 = 8 family,
+        # a^2 + b^2 + 2c^2 = 4abc; the last one used to need trial division
+        # past the limit
+        w = (551357361, 219438844249, 967913776088168931842)
+        assert diophantine_class(w) == DiophantineClass(4, 1, (1, 1, 2))
+
     def test_squarefree_part_budget(self):
         # three primes past the limit: the cofactor is not settled by one
         # square root, and trial division would have to pass 2e6

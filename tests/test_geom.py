@@ -16,6 +16,7 @@ from polymut.geom import (
     dual,
     height_basis,
     height_range,
+    is_primitive,
     lattice_equivalent,
     lattice_points,
     lattice_slice,
@@ -110,6 +111,39 @@ class TestConvexHull:
         # CCW, lex-smallest first, no collinear triples
         got = P((2, 0), (0, 2), (1, 1), (0, 0), (2, 2))
         assert got.vertices == (Vector2(0, 0), Vector2(2, 0), Vector2(2, 2), Vector2(0, 2))
+
+    def test_matches_a_brute_force_check_randomized(self):
+        # int and Fraction coordinates, duplicates and collinear runs; the
+        # oracle checks the definition of the canonical hull directly
+        rng = random.Random(37)
+
+        def coord():
+            return Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3)))
+
+        shapes = {1: 0, 2: 0, 3: 0}
+        for trial in range(400):
+            pts = [Vector2(coord(), coord()) for _ in range(rng.randint(1, 9))]
+            if trial % 2:  # a collinear run through one of the points
+                p, d = pts[0], Vector2(rng.randint(-3, 3), rng.randint(-3, 3))
+                pts += [p + d.scale(Fraction(k, 2)) for k in range(-4, 5)]
+            pts += rng.sample(pts, rng.randint(0, len(pts)))  # duplicates
+            rng.shuffle(pts)
+            vs = convex_hull(pts).vertices
+            n = len(vs)
+            shapes[min(n, 3)] += 1
+            assert set(vs) <= set(pts)
+            assert vs[0] == min(pts)
+            if n == 1:
+                assert set(pts) == {vs[0]}
+            elif n == 2:
+                a, b = vs
+                assert b == max(pts) and all((b - a).cross(p - a) == 0 for p in pts)
+            else:
+                for i in range(n):
+                    a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
+                    assert (b - a).cross(c - b) > 0  # CCW, no collinear triple
+                    assert all((b - a).cross(p - a) >= 0 for p in pts)
+        assert min(shapes.values()) >= 10, shapes
 
 
 class TestDual:
@@ -412,6 +446,31 @@ def _random_fano_polygons(rng, count, span=3):
     return out
 
 
+def _candidates(Q):
+    """The 2n vertex cycles of Q, each rotation of both orientations, and
+    the Bezout table of its vertices."""
+    from polymut.geom import _bezout
+
+    vs = [v.as_ints() for v in Q.vertices]
+    bez = {v: _bezout(*v) for v in vs if v != (0, 0)}
+    return [cyc[i:] + cyc[:i] for cyc in (vs, vs[::-1]) for i in range(len(vs))], bez
+
+
+def _normal_form_by_definition(Q):
+    """The least Hermite form over every candidate, with no filter."""
+    from polymut.geom import _hermite_columns
+
+    cands, bez = _candidates(Q)
+    return min(_hermite_columns(c, bez) for c in cands)
+
+
+def _second_columns(Q):
+    from polymut.geom import _second_column
+
+    cands, bez = _candidates(Q)
+    return [_second_column(c[0], c[1], bez) for c in cands]
+
+
 class TestLinearNormalForm:
     def test_invariant_and_exact_randomized(self):
         # linear_equivalent is the oracle: over every pair of a pool of random
@@ -451,6 +510,63 @@ class TestLinearNormalForm:
             assert len(R.vertices) == len(nf)
             assert linear_equivalent(Q, R) is not None
             assert linear_normal_form(R) == nf
+
+    def test_matches_the_unfiltered_minimum_randomized(self):
+        # the second-column filter only narrows the candidates: on polygons
+        # with and without a non-primitive vertex, with the origin as a
+        # vertex or on an edge (v1 = -v0, so det(v0, v1) = 0), and on Fano
+        # polygons, the form is the least Hermite form of all 2n candidates
+        from polymut.geom import ORIGIN
+
+        rng = random.Random(41)
+        polys = [_random_lattice_polygon(rng) for _ in range(150)]
+        polys += _random_fano_polygons(rng, 150)
+        for _ in range(100):  # the origin is the vertex least in x + y
+            pts = [Vector2(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(5)]
+            polys.append(Polygon([ORIGIN] + pts))
+        while len(polys) < 500:
+            v = Vector2(rng.randint(-4, 4), rng.randint(-4, 4))
+            side = [Vector2(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)]
+            side = [p for p in side if v.cross(p) > 0]
+            if side:
+                polys.append(Polygon([v, -v] + side))
+        seen = dict.fromkeys(
+            ("filtered", "unfiltered", "non-primitive", "origin a vertex", "origin on an edge"), 0
+        )
+        for Q in polys:
+            if Q.dim() < 2:
+                continue
+            assert linear_normal_form(Q) == _normal_form_by_definition(Q), Q
+            filtered = None not in _second_columns(Q)
+            seen["filtered" if filtered else "unfiltered"] += 1
+            seen["non-primitive"] += any(not v.is_zero() and not is_primitive(v) for v in Q.vertices)
+            seen["origin a vertex"] += ORIGIN in Q.vertices
+            seen["origin on an edge"] += any(a == -b for a, b in Q.edges())
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+            [(1, 0), (0, 1), (-1, -1)],
+            [(1, 0), (0, 1), (-1, 0), (0, -1)],
+        ],
+        ids=["hexagon", "P2", "P1xP1"],
+    )
+    def test_symmetric_polygons_tie_on_the_second_column(self, coords):
+        Q = P(*coords)
+        keys = _second_columns(Q)
+        assert keys.count(min(keys)) > 1
+        assert linear_normal_form(Q) == _normal_form_by_definition(Q)
+
+    def test_matches_the_unfiltered_minimum_on_a_mutation_graph(self):
+        from polymut.fano import triangle_from_weights
+        from polymut.mutation import mutation_graph
+
+        g = mutation_graph(triangle_from_weights((2, 3, 5)), 3)
+        assert len(g.nodes) > 50
+        for node in g.nodes:
+            assert linear_normal_form(node.polygon) == _normal_form_by_definition(node.polygon)
 
     def test_hermite_shape(self, p114_triangle):
         nf = linear_normal_form(p114_triangle)

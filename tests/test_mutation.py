@@ -572,3 +572,12 @@ class TestGraphClasses:
         assert (len(g.nodes), len(g.edges)) == (588, 1239)
         assert _graph_sha256(g) == "828a7213cd0244c8ec2d3ad226ceb0188b90f64bada132205a8e32a064abeef8"
         assert elapsed < 5.0
+
+    def test_wide_graph_p123_depth_six(self):
+        # the K^2 = 6 family's start, wide rather than deep: 3,148 classes
+        start = time.monotonic()
+        g = mutation_graph(fano.triangle_from_weights((1, 2, 3)), 6)
+        elapsed = time.monotonic() - start
+        assert (len(g.nodes), len(g.edges)) == (3148, 4632)
+        assert _graph_sha256(g) == "968a1d51e54b2444fa8e11a3a47e09cf46c4c375439f69a0f1eca0f12b75141a"
+        assert elapsed < 15.0
