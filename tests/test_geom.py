@@ -5,6 +5,7 @@ import pytest
 
 from polymut.errors import DomainError
 from polymut.geom import (
+    ORIGIN,
     NotFullDimensional,
     NotLattice,
     OriginNotInterior,
@@ -516,8 +517,6 @@ class TestLinearNormalForm:
         # with and without a non-primitive vertex, with the origin as a
         # vertex or on an edge (v1 = -v0, so det(v0, v1) = 0), and on Fano
         # polygons, the form is the least Hermite form of all 2n candidates
-        from polymut.geom import ORIGIN
-
         rng = random.Random(41)
         polys = [_random_lattice_polygon(rng) for _ in range(150)]
         polys += _random_fano_polygons(rng, 150)
