@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -417,6 +418,15 @@ class TestErrorsAndDeterminism:
         with pytest.raises(SystemExit) as ei:
             main(["frobnicate"])
         assert ei.value.code == 2
+
+    def test_markov_output_digest(self, capsys):
+        # stdout and exit code of `markov --depth d` for d = 0..12, pinned so
+        # that a change to the Vieta tree keeps the output byte for byte
+        h = hashlib.sha256()
+        for d in range(13):
+            code, out = run(capsys, "markov", "--depth", str(d))
+            h.update(f"{d}\0{code}\0{out}".encode())
+        assert h.hexdigest() == "8fcc4003c1a8ef87be5170f03d2019ab7db77621f75e2247e9fba377ebd21c51"
 
     def test_byte_determinism(self, capsys):
         _, out1 = run(capsys, "deform", "--weights", "1,1,4")
