@@ -22,11 +22,11 @@ from .fano import (
     DiophantineClass,
     diophantine_class,
     is_fano,
-    markov_neighbors,
     markov_tree,
     multiplicity,
     predicted_mutation_weights,
     triangle_from_weights,
+    vieta_tree,
     weights,
 )
 from .mutation import (

@@ -115,16 +115,16 @@ def is_admissible(phi: PLFunc, phi0: PLFunc, phi1: PLFunc) -> AdmissibilityRepor
     return AdmissibilityReport(not violations, tuple(violations))
 
 
-def general_fiber(dp: DivPoly, d: Decomposition, param_name: str = "s") -> DivPoly:
+def general_fiber(dp: DivPoly, d: Decomposition) -> DivPoly:
     """Divisorial polytope of the general fiber: the decomposed coefficient
-    is replaced by part0, and part1 moves to a fresh parameter point."""
+    is replaced by part0, and part1 moves to the fresh parameter point s."""
     phi = dp.coefficient(d.label)
     report = is_admissible(phi, d.part0, d.part1)
     if not report.admissible:
         raise Inadmissible("; ".join(report.violations))
-    fresh = PointLabel.param(param_name)
+    fresh = PointLabel.param("s")
     if fresh in dp.coeffs or fresh == d.label:
-        raise LabelCollision(f"parameter label already in use: {param_name!r}")
+        raise LabelCollision(f"parameter label already in use: {fresh.name!r}")
     cs = dict(dp.coeffs)
     cs[d.label] = d.part0
     cs[fresh] = d.part1
@@ -388,7 +388,7 @@ def mutation_to_deformation(
             )
     dp = from_polygon(dilate(Pstar, a))
     d = standard_decomposition(dp, mdn.t)
-    fiber_dp = general_fiber(dp, d, "s")
+    fiber_dp = general_fiber(dp, d)
     red = reduce_to_polygon(fiber_dp)
     if not red.reducible:
         raise FiberMismatch(f"fiber is not reducible to a toric polygon: {red.reason}")

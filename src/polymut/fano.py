@@ -1,5 +1,5 @@
 """Fano triangles, fake-plane weights, the mutation Diophantine invariant,
-and Markov-triple machinery."""
+and the Vieta tree of solutions of each Diophantine class."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from .errors import DomainError
 from .geom import Polygon, Vector2, height_basis, is_primitive, qdiv
 
 WeightTriple = tuple[int, int, int]
-MarkovTriple = tuple[int, int, int]
+Solution = tuple[int, int, int]
 
 
 class NotATriangle(DomainError):
@@ -206,37 +206,44 @@ def diophantine_class(w: WeightTriple) -> DiophantineClass:
     return DiophantineClass(m, k, cs)  # type: ignore[arg-type]
 
 
-def is_markov(t: MarkovTriple) -> bool:
-    a, b, c = t
-    return a > 0 and b > 0 and c > 0 and a * a + b * b + c * c == 3 * a * b * c
+# Work budget of vieta_tree: a larger depth is refused before any work.
+# The tree doubles with each level and its entries lengthen, so the output
+# of `polymut markov --depth d` grows about 9-fold every two levels, to 17 MB
+# at depth 16.
+VIETA_DEPTH_LIMIT = 16
+MARKOV = DiophantineClass(3, 1, (1, 1, 1))
 
 
-def markov_neighbors(t: MarkovTriple) -> tuple[MarkovTriple, ...]:
-    """The distinct Vieta mutations of a Markov triple, each sorted."""
-    if not is_markov(t):
-        raise DomainError(f"not a Markov triple: {t}")
-    a, b, c = t
-    raw = [
-        (3 * b * c - a, b, c),
-        (a, 3 * a * c - b, c),
-        (a, b, 3 * a * b - c),
-    ]
-    out = sorted({tuple(sorted(r)) for r in raw})
-    return tuple(out)  # type: ignore[return-value]
+def _ordered(c: tuple[int, int, int], x: Solution) -> Solution:
+    """x with x_i beside c_i in the order of c, sorted where the c_i are equal."""
+    return tuple(xi for _, xi in sorted(zip(c, x)))  # type: ignore[return-value]
 
 
-def markov_tree(depth: int) -> set[MarkovTriple]:
-    """All triples reachable from (1,1,1) in at most `depth` Vieta steps."""
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
-    seen: set[MarkovTriple] = {(1, 1, 1)}
-    frontier: set[MarkovTriple] = {(1, 1, 1)}
+def vieta_neighbors(cls: DiophantineClass, x: Solution) -> tuple[Solution, ...]:
+    """The distinct solutions one Vieta step from x: step i sets x_i to the other
+    root m*x_j*x_k/(k*c_i) - x_i if it is an integer (x itself at a double root)."""
+    if min(x) < 1 or cls.m * math.prod(x) != cls.k * sum(ci * xi * xi for ci, xi in zip(cls.c, x)):
+        raise DomainError(f"not a positive solution of {cls}: {tuple(x)}")
+    out = set()
+    for i in range(3):
+        q, r = divmod(cls.m * x[i - 1] * x[i - 2], cls.k * cls.c[i])
+        if r == 0:
+            out.add(_ordered(cls.c, (*x[:i], q - x[i], *x[i + 1 :])))
+    return tuple(sorted(out))
+
+
+def vieta_tree(cls: DiophantineClass, root: Solution, depth: int) -> set[Solution]:
+    """All solutions reachable from root in at most `depth` Vieta steps."""
+    if not 0 <= depth <= VIETA_DEPTH_LIMIT:
+        raise DomainError(f"depth {depth} is not in 0..{VIETA_DEPTH_LIMIT}, the Vieta tree budget VIETA_DEPTH_LIMIT")
+    vieta_neighbors(cls, root)  # refuses a root that is not a positive solution
+    seen = frontier = {_ordered(cls.c, root)}
     for _ in range(depth):
-        nxt: set[MarkovTriple] = set()
-        for t in frontier:
-            for n in markov_neighbors(t):
-                if n not in seen:
-                    seen.add(n)
-                    nxt.add(n)
-        frontier = nxt
+        frontier = {y for x in frontier for y in vieta_neighbors(cls, x)} - seen
+        seen |= frontier
     return seen
+
+
+def markov_tree(depth: int) -> set[Solution]:
+    """All sorted Markov triples within `depth` Vieta steps of (1, 1, 1)."""
+    return vieta_tree(MARKOV, (1, 1, 1), depth)

@@ -281,6 +281,24 @@ class TestErrorsAndDeterminism:
         assert "PERIOD_DMAX_LIMIT" in out["error"]["message"]
         check_schema(out, "error")
 
+    @pytest.mark.parametrize(
+        "argv, budget",
+        [
+            (["markov", "--depth", "40"], "VIETA_DEPTH_LIMIT"),
+            (["markov", "--depth", "17"], "VIETA_DEPTH_LIMIT"),
+            (["period", "--f", "(x+y+x^-1*y^-1)^400", "--dmax", "0"], "PARSE_POWER_LIMIT"),
+            (["laurent-mutate", "--f", "(1+x)^1000000", "--g", "1+x", "--divide", "y"], "PARSE_POWER_LIMIT"),
+        ],
+    )
+    def test_work_over_budget_refused_before_it_starts(self, capsys, argv, budget):
+        start = time.monotonic()
+        code, out = run_json(capsys, *argv)
+        assert time.monotonic() - start < 0.5
+        assert code == 1
+        assert out["error"]["type"] == "DomainError"
+        assert budget in out["error"]["message"]
+        check_schema(out, "error")
+
     @pytest.mark.parametrize("missing", ["label", "part0", "part1"])
     def test_check_corollary_missing_field_exit_1(self, capsys, missing):
         code, cert = run_json(capsys, "deform", "--weights", "1,1,4")

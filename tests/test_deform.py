@@ -124,7 +124,7 @@ class TestGeneralFiber:
             PointLabel.param("s"), PLFunc.constant(BOX, 0)
         )
         with pytest.raises(LabelCollision):
-            general_fiber(dp, paper_decomposition(), "s")
+            general_fiber(dp, paper_decomposition())
 
     def test_inadmissible_rejected(self):
         dp = p114_divpoly()

@@ -9,6 +9,8 @@ import pytest
 from polymut import fano
 from polymut.errors import DomainError
 from polymut.fano import (
+    MARKOV,
+    VIETA_DEPTH_LIMIT,
     DiophantineClass,
     NotATriangle,
     NotDivisible,
@@ -16,15 +18,17 @@ from polymut.fano import (
     NotWellFormed,
     diophantine_class,
     is_fano,
-    markov_neighbors,
     markov_tree,
     multiplicity,
     predicted_mutation_weights,
     squarefree_part,
     triangle_from_weights,
+    vieta_neighbors,
+    vieta_tree,
     weights,
 )
 from polymut.geom import Vector2, area, dual, lattice_equivalent
+from polymut.mutation import mutation_graph
 from conftest import P
 
 
@@ -232,13 +236,13 @@ class TestDiophantineClass:
 
 class TestMarkov:
     def test_neighbors_of_origin(self):
-        assert markov_neighbors((1, 1, 1)) == ((1, 1, 2),)
+        assert vieta_neighbors(MARKOV, (1, 1, 1)) == ((1, 1, 2),)
 
     def test_neighbors_112(self):
-        assert markov_neighbors((1, 1, 2)) == ((1, 1, 1), (1, 2, 5))
+        assert vieta_neighbors(MARKOV, (1, 1, 2)) == ((1, 1, 1), (1, 2, 5))
 
     def test_neighbors_125(self):
-        assert markov_neighbors((1, 2, 5)) == ((1, 1, 2), (1, 5, 13), (2, 5, 29))
+        assert vieta_neighbors(MARKOV, (1, 2, 5)) == ((1, 1, 2), (1, 5, 13), (2, 5, 29))
 
     def test_tree_depths(self):
         assert markov_tree(0) == {(1, 1, 1)}
@@ -248,6 +252,72 @@ class TestMarkov:
     def test_tree_members_satisfy_equation(self):
         for a, b, c in markov_tree(5):
             assert a * a + b * b + c * c == 3 * a * b * c
+
+
+def _solution_weights(cls, x):
+    return tuple(sorted(c * xi * xi for c, xi in zip(cls.c, x)))
+
+
+class TestVietaTree:
+    # Hacking-Prokhorov, Thm 1.2: the four families of K^2 = 9, 8, 6 and 5.
+    # At each depth the triangle weights of the mutation graph of the root
+    # are the weights c_i*x_i^2 of the Vieta tree of its class; the sizes
+    # are those of the tree at depths 0..6
+    @pytest.mark.parametrize(
+        "w, cls, sizes",
+        [
+            ((1, 1, 1), DiophantineClass(3, 1, (1, 1, 1)), [1, 2, 3, 5, 9, 17, 33]),
+            ((1, 1, 2), DiophantineClass(4, 1, (1, 1, 2)), [1, 2, 4, 8, 16, 32, 64]),
+            ((1, 2, 3), DiophantineClass(6, 1, (1, 2, 3)), [1, 3, 7, 15, 31, 63, 127]),
+            ((1, 4, 5), DiophantineClass(5, 1, (1, 1, 5)), [1, 3, 7, 15, 31, 63, 127]),
+        ],
+        ids=["P111", "P112", "P123", "P145"],
+    )
+    def test_hacking_prokhorov_families(self, w, cls, sizes):
+        assert diophantine_class(w) == cls
+        # the square roots of the weights, beside their squarefree parts
+        root = tuple(x for _, x in sorted(squarefree_part(l) for l in w))
+        T = triangle_from_weights(w)
+        for d, size in enumerate(sizes):
+            tree = vieta_tree(cls, root, d)
+            assert len(tree) == size
+            assert mutation_graph(T, d).weight_triples() == {_solution_weights(cls, x) for x in tree}
+        for x in tree:  # every solution within depth 6
+            assert min(x) > 0
+            assert cls.m * x[0] * x[1] * x[2] == cls.k * sum(c * xi * xi for c, xi in zip(cls.c, x))
+            # the steps are the mutations of the weights, and a step is
+            # skipped exactly when the weight formula is not integral
+            ws = tuple(c * xi * xi for c, xi in zip(cls.c, x))
+            predicted = set()
+            for i in range(3):
+                try:
+                    predicted.add(tuple(sorted(predicted_mutation_weights(ws, i))))
+                except NotDivisible:
+                    pass
+            assert {_solution_weights(cls, y) for y in vieta_neighbors(cls, x)} == predicted
+
+    def test_solution_order(self):
+        # x_i stands beside c_i, sorted where the c_i are equal; a step that
+        # meets a double root gives x itself back
+        cls = DiophantineClass(5, 1, (1, 1, 5))
+        assert vieta_tree(cls, (2, 1, 1), 0) == {(1, 2, 1)}
+        assert vieta_neighbors(cls, (2, 1, 1)) == ((1, 2, 1), (1, 3, 1), (2, 9, 1))
+
+    @pytest.mark.parametrize(
+        "cls, x",
+        [(MARKOV, (1, 1, 3)), (MARKOV, (0, 0, 0)), (MARKOV, (-1, -1, 1)), (DiophantineClass(6, 1, (1, 2, 3)), (1, 1, 2))],
+    )
+    def test_not_a_positive_solution(self, cls, x):
+        with pytest.raises(DomainError, match="not a positive solution"):
+            vieta_neighbors(cls, x)
+        with pytest.raises(DomainError, match="not a positive solution"):
+            vieta_tree(cls, x, 0)
+
+    def test_depth_budget(self):
+        assert VIETA_DEPTH_LIMIT >= 16
+        for depth in (-1, VIETA_DEPTH_LIMIT + 1, 10**100):
+            with pytest.raises(DomainError, match="VIETA_DEPTH_LIMIT"):
+                markov_tree(depth)
 
 
 class TestAreaRelations:

@@ -21,10 +21,11 @@ def test_library_reads_no_environment():
     assert offenders == []
 
 
-def _nodes(home_file: str, home_function: str | None = None):
+def _nodes(home_file: str | None = None, home_function: str | None = None):
     """(file name, node, at home) for every AST node of src/polymut/*.py,
     where a node is at home inside the top-level function home_function of
-    home_file, or anywhere in home_file when home_function is None."""
+    home_file, or anywhere in home_file when home_function is None; no node
+    is at home when home_file is None."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         home = set()
@@ -92,6 +93,21 @@ def test_only_height_basis_raises_not_primitive():
             if _name(exc) == "NotPrimitive":
                 offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_every_budget_is_documented():
+    # a *_LIMIT constant bounds the work that one input may ask for; the
+    # README names each, so a refused input can be traced to its budget
+    budgets = {
+        target.id
+        for _, node, _ in _nodes()
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_LIMIT")
+    }
+    assert {"SQUAREFREE_TRIAL_LIMIT", "PERIOD_DMAX_LIMIT"} <= budgets
+    readme = (ROOT / "README.md").read_text()
+    assert sorted(b for b in budgets if b not in readme) == []
 
 
 def test_benchmark_trace_targets_resolve():

@@ -9,6 +9,7 @@ import pytest
 from polymut.errors import DomainError
 from polymut.geom import Polygon, Vector2, minkowski_sum
 from polymut.laurent import (
+    PARSE_POWER_LIMIT,
     PERIOD_DMAX_LIMIT,
     DivisibilityFails,
     LaurentPoly,
@@ -77,6 +78,29 @@ class TestParse:
     def test_negative_power_of_sum_rejected(self):
         with pytest.raises(LaurentSyntaxError):
             parse("(1+x)^-1")
+
+    def test_power_budget(self):
+        # (x + y + x^-1*y^-1)^n has comb(n + 2, 2) terms with coefficients of
+        # one bit: 99 * comb(101, 2) = 499,950 is within the budget and
+        # 100 * comb(102, 2) = 515,100 is not
+        assert PARSE_POWER_LIMIT == 500_000
+        assert len(parse("(x+y+x^-1*y^-1)^99").terms) == 5050
+        for s in ("(x+y+x^-1*y^-1)^100", "(x+y+x^-1*y^-1)^400", "((x+y)^500)^2", "(x)^500001"):
+            with pytest.raises(DomainError, match="PARSE_POWER_LIMIT"):
+                parse(s)
+        # the bits of the coefficients count: (7x)^100000 measures 3 * 10^5,
+        # (2^1000 x)^1000 measures 1001 * 1000
+        assert parse("(7x)^100000") == LaurentPoly.monomial(100000, 0, 7**100000)
+        with pytest.raises(DomainError, match="PARSE_POWER_LIMIT"):
+            parse(f"({2**1000}x)^1000")
+        # four terms with no sums in common: comb(n + 3, 3) terms
+        assert len(parse("(x + x^43 + x^1849 + x^79507)^8").terms) == math.comb(11, 3)
+        with pytest.raises(DomainError, match="PARSE_POWER_LIMIT"):
+            parse("(x + x^43 + x^1849 + x^79507)^41")
+        # the zero polynomial measures 0 at any power, and powers 0 and 1
+        # are not measured
+        assert parse("(0)^500000").is_zero()
+        assert parse("(x+y)^0") == LaurentPoly.const(1)
 
     def test_digest_of_random_strings(self):
         # each string gives the same render, or the same error type and
