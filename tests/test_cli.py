@@ -27,6 +27,36 @@ _M, _N = 10**2999 + 7, 10**3999 + 3
 WIDE = json.dumps({"vertices": [[_M, 1], [0, 1], [-_N, -_M]]})
 _A = 6 * 10**4299
 
+_HEXAGON = "x + y + x^-1 + y^-1 + x*y^-1 + x^-1*y"
+_BIG = "3" + "1" * 198 + "7"  # a 200-digit coefficient
+# (f, dmax) for `polymut period`: the Fano polygons of the benchmark, a
+# mutation pair, rational and cancelling coefficients, supports on a
+# sublattice, on a line and on one point, a wide coefficient, a far term
+# and the zero polynomial, then the refused dmax on both sides
+PERIOD_PINS = [
+    ("x+y+x^-1*y^-1", 0), ("x+y+x^-1*y^-1", 1), ("x+y+x^-1*y^-1", 12), ("x+y+x^-1*y^-1", 40),
+    ("x+x^-1+y+y^-1", 7), ("x+x^-1+y+y^-1", 40),
+    (_HEXAGON, 2), (_HEXAGON, 30),
+    ("y^-1 + x^-1*(1+x)^2*y^2", 9), ("y^-1 + x^-1*(1+x)^2*y^2", 30),
+    ("(1+x)*y^-1 + x^-1*y^2", 9), ("(1+x)*y^-1 + x^-1*y^2", 30),
+    ("1/2*x + y + x^-1*y^-1", 6), ("1/2*x + y + x^-1*y^-1", 24),
+    ("2/3*x - 5/4*y + 7/6*x^-1*y^-1 + 1/9", 15),
+    ("x + y - x^-1 - y^-1 + x*y^-1 - x^-1*y", 12),
+    ("x^-1*y^-1 + 1 + x + y - x*y", 12),
+    ("1/2*x^-1*y^-1 + 1 + 3*x + 2/3*y - 2*x*y", 10),
+    ("x^2+y^3+x^-2*y^-3", 12), ("x^2+y^3+x^-2*y^-3", 36),
+    ("x^2*y^2 + x^-2 + 3*y^-2 + x^4*y^-2", 16),
+    ("x^3 + x^-3*y^6 + y^-3 - 2", 18),
+    ("x^2 + 3 + x^-3", 20), ("x*y + x^-1*y^-1 + 2", 20), ("x^3*y^-3 - x^-2*y^2", 25),
+    ("x", 5), ("7*x*y", 5), ("5", 9), ("(-3/4)", 9),
+    (f"{_BIG}*x + y + x^-1*y^-1", 12), (f"x + {_BIG} + x^-1 - y^-1*{_BIG}/7 + y", 8),
+    ("x^1000+x^-1+y+y^-1", 10), ("x^1000+x^-1+y+y^-1", 40),
+    ("x + y", 9), ("1 + x + y", 9),
+    ("0", 0), ("0", 7),
+    ("x+y+x^-1*y^-1", 100),
+    ("x+y", -1), ("x+y", 101),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -445,6 +475,16 @@ class TestErrorsAndDeterminism:
             code, out = run(capsys, "markov", "--depth", str(d))
             h.update(f"{d}\0{code}\0{out}".encode())
         assert h.hexdigest() == "8fcc4003c1a8ef87be5170f03d2019ab7db77621f75e2247e9fba377ebd21c51"
+
+    def test_period_output_digest(self, capsys):
+        # stdout and exit code of `period --f F --dmax d` over PERIOD_PINS,
+        # pinned so that a change to the period kernel keeps the output
+        # byte for byte
+        h = hashlib.sha256()
+        for f, d in PERIOD_PINS:
+            code, out = run(capsys, "period", "--f", f, "--dmax", str(d))
+            h.update(f"{f}\0{d}\0{code}\0{out}".encode())
+        assert h.hexdigest() == "b831646e20227748089cfc8d03c8639bdfc6068551c922161c3c27935bb76ca4"
 
     def test_byte_determinism(self, capsys):
         _, out1 = run(capsys, "deform", "--weights", "1,1,4")
