@@ -558,6 +558,27 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return g, x, (g - x * a) // b
 
 
+def _lattice_basis(vectors: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """(g1, h, g2) such that (g1, h) and (0, g2) span the lattice that the
+    integer vectors span: its row Hermite normal form, with g1, g2 >= 0,
+    h = 0 when g1 = 0, and 0 <= h < g2 when g2 > 0.  A zero g1 or g2 drops
+    that basis vector, so the rank may be 2, 1 or 0."""
+    g1 = h = g2 = 0
+    for x, y in vectors:
+        if x:
+            # (g, hn) = a*(g1, h) + b*(x, y); what the two vectors keep
+            # beyond their multiples of (g, hn) lies on the y-axis
+            g, a, b = _bezout(g1, x)
+            hn = a * h + b * y
+            g2 = math.gcd(g2, h - g1 // g * hn, y - x // g * hn)
+            g1, h = g, hn
+        else:
+            g2 = math.gcd(g2, y)
+        if g2:
+            h %= g2
+    return g1, h, g2
+
+
 def _hermite_columns(
     cols: list[tuple[int, int]], bez: dict[tuple[int, int], tuple[int, int, int]]
 ) -> tuple[tuple[int, int], ...]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .geom import Polygon, Rational, RationalLike, Vector2, _halfplanes, qdiv, to_fraction
+from .geom import Polygon, Rational, RationalLike, Vector2, _halfplanes, _lattice_basis, qdiv, to_fraction
 from .mutation import MutationData, factor_for
 
 Exponent = tuple[int, int]
@@ -163,23 +163,39 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
-# Work budget of a parenthesized power f^n in parse, checked before the
-# power is expanded: |n| times the longest numerator or denominator of f in
-# bits times comb(|n| + t - 1, |n|), the most terms f^n can have for the t
-# terms of f.  At the limit (x + y + x^-1*y^-1)^99 takes 0.7 s, and four
-# terms with no sums in common, (x + x^43 + x^1849 + x^79507)^40, 0.9 s
-# (2-vCPU Xeon VM, Python 3.11).
+# Work budget of one parse, charged before each parenthesized power and
+# each product is computed.  A power f^n measures |n| times the longest
+# numerator or denominator of f in bits times comb(|n| + t - 1, |n|), the
+# most terms f^n can have for the t terms of f; a product measures its term
+# pairs times the longest numerator or denominator of its factors in bits.
+# A power is expanded only once the product it is a factor of is charged,
+# so (x + y + x^-1*y^-1)^99 (x + y + x^-1*y^-1)^99 is refused before either
+# power is expanded.  At the limit (x + y + x^-1*y^-1)^99 takes 0.7-0.95 s,
+# and four terms with no sums in common, (x + x^43 + x^1849 + x^79507)^40,
+# 0.9 s (2-vCPU Xeon VM, Python 3.11).
 PARSE_POWER_LIMIT = 500_000
+
+
+def _shape(f: LaurentPoly, n: int) -> tuple[int, int]:
+    """(terms, bits) of f^n without expanding it: the most terms it can
+    have, and |n| times the longest numerator or denominator of f in bits."""
+    t = len(f.terms)
+    k = abs(n)
+    bits = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in f.terms.values()), default=0)
+    return (math.comb(k + t - 1, k) if t else int(k == 0)), k * bits
 
 
 def _power_size(f: LaurentPoly, n: int) -> int:
     """The budget measure of f^n for n >= 1; n * t bounds it from below, so
     it stops there when that is already over the limit."""
-    t = len(f.terms)
-    if n * t > PARSE_POWER_LIMIT:
-        return n * t
-    bits = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in f.terms.values()), default=0)
-    return n * bits * math.comb(n + t - 1, n)
+    if n * len(f.terms) > PARSE_POWER_LIMIT:
+        return n * len(f.terms)
+    terms, bits = _shape(f, n)
+    return terms * bits
+
+
+def _expand(f: LaurentPoly, n: int) -> LaurentPoly:
+    return f if n == 1 else f**n
 
 
 class _Parser:
@@ -191,6 +207,13 @@ class _Parser:
     def __init__(self, s: str):
         self.s = s
         self.i = 0
+        self.work = 0
+
+    def charge(self, work: int, what: str) -> None:
+        """Count work against PARSE_POWER_LIMIT before it is done."""
+        self.work += work
+        if self.work > PARSE_POWER_LIMIT:
+            raise DomainError(f"{what} exceeds the parse budget PARSE_POWER_LIMIT = {PARSE_POWER_LIMIT}")
 
     def peek(self) -> tuple[str, str, int]:
         s = self.s
@@ -254,16 +277,20 @@ class _Parser:
         return acc
 
     def _term(self) -> LaurentPoly:
-        acc = self._factor()
+        acc, n = self._factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             # a '*', or juxtaposition with the start of the next factor
             if self.accept("*") or kind in ("num", "name") or (kind, val) == ("op", "("):
-                acc = acc * self._factor()
+                nxt, m = self._factor()
+                (ta, ba), (tb, bb) = _shape(acc, n), _shape(nxt, m)
+                self.charge(ta * tb * max(ba, bb), f"product at offset {pos}")
+                acc, n = _expand(acc, n) * _expand(nxt, m), 1
             else:
-                return acc
+                return _expand(acc, n)
 
-    def _factor(self) -> LaurentPoly:
+    def _factor(self) -> tuple[LaurentPoly, int]:
+        """A factor f^n as (f, n), charged but not yet expanded."""
         kind, val, pos = self.peek()
         if kind == "num":
             num = self.integer("expected a number")
@@ -272,27 +299,25 @@ class _Parser:
                 den = self.integer("expected a denominator")
                 if den == 0:
                     raise ZeroDenominator(f"zero denominator at offset {den_pos}")
-                return LaurentPoly.const(qdiv(num, den))
-            return LaurentPoly.const(num)
+                return LaurentPoly.const(qdiv(num, den)), 1
+            return LaurentPoly.const(num), 1
         if kind == "name":
             if val not in _ALIASES:
                 raise LaurentSyntaxError(f"unknown variable {val!r}", pos)
             self.take()
             e = [0, 0]
             e[_ALIASES[val]] = self._exponent()
-            return LaurentPoly.monomial(e[0], e[1])
+            return LaurentPoly.monomial(e[0], e[1]), 1
         if self.accept("("):
             inner = self._expr()
             if not self.accept(")"):
                 raise LaurentSyntaxError("expected ')'", self.peek()[2])
             exp = self._exponent()
-            if exp == 1:
-                return inner
             if exp < 0 and len(inner.terms) != 1:
                 raise LaurentSyntaxError("negative power of a non-monomial", pos)
-            if exp and _power_size(inner, abs(exp)) > PARSE_POWER_LIMIT:
-                raise DomainError(f"power {exp} at offset {pos} exceeds the parse budget PARSE_POWER_LIMIT = {PARSE_POWER_LIMIT}")
-            return inner**exp
+            if exp not in (0, 1):
+                self.charge(_power_size(inner, abs(exp)), f"power {exp} at offset {pos}")
+            return inner, exp
         raise LaurentSyntaxError(f"expected a term, found {val!r}" if val else "unexpected end of input", pos)
 
     def _exponent(self) -> int:
@@ -461,59 +486,108 @@ def derive_mutation_data(f: LaurentPoly, spec: MutationSpec) -> tuple[MutationDa
     return md, c
 
 
-# Work budget of period_sequence: the largest dmax it accepts.  The hexagon
-# x + y + 1/x + 1/y + x/y + y/x takes about 1 s at this dmax (2-vCPU Xeon
-# VM, Python 3.11); the cost grows like dmax^3 times the number of terms.
+# Work budgets of period_sequence, each checked before any work: the
+# largest dmax, and the work of the packed kernel in its own units,
+# passes * dmax * B * (digits of the packed box), counted after the
+# pre-pass (see period_sequence).  One unit took 0.005-0.08 ns on the inputs
+# measured (2-vCPU Xeon VM, Python 3.11), so an accepted input runs for at
+# most about 1.6 s; the hexagon x + y + 1/x + 1/y + x/y + y/x measures
+# 6.3e9 units at dmax 100 and takes 0.43-0.47 s.
 PERIOD_DMAX_LIMIT = 100
+PERIOD_WORK_LIMIT = 2 * 10**10
 
 
 def period_sequence(f: LaurentPoly, dmax: int) -> list[Rational]:
     """Constant terms of f^d for d = 0..dmax (the period coefficients).
 
     The denominators are cleared once: f = F/D with D the lcm of the
-    coefficient denominators and F integral, the powers of F are convolved
-    on integers, and the d-th term is ct(F^d)/D^d.
+    coefficient denominators and F integral, and the d-th term is
+    ct(F^d)/D^d, exact.  The zero polynomial gives [1, 0, ..., 0].
 
-    Terms that cannot return to the constant term are pruned.  A term e of
-    F^k reaches the constant term of some F^d, d <= dmax, only if -e lies
-    in (dmax - k)*N, N = Newt(f); its descendants fail the same test, so
-    dropping it is exact.  If 0 is not in N every term after the first is
-    0; otherwise r*N grows with r and the single test at r = dmax - k
-    decides.  The zero polynomial gives [1, 0, ..., 0].
+    Pre-pass: a term b of F is dropped when -b is not in (dmax - 1)*N,
+    N = Newt(F), and the test is repeated on the rest until nothing is
+    dropped.  A product of at most dmax terms that sums to 0 and contains
+    b has -b in (dmax - 1)*N, so no such product is lost.  When 0 is not
+    in N every term after the first is 0.
 
-    dmax above PERIOD_DMAX_LIMIT is refused before any work.
+    Kernel (Kronecker substitution): the exponents lie on e0 + L, with L
+    the lattice their differences span, with basis (g1, h), (0, g2) from
+    geom._lattice_basis.  A term at e0 + u*(g1, h) + v*(0, g2) becomes
+    the B-bit digit at position (u - umin) + (v - vmin)*S of one integer,
+    where S = dmax*wx + 1 for the widths wx, wy of the box of the (u, v)
+    and B = bits((sum |coefficients|)^dmax) + 1.  F^k then packs to the
+    integer P_k = sum c * (P_(k-1) << shift) over the terms of F, since no
+    row of F^k is wider than S and no coefficient of it reaches
+    2^(B - 1).  ct(F^k) is 0 unless -k*e0 is in L, and otherwise the signed
+    digit at the position of -k*e0 (inside the box, as 0 is in N), read by
+    rounding P_k at that bit.
+
+    A dmax above PERIOD_DMAX_LIMIT, and a kernel whose work
+    passes * dmax * B * (S * (dmax*wy + 1)) exceeds PERIOD_WORK_LIMIT, are
+    refused before any work; a step makes one pass over P per term and one
+    per 30-bit word of each distinct coefficient other than 1.
     """
     if dmax < 0:
         raise DomainError("dmax must be nonnegative")
     if dmax > PERIOD_DMAX_LIMIT:
         raise DomainError(f"dmax {dmax} exceeds the period budget PERIOD_DMAX_LIMIT = {PERIOD_DMAX_LIMIT}")
     out: list[Rational] = [1] + [0] * dmax
-    if f.is_zero():
+    exps = list(f.terms) if dmax else []
+    while exps:
+        # integer inequalities n.e >= c of N, stored as (n, -c): a term b
+        # is kept when n.(-b) >= (dmax - 1)*c, i.e. n.b <= (dmax - 1)*(-c)
+        cuts = [(int(n.x), int(n.y), -int(c)) for n, c in _halfplanes(Polygon([Vector2(*e) for e in exps]))]
+        if any(m < 0 for _, _, m in cuts):
+            return out
+        kept = [(x, y) for x, y in exps if all(n1 * x + n2 * y <= (dmax - 1) * m for n1, n2, m in cuts)]
+        if len(kept) == len(exps):
+            break
+        exps = kept
+    if not exps:
         return out
-    # integer inequalities n.e >= c of N, stored as (n, -c) so a term e is
-    # kept after step k when n.(-e) >= (dmax - k)*c, i.e. n.e <= r*(-c)
-    cuts = [(int(n.x), int(n.y), -int(c)) for n, c in _halfplanes(newton_polytope(f))]
-    if any(m < 0 for _, _, m in cuts):
-        return out
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    F = [(e1, e2, int(c * den)) for (e1, e2), c in f.terms.items()]
-    power: dict[Exponent, int] = {(0, 0): 1}
+    den = math.lcm(*(f.terms[e].denominator for e in exps))
+    x0, y0 = exps[0]
+    g1, h, g2 = _lattice_basis((x - x0, y - y0) for x, y in exps)
+
+    def coords(x: int, y: int) -> Optional[tuple[int, int]]:
+        """(u, v) with (x, y) = u*(g1, h) + v*(0, g2), None off the lattice."""
+        u, r = divmod(x, g1) if g1 else (0, x)
+        v, s = divmod(y - u * h, g2) if g2 else (0, y - u * h)
+        return None if r or s else (u, v)
+
+    terms = [(coords(x - x0, y - y0), int(f.terms[x, y] * den)) for x, y in exps]
+    umin = min(u for (u, _), _ in terms)
+    vmin = min(v for (_, v), _ in terms)
+    wx = max(u for (u, _), _ in terms) - umin
+    wy = max(v for (_, v), _ in terms) - vmin
+    S = dmax * wx + 1
+    B = (sum(abs(c) for _, c in terms) ** dmax).bit_length() + 1
+    shifts: dict[int, list[int]] = {}  # coefficient -> the bit shifts of its terms
+    for (u, v), c in terms:
+        shifts.setdefault(c, []).append(B * (u - umin + (v - vmin) * S))
+    # a step shifts and adds P once per term and multiplies it by each
+    # coefficient other than 1, at a cost of one pass per 30-bit word of it
+    passes = len(terms) + sum((abs(c).bit_length() + 29) // 30 for c in shifts if c != 1)
+    work = passes * dmax * B * S * (dmax * wy + 1)
+    if work > PERIOD_WORK_LIMIT:
+        raise DomainError(f"period work {work} exceeds the period budget PERIOD_WORK_LIMIT = {PERIOD_WORK_LIMIT}")
+    mask = (1 << B) - 1
+    P = 1
     for k in range(1, dmax + 1):
-        nxt: dict[Exponent, int] = {}
-        for (a1, a2), ca in power.items():
-            for b1, b2, cb in F:
-                e = (a1 + b1, a2 + b2)
-                nxt[e] = nxt.get(e, 0) + ca * cb
-        r = dmax - k
-        bounds = [(n1, n2, r * m) for n1, n2, m in cuts]
-        power = {}
-        for e, c in nxt.items():
-            if c:
-                x, y = e
-                for n1, n2, b in bounds:
-                    if n1 * x + n2 * y > b:
-                        break
-                else:
-                    power[e] = c
-        out[k] = qdiv(power.get((0, 0), 0), den**k)
+        Q = 0
+        for c, ss in shifts.items():
+            Pc = P if c == 1 else c * P
+            for s in ss:
+                Q += Pc << s
+        P = Q
+        at = coords(-k * x0, -k * y0)
+        if at is None:
+            continue
+        i = B * (at[0] - k * umin + (at[1] - k * vmin) * S)
+        # the digits below bit i sum to less than 2^(i-1) in absolute
+        # value, so rounding P / 2^i to an integer leaves the digit at i
+        # as its lowest B bits
+        t = P >> (i - 1) if i else P << 1
+        d = ((t >> 1) + (t & 1)) & mask
+        out[k] = qdiv(d - (d >> (B - 1) << B), den**k)
     return out

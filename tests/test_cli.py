@@ -318,6 +318,8 @@ class TestErrorsAndDeterminism:
             (["markov", "--depth", "17"], "VIETA_DEPTH_LIMIT"),
             (["period", "--f", "(x+y+x^-1*y^-1)^400", "--dmax", "0"], "PARSE_POWER_LIMIT"),
             (["laurent-mutate", "--f", "(1+x)^1000000", "--g", "1+x", "--divide", "y"], "PARSE_POWER_LIMIT"),
+            (["period", "--f", "(x+y+x^-1*y^-1)^99(x+y+x^-1*y^-1)^99", "--dmax", "0"], "PARSE_POWER_LIMIT"),
+            (["period", "--f", "(x+y+x^-1*y^-1)^6", "--dmax", "100"], "PERIOD_WORK_LIMIT"),
         ],
     )
     def test_work_over_budget_refused_before_it_starts(self, capsys, argv, budget):

@@ -604,3 +604,41 @@ class TestLinearNormalForm:
             linear_normal_form(P((0, 0), (1, 1)))
         with pytest.raises(NotLattice):
             linear_normal_form(P((0, 0), (Fraction(1, 2), 0), (0, 1)))
+
+
+class TestLatticeBasis:
+    def test_hermite_basis_of_the_spanned_lattice(self):
+        # (g1, h, g2) is fixed by three facts about the lattice L spanned
+        # by the vectors: g1 is the gcd of their first coordinates, g1 * g2
+        # is the gcd of their 2 x 2 minors (the index of L, 0 below rank
+        # 2), and each vector is in Z(g1, h) + Z(0, g2); so the basis spans
+        # L, and the reduction 0 <= h < g2 makes it the one Hermite form
+        from itertools import combinations
+        from math import gcd
+
+        from polymut.geom import _lattice_basis
+
+        rng = random.Random(41)
+        for _ in range(500):
+            shape = rng.choice(("plane", "line", "axis", "zero"))
+            u = (rng.randint(-5, 5), rng.randint(-5, 5))
+            vs = []
+            for _ in range(rng.randint(0, 5)):
+                k = rng.randint(-4, 4)
+                vs.append(
+                    {"plane": (rng.randint(-9, 9), rng.randint(-9, 9)), "line": (k * u[0], k * u[1]),
+                     "axis": (0, rng.randint(-9, 9)), "zero": (0, 0)}[shape]
+                )
+            g1, h, g2 = _lattice_basis(vs)
+            assert g1 == gcd(*(x for x, _ in vs))
+            assert g1 * g2 == gcd(*(a[0] * b[1] - a[1] * b[0] for a, b in combinations(vs, 2)))
+            assert 0 <= h < g2 or not g2
+            if not g1:
+                assert h == 0 and g2 == gcd(*(y for _, y in vs))
+            for x, y in vs:
+                a = x // g1 if g1 else 0
+                assert a * g1 == x
+                assert (y - a * h) % g2 == 0 if g2 else y == a * h
+            shuffled = vs + [(vs[0][0] + vs[-1][0], vs[0][1] + vs[-1][1])] if vs else []
+            rng.shuffle(shuffled)
+            assert _lattice_basis(shuffled) == (g1, h, g2)

@@ -11,6 +11,7 @@ from polymut.geom import Polygon, Vector2, minkowski_sum
 from polymut.laurent import (
     PARSE_POWER_LIMIT,
     PERIOD_DMAX_LIMIT,
+    PERIOD_WORK_LIMIT,
     DivisibilityFails,
     LaurentPoly,
     LaurentSyntaxError,
@@ -101,6 +102,18 @@ class TestParse:
         # are not measured
         assert parse("(0)^500000").is_zero()
         assert parse("(x+y)^0") == LaurentPoly.const(1)
+        # the budget is one per parse, charged by every power and by every
+        # product before either is expanded: 499,950 + 1 for the power and
+        # the product x^-1*y^-1 fit, a second such power does not
+        for s in ("(x+y+x^-1*y^-1)^99(x+y+x^-1*y^-1)^99", "(x+y+x^-1*y^-1)^99 + (x+y+x^-1*y^-1)^99"):
+            with pytest.raises(DomainError, match="power 99 at offset .* PARSE_POWER_LIMIT"):
+                parse(s)
+        # a product measures its term pairs times the bits of its widest
+        # coefficient: comb(17, 2)^2 * 15 = 277,440 fits, comb(22, 2)^2 * 20
+        # = 1,067,220 does not
+        assert len(parse("(x+y+x^-1*y^-1)^15(x+y+x^-1*y^-1)^15").terms) == math.comb(32, 2)
+        with pytest.raises(DomainError, match="product at offset 18 .* PARSE_POWER_LIMIT"):
+            parse("(x+y+x^-1*y^-1)^20(x+y+x^-1*y^-1)^20")
 
     def test_digest_of_random_strings(self):
         # each string gives the same render, or the same error type and
@@ -337,17 +350,44 @@ def _period_by_definition(f: LaurentPoly, dmax: int) -> list[Fraction]:
     return out
 
 
-def _random_laurent(rng: random.Random) -> LaurentPoly:
-    """Up to six terms in [-2, 2]^2 with rational coefficients of both
-    signs; a quarter satisfy f(1/x, y) = -f(x, y), so the constant terms
-    of their odd powers cancel to 0."""
+# integer matrices of determinant 2, 3, 6 and -6: they send the exponents
+# onto sublattices of those indices, sheared and not
+SUBLATTICES = (((1, 1), (-1, 1)), ((2, 1), (1, 2)), ((2, 1), (0, 3)), ((1, 4), (2, 2)))
+FAR = 10**12
+
+
+def _random_laurent(rng: random.Random, dmax: int) -> LaurentPoly:
+    """Up to six terms with rational coefficients of both signs, one in
+    seven of 100 digits, on exponents in [-2, 2]^2, on a line or on one
+    point.  A quarter satisfy f(1/x, y) = -f(x, y), so the constant terms
+    of their odd powers cancel to 0.  Three in ten have their exponents
+    sent onto a sublattice of index 2, 3 or 6.  One in six gets the terms
+    x^-FAR and x^(dmax*FAR): the first is as far out as the second needs
+    for dmax of them to reach the constant term, so the second, and then
+    the first, are dropped only by a reachability test with dmax - 1."""
+    shape = rng.choice(("plane", "plane", "line", "point"))
+    u = rng.choice(((1, 0), (1, 1), (2, -1)))
+    o = (rng.randint(-1, 1), rng.randint(-1, 1))
     terms = {}
-    for _ in range(rng.randint(1, 6)):
-        e = (rng.randint(-2, 2), rng.randint(-2, 2))
-        terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 4]))
+    for _ in range(1 if shape == "point" else rng.randint(1, 6)):
+        if shape == "line":
+            k = rng.randint(-2, 2)
+            e = (o[0] + k * u[0], o[1] + k * u[1])
+        else:
+            e = (rng.randint(-2, 2), rng.randint(-2, 2))
+        num = rng.choice([-3, -2, -1, 1, 2, 5])
+        if rng.random() < 1 / 7:
+            num *= rng.randrange(10**99, 10**100)
+        terms[e] = Fraction(num, rng.choice([1, 1, 2, 3, 4]))
     if rng.random() < 0.25:
         terms = {(a, b): c for (a, b), c in terms.items() if a > 0}
         terms.update({(-a, b): -c for (a, b), c in list(terms.items())})
+    if rng.random() < 0.3:
+        (p, q), (r, s) = rng.choice(SUBLATTICES)
+        terms = {(p * a + q * b, r * a + s * b): c for (a, b), c in terms.items()}
+    if rng.random() < 1 / 6:
+        terms[-FAR, 0] = Fraction(rng.choice([-1, 1, 3]))
+        terms[dmax * FAR, 0] = Fraction(rng.choice([-2, 1, 1]), rng.choice([1, 5]))
     return LaurentPoly(terms)
 
 
@@ -366,9 +406,9 @@ class TestPeriodSequence:
 
     def test_matches_definition_randomized(self):
         rng = random.Random(20181)
-        for _ in range(300):
-            f = _random_laurent(rng)
+        for _ in range(400):
             d = rng.randint(0, 9)
+            f = _random_laurent(rng, d)
             assert period_sequence(f, d) == _period_by_definition(f, d), (f, d)
 
     def test_cancelling_coefficients(self):
@@ -384,8 +424,18 @@ class TestPeriodSequence:
 
     @pytest.mark.parametrize(
         "text",
-        ["0", "3/7", "x", "x+x^-1", "1+x+y", "x+y", "-2/3*x + 5/4 - 1/6*x^-1*y"],
-        ids=["zero", "constant", "point", "segment", "origin-vertex", "origin-outside", "rational"],
+        [
+            "0", "3/7", "x", "x+x^-1", "1+x+y", "x+y", "-2/3*x + 5/4 - 1/6*x^-1*y",
+            "x^2+y^3+x^-2*y^-3", "x^2*y^2 + x^-2 + 3*y^-2 + x^4*y^-2", "x^3 - x^-3*y^6 + y^-3 + 2",
+            "x^2 - 3 + x^-3", "x*y^2 + x^-1*y^-2 - 1/2", "-5/3*x^2*y^-1",
+            f"{'9' * 100}*x - y + x^-1*y^-1 + {'1' * 99}2", "x^-1 + y + y^-1 + x^1000000",
+            "x^-1000000000000 + y + y^-1 + x + 2*x^7000000000000",
+        ],
+        ids=[
+            "zero", "constant", "point", "segment", "origin-vertex", "origin-outside", "rational",
+            "index-18", "index-4", "index-9", "collinear", "collinear-diagonal", "monomial",
+            "wide-coefficients", "unreachable", "unreachable-at-dmax-7",
+        ],
     )
     @pytest.mark.parametrize("dmax", [0, 1, 7])
     def test_edge_cases_match_definition(self, text, dmax):
@@ -410,6 +460,20 @@ class TestPeriodSequence:
     def test_negative_dmax_rejected(self):
         with pytest.raises(DomainError, match="nonnegative"):
             period_sequence(parse("x+y"), -1)
+
+    def test_work_budget(self):
+        # the hexagon at the largest dmax measures 6 * 100 * 260 * 201^2 =
+        # 6.3e9 units; (x+y+x^-1*y^-1)^6 has 28 terms on an index-3 lattice
+        # and 6 distinct coefficients other than 1, 34 passes a step, and
+        # measures 2.3e12
+        assert PERIOD_WORK_LIMIT == 2 * 10**10
+        hexagon = parse("x + y + x^-1 + y^-1 + x*y^-1 + x^-1*y")
+        assert period_sequence(hexagon, PERIOD_DMAX_LIMIT)[:5] == [1, 0, 6, 12, 90]
+        with pytest.raises(DomainError, match="period work 2336325476800 exceeds .* PERIOD_WORK_LIMIT"):
+            period_sequence(parse("(x+y+x^-1*y^-1)^6"), PERIOD_DMAX_LIMIT)
+        # a wide coefficient costs a pass per 30-bit word in every step
+        with pytest.raises(DomainError, match="PERIOD_WORK_LIMIT"):
+            period_sequence(LaurentPoly.const(7**20000), PERIOD_DMAX_LIMIT)
 
     def test_dmax_budget(self):
         assert len(period_sequence(parse("x+y"), PERIOD_DMAX_LIMIT)) == PERIOD_DMAX_LIMIT + 1
