@@ -9,6 +9,8 @@ sorted and every rational is a reduced-fraction string.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import os
 import re
@@ -17,7 +19,17 @@ import warnings
 from pathlib import Path
 
 from .errors import DomainError
-from . import deform, divpoly, fano, laurent, mutation
+from .fano import (
+    NotATriangle,
+    NotFano,
+    diophantine_class,
+    is_fano,
+    markov_tree,
+    multiplicity,
+    triangle_from_weights,
+    weights,
+    weights_of_vertices,
+)
 from .geom import (
     Polygon,
     Vector2,
@@ -28,6 +40,16 @@ from .geom import (
     polygon_to_json,
     vector_to_json,
 )
+
+
+@functools.cache
+def _module(name: str):
+    """polymut.<name>, imported on the first call and kept by this cli
+    module, so a command imports only the modules it uses.  Later calls
+    return the same module object, also after polymut was removed from
+    sys.modules and imported again, so a module loaded before that still
+    raises the DomainError this cli module catches."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _emit(obj, fmt: str) -> None:
@@ -130,7 +152,10 @@ def _parse_weights(s: str) -> tuple[int, int, int]:
 _W_NEGATIVE = "write a negative first coordinate as --w=-1,0"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per cli module; parse_args gives every call
+    a fresh Namespace."""
     ap = argparse.ArgumentParser(
         prog="polymut",
         description="combinatorial mutations of Fano polygons and the matching toric deformations",
@@ -221,23 +246,24 @@ def _cmd_dual(args) -> dict:
 def _cmd_weights(args) -> dict:
     verts = parse_vertices(_read_json_arg(args.polygon))
     if len(verts) != 3:
-        raise fano.NotATriangle("weights need exactly three vertices")
+        raise NotATriangle("weights need exactly three vertices")
     P = Polygon(verts)
-    if not fano.is_fano(P):
-        raise fano.NotFano("weights are defined for Fano triangles only")
-    return {"weights": list(fano.weights_of_vertices(*verts))}
+    if not is_fano(P):
+        raise NotFano("weights are defined for Fano triangles only")
+    return {"weights": list(weights_of_vertices(*verts))}
 
 
 def _cmd_multiplicity(args) -> dict:
     P = _read_polygon(args.polygon)
-    return {"multiplicity": fano.multiplicity(P), "weights": sorted(fano.weights(P))}
+    return {"multiplicity": multiplicity(P), "weights": sorted(weights(P))}
 
 
 def _cmd_triangle(args) -> dict:
-    return polygon_to_json(fano.triangle_from_weights(_parse_weights(args.weights)))
+    return polygon_to_json(triangle_from_weights(_parse_weights(args.weights)))
 
 
 def _cmd_factors(args) -> dict:
+    mutation = _module("mutation")
     P = _read_polygon(args.polygon)
     if args.w:
         ws = [_parse_w(args.w)]
@@ -251,6 +277,7 @@ def _cmd_factors(args) -> dict:
 
 
 def _cmd_mutate(args) -> dict:
+    mutation = _module("mutation")
     P = _read_polygon(args.polygon)
     md = mutation.factor_for(P, _parse_w(args.w), args.t)
     Q = mutation.mutate(P, md)
@@ -261,24 +288,26 @@ def _triangle_arg(args) -> Polygon:
     if getattr(args, "polygon", None):
         return _read_polygon(args.polygon)
     if getattr(args, "weights", None):
-        return fano.triangle_from_weights(_parse_weights(args.weights))
+        return triangle_from_weights(_parse_weights(args.weights))
     raise DomainError("need --polygon or --weights")
 
 
 def _cmd_graph(args) -> dict:
+    mutation = _module("mutation")
     P = _triangle_arg(args)
     return mutation.mutation_graph(P, args.depth).to_json()
 
 
 def _cmd_markov(args) -> list:
-    return [list(t) for t in sorted(fano.markov_tree(args.depth))]
+    return [list(t) for t in sorted(markov_tree(args.depth))]
 
 
 def _cmd_diophantine(args) -> dict:
-    return fano.diophantine_class(_parse_weights(args.weights)).to_json()
+    return diophantine_class(_parse_weights(args.weights)).to_json()
 
 
 def _cmd_laurent_mutate(args) -> dict:
+    laurent = _module("laurent")
     f = laurent.parse(args.f)
     spec = laurent.MutationSpec(args.divide, laurent.parse(args.g))
     with warnings.catch_warnings(record=True) as caught:
@@ -298,15 +327,19 @@ def _cmd_laurent_mutate(args) -> dict:
 
 
 def _cmd_period(args) -> list:
+    laurent = _module("laurent")
     f = laurent.parse(args.f)
     return [str(c) for c in laurent.period_sequence(f, args.dmax)]
 
 
 def _cmd_divpoly(args) -> dict:
+    divpoly = _module("divpoly")
     return divpoly.from_polygon(_read_polygon(args.polygon)).to_json()
 
 
 def _cmd_deform(args) -> dict:
+    mutation = _module("mutation")
+    deform = _module("deform")
     P = _triangle_arg(args)
     if args.w:
         md = mutation.factor_for(P, _parse_w(args.w), args.t)
@@ -316,7 +349,9 @@ def _cmd_deform(args) -> dict:
     return cert.to_json()
 
 
-def _default_reducing_factor(P: Polygon) -> mutation.MutationData:
+def _default_reducing_factor(P: Polygon):
+    mutation = _module("mutation")
+    deform = _module("deform")
     for w in mutation.factor_directions(P):
         for md in mutation.find_factors(P, w):
             if deform.is_weight_reducing(P, md):
@@ -325,6 +360,8 @@ def _default_reducing_factor(P: Polygon) -> mutation.MutationData:
 
 
 def _cmd_check_corollary(args) -> dict:
+    deform = _module("deform")
+    divpoly = _module("divpoly")
     dobj = _field(_read_json_arg(args.certificate), "decomposition", "certificate")
     d = deform.Decomposition(
         divpoly.PointLabel.parse(_field(dobj, "label", "decomposition")),
@@ -368,7 +405,7 @@ def _verify_entry(path: Path, obj) -> list[dict]:
     if "laurent" in obj:
         return _verify_laurent(path, obj)
     if "weights" in obj:
-        T = fano.triangle_from_weights(_json_weights(obj["weights"]))
+        T = triangle_from_weights(_json_weights(obj["weights"]))
     elif "vertices" in obj:
         T = polygon_from_json(obj)
     else:
@@ -377,11 +414,13 @@ def _verify_entry(path: Path, obj) -> list[dict]:
 
 
 def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
+    mutation = _module("mutation")
+    deform = _module("deform")
     out = []
     ok = dual(dual(T)) == T
     out.append(_entry(path, "dual-involution", "pass" if ok else "fail"))
     if len(T.vertices) == 3:
-        cls = fano.diophantine_class(fano.weights(T))
+        cls = diophantine_class(weights(T))
     else:
         cls = None
     for w in mutation.factor_directions(T):
@@ -393,7 +432,7 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
             ok = dual(mutation.dual_map(md, dual(T))) == Q
             out.append(_entry(path, f"duality-commutation [{tag}]", "pass" if ok else "fail"))
             if cls is not None and len(Q.vertices) == 3:
-                ok = fano.diophantine_class(fano.weights(Q)) == cls
+                ok = diophantine_class(weights(Q)) == cls
                 out.append(_entry(path, f"diophantine-constancy [{tag}]", "pass" if ok else "fail"))
             if len(T.vertices) == 3 and deform.is_weight_reducing(T, md):
                 try:
@@ -406,6 +445,8 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
 
 
 def _verify_laurent(path: Path, obj) -> list[dict]:
+    mutation = _module("mutation")
+    laurent = _module("laurent")
     out = []
     f = laurent.parse(obj["laurent"])
     spec = laurent.MutationSpec(

@@ -187,15 +187,18 @@ def _shift_candidates(dp: DivPoly) -> list[ShiftRecord]:
         cf = dp.coeffs[frm]
         if cf.is_zero():
             continue
+        zeroes_from = cf.is_affine()
         for a, b, slope in cf.pieces():
             intercept = cf(a) - slope * a
             for to in labels:
                 if to == frm:
                     continue
-                zeroes_from = cf.is_affine()
-                zeroes_to = dp.coefficient(to).add_affine(slope, intercept).is_zero()
-                if not (zeroes_from or zeroes_to):
-                    continue
+                # the shift zeroes `to` when its coefficient plus the affine
+                # piece vanishes at every breakpoint of that coefficient
+                if not zeroes_from:
+                    ct = dp.coeffs[to]
+                    if any(v + slope * u + intercept != 0 for u, v in zip(ct.breaks, ct.values)):
+                        continue
                 cands.append(ShiftRecord(frm, to, slope, intercept))
 
     def key(c: ShiftRecord):

@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import importlib
+import io
 import json
 import os
 import subprocess
@@ -14,9 +17,12 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+from polymut import cli
 from polymut.cli import main
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "docs" / "schemas"
+CORPUS = ROOT / "corpus"
 
 P114 = '{"vertices":[["0","-1"],["1","2"],["-1","2"]]}'
 P2 = '{"vertices":[[1,0],[0,1],[-1,-1]]}'
@@ -556,3 +562,163 @@ class TestBatchVerify:
         code, out = run_json(capsys, "batch-verify", str(tmp_path))
         assert code == 0
         assert out == {"results": [], "passed": 0, "failed": 0}
+
+
+# the public names of the polymut package, by the submodule that defines them
+EXPORTS = {
+    "geom": [
+        "Polygon", "Vector2", "area", "convex_hull", "dilate", "dual", "height_range",
+        "lattice_equivalent", "lattice_points", "lattice_slice", "linear_equivalent",
+        "linear_normal_form", "minkowski_difference", "minkowski_sum", "primitivize",
+    ],
+    "fano": [
+        "DiophantineClass", "diophantine_class", "is_fano", "markov_tree", "multiplicity",
+        "predicted_mutation_weights", "triangle_from_weights", "vieta_tree", "weights",
+    ],
+    "mutation": ["MutationData", "dual_map", "factor_for", "find_factors", "mutate", "mutation_graph"],
+    "laurent": [
+        "LaurentPoly", "MutationSpec", "algebraic_mutate", "newton_polytope", "parse",
+        "period_sequence", "render",
+    ],
+    "divpoly": [
+        "INFINITY", "ZERO", "DivPoly", "PLFunc", "PointLabel", "from_polygon", "shift_affine",
+        "to_polygon", "validate",
+    ],
+    "deform": [
+        "Decomposition", "DeformationCertificate", "corollary_check", "general_fiber",
+        "is_admissible", "mutation_to_deformation", "reduce_to_polygon",
+    ],
+}
+
+
+def _child_polymut_modules(code: str) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """A child interpreter that runs `code`, and the polymut modules in its
+    sys.modules afterwards, which it writes as the last line of stderr."""
+    script = (
+        "import sys\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + "finally:\n"
+        "    print(*sorted(n for n in sys.modules if n.split('.')[0] == 'polymut'), file=sys.stderr)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    return r, r.stderr.decode().splitlines()[-1].split()
+
+
+def _polymut_modules() -> dict:
+    return {n: m for n, m in sys.modules.items() if n.split(".")[0] == "polymut"}
+
+
+@pytest.fixture
+def reimport_polymut():
+    """A function that removes polymut from sys.modules and imports
+    polymut.cli again, as each set-up of the benchmark does; the modules
+    loaded before are put back afterwards."""
+    saved = _polymut_modules()
+
+    def reimport():
+        for name in _polymut_modules():
+            del sys.modules[name]
+        return importlib.import_module("polymut.cli")
+
+    yield reimport
+    for name in _polymut_modules():
+        del sys.modules[name]
+    sys.modules.update(saved)
+
+
+def _call(main_fn, argv) -> tuple[object, str, str]:
+    """(exit code, stdout, stderr) of main_fn(argv) with the output
+    captured; a usage error's code is read off its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main_fn(list(argv))
+        except SystemExit as e:
+            code = ("SystemExit", e.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestColdStart:
+    def test_markov_imports_only_geom_and_fano(self):
+        # what `python -m polymut markov --depth 0` runs
+        r, names = _child_polymut_modules(
+            "import runpy\n"
+            "sys.argv = ['polymut', 'markov', '--depth', '0']\n"
+            "runpy.run_module('polymut', run_name='__main__', alter_sys=True)"
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == b"[[1, 1, 1]]\n"
+        assert names == ["polymut", "polymut.cli", "polymut.errors", "polymut.fano", "polymut.geom"]
+
+    def test_bare_import_loads_no_submodule(self):
+        r, names = _child_polymut_modules("import polymut")
+        assert r.returncode == 0, r.stderr
+        assert names == ["polymut"]
+        # a submodule is still an attribute of the package, loaded with
+        # what it imports
+        r, names = _child_polymut_modules("import polymut\npolymut.laurent.parse('x')")
+        assert r.returncode == 0, r.stderr
+        assert names == ["polymut", "polymut.errors", "polymut.fano", "polymut.geom", "polymut.laurent", "polymut.mutation"]
+
+    def test_package_exports(self):
+        import polymut
+
+        names = [n for home in EXPORTS.values() for n in home]
+        assert len(names) == 53
+        assert polymut.__all__ == names
+        for home, exported in EXPORTS.items():
+            module = importlib.import_module(f"polymut.{home}")
+            for name in exported:
+                assert getattr(polymut, name) is getattr(module, name), name
+        namespace: dict = {}
+        exec("from polymut import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(names)
+        assert all(namespace[n] is getattr(polymut, n) for n in names)
+        assert set(names) <= set(dir(polymut))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            polymut.no_such_name
+        assert polymut.__version__ == "0.1.0"
+
+    def test_stale_main_after_reimport(self, reimport_polymut):
+        # the benchmark's set-ups import polymut afresh while its passes
+        # keep calling the first set-up's cli.main; that main must keep
+        # using the modules it loaded, whose DomainError it catches
+        stale_main = cli.main
+        batch = ["batch-verify", str(CORPUS)]
+        before = _call(stale_main, batch)
+        assert before[0] == 0
+        fresh = reimport_polymut()
+        assert fresh.main is not stale_main
+        for argv in (batch, ["deform", "--weights", "1,1,4"], ["triangle", "--weights", "2,4,5"]):
+            assert _call(stale_main, argv) == _call(fresh.main, argv), argv
+        assert _call(stale_main, batch) == before
+        code, out, _ = _call(stale_main, ["triangle", "--weights", "2,4,5"])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NotWellFormed"
+
+    def test_parser_is_built_once_and_reused(self, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        sequence = [
+            ["--format", "table", "weights", "--polygon", P114],
+            ["weights", "--polygon", P114],
+            ["markov", "--depth", "2", "--format", "table"],
+            ["markov"],
+            ["markov", "--depth", "2"],
+            ["mutate", "--polygon", P114, "--bogus-flag"],
+            ["triangle", "--weights", "2,4,5", "--format", "table"],
+            ["triangle", "--weights", "2,4,5"],
+            ["--format", "table", "deform", "--weights", "1,1,4"],
+            ["deform", "--weights", "1,1,4"],
+        ]
+        reused = [_call(main, argv) for argv in sequence]
+        assert [r[0] for r in reused] == [0, 0, 0, ("SystemExit", 2), 0, ("SystemExit", 2), 1, 1, 0, 0]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert cli._build_parser() is not cli._build_parser()
+        assert reused == [_call(main, argv) for argv in sequence]
