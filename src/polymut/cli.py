@@ -417,7 +417,8 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
     mutation = _module("mutation")
     deform = _module("deform")
     out = []
-    ok = dual(dual(T)) == T
+    Tstar = dual(T)
+    ok = dual(Tstar) == T
     out.append(_entry(path, "dual-involution", "pass" if ok else "fail"))
     if len(T.vertices) == 3:
         cls = diophantine_class(weights(T))
@@ -427,9 +428,9 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
         for md in mutation.find_factors(T, w):
             tag = f"w={w} t={md.t}"
             Q = mutation.mutate(T, md)
-            ok = area(dual(Q)) == area(dual(T))
+            ok = area(dual(Q)) == area(Tstar)
             out.append(_entry(path, f"dual-area [{tag}]", "pass" if ok else "fail"))
-            ok = dual(mutation.dual_map(md, dual(T))) == Q
+            ok = dual(mutation.dual_map(md, Tstar)) == Q
             out.append(_entry(path, f"duality-commutation [{tag}]", "pass" if ok else "fail"))
             if cls is not None and len(Q.vertices) == 3:
                 ok = diophantine_class(weights(Q)) == cls

@@ -381,15 +381,13 @@ def mutation_to_deformation(
     Pstar = dual(Pn)
     Qstar = dual(Q)
     auto = math.lcm(_denominator_lcm(Pstar), _denominator_lcm(Qstar))
-    if dilation is None:
-        a = auto
-    else:
-        a = dilation
-        if a < 1 or not dilate(Pstar, a).is_lattice():
-            raise NoLatticeDilation(
-                f"dilation {a} does not make the dual a lattice polygon (minimal valid: {auto})"
-            )
-    dp = from_polygon(dilate(Pstar, a))
+    a = auto if dilation is None else dilation
+    # the automatic dilation always passes: it clears every denominator
+    if a < 1 or not (Pa := dilate(Pstar, a)).is_lattice():
+        raise NoLatticeDilation(
+            f"dilation {a} does not make the dual a lattice polygon (minimal valid: {auto})"
+        )
+    dp = from_polygon(Pa)
     d = standard_decomposition(dp, mdn.t)
     fiber_dp = general_fiber(dp, d)
     red = reduce_to_polygon(fiber_dp)
@@ -416,7 +414,7 @@ def mutation_to_deformation(
     witness = lattice_equivalent(red.polygon, target)
     if witness is None:
         diag = "fiber polygon is not equivalent to the dilated mutated dual"
-        if lattice_equivalent(red.polygon, dilate(Pstar, a)) is not None:
+        if lattice_equivalent(red.polygon, Pa) is not None:
             diag += "; the family is isotrivial (fiber matches the source polarization)"
         raise FiberMismatch(diag)
     cor = corollary_check(d)

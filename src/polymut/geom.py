@@ -189,12 +189,23 @@ class Polygon:
 
     Construction runs a convex hull, so any point list yields the canonical
     representative: CCW, no collinear triples, lex-smallest vertex first.
+    Only `dual`, `dilate` (by r != 0) and `translate` skip the hull, through
+    `_from_cycle`: each maps a canonical cycle to a strictly convex CCW
+    cycle, so only its start can move.
     """
 
     __slots__ = ("vertices",)
 
     def __init__(self, points: Iterable[Vector2]):
         object.__setattr__(self, "vertices", tuple(_hull_of(points)))
+
+    @classmethod
+    def _from_cycle(cls, vs: Sequence[Vector2]) -> "Polygon":
+        # vs is a strictly convex CCW cycle (or one or two distinct points)
+        i = vs.index(min(vs))
+        P = object.__new__(cls)
+        object.__setattr__(P, "vertices", tuple(vs[i:]) + tuple(vs[:i]))
+        return P
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("Polygon is immutable")
@@ -223,7 +234,7 @@ class Polygon:
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def translate(self, t: Vector2) -> "Polygon":
-        return Polygon([v + t for v in self.vertices])
+        return Polygon._from_cycle([v + t for v in self.vertices])
 
     def contains(self, p: Vector2, strict: bool = False) -> bool:
         if strict and self.dim() < 2:
@@ -235,7 +246,8 @@ class Polygon:
         return True
 
     def contains_origin_interior(self) -> bool:
-        return self.contains(ORIGIN, strict=True)
+        # edge (a, b) cuts out n.x >= c with c = n.a = -cross(a, b)
+        return self.dim() == 2 and all(a.cross(b) > 0 for a, b in self.edges())
 
 
 def convex_hull(points: Iterable[Vector2]) -> Polygon:
@@ -244,7 +256,11 @@ def convex_hull(points: Iterable[Vector2]) -> Polygon:
 
 
 def dilate(P: Polygon, r: RationalLike) -> Polygon:
-    return Polygon([v.scale(r) for v in P.vertices])
+    """r*P; for r != 0 the scaled cycle is still CCW and strictly convex
+    (r < 0 turns it by a half turn), for r == 0 it collapses to a point."""
+    r = to_fraction(r)
+    vs = [v.scale(r) for v in P.vertices]
+    return Polygon._from_cycle(vs) if r else Polygon(vs)
 
 
 def mat_apply(U: Mat2, v: Vector2) -> Vector2:
@@ -355,13 +371,16 @@ def dual(P: Polygon) -> Polygon:
     """
     if P.dim() != 2:
         raise NotFullDimensional("dual needs a full-dimensional polygon")
-    if not P.contains_origin_interior():
-        raise OriginNotInterior("dual needs the origin strictly inside")
     verts = []
     for a, b in P.edges():
+        # the origin is strictly inside exactly when every det is positive
+        # (see contains_origin_interior); then the vertices dual to the CCW
+        # edges are again a strictly convex CCW cycle
         det = a.cross(b)
+        if det <= 0:
+            raise OriginNotInterior("dual needs the origin strictly inside")
         verts.append(Vector2(qdiv(a.y - b.y, det), qdiv(b.x - a.x, det)))
-    return Polygon(verts)
+    return Polygon._from_cycle(verts)
 
 
 def height_range(P: Polygon, w: Vector2) -> tuple[Rational, Rational]:

@@ -14,6 +14,7 @@ from polymut.geom import (
     ZeroVector,
     area,
     convex_hull,
+    dilate,
     dual,
     height_basis,
     height_range,
@@ -642,3 +643,131 @@ class TestLatticeBasis:
             shuffled = vs + [(vs[0][0] + vs[-1][0], vs[0][1] + vs[-1][1])] if vs else []
             rng.shuffle(shuffled)
             assert _lattice_basis(shuffled) == (g1, h, g2)
+
+
+def _types(R):
+    return [(type(v.x), type(v.y)) for v in R.vertices]
+
+
+def _assert_is_hull_of(R, pts):
+    """R is canonical and equals the convex hull of pts, coordinate types
+    included (an int where the value is integral)."""
+    H = convex_hull(pts)
+    assert R == Polygon(list(R.vertices)) == H
+    assert _types(R) == _types(H)
+
+
+def _dual_points(Q):
+    # one point per edge, solved as the intersection of <u, a> = <u, b> = -1
+    out = []
+    for a, b in Q.edges():
+        det = a.x * b.y - a.y * b.x
+        out.append(Vector2(Fraction(a.y - b.y, det), Fraction(b.x - a.x, det)))
+    return out
+
+
+class TestCycleConstructor:
+    """dual, dilate and translate keep the vertex cycle they are given and
+    skip the hull; the hull of the same points is the oracle."""
+
+    RATIOS = (2, Fraction(1, 3), -1, Fraction(-5, 2))
+
+    def _check(self, Q, rng):
+        if Q.contains_origin_interior():
+            D = dual(Q)
+            _assert_is_hull_of(D, _dual_points(Q))
+            _assert_is_hull_of(dual(D), _dual_points(D))
+            assert dual(D) == Q
+        for r in self.RATIOS:
+            _assert_is_hull_of(dilate(Q, r), [v.scale(r) for v in Q.vertices])
+        t = Vector2(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-9, 9))
+        _assert_is_hull_of(Q.translate(t), [v + t for v in Q.vertices])
+
+    def test_random_fano_polygons(self):
+        rng = random.Random(23)
+        for Q in _random_fano_polygons(rng, 120):
+            self._check(Q, rng)
+            self._check(dual(Q), rng)
+
+    def test_mutation_graph_nodes(self):
+        from polymut.fano import triangle_from_weights
+        from polymut.mutation import mutation_graph
+
+        rng = random.Random(29)
+        g = mutation_graph(triangle_from_weights((1, 2, 3)), 4)
+        assert len(g.nodes) > 10
+        for node in g.nodes:
+            self._check(node.polygon, rng)
+
+    def test_points_segments_and_non_fano_polygons(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            Q = _random_lattice_polygon(rng, span=4, n=rng.randint(1, 5))
+            self._check(Q, rng)
+
+    def test_dilate_by_zero_is_one_point(self):
+        for Q in (P((1, 0), (0, 1), (-1, -1)), P((1, 2), (3, 4)), P((5, 7))):
+            assert dilate(Q, 0) == P((0, 0))
+            assert dilate(Q, 0).vertices == (ORIGIN,)
+
+
+def _random_rational(rng, span=4):
+    return Fraction(rng.randint(-span, span), rng.randint(1, 3))
+
+
+def _random_point(rng):
+    return Vector2(_random_rational(rng), _random_rational(rng))
+
+
+def _origin_cases(rng):
+    """A rational point set of 1 to 6 points, of a kind chosen to put the
+    origin inside, outside, on an edge or at a vertex of its hull, or to
+    make a point or a segment."""
+    kind = rng.choice(["point", "segment", "edge", "vertex", "outside", "inside", "any"])
+    if kind == "point":
+        return [rng.choice([ORIGIN, _random_point(rng)])]
+    if kind == "segment":
+        a, d = rng.choice([ORIGIN, _random_point(rng)]), _random_point(rng)
+        return [a + d.scale(_random_rational(rng)) for _ in range(rng.randint(2, 6))]
+    if kind == "edge":
+        p = _random_point(rng)
+        q = p.scale(-Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        side = [x for x in (_random_point(rng) for _ in range(rng.randint(1, 4))) if p.cross(x) > 0]
+        return [p, q] + side
+    if kind == "vertex":
+        return [ORIGIN] + [Vector2(_random_rational(rng), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+    if kind == "outside":
+        return [Vector2(rng.randint(1, 4), _random_rational(rng)) for _ in range(rng.randint(1, 6))]
+    if kind == "inside":
+        # a point on each half-axis, so the origin is strictly inside
+        a, b, c, d = (Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(4))
+        extra = [_random_point(rng) for _ in range(rng.randint(0, 2))]
+        return [Vector2(a, 0), Vector2(-b, 0), Vector2(0, c), Vector2(0, -d)] + extra
+    return [_random_point(rng) for _ in range(rng.randint(1, 6))]
+
+
+def test_origin_test_by_edge_determinants_matches_halfplanes():
+    rng = random.Random(37)
+    seen = {"point": 0, "segment": 0, "edge": 0, "vertex": 0, "outside": 0, "inside": 0}
+    for _ in range(400):
+        Q = Polygon(_origin_cases(rng))
+        inside = Q.contains(ORIGIN, strict=True)
+        assert Q.contains_origin_interior() == inside
+        if Q.dim() < 2:
+            seen["point" if Q.dim() == 0 else "segment"] += 1
+            with pytest.raises(NotFullDimensional, match="^dual needs a full-dimensional polygon$"):
+                dual(Q)
+            continue
+        if inside:
+            seen["inside"] += 1
+            assert dual(dual(Q)) == Q
+            continue
+        if ORIGIN in Q.vertices:
+            seen["vertex"] += 1
+        elif Q.contains(ORIGIN):
+            seen["edge"] += 1
+        else:
+            seen["outside"] += 1
+        with pytest.raises(OriginNotInterior, match="^dual needs the origin strictly inside$"):
+            dual(Q)
+    assert min(seen.values()) >= 30, seen

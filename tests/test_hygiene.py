@@ -125,3 +125,14 @@ def test_benchmark_trace_targets_resolve():
         if not callable(obj):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def test_only_geom_builds_polygons_without_a_hull():
+    # Polygon._from_cycle trusts its input to be a strictly convex CCW
+    # cycle; only geom's dual, dilate and translate can vouch for that
+    offenders = [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node, at_home in _nodes("geom.py")
+        if _name(node) == "_from_cycle" and not at_home
+    ]
+    assert offenders == []
