@@ -105,11 +105,14 @@ def is_admissible(phi: PLFunc, phi0: PLFunc, phi1: PLFunc) -> AdmissibilityRepor
             violations.append(f"{name}: graph vertices not in the lattice")
     if phi0 + phi1 != phi:
         violations.append("parts do not sum to the decomposed function")
+    parts = (phi0.pieces(), phi1.pieces())
     for a, b, _ in phi.pieces():
-        bad = 0
-        for part in (phi0, phi1):
-            if any(s.denominator != 1 for s in part.slopes_on(a, b)):
-                bad += 1
+        # a part is bad on [a, b] when a piece of it meeting [a, b] has a
+        # non-integral slope
+        bad = sum(
+            any(s.denominator != 1 for l, r, s in pieces if l < b and a < r)
+            for pieces in parts
+        )
         if bad > 1:
             violations.append(f"both parts have non-integral slope on [{a}, {b}]")
     return AdmissibilityReport(not violations, tuple(violations))
@@ -188,8 +191,8 @@ def _shift_candidates(dp: DivPoly) -> list[ShiftRecord]:
         if cf.is_zero():
             continue
         zeroes_from = cf.is_affine()
-        for a, b, slope in cf.pieces():
-            intercept = cf(a) - slope * a
+        for (a, _, slope), va in zip(cf.pieces(), cf.values):
+            intercept = va - slope * a
             for to in labels:
                 if to == frm:
                     continue

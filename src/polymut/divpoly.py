@@ -6,6 +6,17 @@ finitely many concave piecewise-linear coefficient functions labelled by
 points of the projective line; unlabelled points implicitly carry the zero
 function.  A lattice polygon gives one via its upper envelope (the
 coefficient at zero) and its negated lower envelope (at infinity).
+
+Values are coerced once, where they come in: `PLFunc(...)`, the public
+constructors `constant`, `affine` and `min_of_affines`, `DivPoly(...)`,
+`shift_affine` and the JSON readers, which take JSON lists only.  The
+results of divpoly's own arithmetic are built by the trusted
+`PLFunc._canonical`, which assumes ints and Fractions, folds an integral
+Fraction to its int, and still merges collinear breakpoints and refuses
+breakpoints that do not increase or slopes that do not decrease; and by
+`DivPoly._of`, which assumes a stored box and coefficients defined on it.
+Sums and the reduction evaluate a function at sorted points in one walk
+along its breakpoints (`PLFunc._at`).
 """
 
 from __future__ import annotations
@@ -76,6 +87,8 @@ class PointLabel:
 
     @staticmethod
     def parse(s: str) -> "PointLabel":
+        if not isinstance(s, str):
+            raise DomainError(f"point label must be a string: {s!r}")
         if s == "0":
             return ZERO
         if s == "inf":
@@ -92,31 +105,68 @@ def interval_str(iv: tuple[Rational, Rational]) -> str:
     return f"({iv[0]}, {iv[1]})"
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _canonical_form(
+    bs: Sequence[Rational], vs: Sequence[Rational]
+) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
+    """Breakpoints and values of the concave function through the points
+    (bs[i], vs[i]), with every breakpoint where the slope does not change
+    merged away.  Refuses breakpoints that do not strictly increase
+    (DomainError), then slopes that do not decrease (ConcavityBroken).
+
+    With positive runs db, slope i-1 exceeds slope i exactly when
+    dv[i-1]*db[i] > dv[i]*db[i-1], so no slope is divided out."""
+    db = [b2 - b1 for b1, b2 in zip(bs, bs[1:])]
+    if any(d <= 0 for d in db):
+        raise DomainError("breakpoints must be strictly increasing")
+    dv = [v2 - v1 for v1, v2 in zip(vs, vs[1:])]
+    kb, kv = [bs[0]], [vs[0]]
+    for i in range(1, len(db)):
+        c = dv[i - 1] * db[i] - dv[i] * db[i - 1]
+        if c < 0:
+            raise ConcavityBroken("slopes must be nonincreasing")
+        if c:
+            kb.append(bs[i])
+            kv.append(vs[i])
+    kb.append(bs[-1])
+    kv.append(vs[-1])
+    return tuple(kb), tuple(kv)
+
+
 class PLFunc:
     """Concave piecewise-linear function on a rational interval, stored by
-    breakpoints and values with no redundant breakpoints."""
+    breakpoints and values with no redundant breakpoints.
+
+    The constructor reads its points through to_fraction.  Functions that
+    the library computes go through `_canonical`, which trusts them."""
 
     __slots__ = ("breaks", "values")
 
     def __init__(self, breaks: Sequence[RationalLike], values: Sequence[RationalLike]):
-        bs = tuple(to_fraction(b) for b in breaks)
-        vs = tuple(to_fraction(v) for v in values)
+        bs = [to_fraction(b) for b in breaks]
+        vs = [to_fraction(v) for v in values]
         if len(bs) != len(vs) or len(bs) < 2:
             raise DomainError("need matching breakpoint and value lists (>= 2 points)")
-        if any(b1 >= b2 for b1, b2 in zip(bs, bs[1:])):
-            raise DomainError("breakpoints must be strictly increasing")
-        # merge breakpoints where the slope does not change; the slopes of
-        # the kept segments are then the merged ones
-        slopes = [qdiv(vs[i + 1] - vs[i], bs[i + 1] - bs[i]) for i in range(len(bs) - 1)]
-        keep = [0] + [i for i in range(1, len(bs) - 1) if slopes[i - 1] != slopes[i]]
-        slopes = [slopes[i] for i in keep]
-        keep.append(len(bs) - 1)
-        bs = tuple(bs[i] for i in keep)
-        vs = tuple(vs[i] for i in keep)
-        if any(s1 <= s2 for s1, s2 in zip(slopes, slopes[1:])):
-            raise ConcavityBroken("slopes must be nonincreasing")
-        object.__setattr__(self, "breaks", bs)
-        object.__setattr__(self, "values", vs)
+        bs, vs = _canonical_form(bs, vs)
+        _set(self, "breaks", bs)
+        _set(self, "values", vs)
+
+    @classmethod
+    def _canonical(cls, bs: Sequence[Rational], vs: Sequence[Rational]) -> "PLFunc":
+        # bs and vs are ints or Fractions computed from stored values, at
+        # least two and as many of each; integral Fractions (1/2 + 1/2) are
+        # folded to their ints, and the merge and both checks still run
+        bs, vs = _canonical_form(
+            [b if type(b) is int or b.denominator != 1 else b.numerator for b in bs],
+            [v if type(v) is int or v.denominator != 1 else v.numerator for v in vs],
+        )
+        f = _new(cls)
+        _set(f, "breaks", bs)
+        _set(f, "values", vs)
+        return f
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("PLFunc is immutable")
@@ -131,7 +181,7 @@ class PLFunc:
     def affine(domain: tuple[RationalLike, RationalLike], slope: RationalLike, intercept: RationalLike) -> "PLFunc":
         a, b = to_fraction(domain[0]), to_fraction(domain[1])
         s, c = to_fraction(slope), to_fraction(intercept)
-        return PLFunc([a, b], [s * a + c, s * b + c])
+        return PLFunc._canonical((a, b), (s * a + c, s * b + c))
 
     @staticmethod
     def min_of_affines(domain: tuple[RationalLike, RationalLike], affines: Iterable[tuple[RationalLike, RationalLike]]) -> "PLFunc":
@@ -151,7 +201,7 @@ class PLFunc:
                         us.add(u)
         bs = sorted(us)
         vs = [min(s * u + c for s, c in fns) for u in bs]
-        return PLFunc(bs, vs)
+        return PLFunc._canonical(bs, vs)
 
     # --- basic queries ---
 
@@ -170,6 +220,23 @@ class PLFunc:
         v1, v2 = self.values[i], self.values[i + 1]
         return v1 + qdiv((v2 - v1) * (u - b1), b2 - b1)
 
+    def _at(self, us: Sequence[Rational]) -> list[Rational]:
+        """The values at the points us, which are sorted and lie in the
+        domain, in one walk along the breakpoints; each equals self(u)."""
+        bs, vs = self.breaks, self.values
+        last = len(bs) - 1
+        out = []
+        i = 0
+        for u in us:
+            while i < last and bs[i + 1] <= u:
+                i += 1
+            b1, v1 = bs[i], vs[i]
+            if u == b1:
+                out.append(v1)
+            else:
+                out.append(v1 + qdiv((vs[i + 1] - v1) * (u - b1), bs[i + 1] - b1))
+        return out
+
     def slopes(self) -> tuple[Rational, ...]:
         return tuple(
             qdiv(v2 - v1, b2 - b1)
@@ -182,9 +249,6 @@ class PLFunc:
             (b1, b2, s)
             for (b1, b2), s in zip(zip(self.breaks, self.breaks[1:]), self.slopes())
         )
-
-    def slopes_on(self, a: Rational, b: Rational) -> tuple[Rational, ...]:
-        return tuple(s for l, r, s in self.pieces() if l < b and a < r)
 
     def is_affine(self) -> bool:
         return len(self.breaks) == 2
@@ -210,8 +274,9 @@ class PLFunc:
             raise DomainMismatch(
                 f"domains differ: {interval_str(self.domain)} vs {interval_str(other.domain)}"
             )
-        us = sorted(set(self.breaks) | set(other.breaks))
-        return PLFunc(us, [self(u) + sign * other(u) for u in us])
+        us = sorted(set(self.breaks).union(other.breaks))
+        pairs = zip(self._at(us), other._at(us))
+        return PLFunc._canonical(us, [x + y for x, y in pairs] if sign > 0 else [x - y for x, y in pairs])
 
     def __add__(self, other: "PLFunc") -> "PLFunc":
         return self._binop(other, 1)
@@ -219,9 +284,9 @@ class PLFunc:
     def __sub__(self, other: "PLFunc") -> "PLFunc":
         return self._binop(other, -1)
 
-    def add_affine(self, slope: RationalLike, intercept: RationalLike) -> "PLFunc":
-        s, c = to_fraction(slope), to_fraction(intercept)
-        return PLFunc(self.breaks, [v + s * b + c for v, b in zip(self.values, self.breaks)])
+    def _plus_affine(self, s: Rational, c: Rational) -> "PLFunc":
+        # self plus the affine function s*u + c, for exact s and c
+        return PLFunc._canonical(self.breaks, [v + s * b + c for v, b in zip(self.values, self.breaks)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -247,7 +312,10 @@ class PLFunc:
     def from_json(obj) -> "PLFunc":
         if not isinstance(obj, dict) or "breaks" not in obj or "values" not in obj:
             raise DomainError("PL function JSON needs 'breaks' and 'values'")
-        return PLFunc([to_fraction(b) for b in obj["breaks"]], [to_fraction(v) for v in obj["values"]])
+        for key in ("breaks", "values"):
+            if not isinstance(obj[key], list):
+                raise DomainError(f"PL function {key!r} must be a list: {obj[key]!r}")
+        return PLFunc(obj["breaks"], obj["values"])
 
 
 class DivPoly:
@@ -268,8 +336,17 @@ class DivPoly:
                     f"coefficient at {label} has domain {interval_str(f.domain)}, "
                     f"box is {interval_str((lo, hi))}"
                 )
-        object.__setattr__(self, "box", (lo, hi))
-        object.__setattr__(self, "coeffs", cs)
+        _set(self, "box", (lo, hi))
+        _set(self, "coeffs", cs)
+
+    @classmethod
+    def _of(cls, box: tuple[Rational, Rational], coeffs: dict[PointLabel, PLFunc]) -> "DivPoly":
+        # box is a stored (lo, hi) with lo < hi, and every coefficient is
+        # keyed by a PointLabel and defined on exactly that box
+        dp = _new(cls)
+        _set(dp, "box", box)
+        _set(dp, "coeffs", coeffs)
+        return dp
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("DivPoly is immutable")
@@ -292,7 +369,7 @@ class DivPoly:
         """The stored coefficient, or the zero function for unlabelled points."""
         f = self.coeffs.get(label)
         if f is None:
-            return PLFunc.constant(self.box, 0)
+            return PLFunc._canonical(self.box, (0, 0))
         return f
 
     def nontrivial_labels(self) -> list[PointLabel]:
@@ -303,11 +380,11 @@ class DivPoly:
         concave in general, but sums of concave functions are concave)."""
         fs = list(self.coeffs.values())
         if not fs:
-            return PLFunc.constant(self.box, 0)
-        acc = fs[0]
-        for f in fs[1:]:
-            acc = acc + f
-        return acc
+            return PLFunc._canonical(self.box, (0, 0))
+        if len(fs) == 1:
+            return fs[0]
+        us = sorted(set().union(*(f.breaks for f in fs)))
+        return PLFunc._canonical(us, [sum(col) for col in zip(*(f._at(us) for f in fs))])
 
     def with_coefficient(self, label: PointLabel, f: PLFunc) -> "DivPoly":
         cs = dict(self.coeffs)
@@ -324,9 +401,12 @@ class DivPoly:
     def from_json(obj) -> "DivPoly":
         if not isinstance(obj, dict) or "box" not in obj or "coeffs" not in obj:
             raise DomainError("divisorial polytope JSON needs 'box' and 'coeffs'")
-        box = (to_fraction(obj["box"][0]), to_fraction(obj["box"][1]))
-        coeffs = {PointLabel.parse(k): PLFunc.from_json(v) for k, v in obj["coeffs"].items()}
-        return DivPoly(box, coeffs)
+        box, coeffs = obj["box"], obj["coeffs"]
+        if not isinstance(box, list) or len(box) != 2:
+            raise DomainError(f"divisorial polytope 'box' must be a list of two rationals: {box!r}")
+        if not isinstance(coeffs, dict):
+            raise DomainError(f"divisorial polytope 'coeffs' must be an object: {coeffs!r}")
+        return DivPoly(box, {PointLabel.parse(k): PLFunc.from_json(v) for k, v in coeffs.items()})
 
 
 def _lower_chain(P: Polygon) -> list[tuple[Rational, Rational]]:
@@ -354,12 +434,12 @@ def from_polygon(delta: Polygon) -> DivPoly:
     if not delta.is_lattice():
         raise NotLatticePolygon("need a lattice polygon")
     lower = _lower_chain(delta)
-    reflected = Polygon([Vector2(v.x, -v.y) for v in delta.vertices])
+    reflected = Polygon([Vector2._of(v.x, -v.y) for v in delta.vertices])
     upper = [(x, -y) for x, y in _lower_chain(reflected)]
-    phi_zero = PLFunc([x for x, _ in upper], [y for _, y in upper])
-    phi_inf = PLFunc([x for x, _ in lower], [-y for _, y in lower])
+    phi_zero = PLFunc._canonical([x for x, _ in upper], [y for _, y in upper])
+    phi_inf = PLFunc._canonical([x for x, _ in lower], [-y for _, y in lower])
     box = (lower[0][0], lower[-1][0])
-    return DivPoly(box, {ZERO: phi_zero, INFINITY: phi_inf})
+    return DivPoly._of(box, {ZERO: phi_zero, INFINITY: phi_inf})
 
 
 def to_polygon(dp: DivPoly) -> Polygon:
@@ -371,17 +451,16 @@ def to_polygon(dp: DivPoly) -> Polygon:
         raise TooManyNontrivialCoefficients(
             f"{len(nt)} nontrivial coefficients: {[str(l) for l in nt]}"
         )
-    upper = dp.coefficient(nt[0]) if nt else PLFunc.constant(dp.box, 0)
-    lower = dp.coefficient(nt[1]) if len(nt) > 1 else PLFunc.constant(dp.box, 0)
-    us = sorted(set(upper.breaks) | set(lower.breaks))
+    upper = dp.coefficient(nt[0]) if nt else PLFunc._canonical(dp.box, (0, 0))
+    lower = dp.coefficient(nt[1]) if len(nt) > 1 else PLFunc._canonical(dp.box, (0, 0))
+    us = sorted(set(upper.breaks).union(lower.breaks))
     pts = []
-    for u in us:
-        hi = upper(u)
-        lo = -lower(u)
+    for u, hi, lo in zip(us, upper._at(us), lower._at(us)):
+        lo = -lo
         if hi < lo:
             raise EmptyFiber(f"empty fiber over u = {u}")
-        pts.append(Vector2(u, hi))
-        pts.append(Vector2(u, lo))
+        pts.append(Vector2._of(u, hi))
+        pts.append(Vector2._of(u, lo))
     return Polygon(pts)
 
 
@@ -395,8 +474,7 @@ def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:
     out = []
     deg = dp.degree()
     lo, hi = dp.box
-    for u in deg.breaks:
-        d = deg(u)
+    for u, d in zip(deg.breaks, deg.values):
         if u in (lo, hi):
             if d < 0:
                 out.append(f"degree negative at endpoint u={u}")
@@ -437,9 +515,8 @@ def shift_affine(
     if frm == to:
         raise DomainError("shift endpoints must differ")
     s, c = to_fraction(slope), to_fraction(intercept)
-    f_from = dp.coefficient(frm).add_affine(-s, -c)
-    f_to = dp.coefficient(to).add_affine(s, c)
     cs = dict(dp.coeffs)
-    cs[frm] = f_from
-    cs[to] = f_to
-    return DivPoly(dp.box, cs)
+    cs[frm] = dp.coefficient(frm)._plus_affine(-s, -c)
+    cs[to] = dp.coefficient(to)._plus_affine(s, c)
+    # adding an affine function keeps each coefficient's domain
+    return DivPoly._of(dp.box, cs)

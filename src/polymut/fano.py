@@ -4,7 +4,6 @@ and the Vieta tree of solutions of each Diophantine class."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .geom import Polygon, Vector2, height_basis, is_primitive, qdiv
@@ -29,14 +28,30 @@ class NotDivisible(DomainError):
     pass
 
 
-@dataclass(frozen=True)
 class DiophantineClass:
     """The equation m*x1*x2*x3 = k*(c1*x1^2 + c2*x2^2 + c3*x3^2) that the
     weights of a fake plane solve; c is the sorted squarefree-part multiset."""
 
-    m: int
-    k: int
-    c: tuple[int, int, int]
+    __slots__ = ("m", "k", "c")
+
+    def __init__(self, m: int, k: int, c: tuple[int, int, int]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, *a):
+        raise AttributeError("DiophantineClass is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DiophantineClass:
+            return NotImplemented
+        return (self.m, self.k, self.c) == (other.m, other.k, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.k, self.c))
+
+    def __repr__(self) -> str:
+        return f"DiophantineClass(m={self.m!r}, k={self.k!r}, c={self.c!r})"
 
     def to_json(self) -> dict:
         return {"m": self.m, "k": self.k, "c": list(self.c)}

@@ -6,6 +6,13 @@ Coordinates are exact rationals: an `int` when the value is integral, a
 is exact, so results compare with ``==``.  Vectors and polygons are
 immutable values and safe to share between threads.
 
+Values are coerced once, where they come in: `Vector2(x, y)`, `dilate`
+and the JSON readers run `to_fraction`.  A vector computed from stored
+coordinates (by `+`, `-`, `scale`, `mat_apply`, `dual`, or the mutation
+and divpoly kernels) is built by the trusted `Vector2._of`, which assumes
+ints and Fractions and only folds an integral Fraction, such as
+1/2 + 1/2, to its int.  `scale` takes an exact int or Fraction.
+
 A vector may play the role of a point of the one-parameter-subgroup
 lattice or of a character (height function); the pairing between the two
 is the dot product.  Which role a vector plays is a documentation-level
@@ -19,9 +26,9 @@ participate in all operations without special-casing by the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -91,29 +98,60 @@ def qdiv(a: Rational, b: Rational) -> Rational:
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True, order=True)
-class Vector2:
-    """A point/vector of the rational plane with exact coordinates."""
+_new = object.__new__
+_set = object.__setattr__
 
-    x: Rational
-    y: Rational
+
+@functools.total_ordering  # vectors order as their (x, y) pairs
+class Vector2:
+    """A point/vector of the rational plane with exact coordinates.
+
+    The constructor reads its coordinates through to_fraction.  Vectors
+    that the library computes go through `_of`, which trusts them."""
+
+    __slots__ = ("x", "y")
 
     def __init__(self, x: RationalLike, y: RationalLike):
-        object.__setattr__(self, "x", to_fraction(x))
-        object.__setattr__(self, "y", to_fraction(y))
+        _set(self, "x", to_fraction(x))
+        _set(self, "y", to_fraction(y))
+
+    @classmethod
+    def _of(cls, x: Rational, y: Rational) -> "Vector2":
+        # x and y are ints or Fractions computed from stored coordinates, so
+        # only an integral Fraction (1/2 + 1/2) is left to fold to its int
+        v = _new(cls)
+        _set(v, "x", x if type(x) is int or x.denominator != 1 else x.numerator)
+        _set(v, "y", y if type(y) is int or y.denominator != 1 else y.numerator)
+        return v
+
+    def __setattr__(self, *a):
+        raise AttributeError("Vector2 is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Vector2:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __lt__(self, other: "Vector2") -> bool:
+        if other.__class__ is not Vector2:
+            return NotImplemented
+        return (self.x, self.y) < (other.x, other.y)
 
     def __add__(self, other: "Vector2") -> "Vector2":
-        return Vector2(self.x + other.x, self.y + other.y)
+        return Vector2._of(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Vector2") -> "Vector2":
-        return Vector2(self.x - other.x, self.y - other.y)
+        return Vector2._of(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "Vector2":
-        return Vector2(-self.x, -self.y)
+        return Vector2._of(-self.x, -self.y)
 
-    def scale(self, r: RationalLike) -> "Vector2":
-        r = to_fraction(r)
-        return Vector2(r * self.x, r * self.y)
+    def scale(self, r: Rational) -> "Vector2":
+        # r is an exact int or Fraction, as a vector's coordinates are
+        return Vector2._of(r * self.x, r * self.y)
 
     def dot(self, other: "Vector2") -> Rational:
         return self.x * other.x + self.y * other.y
@@ -145,7 +183,7 @@ def primitivize(v: Vector2) -> Vector2:
         raise ZeroVector("cannot primitivize the zero vector")
     a, b = v.as_ints()
     g = math.gcd(a, b)
-    return Vector2(a // g, b // g)
+    return Vector2._of(a // g, b // g)
 
 
 def is_primitive(v: Vector2) -> bool:
@@ -265,7 +303,7 @@ def dilate(P: Polygon, r: RationalLike) -> Polygon:
 
 def mat_apply(U: Mat2, v: Vector2) -> Vector2:
     (a, b), (c, d) = U
-    return Vector2(a * v.x + b * v.y, c * v.x + d * v.y)
+    return Vector2._of(a * v.x + b * v.y, c * v.x + d * v.y)
 
 
 def mat_det(U: Mat2) -> int:
@@ -296,15 +334,15 @@ def _halfplanes(P: Polygon) -> list[tuple[Vector2, Rational]]:
     if len(v) == 1:
         p = v[0]
         return [
-            (Vector2(1, 0), p.x),
-            (Vector2(-1, 0), -p.x),
-            (Vector2(0, 1), p.y),
-            (Vector2(0, -1), -p.y),
+            (Vector2._of(1, 0), p.x),
+            (Vector2._of(-1, 0), -p.x),
+            (Vector2._of(0, 1), p.y),
+            (Vector2._of(0, -1), -p.y),
         ]
     if len(v) == 2:
         a, b = v
         d = b - a
-        n = Vector2(-d.y, d.x)
+        n = Vector2._of(-d.y, d.x)
         return [
             (n, n.dot(a)),
             (-n, -n.dot(a)),
@@ -314,7 +352,7 @@ def _halfplanes(P: Polygon) -> list[tuple[Vector2, Rational]]:
     out = []
     for a, b in P.edges():
         d = b - a
-        n = Vector2(-d.y, d.x)  # inward for CCW order
+        n = Vector2._of(-d.y, d.x)  # inward for CCW order
         out.append((n, n.dot(a)))
     return out
 
@@ -379,7 +417,7 @@ def dual(P: Polygon) -> Polygon:
         det = a.cross(b)
         if det <= 0:
             raise OriginNotInterior("dual needs the origin strictly inside")
-        verts.append(Vector2(qdiv(a.y - b.y, det), qdiv(b.x - a.x, det)))
+        verts.append(Vector2._of(qdiv(a.y - b.y, det), qdiv(b.x - a.x, det)))
     return Polygon._from_cycle(verts)
 
 
@@ -402,10 +440,10 @@ def height_basis(w: Vector2) -> tuple[Vector2, Vector2, Vector2]:
     if not is_primitive(w):
         raise NotPrimitive(f"height function must be primitive: {w}")
     p, q = w.as_ints()
-    f0 = Vector2(-q, p)
+    f0 = Vector2._of(-q, p)
     g, a, b = extgcd(p, q)
-    vw = Vector2(a, b)  # a*p + b*q == 1
-    s = Vector2(-b, a)
+    vw = Vector2._of(a, b)  # a*p + b*q == 1
+    s = Vector2._of(-b, a)
     return f0, vw, s
 
 
@@ -448,8 +486,8 @@ def lattice_points(P: Polygon) -> list[Vector2]:
     out = []
     xs = [v.x for v in P.vertices]
     for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
-        ys = [v.y for v in _cut(P, Vector2(1, 0), x)]
-        out.extend(Vector2(x, y) for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1))
+        ys = [v.y for v in _cut(P, Vector2._of(1, 0), x)]
+        out.extend(Vector2._of(x, y) for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1))
     return out
 
 

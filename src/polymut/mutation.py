@@ -200,7 +200,7 @@ def _mutant(prof: _Profile, t: int) -> Polygon:
             a += h * t
         # the row ends h*vw + a*f0 and h*vw + b*f0, one Vector2 each
         x, y = h * ux, h * uy
-        pts += (Vector2(x + a * fx, y + a * fy), Vector2(x + b * fx, y + b * fy))
+        pts += (Vector2._of(x + a * fx, y + a * fy), Vector2._of(x + b * fx, y + b * fy))
     Q = Polygon(pts)
     if not Q.is_lattice():  # pragma: no cover - structural guarantee
         raise AssertionError("mutation produced a non-lattice polygon")
@@ -287,7 +287,7 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     out = []
     for a, b in P.edges():
         d = b - a
-        out.append(primitivize(Vector2(-d.y, d.x)))  # inner normal for CCW order
+        out.append(primitivize(Vector2._of(-d.y, d.x)))  # inner normal for CCW order
     return sorted(set(out))
 
 

@@ -376,6 +376,34 @@ class TestErrorsAndDeterminism:
         check_schema(out, "error")
 
     @pytest.mark.parametrize(
+        "part1, message",
+        [
+            ({"breaks": [0, 1], "values": 5}, "PL function 'values' must be a list: 5"),
+            ({"breaks": "01", "values": [0, 0]}, "PL function 'breaks' must be a list: '01'"),
+        ],
+        ids=["number", "string"],
+    )
+    def test_check_corollary_non_list_exit_1(self, capsys, part1, message):
+        # a number used to end in a TypeError traceback, and a string was
+        # read character by character as a list of breakpoints
+        part0 = {"breaks": [0, 1], "values": [0, 0]}
+        cert = {"decomposition": {"label": "inf", "part0": part0, "part1": part1}}
+        code, out = run_json(capsys, "check-corollary", "--certificate", json.dumps(cert))
+        assert code == 1
+        assert out["error"] == {"type": "DomainError", "message": message}
+        check_schema(out, "error")
+
+    @pytest.mark.parametrize("label", [5, None, ["inf"]])
+    def test_check_corollary_non_string_label_exit_1(self, capsys, label):
+        # JSON 5 used to become a parameter point named 5
+        part = {"breaks": [0, 1], "values": [0, 0]}
+        cert = {"decomposition": {"label": label, "part0": part, "part1": part}}
+        code, out = run_json(capsys, "check-corollary", "--certificate", json.dumps(cert))
+        assert code == 1
+        assert out["error"] == {"type": "DomainError", "message": f"point label must be a string: {label!r}"}
+        check_schema(out, "error")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["dual", "--polygon", WIDE],
@@ -591,15 +619,18 @@ EXPORTS = {
 }
 
 
-def _child_polymut_modules(code: str) -> tuple[subprocess.CompletedProcess, list[str]]:
-    """A child interpreter that runs `code`, and the polymut modules in its
-    sys.modules afterwards, which it writes as the last line of stderr."""
+def _child_polymut_modules(
+    code: str, packages: tuple[str, ...] = ("polymut",)
+) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """A child interpreter that runs `code`, and the modules of `packages`
+    in its sys.modules afterwards, which it writes as the last line of
+    stderr."""
     script = (
         "import sys\n"
         "try:\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
         + "finally:\n"
-        "    print(*sorted(n for n in sys.modules if n.split('.')[0] == 'polymut'), file=sys.stderr)\n"
+        f"    print(*sorted(n for n in sys.modules if n.split('.')[0] in {packages!r}), file=sys.stderr)\n"
     )
     r = subprocess.run(
         [sys.executable, "-c", script],
@@ -644,17 +675,28 @@ def _call(main_fn, argv) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# what `python -m polymut markov --depth 0` runs
+MARKOV_DEPTH_0 = (
+    "import runpy\n"
+    "sys.argv = ['polymut', 'markov', '--depth', '0']\n"
+    "runpy.run_module('polymut', run_name='__main__', alter_sys=True)"
+)
+
+
 class TestColdStart:
     def test_markov_imports_only_geom_and_fano(self):
-        # what `python -m polymut markov --depth 0` runs
-        r, names = _child_polymut_modules(
-            "import runpy\n"
-            "sys.argv = ['polymut', 'markov', '--depth', '0']\n"
-            "runpy.run_module('polymut', run_name='__main__', alter_sys=True)"
-        )
+        r, names = _child_polymut_modules(MARKOV_DEPTH_0)
         assert r.returncode == 0, r.stderr
         assert r.stdout == b"[[1, 1, 1]]\n"
         assert names == ["polymut", "polymut.cli", "polymut.errors", "polymut.fano", "polymut.geom"]
+
+    def test_markov_loads_neither_dataclasses_nor_inspect(self):
+        # dataclasses imports inspect, dis and tokenize, about 9 ms of a
+        # cold start; geom's and fano's classes are plain __slots__ classes
+        r, names = _child_polymut_modules(MARKOV_DEPTH_0, ("dataclasses", "inspect"))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == b"[[1, 1, 1]]\n"
+        assert names == []
 
     def test_bare_import_loads_no_submodule(self):
         r, names = _child_polymut_modules("import polymut")

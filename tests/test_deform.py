@@ -381,3 +381,40 @@ def test_digest_of_every_factor_of_every_coprime_triple_up_to_15():
     assert hashlib.sha256(blob).hexdigest() == (
         "6c56d7ac0b87ae5c32bdad1a29018416448fc49a74a73224f8d722ffadd4c82f"
     )
+
+
+def _is_stored(x) -> bool:
+    # an exact rational as geom stores it: an int when integral
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def test_every_certificate_rational_is_stored_canonically():
+    # the trusted constructors fold an integral Fraction such as 1/2 + 1/2
+    # to its int, as to_fraction does; over the certificates of the digest
+    # sweep above, every coordinate, breakpoint and value is in stored form
+    certs = []
+    for c in range(1, 16):
+        for b in range(1, c + 1):
+            for a in range(1, b + 1):
+                if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+                    T = fano.triangle_from_weights((a, b, c))
+                    for w in factor_directions(T):
+                        for md in find_factors(T, w):
+                            for P, m in ((T, md), (mutate(T, md), inverse_data(T, md))):
+                                try:
+                                    certs.append(mutation_to_deformation(P, m))
+                                except DomainError:
+                                    pass
+    bad = []
+    for cert in certs:
+        polygons = (cert.source, cert.normalized_source, cert.mutated, cert.fiber_polygon, cert.target)
+        rationals = [x for Q in polygons for v in Q.vertices for x in (v.x, v.y)]
+        rationals += [cert.witness[1].x, cert.witness[1].y]
+        fs = [cert.decomposition.part0, cert.decomposition.part1]
+        for dp in (cert.divpoly, cert.fiber_divpoly, cert.reduction.divpoly):
+            rationals += dp.box
+            fs += [*dp.coeffs.values(), dp.degree()]
+        rationals += [x for f in fs for x in f.breaks + f.values]
+        bad += [x for x in rationals if not _is_stored(x)]
+    assert len(certs) == 377
+    assert bad == []

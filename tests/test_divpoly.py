@@ -244,3 +244,135 @@ class TestInvariants:
                 continue
             assert to_polygon(from_polygon(Q)) == Q
             done += 1
+
+
+def _exact(rng, x: Fraction):
+    """x as an int or a Fraction; an integral x is a Fraction half the time."""
+    return x.numerator if x.denominator == 1 and rng.random() < 0.5 else x
+
+
+def _random_points(rng):
+    """Breakpoints and values of 2 to 6 exact points: mostly on a concave
+    function with collinear runs, sometimes with a convex turn or with
+    breakpoints that repeat or decrease."""
+    n = rng.randint(2, 6)
+    b = Fraction(rng.randint(-4, 2))
+    v = Fraction(rng.randint(-6, 6), rng.choice([1, 2]))
+    s = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+    bs, vs = [b], [v]
+    for _ in range(n - 1):
+        step = Fraction(rng.randint(1, 6), rng.choice([1, 1, 2, 3]))
+        if rng.random() < 0.05:
+            step = -step if rng.random() < 0.5 else 0
+        b, v = b + step, v + s * step
+        bs.append(b)
+        vs.append(v)
+        r = rng.random()
+        if r < 0.1:
+            s += Fraction(rng.randint(1, 4), rng.choice([1, 2]))  # a convex turn
+        elif r > 0.45:
+            s -= Fraction(rng.randint(1, 4), rng.choice([1, 2, 3]))
+    return [_exact(rng, x) for x in bs], [_exact(rng, x) for x in vs]
+
+
+def _outcome(build, bs, vs):
+    """The stored points and their types, or the class of the refusal."""
+    try:
+        f = build(bs, vs)
+    except DomainError as e:
+        return type(e)
+    return f.breaks, f.values, [type(x) for x in f.breaks + f.values]
+
+
+class TestTrustedConstructor:
+    def test_canonical_matches_public_constructor(self):
+        import random
+
+        rng = random.Random(16)
+        seen = {"merged": 0, "integral Fraction": 0, ConcavityBroken: 0, DomainError: 0}
+        for _ in range(3000):
+            bs, vs = _random_points(rng)
+            got = _outcome(PLFunc._canonical, bs, vs)
+            assert got == _outcome(PLFunc, bs, vs), (bs, vs)
+            if isinstance(got, type):
+                seen[got] += 1
+            elif len(got[0]) < len(bs):
+                seen["merged"] += 1
+            if any(type(x) is Fraction and x.denominator == 1 for x in bs + vs):
+                seen["integral Fraction"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_canonical_folds_integral_fractions(self):
+        half = Fraction(1, 2)
+        f = PLFunc._canonical([Fraction(0), half + half, 2], [half + half, Fraction(4, 2), 1])
+        assert f.breaks == (0, 1, 2) and f.values == (1, 2, 1)
+        assert all(type(x) is int for x in f.breaks + f.values)
+        assert f == PLFunc([0, 1, 2], [1, 2, 1])
+
+    def test_at_matches_call(self):
+        import random
+
+        rng = random.Random(17)
+        done = 0
+        while done < 500:
+            bs, vs = _random_points(rng)
+            try:
+                f = PLFunc(bs, vs)
+            except DomainError:
+                continue
+            lo, hi = f.domain
+            us = sorted(set(f.breaks) | {lo + (hi - lo) * Fraction(rng.randint(0, 12), 12) for _ in range(4)})
+            got = f._at(us)
+            want = [f(u) for u in us]
+            assert got == want and [type(x) for x in got] == [type(x) for x in want]
+            done += 1
+
+    def test_degree_is_the_pairwise_sum(self):
+        import random
+
+        rng = random.Random(18)
+        labels = [ZERO, INFINITY, PointLabel.param("s"), PointLabel.param("t")]
+        for _ in range(300):
+            lo = rng.randint(-4, 1)
+            box = (lo, lo + rng.randint(1, 5))
+            fs = [
+                PLFunc.min_of_affines(
+                    box, [(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            acc = fs[0]
+            for f in fs[1:]:
+                acc = acc + f
+            deg = DivPoly(box, dict(zip(labels, fs))).degree()
+            assert deg == acc
+            assert [type(x) for x in deg.breaks + deg.values] == [type(x) for x in acc.breaks + acc.values]
+
+
+class TestJSONBoundary:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"breaks": "01", "values": [0, 0]},
+            {"breaks": [0, 1], "values": 5},
+            {"breaks": {"0": 0, "1": 1}, "values": [0, 0]},
+        ],
+    )
+    def test_plfunc_needs_lists(self, obj):
+        with pytest.raises(DomainError, match="must be a list"):
+            PLFunc.from_json(obj)
+
+    @pytest.mark.parametrize("box", ["06", [0], [0, 3, 6], {"0": 6}, 6])
+    def test_divpoly_box_needs_a_list_of_two(self, box):
+        obj = {"box": box, "coeffs": {"0": {"breaks": ["0", "6"], "values": ["0", "0"]}}}
+        with pytest.raises(DomainError, match="'box' must be a list of two rationals"):
+            DivPoly.from_json(obj)
+
+    def test_divpoly_coeffs_need_an_object(self):
+        with pytest.raises(DomainError, match="'coeffs' must be an object"):
+            DivPoly.from_json({"box": ["0", "6"], "coeffs": [["0", {"breaks": ["0", "6"], "values": ["0", "0"]}]]})
+
+    @pytest.mark.parametrize("label", [5, None, ["inf"], 0.0])
+    def test_label_needs_a_string(self, label):
+        with pytest.raises(DomainError, match="point label must be a string"):
+            PointLabel.parse(label)

@@ -165,6 +165,19 @@ class TestDiophantineClass:
     def test_p2(self):
         assert diophantine_class((1, 1, 1)) == DiophantineClass(3, 1, (1, 1, 1))
 
+    def test_value_semantics(self):
+        # equal and hashed as the (m, k, c) triple, printed as a dataclass
+        # would print it (vieta_neighbors quotes it in its error message)
+        cls = diophantine_class((1, 2, 3))
+        assert cls == DiophantineClass(6, 1, (1, 2, 3)) and cls != DiophantineClass(6, 1, (1, 1, 3))
+        assert cls != (6, 1, (1, 2, 3))
+        assert hash(cls) == hash((6, 1, (1, 2, 3)))
+        assert len({cls, DiophantineClass(6, 1, (1, 2, 3))}) == 1
+        assert repr(cls) == "DiophantineClass(m=6, k=1, c=(1, 2, 3))"
+        assert cls.to_json() == {"m": 6, "k": 1, "c": [1, 2, 3]}
+        with pytest.raises(AttributeError):
+            cls.m = 7
+
     def test_129(self):
         got = diophantine_class((1, 2, 9))
         assert (got.m, got.k, got.c) == (4, 1, (1, 1, 2))

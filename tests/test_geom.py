@@ -90,6 +90,49 @@ class TestExactRationals:
         assert v == Vector2(3, 2) and hash(v) == hash(Vector2(3, 2))
         assert type(v.x) is int
 
+    def test_trusted_vector_folds_integral_fractions(self):
+        half = Fraction(1, 2)
+        v = Vector2._of(half + half, half)
+        assert v == Vector2(1, half) and type(v.x) is int and v.y is half
+
+    def test_vector_arithmetic_keeps_the_stored_form(self):
+        # the results of geom's arithmetic are built without to_fraction;
+        # each must equal the public constructor's vector, coordinate types
+        # included (halves and thirds make integral sums and products)
+        rng = random.Random(16)
+
+        def q():
+            return to_fraction(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])))
+
+        def stored(v, x, y):
+            return v == Vector2(x, y) and (type(v.x), type(v.y)) == (type(to_fraction(x)), type(to_fraction(y)))
+
+        for _ in range(2000):
+            u, v, r = Vector2(q(), q()), Vector2(q(), q()), q()
+            U = ((rng.randint(-3, 3), rng.randint(-3, 3)), (rng.randint(-3, 3), rng.randint(-3, 3)))
+            assert stored(u + v, Fraction(u.x) + v.x, Fraction(u.y) + v.y)
+            assert stored(u - v, Fraction(u.x) - v.x, Fraction(u.y) - v.y)
+            assert stored(-u, -Fraction(u.x), -Fraction(u.y))
+            assert stored(u.scale(r), Fraction(r) * u.x, Fraction(r) * u.y)
+            (a, b), (c, d) = U
+            assert stored(mat_apply(U, u), Fraction(a) * u.x + b * u.y, Fraction(c) * u.x + d * u.y)
+
+    def test_vector_value_semantics(self):
+        # equal, hashed and ordered as the (x, y) pair, never equal to one
+        rng = random.Random(17)
+        vs = [Vector2(Fraction(rng.randint(-4, 4), rng.randint(1, 2)), rng.randint(-2, 2)) for _ in range(60)]
+        assert sorted(vs) == sorted(vs, key=lambda v: (v.x, v.y))
+        for u, v in zip(vs, vs[1:]):
+            p, q = (u.x, u.y), (v.x, v.y)
+            assert (u == v, u != v, u < v, u <= v, u > v, u >= v) == (p == q, p != q, p < q, p <= q, p > q, p >= q)
+            assert hash(u) == hash(p)
+        v = Vector2("1/2", -3)
+        assert repr(v) == "(1/2, -3)" and v != (Fraction(1, 2), -3)
+        with pytest.raises(TypeError):
+            v < (0, 0)
+        with pytest.raises(AttributeError):
+            v.x = 0
+
 
 class TestConvexHull:
     def test_interior_point_removed(self):

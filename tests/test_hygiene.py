@@ -136,3 +136,71 @@ def test_only_geom_builds_polygons_without_a_hull():
         if _name(node) == "_from_cycle" and not at_home
     ]
     assert offenders == []
+
+
+def _named_outside(attr: str, homes: set[str], owner: str | None = None) -> list[str]:
+    """file:line of every node named attr (as owner.attr when owner is
+    given) in a module of src/polymut outside homes."""
+    return [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node, _ in _nodes()
+        if _name(node) == attr
+        and name not in homes
+        and (owner is None or (isinstance(node, ast.Attribute) and _name(node.value) == owner))
+    ]
+
+
+def test_only_geom_divpoly_and_mutation_build_trusted_vectors():
+    # Vector2._of skips to_fraction: its coordinates must be ints or
+    # Fractions computed from stored coordinates, which these modules'
+    # arithmetic vouches for; every other module goes through Vector2(...)
+    assert _named_outside("_of", {"geom.py", "divpoly.py", "mutation.py"}) == []
+
+
+def test_only_divpoly_builds_trusted_pl_functions():
+    # PLFunc._canonical and DivPoly._of skip to_fraction (and DivPoly._of
+    # the domain checks); only divpoly's own arithmetic vouches for them
+    assert _named_outside("_canonical", {"divpoly.py"}) == []
+    assert _named_outside("_of", {"divpoly.py"}, owner="DivPoly") == []
+
+
+# the functions of geom and divpoly that read values from outside the
+# library: the public constructors, the public functions that take a
+# RationalLike or an outside PLFunc, and the JSON readers
+BOUNDARY = {
+    "geom.py": {"<module>", "to_fraction", "Vector2.__init__", "dilate", "vector_from_json", "parse_vertices", "polygon_from_json"},
+    "divpoly.py": {
+        "PLFunc.__init__", "PLFunc.constant", "PLFunc.affine", "PLFunc.min_of_affines", "PLFunc.__call__",
+        "PLFunc.from_json", "DivPoly.__init__", "DivPoly.with_coefficient", "DivPoly.from_json", "shift_affine",
+    },
+}
+# to_fraction, the public constructors, and the boundary functions that
+# coerce their arguments
+COERCING = {"to_fraction", "Vector2", "PLFunc", "DivPoly"} | {
+    q.rsplit(".", 1)[-1] for qs in BOUNDARY.values() for q in qs if not q.endswith(("__", ">"))
+}
+
+
+def _calls(tree, scope="<module>"):
+    """(qualified name of the enclosing function or class, call) for every
+    call in tree."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _calls(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _calls(child, scope)
+
+
+def test_geom_and_divpoly_coerce_only_at_the_boundary():
+    # arithmetic on values the library computed builds its results through
+    # Vector2._of, PLFunc._canonical and DivPoly._of; only the boundary
+    # functions call to_fraction or a function that does
+    offenders = []
+    for fname, allowed in BOUNDARY.items():
+        tree = ast.parse((SRC / fname).read_text(), fname)
+        for scope, call in _calls(tree):
+            if _name(call.func) in COERCING and scope not in allowed:
+                offenders.append(f"{fname}:{call.lineno} {scope} calls {_name(call.func)}")
+    assert offenders == []
