@@ -141,9 +141,10 @@ class PLFunc:
     breakpoints and values with no redundant breakpoints.
 
     The constructor reads its points through to_fraction.  Functions that
-    the library computes go through `_canonical`, which trusts them."""
+    the library computes go through `_canonical`, which trusts them.  The
+    slopes are computed once, when first asked for."""
 
-    __slots__ = ("breaks", "values")
+    __slots__ = ("breaks", "values", "_slopes")
 
     def __init__(self, breaks: Sequence[RationalLike], values: Sequence[RationalLike]):
         bs = [to_fraction(b) for b in breaks]
@@ -153,6 +154,7 @@ class PLFunc:
         bs, vs = _canonical_form(bs, vs)
         _set(self, "breaks", bs)
         _set(self, "values", vs)
+        _set(self, "_slopes", None)
 
     @classmethod
     def _canonical(cls, bs: Sequence[Rational], vs: Sequence[Rational]) -> "PLFunc":
@@ -166,6 +168,7 @@ class PLFunc:
         f = _new(cls)
         _set(f, "breaks", bs)
         _set(f, "values", vs)
+        _set(f, "_slopes", None)
         return f
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
@@ -238,10 +241,10 @@ class PLFunc:
         return out
 
     def slopes(self) -> tuple[Rational, ...]:
-        return tuple(
-            qdiv(v2 - v1, b2 - b1)
-            for (b1, v1), (b2, v2) in zip(zip(self.breaks, self.values), zip(self.breaks[1:], self.values[1:]))
-        )
+        if self._slopes is None:
+            bs, vs = self.breaks, self.values
+            _set(self, "_slopes", tuple(qdiv(vs[i + 1] - vs[i], bs[i + 1] - bs[i]) for i in range(len(bs) - 1)))
+        return self._slopes
 
     def pieces(self) -> tuple[tuple[Rational, Rational, Rational], ...]:
         """Maximal affine pieces as (left, right, slope)."""

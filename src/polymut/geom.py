@@ -194,15 +194,22 @@ def is_primitive(v: Vector2) -> bool:
 
 
 def _hull_of(points: Iterable[Vector2]) -> list[Vector2]:
-    # Andrew's monotone chain on the (x, y) pairs, with the cross products
-    # written out, so the only Vector2s are the input points kept as hull
-    # vertices (pairs sort as the vectors do)
+    # the hull runs on the (x, y) pairs, so the only Vector2s are the input
+    # points kept as hull vertices
     byxy = {(p.x, p.y): p for p in points}
-    if not byxy:
+    return [byxy[p] for p in _hull_pairs(byxy)]
+
+
+def _hull_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
+    """The canonical vertex cycle of the hull of exact (x, y) pairs:
+    counterclockwise, strictly convex, lex-smallest vertex first; one or two
+    distinct pairs for a point or a segment.  Andrew's monotone chain, with
+    the cross products written out."""
+    pts = sorted(set(pairs))
+    if not pts:
         raise DomainError("empty point set has no hull")
-    pts = sorted(byxy)
     if len(pts) == 1:
-        return [byxy[pts[0]]]
+        return pts
 
     def chain(seq: Sequence[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
         out: list[tuple[Rational, Rational]] = []
@@ -219,7 +226,7 @@ def _hull_of(points: Iterable[Vector2]) -> list[Vector2]:
     upper = chain(pts[::-1])
     # both chains keep their end points, so two distinct points give at least
     # two vertices, and collinear input gives exactly the two extremes
-    return [byxy[p] for p in lower[:-1] + upper[:-1]]
+    return lower[:-1] + upper[:-1]
 
 
 class Polygon:
@@ -564,13 +571,19 @@ def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:
     normal form is the vertex cycle of a polygon in the class of P.
 
     The candidates are first filtered by their second Hermite column (see
-    _second_column), which decides the order for every Fano polygon, and
-    only those with the least one are brought to the full form.  The form
-    itself is unchanged: when some candidate has no such column, all 2n are
-    compared in full.
+    _second_column), which decides the order for every Fano polygon, then
+    a tie by their third (_third_column), and only those with the least
+    columns are brought to the full form.  The form itself is unchanged:
+    when some candidate has no such column, all 2n are compared in full.
     """
     _require_lattice_2d(P)
-    vs = [v.as_ints() for v in P.vertices]
+    return _cycle_normal_form([(v.x, v.y) for v in P.vertices])
+
+
+def _cycle_normal_form(vs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """linear_normal_form of the full-dimensional lattice polygon whose
+    vertex cycle, as integer (x, y) pairs, is vs, from any start and in
+    either orientation.  Nothing is checked."""
     n = len(vs)
     # both orientations start at the same vertices, so one Bezout step per
     # vertex serves all 2n candidates
@@ -580,6 +593,11 @@ def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:
     if None not in keys:
         least = min(keys)
         starts = [s for s, k in zip(starts, keys) if k == least]
+        if len(starts) > 1:
+            # the tied candidates share their first two columns
+            keys = [_third_column(cyc[i], cyc[(i + 1) % n], cyc[(i + 2) % n], bez) for cyc, i in starts]
+            least = min(keys)
+            starts = [s for s, k in zip(starts, keys) if k == least]
     return min(_hermite_columns(cyc[i:] + cyc[:i], bez) for cyc, i in starts)
 
 
@@ -601,6 +619,23 @@ def _second_column(
     if g != 1 or not d:
         return None
     return (x * v1[0] + y * v1[1]) % d, d
+
+
+def _third_column(
+    v0: tuple[int, int], v1: tuple[int, int], v2: tuple[int, int], bez: dict[tuple[int, int], tuple[int, int, int]]
+) -> tuple[int, int]:
+    """The third column of the Hermite form of any vertex cycle that starts
+    v0, v1, v2, when _second_column(v0, v1, bez) is not None: the unimodular
+    of _second_column, its second row negated when it sends v1 below the
+    axis, then the first row reduced by q times the second, where q reduces
+    the image of v1 to its second column."""
+    _, x, y = bez[v0]
+    a, b = v0
+    d1, d2 = a * v1[1] - b * v1[0], a * v2[1] - b * v2[0]
+    if d1 < 0:
+        d1, d2 = -d1, -d2
+    q = (x * v1[0] + y * v1[1]) // d1
+    return x * v2[0] + y * v2[1] - q * d2, d2
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:

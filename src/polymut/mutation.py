@@ -34,6 +34,8 @@ from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     NotPrimitive,
     Polygon,
     Vector2,
+    _cycle_normal_form,
+    _hull_pairs,
     clip_halfplane,
     height_basis,
     is_primitive,
@@ -178,12 +180,13 @@ def mutate(P: Polygon, md: MutationData) -> Polygon:
     heights.  Only the rows at vertex heights are built (see below).
     """
     prof, t = _validate_mutation_data(P, md)
-    return _mutant(prof, t)
+    return Polygon([Vector2._of(x, y) for x, y in _mutant(prof, t)])
 
 
-def _mutant(prof: _Profile, t: int) -> Polygon:
-    """The mutant by the factor of signed length t along prof.f0, which
-    must not exceed t_max in size."""
+def _mutant(prof: _Profile, t: int) -> list[tuple[int, int]]:
+    """The canonical vertex cycle, as integer (x, y) pairs, of the mutant
+    by the factor of signed length t along prof.f0, which must not exceed
+    t_max in size."""
     # In (h, k) coordinates every row of the mutant is the lattice part of
     # [kmin(h), kmax(h) + h*t] (t >= 0; mirrored for t < 0).  kmin is convex,
     # kmax + h*t concave, and both break only at vertex heights of P, where
@@ -198,13 +201,13 @@ def _mutant(prof: _Profile, t: int) -> Polygon:
             b += h * t
         else:
             a += h * t
-        # the row ends h*vw + a*f0 and h*vw + b*f0, one Vector2 each
+        # the row ends h*vw + a*f0 and h*vw + b*f0
         x, y = h * ux, h * uy
-        pts += (Vector2._of(x + a * fx, y + a * fy), Vector2._of(x + b * fx, y + b * fy))
-    Q = Polygon(pts)
-    if not Q.is_lattice():  # pragma: no cover - structural guarantee
+        pts += ((x + a * fx, y + a * fy), (x + b * fx, y + b * fy))
+    cyc = _hull_pairs(pts)
+    if any(type(x) is not int or type(y) is not int for x, y in cyc):  # pragma: no cover - structural guarantee
         raise AssertionError("mutation produced a non-lattice polygon")
-    return Q
+    return cyc
 
 
 def inverse_data(P: Polygon, md: MutationData) -> MutationData:
@@ -291,6 +294,11 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     return sorted(set(out))
 
 
+# the most classes a mutation graph may hold; one more is a DomainError,
+# since the width of the graph, not its depth, drives the cost
+GRAPH_CLASS_LIMIT = 20_000
+
+
 def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     """Breadth-first graph of mutation classes reachable from P.
 
@@ -299,6 +307,13 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     representative of a class is the first polygon found in it.  Edges
     record the (w, t) of each mutation found, in the order found.  Fano
     polygons anchor the origin, so translations are not quotiented out.
+
+    Mutants stay integer (x, y) vertex cycles: one hull gives the cycle,
+    the normal form is read off it, and a Polygon is built only for a new
+    class.  The node found by (w, t) from src is mutated by (-w, t) back to
+    src's representative, up to a shear along the kernel of w, so that
+    edge is recorded as leading to src without building the mutant.  More
+    than GRAPH_CLASS_LIMIT classes is a DomainError.
     """
     _require_fano(P)
     if depth < 0:
@@ -306,7 +321,10 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
 
     nodes: list[GraphNode] = [_make_node(P)]
     classes = {linear_normal_form(P): 0}
-    edges: dict[GraphEdge, None] = {}  # a set that keeps insertion order
+    # back[i] = (w, t, src): the mutation of node i back to the node src
+    # that it was found from (none for the root)
+    back: list[tuple[Optional[Vector2], int, int]] = [(None, 0, 0)]
+    edges: list[GraphEdge] = []  # each (src, w, t) is visited once
     frontier = [0]
     for _ in range(depth):
         next_frontier: list[int] = []
@@ -314,18 +332,28 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
             Psrc = nodes[src].polygon
             if src:  # the root was proven Fano above
                 _require_fano(Psrc)
+            w_back, t_back, home = back[src]
             # the edge normals are primitive, and one profile per (node, w)
             # gives both the factor lengths and every mutant (find_factors
             # and mutate would each rebuild it and re-prove Psrc Fano)
             for w in factor_directions(Psrc):
                 prof = _Profile(Psrc, w)
+                skip = t_back if w == w_back else 0
                 for t in range(1, _t_max(prof) + 1):
-                    Q = _mutant(prof, t)
-                    tgt = classes.setdefault(linear_normal_form(Q), len(nodes))
+                    if t == skip:
+                        edges.append(GraphEdge(src, home, w, t))
+                        continue
+                    cyc = _mutant(prof, t)
+                    tgt = classes.setdefault(_cycle_normal_form(cyc), len(nodes))
                     if tgt == len(nodes):
-                        nodes.append(_make_node(Q))
+                        if tgt == GRAPH_CLASS_LIMIT:
+                            raise DomainError(
+                                f"mutation graph exceeds the class budget GRAPH_CLASS_LIMIT = {GRAPH_CLASS_LIMIT}"
+                            )
+                        nodes.append(_make_node(Polygon([Vector2._of(x, y) for x, y in cyc])))
+                        back.append((-w, t, src))
                         next_frontier.append(tgt)
-                    edges[GraphEdge(src, tgt, w, t)] = None
+                    edges.append(GraphEdge(src, tgt, w, t))
         frontier = next_frontier
         if not frontier:
             break

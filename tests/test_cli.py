@@ -310,6 +310,18 @@ class TestErrorsAndDeterminism:
         assert out["error"]["type"] == "DomainError"
         check_schema(out, "error")
 
+    def test_graph_over_class_budget_exit_1(self, capsys, monkeypatch):
+        # a graph that would pass its class budget ends in exit 1, not in a
+        # run without end; P(1,2,3) at depth 9 would pass the real budget
+        from polymut import mutation
+
+        monkeypatch.setattr(mutation, "GRAPH_CLASS_LIMIT", 10)
+        code, out = run_json(capsys, "graph", "--weights", "1,2,3", "--depth", "9")
+        assert code == 1
+        assert out["error"]["type"] == "DomainError"
+        assert "GRAPH_CLASS_LIMIT = 10" in out["error"]["message"]
+        check_schema(out, "error")
+
     def test_period_dmax_over_budget_exit_1(self, capsys):
         code, out = run_json(capsys, "period", "--f", "x+y", "--dmax", "10000000000")
         assert code == 1

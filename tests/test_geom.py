@@ -611,6 +611,27 @@ class TestLinearNormalForm:
         for node in g.nodes:
             assert linear_normal_form(node.polygon) == _normal_form_by_definition(node.polygon)
 
+    def test_third_column_breaks_most_ties(self, monkeypatch):
+        # on the nodes of a wide graph the second column leaves 2.4
+        # candidates per polygon and the third about one, so about one
+        # full Hermite form is computed per normal form
+        from polymut import geom
+        from polymut.fano import triangle_from_weights
+        from polymut.mutation import mutation_graph
+
+        nodes = mutation_graph(triangle_from_weights((2, 3, 5)), 4).nodes
+        finished = []
+        real = geom._hermite_columns
+
+        def counting(cols, bez):
+            finished.append(cols)
+            return real(cols, bez)
+
+        monkeypatch.setattr(geom, "_hermite_columns", counting)
+        for node in nodes:
+            linear_normal_form(node.polygon)
+        assert len(finished) < 1.1 * len(nodes)
+
     def test_hermite_shape(self, p114_triangle):
         nf = linear_normal_form(p114_triangle)
         (g, zero), (above, pivot) = nf[0], nf[1]
@@ -648,6 +669,70 @@ class TestLinearNormalForm:
             linear_normal_form(P((0, 0), (1, 1)))
         with pytest.raises(NotLattice):
             linear_normal_form(P((0, 0), (Fraction(1, 2), 0), (0, 1)))
+
+
+def _integer_point_sets(rng):
+    """Seeded integer point sets: random ones with repeats, collinear ones
+    (repeats included), one point and two points."""
+    sets = []
+    for _ in range(300):
+        pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 9))]
+        sets.append(pts + rng.sample(pts, rng.randint(0, len(pts))))
+    for _ in range(100):
+        (a, b), (u, v) = (rng.randint(-3, 3), rng.randint(-3, 3)), (rng.randint(-2, 2), rng.randint(-2, 2))
+        sets.append([(a + k * u, b + k * v) for k in (rng.randint(-3, 3) for _ in range(rng.randint(1, 6)))])
+    sets += [[(2, -3)], [(0, 0)] * 3, [(1, 2), (-1, 5)], [(4, 4), (-4, -4), (4, 4)]]
+    return sets
+
+
+class TestIntegerKernels:
+    def test_hull_of_pairs_is_the_polygon_cycle(self):
+        from polymut.geom import _hull_pairs
+
+        seen = {1: 0, 2: 0, 3: 0}
+        for pts in _integer_point_sets(random.Random(29)):
+            Q = Polygon([Vector2(x, y) for x, y in pts])
+            cyc = _hull_pairs(pts)
+            assert cyc == [(v.x, v.y) for v in Q.vertices], pts
+            assert all(type(c) is int for p in cyc for c in p)
+            seen[min(len(cyc), 3)] += 1
+        assert min(seen.values()) >= 30, seen
+        with pytest.raises(DomainError):
+            _hull_pairs([])
+
+    def test_normal_form_kernel_on_the_cycle(self):
+        # from any start and in either orientation of the vertex cycle
+        from polymut.geom import _cycle_normal_form
+
+        full = 0
+        for pts in _integer_point_sets(random.Random(29)):
+            Q = Polygon([Vector2(x, y) for x, y in pts])
+            if Q.dim() < 2:
+                continue
+            full += 1
+            vs = [(v.x, v.y) for v in Q.vertices]
+            nf = linear_normal_form(Q)
+            for i in range(len(vs)):
+                assert _cycle_normal_form(vs[i:] + vs[:i]) == nf
+                assert _cycle_normal_form((vs[i:] + vs[:i])[::-1]) == nf
+        assert full >= 150
+
+    def test_third_column_is_the_hermite_column(self):
+        # on every candidate that has a second column (see _second_column)
+        from polymut.geom import _hermite_columns, _second_column, _third_column
+
+        rng = random.Random(31)
+        polys = [_random_lattice_polygon(rng) for _ in range(100)] + _random_fano_polygons(rng, 100)
+        checked = 0
+        for Q in polys:
+            if Q.dim() < 2:
+                continue
+            cands, bez = _candidates(Q)
+            for c in cands:
+                if _second_column(c[0], c[1], bez) is not None:
+                    assert _third_column(c[0], c[1], c[2], bez) == _hermite_columns(c, bez)[2], c
+                    checked += 1
+        assert checked >= 1000
 
 
 class TestLatticeBasis:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polymut import fano
+from polymut.errors import DomainError
 from polymut.geom import (
     Vector2,
     area,
@@ -482,6 +483,48 @@ class TestMutationGraph:
         assert proofs == expanded
         assert profiles == [(Q, w) for Q in expanded for w in factor_directions(Q)]
 
+    def test_one_mutant_and_one_normal_form_per_edge_not_leading_back(self, monkeypatch):
+        # the mutation back along the edge that found a node is recorded
+        # without building it, and a Polygon is built only for a new class
+        from polymut import mutation
+
+        mutants, forms, polygons = [], [], []
+        real_mutant, real_form, real_polygon = mutation._mutant, mutation._cycle_normal_form, mutation.Polygon
+
+        def counting_mutant(prof, t):
+            mutants.append(t)
+            return real_mutant(prof, t)
+
+        def counting_form(cyc):
+            forms.append(cyc)
+            return real_form(cyc)
+
+        def counting_polygon(pts):
+            polygons.append(pts)
+            return real_polygon(pts)
+
+        monkeypatch.setattr(mutation, "_mutant", counting_mutant)
+        monkeypatch.setattr(mutation, "_cycle_normal_form", counting_form)
+        monkeypatch.setattr(mutation, "Polygon", counting_polygon)
+        g = mutation_graph(fano.triangle_from_weights((2, 3, 5)), 3)
+        non_root_expanded = {e.source for e in g.edges} - {0}
+        assert len(non_root_expanded) > 10
+        assert len(mutants) == len(forms) == len(g.edges) - len(non_root_expanded)
+        assert len(polygons) == len(g.nodes) - 1
+
+    def test_class_budget(self, monkeypatch):
+        # (2,3,5) at depth 2 has 19 classes: a budget of 19 holds them, one
+        # less is a domain error naming the budget
+        from polymut import mutation
+
+        start = fano.triangle_from_weights((2, 3, 5))
+        assert mutation.GRAPH_CLASS_LIMIT >= 3148  # the widest pinned graph
+        monkeypatch.setattr(mutation, "GRAPH_CLASS_LIMIT", 19)
+        assert len(mutation_graph(start, 2).nodes) == 19
+        monkeypatch.setattr(mutation, "GRAPH_CLASS_LIMIT", 18)
+        with pytest.raises(DomainError, match="GRAPH_CLASS_LIMIT = 18"):
+            mutation_graph(start, 2)
+
     def test_nodes_deduplicated_by_linear_equivalence(self, p114_triangle):
         g = mutation_graph(p114_triangle, 2)
         for i, n in enumerate(g.nodes):
@@ -526,12 +569,27 @@ def _graph_sha256(g):
     return hashlib.sha256(json.dumps(g.to_json(), sort_keys=True).encode()).hexdigest()
 
 
+def _start_polygon(start):
+    """The triangle of a weight triple, or the polygon of a vertex tuple."""
+    if isinstance(start[0], int):
+        return fano.triangle_from_weights(start)
+    return P(*start)
+
+
+# the fake weighted projective plane P^2/Z_3: the dual of the standard plane
+P2_MOD_3 = ((-1, -1), (2, -1), (-1, 2))
+
+
 class TestGraphClasses:
     @pytest.mark.parametrize(
-        "weights,depth", [((2, 3, 5), 3), ((1, 1, 1), 5)], ids=["235-depth3", "111-depth5"]
+        "start,depth",
+        [((2, 3, 5), 3), ((1, 1, 1), 5), ((1, 1, 2), 4), ((1, 2, 3), 3), (P2_MOD_3, 3)],
+        ids=["235-depth3", "111-depth5", "112-depth4", "123-depth3", "P2-mod-3-depth3"],
     )
-    def test_normal_form_classes_match_pairwise_scan(self, weights, depth):
-        g = mutation_graph(fano.triangle_from_weights(weights), depth)
+    def test_normal_form_classes_match_pairwise_scan(self, start, depth):
+        # every edge, the mutations back that the graph records without
+        # building them included, must lead to the class of the mutant
+        g = mutation_graph(_start_polygon(start), depth)
         # no node is equivalent to an earlier one ...
         for i, n in enumerate(g.nodes):
             assert _find_class_pairwise(g.nodes[: i + 1], n.polygon) == i
