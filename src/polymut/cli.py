@@ -352,9 +352,14 @@ def _cmd_deform(args) -> dict:
 def _default_reducing_factor(P: Polygon):
     mutation = _module("mutation")
     deform = _module("deform")
+    wp = None
     for w in mutation.factor_directions(P):
-        for md in mutation.find_factors(P, w):
-            if deform.is_weight_reducing(P, md):
+        for md, Q in mutation.mutants(P, w):
+            # read at the first factor, so that a polygon without one is
+            # refused as having no weight-decreasing mutation
+            if wp is None:
+                wp = weights(P)
+            if deform.weights_decrease(wp, weights(Q) if len(Q.vertices) == 3 else None):
                 return md
     raise DomainError("no weight-decreasing mutation exists for this triangle")
 
@@ -414,28 +419,34 @@ def _verify_entry(path: Path, obj) -> list[dict]:
 
 
 def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
+    """The rows of one polygon entry.  The dual, its area and the weights of
+    T are computed once per entry, and the mutant, its dual and its weights
+    once per factor."""
     mutation = _module("mutation")
     deform = _module("deform")
     out = []
     Tstar = dual(T)
     ok = dual(Tstar) == T
     out.append(_entry(path, "dual-involution", "pass" if ok else "fail"))
-    if len(T.vertices) == 3:
-        cls = diophantine_class(weights(T))
-    else:
-        cls = None
+    wT = weights(T) if len(T.vertices) == 3 else None
+    cls = diophantine_class(wT) if wT is not None else None
+    area_star = area(Tstar)
     for w in mutation.factor_directions(T):
-        for md in mutation.find_factors(T, w):
+        for md, Q in mutation.mutants(T, w):
             tag = f"w={w} t={md.t}"
-            Q = mutation.mutate(T, md)
-            ok = area(dual(Q)) == area(Tstar)
+            Qstar = dual(Q)
+            ok = area(Qstar) == area_star
             out.append(_entry(path, f"dual-area [{tag}]", "pass" if ok else "fail"))
-            ok = dual(mutation.dual_map(md, Tstar)) == Q
+            # dual is an involution on polygons with the origin strictly
+            # inside, so this is dual(dual_map(md, T*)) == Q, and an image
+            # without the origin inside fails the check instead of raising
+            ok = mutation.dual_map(md, Tstar) == Qstar
             out.append(_entry(path, f"duality-commutation [{tag}]", "pass" if ok else "fail"))
-            if cls is not None and len(Q.vertices) == 3:
-                ok = diophantine_class(weights(Q)) == cls
+            wQ = weights(Q) if wT is not None and len(Q.vertices) == 3 else None
+            if wQ is not None:
+                ok = diophantine_class(wQ) == cls
                 out.append(_entry(path, f"diophantine-constancy [{tag}]", "pass" if ok else "fail"))
-            if len(T.vertices) == 3 and deform.is_weight_reducing(T, md):
+            if wT is not None and deform.weights_decrease(wT, wQ):
                 try:
                     cert = deform.mutation_to_deformation(T, md)
                     ok = cert.corollary.passed

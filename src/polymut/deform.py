@@ -402,8 +402,7 @@ def mutation_to_deformation(
     # the reduced polygon is formal only, so refuse to certify it.
     wp = fano.weights(Pn)  # Pn is a Fano triangle: mutate proved it Fano
     wq = fano.weights(Q) if len(Q.vertices) == 3 else None
-    decreasing = wq is not None and sum(wq) < sum(wp)
-    if any(not s.is_integral() for s in red.shifts) and not decreasing:
+    if any(not s.is_integral() for s in red.shifts) and not weights_decrease(wp, wq):
         raise FiberMismatch(
             "reduction needs a non-isomorphism shift but the mutation does "
             "not decrease the weights; the general fiber is not the mutated "
@@ -449,11 +448,16 @@ def mutation_to_deformation(
     )
 
 
+def weights_decrease(wp: fano.WeightTriple, wq: Optional[fano.WeightTriple]) -> bool:
+    """The smoothing-direction rule: True when a mutation of a triangle with
+    weights wp to one with weights wq strictly decreases the weight sum, so
+    that the deformation smooths the source rather than being isotrivial.
+    wq is None for a mutant that is not a triangle, which never counts."""
+    return wq is not None and sum(wq) < sum(wp)
+
+
 def is_weight_reducing(P: Polygon, md: MutationData) -> bool:
-    """True when the mutation strictly decreases the weight sum, i.e. the
-    deformation smooths the source rather than being isotrivial."""
+    """weights_decrease for the Fano triangle P and its mutant by md."""
     wp = fano.weights(P)
     Q = mutate(P, md)
-    if len(Q.vertices) != 3:
-        return False
-    return sum(fano.weights(Q)) < sum(wp)
+    return weights_decrease(wp, fano.weights(Q) if len(Q.vertices) == 3 else None)

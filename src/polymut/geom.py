@@ -236,7 +236,8 @@ class Polygon:
     representative: CCW, no collinear triples, lex-smallest vertex first.
     Only `dual`, `dilate` (by r != 0) and `translate` skip the hull, through
     `_from_cycle`: each maps a canonical cycle to a strictly convex CCW
-    cycle, so only its start can move.
+    cycle, so only its start can move.  `_polygon_from_pairs` wraps a cycle
+    that `_hull_pairs` made canonical already.
     """
 
     __slots__ = ("vertices",)
@@ -293,6 +294,15 @@ class Polygon:
     def contains_origin_interior(self) -> bool:
         # edge (a, b) cuts out n.x >= c with c = n.a = -cross(a, b)
         return self.dim() == 2 and all(a.cross(b) > 0 for a, b in self.edges())
+
+
+def _polygon_from_pairs(cyc: Sequence[tuple[Rational, Rational]]) -> Polygon:
+    """The polygon whose canonical vertex cycle, as exact (x, y) pairs, is
+    cyc, as _hull_pairs returns it.  Nothing is checked: the cycle is the
+    hull that a Polygon built from the same points would compute."""
+    P = object.__new__(Polygon)
+    object.__setattr__(P, "vertices", tuple(Vector2._of(x, y) for x, y in cyc))
+    return P
 
 
 def convex_hull(points: Iterable[Vector2]) -> Polygon:

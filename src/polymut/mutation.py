@@ -36,11 +36,12 @@ from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     Vector2,
     _cycle_normal_form,
     _hull_pairs,
-    clip_halfplane,
+    _polygon_from_pairs,
     height_basis,
     is_primitive,
     linear_normal_form,
     primitivize,
+    qdiv,
 )
 
 
@@ -141,6 +142,19 @@ def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     return [MutationData(w=w, t=t, f0=prof.f0) for t in range(1, _t_max(prof) + 1)]
 
 
+def mutants(P: Polygon, w: Vector2) -> list[tuple[MutationData, Polygon]]:
+    """Every nontrivial factor of P along w with its mutant, in the order of
+    find_factors: [(md, mutate(P, md)) for md in find_factors(P, w)], from
+    one profile and one proof that P is Fano (find_factors and each mutate
+    would rebuild the profile and prove it again)."""
+    _require_fano(P)
+    prof = _Profile(P, w)  # height_basis refuses a non-primitive w
+    return [
+        (MutationData(w=w, t=t, f0=prof.f0), _polygon_from_pairs(_mutant(prof, t)))
+        for t in range(1, _t_max(prof) + 1)
+    ]
+
+
 def factor_for(P: Polygon, w: Vector2, t: int) -> MutationData:
     """The factor of length t for (P, w), or InvalidFactor if there is none."""
     if t == 0:  # height_basis refuses a non-primitive w, as find_factors does
@@ -180,7 +194,7 @@ def mutate(P: Polygon, md: MutationData) -> Polygon:
     heights.  Only the rows at vertex heights are built (see below).
     """
     prof, t = _validate_mutation_data(P, md)
-    return Polygon([Vector2._of(x, y) for x, y in _mutant(prof, t)])
+    return _polygon_from_pairs(_mutant(prof, t))
 
 
 def _mutant(prof: _Profile, t: int) -> list[tuple[int, int]]:
@@ -221,15 +235,26 @@ def inverse_data(P: Polygon, md: MutationData) -> MutationData:
 def dual_map(md: MutationData, Q: Polygon) -> Polygon:
     """Image of Q under the piecewise-linear map u -> u - u_min(u)*w on the
     dual side, u_min the least of <u, .> over the factor vertices 0 and
-    t*f0.  Q is split along <u, f0> = 0, where the minimizing vertex
-    changes; area is preserved."""
-    f = md.f0.scale(md.t)
-    pieces = []
-    for n, fmin in ((f, ORIGIN), (-f, f)):
-        # on the side <u, f> >= 0 the minimizer is the origin (and vice versa)
-        loop = clip_halfplane(list(Q.vertices), n, 0)
-        pieces.extend(u - md.w.scale(u.dot(fmin)) for u in loop)
-    return Polygon(pieces)
+    t*f0.  The map is linear on either side of the line <u, f0> = 0, where
+    the minimizing vertex changes, so the image is the hull of the images
+    of Q's vertices and of the points where Q's edges cross that line;
+    area is preserved."""
+    fx, fy = md.t * md.f0.x, md.t * md.f0.y
+    wx, wy = md.w.x, md.w.y
+    pts = []
+    ax, ay = Q.vertices[-1].x, Q.vertices[-1].y
+    sa = ax * fx + ay * fy
+    for b in Q.vertices:
+        bx, by = b.x, b.y
+        sb = bx * fx + by * fy
+        if (sa > 0 > sb) or (sa < 0 < sb):
+            # the crossing has <u, t*f0> = 0, so the map fixes it
+            r = qdiv(sa, sa - sb)
+            pts.append((ax + (bx - ax) * r, ay + (by - ay) * r))
+        # u_min is 0 where <u, t*f0> >= 0 (the origin minimizes), else <u, t*f0>
+        pts.append((bx - sb * wx, by - sb * wy) if sb < 0 else (bx, by))
+        ax, ay, sa = bx, by, sb
+    return _polygon_from_pairs(_hull_pairs(pts))
 
 
 @dataclass(frozen=True)
@@ -350,7 +375,7 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
                             raise DomainError(
                                 f"mutation graph exceeds the class budget GRAPH_CLASS_LIMIT = {GRAPH_CLASS_LIMIT}"
                             )
-                        nodes.append(_make_node(Polygon([Vector2._of(x, y) for x, y in cyc])))
+                        nodes.append(_make_node(_polygon_from_pairs(cyc)))
                         back.append((-w, t, src))
                         next_frontier.append(tgt)
                     edges.append(GraphEdge(src, tgt, w, t))

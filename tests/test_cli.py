@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -597,6 +598,49 @@ class TestBatchVerify:
         others = [r for r in out["results"] if r["file"] != "bad.json"]
         assert {r["file"] for r in others} == {p.name for p in corpus.glob("*.json")}
         assert all(r["status"] == "pass" for r in others)
+
+    def test_report_digest(self, capsys, tmp_path):
+        # every pairwise-coprime triple with c <= 12, the hexagon, P^2/Z3
+        # and the shipped entries: the report's stdout is pinned, so every
+        # row, tag, status and detail stays byte for byte
+        for c in range(1, 13):
+            for b in range(1, c + 1):
+                for a in range(1, b + 1):
+                    if math.gcd(a, b) == math.gcd(b, c) == math.gcd(a, c) == 1:
+                        (tmp_path / f"w_{a}_{b}_{c}.json").write_text(json.dumps({"weights": [a, b, c]}))
+        hexagon = [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]]
+        (tmp_path / "hexagon.json").write_text(json.dumps({"vertices": hexagon}))
+        (tmp_path / "p2_mod_3.json").write_text(json.dumps({"vertices": [[-1, -1], [2, -1], [-1, 2]]}))
+        for entry in CORPUS.glob("*.json"):
+            (tmp_path / entry.name).write_text(entry.read_text())
+        code, out = run(capsys, "batch-verify", str(tmp_path))
+        assert code == 0
+        assert len(json.loads(out)["results"]) == 1270
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c25faa5972a9e24deee343d5b9a14a4c0966529e6605f7fa7bcc8dbf9f08a107"
+        )
+
+    def test_dual_map_image_without_interior_origin_fails_its_row(self, capsys, tmp_path, monkeypatch):
+        # the check compares dual_map(md, T*) with dual(Q), so an image that
+        # is no dual of anything fails its own row, and the entry's other
+        # rows are still reported
+        from polymut.geom import Vector2
+
+        monkeypatch.setattr(cli._module("mutation"), "dual_map", lambda md, Q: Q.translate(Vector2(5, 5)))
+        (tmp_path / "p114.json").write_text(P114)
+        code, out = run_json(capsys, "batch-verify", str(tmp_path))
+        assert code == 1
+        check_schema(out, "batch_report")
+        statuses = {r["check"].split(" [")[0]: set() for r in out["results"]}
+        for r in out["results"]:
+            statuses[r["check"].split(" [")[0]].add(r["status"])
+        assert statuses == {
+            "dual-involution": {"pass"},
+            "dual-area": {"pass"},
+            "duality-commutation": {"fail"},
+            "diophantine-constancy": {"pass"},
+            "deformation-certificate": {"pass"},
+        }
 
     def test_empty_corpus(self, capsys, tmp_path):
         code, out = run_json(capsys, "batch-verify", str(tmp_path))

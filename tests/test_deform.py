@@ -18,6 +18,7 @@ from polymut.deform import (
     mutation_to_deformation,
     reduce_to_polygon,
     standard_decomposition,
+    weights_decrease,
 )
 from polymut.divpoly import (
     INFINITY,
@@ -381,6 +382,65 @@ def test_digest_of_every_factor_of_every_coprime_triple_up_to_15():
     assert hashlib.sha256(blob).hexdigest() == (
         "6c56d7ac0b87ae5c32bdad1a29018416448fc49a74a73224f8d722ffadd4c82f"
     )
+
+
+class TestSmoothingDirection:
+    def test_rule(self):
+        assert weights_decrease((1, 1, 4), (1, 1, 1))
+        assert not weights_decrease((1, 1, 1), (1, 1, 4))
+        assert not weights_decrease((1, 2, 3), (1, 2, 3))
+        assert not weights_decrease((1, 4, 25), None)  # not a triangle
+
+    def test_is_weight_reducing_reads_the_rule(self, monkeypatch):
+        # the rule is the one place that decides the direction
+        from polymut import deform
+
+        seen = []
+        monkeypatch.setattr(deform, "weights_decrease", lambda wp, wq: seen.append((wp, wq)) or True)
+        S = fano.triangle_from_weights((1, 1, 1))
+        for w in factor_directions(S):
+            for md in find_factors(S, w):
+                assert is_weight_reducing(S, md)
+                assert seen[-1] == (fano.weights(S), fano.weights(mutate(S, md)))
+        assert len(seen) == 3
+
+    def test_default_factor_is_the_first_weight_reducing_one(self):
+        # polymut deform without --w picks the first factor, in the order of
+        # factor_directions and find_factors, that is_weight_reducing accepts
+        from polymut.cli import _default_reducing_factor
+
+        picked = refused = 0
+        for c in range(1, 16):
+            for b in range(1, c + 1):
+                for a in range(1, b + 1):
+                    if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+                        T = fano.triangle_from_weights((a, b, c))
+                        first = next(
+                            (md for w in factor_directions(T) for md in find_factors(T, w) if is_weight_reducing(T, md)),
+                            None,
+                        )
+                        if first is None:
+                            with pytest.raises(DomainError, match="no weight-decreasing mutation"):
+                                _default_reducing_factor(T)
+                            refused += 1
+                        else:
+                            assert _default_reducing_factor(T) == first
+                            picked += 1
+        assert (picked, refused) == (5, 169)
+
+    def test_default_factor_refuses_as_before(self):
+        # a Fano polygon that is not a triangle is refused at its first
+        # factor, one without a factor as having no decreasing mutation
+        from polymut.cli import _default_reducing_factor
+
+        with pytest.raises(fano.NotATriangle):
+            _default_reducing_factor(P((-2, 1), (2, 1), (1, -1), (-1, -1)))
+        rigid = P((-3, -2), (2, -3), (3, 1), (-1, 2))
+        assert not any(find_factors(rigid, w) for w in factor_directions(rigid))
+        with pytest.raises(DomainError, match="no weight-decreasing mutation"):
+            _default_reducing_factor(rigid)
+        with pytest.raises(fano.NotFano):
+            _default_reducing_factor(P((2, 0), (0, 1), (-1, -1)))
 
 
 def _is_stored(x) -> bool:

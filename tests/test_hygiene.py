@@ -136,6 +136,9 @@ def test_only_geom_builds_polygons_without_a_hull():
         if _name(node) == "_from_cycle" and not at_home
     ]
     assert offenders == []
+    # geom._polygon_from_pairs trusts its cycle to be canonical; mutation
+    # passes it only what geom._hull_pairs returned
+    assert _named_outside("_polygon_from_pairs", {"geom.py", "mutation.py"}) == []
 
 
 def _named_outside(attr: str, homes: set[str], owner: str | None = None) -> list[str]:

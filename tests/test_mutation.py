@@ -23,6 +23,7 @@ from polymut.mutation import (
     factor_for,
     find_factors,
     inverse_data,
+    mutants,
     mutate,
     mutation_graph,
 )
@@ -425,6 +426,122 @@ class TestDualMap:
         assert area(img) == area(dual(p114_triangle))
 
 
+def _dual_map_by_definition(md, Q):
+    """The dual map by its definition: Q is clipped to either side of
+    <u, f0> = 0, each piece goes through its linear branch u -> u -
+    u_min(u)*w (u_min = 0 where <u, t*f0> >= 0, else <u, t*f0>), and the
+    image is the hull of both.  Oracle for the one-walk dual_map."""
+    from polymut.geom import ORIGIN, Polygon, clip_halfplane
+
+    f = md.f0.scale(md.t)
+    pieces = []
+    for n, fmin in ((f, ORIGIN), (-f, f)):
+        loop = clip_halfplane(list(Q.vertices), n, 0)
+        pieces.extend(u - md.w.scale(u.dot(fmin)) for u in loop)
+    return Polygon(pieces)
+
+
+def _coordinate_types(Q):
+    return [(type(v.x), type(v.y)) for v in Q.vertices]
+
+
+def _dual_map_cases():
+    """200 seeded Fano polygons, the classes of P(1,2,3) at depth 3 and
+    the fake plane P^2/Z_3."""
+    import random
+
+    from polymut.geom import Polygon
+
+    rng = random.Random(47)
+    cases = []
+    while len(cases) < 200:
+        Q = Polygon([Vector2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 7))])
+        if fano.is_fano(Q):
+            cases.append(Q)
+    cases += [n.polygon for n in mutation_graph(fano.triangle_from_weights((1, 2, 3)), 3).nodes]
+    return cases + [P(*P2_MOD_3)]
+
+
+class TestDualMapAgainstDefinition:
+    def test_every_factor(self):
+        # the image of T* is the dual of the mutant, as the two-clip
+        # definition gives it, with the same coordinate types
+        checked = 0
+        for T in _dual_map_cases():
+            Tstar = dual(T)
+            for w in factor_directions(T):
+                for md, Q in mutants(T, w):
+                    img = dual_map(md, Tstar)
+                    oracle = _dual_map_by_definition(md, Tstar)
+                    assert img == oracle == dual(Q), (T, md)
+                    assert _coordinate_types(img) == _coordinate_types(oracle)
+                    checked += 1
+        assert checked >= 500
+
+    def test_any_polygon(self):
+        # dual_map takes any polygon: points, segments and polygons that
+        # miss the origin or straddle the kernel line, with rational vertices
+        import random
+
+        from polymut.geom import Polygon
+
+        rng = random.Random(53)
+        factors = [md for T in (P((1, 0), (0, 1), (-1, -1)), P(*P2_MOD_3)) for w in factor_directions(T) for md in find_factors(T, w)]
+        factors.append(MutationData(w=Vector2(2, 3), t=4, f0=Vector2(-3, 2)))
+        # either kernel direction: the edge crossings where the map bends
+        # outwards are on the other side of Q when f0 is negated
+        factors += [MutationData(w=md.w, t=md.t, f0=-md.f0) for md in factors]
+        for _ in range(300):
+            pts = [
+                Vector2(Fraction(rng.randint(-9, 9), rng.randint(1, 3)), Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            Q = Polygon(pts)
+            md = rng.choice(factors)
+            img = dual_map(md, Q)
+            oracle = _dual_map_by_definition(md, Q)
+            assert img == oracle, (md, Q)
+            assert _coordinate_types(img) == _coordinate_types(oracle)
+
+
+class TestMutants:
+    def test_mutants_are_find_factors_and_mutate(self):
+        pairs = 0
+        for T in _dual_map_cases():
+            for w in factor_directions(T):
+                got = mutants(T, w)
+                assert got == [(md, mutate(T, md)) for md in find_factors(T, w)]
+                assert all(_coordinate_types(Q) == [(int, int)] * len(Q.vertices) for _, Q in got)
+                pairs += len(got)
+        assert pairs >= 500
+
+    def test_mutants_refuse_as_find_factors_does(self, p114_triangle):
+        with pytest.raises(NotPrimitive):
+            mutants(p114_triangle, Vector2(0, -2))
+        with pytest.raises(fano.NotFano):
+            mutants(P((2, 0), (0, 1), (-1, -1)), Vector2(0, -1))
+
+    def test_one_profile_and_one_fano_proof(self, monkeypatch):
+        from polymut import mutation
+
+        profiles, proofs = [], []
+        real_profile, real_require_fano = mutation._Profile, mutation._require_fano
+
+        def counting_profile(Q, w):
+            profiles.append(w)
+            return real_profile(Q, w)
+
+        def counting_require_fano(Q):
+            proofs.append(Q)
+            real_require_fano(Q)
+
+        monkeypatch.setattr(mutation, "_Profile", counting_profile)
+        monkeypatch.setattr(mutation, "_require_fano", counting_require_fano)
+        T = P((-2, 1), (2, 1), (1, -1), (-1, -1))  # four factors along (0, -1)
+        assert len(mutants(T, Vector2(0, -1))) == 4
+        assert profiles == [Vector2(0, -1)] and proofs == [T]
+
+
 class TestMutationGraph:
     def test_depth_zero(self, p114_triangle):
         g = mutation_graph(p114_triangle, 0)
@@ -485,11 +602,13 @@ class TestMutationGraph:
 
     def test_one_mutant_and_one_normal_form_per_edge_not_leading_back(self, monkeypatch):
         # the mutation back along the edge that found a node is recorded
-        # without building it, and a Polygon is built only for a new class
+        # without building it, and a Polygon is built, from the mutant's
+        # canonical cycle and with no second hull, only for a new class
         from polymut import mutation
 
         mutants, forms, polygons = [], [], []
-        real_mutant, real_form, real_polygon = mutation._mutant, mutation._cycle_normal_form, mutation.Polygon
+        real_mutant, real_form = mutation._mutant, mutation._cycle_normal_form
+        real_polygon = mutation._polygon_from_pairs
 
         def counting_mutant(prof, t):
             mutants.append(t)
@@ -499,13 +618,13 @@ class TestMutationGraph:
             forms.append(cyc)
             return real_form(cyc)
 
-        def counting_polygon(pts):
-            polygons.append(pts)
-            return real_polygon(pts)
+        def counting_polygon(cyc):
+            polygons.append(cyc)
+            return real_polygon(cyc)
 
         monkeypatch.setattr(mutation, "_mutant", counting_mutant)
         monkeypatch.setattr(mutation, "_cycle_normal_form", counting_form)
-        monkeypatch.setattr(mutation, "Polygon", counting_polygon)
+        monkeypatch.setattr(mutation, "_polygon_from_pairs", counting_polygon)
         g = mutation_graph(fano.triangle_from_weights((2, 3, 5)), 3)
         non_root_expanded = {e.source for e in g.edges} - {0}
         assert len(non_root_expanded) > 10
