@@ -359,7 +359,8 @@ def _default_reducing_factor(P: Polygon):
             # refused as having no weight-decreasing mutation
             if wp is None:
                 wp = weights(P)
-            if deform.weights_decrease(wp, weights(Q) if len(Q.vertices) == 3 else None):
+            # mutants proved P Fano, and Q is its mutant
+            if deform.weights_decrease(wp, weights_of_vertices(*Q.vertices) if len(Q.vertices) == 3 else None):
                 return md
     raise DomainError("no weight-decreasing mutation exists for this triangle")
 
@@ -421,7 +422,8 @@ def _verify_entry(path: Path, obj) -> list[dict]:
 def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
     """The rows of one polygon entry.  The dual, its area and the weights of
     T are computed once per entry, and the mutant, its dual and its weights
-    once per factor."""
+    once per factor; a mutant's weights are read off its vertices, as
+    mutation.mutants proved T Fano."""
     mutation = _module("mutation")
     deform = _module("deform")
     out = []
@@ -442,7 +444,8 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
             # without the origin inside fails the check instead of raising
             ok = mutation.dual_map(md, Tstar) == Qstar
             out.append(_entry(path, f"duality-commutation [{tag}]", "pass" if ok else "fail"))
-            wQ = weights(Q) if wT is not None and len(Q.vertices) == 3 else None
+            # mutants proved T Fano, and Q is its mutant, so it is Fano too
+            wQ = weights_of_vertices(*Q.vertices) if wT is not None and len(Q.vertices) == 3 else None
             if wQ is not None:
                 ok = diophantine_class(wQ) == cls
                 out.append(_entry(path, f"diophantine-constancy [{tag}]", "pass" if ok else "fail"))

@@ -8,6 +8,16 @@ coefficient into the affine part plus an integral two-piece part, moves
 the split-off summand to a fresh point of the projective line, reduces the
 three-coefficient divisorial polytope back to a polygon by affine shifts,
 and certifies the result against the dilated dual of the mutated polygon.
+
+Each step is built once and trusts what an earlier step proved:
+`geom.mat_image` keeps the source's cycle under the normalizer, whose
+determinant is 1; `geom.dual_denominator` and `geom.dilated_dual` give the
+automatic dilation and the dilated duals without the undilated duals;
+`mutate` proves the normalized source Fano, so both weight triples are read
+by `fano.weights_of_vertices`; `is_admissible` checks that the parts are
+defined on the box before `DivPoly.with_split` builds the general fiber;
+and the reduction computes each divisorial polytope's nontrivial labels
+once.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .divpoly import (
     PointLabel,
     from_polygon,
     interval_str,
+    kink,
     shift_affine,
     to_polygon,
 )
@@ -36,12 +47,14 @@ from .geom import (
     Polygon,
     Rational,
     Vector2,
-    dilate,
-    dual,
+    dilated_dual,
+    dual_denominator,
     height_basis,
     lattice_equivalent,
     mat_apply,
+    mat_image,
     polygon_to_json,
+    to_fraction,
     vector_to_json,
 )
 from .mutation import InvalidFactor, MutationData, mutate
@@ -128,10 +141,8 @@ def general_fiber(dp: DivPoly, d: Decomposition) -> DivPoly:
     fresh = PointLabel.param("s")
     if fresh in dp.coeffs or fresh == d.label:
         raise LabelCollision(f"parameter label already in use: {fresh.name!r}")
-    cs = dict(dp.coeffs)
-    cs[d.label] = d.part0
-    cs[fresh] = d.part1
-    out = DivPoly(dp.box, cs)
+    # is_admissible proved both parts defined on phi's domain, the box
+    out = dp.with_split(d.label, d.part0, fresh, d.part1)
     assert out.degree() == dp.degree()  # degree function unchanged pointwise
     return out
 
@@ -170,8 +181,9 @@ class ReductionResult:
     reason: Optional[str] = None
 
 
-def _lattice_ok(dp: DivPoly) -> bool:
-    return all(dp.coeffs[l].has_lattice_graph() for l in dp.nontrivial_labels())
+def _lattice_ok(dp: DivPoly, nt: list[PointLabel]) -> bool:
+    # nt is dp.nontrivial_labels()
+    return all(dp.coeffs[l].has_lattice_graph() for l in nt)
 
 
 def _shift_candidates(dp: DivPoly) -> list[ShiftRecord]:
@@ -222,24 +234,23 @@ def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
     recorded in the result."""
     shifts: list[ShiftRecord] = []
     cur = dp
+    nt = cur.nontrivial_labels()  # kept equal to cur.nontrivial_labels()
     for _ in range(max(1, len(dp.coeffs))):
-        nt = cur.nontrivial_labels()
         if len(nt) <= 2:
             break
-        applied = False
         for c in _shift_candidates(cur):
             nxt = shift_affine(cur, c.frm, c.to, c.slope, c.intercept)
-            if len(nxt.nontrivial_labels()) < len(nt) and _lattice_ok(nxt):
+            nt_next = nxt.nontrivial_labels()
+            if len(nt_next) < len(nt) and _lattice_ok(nxt, nt_next):
                 shifts.append(c)
-                cur = nxt
-                applied = True
+                cur, nt = nxt, nt_next
                 break
-        if not applied:
+        else:
             return ReductionResult(
                 False, None, tuple(shifts), None,
                 "no affine shift reduces the nontrivial coefficients",
             )
-    if len(cur.nontrivial_labels()) > 2 or not _lattice_ok(cur):
+    if len(nt) > 2 or not _lattice_ok(cur, nt):
         return ReductionResult(
             False, None, tuple(shifts), None,
             "reduced coefficients fail the lattice-graph condition",
@@ -348,19 +359,14 @@ def _transform_mutation(md: MutationData, U: Mat2) -> MutationData:
     return MutationData(w=Vector2(0, -1), t=md.t, f0=Vector2(1, 0))
 
 
-def _denominator_lcm(P: Polygon) -> int:
-    out = 1
-    for v in P.vertices:
-        out = math.lcm(out, v.x.denominator, v.y.denominator)
-    return out
-
-
 def standard_decomposition(dp: DivPoly, t: int) -> Decomposition:
     """Split the infinity coefficient as (phi - part1) + part1 with
     part1 = min(t*u, 0); for the maximal factor length this makes part0 the
     affine extension of the right-hand piece, as in the deformation proof."""
     phi = dp.coefficient(INFINITY)
-    part1 = PLFunc.min_of_affines(dp.box, [(t, 0), (0, 0)])
+    # to_fraction refuses a t that is not an exact rational, as
+    # PLFunc.min_of_affines would
+    part1 = kink(dp.box, to_fraction(t))
     part0 = phi - part1
     return Decomposition(INFINITY, part0, part1)
 
@@ -378,15 +384,15 @@ def mutation_to_deformation(
     if len(P.vertices) != 3:
         raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
     U = _normalizer_for(md.w)
-    Pn = Polygon([mat_apply(U, v) for v in P.vertices])
+    Pn = mat_image(U, P)  # det(U) = 1
     mdn = _transform_mutation(md, U)
-    Q = mutate(Pn, mdn)
-    Pstar = dual(Pn)
-    Qstar = dual(Q)
-    auto = math.lcm(_denominator_lcm(Pstar), _denominator_lcm(Qstar))
+    Q = mutate(Pn, mdn)  # proves Pn Fano, so Q is Fano as well
+    auto = math.lcm(dual_denominator(Pn), dual_denominator(Q))
     a = auto if dilation is None else dilation
-    # the automatic dilation always passes: it clears every denominator
-    if a < 1 or not (Pa := dilate(Pstar, a)).is_lattice():
+    # the automatic dilation always passes: it clears every denominator;
+    # to_fraction refuses a dilation that is not an exact rational, as
+    # geom.dilate does
+    if a < 1 or not (Pa := dilated_dual(Pn, to_fraction(a))).is_lattice():
         raise NoLatticeDilation(
             f"dilation {a} does not make the dual a lattice polygon (minimal valid: {auto})"
         )
@@ -400,15 +406,17 @@ def mutation_to_deformation(
     # varieties; the deformation theorem sanctions it exactly in the
     # smoothing (weight-decreasing) direction.  In the opposite direction
     # the reduced polygon is formal only, so refuse to certify it.
-    wp = fano.weights(Pn)  # Pn is a Fano triangle: mutate proved it Fano
-    wq = fano.weights(Q) if len(Q.vertices) == 3 else None
+    # mutate proved Pn Fano, and Q is its mutant, so the weights are read
+    # off the vertices without proving either Fano again
+    wp = fano.weights_of_vertices(*Pn.vertices)
+    wq = fano.weights_of_vertices(*Q.vertices) if len(Q.vertices) == 3 else None
     if any(not s.is_integral() for s in red.shifts) and not weights_decrease(wp, wq):
         raise FiberMismatch(
             "reduction needs a non-isomorphism shift but the mutation does "
             "not decrease the weights; the general fiber is not the mutated "
             "plane in this direction"
         )
-    target = dilate(Qstar, a)
+    target = dilated_dual(Q, to_fraction(a))
     if not target.is_lattice():
         raise FiberMismatch(
             f"dilation {a} does not make the mutated dual a lattice polygon"
@@ -459,5 +467,5 @@ def weights_decrease(wp: fano.WeightTriple, wq: Optional[fano.WeightTriple]) -> 
 def is_weight_reducing(P: Polygon, md: MutationData) -> bool:
     """weights_decrease for the Fano triangle P and its mutant by md."""
     wp = fano.weights(P)
-    Q = mutate(P, md)
-    return weights_decrease(wp, fano.weights(Q) if len(Q.vertices) == 3 else None)
+    Q = mutate(P, md)  # the mutant of a Fano polygon is Fano
+    return weights_decrease(wp, fano.weights_of_vertices(*Q.vertices) if len(Q.vertices) == 3 else None)

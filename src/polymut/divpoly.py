@@ -17,12 +17,19 @@ breakpoints that do not increase or slopes that do not decrease; and by
 `DivPoly._of`, which assumes a stored box and coefficients defined on it.
 Sums and the reduction evaluate a function at sorted points in one walk
 along its breakpoints (`PLFunc._at`).
+
+The deformation pipeline's steps trust what came before them: `kink`
+builds min(t*u, 0) on a stored box; `DivPoly.with_split` assumes parts
+defined on the box, which `deform.is_admissible` checks; `from_polygon`
+reads both envelopes off the canonical vertex cycle of a polygon it has
+checked to be a full-dimensional lattice polygon; and `to_polygon` hulls
+exact (u, value) pairs with `geom.hull_of_pairs`.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import functools
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -31,9 +38,14 @@ from .geom import (
     Rational,
     RationalLike,
     Vector2,
+    hull_of_pairs,
     qdiv,
     to_fraction,
 )
+
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class NotLatticePolygon(DomainError):
@@ -64,13 +76,46 @@ class LabelCollision(DomainError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering  # labels order as their (kind, name) pairs
 class PointLabel:
     """A closed point of the projective line: zero, infinity, or a named
-    parameter point (the general-fiber location)."""
+    parameter point (the general-fiber location).
 
-    kind: int  # 0 = zero, 1 = infinity, 2 = parameter
-    name: str = ""
+    Equal, hashed, ordered and printed as the (kind, name) pair, as a frozen
+    dataclass would be; the pair is stored once, as the key."""
+
+    __slots__ = ("kind", "name", "_key")
+
+    def __init__(self, kind: int, name: str = ""):
+        # kind: 0 = zero, 1 = infinity, 2 = parameter
+        _set(self, "kind", kind)
+        _set(self, "name", name)
+        _set(self, "_key", (kind, name))
+
+    def __setattr__(self, *a):
+        raise AttributeError("PointLabel is immutable")
+
+    def __delattr__(self, *a):
+        raise AttributeError("PointLabel is immutable")
+
+    def __reduce__(self):
+        return PointLabel, self._key
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PointLabel:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __lt__(self, other: "PointLabel") -> bool:
+        if other.__class__ is not PointLabel:
+            return NotImplemented
+        return self._key < other._key
+
+    def __repr__(self) -> str:
+        return f"PointLabel(kind={self.kind!r}, name={self.name!r})"
 
     def __str__(self) -> str:
         if self.kind == 0:
@@ -103,10 +148,6 @@ INFINITY = PointLabel(1)
 def interval_str(iv: tuple[Rational, Rational]) -> str:
     """An interval's endpoints as canonical rationals: '(1/2, 3)'."""
     return f"({iv[0]}, {iv[1]})"
-
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _canonical_form(
@@ -257,7 +298,8 @@ class PLFunc:
         return len(self.breaks) == 2
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        # the canonical form of the zero function is its two end values
+        return self.values == (0, 0)
 
     def has_lattice_graph(self) -> bool:
         """Graph vertices (breakpoint, value) all lie in the integer lattice."""
@@ -319,6 +361,15 @@ class PLFunc:
             if not isinstance(obj[key], list):
                 raise DomainError(f"PL function {key!r} must be a list: {obj[key]!r}")
         return PLFunc(obj["breaks"], obj["values"])
+
+
+def kink(box: tuple[Rational, Rational], t: Rational) -> PLFunc:
+    """min(t*u, 0) on a stored box (lo, hi) for an exact t, as
+    PLFunc.min_of_affines(box, [(t, 0), (0, 0)]) gives it: the two affine
+    functions cross only at u = 0."""
+    lo, hi = box
+    bs = (lo, 0, hi) if lo < 0 < hi else box
+    return PLFunc._canonical(bs, [min(t * u, 0) for u in bs])
 
 
 class DivPoly:
@@ -394,6 +445,17 @@ class DivPoly:
         cs[label] = f
         return DivPoly(self.box, cs)
 
+    def with_split(self, label: PointLabel, part0: PLFunc, fresh: PointLabel, part1: PLFunc) -> "DivPoly":
+        """self with the coefficient at label replaced by part0 and part1
+        placed at the label fresh.  Both parts must be defined on the box,
+        as deform.is_admissible checks; only the label is checked here."""
+        if not isinstance(label, PointLabel):
+            raise DomainError(f"bad label: {label!r}")
+        cs = dict(self.coeffs)
+        cs[label] = part0
+        cs[fresh] = part1
+        return DivPoly._of(self.box, cs)
+
     def to_json(self) -> dict:
         return {
             "box": [str(self.box[0]), str(self.box[1])],
@@ -412,33 +474,37 @@ class DivPoly:
         return DivPoly(box, {PointLabel.parse(k): PLFunc.from_json(v) for k, v in coeffs.items()})
 
 
-def _lower_chain(P: Polygon) -> list[tuple[Rational, Rational]]:
-    """Breakpoints of the lower envelope of a full-dimensional polygon."""
-    verts = P.vertices
-    n = len(verts)
-    chain = [verts[0]]
-    i = 0
-    while True:
-        nxt = verts[(i + 1) % n]
-        if nxt.x > chain[-1].x:
-            chain.append(nxt)
-            i += 1
-        else:
+def _chain(vs: Sequence[Vector2], i: int, step: int) -> list[tuple[Rational, Rational]]:
+    """The (x, y) pairs of the vertex cycle vs walked from vs[i] in steps
+    of +1 (counterclockwise) or -1 (clockwise) while x strictly increases."""
+    n = len(vs)
+    v = vs[i]
+    chain = [(v.x, v.y)]
+    for _ in range(n - 1):
+        i = (i + step) % n
+        v = vs[i]
+        if v.x <= chain[-1][0]:
             break
-    return [(v.x, v.y) for v in chain]
+        chain.append((v.x, v.y))
+    return chain
 
 
 def from_polygon(delta: Polygon) -> DivPoly:
     """Divisorial polytope of a lattice polygon for the first-coordinate
     subtorus: the coefficient at zero is the upper envelope, the one at
-    infinity the negated lower envelope."""
+    infinity the negated lower envelope.
+
+    Both are read off the canonical cycle: the lower envelope
+    counterclockwise from the first vertex, the lowest of the leftmost, and
+    the upper one clockwise from the highest of the leftmost, which is the
+    last vertex when the left edge is vertical and the first otherwise."""
     if delta.dim() != 2:
         raise NotFullDimensionalPolygon("need a full-dimensional polygon")
     if not delta.is_lattice():
         raise NotLatticePolygon("need a lattice polygon")
-    lower = _lower_chain(delta)
-    reflected = Polygon([Vector2._of(v.x, -v.y) for v in delta.vertices])
-    upper = [(x, -y) for x, y in _lower_chain(reflected)]
+    vs = delta.vertices
+    lower = _chain(vs, 0, 1)
+    upper = _chain(vs, -1 if vs[-1].x == vs[0].x else 0, -1)
     phi_zero = PLFunc._canonical([x for x, _ in upper], [y for _, y in upper])
     phi_inf = PLFunc._canonical([x for x, _ in lower], [-y for _, y in lower])
     box = (lower[0][0], lower[-1][0])
@@ -448,7 +514,8 @@ def from_polygon(delta: Polygon) -> DivPoly:
 def to_polygon(dp: DivPoly) -> Polygon:
     """Polygon of a divisorial polytope with at most two nontrivial
     coefficients: the region between the first one and the negated second
-    (labels in canonical order)."""
+    (labels in canonical order), the hull of the (u, value) pairs of both
+    at every breakpoint of either."""
     nt = dp.nontrivial_labels()
     if len(nt) > 2:
         raise TooManyNontrivialCoefficients(
@@ -462,9 +529,9 @@ def to_polygon(dp: DivPoly) -> Polygon:
         lo = -lo
         if hi < lo:
             raise EmptyFiber(f"empty fiber over u = {u}")
-        pts.append(Vector2._of(u, hi))
-        pts.append(Vector2._of(u, lo))
-    return Polygon(pts)
+        pts.append((u, hi))
+        pts.append((u, lo))
+    return hull_of_pairs(pts)
 
 
 def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:

@@ -8,9 +8,9 @@ immutable values and safe to share between threads.
 
 Values are coerced once, where they come in: `Vector2(x, y)`, `dilate`
 and the JSON readers run `to_fraction`.  A vector computed from stored
-coordinates (by `+`, `-`, `scale`, `mat_apply`, `dual`, or the mutation
-and divpoly kernels) is built by the trusted `Vector2._of`, which assumes
-ints and Fractions and only folds an integral Fraction, such as
+coordinates (by `+`, `-`, `scale`, `mat_apply`, `dilated_dual`, or the
+mutation and divpoly kernels) is built by the trusted `Vector2._of`, which
+assumes ints and Fractions and only folds an integral Fraction, such as
 1/2 + 1/2, to its int.  `scale` takes an exact int or Fraction.
 
 A vector may play the role of a point of the one-parameter-subgroup
@@ -234,10 +234,12 @@ class Polygon:
 
     Construction runs a convex hull, so any point list yields the canonical
     representative: CCW, no collinear triples, lex-smallest vertex first.
-    Only `dual`, `dilate` (by r != 0) and `translate` skip the hull, through
+    Only `dilated_dual` (and `dual`), `dilate` (by r != 0), `translate` and
+    `mat_image` (by a nonsingular matrix) skip the hull, through
     `_from_cycle`: each maps a canonical cycle to a strictly convex CCW
-    cycle, so only its start can move.  `_polygon_from_pairs` wraps a cycle
-    that `_hull_pairs` made canonical already.
+    cycle (`mat_image` reverses it when the determinant is negative), so
+    only its start can move.  `_polygon_from_pairs` wraps a cycle that
+    `_hull_pairs` made canonical already.
     """
 
     __slots__ = ("vertices",)
@@ -310,6 +312,19 @@ def convex_hull(points: Iterable[Vector2]) -> Polygon:
     return Polygon(points)
 
 
+def hull_of_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> Polygon:
+    """The polygon Polygon(...) builds from the points with these exact
+    (x, y) pairs, ints or Fractions as the library computes them.  The hull
+    runs on integers: the pairs are scaled by the lcm L of their
+    denominators, hulled, and the hull's vertices divided back by L."""
+    pairs = list(pairs)
+    L = math.lcm(*{c.denominator for p in pairs for c in p})
+    cyc = _hull_pairs([(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator)) for x, y in pairs])
+    if L > 1:
+        cyc = [(qdiv(x, L), qdiv(y, L)) for x, y in cyc]
+    return _polygon_from_pairs(cyc)
+
+
 def dilate(P: Polygon, r: RationalLike) -> Polygon:
     """r*P; for r != 0 the scaled cycle is still CCW and strictly convex
     (r < 0 turns it by a half turn), for r == 0 it collapses to a point."""
@@ -321,6 +336,19 @@ def dilate(P: Polygon, r: RationalLike) -> Polygon:
 def mat_apply(U: Mat2, v: Vector2) -> Vector2:
     (a, b), (c, d) = U
     return Vector2._of(a * v.x + b * v.y, c * v.x + d * v.y)
+
+
+def mat_image(U: Mat2, P: Polygon) -> Polygon:
+    """U*P.  A nonsingular U maps P's canonical cycle to a strictly convex
+    cycle, counterclockwise when det(U) > 0 and clockwise (so reversed
+    here) when det(U) < 0; a singular U collapses P and takes a hull."""
+    vs = [mat_apply(U, v) for v in P.vertices]
+    det = mat_det(U)
+    if not det:
+        return Polygon(vs)
+    if det < 0:
+        vs.reverse()
+    return Polygon._from_cycle(vs)
 
 
 def mat_det(U: Mat2) -> int:
@@ -424,8 +452,17 @@ def dual(P: Polygon) -> Polygon:
     Requires a full-dimensional polygon with the origin strictly interior;
     then the dual is again such a polygon and dual(dual(P)) == P.
     """
+    return dilated_dual(P, 1)
+
+
+def dilated_dual(P: Polygon, r: Rational) -> Polygon:
+    """r*dual(P) for an exact int or Fraction r > 0, equal to
+    dilate(dual(P), r), coordinate types included, without the dual: the
+    CCW edge (a, b) gives the vertex r*(a.y - b.y, b.x - a.x)/det(a, b)."""
     if P.dim() != 2:
         raise NotFullDimensional("dual needs a full-dimensional polygon")
+    if r <= 0:
+        raise DomainError(f"dilation of a dual must be positive: {r}")
     verts = []
     for a, b in P.edges():
         # the origin is strictly inside exactly when every det is positive
@@ -434,8 +471,26 @@ def dual(P: Polygon) -> Polygon:
         det = a.cross(b)
         if det <= 0:
             raise OriginNotInterior("dual needs the origin strictly inside")
-        verts.append(Vector2._of(qdiv(a.y - b.y, det), qdiv(b.x - a.x, det)))
+        verts.append(Vector2._of(qdiv(r * (a.y - b.y), det), qdiv(r * (b.x - a.x), det)))
     return Polygon._from_cycle(verts)
+
+
+def dual_denominator(P: Polygon) -> int:
+    """The least positive integer a with a*dual(P) a lattice polygon, for
+    a full-dimensional lattice polygon P with the origin strictly inside:
+    the lcm over CCW edges (a, b) of det / gcd(det, b.x - a.x, a.y - b.y),
+    det = det(a, b), the denominator of the dual vertex of that edge."""
+    if P.dim() != 2:
+        raise NotFullDimensional("dual needs a full-dimensional polygon")
+    if not P.is_lattice():
+        raise NotLattice("dual_denominator needs a lattice polygon")
+    out = 1
+    for a, b in P.edges():
+        det = a.cross(b)
+        if det <= 0:
+            raise OriginNotInterior("dual needs the origin strictly inside")
+        out = math.lcm(out, det // math.gcd(det, b.x - a.x, a.y - b.y))
+    return out
 
 
 def height_range(P: Polygon, w: Vector2) -> tuple[Rational, Rational]:

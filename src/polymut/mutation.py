@@ -38,6 +38,7 @@ from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     _hull_pairs,
     _polygon_from_pairs,
     height_basis,
+    hull_of_pairs,
     is_primitive,
     linear_normal_form,
     primitivize,
@@ -254,7 +255,7 @@ def dual_map(md: MutationData, Q: Polygon) -> Polygon:
         # u_min is 0 where <u, t*f0> >= 0 (the origin minimizes), else <u, t*f0>
         pts.append((bx - sb * wx, by - sb * wy) if sb < 0 else (bx, by))
         ax, ay, sa = bx, by, sb
-    return _polygon_from_pairs(_hull_pairs(pts))
+    return hull_of_pairs(pts)
 
 
 @dataclass(frozen=True)

@@ -620,6 +620,26 @@ class TestBatchVerify:
             "c25faa5972a9e24deee343d5b9a14a4c0966529e6605f7fa7bcc8dbf9f08a107"
         )
 
+    def test_mutants_are_not_proved_fano_again(self, capsys, tmp_path, monkeypatch):
+        # each entry proves T Fano through weights(T), each direction through
+        # mutation.mutants, and each certificate through its one mutate; a
+        # mutant's weights are read off its vertices
+        from polymut import fano
+
+        calls = []
+        is_fano = fano.is_fano
+        monkeypatch.setattr(fano, "is_fano", lambda P: calls.append(P) or is_fano(P))
+        mutation = cli._module("mutation")
+        total = 0
+        for weights in ((1, 1, 4), (1, 4, 25), (2, 3, 5)):
+            T = fano.triangle_from_weights(weights)
+            del calls[:]
+            rows = cli._verify_polygon(tmp_path / "t.json", T)
+            certified = sum(r["check"].startswith("deformation-certificate") for r in rows)
+            assert len(calls) == 1 + len(mutation.factor_directions(T)) + certified, weights
+            total += certified
+        assert total == 2
+
     def test_dual_map_image_without_interior_origin_fails_its_row(self, capsys, tmp_path, monkeypatch):
         # the check compares dual_map(md, T*) with dual(Q), so an image that
         # is no dual of anything fails its own row, and the entry's other

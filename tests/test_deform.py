@@ -384,6 +384,74 @@ def test_digest_of_every_factor_of_every_coprime_triple_up_to_15():
     )
 
 
+
+def test_digest_of_every_dilation_of_every_coprime_triple_up_to_10():
+    # every factor of every pairwise-coprime triple with c <= 10, forward and
+    # back, at the automatic dilation and at explicit ones that are too small,
+    # not integral, valid or a multiple of the least: the certificate JSON,
+    # or the error type and message of the refusal
+    dilations = (None, 0, 1, 2, 3, 12, 60, Fraction(1, 2), Fraction(3, 2))
+
+    def attempt(P, md, a):
+        try:
+            return mutation_to_deformation(P, md, a).to_json()
+        except DomainError as e:
+            return [type(e).__name__, str(e)]
+
+    rows = []
+    for c in range(1, 11):
+        for b in range(1, c + 1):
+            for a in range(1, b + 1):
+                if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+                    T = fano.triangle_from_weights((a, b, c))
+                    for w in factor_directions(T):
+                        for md in find_factors(T, w):
+                            Q, back = mutate(T, md), inverse_data(T, md)
+                            for d in dilations:
+                                rows.append(attempt(T, md, d))
+                                rows.append(attempt(Q, back, d))
+    blob = json.dumps(rows, sort_keys=True, default=str).encode()
+    assert len(rows) == 4554
+    assert sum(isinstance(r, dict) for r in rows) == 278
+    assert hashlib.sha256(blob).hexdigest() == (
+        "9e24637b01ddf4d28ed7a4b27cc5a149b3666bc8926143745c26d7671102487f"
+    )
+
+
+def test_pipeline_proves_fano_once(monkeypatch):
+    # mutate proves the normalized source Fano; its weights and the mutant's
+    # are read off their vertices without proving either Fano again
+    calls = []
+    is_fano = fano.is_fano
+    monkeypatch.setattr(fano, "is_fano", lambda P: calls.append(P) or is_fano(P))
+    attempts = 0
+    for weights in ((1, 1, 1), (1, 1, 4), (1, 4, 25), (2, 3, 5), (1, 2, 9)):
+        T = fano.triangle_from_weights(weights)
+        for w in factor_directions(T):
+            for md in find_factors(T, w):
+                del calls[:]
+                try:
+                    mutation_to_deformation(T, md)
+                except DomainError:
+                    pass
+                assert len(calls) == 1, (weights, md)
+                attempts += 1
+    assert attempts >= 10
+
+
+def test_inexact_factor_lengths_and_dilations_refused():
+    # a boolean factor length or dilation, and a float dilation, are refused
+    # as not exact rationals, as PLFunc.min_of_affines and geom.dilate did
+    from polymut.mutation import MutationData
+
+    T = fano.triangle_from_weights((1, 1, 4))
+    mds = [md for w in factor_directions(T) for md in find_factors(T, w)]
+    assert len(mds) == 3
+    for md in mds:
+        for m, a, bad in ((MutationData(md.w, True, md.f0), None, "True"), (md, True, "True"), (md, 2.0, "2.0"), (md, 2.5, "2.5")):
+            with pytest.raises(DomainError, match=f"^not an exact rational: {bad}$"):
+                mutation_to_deformation(T, m, a)
+
 class TestSmoothingDirection:
     def test_rule(self):
         assert weights_decrease((1, 1, 4), (1, 1, 1))

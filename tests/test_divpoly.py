@@ -376,3 +376,197 @@ class TestJSONBoundary:
     def test_label_needs_a_string(self, label):
         with pytest.raises(DomainError, match="point label must be a string"):
             PointLabel.parse(label)
+
+
+def _lower_chain_by_definition(Q):
+    # counterclockwise from the lex-smallest vertex while x increases
+    vs = Q.vertices
+    chain = [vs[0]]
+    i = 0
+    while vs[(i + 1) % len(vs)].x > chain[-1].x:
+        i += 1
+        chain.append(vs[i % len(vs)])
+    return [(v.x, v.y) for v in chain]
+
+
+def _from_polygon_by_definition(Q):
+    """The lower envelope of Q and the negated lower envelope of Q reflected
+    in the first axis, which is a hull of the reflected vertices."""
+    from polymut.geom import Polygon, Vector2
+
+    lower = _lower_chain_by_definition(Q)
+    reflected = Polygon([Vector2(v.x, -v.y) for v in Q.vertices])
+    upper = [(x, -y) for x, y in _lower_chain_by_definition(reflected)]
+    return DivPoly(
+        (lower[0][0], lower[-1][0]),
+        {ZERO: PLFunc(*zip(*upper)), INFINITY: PLFunc([x for x, _ in lower], [-y for _, y in lower])},
+    )
+
+
+def _stored(f):
+    return f.breaks, f.values, [type(x) for x in f.breaks + f.values]
+
+
+class TestFastPathOracles:
+    """The trusted paths of divpoly against the definitions they replace."""
+
+    def test_from_polygon_reads_both_envelopes_off_the_cycle(self):
+        import random
+
+        from polymut.geom import Polygon, Vector2
+
+        rng = random.Random(19)
+        seen = {"vertical left edge": 0, "vertical right edge": 0, "both": 0, "neither": 0}
+        done = 0
+        while done < 500:
+            pts = [Vector2(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 7))]
+            xs = [p.x for p in pts]
+            # a second point on the leftmost or the rightmost vertical line
+            if rng.random() < 0.4:
+                pts.append(Vector2(min(xs), rng.randint(-5, 5)))
+            if rng.random() < 0.4:
+                pts.append(Vector2(max(xs), rng.randint(-5, 5)))
+            Q = Polygon(pts)
+            if Q.dim() != 2:
+                continue
+            vs = Q.vertices
+            left = vs[-1].x == vs[0].x
+            right = any(a.x == b.x for a, b in Q.edges()[1:-1])
+            key = "both" if left and right else "vertical left edge" if left else "vertical right edge" if right else "neither"
+            seen[key] += 1
+            got, want = from_polygon(Q), _from_polygon_by_definition(Q)
+            assert got == want, Q
+            assert got.box == want.box and [type(x) for x in got.box] == [type(x) for x in want.box]
+            for label in (ZERO, INFINITY):
+                assert _stored(got.coeffs[label]) == _stored(want.coeffs[label]), Q
+            done += 1
+        assert seen["vertical left edge"] + seen["both"] >= 50, seen
+        assert seen["vertical right edge"] + seen["both"] >= 50, seen
+        assert seen["neither"] >= 50, seen
+
+    def test_to_polygon_is_the_hull_of_the_fibers(self):
+        import random
+
+        from polymut.geom import Polygon, Vector2
+
+        rng = random.Random(20)
+        labels = [ZERO, INFINITY, PointLabel.param("s")]
+        done = 0
+        while done < 300:
+            lo = rng.randint(-4, 1)
+            box = (lo, lo + rng.randint(1, 5))
+            fs = [
+                PLFunc.min_of_affines(
+                    box, [(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(0, 6)) for _ in range(rng.randint(1, 3))]
+                )
+                for _ in range(2)
+            ]
+            dp = DivPoly(box, dict(zip(rng.sample(labels, 2), fs)))
+            nt = dp.nontrivial_labels()
+            upper = dp.coefficient(nt[0])
+            lower = dp.coefficient(nt[1]) if len(nt) > 1 else PLFunc.constant(box, 0)
+            us = sorted(set(upper.breaks) | set(lower.breaks))
+            if any(upper(u) < -lower(u) for u in us):
+                with pytest.raises(EmptyFiber):
+                    to_polygon(dp)
+                continue
+            want = Polygon([Vector2(u, y) for u in us for y in (upper(u), -lower(u))])
+            got = to_polygon(dp)
+            assert got == want and [(type(v.x), type(v.y)) for v in got.vertices] == [
+                (type(v.x), type(v.y)) for v in want.vertices
+            ]
+            done += 1
+
+    def test_is_zero_reads_the_canonical_form(self):
+        import random
+
+        rng = random.Random(21)
+        zeros = 0
+        for _ in range(3000):
+            bs, vs = _random_points(rng)
+            if rng.random() < 0.3:
+                vs = [v * 0 for v in vs]
+            try:
+                f = PLFunc(bs, vs)
+            except DomainError:
+                continue
+            assert f.is_zero() == all(v == 0 for v in f.values)
+            zeros += f.is_zero()
+        assert zeros >= 300
+
+    def test_kink_is_the_minimum_of_two_affine_functions(self):
+        from polymut.divpoly import kink
+
+        boxes = [(-6, 6), (0, 3), (-3, 0), (1, 4), (-5, -2), (Fraction(-1, 2), Fraction(7, 3)), (Fraction(1, 3), 2)]
+        for box in boxes:
+            for t in (0, 1, 2, 5, -1, -3, Fraction(1, 2), Fraction(-2, 3)):
+                got, want = kink(box, t), PLFunc.min_of_affines(box, [(t, 0), (0, 0)])
+                assert _stored(got) == _stored(want), (box, t)
+
+    def test_with_split_is_the_public_constructor(self):
+        dp = from_polygon(P((-6, 2), (6, 2), (0, -1)))
+        part0 = PLFunc.affine(BOX, Fraction(-1, 2), 1)
+        part1 = PLFunc.min_of_affines(BOX, [(1, 0), (0, 0)])
+        s = PointLabel.param("s")
+        for label in (ZERO, INFINITY, PointLabel.param("t")):
+            got = dp.with_split(label, part0, s, part1)
+            cs = dict(dp.coeffs)
+            cs[label] = part0
+            cs[s] = part1
+            want = DivPoly(BOX, cs)
+            assert got == want and list(got.coeffs) == list(want.coeffs)
+        with pytest.raises(DomainError, match="^bad label: 'inf'$"):
+            dp.with_split("inf", part0, s, part1)
+
+
+def _label_model(label):
+    return (label.kind, label.name)
+
+
+class TestPointLabelValueSemantics:
+    """PointLabel behaves as the (kind, name) pair it stores, as the frozen
+    dataclass it replaces did."""
+
+    LABELS = [ZERO, INFINITY, PointLabel.param("s"), PointLabel.param("t"), PointLabel.param("a"), PointLabel(2, "s")]
+
+    def test_against_the_pair_model(self):
+        import itertools
+        import random
+
+        for a, b in itertools.product(self.LABELS, repeat=2):
+            ka, kb = _label_model(a), _label_model(b)
+            assert (a == b) == (ka == kb) and (a != b) == (ka != kb)
+            assert (a < b) == (ka < kb) and (a <= b) == (ka <= kb)
+            assert (a > b) == (ka > kb) and (a >= b) == (ka >= kb)
+            if a == b:
+                assert hash(a) == hash(b)
+        for a in self.LABELS:
+            assert hash(a) == hash(_label_model(a))
+        rng = random.Random(22)
+        for _ in range(50):
+            xs = rng.sample(self.LABELS, rng.randint(1, len(self.LABELS)))
+            assert [_label_model(x) for x in sorted(xs)] == sorted(_label_model(x) for x in xs)
+        assert len(set(self.LABELS)) == 5
+
+    def test_other_types_and_printing(self):
+        s = PointLabel.param("s")
+        assert s != (2, "s") and ZERO != 0 and not (ZERO == (0, ""))
+        with pytest.raises(TypeError):
+            ZERO < (1, "")
+        assert repr(ZERO) == "PointLabel(kind=0, name='')"
+        assert repr(s) == "PointLabel(kind=2, name='s')"
+        assert [str(x) for x in (ZERO, INFINITY, s)] == ["0", "inf", "s"]
+        assert PointLabel(0) == ZERO and PointLabel.parse("inf") is INFINITY
+
+    def test_immutable(self):
+        import copy
+        import pickle
+
+        s = PointLabel.param("s")
+        for attr in ("kind", "name", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, attr, 1)
+        with pytest.raises(AttributeError):
+            del s.kind
+        assert _label_model(s) == (2, "s")
+        assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(s)) == s

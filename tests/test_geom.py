@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,9 +16,12 @@ from polymut.geom import (
     area,
     convex_hull,
     dilate,
+    dilated_dual,
     dual,
+    dual_denominator,
     height_basis,
     height_range,
+    hull_of_pairs,
     is_primitive,
     lattice_equivalent,
     lattice_points,
@@ -25,6 +29,7 @@ from polymut.geom import (
     linear_equivalent,
     linear_normal_form,
     mat_apply,
+    mat_image,
     mat_mul,
     minkowski_difference,
     minkowski_sum,
@@ -899,3 +904,116 @@ def test_origin_test_by_edge_determinants_matches_halfplanes():
         with pytest.raises(OriginNotInterior, match="^dual needs the origin strictly inside$"):
             dual(Q)
     assert min(seen.values()) >= 30, seen
+
+
+def _denominator_lcm(P):
+    # the automatic dilation as it was computed from the dual's coordinates
+    out = 1
+    for v in P.vertices:
+        out = math.lcm(out, v.x.denominator, v.y.denominator)
+    return out
+
+
+class TestDilatedDual:
+    """dilated_dual(P, r) is dilate(dual(P), r), and dual_denominator(P) the
+    least common denominator of dual(P), read off P's edges in integers."""
+
+    RATIOS = (1, 2, 3, 12, 60, Fraction(1, 2), Fraction(3, 2), Fraction(7, 3))
+
+    def _check(self, Q):
+        Qstar = dual(Q)
+        for r in self.RATIOS:
+            got, want = dilated_dual(Q, r), dilate(Qstar, r)
+            assert got == want and _types(got) == _types(want), (Q, r)
+        a = dual_denominator(Q)
+        assert type(a) is int and a == _denominator_lcm(Qstar), Q
+        assert dilated_dual(Q, a).is_lattice()
+        assert all(not dilated_dual(Q, b).is_lattice() for b in range(1, a) if a % b == 0)
+
+    def test_random_fano_polygons(self):
+        rng = random.Random(41)
+        for Q in _random_fano_polygons(rng, 200, span=5):
+            self._check(Q)
+
+    def test_mutation_graph_nodes(self):
+        from polymut.fano import triangle_from_weights
+        from polymut.mutation import mutation_graph
+
+        g = mutation_graph(triangle_from_weights((1, 2, 3)), 3)
+        assert len(g.nodes) == 58
+        denominators = set()
+        for node in g.nodes:
+            self._check(node.polygon)
+            denominators.add(dual_denominator(node.polygon))
+        assert len(denominators) > 5
+
+    def test_refusals(self):
+        with pytest.raises(NotFullDimensional, match="^dual needs a full-dimensional polygon$"):
+            dual_denominator(P((1, 0), (-1, 0)))
+        with pytest.raises(OriginNotInterior, match="^dual needs the origin strictly inside$"):
+            dual_denominator(P((0, 0), (1, 0), (0, 1)))
+        with pytest.raises(NotLattice):
+            dual_denominator(Polygon([Vector2(Fraction(1, 2), 0), Vector2(0, 1), Vector2(-1, -1)]))
+        with pytest.raises(OriginNotInterior, match="^dual needs the origin strictly inside$"):
+            dilated_dual(P((1, 0), (2, 0), (1, 1)), 2)
+        for r in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(DomainError, match="must be positive"):
+                dilated_dual(P((1, 0), (0, 1), (-1, -1)), r)
+
+
+def _random_unimodular(rng):
+    U = ((1, 0), (0, 1))
+    for _ in range(rng.randint(0, 4)):
+        k = rng.randint(-3, 3)
+        U = mat_mul(rng.choice([((1, k), (0, 1)), ((1, 0), (k, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1))]), U)
+    return U
+
+
+class TestMatImage:
+    """mat_image(U, P) is the hull of the images of P's vertices."""
+
+    def test_unimodular_nonsingular_and_singular_maps(self):
+        from polymut.geom import mat_det
+
+        rng = random.Random(43)
+        seen = {1: 0, -1: 0, "other": 0, 0: 0}
+        for _ in range(600):
+            Q = Polygon([_random_point(rng) for _ in range(rng.randint(1, 6))])
+            kind = rng.random()
+            if kind < 0.6:
+                U = _random_unimodular(rng)
+            elif kind < 0.8:
+                U = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+            else:
+                # rank at most one: the image is a segment or a point
+                a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+                U = ((a * c, a * d), (b * c, b * d))
+            d = mat_det(U)
+            seen[d if d in (1, -1, 0) else "other"] += 1
+            got = mat_image(U, Q)
+            want = Polygon([mat_apply(U, v) for v in Q.vertices])
+            assert got == want and _types(got) == _types(want), (U, Q)
+        assert min(seen.values()) >= 30, seen
+
+
+class TestHullOfPairs:
+    """hull_of_pairs hulls integers scaled by the common denominator; the
+    hull of the same points as vectors is the oracle, types included."""
+
+    def test_random_rational_pairs(self):
+        rng = random.Random(47)
+        scaled = 0
+        for _ in range(600):
+            pts = _origin_cases(rng)
+            pairs = [(v.x, v.y) for v in pts]
+            if rng.random() < 0.2:
+                # an integral value computed as a Fraction, as 1/2 + 1/2 is
+                pairs = [(Fraction(x) + Fraction(1, 2) - Fraction(1, 2), y) for x, y in pairs]
+            got, want = hull_of_pairs(pairs), Polygon(pts)
+            assert got == want and _types(got) == _types(want), pairs
+            scaled += any(type(c) is Fraction and c.denominator > 1 for p in pairs for c in p)
+        assert scaled > 300
+
+    def test_empty_point_set_refused(self):
+        with pytest.raises(DomainError, match="empty point set"):
+            hull_of_pairs([])
