@@ -17,14 +17,15 @@ automatic dilation and the dilated duals without the undilated duals;
 by `fano.weights_of_vertices`; `is_admissible` checks that the parts are
 defined on the box before `DivPoly.with_split` builds the general fiber;
 and the reduction computes each divisorial polytope's nontrivial labels
-once.
+once and tries the shifts as `_shift_candidates` walks them, in order,
+building only the ones it tries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError
 from . import fano
@@ -186,51 +187,48 @@ def _lattice_ok(dp: DivPoly, nt: list[PointLabel]) -> bool:
     return all(dp.coeffs[l].has_lattice_graph() for l in nt)
 
 
-def _shift_candidates(dp: DivPoly) -> list[ShiftRecord]:
+def _shift_candidates(dp: DivPoly) -> Iterator[ShiftRecord]:
     """Count-reducing single shifts by affine pieces of existing
-    coefficients.
+    coefficients, in the order reduce_to_polygon tries them.
 
     Integral shifts come first: they twist by a principal divisor and a
     character, hence are isomorphisms and always safe.  A non-integral
     shift is not an isomorphism; the one the deformation proof sanctions
     absorbs the spectator coefficient into the freshest parameter label,
-    so non-integral candidates are ordered by decreasing target label.
+    so the non-integral pass takes the targets by decreasing kind.  Within
+    a pass the walk goes by source label, then target label; each pair has
+    at most one candidate, as distinct pieces of a concave source lie on
+    distinct lines, and a target with two or more breakpoints is minus at
+    most one of them.
     """
-    cands = []
-    labels = dp.labels()
-    for frm in labels:
-        cf = dp.coeffs[frm]
-        if cf.is_zero():
-            continue
-        zeroes_from = cf.is_affine()
-        for (a, _, slope), va in zip(cf.pieces(), cf.values):
-            intercept = va - slope * a
-            for to in labels:
+    labels = dp.labels()  # by (kind, name)
+    freshest_first = [l for kind in (2, 1, 0) for l in labels if l.kind == kind]
+    for integral, targets in ((True, labels), (False, freshest_first)):
+        for frm in labels:
+            cf = dp.coeffs[frm]
+            if cf.is_zero():
+                continue
+            zeroes_from = cf.is_affine()
+            lines = [(slope, va - slope * a) for (a, _, slope), va in zip(cf.pieces(), cf.values)]
+            lines = [(s, c) for s, c in lines if (s.denominator == 1 and c.denominator == 1) == integral]
+            for to in targets:
                 if to == frm:
                     continue
-                # the shift zeroes `to` when its coefficient plus the affine
-                # piece vanishes at every breakpoint of that coefficient
-                if not zeroes_from:
-                    ct = dp.coeffs[to]
-                    if any(v + slope * u + intercept != 0 for u, v in zip(ct.breaks, ct.values)):
-                        continue
-                cands.append(ShiftRecord(frm, to, slope, intercept))
-
-    def key(c: ShiftRecord):
-        if c.is_integral():
-            return (0, c.frm, (c.to.kind, c.to.name), c.slope, c.intercept)
-        return (1, c.frm, (-c.to.kind, c.to.name), c.slope, c.intercept)
-
-    cands.sort(key=key)
-    return cands
+                ct = dp.coeffs[to]
+                for slope, intercept in lines:
+                    # the shift zeroes `to` when its coefficient plus the piece
+                    # vanishes at every breakpoint of that coefficient
+                    if zeroes_from or all(v + slope * u + intercept == 0 for u, v in zip(ct.breaks, ct.values)):
+                        yield ShiftRecord(frm, to, slope, intercept)
 
 
 def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
     """Apply affine shifts until at most two nontrivial coefficients remain
     (all with lattice graphs), then reconstruct the polygon.
 
-    The shifts are searched among affine extensions of the pieces of the
-    stored coefficients, preferring integral slopes; the shifts used are
+    Each step tries the affine extensions of the pieces of the stored
+    coefficients as _shift_candidates yields them, integral ones first,
+    and takes the first that reduces the count; the shifts used are
     recorded in the result."""
     shifts: list[ShiftRecord] = []
     cur = dp
@@ -429,9 +427,11 @@ def mutation_to_deformation(
         raise FiberMismatch(diag)
     cor = corollary_check(d)
     phi0_sum = dp.coefficient(ZERO)
+    # part1 = min(t*u, 0) has a lattice graph, as does the zero coefficient
+    # of a lattice polygon, so part1 always passes and is tried first
     extends = any(
         is_admissible(phi0_sum + part, phi0_sum, part).admissible
-        for part in (d.part0, d.part1)
+        for part in (d.part1, d.part0)
     )
     in_class: Optional[bool] = None
     if wq is not None:

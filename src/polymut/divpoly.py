@@ -28,7 +28,6 @@ exact (u, value) pairs with `geom.hull_of_pairs`.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from typing import Iterable, Mapping, Sequence
 
@@ -257,12 +256,7 @@ class PLFunc:
         u = to_fraction(u)
         if u < self.breaks[0] or u > self.breaks[-1]:
             raise DomainError(f"{u} is outside the domain {interval_str(self.domain)}")
-        i = bisect.bisect_right(self.breaks, u) - 1
-        if i == len(self.breaks) - 1:
-            return self.values[-1]
-        b1, b2 = self.breaks[i], self.breaks[i + 1]
-        v1, v2 = self.values[i], self.values[i + 1]
-        return v1 + qdiv((v2 - v1) * (u - b1), b2 - b1)
+        return self._at((u,))[0]
 
     def _at(self, us: Sequence[Rational]) -> list[Rational]:
         """The values at the points us, which are sorted and lie in the

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -5,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from polymut import fano
+from polymut import deform, fano
 from polymut.errors import DomainError
 from polymut.deform import (
     Decomposition,
+    ShiftRecord,
+    _shift_candidates,
     FiberMismatch,
     Inadmissible,
     corollary_check,
@@ -546,3 +549,145 @@ def test_every_certificate_rational_is_stored_canonically():
         bad += [x for x in rationals if not _is_stored(x)]
     assert len(certs) == 377
     assert bad == []
+
+
+def _shift_candidates_by_sort(dp):
+    """Every count-reducing (from, to, piece) shift listed, then sorted:
+    integral shifts first, each pass by source label, then target label
+    (by decreasing kind for the non-integral ones), then slope."""
+    cands = []
+    labels = dp.labels()
+    for frm in labels:
+        cf = dp.coeffs[frm]
+        if cf.is_zero():
+            continue
+        for (a, _, slope), va in zip(cf.pieces(), cf.values):
+            intercept = va - slope * a
+            for to in labels:
+                if to == frm:
+                    continue
+                ct = dp.coeffs[to]
+                if not cf.is_affine() and any(
+                    v + slope * u + intercept != 0 for u, v in zip(ct.breaks, ct.values)
+                ):
+                    continue
+                cands.append(ShiftRecord(frm, to, slope, intercept))
+
+    def key(c):
+        if c.is_integral():
+            return (0, c.frm, (c.to.kind, c.to.name), c.slope, c.intercept)
+        return (1, c.frm, (-c.to.kind, c.to.name), c.slope, c.intercept)
+
+    return sorted(cands, key=key)
+
+
+def _random_coefficient(rng, box, others):
+    """A concave function on box: zero, affine, a minimum of two to four
+    affine functions with integral or half-integral slopes, or minus the
+    affine extension of a piece of one of the functions in others."""
+    r = rng.random()
+    bent = [f for f in others if not f.is_affine()]
+    if r < 0.25 and bent:
+        f = rng.choice(bent)
+        (a, _, s), v = rng.choice(list(zip(f.pieces(), f.values)))
+        return PLFunc.affine(box, -s, s * a - v)
+    if r < 0.3:
+        return PLFunc.constant(box, 0)
+    n = 1 if r < 0.6 else rng.randint(2, 4)
+    lines = [
+        (Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2])), Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2])))
+        for _ in range(n)
+    ]
+    return PLFunc.min_of_affines(box, lines)
+
+
+def test_shift_walk_is_the_sorted_candidate_list():
+    # _shift_candidates walks the candidates in the order that sorting the
+    # full list gives, on seeded divisorial polytopes with 3 to 5 labels and
+    # on every divisorial polytope their reductions pass through
+    import random
+
+    from polymut.divpoly import shift_affine
+
+    rng = random.Random(20)
+    pool = [ZERO, INFINITY, PointLabel.param("a"), PointLabel.param("s"), PointLabel.param("t")]
+    seen = {"no integral": 0, "non-integral piece": 0, "minus a piece": 0, "two shifts": 0}
+    for _ in range(600):
+        lo = rng.randint(-4, 0)
+        box = (lo, lo + rng.randint(1, 6))
+        coeffs = {}
+        for label in rng.sample(pool, rng.randint(3, 5)):
+            coeffs[label] = _random_coefficient(rng, box, list(coeffs.values()))
+        # a degree negative somewhere would leave the reduced fiber empty
+        low = min(DivPoly(box, coeffs).degree().values)
+        if low < 0:
+            coeffs[label] = coeffs[label] + PLFunc.constant(box, math.ceil(-low))
+        dp = DivPoly(box, coeffs)
+        want = _shift_candidates_by_sort(dp)
+        assert list(_shift_candidates(dp)) == want, dp.to_json()
+        assert len({(c.frm, c.to) for c in want}) == len(want)  # one piece per pair
+        red = reduce_to_polygon(dp)
+        cur = dp
+        for s in red.shifts:
+            cur = shift_affine(cur, s.frm, s.to, s.slope, s.intercept)
+            assert list(_shift_candidates(cur)) == _shift_candidates_by_sort(cur), cur.to_json()
+        seen["no integral"] += bool(want) and not any(c.is_integral() for c in want)
+        seen["non-integral piece"] += any(s.denominator != 1 for f in coeffs.values() for s in f.slopes())
+        seen["minus a piece"] += any(not dp.coeffs[c.frm].is_affine() for c in want)
+        seen["two shifts"] += len(red.shifts) >= 2
+    assert min(seen.values()) >= 30, seen
+
+
+@functools.cache
+def _forward_sweep():
+    """Over every factor of every pairwise-coprime triple with c <= 15,
+    forward: per reduce_to_polygon call, its input and the numbers of
+    ShiftRecords built and of shift_affine calls made during it."""
+    calls = []
+    built, shifted = [0], [0]
+    record, shift, reduce = deform.ShiftRecord, deform.shift_affine, deform.reduce_to_polygon
+
+    def counting_record(*a):
+        built[0] += 1
+        return record(*a)
+
+    def counting_shift(*a):
+        shifted[0] += 1
+        return shift(*a)
+
+    def spying_reduce(dp):
+        b, s = built[0], shifted[0]
+        red = reduce(dp)
+        calls.append((dp, built[0] - b, shifted[0] - s))
+        return red
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deform, "ShiftRecord", counting_record)
+        mp.setattr(deform, "shift_affine", counting_shift)
+        mp.setattr(deform, "reduce_to_polygon", spying_reduce)
+        for c in range(1, 16):
+            for b in range(1, c + 1):
+                for a in range(1, b + 1):
+                    if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+                        T = fano.triangle_from_weights((a, b, c))
+                        for w in factor_directions(T):
+                            for md in find_factors(T, w):
+                                try:
+                                    mutation_to_deformation(T, md)
+                                except DomainError:
+                                    pass
+    return calls
+
+
+def test_shift_walk_on_every_general_fiber_of_the_sweep():
+    fibers = [dp for dp, _, _ in _forward_sweep()]
+    assert len(fibers) == 920
+    for dp in fibers:
+        assert list(_shift_candidates(dp)) == _shift_candidates_by_sort(dp), dp.to_json()
+
+
+def test_reduction_builds_only_the_shifts_it_tries():
+    # the walk is lazy: each ShiftRecord built is one shift_affine call
+    calls = _forward_sweep()
+    assert [b for _, b, _ in calls] == [s for _, _, s in calls]
+    assert sum(b for _, b, _ in calls) == sum(s for _, _, s in calls) == 920

@@ -327,6 +327,28 @@ class TestTrustedConstructor:
             assert got == want and [type(x) for x in got] == [type(x) for x in want]
             done += 1
 
+    def test_call_interpolates_on_its_piece(self):
+        # f(u) by definition: the linear interpolation on the piece that
+        # holds u, for every input type
+        import random
+
+        rng = random.Random(20)
+        done = 0
+        while done < 500:
+            bs, vs = _random_points(rng)
+            try:
+                f = PLFunc(bs, vs)
+            except DomainError:
+                continue
+            lo, hi = f.domain
+            for u in [*f.breaks, *(lo + (hi - lo) * Fraction(rng.randint(0, 12), 12) for _ in range(4))]:
+                i = max(j for j in range(len(f.breaks) - 1) if f.breaks[j] <= u)
+                (b1, b2), (v1, v2) = f.breaks[i : i + 2], f.values[i : i + 2]
+                want = Fraction(v1) + Fraction(v2 - v1) * (u - b1) / (b2 - b1)
+                for arg in (u, Fraction(u), str(u)):
+                    assert f(arg) == want
+            done += 1
+
     def test_degree_is_the_pairwise_sum(self):
         import random
 

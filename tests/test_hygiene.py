@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import json
+import pkgutil
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,6 +127,24 @@ def test_benchmark_trace_targets_resolve():
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(f"{modname}.{attr}")
+    assert missing == []
+
+
+def test_readme_citations_resolve():
+    # every `module.name` or `module.Class.attr` the README cites for a
+    # polymut submodule names something that exists, so a rename cannot
+    # leave the docs stale; benchmark metric names look alike and are skipped
+    metrics = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    modules = {"polymut"} | {p.stem for p in SRC.glob("*.py")}
+    cited = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", (ROOT / "README.md").read_text()))
+    cited = sorted(c for c in cited if c.split(".")[0] in modules and c not in metrics)
+    assert len(cited) >= 20
+    missing = []
+    for c in cited:
+        try:
+            pkgutil.resolve_name(c if c.startswith("polymut.") else f"polymut.{c}")
+        except (ImportError, AttributeError):
+            missing.append(c)
     assert missing == []
 
 
