@@ -16,17 +16,11 @@ _EXPORTS = {
         "Polygon",
         "Vector2",
         "area",
-        "convex_hull",
         "dilate",
         "dual",
-        "height_range",
         "lattice_equivalent",
-        "lattice_points",
-        "lattice_slice",
         "linear_equivalent",
         "linear_normal_form",
-        "minkowski_difference",
-        "minkowski_sum",
         "primitivize",
     ),
     "fano": (
@@ -35,7 +29,6 @@ _EXPORTS = {
         "is_fano",
         "markov_tree",
         "multiplicity",
-        "predicted_mutation_weights",
         "triangle_from_weights",
         "vieta_tree",
         "weights",
@@ -66,7 +59,6 @@ _EXPORTS = {
         "from_polygon",
         "shift_affine",
         "to_polygon",
-        "validate",
     ),
     "deform": (
         "Decomposition",

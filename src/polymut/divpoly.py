@@ -272,7 +272,9 @@ class PLFunc:
             if u == b1:
                 out.append(v1)
             else:
-                out.append(v1 + qdiv((vs[i + 1] - v1) * (u - b1), bs[i + 1] - b1))
+                # a Fraction v1 plus a Fraction quotient can sum to an integer
+                v = v1 + qdiv((vs[i + 1] - v1) * (u - b1), bs[i + 1] - b1)
+                out.append(v.numerator if v.denominator == 1 else v)
         return out
 
     def slopes(self) -> tuple[Rational, ...]:
@@ -434,11 +436,6 @@ class DivPoly:
         us = sorted(set().union(*(f.breaks for f in fs)))
         return PLFunc._canonical(us, [sum(col) for col in zip(*(f._at(us) for f in fs))])
 
-    def with_coefficient(self, label: PointLabel, f: PLFunc) -> "DivPoly":
-        cs = dict(self.coeffs)
-        cs[label] = f
-        return DivPoly(self.box, cs)
-
     def with_split(self, label: PointLabel, part0: PLFunc, fresh: PointLabel, part1: PLFunc) -> "DivPoly":
         """self with the coefficient at label replaced by part0 and part1
         placed at the label fresh.  Both parts must be defined on the box,
@@ -526,44 +523,6 @@ def to_polygon(dp: DivPoly) -> Polygon:
         pts.append((u, hi))
         pts.append((u, lo))
     return hull_of_pairs(pts)
-
-
-def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:
-    """Violations of the divisorial-polytope conditions; empty means valid.
-
-    Checks strict positivity of the degree on the open box, nonnegativity
-    at the endpoints (a zero endpoint is the principal-divisor case), and
-    the lattice-graph condition per coefficient.
-    """
-    out = []
-    deg = dp.degree()
-    lo, hi = dp.box
-    for u, d in zip(deg.breaks, deg.values):
-        if u in (lo, hi):
-            if d < 0:
-                out.append(f"degree negative at endpoint u={u}")
-            elif d == 0 and include_notes:
-                out.append(f"note: endpoint u={u}: principal")
-        elif d <= 0:
-            out.append(f"degree not positive at interior u={u}")
-    # a piece that vanishes identically meets the open box in a segment
-    for (b1, v1), (b2, v2) in zip(
-        zip(deg.breaks, deg.values), zip(deg.breaks[1:], deg.values[1:])
-    ):
-        if v1 == 0 and v2 == 0:
-            out.append(f"degree vanishes on [{b1}, {b2}]")
-    for label in dp.labels():
-        f = dp.coeffs[label]
-        if not f.has_lattice_graph():
-            bad = next(
-                (b, v)
-                for b, v in zip(f.breaks, f.values)
-                if b.denominator != 1 or v.denominator != 1
-            )
-            out.append(
-                f"coefficient at {label}: graph vertex ({bad[0]}, {bad[1]}) not lattice"
-            )
-    return out
 
 
 def shift_affine(

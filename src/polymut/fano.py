@@ -24,10 +24,6 @@ class NotWellFormed(DomainError):
     pass
 
 
-class NotDivisible(DomainError):
-    pass
-
-
 class DiophantineClass:
     """The equation m*x1*x2*x3 = k*(c1*x1^2 + c2*x2^2 + c3*x3^2) that the
     weights of a fake plane solve; c is the sorted squarefree-part multiset."""
@@ -133,22 +129,6 @@ def triangle_from_weights(w: WeightTriple) -> Polygon:
     if got != sorted(w) or multiplicity(T) != 1:  # pragma: no cover - sanity
         raise AssertionError(f"triangle construction failed for {w}: got {got}")
     return T
-
-
-def predicted_mutation_weights(w: WeightTriple, i: int) -> WeightTriple:
-    """Weights after mutating away the i-th one (0-based): the other two
-    weights followed by (their sum)^2 over the removed weight, reduced to
-    coprime form."""
-    if i not in (0, 1, 2):
-        raise DomainError(f"weight index out of range: {i}")
-    li = w[i]
-    lj, lk = (w[j] for j in range(3) if j != i)
-    s2 = (lj + lk) ** 2
-    if s2 % li != 0:
-        raise NotDivisible(f"{li} does not divide ({lj}+{lk})^2 = {s2}")
-    out = (lj, lk, s2 // li)
-    g = math.gcd(*out)
-    return (out[0] // g, out[1] // g, out[2] // g)
 
 
 # Work budget of squarefree_part: trial division stops with DomainError once

@@ -284,12 +284,9 @@ class Polygon:
     def translate(self, t: Vector2) -> "Polygon":
         return Polygon._from_cycle([v + t for v in self.vertices])
 
-    def contains(self, p: Vector2, strict: bool = False) -> bool:
-        if strict and self.dim() < 2:
-            return False
+    def contains(self, p: Vector2) -> bool:
         for n, c in _halfplanes(self):
-            d = n.dot(p)
-            if d < c or (strict and d == c):
+            if n.dot(p) < c:
                 return False
         return True
 
@@ -305,11 +302,6 @@ def _polygon_from_pairs(cyc: Sequence[tuple[Rational, Rational]]) -> Polygon:
     P = object.__new__(Polygon)
     object.__setattr__(P, "vertices", tuple(Vector2._of(x, y) for x, y in cyc))
     return P
-
-
-def convex_hull(points: Iterable[Vector2]) -> Polygon:
-    """Minimal canonical polygon containing the given points."""
-    return Polygon(points)
 
 
 def hull_of_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> Polygon:
@@ -356,12 +348,6 @@ def mat_det(U: Mat2) -> int:
     return a * d - b * c
 
 
-def mat_mul(U: Mat2, V: Mat2) -> Mat2:
-    (a, b), (c, d) = U
-    (e, f), (g, h) = V
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
 def area(P: Polygon) -> Rational:
     """Euclidean area by the shoelace formula (0 for points and segments)."""
     v = P.vertices
@@ -400,50 +386,6 @@ def _halfplanes(P: Polygon) -> list[tuple[Vector2, Rational]]:
         n = Vector2._of(-d.y, d.x)  # inward for CCW order
         out.append((n, n.dot(a)))
     return out
-
-
-def clip_halfplane(loop: list[Vector2], n: Vector2, c: Rational) -> list[Vector2]:
-    """One Sutherland-Hodgman step: keep the side n.x >= c."""
-    if not loop:
-        return []
-    if len(loop) == 1:
-        return loop if n.dot(loop[0]) >= c else []
-    out: list[Vector2] = []
-    m = len(loop)
-    for i in range(m):
-        cur, nxt = loop[i], loop[(i + 1) % m]
-        fc = n.dot(cur) - c
-        fn = n.dot(nxt) - c
-        if fc >= 0:
-            out.append(cur)
-        if (fc > 0 > fn) or (fc < 0 < fn):
-            t = qdiv(fc, fc - fn)
-            out.append(cur + (nxt - cur).scale(t))
-    return out
-
-
-def intersect(P: Polygon, Q: Polygon) -> Optional[Polygon]:
-    """Exact intersection of two convex polygons, or None if empty."""
-    loop = list(P.vertices)
-    for n, c in _halfplanes(Q):
-        loop = clip_halfplane(loop, n, c)
-        if not loop:
-            return None
-    return Polygon(loop)
-
-
-def minkowski_sum(A: Polygon, B: Polygon) -> Polygon:
-    return Polygon([a + b for a in A.vertices for b in B.vertices])
-
-
-def minkowski_difference(A: Polygon, F: Polygon) -> Optional[Polygon]:
-    """Maximal polygon G with G + F inside A, or None if there is none."""
-    res: Optional[Polygon] = A.translate(-F.vertices[0])
-    for f in F.vertices[1:]:
-        res = intersect(res, A.translate(-f))
-        if res is None:
-            return None
-    return res
 
 
 def dual(P: Polygon) -> Polygon:
@@ -493,14 +435,6 @@ def dual_denominator(P: Polygon) -> int:
     return out
 
 
-def height_range(P: Polygon, w: Vector2) -> tuple[Rational, Rational]:
-    """Exact (min, max) of <w, v> over P."""
-    if w.is_zero():
-        raise ZeroVector("height function must be nonzero")
-    hs = [w.dot(v) for v in P.vertices]
-    return min(hs), max(hs)
-
-
 def height_basis(w: Vector2) -> tuple[Vector2, Vector2, Vector2]:
     """For primitive w return (f0, vw, s) adapted to the grading by w.
 
@@ -532,35 +466,6 @@ def extgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-def _cut(P: Polygon, w: Vector2, h: Rational) -> list[Vector2]:
-    """The rational slice of P on the line <w, x> = h as a loop of points
-    on that line (with repeats), empty when the line misses P."""
-    return clip_halfplane(clip_halfplane(list(P.vertices), w, h), -w, -h)
-
-
-def lattice_slice(P: Polygon, w: Vector2, h: int) -> Optional[Polygon]:
-    """Hull of the lattice points of P at height h (not the rational
-    slice): a one- or two-vertex polygon, or None if there are none."""
-    f0, vw, s = height_basis(w)
-    ks = [s.dot(v) for v in _cut(P, w, h)]
-    if not ks:
-        return None
-    klo, khi = math.ceil(min(ks)), math.floor(max(ks))
-    if klo > khi:
-        return None
-    return Polygon([vw.scale(h) + f0.scale(k) for k in (klo, khi)])
-
-
-def lattice_points(P: Polygon) -> list[Vector2]:
-    """All lattice points in P, sorted lexicographically."""
-    out = []
-    xs = [v.x for v in P.vertices]
-    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
-        ys = [v.y for v in _cut(P, Vector2._of(1, 0), x)]
-        out.extend(Vector2._of(x, y) for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1))
-    return out
 
 
 def _solve_pair_map(d1: Vector2, d2: Vector2, e1: Vector2, e2: Vector2) -> Optional[Mat2]:

@@ -82,9 +82,6 @@ class LaurentPoly:
     def coefficient(self, e1: int, e2: int) -> Rational:
         return self.terms.get((e1, e2), 0)
 
-    def constant_term(self) -> Rational:
-        return self.coefficient(0, 0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
@@ -426,13 +423,13 @@ def _grades(f: LaurentPoly, axis: int) -> dict[int, LaurentPoly]:
     return {i: LaurentPoly(t) for i, t in out.items()}
 
 
-def algebraic_mutate(f: LaurentPoly, spec: MutationSpec, strict: bool = False) -> LaurentPoly:
+def algebraic_mutate(f: LaurentPoly, spec: MutationSpec) -> LaurentPoly:
     """Substitute the divided variable v by v/g: writing f as a sum of
     graded pieces f_i * v^i, positive grades are divided by g^i (raising
     DivisibilityFails if impossible) and negative grades are multiplied.
 
     The deformation story needs the origin inside the Newton polytope and
-    grades on both sides of zero; by default a violation only warns.
+    grades on both sides of zero; a violation only warns.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot mutate the zero polynomial")
@@ -445,8 +442,6 @@ def algebraic_mutate(f: LaurentPoly, spec: MutationSpec, strict: bool = False) -
             "mutation input does not satisfy the deformation hypotheses "
             f"(grades span [{k}, {l}], origin inside Newton polytope: {origin_ok})"
         )
-        if strict:
-            raise DomainError(msg)
         warnings.warn(msg, stacklevel=2)
     out = LaurentPoly.zero()
     for i in sorted(grades):

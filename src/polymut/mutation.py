@@ -225,14 +225,6 @@ def _mutant(prof: _Profile, t: int) -> list[tuple[int, int]]:
     return cyc
 
 
-def inverse_data(P: Polygon, md: MutationData) -> MutationData:
-    """Mutation data that undoes md on mutate(P, md): the height function
-    is negated and the factor segment kept, so mutating back recovers P.
-    md is checked against P; the mutant is not built."""
-    _validate_mutation_data(P, md)
-    return MutationData(w=-md.w, t=md.t, f0=md.f0)
-
-
 def dual_map(md: MutationData, Q: Polygon) -> Polygon:
     """Image of Q under the piecewise-linear map u -> u - u_min(u)*w on the
     dual side, u_min the least of <u, .> over the factor vertices 0 and

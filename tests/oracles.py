@@ -1,0 +1,177 @@
+"""Definitional oracles that the tests check the library against.
+
+The library computes slices, mutations and the deformation pipeline on
+integer vertex cycles.  The functions here follow the definitions instead:
+the rational slice of a polygon by Sutherland-Hodgman clipping, lattice
+slices and points, Minkowski sums and differences, the weight formula of a
+mutated triangle, the divisorial-polytope conditions and the mutation data
+that undoes a mutation.  They are slow and simple, and only tests call
+them.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+from polymut.divpoly import DivPoly
+from polymut.errors import DomainError
+from polymut.fano import WeightTriple
+from polymut.geom import Polygon, Rational, Vector2, ZeroVector, _halfplanes, height_basis, qdiv
+from polymut.mutation import MutationData, mutate
+
+
+# --- geometry ---------------------------------------------------------------
+
+def contains_strictly(P: Polygon, p: Vector2) -> bool:
+    """p lies in the interior of the full-dimensional polygon P."""
+    return P.dim() == 2 and all(n.dot(p) > c for n, c in _halfplanes(P))
+
+
+def clip_halfplane(loop: list[Vector2], n: Vector2, c: Rational) -> list[Vector2]:
+    """One Sutherland-Hodgman step: keep the side n.x >= c."""
+    if not loop:
+        return []
+    if len(loop) == 1:
+        return loop if n.dot(loop[0]) >= c else []
+    out: list[Vector2] = []
+    m = len(loop)
+    for i in range(m):
+        cur, nxt = loop[i], loop[(i + 1) % m]
+        fc = n.dot(cur) - c
+        fn = n.dot(nxt) - c
+        if fc >= 0:
+            out.append(cur)
+        if (fc > 0 > fn) or (fc < 0 < fn):
+            t = qdiv(fc, fc - fn)
+            out.append(cur + (nxt - cur).scale(t))
+    return out
+
+
+def intersect(P: Polygon, Q: Polygon) -> Optional[Polygon]:
+    """Exact intersection of two convex polygons, or None if empty."""
+    loop = list(P.vertices)
+    for n, c in _halfplanes(Q):
+        loop = clip_halfplane(loop, n, c)
+        if not loop:
+            return None
+    return Polygon(loop)
+
+
+def minkowski_sum(A: Polygon, B: Polygon) -> Polygon:
+    return Polygon([a + b for a in A.vertices for b in B.vertices])
+
+
+def minkowski_difference(A: Polygon, F: Polygon) -> Optional[Polygon]:
+    """Maximal polygon G with G + F inside A, or None if there is none."""
+    res: Optional[Polygon] = A.translate(-F.vertices[0])
+    for f in F.vertices[1:]:
+        res = intersect(res, A.translate(-f))
+        if res is None:
+            return None
+    return res
+
+
+def height_range(P: Polygon, w: Vector2) -> tuple[Rational, Rational]:
+    """Exact (min, max) of <w, v> over P."""
+    if w.is_zero():
+        raise ZeroVector("height function must be nonzero")
+    hs = [w.dot(v) for v in P.vertices]
+    return min(hs), max(hs)
+
+
+def _cut(P: Polygon, w: Vector2, h: Rational) -> list[Vector2]:
+    """The rational slice of P on the line <w, x> = h as a loop of points
+    on that line (with repeats), empty when the line misses P."""
+    return clip_halfplane(clip_halfplane(list(P.vertices), w, h), -w, -h)
+
+
+def lattice_slice(P: Polygon, w: Vector2, h: int) -> Optional[Polygon]:
+    """Hull of the lattice points of P at height h (not the rational
+    slice): a one- or two-vertex polygon, or None if there are none."""
+    f0, vw, s = height_basis(w)
+    ks = [s.dot(v) for v in _cut(P, w, h)]
+    if not ks:
+        return None
+    klo, khi = math.ceil(min(ks)), math.floor(max(ks))
+    if klo > khi:
+        return None
+    return Polygon([vw.scale(h) + f0.scale(k) for k in (klo, khi)])
+
+
+def lattice_points(P: Polygon) -> list[Vector2]:
+    """All lattice points in P, sorted lexicographically."""
+    out = []
+    xs = [v.x for v in P.vertices]
+    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
+        ys = [v.y for v in _cut(P, Vector2._of(1, 0), x)]
+        out.extend(Vector2._of(x, y) for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1))
+    return out
+
+
+# --- weights, divisorial polytopes and mutation data ------------------------
+
+class NotDivisible(DomainError):
+    pass
+
+
+def predicted_mutation_weights(w: WeightTriple, i: int) -> WeightTriple:
+    """Weights after mutating away the i-th one (0-based): the other two
+    weights followed by (their sum)^2 over the removed weight, reduced to
+    coprime form."""
+    if i not in (0, 1, 2):
+        raise DomainError(f"weight index out of range: {i}")
+    li = w[i]
+    lj, lk = (w[j] for j in range(3) if j != i)
+    s2 = (lj + lk) ** 2
+    if s2 % li != 0:
+        raise NotDivisible(f"{li} does not divide ({lj}+{lk})^2 = {s2}")
+    out = (lj, lk, s2 // li)
+    g = math.gcd(*out)
+    return (out[0] // g, out[1] // g, out[2] // g)
+
+
+def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:
+    """Violations of the divisorial-polytope conditions; empty means valid.
+
+    Checks strict positivity of the degree on the open box, nonnegativity
+    at the endpoints (a zero endpoint is the principal-divisor case), and
+    the lattice-graph condition per coefficient.
+    """
+    out = []
+    deg = dp.degree()
+    lo, hi = dp.box
+    for u, d in zip(deg.breaks, deg.values):
+        if u in (lo, hi):
+            if d < 0:
+                out.append(f"degree negative at endpoint u={u}")
+            elif d == 0 and include_notes:
+                out.append(f"note: endpoint u={u}: principal")
+        elif d <= 0:
+            out.append(f"degree not positive at interior u={u}")
+    # a piece that vanishes identically meets the open box in a segment
+    for (b1, v1), (b2, v2) in zip(
+        zip(deg.breaks, deg.values), zip(deg.breaks[1:], deg.values[1:])
+    ):
+        if v1 == 0 and v2 == 0:
+            out.append(f"degree vanishes on [{b1}, {b2}]")
+    for label in dp.labels():
+        f = dp.coeffs[label]
+        if not f.has_lattice_graph():
+            bad = next(
+                (b, v)
+                for b, v in zip(f.breaks, f.values)
+                if b.denominator != 1 or v.denominator != 1
+            )
+            out.append(
+                f"coefficient at {label}: graph vertex ({bad[0]}, {bad[1]}) not lattice"
+            )
+    return out
+
+
+def inverse_data(P: Polygon, md: MutationData) -> MutationData:
+    """Mutation data that undoes md on mutate(P, md): the height function
+    is negated and the factor segment kept, so mutating back recovers P.
+    md is checked against P by mutating P."""
+    mutate(P, md)
+    return MutationData(w=-md.w, t=md.t, f0=md.f0)

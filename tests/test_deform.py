@@ -44,11 +44,11 @@ from polymut.mutation import (
     factor_directions,
     factor_for,
     find_factors,
-    inverse_data,
     mutate,
     mutation_graph,
 )
 from conftest import P
+from oracles import inverse_data
 
 BOX = (-6, 6)
 
@@ -124,9 +124,8 @@ class TestGeneralFiber:
         assert red.polygon == P((-6, 2), (6, 2), (0, -1))
 
     def test_label_collision(self):
-        dp = p114_divpoly().with_coefficient(
-            PointLabel.param("s"), PLFunc.constant(BOX, 0)
-        )
+        dp = p114_divpoly()
+        dp = DivPoly(dp.box, {**dp.coeffs, PointLabel.param("s"): PLFunc.constant(BOX, 0)})
         with pytest.raises(LabelCollision):
             general_fiber(dp, paper_decomposition())
 
@@ -229,7 +228,7 @@ class TestPipeline:
     def test_factor_against_normalized_direction_refused(self, p114_triangle):
         # inverse_data keeps f0 while negating w, so its factor points along
         # -f0 of the normalizer; deform refuses it instead of flipping F
-        from polymut.mutation import InvalidFactor, inverse_data, mutate
+        from polymut.mutation import InvalidFactor, mutate
 
         T = p114_triangle
         checked = 0

@@ -17,11 +17,11 @@ from polymut.divpoly import (
     from_polygon,
     shift_affine,
     to_polygon,
-    validate,
 )
 from polymut.errors import DomainError
 from polymut.geom import area
 from conftest import P
+from oracles import validate
 
 BOX = (-6, 6)
 
@@ -348,6 +348,33 @@ class TestTrustedConstructor:
                 for arg in (u, Fraction(u), str(u)):
                     assert f(arg) == want
             done += 1
+
+    def test_integral_value_between_breakpoints_is_an_int(self):
+        # 3/2 + (-27/2) is an integral Fraction sum that must come back folded
+        f = PLFunc([-4, 2], [Fraction(3, 2), Fraction(-33, 2)])
+        assert f(Fraction(1, 2)) == -12
+        assert type(f(Fraction(1, 2))) is int
+
+    def test_at_returns_every_integral_value_as_an_int(self):
+        import random
+
+        rng = random.Random(23)
+        done = folded = 0
+        while done < 500:
+            bs, vs = _random_points(rng)
+            try:
+                f = PLFunc(bs, vs)
+            except DomainError:
+                continue
+            lo, hi = f.domain
+            us = sorted(set(f.breaks) | {lo + (hi - lo) * Fraction(rng.randint(0, 12), 12) for _ in range(6)})
+            for u, v in zip(us, f._at(us)):
+                if Fraction(v).denominator == 1:
+                    assert type(v) is int, (f, u)
+                    # values off the breakpoints come from the interpolation
+                    folded += u not in f.breaks
+            done += 1
+        assert folded > 50
 
     def test_degree_is_the_pairwise_sum(self):
         import random

@@ -13,14 +13,12 @@ from polymut.fano import (
     VIETA_DEPTH_LIMIT,
     DiophantineClass,
     NotATriangle,
-    NotDivisible,
     NotFano,
     NotWellFormed,
     diophantine_class,
     is_fano,
     markov_tree,
     multiplicity,
-    predicted_mutation_weights,
     squarefree_part,
     triangle_from_weights,
     vieta_neighbors,
@@ -30,6 +28,7 @@ from polymut.fano import (
 from polymut.geom import Vector2, area, dual, lattice_equivalent
 from polymut.mutation import mutation_graph
 from conftest import P
+from oracles import NotDivisible, predicted_mutation_weights
 
 
 class TestIsFano:

@@ -113,21 +113,60 @@ def test_every_budget_is_documented():
     assert sorted(b for b in budgets if b not in readme) == []
 
 
-def test_benchmark_trace_targets_resolve():
-    # benchmarks/tracer.py wraps each TARGETS entry by module and attribute
-    # name; a renamed or deleted function would break only traced runs
+def _trace_targets() -> list:
+    """benchmarks/layers.py TARGETS, loaded by path."""
     spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "benchmarks" / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    assert layers.TARGETS
+    return layers.TARGETS
+
+
+def test_benchmark_trace_targets_resolve():
+    # benchmarks/tracer.py wraps each TARGETS entry by module and attribute
+    # name; a renamed or deleted function would break only traced runs
+    targets = _trace_targets()
+    assert targets
     missing = []
-    for modname, attr, _, _ in layers.TARGETS:
+    for modname, attr, _, _ in targets:
         obj = importlib.import_module(modname)
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+# public library code that no library code references, and why it stays
+UNREFERENCED_PUBLIC = {
+    "geom.dilate": "documented public constructor of r*P",
+    "geom.Polygon.translate": "documented public polygon operation",
+    "divpoly.PLFunc.constant": "documented public constructor",
+    "divpoly.PLFunc.min_of_affines": "documented public constructor",
+    "mutation.MutationGraph.weight_triples": "the correctness check of the graph workloads",
+}
+
+
+def test_library_holds_no_test_only_public_code():
+    # a public function, class or method that no library code uses is
+    # a second path beside the one the library runs; the definitions the
+    # tests check against live in tests/oracles.py.  A name counts as used
+    # when src/polymut refers to it as a name or an attribute, not in a
+    # string, or when benchmarks/layers.py traces it.
+    used = {_name(node) for _, node, _ in _nodes() if isinstance(node, (ast.Name, ast.Attribute))}
+    traced = {f"{modname.rsplit('.', 1)[-1]}.{attr}" for modname, attr, _, _ in _trace_targets()}
+    public = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.append((f"{path.stem}.{node.name}", node.name))
+                if isinstance(node, ast.ClassDef):
+                    public += [
+                        (f"{path.stem}.{node.name}.{m.name}", m.name)
+                        for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                    ]
+    unused = [q for q, name in public if name not in used and q not in traced and q not in UNREFERENCED_PUBLIC]
+    assert unused == []
 
 
 def test_readme_citations_resolve():
@@ -195,7 +234,7 @@ BOUNDARY = {
     "geom.py": {"<module>", "to_fraction", "Vector2.__init__", "dilate", "vector_from_json", "parse_vertices", "polygon_from_json"},
     "divpoly.py": {
         "PLFunc.__init__", "PLFunc.constant", "PLFunc.affine", "PLFunc.min_of_affines", "PLFunc.__call__",
-        "PLFunc.from_json", "DivPoly.__init__", "DivPoly.with_coefficient", "DivPoly.from_json", "shift_affine",
+        "PLFunc.from_json", "DivPoly.__init__", "DivPoly.from_json", "shift_affine",
     },
 }
 # to_fraction, the public constructors, and the boundary functions that

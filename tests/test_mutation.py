@@ -22,12 +22,12 @@ from polymut.mutation import (
     factor_directions,
     factor_for,
     find_factors,
-    inverse_data,
     mutants,
     mutate,
     mutation_graph,
 )
 from conftest import P
+from oracles import inverse_data, predicted_mutation_weights
 
 
 class TestFindFactors:
@@ -153,23 +153,18 @@ class TestMutate:
                 iso = max(
                     range(3), key=lambda i: w.dot(p114_triangle.vertices[i])
                 )
-                predicted = fano.predicted_mutation_weights(wp, iso)
+                predicted = predicted_mutation_weights(wp, iso)
                 assert sorted(fano.weights(Q)) == sorted(predicted)
 
 
 def _mutate_by_definition(P, md):
-    """Straight transcription of the mutation hull using only public
-    geometry ops: maximal slabs from Minkowski differences below zero,
+    """Straight transcription of the mutation hull using only the geometry
+    of oracles.py: maximal slabs from Minkowski differences below zero,
     factor-fattened lattice slices above.  Oracle for the fast sweep."""
     from fractions import Fraction
 
-    from polymut.geom import (
-        Polygon,
-        height_range,
-        lattice_slice,
-        minkowski_difference,
-        minkowski_sum,
-    )
+    from polymut.geom import Polygon
+    from oracles import height_range, lattice_slice, minkowski_difference, minkowski_sum
 
     lo, hi = height_range(P, md.w)
     pts = []
@@ -230,14 +225,15 @@ class TestMutateAgainstDefinition:
 
 
 def _find_factors_by_definition(P, w):
-    """Per-t, per-height sweep of the factor definition using only public
-    geometry ops.  For each t up to the lattice length of the lowest slice,
+    """Per-t, per-height sweep of the factor definition using only the
+    geometry of oracles.py.  For each t up to the lattice length of the lowest slice,
     every negative height gets the maximal slab G_h (its lattice slice cut
     short by (-h)t steps at the f0 end); t is valid when every height that
     carries vertices keeps a slab and G_h + (-h)F covers those vertices.
     Returns [(t, gh)].  Oracle for the closed form in find_factors, which
     must return the same t values."""
-    from polymut.geom import Polygon, height_basis, height_range, lattice_slice
+    from polymut.geom import Polygon, height_basis
+    from oracles import height_range, lattice_slice
 
     f0, _, s = height_basis(w)
     lo = int(height_range(P, w)[0])
@@ -349,8 +345,9 @@ class TestFactorDirectionsComplete:
 def _assert_rows_match_slices(Q, w):
     """_Profile(Q, w).rows holds exactly the vertex heights, and each row is
     the k-interval of the oracle lattice_slice in height_basis coordinates."""
-    from polymut.geom import height_basis, lattice_slice
+    from polymut.geom import height_basis
     from polymut.mutation import _Profile
+    from oracles import lattice_slice
 
     _, _, s = height_basis(w)
     rows = _Profile(Q, w).rows
@@ -395,7 +392,8 @@ class TestProfileRows:
     def test_non_lattice_crossings(self, p2_triangle):
         # at height 0 the edges cross at k = -1 and k = 1/2, so the row must
         # round the rational end inwards to the lattice point k = 0
-        from polymut.geom import _cut, height_basis
+        from polymut.geom import height_basis
+        from oracles import _cut
 
         w = Vector2(0, 1)
         _, _, s = height_basis(w)
@@ -431,7 +429,8 @@ def _dual_map_by_definition(md, Q):
     <u, f0> = 0, each piece goes through its linear branch u -> u -
     u_min(u)*w (u_min = 0 where <u, t*f0> >= 0, else <u, t*f0>), and the
     image is the hull of both.  Oracle for the one-walk dual_map."""
-    from polymut.geom import ORIGIN, Polygon, clip_halfplane
+    from polymut.geom import ORIGIN, Polygon
+    from oracles import clip_halfplane
 
     f = md.f0.scale(md.t)
     pieces = []
