@@ -427,12 +427,10 @@ def mutation_to_deformation(
         raise FiberMismatch(diag)
     cor = corollary_check(d)
     phi0_sum = dp.coefficient(ZERO)
-    # part1 = min(t*u, 0) has a lattice graph, as does the zero coefficient
-    # of a lattice polygon, so part1 always passes and is tried first
-    extends = any(
-        is_admissible(phi0_sum + part, phi0_sum, part).admissible
-        for part in (d.part1, d.part0)
-    )
+    # part1 = min(t*u, 0) with an integer t has integral slopes and, on the
+    # lattice box, a lattice graph, as does phi0_sum, the upper envelope of
+    # the lattice polygon Pa: part1 always passes, so it alone decides
+    extends = is_admissible(phi0_sum + d.part1, phi0_sum, d.part1).admissible
     in_class: Optional[bool] = None
     if wq is not None:
         in_class = fano.diophantine_class(wp) == fano.diophantine_class(wq)

@@ -301,13 +301,6 @@ class PLFunc:
         """Graph vertices (breakpoint, value) all lie in the integer lattice."""
         return all(b.denominator == 1 and v.denominator == 1 for b, v in zip(self.breaks, self.values))
 
-    def integral(self) -> Rational:
-        """Exact integral over the domain (trapezoid rule is exact here)."""
-        s = 0
-        for (b1, v1), (b2, v2) in zip(zip(self.breaks, self.values), zip(self.breaks[1:], self.values[1:])):
-            s += qdiv((v1 + v2) * (b2 - b1), 2)
-        return s
-
     # --- arithmetic ---
 
     def _binop(self, other: "PLFunc", sign: int) -> "PLFunc":

@@ -447,25 +447,10 @@ def height_basis(w: Vector2) -> tuple[Vector2, Vector2, Vector2]:
         raise NotPrimitive(f"height function must be primitive: {w}")
     p, q = w.as_ints()
     f0 = Vector2._of(-q, p)
-    g, a, b = extgcd(p, q)
+    _, a, b = _bezout(p, q)
     vw = Vector2._of(a, b)  # a*p + b*q == 1
     s = Vector2._of(-b, a)
     return f0, vw, s
-
-
-def extgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b == g == gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, x = x, old_x - qt * x
-        old_y, y = y, old_y - qt * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def _solve_pair_map(d1: Vector2, d2: Vector2, e1: Vector2, e2: Vector2) -> Optional[Mat2]:
@@ -609,14 +594,20 @@ def _third_column(
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b == g == gcd(a, b) > 0, for (a, b) != (0, 0).
+    """(g, x, y) with x*a + y*b == g == gcd(a, b) > 0, for (a, b) != (0, 0):
+    the coefficients of the extended Euclidean algorithm, read off one
+    modular inverse.
 
-    x is one modular inverse, which beats the Python loop of extgcd on wide
-    integers; the coefficients may differ from extgcd's."""
+    Euclid's x is the residue of (a/g)^-1 modulo m = |b|/g with |x| <= m/2,
+    the tie at m = 2 going to -1 exactly when b < 0; for m = 1, pow gives
+    x = 0, as Euclid does."""
     g = math.gcd(a, b)
     if b == 0:
         return g, (1 if a > 0 else -1), 0
-    x = pow(a // g, -1, abs(b) // g)
+    m = abs(b) // g
+    x = pow(a // g, -1, m)
+    if 2 * x > m or (2 * x == m and b < 0):
+        x -= m
     return g, x, (g - x * a) // b
 
 

@@ -170,6 +170,8 @@ def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int
     """P's profile along md.w and the factor length signed along its f0
     (negative if md.f0 = -prof.f0).  A non-primitive md.w is refused by
     height_basis when the profile is built."""
+    if not isinstance(md.t, int):
+        raise InvalidFactor(f"factor length must be an integer: {md.t}")
     if md.t < 0:
         raise InvalidFactor("factor length must be nonnegative")
     if not md.f0.is_integral() or md.w.dot(md.f0) != 0:
@@ -304,7 +306,10 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     """Height functions that can possibly admit a factor: the primitive
     inner normals of the edges, sorted (the minimal face must be an edge,
     otherwise a negative-height vertex sits alone in a point slice).  They
-    are also the rays of the normal fan of P."""
+    are also the rays of the normal fan of P, which only a full-dimensional
+    P has, so a point or a segment is refused as not Fano."""
+    if P.dim() != 2:
+        raise fano.NotFano("operation requires a Fano polygon")
     out = []
     for a, b in P.edges():
         d = b - a

@@ -3,9 +3,10 @@
 The library computes slices, mutations and the deformation pipeline on
 integer vertex cycles.  The functions here follow the definitions instead:
 the rational slice of a polygon by Sutherland-Hodgman clipping, lattice
-slices and points, Minkowski sums and differences, the weight formula of a
-mutated triangle, the divisorial-polytope conditions and the mutation data
-that undoes a mutation.  They are slow and simple, and only tests call
+slices and points, Minkowski sums and differences, the extended Euclidean
+algorithm, the weight formula of a mutated triangle, the integral of a PL
+function, the divisorial-polytope conditions and the mutation data that
+undoes a mutation.  They are slow and simple, and only tests call
 them.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from polymut.divpoly import DivPoly
+from polymut.divpoly import DivPoly, PLFunc
 from polymut.errors import DomainError
 from polymut.fano import WeightTriple
 from polymut.geom import Polygon, Rational, Vector2, ZeroVector, _halfplanes, height_basis, qdiv
@@ -109,6 +110,21 @@ def lattice_points(P: Polygon) -> list[Vector2]:
     return out
 
 
+def extgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b == g == gcd(a, b), g >= 0."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_x, x = x, old_x - qt * x
+        old_y, y = y, old_y - qt * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
 # --- weights, divisorial polytopes and mutation data ------------------------
 
 class NotDivisible(DomainError):
@@ -129,6 +145,14 @@ def predicted_mutation_weights(w: WeightTriple, i: int) -> WeightTriple:
     out = (lj, lk, s2 // li)
     g = math.gcd(*out)
     return (out[0] // g, out[1] // g, out[2] // g)
+
+
+def integral(f: PLFunc) -> Rational:
+    """Exact integral of f over its domain (trapezoid rule is exact here)."""
+    s = 0
+    for (b1, v1), (b2, v2) in zip(zip(f.breaks, f.values), zip(f.breaks[1:], f.values[1:])):
+        s += qdiv((v1 + v2) * (b2 - b1), 2)
+    return s
 
 
 def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:

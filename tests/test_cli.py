@@ -298,6 +298,17 @@ class TestErrorsAndDeterminism:
         assert out["error"]["type"] == "OriginNotInterior"
         check_schema(out, "error")
 
+    @pytest.mark.parametrize("command", ["factors", "deform"])
+    @pytest.mark.parametrize("vertices", [[[1, 0]], [[1, 0], [0, 1]]], ids=["point", "segment"])
+    def test_polygon_that_is_not_full_dimensional_is_not_fano(self, capsys, command, vertices):
+        # a point or a segment has no normal fan, so no factor directions,
+        # and is refused before any factor is looked for
+        polygon = json.dumps({"vertices": vertices})
+        code, out = run_json(capsys, command, "--polygon", polygon)
+        assert code == 1
+        assert out["error"] == {"message": "operation requires a Fano polygon", "type": "NotFano"}
+        check_schema(out, "error")
+
     def test_bad_json_exit_1(self, capsys):
         code, out = run_json(capsys, "dual", "--polygon", "{nope")
         assert code == 1

@@ -48,7 +48,7 @@ from polymut.mutation import (
     mutation_graph,
 )
 from conftest import P
-from oracles import inverse_data
+from oracles import extgcd, inverse_data
 
 BOX = (-6, 6)
 
@@ -345,7 +345,7 @@ def test_normalizer_rows_are_the_extgcd_rows():
     # _normalizer_for takes (s, -w) from geom.height_basis; it must equal the
     # rows built from extgcd directly, so every certificate's normalizer holds
     from polymut.deform import _normalizer_for
-    from polymut.geom import extgcd, is_primitive
+    from polymut.geom import is_primitive
 
     checked = 0
     for p in range(-6, 7):
@@ -453,6 +453,21 @@ def test_inexact_factor_lengths_and_dilations_refused():
         for m, a, bad in ((MutationData(md.w, True, md.f0), None, "True"), (md, True, "True"), (md, 2.0, "2.0"), (md, 2.5, "2.5")):
             with pytest.raises(DomainError, match=f"^not an exact rational: {bad}$"):
                 mutation_to_deformation(T, m, a)
+
+
+def test_non_integer_factor_lengths_refused():
+    # a factor length that is not an int is refused as an invalid factor
+    # before the mutation is built, not by its structural check
+    from polymut.mutation import InvalidFactor, MutationData
+
+    T = fano.triangle_from_weights((1, 1, 4))
+    mds = [md for w in factor_directions(T) for md in find_factors(T, w)]
+    assert len(mds) == 3
+    for md in mds:
+        for t in (Fraction(1, 2), 1.0):
+            with pytest.raises(InvalidFactor, match=f"^factor length must be an integer: {t}$"):
+                mutation_to_deformation(T, MutationData(md.w, t, md.f0))
+
 
 class TestSmoothingDirection:
     def test_rule(self):

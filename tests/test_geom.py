@@ -35,6 +35,7 @@ from polymut.geom import (
 from conftest import P
 from oracles import (
     contains_strictly,
+    extgcd,
     height_range,
     lattice_points,
     lattice_slice,
@@ -483,15 +484,6 @@ def mat_mul(U, V):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _random_unimodular(rng, steps=5):
-    """Product of random generators of GL2(Z): two shears and a reflection."""
-    gens = [((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)), ((0, 1), (1, 0))]
-    U = ((1, 0), (0, 1))
-    for _ in range(rng.randint(1, steps)):
-        U = mat_mul(gens[rng.randrange(len(gens))], U)
-    return U
-
-
 def _random_fano_polygons(rng, count, span=3):
     from polymut.fano import is_fano
 
@@ -650,16 +642,21 @@ class TestLinearNormalForm:
         assert g > 0 and zero == 0 and pivot > 0 and 0 <= above < pivot
 
     def test_bezout_step(self):
-        # the Bezout step of the normal form against extgcd, on small pairs
-        # with zeros and signs and on Markov-width integers
-        from polymut.geom import _bezout, extgcd
+        # the one Bezout step of the library returns Euclid's coefficients
+        # exactly: on every small pair, zeros and signs included, and on
+        # seeded pairs up to Markov width, with and without a common factor
+        from polymut.geom import _bezout
 
         rng = random.Random(23)
-        pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7) if (a, b) != (0, 0)]
-        pairs += [(rng.getrandbits(1300) - 2**1299, rng.getrandbits(1300)) for _ in range(20)]
+        pairs = [(a, b) for a in range(-60, 61) for b in range(-60, 61) if (a, b) != (0, 0)]
+        for _ in range(1200):
+            g = rng.choice([1, 1, rng.randint(2, 10**6), rng.getrandbits(200) | 1])
+            bits = rng.randint(1, 1300 - g.bit_length())
+            a, b = (rng.choice([-1, 1]) * rng.getrandbits(bits) * g for _ in range(2))
+            if (a, b) != (0, 0):
+                pairs.append((a, b))
         for a, b in pairs:
-            g, x, y = _bezout(a, b)
-            assert g == extgcd(a, b)[0] > 0 and x * a + y * b == g
+            assert _bezout(a, b) == extgcd(a, b), (a, b)
 
     def test_linear_witness_where_the_first_vertex_match_translates(self):
         # a pair from a seeded search over random fake planes (weights

@@ -75,6 +75,13 @@ def test_only_height_basis_calls_extgcd():
     assert offenders == []
 
 
+def test_only_geom_names_bezout():
+    # geom._bezout is the one extended gcd: the frame of height_basis, the
+    # normal form and the lattice basis; a second one elsewhere could
+    # return other coefficients
+    assert _named_outside("_bezout", {"geom.py"}) == []
+
+
 def test_only_geom_names_fraction():
     # geom decides how an exact rational is stored (an int when integral);
     # a Fraction built elsewhere could keep an integral value boxed
@@ -151,21 +158,24 @@ def test_library_holds_no_test_only_public_code():
     # a second path beside the one the library runs; the definitions the
     # tests check against live in tests/oracles.py.  A name counts as used
     # when src/polymut refers to it as a name or an attribute, not in a
-    # string, or when benchmarks/layers.py traces it.
-    used = {_name(node) for _, node, _ in _nodes() if isinstance(node, (ast.Name, ast.Attribute))}
+    # string, or when benchmarks/layers.py traces it; a method is reached
+    # only as an attribute, so a local variable of its name does not count.
+    nodes = [node for _, node, _ in _nodes()]
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    used = attrs | {node.id for node in nodes if isinstance(node, ast.Name)}
     traced = {f"{modname.rsplit('.', 1)[-1]}.{attr}" for modname, attr, _, _ in _trace_targets()}
     public = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                public.append((f"{path.stem}.{node.name}", node.name))
+                public.append((f"{path.stem}.{node.name}", node.name in used))
                 if isinstance(node, ast.ClassDef):
                     public += [
-                        (f"{path.stem}.{node.name}.{m.name}", m.name)
+                        (f"{path.stem}.{node.name}.{m.name}", m.name in attrs)
                         for m in node.body
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                     ]
-    unused = [q for q, name in public if name not in used and q not in traced and q not in UNREFERENCED_PUBLIC]
+    unused = [q for q, is_used in public if not is_used and q not in traced and q not in UNREFERENCED_PUBLIC]
     assert unused == []
 
 

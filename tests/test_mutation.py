@@ -122,8 +122,15 @@ class TestMutate:
             ((0, -1), 1, ("1/2", 0), InvalidFactor, "lattice vector killed by w"),
             ((0, -1), 1, (2, 0), InvalidFactor, "factor direction must be primitive"),
             ((0, -2), 1, (1, 0), NotPrimitive, "height function must be primitive"),
+            ((0, -1), Fraction(1, 2), (1, 0), InvalidFactor, "factor length must be an integer: 1/2"),
+            ((0, -1), Fraction(-1, 2), (1, 0), InvalidFactor, "factor length must be an integer: -1/2"),
+            ((0, -1), 1.0, (1, 0), InvalidFactor, "factor length must be an integer: 1.0"),
+            ((0, -1), 2.5, (1, 0), InvalidFactor, "factor length must be an integer: 2.5"),
         ],
-        ids=["negative-t", "f0-outside-kernel", "f0-not-integral", "f0-not-primitive", "w-not-primitive"],
+        ids=[
+            "negative-t", "f0-outside-kernel", "f0-not-integral", "f0-not-primitive", "w-not-primitive",
+            "t-half", "t-negative-half", "t-float-integral", "t-float",
+        ],
     )
     def test_mutation_data_refused(self, p114_triangle, w, t, f0, error, message):
         # each case changes one field of ((0,-1), 1, (1,0)), the factor
