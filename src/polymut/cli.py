@@ -27,6 +27,7 @@ from .fano import (
     markov_tree,
     multiplicity,
     triangle_from_weights,
+    triangle_weights,
     weights,
     weights_of_vertices,
 )
@@ -90,7 +91,7 @@ def _read_json_arg(arg: str):
         text = Path(arg).read_text()
     try:
         return json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, an over-long integer, deep nesting
         raise DomainError(f"invalid JSON: {e}") from e
 
 
@@ -265,14 +266,8 @@ def _cmd_triangle(args) -> dict:
 def _cmd_factors(args) -> dict:
     mutation = _module("mutation")
     P = _read_polygon(args.polygon)
-    if args.w:
-        ws = [_parse_w(args.w)]
-    else:
-        ws = mutation.factor_directions(P)
-    out = []
-    for w in ws:
-        for md in mutation.find_factors(P, w):
-            out.append(md.to_json())
+    ws = [_parse_w(args.w)] if args.w else mutation.factor_directions(P)
+    out = [md.to_json() for w in ws for md in mutation.find_factors(P, w)]
     return {"factors": out, "directions": [vector_to_json(w) for w in ws]}
 
 
@@ -341,10 +336,7 @@ def _cmd_deform(args) -> dict:
     mutation = _module("mutation")
     deform = _module("deform")
     P = _triangle_arg(args)
-    if args.w:
-        md = mutation.factor_for(P, _parse_w(args.w), args.t)
-    else:
-        md = _default_reducing_factor(P)
+    md = mutation.factor_for(P, _parse_w(args.w), args.t) if args.w else _default_reducing_factor(P)
     cert = deform.mutation_to_deformation(P, md, _parse_dilation(args.dilation))
     return cert.to_json()
 
@@ -352,16 +344,13 @@ def _cmd_deform(args) -> dict:
 def _default_reducing_factor(P: Polygon):
     mutation = _module("mutation")
     deform = _module("deform")
-    wp = None
-    for w in mutation.factor_directions(P):
-        for md, Q in mutation.mutants(P, w):
-            # read at the first factor, so that a polygon without one is
-            # refused as having no weight-decreasing mutation
-            if wp is None:
-                wp = weights(P)
-            # mutants proved P Fano, and Q is its mutant
-            if deform.weights_decrease(wp, weights_of_vertices(*Q.vertices) if len(Q.vertices) == 3 else None):
-                return md
+    pairs = mutation.mutants(P)
+    # read only if there is a factor, so that a polygon without one is
+    # refused as having no weight-decreasing mutation
+    wp = weights(P) if pairs else None
+    for md, Q in pairs:
+        if deform.weights_decrease(wp, triangle_weights(Q)):
+            return md
     raise DomainError("no weight-decreasing mutation exists for this triangle")
 
 
@@ -390,7 +379,7 @@ def batch_verify(corpus: str) -> dict:
     for path in sorted(root.glob("*.json")):
         try:
             obj = json.loads(path.read_text())
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, RecursionError) as e:
             results.append(_entry(path, "parse", "error", str(e)))
             continue
         try:
@@ -433,29 +422,28 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
     wT = weights(T) if len(T.vertices) == 3 else None
     cls = diophantine_class(wT) if wT is not None else None
     area_star = area(Tstar)
-    for w in mutation.factor_directions(T):
-        for md, Q in mutation.mutants(T, w):
-            tag = f"w={w} t={md.t}"
-            Qstar = dual(Q)
-            ok = area(Qstar) == area_star
-            out.append(_entry(path, f"dual-area [{tag}]", "pass" if ok else "fail"))
-            # dual is an involution on polygons with the origin strictly
-            # inside, so this is dual(dual_map(md, T*)) == Q, and an image
-            # without the origin inside fails the check instead of raising
-            ok = mutation.dual_map(md, Tstar) == Qstar
-            out.append(_entry(path, f"duality-commutation [{tag}]", "pass" if ok else "fail"))
-            # mutants proved T Fano, and Q is its mutant, so it is Fano too
-            wQ = weights_of_vertices(*Q.vertices) if wT is not None and len(Q.vertices) == 3 else None
-            if wQ is not None:
-                ok = diophantine_class(wQ) == cls
-                out.append(_entry(path, f"diophantine-constancy [{tag}]", "pass" if ok else "fail"))
-            if wT is not None and deform.weights_decrease(wT, wQ):
-                try:
-                    cert = deform.mutation_to_deformation(T, md)
-                    ok = cert.corollary.passed
-                    out.append(_entry(path, f"deformation-certificate [{tag}]", "pass" if ok else "fail"))
-                except DomainError as e:
-                    out.append(_entry(path, f"deformation-certificate [{tag}]", "fail", str(e)))
+    for md, Q in mutation.mutants(T):
+        tag = f"w={md.w} t={md.t}"
+        Qstar = dual(Q)
+        ok = area(Qstar) == area_star
+        out.append(_entry(path, f"dual-area [{tag}]", "pass" if ok else "fail"))
+        # dual is an involution on polygons with the origin strictly
+        # inside, so this is dual(dual_map(md, T*)) == Q, and an image
+        # without the origin inside fails the check instead of raising
+        ok = mutation.dual_map(md, Tstar) == Qstar
+        out.append(_entry(path, f"duality-commutation [{tag}]", "pass" if ok else "fail"))
+        # mutants proved T Fano, and Q is its mutant, so it is Fano too
+        wQ = triangle_weights(Q) if wT is not None else None
+        if wQ is not None:
+            ok = diophantine_class(wQ) == cls
+            out.append(_entry(path, f"diophantine-constancy [{tag}]", "pass" if ok else "fail"))
+        if wT is not None and deform.weights_decrease(wT, wQ):
+            try:
+                cert = deform.mutation_to_deformation(T, md)
+                ok = cert.corollary.passed
+                out.append(_entry(path, f"deformation-certificate [{tag}]", "pass" if ok else "fail"))
+            except DomainError as e:
+                out.append(_entry(path, f"deformation-certificate [{tag}]", "fail", str(e)))
     return out
 
 

@@ -14,11 +14,11 @@ Each step is built once and trusts what an earlier step proved:
 determinant is 1; `geom.dual_denominator` and `geom.dilated_dual` give the
 automatic dilation and the dilated duals without the undilated duals;
 `mutate` proves the normalized source Fano, so both weight triples are read
-by `fano.weights_of_vertices`; `is_admissible` checks that the parts are
-defined on the box before `DivPoly.with_split` builds the general fiber;
-and the reduction computes each divisorial polytope's nontrivial labels
-once and tries the shifts as `_shift_candidates` walks them, in order,
-building only the ones it tries.
+off the vertices (`fano.triangle_weights`); `is_admissible` checks that the
+parts are defined on the box before `DivPoly.with_split` builds the general
+fiber; and the reduction computes each divisorial polytope's nontrivial
+labels once and tries the shifts as `_shift_candidates` walks them, in
+order, building only the ones it tries.
 """
 
 from __future__ import annotations
@@ -407,7 +407,7 @@ def mutation_to_deformation(
     # mutate proved Pn Fano, and Q is its mutant, so the weights are read
     # off the vertices without proving either Fano again
     wp = fano.weights_of_vertices(*Pn.vertices)
-    wq = fano.weights_of_vertices(*Q.vertices) if len(Q.vertices) == 3 else None
+    wq = fano.triangle_weights(Q)
     if any(not s.is_integral() for s in red.shifts) and not weights_decrease(wp, wq):
         raise FiberMismatch(
             "reduction needs a non-isomorphism shift but the mutation does "
@@ -466,4 +466,4 @@ def is_weight_reducing(P: Polygon, md: MutationData) -> bool:
     """weights_decrease for the Fano triangle P and its mutant by md."""
     wp = fano.weights(P)
     Q = mutate(P, md)  # the mutant of a Fano polygon is Fano
-    return weights_decrease(wp, fano.weights_of_vertices(*Q.vertices) if len(Q.vertices) == 3 else None)
+    return weights_decrease(wp, fano.triangle_weights(Q))

@@ -98,6 +98,12 @@ def weights(T: Polygon) -> WeightTriple:
     return weights_of_vertices(v1, v2, v3)
 
 
+def triangle_weights(P: Polygon) -> WeightTriple | None:
+    """The weights of P, a polygon already known to be Fano, read off its
+    vertices without proving it Fano again; None if it is no triangle."""
+    return weights_of_vertices(*P.vertices) if len(P.vertices) == 3 else None
+
+
 def multiplicity(T: Polygon) -> int:
     """Index of the sublattice generated by the three vertices.
 

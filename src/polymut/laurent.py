@@ -172,6 +172,11 @@ class LaurentPoly:
 # 0.9 s (2-vCPU Xeon VM, Python 3.11).
 PARSE_POWER_LIMIT = 500_000
 
+# The parser recurses three frames deep per parenthesis; deeper nesting is
+# refused at its '(' so that 600 frames leave room under the default
+# recursion limit of 1000 for callers such as batch-verify or a test runner.
+PARSE_DEPTH_LIMIT = 200
+
 
 def _shape(f: LaurentPoly, n: int) -> tuple[int, int]:
     """(terms, bits) of f^n without expanding it: the most terms it can
@@ -205,6 +210,7 @@ class _Parser:
         self.s = s
         self.i = 0
         self.work = 0
+        self.depth = 0
 
     def charge(self, work: int, what: str) -> None:
         """Count work against PARSE_POWER_LIMIT before it is done."""
@@ -306,7 +312,11 @@ class _Parser:
             e[_ALIASES[val]] = self._exponent()
             return LaurentPoly.monomial(e[0], e[1]), 1
         if self.accept("("):
+            self.depth += 1
+            if self.depth > PARSE_DEPTH_LIMIT:
+                raise LaurentSyntaxError(f"nesting exceeds the parse budget PARSE_DEPTH_LIMIT = {PARSE_DEPTH_LIMIT}", pos)
             inner = self._expr()
+            self.depth -= 1
             if not self.accept(")"):
                 raise LaurentSyntaxError("expected ')'", self.peek()[2])
             exp = self._exponent()
@@ -328,7 +338,8 @@ class _Parser:
 def parse(s: str) -> LaurentPoly:
     """Parse an expression in x, y (aliases x1, x2) with integer or p/q
     coefficients, signed integer exponents, and parenthesized
-    subexpressions with integer powers, expanded within PARSE_POWER_LIMIT."""
+    subexpressions with integer powers, expanded within PARSE_POWER_LIMIT
+    and nested at most PARSE_DEPTH_LIMIT deep."""
     if not isinstance(s, str):
         raise DomainError(f"a Laurent polynomial must be a string, not {type(s).__name__}")
     return _Parser(s).parse()

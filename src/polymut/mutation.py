@@ -143,16 +143,23 @@ def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     return [MutationData(w=w, t=t, f0=prof.f0) for t in range(1, _t_max(prof) + 1)]
 
 
-def mutants(P: Polygon, w: Vector2) -> list[tuple[MutationData, Polygon]]:
-    """Every nontrivial factor of P along w with its mutant, in the order of
-    find_factors: [(md, mutate(P, md)) for md in find_factors(P, w)], from
-    one profile and one proof that P is Fano (find_factors and each mutate
-    would rebuild the profile and prove it again)."""
+def _factor_walk(P: Polygon):
+    """(w, profile, t) for every nontrivial factor of P, which the caller
+    has proved Fano: one _Profile per w in factor_directions(P), t = 1..t_max."""
+    for w in factor_directions(P):
+        prof = _Profile(P, w)
+        for t in range(1, _t_max(prof) + 1):
+            yield w, prof, t
+
+
+def mutants(P: Polygon) -> list[tuple[MutationData, Polygon]]:
+    """[(md, mutate(P, md)) for w in factor_directions(P) for md in
+    find_factors(P, w)], from one profile per direction and one proof that
+    P is Fano (find_factors and mutate would each redo both)."""
     _require_fano(P)
-    prof = _Profile(P, w)  # height_basis refuses a non-primitive w
     return [
         (MutationData(w=w, t=t, f0=prof.f0), _polygon_from_pairs(_mutant(prof, t)))
-        for t in range(1, _t_max(prof) + 1)
+        for w, prof, t in _factor_walk(P)
     ]
 
 
@@ -330,13 +337,15 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     representative of a class is the first polygon found in it.  Edges
     record the (w, t) of each mutation found, in the order found.  Fano
     polygons anchor the origin, so translations are not quotiented out.
+    Only P is proved Fano: a mutant of a Fano polygon is Fano, so each node
+    inherits the root's proof and reads its weights off its vertices.
 
-    Mutants stay integer (x, y) vertex cycles: one hull gives the cycle,
-    the normal form is read off it, and a Polygon is built only for a new
+    Each node is expanded by one _factor_walk.  Mutants stay integer (x, y)
+    vertex cycles: one hull, one normal form, and a Polygon only for a new
     class.  The node found by (w, t) from src is mutated by (-w, t) back to
-    src's representative, up to a shear along the kernel of w, so that
-    edge is recorded as leading to src without building the mutant.  More
-    than GRAPH_CLASS_LIMIT classes is a DomainError.
+    src's representative, up to a shear along the kernel of w, so that edge
+    is recorded as leading to src without building the mutant.  More than
+    GRAPH_CLASS_LIMIT classes is a DomainError.
     """
     _require_fano(P)
     if depth < 0:
@@ -352,46 +361,32 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     for _ in range(depth):
         next_frontier: list[int] = []
         for src in frontier:
-            Psrc = nodes[src].polygon
-            if src:  # the root was proven Fano above
-                _require_fano(Psrc)
             w_back, t_back, home = back[src]
-            # the edge normals are primitive, and one profile per (node, w)
-            # gives both the factor lengths and every mutant (find_factors
-            # and mutate would each rebuild it and re-prove Psrc Fano)
-            for w in factor_directions(Psrc):
-                prof = _Profile(Psrc, w)
-                skip = t_back if w == w_back else 0
-                for t in range(1, _t_max(prof) + 1):
-                    if t == skip:
-                        edges.append(GraphEdge(src, home, w, t))
-                        continue
-                    cyc = _mutant(prof, t)
-                    tgt = classes.setdefault(_cycle_normal_form(cyc), len(nodes))
-                    if tgt == len(nodes):
-                        if tgt == GRAPH_CLASS_LIMIT:
-                            raise DomainError(
-                                f"mutation graph exceeds the class budget GRAPH_CLASS_LIMIT = {GRAPH_CLASS_LIMIT}"
-                            )
-                        nodes.append(_make_node(_polygon_from_pairs(cyc)))
-                        back.append((-w, t, src))
-                        next_frontier.append(tgt)
-                    edges.append(GraphEdge(src, tgt, w, t))
+            for w, prof, t in _factor_walk(nodes[src].polygon):
+                if t == t_back and w == w_back:
+                    edges.append(GraphEdge(src, home, w, t))
+                    continue
+                cyc = _mutant(prof, t)
+                tgt = classes.setdefault(_cycle_normal_form(cyc), len(nodes))
+                if tgt == len(nodes):
+                    if tgt == GRAPH_CLASS_LIMIT:
+                        raise DomainError(
+                            f"mutation graph exceeds the class budget GRAPH_CLASS_LIMIT = {GRAPH_CLASS_LIMIT}"
+                        )
+                    nodes.append(_make_node(_polygon_from_pairs(cyc)))
+                    back.append((-w, t, src))
+                    next_frontier.append(tgt)
+                edges.append(GraphEdge(src, tgt, w, t))
         frontier = next_frontier
         if not frontier:
             break
     # "extra_scan" stays in the graph JSON as a constant: the edge normals
     # are complete, so no wider box of height functions is ever scanned
-    meta = {
-        "scan": "edge-normals (complete for factors)",
-        "extra_scan": None,
-        "depth": depth,
-    }
+    meta = {"scan": "edge-normals (complete for factors)", "extra_scan": None, "depth": depth}
     return MutationGraph(tuple(nodes), tuple(edges), meta)
 
 
 def _make_node(P: Polygon) -> GraphNode:
-    if len(P.vertices) == 3:
-        return GraphNode(P, fano.weights(P), fano.multiplicity(P))
-    return GraphNode(P, None, None)
+    w = fano.triangle_weights(P)
+    return GraphNode(P, w, fano.multiplicity(P) if w else None)
 

@@ -314,6 +314,58 @@ class TestErrorsAndDeterminism:
         assert code == 1
         check_schema(out, "error")
 
+    @pytest.mark.parametrize("command, option", [("dual", "--polygon"), ("check-corollary", "--certificate")])
+    def test_deeply_nested_json_exit_1(self, capsys, tmp_path, command, option):
+        # json.loads raises RecursionError, which is no ValueError, on JSON
+        # nested past the recursion limit; it used to end in a traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out = run_json(capsys, command, option, str(deep))
+        assert code == 1
+        assert out["error"]["type"] == "DomainError"
+        assert out["error"]["message"].startswith("invalid JSON: ")
+        check_schema(out, "error")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["period", "--dmax", "2", "--f"], ["laurent-mutate", "--g", "1+x", "--divide", "y", "--f"]],
+        ids=["period", "laurent-mutate"],
+    )
+    def test_nesting_past_the_parse_depth_budget_exit_1(self, capsys, argv):
+        # 5,000 nested parentheses used to end in a RecursionError traceback
+        from polymut.laurent import PARSE_DEPTH_LIMIT as n
+
+        f = "y^-1 + x^-1*y^2 + 2*y^2 + x*y^2"
+        code, out = run_json(capsys, *argv, "(" * 5000 + f + ")" * 5000)
+        assert code == 1
+        assert out["error"] == {
+            "type": "LaurentSyntaxError",
+            "message": f"nesting exceeds the parse budget PARSE_DEPTH_LIMIT = {n} at offset {n}",
+        }
+        check_schema(out, "error")
+        # at the budget, with the caller's frames of this test runner
+        code, out = run_json(capsys, *argv, "(" * n + f + ")" * n)
+        assert code == 0
+        code, flat = run_json(capsys, *argv, f)
+        assert out == flat
+
+    def test_deep_nesting_subprocess_has_no_traceback(self, tmp_path):
+        # the same inputs from a fresh interpreter: exit 1, error JSON on
+        # stdout and nothing on stderr
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        for argv in (
+            ["dual", "--polygon", str(deep)],
+            ["check-corollary", "--certificate", str(deep)],
+            ["period", "--dmax", "2", "--f", "(" * 5000 + "x" + ")" * 5000],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "polymut", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert (proc.returncode, proc.stderr) == (1, ""), argv[0]
+            check_schema(json.loads(proc.stdout), "error")
+
     def test_non_numeric_coordinate_exit_1(self, capsys):
         code, out = run_json(
             capsys, "dual", "--polygon", '{"vertices":[["a","b"],[0,1],[-1,-1]]}'
@@ -585,6 +637,8 @@ class TestBatchVerify:
             # accepted 4,300-digit coordinates whose edge normal, printed in
             # a row tag, has 4,301 digits
             '{"vertices": [["%s", "1"], ["-%s", "-1"], ["-1", "0"]]}' % (_A, _A - 1),
+            "[" * 100_000 + "]" * 100_000,
+            '{"laurent": "%sx+y+x^-1*y^-1%s", "g": "1+x"}' % ("(" * 5000, ")" * 5000),
         ],
         ids=[
             "laurent-without-g",
@@ -594,6 +648,8 @@ class TestBatchVerify:
             "json-5000-digit-integer",
             "exponent-string",
             "output-integer-past-the-digit-limit",
+            "json-100000-levels-deep",
+            "laurent-5000-levels-deep",
         ],
     )
     def test_bad_entry_reported_and_batch_continues(self, capsys, tmp_path, bad):
@@ -632,7 +688,7 @@ class TestBatchVerify:
         )
 
     def test_mutants_are_not_proved_fano_again(self, capsys, tmp_path, monkeypatch):
-        # each entry proves T Fano through weights(T), each direction through
+        # each entry proves T Fano through weights(T) and once more through
         # mutation.mutants, and each certificate through its one mutate; a
         # mutant's weights are read off its vertices
         from polymut import fano
@@ -640,14 +696,13 @@ class TestBatchVerify:
         calls = []
         is_fano = fano.is_fano
         monkeypatch.setattr(fano, "is_fano", lambda P: calls.append(P) or is_fano(P))
-        mutation = cli._module("mutation")
         total = 0
         for weights in ((1, 1, 4), (1, 4, 25), (2, 3, 5)):
             T = fano.triangle_from_weights(weights)
             del calls[:]
             rows = cli._verify_polygon(tmp_path / "t.json", T)
             certified = sum(r["check"].startswith("deformation-certificate") for r in rows)
-            assert len(calls) == 1 + len(mutation.factor_directions(T)) + certified, weights
+            assert len(calls) == 2 + certified, weights
             total += certified
         assert total == 2
 

@@ -48,7 +48,7 @@ def _name(node) -> str | None:
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
-    if isinstance(node, ast.alias):
+    if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
         return node.name
     return None
 
@@ -65,14 +65,27 @@ def test_every_division_goes_through_qdiv():
 
 
 def test_only_height_basis_calls_extgcd():
-    # geom.height_basis is the one unimodular frame of a height function;
-    # another extgcd call would be a second basis that can drift from it
-    offenders = [
-        f"{name}:{getattr(node, 'lineno', '?')}"
-        for name, node, at_home in _nodes("geom.py", "height_basis")
-        if _name(node) == "extgcd" and not at_home
-    ]
-    assert offenders == []
+    # geom.height_basis takes the one unimodular frame of a height function
+    # from geom._bezout; the extended Euclidean loop lives in tests/oracles.py
+    # only, and an extgcd in the library would be a second basis that can
+    # drift from it
+    assert _named_outside("extgcd", set()) == []
+
+
+def test_one_factor_walk():
+    # mutation._factor_walk is the one walk over every factor of a polygon,
+    # which mutants and mutation_graph share; find_factors reads one
+    # direction and _validate_mutation_data the one of a given factor
+    tree = ast.parse((SRC / "mutation.py").read_text())
+    callers = sorted(scope for scope, call in _calls(tree) if _name(call.func) == "_Profile")
+    assert callers == ["_factor_walk", "_validate_mutation_data", "find_factors"]
+    assert _named_outside("_Profile", {"mutation.py"}) == []
+    # a mutant of a Fano polygon is Fano: the graph proves its root once,
+    # before its loop, and no node it expands
+    graph = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "mutation_graph")
+    proofs = [n for n in ast.walk(graph) if _name(n) == "_require_fano"]
+    loops = [n for n in ast.walk(graph) if isinstance(n, (ast.For, ast.While))]
+    assert len(proofs) == 1 and not any(n in proofs for loop in loops for n in ast.walk(loop))
 
 
 def test_only_geom_names_bezout():
@@ -149,8 +162,63 @@ UNREFERENCED_PUBLIC = {
     "geom.Polygon.translate": "documented public polygon operation",
     "divpoly.PLFunc.constant": "documented public constructor",
     "divpoly.PLFunc.min_of_affines": "documented public constructor",
+    "divpoly.DivPoly.from_json": "documented reader of the divisorial polytope a certificate carries",
+    "laurent.LaurentPoly.coefficient": "documented public read of one coefficient",
     "mutation.MutationGraph.weight_triples": "the correctness check of the graph workloads",
 }
+
+
+def _annotation(node) -> str | None:
+    """The class name an annotation reads as: C, "C", mod.C or Optional[C]."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.Subscript) and _name(node.value) == "Optional":
+        return _annotation(node.slice)
+    return _name(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+
+
+def _receiver_classes(classes: set[str]) -> dict[str, set]:
+    """For each attribute name used in src/polymut, the classes its
+    receivers read as: the class itself (C.m, mod.C.m), self in a method of
+    C, a parameter annotated C, or a local assigned from C(...) or from a
+    call of a library function annotated to return C.  None stands for a
+    receiver whose class does not read off the code."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    returns = {
+        node.name: _annotation(node.returns)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and _annotation(node.returns) in classes
+    }
+    uses: dict[str, set] = {}
+
+    def visit(node, owner, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, {})
+            elif isinstance(child, ast.FunctionDef):
+                inner = dict(scope)
+                for arg in child.args.args + child.args.kwonlyargs:
+                    inner[arg.arg] = _annotation(arg.annotation)
+                if owner and child.args.args and "staticmethod" not in map(_name, child.decorator_list):
+                    inner[child.args.args[0].arg] = owner
+                for n in ast.walk(child):
+                    if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call):
+                        f = _name(n.value.func)
+                        for target in n.targets:
+                            if isinstance(target, ast.Name):
+                                inner[target.id] = f if f in classes else returns.get(f)
+                visit(child, None, inner)
+            else:
+                if isinstance(child, ast.Attribute):
+                    r = child.value
+                    cls = _name(r) if _name(r) in classes else scope.get(r.id) if isinstance(r, ast.Name) else None
+                    uses.setdefault(child.attr, set()).add(cls if cls in classes else None)
+                visit(child, owner, scope)
+
+    for tree in trees:
+        visit(tree, None, {})
+    return uses
 
 
 def test_library_holds_no_test_only_public_code():
@@ -160,21 +228,34 @@ def test_library_holds_no_test_only_public_code():
     # when src/polymut refers to it as a name or an attribute, not in a
     # string, or when benchmarks/layers.py traces it; a method is reached
     # only as an attribute, so a local variable of its name does not count.
+    # A method whose name another public class also defines counts as used
+    # only through a receiver that reads as its own class, or one whose
+    # class does not read off the code (see _receiver_classes).
     nodes = [node for _, node, _ in _nodes()]
     attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     used = attrs | {node.id for node in nodes if isinstance(node, ast.Name)}
     traced = {f"{modname.rsplit('.', 1)[-1]}.{attr}" for modname, attr, _, _ in _trace_targets()}
-    public = []
+    public, classes, methods = [], set(), []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 public.append((f"{path.stem}.{node.name}", node.name in used))
                 if isinstance(node, ast.ClassDef):
-                    public += [
-                        (f"{path.stem}.{node.name}.{m.name}", m.name in attrs)
+                    classes.add(node.name)
+                    methods += [
+                        (path.stem, node.name, m.name)
                         for m in node.body
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                     ]
+    owners: dict[str, set] = {}
+    for _, cls, name in methods:
+        owners.setdefault(name, set()).add(cls)
+    receivers = _receiver_classes(classes)
+    for stem, cls, name in methods:
+        if len(owners[name]) > 1:
+            public.append((f"{stem}.{cls}.{name}", bool(receivers.get(name, set()) & {cls, None})))
+        else:
+            public.append((f"{stem}.{cls}.{name}", name in attrs))
     unused = [q for q, is_used in public if not is_used and q not in traced and q not in UNREFERENCED_PUBLIC]
     assert unused == []
 

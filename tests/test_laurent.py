@@ -9,6 +9,7 @@ import pytest
 from polymut.errors import DomainError
 from polymut.geom import Polygon, Vector2
 from polymut.laurent import (
+    PARSE_DEPTH_LIMIT,
     PARSE_POWER_LIMIT,
     PERIOD_DMAX_LIMIT,
     PERIOD_WORK_LIMIT,
@@ -54,6 +55,19 @@ class TestParse:
         with pytest.raises(LaurentSyntaxError) as ei:
             parse("x^^2")
         assert ei.value.position == 2
+
+    def test_nesting_depth_budget(self):
+        # the parser recurses three frames per parenthesis, so nesting past
+        # PARSE_DEPTH_LIMIT is refused at its '(' before it recurses, where
+        # 5,000 levels used to end in a RecursionError
+        n = PARSE_DEPTH_LIMIT
+        assert parse("(" * n + "x" + ")" * n) == parse("x")
+        for prefix, levels in (("", n + 1), ("y + ", n + 1), ("", 5000)):
+            with pytest.raises(LaurentSyntaxError, match=f"PARSE_DEPTH_LIMIT = {n} at") as ei:
+                parse(prefix + "(" * levels + "x" + ")" * levels)
+            assert ei.value.position == len(prefix) + n
+        # sibling parentheses do not nest
+        assert parse("+".join(["(x)"] * (n + 1))) == parse(f"{n + 1}*x")
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):

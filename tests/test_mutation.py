@@ -475,13 +475,12 @@ class TestDualMapAgainstDefinition:
         checked = 0
         for T in _dual_map_cases():
             Tstar = dual(T)
-            for w in factor_directions(T):
-                for md, Q in mutants(T, w):
-                    img = dual_map(md, Tstar)
-                    oracle = _dual_map_by_definition(md, Tstar)
-                    assert img == oracle == dual(Q), (T, md)
-                    assert _coordinate_types(img) == _coordinate_types(oracle)
-                    checked += 1
+            for md, Q in mutants(T):
+                img = dual_map(md, Tstar)
+                oracle = _dual_map_by_definition(md, Tstar)
+                assert img == oracle == dual(Q), (T, md)
+                assert _coordinate_types(img) == _coordinate_types(oracle)
+                checked += 1
         assert checked >= 500
 
     def test_any_polygon(self):
@@ -511,21 +510,31 @@ class TestDualMapAgainstDefinition:
 
 
 class TestMutants:
-    def test_mutants_are_find_factors_and_mutate(self):
-        pairs = 0
-        for T in _dual_map_cases():
-            for w in factor_directions(T):
-                got = mutants(T, w)
-                assert got == [(md, mutate(T, md)) for md in find_factors(T, w)]
-                assert all(_coordinate_types(Q) == [(int, int)] * len(Q.vertices) for _, Q in got)
-                pairs += len(got)
-        assert pairs >= 500
+    def test_mutants_are_find_factors_and_mutate(self, monkeypatch):
+        # 200 seeded Fano polygons and every node of the pinned graphs, each
+        # from one Fano proof and one profile per direction
+        from polymut import mutation
 
-    def test_mutants_refuse_as_find_factors_does(self, p114_triangle):
-        with pytest.raises(NotPrimitive):
-            mutants(p114_triangle, Vector2(0, -2))
+        cases = _dual_map_cases()
+        for weights, depth in (((1, 1, 1), 5), ((2, 3, 5), 4)):
+            cases += [n.polygon for n in mutation_graph(fano.triangle_from_weights(weights), depth).nodes]
+        calls = []
+        real_profile, real_require_fano = mutation._Profile, mutation._require_fano
+        monkeypatch.setattr(mutation, "_Profile", lambda Q, w: calls.append(w) or real_profile(Q, w))
+        monkeypatch.setattr(mutation, "_require_fano", lambda Q: calls.append(Q) or real_require_fano(Q))
+        pairs = 0
+        for T in cases:
+            del calls[:]
+            got = mutants(T)
+            assert calls == [T, *factor_directions(T)]
+            assert got == [(md, mutate(T, md)) for w in factor_directions(T) for md in find_factors(T, w)]
+            assert all(_coordinate_types(Q) == [(int, int)] * len(Q.vertices) for _, Q in got)
+            pairs += len(got)
+        assert pairs >= 1000
+
+    def test_mutants_refuse_as_find_factors_does(self):
         with pytest.raises(fano.NotFano):
-            mutants(P((2, 0), (0, 1), (-1, -1)), Vector2(0, -1))
+            mutants(P((2, 0), (0, 1), (-1, -1)))
 
     def test_one_profile_and_one_fano_proof(self, monkeypatch):
         from polymut import mutation
@@ -544,8 +553,8 @@ class TestMutants:
         monkeypatch.setattr(mutation, "_Profile", counting_profile)
         monkeypatch.setattr(mutation, "_require_fano", counting_require_fano)
         T = P((-2, 1), (2, 1), (1, -1), (-1, -1))  # four factors along (0, -1)
-        assert len(mutants(T, Vector2(0, -1))) == 4
-        assert profiles == [Vector2(0, -1)] and proofs == [T]
+        assert len(mutants(T)) == 4 + 2  # and two along (0, 1)
+        assert profiles == factor_directions(T) and proofs == [T]
 
 
 class TestMutationGraph:
@@ -603,8 +612,26 @@ class TestMutationGraph:
         monkeypatch.setattr(mutation, "_require_fano", counting_require_fano)
         g = mutation_graph(fano.triangle_from_weights((2, 3, 5)), 3)
         expanded = [g.nodes[i].polygon for i in sorted({e.source for e in g.edges})]
-        assert proofs == expanded
+        # a mutant of a Fano polygon is Fano: every node inherits the root's proof
+        assert proofs == [g.nodes[0].polygon]
         assert profiles == [(Q, w) for Q in expanded for w in factor_directions(Q)]
+
+    @pytest.mark.parametrize(
+        "start,depth",
+        [((1, 1, 1), 5), ((2, 3, 5), 4), ((1, 2, 3), 4), (((-1, -1), (2, -1), (-1, 2)), 4)],
+        ids=["111-depth5", "235-depth4", "123-depth4", "p2-mod-3-depth4"],
+    )
+    def test_nodes_inherit_the_root_fano_proof(self, start, depth):
+        # the graph proves only its root Fano and reads a triangle's weights
+        # off its vertices; the definitions agree on every node
+        g = mutation_graph(_start_polygon(start), depth)
+        for n in g.nodes:
+            Q = n.polygon
+            assert fano.is_fano(Q)
+            if len(Q.vertices) == 3:
+                assert (n.weights, n.multiplicity) == (fano.weights(Q), fano.multiplicity(Q))
+            else:
+                assert (n.weights, n.multiplicity) == (None, None)
 
     def test_one_mutant_and_one_normal_form_per_edge_not_leading_back(self, monkeypatch):
         # the mutation back along the edge that found a node is recorded
