@@ -495,10 +495,15 @@ def derive_mutation_data(f: LaurentPoly, spec: MutationSpec) -> tuple[MutationDa
 # Work budgets of period_sequence, each checked before any work: the
 # largest dmax, and the work of the packed kernel in its own units,
 # passes * dmax * B * (digits of the packed box), counted after the
-# pre-pass (see period_sequence).  One unit took 0.005-0.08 ns on the inputs
-# measured (2-vCPU Xeon VM, Python 3.11), so an accepted input runs for at
-# most about 1.6 s; the hexagon x + y + 1/x + 1/y + x/y + y/x measures
-# 6.3e9 units at dmax 100 and takes 0.43-0.47 s.
+# pre-pass (see period_sequence).  The measure is that of a kernel that
+# carries every row of the box in every step; the kernel carries only the
+# rows that can still reach a constant term and multiplies once per
+# distinct |c|, so the measure over-counts its work; it is kept so that the
+# refused inputs stay the same.  One unit took 0.005-0.08 ns on the inputs
+# measured with every row carried (2-vCPU Xeon VM, Python 3.11), so an
+# accepted input runs for at most about 1.6 s; the hexagon
+# x + y + 1/x + 1/y + x/y + y/x measures 6.3e9 units at dmax 100 and takes
+# 0.12-0.21 s.
 PERIOD_DMAX_LIMIT = 100
 PERIOD_WORK_LIMIT = 2 * 10**10
 
@@ -519,19 +524,35 @@ def period_sequence(f: LaurentPoly, dmax: int) -> list[Rational]:
     Kernel (Kronecker substitution): the exponents lie on e0 + L, with L
     the lattice their differences span, with basis (g1, h), (0, g2) from
     geom._lattice_basis.  A term at e0 + u*(g1, h) + v*(0, g2) becomes
-    the B-bit digit at position (u - umin) + (v - vmin)*S of one integer,
-    where S = dmax*wx + 1 for the widths wx, wy of the box of the (u, v)
-    and B = bits((sum |coefficients|)^dmax) + 1.  F^k then packs to the
-    integer P_k = sum c * (P_(k-1) << shift) over the terms of F, since no
-    row of F^k is wider than S and no coefficient of it reaches
-    2^(B - 1).  ct(F^k) is 0 unless -k*e0 is in L, and otherwise the signed
-    digit at the position of -k*e0 (inside the box, as 0 is in N), read by
-    rounding P_k at that bit.
+    the B-bit digit in column u - umin of row v - vmin of one integer, its
+    rows S = dmax*wx + 1 digits long for the widths wx, wy of the box of
+    the (u, v), and B = bits((sum |coefficients|)^dmax) + 1.  F^k then
+    packs to the integer P_k = sum c * (P_(k-1) << shift) over the terms
+    of F, since no row of F^k is wider than S and its coefficients sum in
+    absolute value to less than 2^(B - 1).  A step multiplies P once per
+    distinct |c| other than 1 and subtracts the shifts of negative terms.
+
+    Reachable rows: the constant term sits in row k*a of F^k, where
+    a = (x0*h - y0*g1)/(g1*g2) (-y0/g2 when g1 = 0) is the row of -e0, a
+    rational in [vmin, vmax] as 0 is in N.  A row v of F^k reaches
+    ct(F^n) for some n <= dmax only if dmax*a - (dmax - k)*vmax <= v <=
+    dmax*a - (dmax - k)*vmin, so each step drops the rows outside that
+    band: those below by rounding P at the band's first bit, those above by
+    keeping P modulo 2^m at its last bit, and the row of bit 0 is tracked.
+    Both are exact, as the digits below any bit sum to less than half of it
+    in absolute value; the residue differs from the signed one by 0 or
+    2^m, a 1 above the band, which like every row above it never reaches a
+    row that is read.  A support with g2 = 0 has one row and is not cut.
+
+    Readout: ct(F^k) is 0 unless -k*e0 is in L, and otherwise the signed
+    digit at the position of -k*e0, inside the band, read from the B + 1
+    bits of P from one below its bit by rounding: one shift of P per term.
 
     A dmax above PERIOD_DMAX_LIMIT, and a kernel whose work
     passes * dmax * B * (S * (dmax*wy + 1)) exceeds PERIOD_WORK_LIMIT, are
-    refused before any work; a step makes one pass over P per term and one
-    per 30-bit word of each distinct coefficient other than 1.
+    refused before any work; the measure is that of the kernel without the
+    band, with one pass over P a step per term and one per 30-bit word of
+    each distinct coefficient other than 1.
     """
     if dmax < 0:
         raise DomainError("dmax must be nonnegative")
@@ -564,36 +585,57 @@ def period_sequence(f: LaurentPoly, dmax: int) -> list[Rational]:
     terms = [(coords(x - x0, y - y0), int(f.terms[x, y] * den)) for x, y in exps]
     umin = min(u for (u, _), _ in terms)
     vmin = min(v for (_, v), _ in terms)
+    vmax = max(v for (_, v), _ in terms)
     wx = max(u for (u, _), _ in terms) - umin
-    wy = max(v for (_, v), _ in terms) - vmin
+    wy = vmax - vmin
     S = dmax * wx + 1
     B = (sum(abs(c) for _, c in terms) ** dmax).bit_length() + 1
-    shifts: dict[int, list[int]] = {}  # coefficient -> the bit shifts of its terms
+    # |c| -> the bit shifts of its positive terms and of its negative terms
+    shifts: dict[int, tuple[list[int], list[int]]] = {}
     for (u, v), c in terms:
-        shifts.setdefault(c, []).append(B * (u - umin + (v - vmin) * S))
-    # a step shifts and adds P once per term and multiplies it by each
-    # coefficient other than 1, at a cost of one pass per 30-bit word of it
-    passes = len(terms) + sum((abs(c).bit_length() + 29) // 30 for c in shifts if c != 1)
+        shifts.setdefault(abs(c), ([], []))[c < 0].append(B * (u - umin + (v - vmin) * S))
+    # the measure counts one pass over P per term and one per 30-bit word
+    # of each distinct coefficient other than 1; a step multiplies only by
+    # each distinct |c| other than 1, so this is an upper bound
+    passes = len(terms) + sum((abs(c).bit_length() + 29) // 30 for c in {c for _, c in terms} if c != 1)
     work = passes * dmax * B * S * (dmax * wy + 1)
     if work > PERIOD_WORK_LIMIT:
         raise DomainError(f"period work {work} exceeds the period budget PERIOD_WORK_LIMIT = {PERIOD_WORK_LIMIT}")
+    # the row of -e0 is a = na/da; P holds rows lo..hi, bit 0 in row lo
+    na, da = (x0 * h - y0 * g1, g1 * g2) if g1 else (-y0, g2)
+    row = B * S
     mask = (1 << B) - 1
-    P = 1
+    mask2 = (1 << (B + 1)) - 1
+    P, lo, hi = 1, 0, 0
     for k in range(1, dmax + 1):
         Q = 0
-        for c, ss in shifts.items():
+        for c, (pos, neg) in shifts.items():
             Pc = P if c == 1 else c * P
-            for s in ss:
+            for s in pos:
                 Q += Pc << s
-        P = Q
+            for s in neg:
+                Q -= Pc << s
+        P, lo, hi = Q, lo + vmin, hi + vmax
+        if g2 and k < dmax:
+            # keep the rows from which dmax - k more terms can reach row
+            # dmax*a: the band, cut above with a mask and below by rounding
+            top = (dmax * na - (dmax - k) * vmin * da) // da
+            if top < hi:
+                P &= (1 << ((top - lo + 1) * row)) - 1
+                hi = top
+            bottom = -(((dmax - k) * vmax * da - dmax * na) // da)
+            if bottom > lo:
+                n = (bottom - lo) * row
+                P = (P + (1 << (n - 1))) >> n
+                lo = bottom
         at = coords(-k * x0, -k * y0)
         if at is None:
             continue
-        i = B * (at[0] - k * umin + (at[1] - k * vmin) * S)
+        i = B * (at[0] - k * umin) + (at[1] - lo) * row
         # the digits below bit i sum to less than 2^(i-1) in absolute
         # value, so rounding P / 2^i to an integer leaves the digit at i
-        # as its lowest B bits
-        t = P >> (i - 1) if i else P << 1
-        d = ((t >> 1) + (t & 1)) & mask
+        # as its lowest B bits, which bits i - 1 to i + B - 1 of P give
+        t = (P >> (i - 1)) & mask2 if i else (P & mask) << 1
+        d = ((t + 1) >> 1) & mask
         out[k] = qdiv(d - (d >> (B - 1) << B), den**k)
     return out

@@ -409,6 +409,23 @@ def _random_laurent(rng: random.Random, dmax: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def _random_band_laurent(rng: random.Random) -> LaurentPoly:
+    """Three to five terms with integer or half-integer coefficients of
+    both signs on exponents in [-1, 1]^2, or [-2, 2]^2 one time in four,
+    so that most supports have rank 2 and the origin inside their Newton
+    polygon.  A third have their exponents sent onto a sublattice of index
+    2, 3 or 6, where the row of -e0 need not be an integer."""
+    r = 2 if rng.random() < 0.25 else 1
+    terms = {}
+    for _ in range(rng.randint(3, 5)):
+        e = (rng.randint(-r, r), rng.randint(-r, r))
+        terms[e] = Fraction(rng.choice([-3, -2, -1, -1, 1, 1, 2, 5]), rng.choice([1, 1, 2]))
+    if rng.random() < 1 / 3:
+        (p, q), (s, t) = rng.choice(SUBLATTICES)
+        terms = {(p * a + q * b, s * a + t * b): c for (a, b), c in terms.items()}
+    return LaurentPoly(terms)
+
+
 class TestPeriodSequence:
     def test_p2_period(self):
         f = parse("x + y + x^-1*y^-1")
@@ -461,6 +478,52 @@ class TestPeriodSequence:
         got = period_sequence(f, dmax)
         assert got == _period_by_definition(f, dmax)
         assert len(got) == dmax + 1 and got[0] == 1
+
+    def test_band_cut_matches_definition_randomized(self):
+        # from about k = dmax/2 on, the kernel drops the rows of F^k from
+        # which dmax - k more terms cannot reach the row of dmax*(-e0);
+        # negative coefficients make the dropped rows carry borrows
+        rng = random.Random(24)
+        for _ in range(60):
+            d = rng.randint(10, 24)
+            f = _random_band_laurent(rng)
+            assert period_sequence(f, d) == _period_by_definition(f, d), (f, d)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1+x+y", "x + x^-1 + y",
+            "y + y^-1", "x + x^-2", "3*y^2 - y^-1",
+            "x + x^-1 + y + 3*y^-1", "x + 2*y + x^-1*y^-1", "x*y + x^-1*y^-1 + x*y^-1 + x^-1*y",
+            "x^2*y + x^-1*y + x^-1*y^-2", "x^3 + y + x^-1*y^-2", "x^2 + y^3 + x^-1*y^-1",
+            "x*y + x*y^-1 + x^-1*y + x^-1*y^-1 + x^-1",
+            "x + y - x^-1 - y^-1 + x*y^-1 - x^-1*y", "x^-1*y^-1 - 2 + 3*x - y + x*y", "-x - y^-1 + 2*x^-1*y - 1",
+        ],
+        # the index of the lattice the exponents' differences span and the
+        # row a of -e0 in the frame of geom._lattice_basis; -e0 is off that
+        # lattice in each, also in the last one, where a is an integer
+        ids=[
+            "origin-vertex", "origin-edge",
+            "rank-1-column", "rank-1-row", "rank-1-column-negative",
+            "index-2-a-1/2", "index-3-a-2/3", "index-4-a--1/2",
+            "index-9-a--1/3", "index-10-a-9/10", "index-11-a-8/11",
+            "index-2-a--1",
+            "negative-hexagon", "negative-interior", "negative-triangle",
+        ],
+    )
+    @pytest.mark.parametrize("dmax", [10, 17, 24])
+    def test_band_cut_cases_match_definition(self, text, dmax):
+        f = parse(text)
+        assert period_sequence(f, dmax) == _period_by_definition(f, dmax)
+
+    def test_long_diagonal_d40(self):
+        # the terms span 43 columns and 15 rows in the Hermite frame but
+        # lie along a diagonal, and F^k has a constant term only at k = 29
+        # and 35
+        f = parse("x^37*y^11+x^-5*y^-2+y^-3+x^-3*y")
+        seq = period_sequence(f, 40)
+        assert seq == _period_by_definition(f, 40)
+        assert [k for k, c in enumerate(seq) if c] == [0, 29, 35]
 
     def test_p2_closed_form_d40(self):
         seq = period_sequence(parse("x + y + x^-1*y^-1"), 40)
