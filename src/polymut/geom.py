@@ -530,6 +530,10 @@ def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:
     a tie by their third (_third_column), and only those with the least
     columns are brought to the full form.  The form itself is unchanged:
     when some candidate has no such column, all 2n are compared in full.
+
+    _cycle_invariant is a cheaper GL2(Z) invariant that needs no Bezout
+    step but does not separate every pair of classes; the mutation graph
+    computes this form only for cycles whose invariants collide.
     """
     _require_lattice_2d(P)
     return _cycle_normal_form([(v.x, v.y) for v in P.vertices])
@@ -554,6 +558,24 @@ def _cycle_normal_form(vs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]
             least = min(keys)
             starts = [s for s, k in zip(starts, keys) if k == least]
     return min(_hermite_columns(cyc[i:] + cyc[:i], bez) for cyc, i in starts)
+
+
+def _cycle_invariant(vs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The sorted pairs (|det(v_i, v_i+1)|, gcd of v_i+1 - v_i) over the
+    vertex cycle vs of a lattice polygon, as integer (x, y) pairs.
+
+    A unimodular map keeps every determinant up to one common sign and
+    every edge's lattice length, and sorting forgets the start and the
+    orientation, so polygons with different invariants are not linearly
+    equivalent.  The converse fails: classes may share an invariant, and
+    only _cycle_normal_form tells them apart."""
+    out = []
+    x1, y1 = vs[-1]
+    for x2, y2 in vs:
+        out.append((abs(x1 * y2 - y1 * x2), math.gcd(x2 - x1, y2 - y1)))
+        x1, y1 = x2, y2
+    out.sort()
+    return tuple(out)
 
 
 def _second_column(

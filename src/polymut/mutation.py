@@ -34,6 +34,7 @@ from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     NotPrimitive,
     Polygon,
     Vector2,
+    _cycle_invariant,
     _cycle_normal_form,
     _hull_pairs,
     _polygon_from_pairs,
@@ -332,27 +333,30 @@ GRAPH_CLASS_LIMIT = 20_000
 def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     """Breadth-first graph of mutation classes reachable from P.
 
-    Nodes are origin-preserving (linear) lattice-equivalence classes, keyed
-    by geom.linear_normal_form, so each mutant costs one dict lookup; the
-    representative of a class is the first polygon found in it.  Edges
-    record the (w, t) of each mutation found, in the order found.  Fano
-    polygons anchor the origin, so translations are not quotiented out.
-    Only P is proved Fano: a mutant of a Fano polygon is Fano, so each node
-    inherits the root's proof and reads its weights off its vertices.
+    Nodes are origin-preserving (linear) lattice-equivalence classes, told
+    apart by geom.linear_normal_form; the representative of a class is the
+    first polygon found in it.  Edges record the (w, t) of each mutation
+    found, in the order found.  Fano polygons anchor the origin, so
+    translations are not quotiented out.  Only P is proved Fano: a mutant
+    of a Fano polygon is Fano, so each node inherits the root's proof and
+    reads its weights off its vertices.
 
     Each node is expanded by one _factor_walk.  Mutants stay integer (x, y)
-    vertex cycles: one hull, one normal form, and a Polygon only for a new
-    class.  The node found by (w, t) from src is mutated by (-w, t) back to
-    src's representative, up to a shear along the kernel of w, so that edge
-    is recorded as leading to src without building the mutant.  More than
-    GRAPH_CLASS_LIMIT classes is a DomainError.
+    vertex cycles: one hull, one class lookup (_ClassIndex: a cycle seen
+    before, else the cheap invariant geom._cycle_invariant, and normal
+    forms only when that invariant is shared), and a Polygon only for a
+    new class.  The node found by (w, t) from src is mutated by (-w, t)
+    back to src's representative, up to a shear along the kernel of w, so
+    that edge is recorded as leading to src without building the mutant.
+    More than GRAPH_CLASS_LIMIT classes is a DomainError.
     """
     _require_fano(P)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
 
     nodes: list[GraphNode] = [_make_node(P)]
-    classes = {linear_normal_form(P): 0}
+    classes = _ClassIndex(nodes)
+    classes.setdefault([(v.x, v.y) for v in P.vertices], 0)
     # back[i] = (w, t, src): the mutation of node i back to the node src
     # that it was found from (none for the root)
     back: list[tuple[Optional[Vector2], int, int]] = [(None, 0, 0)]
@@ -367,7 +371,7 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
                     edges.append(GraphEdge(src, home, w, t))
                     continue
                 cyc = _mutant(prof, t)
-                tgt = classes.setdefault(_cycle_normal_form(cyc), len(nodes))
+                tgt = classes.setdefault(cyc, len(nodes))
                 if tgt == len(nodes):
                     if tgt == GRAPH_CLASS_LIMIT:
                         raise DomainError(
@@ -384,6 +388,45 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     # are complete, so no wider box of height functions is ever scanned
     meta = {"scan": "edge-normals (complete for factors)", "extra_scan": None, "depth": depth}
     return MutationGraph(tuple(nodes), tuple(edges), meta)
+
+
+class _ClassIndex:
+    """The classes of a mutation graph, looked up by a polygon's canonical
+    integer vertex cycle in three steps: an identical cycle seen before is
+    in its class; a cycle whose _cycle_invariant no class has is a new
+    class; only otherwise are normal forms compared, the cycle's once and
+    each class's (linear_normal_form of its node) once, when first needed.
+    The normal form alone decides class identity: the invariant only
+    skips forms that cannot match."""
+
+    def __init__(self, nodes: list[GraphNode]):
+        self.nodes = nodes  # the graph's node list, which the caller grows
+        self.cycles: dict[tuple[tuple[int, int], ...], int] = {}
+        self.invariants: dict[tuple[tuple[int, int], ...], list[int]] = {}
+        self.forms: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def setdefault(self, cyc: list[tuple[int, int]], new: int) -> int:
+        """The class of the polygon with canonical cycle cyc; if it has
+        none, the class is recorded as new, whose node the caller appends."""
+        key = tuple(cyc)
+        tgt = self.cycles.get(key)
+        if tgt is None:
+            same = self.invariants.setdefault(_cycle_invariant(cyc), [])
+            form = _cycle_normal_form(cyc) if same else None
+            tgt = next((j for j in same if self._form(j) == form), None)
+            if tgt is None:
+                tgt = new
+                same.append(new)
+                if form is not None:
+                    self.forms[new] = form
+            self.cycles[key] = tgt
+        return tgt
+
+    def _form(self, j: int) -> tuple[tuple[int, int], ...]:
+        form = self.forms.get(j)
+        if form is None:
+            form = self.forms[j] = linear_normal_form(self.nodes[j].polygon)
+        return form
 
 
 def _make_node(P: Polygon) -> GraphNode:

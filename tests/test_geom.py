@@ -32,7 +32,7 @@ from polymut.geom import (
     qdiv,
     to_fraction,
 )
-from conftest import P
+from conftest import P, random_unimodular
 from oracles import (
     contains_strictly,
     extgcd,
@@ -478,12 +478,6 @@ def test_minkowski_adjunction_equality_for_parallel_segments():
     assert minkowski_difference(minkowski_sum(A, F), F) == A
 
 
-def mat_mul(U, V):
-    (a, b), (c, d) = U
-    (e, f), (g, h) = V
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
 def _random_fano_polygons(rng, count, span=3):
     from polymut.fano import is_fano
 
@@ -530,7 +524,7 @@ class TestLinearNormalForm:
         for Q in _random_fano_polygons(rng, 30):
             pool.append(Q)
             for _ in range(2):
-                U = _random_unimodular(rng)
+                U = random_unimodular(rng)
                 image = Polygon([mat_apply(U, v) for v in Q.vertices])
                 assert linear_normal_form(image) == linear_normal_form(Q)
                 pool.append(image)
@@ -742,6 +736,26 @@ class TestIntegerKernels:
                     assert _third_column(c[0], c[1], c[2], bez) == _hermite_columns(c, bez)[2], c
                     checked += 1
         assert checked >= 1000
+
+
+class TestCycleInvariant:
+    def test_invariant_under_unimodular_maps_starts_and_reversal(self):
+        # on the raw image cycle of each map, from every start and in both
+        # orientations; so equal normal forms give equal invariants
+        from polymut.geom import _cycle_invariant
+
+        rng = random.Random(37)
+        for Q in _random_fano_polygons(rng, 60) + [_random_lattice_polygon(rng) for _ in range(40)]:
+            if Q.dim() < 2:
+                continue
+            inv = _cycle_invariant([v.as_ints() for v in Q.vertices])
+            assert sum(d for d, _ in inv) == 2 * area(Q) or not Q.contains_origin_interior()
+            for _ in range(3):
+                U = random_unimodular(rng)
+                vs = [mat_apply(U, v).as_ints() for v in Q.vertices]
+                for i in range(len(vs)):
+                    assert _cycle_invariant(vs[i:] + vs[:i]) == inv
+                    assert _cycle_invariant((vs[i:] + vs[:i])[::-1]) == inv
 
 
 class TestLatticeBasis:
@@ -965,14 +979,6 @@ class TestDilatedDual:
                 dilated_dual(P((1, 0), (0, 1), (-1, -1)), r)
 
 
-def _random_unimodular(rng):
-    U = ((1, 0), (0, 1))
-    for _ in range(rng.randint(0, 4)):
-        k = rng.randint(-3, 3)
-        U = mat_mul(rng.choice([((1, k), (0, 1)), ((1, 0), (k, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1))]), U)
-    return U
-
-
 class TestMatImage:
     """mat_image(U, P) is the hull of the images of P's vertices."""
 
@@ -985,7 +991,7 @@ class TestMatImage:
             Q = Polygon([_random_point(rng) for _ in range(rng.randint(1, 6))])
             kind = rng.random()
             if kind < 0.6:
-                U = _random_unimodular(rng)
+                U = random_unimodular(rng)
             elif kind < 0.8:
                 U = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
             else:

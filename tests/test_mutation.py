@@ -26,7 +26,7 @@ from polymut.mutation import (
     mutate,
     mutation_graph,
 )
-from conftest import P
+from conftest import P, random_unimodular
 from oracles import inverse_data, predicted_mutation_weights
 
 
@@ -633,15 +633,26 @@ class TestMutationGraph:
             else:
                 assert (n.weights, n.multiplicity) == (None, None)
 
-    def test_one_mutant_and_one_normal_form_per_edge_not_leading_back(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "weights,depth,n_mutants,n_forms",
+        [((2, 3, 5), 3, 115, 48), ((1, 1, 1), 12, 2051, 5), ((1, 4, 5), 4, 415, 115)],
+        ids=["235-depth3", "111-depth12", "145-depth4"],
+    )
+    def test_one_mutant_per_edge_not_leading_back_and_normal_forms_only_on_collisions(
+        self, monkeypatch, weights, depth, n_mutants, n_forms
+    ):
         # the mutation back along the edge that found a node is recorded
-        # without building it, and a Polygon is built, from the mutant's
-        # canonical cycle and with no second hull, only for a new class
+        # without building it, a Polygon is built, from the mutant's
+        # canonical cycle and with no second hull, only for a new class, and
+        # a normal form is computed only where a mutant's cycle invariant is
+        # shared by a class: once for the mutant, once for each class (at
+        # (1,4,5) depth 4, two classes are created on such a collision and
+        # later compared again, by the form kept from their creation)
         from polymut import mutation
 
         mutants, forms, polygons = [], [], []
         real_mutant, real_form = mutation._mutant, mutation._cycle_normal_form
-        real_polygon = mutation._polygon_from_pairs
+        real_node_form, real_polygon = mutation.linear_normal_form, mutation._polygon_from_pairs
 
         def counting_mutant(prof, t):
             mutants.append(t)
@@ -651,17 +662,23 @@ class TestMutationGraph:
             forms.append(cyc)
             return real_form(cyc)
 
+        def counting_node_form(Q):
+            forms.append(Q)
+            return real_node_form(Q)
+
         def counting_polygon(cyc):
             polygons.append(cyc)
             return real_polygon(cyc)
 
         monkeypatch.setattr(mutation, "_mutant", counting_mutant)
         monkeypatch.setattr(mutation, "_cycle_normal_form", counting_form)
+        monkeypatch.setattr(mutation, "linear_normal_form", counting_node_form)
         monkeypatch.setattr(mutation, "_polygon_from_pairs", counting_polygon)
-        g = mutation_graph(fano.triangle_from_weights((2, 3, 5)), 3)
+        g = mutation_graph(fano.triangle_from_weights(weights), depth)
         non_root_expanded = {e.source for e in g.edges} - {0}
         assert len(non_root_expanded) > 10
-        assert len(mutants) == len(forms) == len(g.edges) - len(non_root_expanded)
+        assert len(mutants) == len(g.edges) - len(non_root_expanded) == n_mutants
+        assert len(forms) == n_forms < n_mutants
         assert len(polygons) == len(g.nodes) - 1
 
     def test_class_budget(self, monkeypatch):
@@ -791,3 +808,91 @@ class TestGraphClasses:
         assert (len(g.nodes), len(g.edges)) == (3148, 4632)
         assert _graph_sha256(g) == "968a1d51e54b2444fa8e11a3a47e09cf46c4c375439f69a0f1eca0f12b75141a"
         assert elapsed < 15.0
+
+    def test_markov_graph_p2_depth_twelve(self):
+        # deep rather than wide: the Markov tree with coordinates of growing
+        # size, where almost every mutant is a class no other shares an
+        # invariant with
+        start = time.monotonic()
+        g = mutation_graph(fano.triangle_from_weights((1, 1, 1)), 12)
+        elapsed = time.monotonic() - start
+        assert (len(g.nodes), len(g.edges)) == (2049, 3075)
+        assert _graph_sha256(g) == "e067bfd46dfd64acf9bc8113e6cb878efe129712bf704d34e777b8e36ba4bbb8"
+        assert elapsed < 5.0
+
+    def test_wide_graph_p145_depth_four(self):
+        # classes that share a cycle invariant inside a graph: 35 classes
+        # have their normal form compared
+        start = time.monotonic()
+        g = mutation_graph(fano.triangle_from_weights((1, 4, 5)), 4)
+        elapsed = time.monotonic() - start
+        assert (len(g.nodes), len(g.edges)) == (269, 483)
+        assert _graph_sha256(g) == "2b9e893d7fa269ac1199b8138883732b589dd4bca0d863098f9bc1dfd823a0bd"
+        assert elapsed < 3.0
+
+
+def _cycle(Q):
+    return [(v.x, v.y) for v in Q.vertices]
+
+
+# two Fano quadrilaterals with equal cycle invariants, ((1,1),(1,1),(4,2),(4,4)),
+# that lie in different classes
+COLLIDING = (((-1, -2), (0, -1), (1, 2), (-1, 2)), ((-2, -1), (2, -1), (2, 1), (1, 1)))
+
+
+class TestClassIndex:
+    """mutation._ClassIndex against geom.linear_normal_form, the one arbiter
+    of class identity."""
+
+    @staticmethod
+    def _classify(polygons):
+        # each polygon's class, found as mutation_graph finds a mutant's
+        from polymut.mutation import _ClassIndex, _make_node
+
+        nodes = []
+        index = _ClassIndex(nodes)
+        out = []
+        for Q in polygons:
+            tgt = index.setdefault(_cycle(Q), len(nodes))
+            if tgt == len(nodes):
+                nodes.append(_make_node(Q))
+            out.append(tgt)
+        return out
+
+    def test_colliding_pair_kept_apart(self):
+        from polymut.geom import _cycle_invariant, linear_normal_form, mat_image
+
+        A, B = (P(*vs) for vs in COLLIDING)
+        assert _cycle_invariant(_cycle(A)) == _cycle_invariant(_cycle(B)) == ((1, 1), (1, 1), (4, 2), (4, 4))
+        assert linear_normal_form(A) != linear_normal_form(B)
+        U = ((2, 1), (1, 1))
+        images = [mat_image(U, A), mat_image(U, B)]
+        # the images are other cycles, so only the normal forms can place them
+        assert {Q.vertices for Q in images}.isdisjoint({A.vertices, B.vertices})
+        assert self._classify([A, B, *images, A]) == [0, 1, 0, 1, 0]
+        assert self._classify([B, *images, A]) == [0, 1, 0, 1]
+
+    def test_classes_match_normal_forms_randomized(self):
+        import random
+
+        from polymut.geom import _cycle_invariant, linear_normal_form, mat_image
+
+        rng = random.Random(53)
+        pool = []
+        for _ in range(4000):
+            Q = P(*((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))))
+            if fano.is_fano(Q):
+                pool += [Q, mat_image(random_unimodular(rng), Q)]
+        rng.shuffle(pool)
+        forms = [linear_normal_form(Q) for Q in pool]
+        # the pool (722 polygons in 255 classes) holds 17 invariants that
+        # more than one class shares
+        by_invariant = {}
+        for Q, form in zip(pool, forms):
+            by_invariant.setdefault(_cycle_invariant(_cycle(Q)), set()).add(form)
+        assert sum(len(f) > 1 for f in by_invariant.values()) >= 15
+        classes = self._classify(pool)
+        first = {}
+        for form, c in zip(forms, classes):
+            assert first.setdefault(form, c) == c
+        assert len(set(classes)) == len(first)
