@@ -303,11 +303,7 @@ def _cmd_diophantine(args) -> dict:
 
 def _cmd_laurent_mutate(args) -> dict:
     laurent = _module("laurent")
-    f = laurent.parse(args.f)
-    spec = laurent.MutationSpec(args.divide, laurent.parse(args.g))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        g = laurent.algebraic_mutate(f, spec)
+    f, spec, g, caught = _laurent_mutation({"laurent": args.f, "g": args.g, "divide": args.divide})
     md, shear = laurent.derive_mutation_data(f, spec)
     out = {
         "mutated": laurent.render(g),
@@ -317,8 +313,22 @@ def _cmd_laurent_mutate(args) -> dict:
         "factor_shear": vector_to_json(shear),
     }
     if caught:
-        out["warnings"] = sorted(str(w.message) for w in caught)
+        out["warnings"] = caught
     return out
+
+
+def _laurent_mutation(obj: dict) -> tuple:
+    """(f, spec, mutant, sorted warning messages) of a Laurent entry
+    {"laurent", "g", "divide"}.  Its laurent is parsed before its g is
+    read, so an entry broken both ways reports the laurent's error; the
+    callers derive the mutation data, batch-verify after its period check."""
+    laurent = _module("laurent")
+    f = laurent.parse(obj["laurent"])
+    spec = laurent.MutationSpec(obj.get("divide", "y"), laurent.parse(_field(obj, "g", "laurent entry")))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = laurent.algebraic_mutate(f, spec)
+    return f, spec, g, sorted(str(w.message) for w in caught)
 
 
 def _cmd_period(args) -> list:
@@ -451,13 +461,7 @@ def _verify_laurent(path: Path, obj) -> list[dict]:
     mutation = _module("mutation")
     laurent = _module("laurent")
     out = []
-    f = laurent.parse(obj["laurent"])
-    spec = laurent.MutationSpec(
-        obj.get("divide", "y"), laurent.parse(_field(obj, "g", "laurent entry"))
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = laurent.algebraic_mutate(f, spec)
+    f, spec, g, _ = _laurent_mutation(obj)
     ok = laurent.period_sequence(f, 8) == laurent.period_sequence(g, 8)
     out.append(_entry(path, "period-invariance", "pass" if ok else "fail"))
     md, shear = laurent.derive_mutation_data(f, spec)

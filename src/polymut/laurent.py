@@ -398,10 +398,19 @@ def newton_polytope(f: LaurentPoly) -> Polygon:
     return Polygon([Vector2(e1, e2) for e1, e2 in f.terms])
 
 
+def _exchanged(f: LaurentPoly, divide: str) -> LaurentPoly:
+    """f as the y path sees it: f itself when y is divided, and f with x
+    and y exchanged when x is, so that applying it twice gives f back."""
+    if divide == "y":
+        return f
+    return LaurentPoly({(e2, e1): c for (e1, e2), c in f.terms.items()})
+
+
 @dataclass(frozen=True)
 class MutationSpec:
     """Which variable gets divided, and the Laurent polynomial g in the
-    other variable that divides it."""
+    other variable that divides it.  Dividing x by g(y) is dividing y by
+    g(x) with x and y exchanged."""
 
     divide: str  # "x" or "y"
     g: LaurentPoly
@@ -411,41 +420,27 @@ class MutationSpec:
             raise DomainError(f"divide must be one of {VAR_NAMES}: {self.divide!r}")
         if self.g.is_zero():
             raise DomainError("g must be nonzero")
-        other = self.other_axis
-        if any(e[self.axis] != 0 for e in self.g.terms):
-            raise DomainError(f"g may only involve {VAR_NAMES[other]}")
-
-    @property
-    def axis(self) -> int:
-        return _ALIASES[self.divide]
-
-    @property
-    def other_axis(self) -> int:
-        return 1 - self.axis
-
-
-def _grades(f: LaurentPoly, axis: int) -> dict[int, LaurentPoly]:
-    out: dict[int, dict[Exponent, Rational]] = {}
-    for e, c in f.terms.items():
-        i = e[axis]
-        rest = list(e)
-        rest[axis] = 0
-        out.setdefault(i, {})[tuple(rest)] = c  # type: ignore[index]
-    return {i: LaurentPoly(t) for i, t in out.items()}
+        if any(e2 for _, e2 in _exchanged(self.g, self.divide).terms):
+            raise DomainError(f"g may only involve {'x' if self.divide == 'y' else 'y'}")
 
 
 def algebraic_mutate(f: LaurentPoly, spec: MutationSpec) -> LaurentPoly:
     """Substitute the divided variable v by v/g: writing f as a sum of
     graded pieces f_i * v^i, positive grades are divided by g^i (raising
     DivisibilityFails if impossible) and negative grades are multiplied.
+    Dividing x runs the y case on f and g with x and y exchanged, and
+    exchanges the result back.
 
     The deformation story needs the origin inside the Newton polytope and
     grades on both sides of zero; a violation only warns.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot mutate the zero polynomial")
-    axis = spec.axis
-    grades = _grades(f, axis)
+    f = _exchanged(f, spec.divide)
+    g = _exchanged(spec.g, spec.divide)
+    grades: dict[int, dict[Exponent, Rational]] = {}
+    for (e1, e2), c in f.terms.items():
+        grades.setdefault(e2, {})[e1, 0] = c
     k, l = min(grades), max(grades)
     origin_ok = newton_polytope(f).contains(Vector2(0, 0))
     if not (k < 0 < l) or not origin_ok:
@@ -456,40 +451,34 @@ def algebraic_mutate(f: LaurentPoly, spec: MutationSpec) -> LaurentPoly:
         warnings.warn(msg, stacklevel=2)
     out = LaurentPoly.zero()
     for i in sorted(grades):
-        fi = grades[i]
+        fi = LaurentPoly(grades[i])
         if i > 0:
-            q = div_exact(fi, spec.g**i)
+            q = div_exact(fi, g**i)
             if q is None:
                 raise DivisibilityFails(i)
         elif i < 0:
-            q = fi * spec.g ** (-i)
+            q = fi * g ** (-i)
         else:
             q = fi
-        e = [0, 0]
-        e[axis] = i
-        out = out + q * LaurentPoly.monomial(e[0], e[1])
-    return out
+        out = out + q * LaurentPoly.monomial(0, i)
+    return _exchanged(out, spec.divide)
 
 
 def derive_mutation_data(f: LaurentPoly, spec: MutationSpec) -> tuple[MutationData, Vector2]:
     """Mutation data on the Newton polygon implied by an algebraic mutation.
 
-    Returns (md, c): md has w = -(unit of the divided axis) and the factor
-    translated to start at the origin; c is the translation from the true
+    Returns (md, c): md has w = (0, -1) and f0 = (1, 0) when y is divided,
+    and their exchange w = (-1, 0), f0 = (0, 1) when x is, with t the
+    length of Newt(g) = c + t*F; c is the translation from F to the true
     Newton segment of g, so Newt(mutate(f)) equals the md-mutation of
     Newt(f) sheared by v -> v + <w, v> * c (c = 0 whenever g has a nonzero
-    constant term).
+    constant term).  A t that Newt(f) has no factor of is refused.
     """
-    axis = spec.axis
-    w = Vector2(0, -1) if axis == 1 else Vector2(-1, 0)
-    exps = [e[spec.other_axis] for e in spec.g.terms]
-    lo, hi = min(exps), max(exps)
-    t = hi - lo
-    e = [0, 0]
-    e[spec.other_axis] = lo
-    c = Vector2(e[0], e[1])
-    md = factor_for(newton_polytope(f), w, t)
-    return md, c
+    exps = [e1 for e1, _ in _exchanged(spec.g, spec.divide).terms]
+    lo, t = min(exps), max(exps) - min(exps)
+    w, f0 = (Vector2(0, -1), Vector2(1, 0)) if spec.divide == "y" else (Vector2(-1, 0), Vector2(0, 1))
+    factor_for(newton_polytope(f), w, t)
+    return MutationData(w=w, t=t, f0=f0), f0.scale(lo)
 
 
 # Work budgets of period_sequence, each checked before any work: the

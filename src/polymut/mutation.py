@@ -17,9 +17,11 @@ and the greatest floor of the edge crossings at h; the cost does not grow
 with the range of heights.
 
 Sign convention: for Laurent polynomials, dividing the second variable by
-g(x) corresponds to w = (0,-1) with F = Newt(g); this is the unique choice
-under which the Newton polygon of the mutated polynomial equals the
-mutation of the Newton polygon.  CLI certificates record it.
+g(x) corresponds to w = (0,-1) with F = Newt(g) along +x; this is the
+unique choice under which the Newton polygon of the mutated polynomial
+equals the mutation of the Newton polygon.  Dividing the first variable by
+g(y) is that case with x and y exchanged: w = (-1,0) with F = Newt(g)
+along +y.  CLI certificates record it.
 """
 
 from __future__ import annotations

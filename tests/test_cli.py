@@ -190,6 +190,20 @@ class TestSubcommands:
         assert out["mutated"] == "x^-1*y^2 + y^-1 + x*y^-1"
         check_schema(out, "laurent_mutate")
 
+    def test_laurent_mutate_divide_x(self, capsys):
+        # dividing x by g(y) is dividing y by g(x) with x and y exchanged:
+        # w = (-1, 0) and F = Newt(g) runs along +y
+        code, out = run_json(
+            capsys, "laurent-mutate", "--f", "x^-1 + y^-1*(1+y)^2*x^2", "--g", "1+y", "--divide", "x"
+        )
+        assert code == 0
+        assert out["mutated"] == "x^-1 + x^-1*y + x^2*y^-1"
+        md = out["mutation_data"]
+        assert (md["w"], md["t"], md["f0"]) == (["-1", "0"], 1, ["0", "1"])
+        assert md["F"] == {"a": ["0", "0"], "b": ["0", "1"]}
+        assert out["factor_shear"] == ["0", "0"]
+        check_schema(out, "laurent_mutate")
+
     def test_period(self, capsys):
         code, out = run_json(capsys, "period", "--f", "x + y + x^-1*y^-1", "--dmax", "6")
         assert code == 0
@@ -307,6 +321,41 @@ class TestErrorsAndDeterminism:
         code, out = run_json(capsys, command, "--polygon", polygon)
         assert code == 1
         assert out["error"] == {"message": "operation requires a Fano polygon", "type": "NotFano"}
+        check_schema(out, "error")
+
+    @pytest.mark.parametrize(
+        "vertices, error",
+        [([[1, 0], [0, 1], [-1, 0], [0, -1]], "NotATriangle"), ([[2, 0], [0, 1], [-1, -1]], "NotFano")],
+        ids=["four-vertices", "non-primitive-vertex"],
+    )
+    def test_weights_refuses_what_is_no_fano_triangle(self, capsys, vertices, error):
+        code, out = run_json(capsys, "weights", "--polygon", json.dumps({"vertices": vertices}))
+        assert code == 1
+        assert out["error"]["type"] == error
+        check_schema(out, "error")
+
+    def test_weights_of_a_clockwise_triangle_in_input_order(self, capsys):
+        # the (1, 2, 3) triangle listed clockwise: its vertex minors are all
+        # negative and are negated, not sorted
+        code, out = run_json(capsys, "weights", "--polygon", '{"vertices":[[0,1],[1,0],[-2,-3]]}')
+        assert code == 0
+        assert out == {"weights": [3, 2, 1]}
+        check_schema(out, "weights")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["mutate", "--polygon", P2, "--w", "0,-1", "--t", "5"], "InvalidFactor"),
+            (["graph", "--polygon", P2, "--depth", "-1"], "DomainError"),
+            (["mutate", "--polygon", P2, "--w", "1"], "DomainError"),
+            (["factors", "--polygon", P2, "--w", "1"], "DomainError"),
+        ],
+        ids=["factor-too-long", "negative-depth", "mutate-w-one-number", "factors-w-one-number"],
+    )
+    def test_refused_options_exit_1(self, capsys, argv, error):
+        code, out = run_json(capsys, *argv)
+        assert code == 1
+        assert out["error"]["type"] == error
         check_schema(out, "error")
 
     def test_bad_json_exit_1(self, capsys):
@@ -727,6 +776,69 @@ class TestBatchVerify:
             "diophantine-constancy": {"pass"},
             "deformation-certificate": {"pass"},
         }
+
+    def test_laurent_entries_on_both_axes(self, capsys, tmp_path):
+        # dividing x, with g with and without a constant term, and dividing
+        # y by a g without one, which is checked through the recorded shear
+        entries = [
+            {"laurent": "x^-1 + y^-1*(1+y)^2*x^2", "g": "1+y", "divide": "x"},
+            {"laurent": "x^-1 + y^-1*(1+y)^2*x^2", "g": "y+y^2", "divide": "x"},
+            {"laurent": "y^-1 + x^-1*(1+x)^2*y^2", "g": "x+x^2", "divide": "y"},
+        ]
+        for i, entry in enumerate(entries):
+            (tmp_path / f"laurent_{i}.json").write_text(json.dumps(entry))
+        code, out = run_json(capsys, "batch-verify", str(tmp_path))
+        assert code == 0
+        check_schema(out, "batch_report")
+        assert [(r["file"], r["check"], r["status"]) for r in out["results"]] == [
+            (f"laurent_{i}.json", check, "pass")
+            for i in range(3)
+            for check in ("period-invariance", "newton-compatibility")
+        ]
+
+    @pytest.mark.parametrize(
+        "entry, detail",
+        [("[1, 2]", "entry must be a JSON object"), ('{"g": "1+x"}', "expected 'weights', 'vertices' or 'laurent'")],
+        ids=["list", "no-known-key"],
+    )
+    def test_entry_of_unknown_shape_is_a_parse_error(self, capsys, tmp_path, entry, detail):
+        (tmp_path / "odd.json").write_text(entry)
+        code, out = run_json(capsys, "batch-verify", str(tmp_path))
+        assert code == 1
+        check_schema(out, "batch_report")
+        assert out == {
+            "results": [{"file": "odd.json", "check": "parse", "status": "error", "detail": detail}],
+            "passed": 0,
+            "failed": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "entry, detail",
+        [
+            ({"laurent": 5}, "a Laurent polynomial must be a string, not int"),
+            (
+                {"laurent": "y*(1+x) + x^-1*y^-1 + x^1000000 + x^-1000000", "g": "1+x"},
+                "period work 217600013600 exceeds the period budget PERIOD_WORK_LIMIT = 20000000000",
+            ),
+        ],
+        ids=["laurent-before-g", "period-before-newton"],
+    )
+    def test_laurent_entry_refused_two_ways_reports_the_first(self, capsys, tmp_path, entry, detail):
+        # the laurent is parsed before g is read, and the period check runs
+        # before the mutation data is derived (this Newton polygon is not
+        # Fano, so deriving it would raise NotFano)
+        (tmp_path / "a.json").write_text(json.dumps(entry))
+        code, out = run_json(capsys, "batch-verify", str(tmp_path))
+        assert code == 1
+        check_schema(out, "batch_report")
+        assert out["results"] == [{"file": "a.json", "check": "verify", "status": "error", "detail": detail}]
+
+    def test_missing_corpus_exit_1(self, capsys, tmp_path):
+        code, out = run_json(capsys, "batch-verify", str(tmp_path / "missing"))
+        assert code == 1
+        assert out["error"]["type"] == "DomainError"
+        assert out["error"]["message"].startswith("corpus directory not found")
+        check_schema(out, "error")
 
     def test_empty_corpus(self, capsys, tmp_path):
         code, out = run_json(capsys, "batch-verify", str(tmp_path))

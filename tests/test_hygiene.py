@@ -88,6 +88,61 @@ def test_one_factor_walk():
     assert len(proofs) == 1 and not any(n in proofs for loop in loops for n in ast.walk(loop))
 
 
+def _exchanged_pairs(scope) -> list:
+    """Line numbers in scope of a pair built in the reverse order of a
+    pair it unpacked, (b, a) after a, b = ..., or of a coordinate pair,
+    (e[1], e[0]) or (v.y, v.x), in a tuple or as the two arguments of a
+    call."""
+    unpacked = {
+        (t.elts[0].id, t.elts[1].id)
+        for t in ast.walk(scope)
+        if isinstance(t, ast.Tuple) and isinstance(t.ctx, ast.Store)
+        and len(t.elts) == 2 and all(isinstance(e, ast.Name) for e in t.elts)
+    }
+
+    def reversed_pair(a, b) -> bool:
+        if isinstance(a, ast.Name) and isinstance(b, ast.Name):
+            return (b.id, a.id) in unpacked
+        if isinstance(a, ast.Attribute) and isinstance(b, ast.Attribute):
+            return (a.attr, b.attr) == ("y", "x") and ast.dump(a.value) == ast.dump(b.value)
+        return (
+            isinstance(a, ast.Subscript) and isinstance(b, ast.Subscript)
+            and ast.dump(a.value) == ast.dump(b.value)
+            and [ast.dump(a.slice), ast.dump(b.slice)] == [ast.dump(ast.Constant(1)), ast.dump(ast.Constant(0))]
+        )
+
+    lines = []
+    for node in ast.walk(scope):
+        pair = node.elts if isinstance(node, ast.Tuple) else node.args if isinstance(node, ast.Call) else []
+        if isinstance(getattr(node, "ctx", ast.Load()), ast.Load) and len(pair) == 2 and reversed_pair(*pair):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_one_laurent_mutation_path():
+    # dividing x is dividing y with x and y exchanged: laurent._exchanged is
+    # the one place that exchanges exponents, the parser the one reader of
+    # the variable names' indices, and no axis-indexed path is left beside
+    # the y path
+    tree = ast.parse((SRC / "laurent.py").read_text())
+    axis_names = [
+        f"laurent.py:{getattr(node, 'lineno', '?')}"
+        for node in ast.walk(tree)
+        if (_name(node) or getattr(node, "arg", None)) in {"axis", "other_axis"}
+    ]
+    assert axis_names == []
+    parser = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Parser")
+    in_parser = {id(n) for n in ast.walk(parser)}
+    readers = [
+        f"laurent.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if _name(node) == "_ALIASES" and isinstance(node.ctx, ast.Load) and id(node) not in in_parser
+    ]
+    assert readers == [] and _named_outside("_ALIASES", {"laurent.py"}) == []
+    builders = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and _exchanged_pairs(n)]
+    assert builders == ["_exchanged"]
+
+
 def test_only_geom_names_bezout():
     # geom._bezout is the one extended gcd: the frame of height_basis, the
     # normal form and the lattice basis; a second one elsewhere could

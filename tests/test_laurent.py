@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from polymut.errors import DomainError
+from polymut.fano import NotFano
 from polymut.geom import Polygon, Vector2
 from polymut.laurent import (
     PARSE_DEPTH_LIMIT,
@@ -334,25 +335,86 @@ class TestAlgebraicMutate:
                 algebraic_mutate(f, spec)
 
     def test_newton_compatibility(self):
-        f = parse(F_P114)
-        spec = MutationSpec("y", parse("1+x"))
-        g = algebraic_mutate(f, spec)
-        md, shear = derive_mutation_data(f, spec)
-        assert shear == Vector2(0, 0)
-        assert newton_polytope(g) == mutate(newton_polytope(f), md)
+        for divide, f, spec in _both_axes(parse(F_P114), parse("1+x")):
+            g = algebraic_mutate(f, spec)
+            md, shear = derive_mutation_data(f, spec)
+            assert (md.w, md.f0) == FRAMES[divide]
+            assert shear == Vector2(0, 0)
+            assert newton_polytope(g) == mutate(newton_polytope(f), md)
 
     def test_newton_compatibility_with_shifted_g(self):
         # g without constant term: the correspondence holds up to the
         # recorded shear
-        f = parse("y^-1 + x^-3*(x + x^2)^2*y^2")
-        spec = MutationSpec("y", parse("x + x^2"))
-        g = algebraic_mutate(f, spec)
-        assert g == parse("(x + x^2)*y^-1 + x^-3*y^2")
-        md, shear = derive_mutation_data(f, spec)
-        assert shear == Vector2(1, 0)
-        Q = mutate(newton_polytope(f), md)
-        sheared = Polygon([v + shear.scale(md.w.dot(v)) for v in Q.vertices])
-        assert newton_polytope(g) == sheared
+        for divide, f, spec in _both_axes(parse("y^-1 + x^-3*(x + x^2)^2*y^2"), parse("x + x^2")):
+            g = algebraic_mutate(f, spec)
+            assert g == _on_axis(divide, parse("(x + x^2)*y^-1 + x^-3*y^2"))
+            md, shear = derive_mutation_data(f, spec)
+            assert (md.w, md.f0) == FRAMES[divide]
+            assert shear == (Vector2(1, 0) if divide == "y" else Vector2(0, 1))
+            assert newton_polytope(g) == _sheared(mutate(newton_polytope(f), md), md, shear)
+
+    def test_both_axes_randomized(self):
+        # f = sum f_i y^i with f_i = q_i * g^i for i > 0, so g divides
+        # every positive grade and the mutant is known: q_i y^i for i > 0
+        # and f_i * g^-i y^i otherwise; dividing x is checked on the
+        # exchange of each example
+        rng = random.Random(2601)
+        checked = 0
+        for _ in range(500):
+            lo = rng.randint(-2, 2)
+            t = rng.randint(0, 2)
+            g = LaurentPoly({(lo + j, 0): rng.choice([1, 2, -1]) for j in range(t + 1)})
+            f, mutant = LaurentPoly.zero(), LaurentPoly.zero()
+            for i in range(-rng.randint(1, 2), rng.randint(1, 2) + 1):
+                piece = _random_x_poly(rng)
+                y = LaurentPoly.monomial(0, i)
+                f = f + (piece * g**i if i > 0 else piece) * y
+                mutant = mutant + (piece if i > 0 else piece * g ** (-i)) * y
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert algebraic_mutate(f, MutationSpec("y", g)) == mutant
+                assert algebraic_mutate(_exchange(f), MutationSpec("x", _exchange(g))) == _exchange(mutant)
+            for divide, fa, spec in _both_axes(f, g):
+                try:
+                    md, shear = derive_mutation_data(fa, spec)
+                    Q = mutate(newton_polytope(fa), md)
+                except NotFano:
+                    continue
+                assert (md.w, md.f0, md.t) == (*FRAMES[divide], t)
+                assert shear == (Vector2(lo, 0) if divide == "y" else Vector2(0, lo))
+                assert newton_polytope(_on_axis(divide, mutant)) == _sheared(Q, md, shear)
+                checked += 1
+        assert checked >= 100
+
+
+# (w, f0) of dividing y, and of dividing x: its exchange
+FRAMES = {"y": (Vector2(0, -1), Vector2(1, 0)), "x": (Vector2(-1, 0), Vector2(0, 1))}
+
+
+def _exchange(f: LaurentPoly) -> LaurentPoly:
+    """f with x and y exchanged."""
+    return LaurentPoly({(b, a): c for (a, b), c in f.terms.items()})
+
+
+def _on_axis(divide: str, f: LaurentPoly) -> LaurentPoly:
+    """A y-case polynomial f as the x case sees it."""
+    return f if divide == "y" else _exchange(f)
+
+
+def _both_axes(f: LaurentPoly, g: LaurentPoly):
+    """(divide, f, spec) for a y-case example and for its exchange."""
+    for divide in ("y", "x"):
+        yield divide, _on_axis(divide, f), MutationSpec(divide, _on_axis(divide, g))
+
+
+def _sheared(Q: Polygon, md, shear: Vector2) -> Polygon:
+    """Q under v -> v + <w, v> * shear."""
+    return Polygon([v + shear.scale(md.w.dot(v)) for v in Q.vertices])
+
+
+def _random_x_poly(rng: random.Random) -> LaurentPoly:
+    """One to three terms in x alone, exponents in [-2, 2]."""
+    return LaurentPoly({(rng.randint(-2, 2), 0): rng.choice([1, 1, 2, -1, 3]) for _ in range(rng.randint(1, 3))})
 
 
 def _period_by_definition(f: LaurentPoly, dmax: int) -> list[Fraction]:
