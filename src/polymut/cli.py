@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-import warnings
 from pathlib import Path
 
 from .errors import DomainError
@@ -303,32 +302,28 @@ def _cmd_diophantine(args) -> dict:
 
 def _cmd_laurent_mutate(args) -> dict:
     laurent = _module("laurent")
-    f, spec, g, caught = _laurent_mutation({"laurent": args.f, "g": args.g, "divide": args.divide})
-    md, shear = laurent.derive_mutation_data(f, spec)
-    out = {
+    f, md, shear, g = _laurent_mutation({"laurent": args.f, "g": args.g, "divide": args.divide})
+    return {
         "mutated": laurent.render(g),
         "newton_before": polygon_to_json(laurent.newton_polytope(f)),
         "newton_after": polygon_to_json(laurent.newton_polytope(g)),
         "mutation_data": md.to_json(),
         "factor_shear": vector_to_json(shear),
     }
-    if caught:
-        out["warnings"] = caught
-    return out
 
 
 def _laurent_mutation(obj: dict) -> tuple:
-    """(f, spec, mutant, sorted warning messages) of a Laurent entry
-    {"laurent", "g", "divide"}.  Its laurent is parsed before its g is
-    read, so an entry broken both ways reports the laurent's error; the
-    callers derive the mutation data, batch-verify after its period check."""
+    """(f, md, shear, mutant) of a Laurent entry {"laurent", "g", "divide"}.
+    Its laurent is parsed before its g is read, so an entry broken both ways
+    reports the laurent's error, and the mutation data are derived before f
+    is mutated, so a derivation error comes before a mutation's.  The
+    derivation proves Newt(f) Fano, so the origin is inside it and f has
+    grades on both sides of 0: algebraic_mutate has nothing to warn about."""
     laurent = _module("laurent")
     f = laurent.parse(obj["laurent"])
     spec = laurent.MutationSpec(obj.get("divide", "y"), laurent.parse(_field(obj, "g", "laurent entry")))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        g = laurent.algebraic_mutate(f, spec)
-    return f, spec, g, sorted(str(w.message) for w in caught)
+    md, shear = laurent.derive_mutation_data(f, spec)
+    return f, md, shear, laurent.algebraic_mutate(f, spec)
 
 
 def _cmd_period(args) -> list:
@@ -461,10 +456,9 @@ def _verify_laurent(path: Path, obj) -> list[dict]:
     mutation = _module("mutation")
     laurent = _module("laurent")
     out = []
-    f, spec, g, _ = _laurent_mutation(obj)
+    f, md, shear, g = _laurent_mutation(obj)
     ok = laurent.period_sequence(f, 8) == laurent.period_sequence(g, 8)
     out.append(_entry(path, "period-invariance", "pass" if ok else "fail"))
-    md, shear = laurent.derive_mutation_data(f, spec)
     Q = mutation.mutate(laurent.newton_polytope(f), md)
     if not shear.is_zero():
         Q = Polygon([v + shear.scale(md.w.dot(v)) for v in Q.vertices])

@@ -39,7 +39,6 @@ from .divpoly import (
     PointLabel,
     from_polygon,
     interval_str,
-    kink,
     shift_affine,
     to_polygon,
 )
@@ -362,9 +361,7 @@ def standard_decomposition(dp: DivPoly, t: int) -> Decomposition:
     part1 = min(t*u, 0); for the maximal factor length this makes part0 the
     affine extension of the right-hand piece, as in the deformation proof."""
     phi = dp.coefficient(INFINITY)
-    # to_fraction refuses a t that is not an exact rational, as
-    # PLFunc.min_of_affines would
-    part1 = kink(dp.box, to_fraction(t))
+    part1 = PLFunc.min_of_affines(dp.box, [(t, 0), (0, 0)])
     part0 = phi - part1
     return Decomposition(INFINITY, part0, part1)
 

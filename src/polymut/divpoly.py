@@ -18,12 +18,12 @@ breakpoints that do not increase or slopes that do not decrease; and by
 Sums and the reduction evaluate a function at sorted points in one walk
 along its breakpoints (`PLFunc._at`).
 
-The deformation pipeline's steps trust what came before them: `kink`
-builds min(t*u, 0) on a stored box; `DivPoly.with_split` assumes parts
-defined on the box, which `deform.is_admissible` checks; `from_polygon`
-reads both envelopes off the canonical vertex cycle of a polygon it has
-checked to be a full-dimensional lattice polygon; and `to_polygon` hulls
-exact (u, value) pairs with `geom.hull_of_pairs`.
+The deformation pipeline's steps trust what came before them:
+`DivPoly.with_split` assumes parts defined on the box, which
+`deform.is_admissible` checks; `from_polygon` reads both envelopes off the
+canonical vertex cycle of a polygon it has checked to be a full-dimensional
+lattice polygon; and `to_polygon` hulls exact (u, value) pairs with
+`geom.hull_of_pairs`.
 """
 
 from __future__ import annotations
@@ -350,15 +350,6 @@ class PLFunc:
             if not isinstance(obj[key], list):
                 raise DomainError(f"PL function {key!r} must be a list: {obj[key]!r}")
         return PLFunc(obj["breaks"], obj["values"])
-
-
-def kink(box: tuple[Rational, Rational], t: Rational) -> PLFunc:
-    """min(t*u, 0) on a stored box (lo, hi) for an exact t, as
-    PLFunc.min_of_affines(box, [(t, 0), (0, 0)]) gives it: the two affine
-    functions cross only at u = 0."""
-    lo, hi = box
-    bs = (lo, 0, hi) if lo < 0 < hi else box
-    return PLFunc._canonical(bs, [min(t * u, 0) for u in bs])
 
 
 class DivPoly:

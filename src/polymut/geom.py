@@ -493,9 +493,7 @@ def _vertex_maps(P: Polygon, Q: Polygon) -> Iterator[tuple[Mat2, Vector2]]:
             U = _solve_pair_map(d1, d2, e1, e2)
             if U is None:
                 continue
-            t = q0 - mat_apply(U, p0)
-            if not t.is_integral():
-                continue
+            t = q0 - mat_apply(U, p0)  # integral, as p0, q0 and U are
             if {mat_apply(U, v) + t for v in vp} == qset:
                 yield U, t
 

@@ -169,7 +169,8 @@ class LaurentPoly:
 # so (x + y + x^-1*y^-1)^99 (x + y + x^-1*y^-1)^99 is refused before either
 # power is expanded.  At the limit (x + y + x^-1*y^-1)^99 takes 0.7-0.95 s,
 # and four terms with no sums in common, (x + x^43 + x^1849 + x^79507)^40,
-# 0.9 s (2-vCPU Xeon VM, Python 3.11).
+# 0.9 s (2-vCPU Xeon VM, Python 3.11).  algebraic_mutate charges the
+# powers of g it expands against the same limit.
 PARSE_POWER_LIMIT = 500_000
 
 # The parser recurses three frames deep per parenthesis; deeper nesting is
@@ -432,7 +433,9 @@ def algebraic_mutate(f: LaurentPoly, spec: MutationSpec) -> LaurentPoly:
     exchanges the result back.
 
     The deformation story needs the origin inside the Newton polytope and
-    grades on both sides of zero; a violation only warns.
+    grades on both sides of zero; a violation only warns.  The powers
+    g^|i| of the nonzero grades i are charged against PARSE_POWER_LIMIT,
+    as the parser charges a power, before the first is expanded.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot mutate the zero polynomial")
@@ -449,6 +452,9 @@ def algebraic_mutate(f: LaurentPoly, spec: MutationSpec) -> LaurentPoly:
             f"(grades span [{k}, {l}], origin inside Newton polytope: {origin_ok})"
         )
         warnings.warn(msg, stacklevel=2)
+    work = sum(_power_size(g, abs(i)) for i in grades if i)
+    if work > PARSE_POWER_LIMIT:
+        raise DomainError(f"powers of g measure {work}, over the budget PARSE_POWER_LIMIT = {PARSE_POWER_LIMIT}")
     out = LaurentPoly.zero()
     for i in sorted(grades):
         fi = LaurentPoly(grades[i])
@@ -472,7 +478,8 @@ def derive_mutation_data(f: LaurentPoly, spec: MutationSpec) -> tuple[MutationDa
     length of Newt(g) = c + t*F; c is the translation from F to the true
     Newton segment of g, so Newt(mutate(f)) equals the md-mutation of
     Newt(f) sheared by v -> v + <w, v> * c (c = 0 whenever g has a nonzero
-    constant term).  A t that Newt(f) has no factor of is refused.
+    constant term).  factor_for refuses a Newt(f) that is not Fano, at
+    every t, and a t that it has no factor of.
     """
     exps = [e1 for e1, _ in _exchanged(spec.g, spec.divide).terms]
     lo, t = min(exps), max(exps) - min(exps)

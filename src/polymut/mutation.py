@@ -167,13 +167,12 @@ def mutants(P: Polygon) -> list[tuple[MutationData, Polygon]]:
 
 
 def factor_for(P: Polygon, w: Vector2, t: int) -> MutationData:
-    """The factor of length t for (P, w), or InvalidFactor if there is none."""
-    if t == 0:  # height_basis refuses a non-primitive w, as find_factors does
-        return MutationData(w=w, t=0, f0=height_basis(w)[0])
-    for md in find_factors(P, w):
-        if md.t == t:
-            return md
-    raise InvalidFactor(f"no factor of length {t} for w={w}")
+    """The factor of length t for (P, w), checked as mutate checks it: P
+    must be Fano at every t, the identity t = 0 included, and a t outside
+    0..t_max is InvalidFactor.  height_basis refuses a non-primitive w."""
+    md = MutationData(w=w, t=t, f0=height_basis(w)[0])
+    _validate_mutation_data(P, md)
+    return md
 
 
 def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int]:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ CORPUS = ROOT / "corpus"
 
 P114 = '{"vertices":[["0","-1"],["1","2"],["-1","2"]]}'
 P2 = '{"vertices":[[1,0],[0,1],[-1,-1]]}'
+SQUARE = '{"vertices":[[0,0],[1,0],[1,1],[0,1]]}'
 
 # a Fano triangle of accepted coordinates, each under the interpreter's
 # 4,300-digit int-to-str limit, whose dual and weights have integers past it
@@ -64,6 +66,27 @@ PERIOD_PINS = [
     ("x+y", -1), ("x+y", 101),
 ]
 
+# (f, g, divide, error type or None) of laurent-mutate runs: accepted on
+# both axes, over a budget, and refused by the derivation of the mutation
+# data, which comes before the mutation (at the parent the last five were
+# refused as DivisibilityFails or the zero polynomial's mutation, or were
+# accepted with t = 0, two of them printing the deformation-hypotheses
+# warning)
+LAURENT_MUTATE_INPUTS = [
+    ("y^-1 + x^-1*(1+x)^2*y^2", "1+x", "y", None),
+    ("y^-1 + x^-1*(1+x)^2*y^2", "x+x^2", "y", None),
+    ("x^-1 + y^-1*(1+y)^2*x^2", "1+y", "x", None),
+    ("x^-1 + y^-1*(1+y)^2*x^2", "y+y^2", "x", None),
+    ("y^-1 + x^-1*y^2 + 2*y^2 + x*y^2", "1+x", "y", None),
+    ("(1+x)^1000000", "1+x", "y", "DomainError"),
+    ("x^-2001*y^2000 + x^2001*y^2000 + y^-1", "1+x", "y", "DomainError"),
+    ("x + x^-1 + y^-1", "1+x", "y", "NotFano"),
+    ("y + y^-1", "1+x", "y", "NotFano"),
+    ("x + y + x^-1*y^-1", "(1+x)^2", "y", "InvalidFactor"),
+    ("0", "1+x", "y", "ZeroPolynomial"),
+    ("y + y^-1", "1", "y", "NotFano"),
+    ("y + y^2 + x", "1", "y", "NotFano"),
+]
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -203,6 +226,38 @@ class TestSubcommands:
         assert md["F"] == {"a": ["0", "0"], "b": ["0", "1"]}
         assert out["factor_shear"] == ["0", "0"]
         check_schema(out, "laurent_mutate")
+
+    @pytest.mark.parametrize("f, g, divide, refusal", LAURENT_MUTATE_INPUTS)
+    def test_laurent_mutate_derives_first_and_never_warns(self, capsys, f, g, divide, refusal):
+        # deriving the mutation data proves Newt(f) Fano: the origin is
+        # inside it and f has grades on both sides of 0, so algebraic_mutate
+        # has nothing to warn about
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_json(capsys, "laurent-mutate", "--f", f, "--g", g, "--divide", divide)
+        assert caught == []
+        assert "warnings" not in out
+        if refusal is None:
+            assert code == 0
+            check_schema(out, "laurent_mutate")
+        else:
+            assert (code, out["error"]["type"]) == (1, refusal)
+            check_schema(out, "error")
+
+    def test_laurent_identity_on_non_fano_newton_polygon(self, capsys, tmp_path):
+        # g = 1 is the identity t = 0, which is proved Fano as every length
+        # is, so laurent-mutate and batch-verify refuse the entry alike
+        code, out = run_json(capsys, "laurent-mutate", "--f", "y + y^-1", "--g", "1", "--divide", "y")
+        assert code == 1
+        assert out["error"] == {"type": "NotFano", "message": "operation requires a Fano polygon"}
+        check_schema(out, "error")
+        (tmp_path / "a.json").write_text(json.dumps({"laurent": "y + y^-1", "g": "1", "divide": "y"}))
+        code, report = run_json(capsys, "batch-verify", str(tmp_path))
+        assert code == 1
+        check_schema(report, "batch_report")
+        assert report["results"] == [
+            {"file": "a.json", "check": "verify", "status": "error", "detail": out["error"]["message"]}
+        ]
 
     def test_period(self, capsys):
         code, out = run_json(capsys, "period", "--f", "x + y + x^-1*y^-1", "--dmax", "6")
@@ -349,8 +404,28 @@ class TestErrorsAndDeterminism:
             (["graph", "--polygon", P2, "--depth", "-1"], "DomainError"),
             (["mutate", "--polygon", P2, "--w", "1"], "DomainError"),
             (["factors", "--polygon", P2, "--w", "1"], "DomainError"),
+            # factor_for runs mutate's check: a negative length is refused,
+            # and the identity --t 0 proves the polygon Fano, before deform
+            # would refuse this square as no triangle
+            (["mutate", "--polygon", P2, "--w", "0,-1", "--t", "-1"], "InvalidFactor"),
+            (["deform", "--polygon", P2, "--w", "0,-1", "--t", "-1"], "InvalidFactor"),
+            (["mutate", "--polygon", SQUARE, "--w", "0,-1", "--t", "0"], "NotFano"),
+            (["deform", "--polygon", SQUARE, "--w", "0,-1", "--t", "0"], "NotFano"),
+            (["graph", "--depth", "1"], "DomainError"),
+            (["deform"], "DomainError"),
         ],
-        ids=["factor-too-long", "negative-depth", "mutate-w-one-number", "factors-w-one-number"],
+        ids=[
+            "factor-too-long",
+            "negative-depth",
+            "mutate-w-one-number",
+            "factors-w-one-number",
+            "mutate-negative-t",
+            "deform-negative-t",
+            "mutate-identity-not-fano",
+            "deform-identity-not-fano",
+            "graph-without-polygon",
+            "deform-without-polygon",
+        ],
     )
     def test_refused_options_exit_1(self, capsys, argv, error):
         code, out = run_json(capsys, *argv)
@@ -451,6 +526,11 @@ class TestErrorsAndDeterminism:
             (["laurent-mutate", "--f", "(1+x)^1000000", "--g", "1+x", "--divide", "y"], "PARSE_POWER_LIMIT"),
             (["period", "--f", "(x+y+x^-1*y^-1)^99(x+y+x^-1*y^-1)^99", "--dmax", "0"], "PARSE_POWER_LIMIT"),
             (["period", "--f", "(x+y+x^-1*y^-1)^6", "--dmax", "100"], "PERIOD_WORK_LIMIT"),
+            # a Fano Newton polygon whose grade 2000 needs (1+x)^2000
+            (
+                ["laurent-mutate", "--f", "x^-2001*y^2000 + x^2001*y^2000 + y^-1", "--g", "1+x", "--divide", "y"],
+                "PARSE_POWER_LIMIT",
+            ),
         ],
     )
     def test_work_over_budget_refused_before_it_starts(self, capsys, argv, budget):
@@ -489,6 +569,50 @@ class TestErrorsAndDeterminism:
         code, out = run_json(capsys, command, "--polygon", P2, "--w=0,-2", "--t", t)
         assert code == 1
         assert out["error"]["type"] == "NotPrimitive"
+        check_schema(out, "error")
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([["1/2", 0], [0, 1], [-1, -1]], "triangle vertex is not a lattice point: (1/2, 0)"),
+            ([[1, 0], [0, 1], [1, 1]], "vertices do not positively span the plane around the origin"),
+        ],
+        ids=["non-lattice", "origin-outside"],
+    )
+    def test_multiplicity_of_non_fano_triangle_exit_1(self, capsys, vertices, message):
+        code, out = run_json(capsys, "multiplicity", "--polygon", json.dumps({"vertices": vertices}))
+        assert code == 1
+        assert out["error"] == {"type": "NotFano", "message": message}
+        check_schema(out, "error")
+
+    def test_check_corollary_parameter_label(self, capsys):
+        # a parameter point s is read as a label of its own; the check reads
+        # only the parts, so it passes as the certificate's inf does
+        code, cert = run_json(capsys, "deform", "--weights", "1,1,4")
+        assert code == 0
+        reports = []
+        for label in ("inf", "s"):
+            cert["decomposition"]["label"] = label
+            code, out = run_json(capsys, "check-corollary", "--certificate", json.dumps(cert))
+            assert code == 0
+            check_schema(out, "corollary")
+            reports.append(out)
+        assert reports[0] == reports[1] and reports[1]["passed"] is True
+
+    @pytest.mark.parametrize(
+        "label, part0, message",
+        [
+            ("", {"breaks": [0, 1], "values": [0, 0]}, "bad parameter label: ''"),
+            ("inf", {"values": [0, 0]}, "PL function JSON needs 'breaks' and 'values'"),
+        ],
+        ids=["empty-label", "part-without-breaks"],
+    )
+    def test_check_corollary_bad_decomposition_exit_1(self, capsys, label, part0, message):
+        part1 = {"breaks": [0, 1], "values": [0, 0]}
+        cert = {"decomposition": {"label": label, "part0": part0, "part1": part1}}
+        code, out = run_json(capsys, "check-corollary", "--certificate", json.dumps(cert))
+        assert code == 1
+        assert out["error"] == {"type": "DomainError", "message": message}
         check_schema(out, "error")
 
     def test_check_corollary_bool_break_exit_1(self, capsys):
@@ -818,20 +942,41 @@ class TestBatchVerify:
             ({"laurent": 5}, "a Laurent polynomial must be a string, not int"),
             (
                 {"laurent": "y*(1+x) + x^-1*y^-1 + x^1000000 + x^-1000000", "g": "1+x"},
-                "period work 217600013600 exceeds the period budget PERIOD_WORK_LIMIT = 20000000000",
+                "operation requires a Fano polygon",
             ),
         ],
-        ids=["laurent-before-g", "period-before-newton"],
+        ids=["laurent-before-g", "derive-first"],
     )
     def test_laurent_entry_refused_two_ways_reports_the_first(self, capsys, tmp_path, entry, detail):
-        # the laurent is parsed before g is read, and the period check runs
-        # before the mutation data is derived (this Newton polygon is not
-        # Fano, so deriving it would raise NotFano)
+        # the laurent is parsed before g is read, and the mutation data are
+        # derived before f is mutated or its period is checked: this Newton
+        # polygon is not Fano, and its period check is over budget
         (tmp_path / "a.json").write_text(json.dumps(entry))
         code, out = run_json(capsys, "batch-verify", str(tmp_path))
         assert code == 1
         check_schema(out, "batch_report")
         assert out["results"] == [{"file": "a.json", "check": "verify", "status": "error", "detail": detail}]
+
+    @pytest.mark.parametrize(
+        "change, detail",
+        [
+            ({"divide": "z"}, "divide must be one of ('x', 'y'): 'z'"),
+            ({"g": "0"}, "g must be nonzero"),
+            ({"g": "1+y"}, "g may only involve x"),
+        ],
+        ids=["divide-z", "zero-g", "g-in-y"],
+    )
+    def test_laurent_entry_with_bad_mutation_spec(self, capsys, tmp_path, change, detail):
+        entry = {"laurent": "y^-1 + x^-1*(1+x)^2*y^2", "g": "1+x", "divide": "y", **change}
+        (tmp_path / "a.json").write_text(json.dumps(entry))
+        code, out = run_json(capsys, "batch-verify", str(tmp_path))
+        assert code == 1
+        check_schema(out, "batch_report")
+        assert out == {
+            "results": [{"file": "a.json", "check": "verify", "status": "error", "detail": detail}],
+            "passed": 0,
+            "failed": 1,
+        }
 
     def test_missing_corpus_exit_1(self, capsys, tmp_path):
         code, out = run_json(capsys, "batch-verify", str(tmp_path / "missing"))

@@ -543,15 +543,6 @@ class TestFastPathOracles:
             zeros += f.is_zero()
         assert zeros >= 300
 
-    def test_kink_is_the_minimum_of_two_affine_functions(self):
-        from polymut.divpoly import kink
-
-        boxes = [(-6, 6), (0, 3), (-3, 0), (1, 4), (-5, -2), (Fraction(-1, 2), Fraction(7, 3)), (Fraction(1, 3), 2)]
-        for box in boxes:
-            for t in (0, 1, 2, 5, -1, -3, Fraction(1, 2), Fraction(-2, 3)):
-                got, want = kink(box, t), PLFunc.min_of_affines(box, [(t, 0), (0, 0)])
-                assert _stored(got) == _stored(want), (box, t)
-
     def test_with_split_is_the_public_constructor(self):
         dp = from_polygon(P((-6, 2), (6, 2), (0, -1)))
         part0 = PLFunc.affine(BOX, Fraction(-1, 2), 1)

@@ -88,6 +88,22 @@ def test_one_factor_walk():
     assert len(proofs) == 1 and not any(n in proofs for loop in loops for n in ast.walk(loop))
 
 
+def test_one_factor_check():
+    # mutation._validate_mutation_data is the one check of a given factor:
+    # mutate and factor_for run it, and factor_for does not scan
+    # find_factors beside it.  The CLI derives a Laurent entry's mutation
+    # data before it mutates, which proves Newt(f) Fano, so no warning of
+    # algebraic_mutate can reach it and it keeps no warning channel
+    tree = ast.parse((SRC / "mutation.py").read_text())
+    calls = list(_calls(tree))
+    callers = sorted(scope for scope, call in calls if _name(call.func) == "_validate_mutation_data")
+    assert callers == ["factor_for", "mutate"]
+    assert _named_outside("_validate_mutation_data", {"mutation.py"}) == []
+    assert not any(scope == "factor_for" and _name(call.func) == "find_factors" for scope, call in calls)
+    cli = [node for name, node, _ in _nodes() if name == "cli.py"]
+    assert [getattr(node, "lineno", "?") for node in cli if _name(node) == "warnings"] == []
+
+
 def _exchanged_pairs(scope) -> list:
     """Line numbers in scope of a pair built in the reverse order of a
     pair it unpacked, (b, a) after a, b = ..., or of a coordinate pair,
@@ -216,7 +232,6 @@ UNREFERENCED_PUBLIC = {
     "geom.dilate": "documented public constructor of r*P",
     "geom.Polygon.translate": "documented public polygon operation",
     "divpoly.PLFunc.constant": "documented public constructor",
-    "divpoly.PLFunc.min_of_affines": "documented public constructor",
     "divpoly.DivPoly.from_json": "documented reader of the divisorial polytope a certificate carries",
     "laurent.LaurentPoly.coefficient": "documented public read of one coefficient",
     "mutation.MutationGraph.weight_triples": "the correctness check of the graph workloads",

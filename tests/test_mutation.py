@@ -11,6 +11,7 @@ from polymut.geom import (
     Vector2,
     area,
     dual,
+    height_basis,
     linear_equivalent,
 )
 from polymut.mutation import (
@@ -65,6 +66,33 @@ class TestFindFactors:
     def test_not_fano(self):
         with pytest.raises(fano.NotFano):
             find_factors(P((2, 0), (0, 1), (-1, -1)), Vector2(0, 1))
+
+    def test_factor_for_proves_fano_at_every_length(self):
+        # factor_for runs mutate's check, so the identity t = 0 needs a Fano
+        # polygon too; a non-primitive w is refused before the polygon is read
+        Q = P((2, 0), (0, 1), (-1, -1))
+        for t in (0, 1):
+            with pytest.raises(fano.NotFano):
+                factor_for(Q, Vector2(0, 1), t)
+        with pytest.raises(NotPrimitive):
+            factor_for(Q, Vector2(0, 2), 1)
+
+    def test_factor_for_refuses_a_negative_length(self, p2_triangle):
+        with pytest.raises(InvalidFactor, match="factor length must be nonnegative"):
+            factor_for(p2_triangle, Vector2(0, -1), -1)
+
+    def test_factor_for_matches_find_factors(self, p2_triangle, p114_triangle):
+        # every length from 0 to one past t_max: the identity, each factor
+        # find_factors lists, then InvalidFactor
+        trapezoid = P((-2, 1), (2, 1), (1, -1), (-1, -1))
+        for Q in (p2_triangle, p114_triangle, trapezoid):
+            for w in factor_directions(Q):
+                mds = find_factors(Q, w)
+                assert factor_for(Q, w, 0) == MutationData(w, 0, height_basis(w)[0])
+                for md in mds:
+                    assert factor_for(Q, w, md.t) == md
+                with pytest.raises(InvalidFactor, match="no factor of length"):
+                    factor_for(Q, w, len(mds) + 1)
 
     def test_longer_factor(self):
         # a trapezoid whose top edge has lattice length 4 at height -1
@@ -571,6 +599,18 @@ class TestMutationGraph:
         g = mutation_graph(p2_triangle, 1)
         assert g.weight_triples() == {(1, 1, 1), (1, 1, 4)}
         assert len(g.edges) == 3
+
+    def test_finite_class_stops_before_its_depth(self):
+        # the mutation class of this (7, 11, 12) triangle is finite: from
+        # depth 2 on it has 4 classes and 12 edges, so the breadth-first
+        # loop ends early and depth 50 records only its depth differently
+        T = P((-3, -2), (3, -2), (1, 3))
+        g2, g50 = mutation_graph(T, 2), mutation_graph(T, 50)
+        assert (len(g2.nodes), len(g2.edges)) == (4, 12)
+        assert g50.weight_triples() == {(7, 11, 12), (7, 11, 27)}
+        assert (g50.metadata["depth"], g2.metadata["depth"]) == (50, 2)
+        assert (g50.nodes, g50.edges) == (g2.nodes, g2.edges)
+        assert {**g50.metadata, "depth": 2} == g2.metadata
 
     def test_duality_commutation_along_graph(self, p2_triangle):
         g = mutation_graph(p2_triangle, 3)
