@@ -273,7 +273,7 @@ def _cmd_factors(args) -> dict:
 def _cmd_mutate(args) -> dict:
     mutation = _module("mutation")
     P = _read_polygon(args.polygon)
-    md = mutation.factor_for(P, _parse_w(args.w), args.t)
+    md = mutation._factor_data(_parse_w(args.w), args.t)  # mutate checks it
     Q = mutation.mutate(P, md)
     return {"polygon": polygon_to_json(Q), "certificate": md.to_json()}
 

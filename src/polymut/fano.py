@@ -62,26 +62,29 @@ def is_fano(P: Polygon) -> bool:
     return all(is_primitive(v) for v in P.vertices)
 
 
-def _vertex_minors(v1: Vector2, v2: Vector2, v3: Vector2) -> tuple[int, int, int]:
+def _vertex_minors(v1: Vector2, v2: Vector2, v3: Vector2) -> tuple[WeightTriple, int]:
     for v in (v1, v2, v3):
         if not v.is_integral():
             raise NotFano(f"triangle vertex is not a lattice point: {v}")
-    d23 = v2.cross(v3)
-    d13 = v1.cross(v3)
-    d12 = v1.cross(v2)
-    raw = (d23, -d13, d12)
+    return _weights_and_multiplicity((v1.x, v1.y), (v2.x, v2.y), (v3.x, v3.y))
+
+
+def _weights_and_multiplicity(u1: tuple[int, int], u2: tuple[int, int], u3: tuple[int, int]) -> tuple[WeightTriple, int]:
+    """The weights, in vertex order, and the multiplicity of the triangle
+    with integer vertices u1, u2, u3, read off one set of 2x2 minors."""
+    (x1, y1), (x2, y2), (x3, y3) = u1, u2, u3
+    raw = (x2 * y3 - y2 * x3, x3 * y1 - y3 * x1, x1 * y2 - y1 * x2)
     if all(r < 0 for r in raw):
-        raw = tuple(-r for r in raw)
+        raw = (-raw[0], -raw[1], -raw[2])
     if not all(r > 0 for r in raw):
         raise NotFano("vertices do not positively span the plane around the origin")
-    return raw  # type: ignore[return-value]
+    g = math.gcd(*raw)
+    return (raw[0] // g, raw[1] // g, raw[2] // g), g
 
 
 def weights_of_vertices(v1: Vector2, v2: Vector2, v3: Vector2) -> WeightTriple:
     """Coprime positive (a,b,c) with a*v1 + b*v2 + c*v3 = 0, in vertex order."""
-    raw = _vertex_minors(v1, v2, v3)
-    g = math.gcd(*raw)
-    return (raw[0] // g, raw[1] // g, raw[2] // g)
+    return _vertex_minors(v1, v2, v3)[0]
 
 
 def _triangle_vertices(T: Polygon) -> tuple[Vector2, Vector2, Vector2]:
@@ -110,8 +113,7 @@ def multiplicity(T: Polygon) -> int:
     Equals the gcd of the three 2x2 vertex-pair determinants; the triangle
     presents a genuine weighted projective plane exactly when this is 1.
     """
-    v1, v2, v3 = _triangle_vertices(T)
-    return math.gcd(*_vertex_minors(v1, v2, v3))
+    return _vertex_minors(*_triangle_vertices(T))[1]
 
 
 def triangle_from_weights(w: WeightTriple) -> Polygon:

@@ -203,30 +203,29 @@ def _hull_of(points: Iterable[Vector2]) -> list[Vector2]:
 def _hull_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
     """The canonical vertex cycle of the hull of exact (x, y) pairs:
     counterclockwise, strictly convex, lex-smallest vertex first; one or two
-    distinct pairs for a point or a segment.  Andrew's monotone chain, with
-    the cross products written out."""
+    distinct pairs for a point or a segment.  Andrew's monotone chain."""
     pts = sorted(set(pairs))
     if not pts:
         raise DomainError("empty point set has no hull")
     if len(pts) == 1:
         return pts
-
-    def chain(seq: Sequence[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
-        out: list[tuple[Rational, Rational]] = []
-        for px, py in seq:
-            while len(out) >= 2:
-                (ax, ay), (bx, by) = out[-2], out[-1]
-                if (bx - ax) * (py - by) - (by - ay) * (px - bx) > 0:
-                    break
-                out.pop()
-            out.append((px, py))
-        return out
-
-    lower = chain(pts)
-    upper = chain(pts[::-1])
     # both chains keep their end points, so two distinct points give at least
     # two vertices, and collinear input gives exactly the two extremes
-    return lower[:-1] + upper[:-1]
+    return _hull_chain(pts)[:-1] + _hull_chain(pts[::-1])[:-1]
+
+
+def _hull_chain(seq: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
+    """Andrew's lower chain (its strict left turns and both end points) over
+    pairs sorted by increasing x, or his upper chain for decreasing x."""
+    out: list[tuple[Rational, Rational]] = []
+    for px, py in seq:
+        while len(out) >= 2:
+            (ax, ay), (bx, by) = out[-2], out[-1]
+            if (bx - ax) * (py - by) - (by - ay) * (px - bx) > 0:
+                break
+            out.pop()
+        out.append((px, py))
+    return out
 
 
 class Polygon:
@@ -239,7 +238,7 @@ class Polygon:
     `_from_cycle`: each maps a canonical cycle to a strictly convex CCW
     cycle (`mat_image` reverses it when the determinant is negative), so
     only its start can move.  `_polygon_from_pairs` wraps a cycle that
-    `_hull_pairs` made canonical already.
+    `_hull_pairs` or the mutation kernel made canonical already.
     """
 
     __slots__ = ("vertices",)
@@ -297,8 +296,8 @@ class Polygon:
 
 def _polygon_from_pairs(cyc: Sequence[tuple[Rational, Rational]]) -> Polygon:
     """The polygon whose canonical vertex cycle, as exact (x, y) pairs, is
-    cyc, as _hull_pairs returns it.  Nothing is checked: the cycle is the
-    hull that a Polygon built from the same points would compute."""
+    cyc, as _hull_pairs and mutation._mutant return it.  Nothing is
+    checked: the cycle is the hull that a Polygon of the same points has."""
     P = object.__new__(Polygon)
     object.__setattr__(P, "vertices", tuple(Vector2._of(x, y) for x, y in cyc))
     return P
@@ -445,12 +444,15 @@ def height_basis(w: Vector2) -> tuple[Vector2, Vector2, Vector2]:
     """
     if not is_primitive(w):
         raise NotPrimitive(f"height function must be primitive: {w}")
-    p, q = w.as_ints()
-    f0 = Vector2._of(-q, p)
-    _, a, b = _bezout(p, q)
-    vw = Vector2._of(a, b)  # a*p + b*q == 1
-    s = Vector2._of(-b, a)
-    return f0, vw, s
+    (fx, fy), (a, b) = _height_frame(w.x, w.y)
+    return Vector2._of(fx, fy), Vector2._of(a, b), Vector2._of(-b, a)
+
+
+def _height_frame(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(f0, vw) of height_basis as integer pairs, for a primitive integer
+    w = (p, q), which is not checked; s is (-vw[1], vw[0])."""
+    _, a, b = _bezout(p, q)  # a*p + b*q == 1
+    return (-q, p), (a, b)
 
 
 def _solve_pair_map(d1: Vector2, d2: Vector2, e1: Vector2, e2: Vector2) -> Optional[Mat2]:

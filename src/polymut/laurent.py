@@ -6,6 +6,7 @@ integral, a Fraction otherwise, made by geom.to_fraction and geom.qdiv."""
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -111,11 +112,12 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            if len(self.terms) != 1:
-                raise DomainError("negative powers need a single monomial")
+        if len(self.terms) == 1:
+            # a monomial's power is read off directly, with no squarings
             ((e1, e2), c), = self.terms.items()
-            return LaurentPoly({(n * e1, n * e2): qdiv(1, c**-n)})
+            return LaurentPoly({(n * e1, n * e2): c**n if n >= 0 else qdiv(1, c**-n)})
+        if n < 0:
+            raise DomainError("negative powers need a single monomial")
         out = LaurentPoly.const(1)
         base = self
         k = n
@@ -169,8 +171,10 @@ class LaurentPoly:
 # so (x + y + x^-1*y^-1)^99 (x + y + x^-1*y^-1)^99 is refused before either
 # power is expanded.  At the limit (x + y + x^-1*y^-1)^99 takes 0.7-0.95 s,
 # and four terms with no sums in common, (x + x^43 + x^1849 + x^79507)^40,
-# 0.9 s (2-vCPU Xeon VM, Python 3.11).  algebraic_mutate charges the
-# powers of g it expands against the same limit.
+# 0.9 s (2-vCPU Xeon VM, Python 3.11).  A power of a monomial with
+# coefficient +-1 stays 1 bit wide, so it measures the bits of its largest
+# exponent instead.  algebraic_mutate charges the powers of g it expands,
+# and the steps of its divisions by them, against the same limit.
 PARSE_POWER_LIMIT = 500_000
 
 # The parser recurses three frames deep per parenthesis; deeper nesting is
@@ -181,20 +185,26 @@ PARSE_DEPTH_LIMIT = 200
 
 def _shape(f: LaurentPoly, n: int) -> tuple[int, int]:
     """(terms, bits) of f^n without expanding it: the most terms it can
-    have, and |n| times the longest numerator or denominator of f in bits."""
+    have, and |n| times the longest numerator or denominator of f in bits,
+    or, for a monomial with coefficient +-1, the bits of its largest
+    exponent in f^n."""
     t = len(f.terms)
     k = abs(n)
+    if t == 1:
+        ((e1, e2), c), = f.terms.items()
+        if abs(c) == 1:
+            return 1, max(abs(k * e1), abs(k * e2), 1).bit_length()
     bits = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in f.terms.values()), default=0)
     return (math.comb(k + t - 1, k) if t else int(k == 0)), k * bits
 
 
 def _power_size(f: LaurentPoly, n: int) -> int:
-    """The budget measure of f^n for n >= 1; n * t bounds it from below, so
-    it stops there when that is already over the limit."""
-    if n * len(f.terms) > PARSE_POWER_LIMIT:
-        return n * len(f.terms)
-    terms, bits = _shape(f, n)
-    return terms * bits
+    """The budget measure of f^n for n >= 1; n * t bounds it from below for
+    t >= 2 terms, so it stops there when that is already over the limit."""
+    t = len(f.terms)
+    if t > 1 and n * t > PARSE_POWER_LIMIT:
+        return n * t
+    return math.prod(_shape(f, n))
 
 
 def _expand(f: LaurentPoly, n: int) -> LaurentPoly:
@@ -351,12 +361,15 @@ def render(f: LaurentPoly) -> str:
     return f.render()
 
 
-def div_exact(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
+def div_exact(f: LaurentPoly, g: LaurentPoly, budget: float = math.inf) -> Optional[LaurentPoly]:
     """Exact quotient f/g in the Laurent ring, or None when not divisible.
 
     Monomial units are stripped first; divisibility then reduces to exact
     division of ordinary polynomials, decided by reduction against the
-    lex-leading term of the divisor.
+    lex-leading term of the divisor.  Each reduction step measures the
+    quotient term it writes and the terms of g it subtracts, and a division
+    whose steps pass budget is refused as a DomainError: algebraic_mutate
+    charges its divisions against PARSE_POWER_LIMIT so.
     """
     if g.is_zero():
         raise DomainError("division by the zero polynomial")
@@ -367,9 +380,18 @@ def div_exact(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
     lt_g = max(gs)
     lc_g = gs[lt_g]
     rem = dict(fs)
+    # each step adds only terms below the leading one it cancels, so the
+    # leads come off a heap of the negated exponents in decreasing order,
+    # past the entries of terms that cancelled on the way
+    heap = [(-a, -b) for a, b in rem]
+    heapq.heapify(heap)
     quo: dict[Exponent, Rational] = {}
     while rem:
-        lt_r = max(rem)
+        budget -= 1 + len(gs)
+        if budget < 0:
+            raise DomainError(f"division steps pass the budget PARSE_POWER_LIMIT = {PARSE_POWER_LIMIT}")
+        while (lt_r := (-heap[0][0], -heap[0][1])) not in rem:
+            heapq.heappop(heap)
         d = (lt_r[0] - lt_g[0], lt_r[1] - lt_g[1])
         if d[0] < 0 or d[1] < 0:
             return None
@@ -381,6 +403,8 @@ def div_exact(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
             if nv == 0:
                 rem.pop(key, None)
             else:
+                if key not in rem:
+                    heapq.heappush(heap, (-key[0], -key[1]))
                 rem[key] = nv
     shift = (fshift[0] - gshift[0], fshift[1] - gshift[1])
     return LaurentPoly({(e[0] + shift[0], e[1] + shift[1]): c for e, c in quo.items()})
@@ -435,7 +459,9 @@ def algebraic_mutate(f: LaurentPoly, spec: MutationSpec) -> LaurentPoly:
     The deformation story needs the origin inside the Newton polytope and
     grades on both sides of zero; a violation only warns.  The powers
     g^|i| of the nonzero grades i are charged against PARSE_POWER_LIMIT,
-    as the parser charges a power, before the first is expanded.
+    as the parser charges a power, before the first is expanded; the
+    divisions by them are charged step by step (see div_exact) against
+    what is left, and refused as a DomainError once it runs out.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot mutate the zero polynomial")
@@ -455,15 +481,18 @@ def algebraic_mutate(f: LaurentPoly, spec: MutationSpec) -> LaurentPoly:
     work = sum(_power_size(g, abs(i)) for i in grades if i)
     if work > PARSE_POWER_LIMIT:
         raise DomainError(f"powers of g measure {work}, over the budget PARSE_POWER_LIMIT = {PARSE_POWER_LIMIT}")
+    powers = {abs(i): g ** abs(i) for i in grades if i}
+    budget = PARSE_POWER_LIMIT - work
     out = LaurentPoly.zero()
     for i in sorted(grades):
         fi = LaurentPoly(grades[i])
         if i > 0:
-            q = div_exact(fi, g**i)
+            q = div_exact(fi, powers[i], budget)
             if q is None:
                 raise DivisibilityFails(i)
+            budget -= len(q.terms) * (1 + len(powers[i].terms))  # one step per quotient term
         elif i < 0:
-            q = fi * g ** (-i)
+            q = fi * powers[-i]
         else:
             q = fi
         out = out + q * LaurentPoly.monomial(0, i)

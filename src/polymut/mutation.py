@@ -8,13 +8,15 @@ cut short by (-h) copies of F, and fattens each nonnegative slice by h
 copies of F.  The slabs are implied by (w, F) and never stored: they exist
 exactly when t <= t_max, read off the negative vertex heights.
 
-The kernel works at the vertices only.  In the grading by w the slice
-endpoints of P are piecewise linear and break only at vertex heights, so
-the valid factor lengths and the mutant are read off one table of integer
-rows (A_h, B_h), the lattice k-interval of P at each vertex height h, in
-the unimodular frame of geom.height_basis.  Each row is the least ceiling
-and the greatest floor of the edge crossings at h; the cost does not grow
-with the range of heights.
+The kernel works at the vertices only, on the integer vertex cycle
+[(x, y), ...].  In the grading by w the slice endpoints of P are piecewise
+linear and break only at vertex heights, so the valid factor lengths and
+the mutant are read off one table of integer rows (A_h, B_h), the lattice
+k-interval of P at each vertex height h, in increasing h, in the frame of
+geom.height_basis: the least ceiling and the greatest floor of the edge
+crossings at h.  The mutant's hull is one monotone chain up the lower row
+ends and one down the upper ends, with no sort of points; the cost does
+not grow with the range of heights.
 
 Sign convention: for Laurent polynomials, dividing the second variable by
 g(x) corresponds to w = (0,-1) with F = Newt(g) along +x; this is the
@@ -26,6 +28,7 @@ along +y.  CLI certificates record it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,13 +41,13 @@ from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     Vector2,
     _cycle_invariant,
     _cycle_normal_form,
-    _hull_pairs,
+    _height_frame,
+    _hull_chain,
     _polygon_from_pairs,
     height_basis,
     hull_of_pairs,
     is_primitive,
     linear_normal_form,
-    primitivize,
     qdiv,
 )
 
@@ -85,15 +88,18 @@ class MutationData:
 
 
 class _Profile:
-    """The lattice rows of a lattice polygon P in the (h, k) frame of a
-    primitive height function w (geom.height_basis): rows[h] = (A_h, B_h),
-    the least and greatest k of a lattice point of P at height h, for each
-    vertex height h in vertex order."""
+    """The lattice rows of the lattice polygon with integer vertex cycle vs
+    in the (h, k) frame of geom._height_frame for a primitive integer
+    height function w = (p, q), which is not checked: rows[h] = (A_h, B_h),
+    the least and greatest k of a lattice point at height h, for each
+    vertex height h in increasing order.  f0 and vw are integer pairs."""
 
-    def __init__(self, P: Polygon, w: Vector2):
-        self.f0, self.vw, s = height_basis(w)
-        hk = [(w.dot(v), s.dot(v)) for v in P.vertices]
-        self.rows = {h: _row(hk, h) for h in dict.fromkeys(h for h, _ in hk)}
+    def __init__(self, vs: list[tuple[int, int]], w: tuple[int, int]):
+        p, q = w
+        self.f0, self.vw = _height_frame(p, q)
+        a, b = self.vw
+        hk = [(p * x + q * y, a * y - b * x) for x, y in vs]
+        self.rows = {h: _row(hk, h) for h in sorted({h for h, _ in hk})}
 
 
 def _row(hk: list[tuple[int, int]], h: int) -> tuple[int, int]:
@@ -116,6 +122,10 @@ def _row(hk: list[tuple[int, int]], h: int) -> tuple[int, int]:
                 hi = b
         h1, k1 = h2, k2
     return lo, hi
+
+
+def _cycle(P: Polygon) -> list[tuple[int, int]]:
+    return [(v.x, v.y) for v in P.vertices]
 
 
 def _require_fano(P: Polygon) -> None:
@@ -142,17 +152,37 @@ def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     negative-height vertex sits alone in a point slice).
     """
     _require_fano(P)
-    prof = _Profile(P, w)  # height_basis refuses a non-primitive w
-    return [MutationData(w=w, t=t, f0=prof.f0) for t in range(1, _t_max(prof) + 1)]
+    if not is_primitive(w):
+        height_basis(w)  # raises NotPrimitive
+    prof = _Profile(_cycle(P), (w.x, w.y))
+    f0 = Vector2._of(*prof.f0)
+    return [MutationData(w=w, t=t, f0=f0) for t in range(1, _t_max(prof) + 1)]
 
 
-def _factor_walk(P: Polygon):
-    """(w, profile, t) for every nontrivial factor of P, which the caller
-    has proved Fano: one _Profile per w in factor_directions(P), t = 1..t_max."""
-    for w in factor_directions(P):
-        prof = _Profile(P, w)
-        for t in range(1, _t_max(prof) + 1):
-            yield w, prof, t
+def _directions(vs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The primitive inner normals of the edges of the full-dimensional
+    polygon with integer vertex cycle vs, as sorted integer pairs."""
+    out = set()
+    x1, y1 = vs[-1]
+    for x2, y2 in vs:
+        dx, dy = x2 - x1, y2 - y1
+        g = math.gcd(dx, dy)
+        out.add((-dy // g, dx // g))  # inner normal for CCW order
+        x1, y1 = x2, y2
+    return sorted(out)
+
+
+def _factor_walk(vs: list[tuple[int, int]]):
+    """(w, profile, t) for every nontrivial factor of the polygon with
+    integer vertex cycle vs, which the caller has proved Fano: one _Profile
+    per direction of _directions(vs), t = 1..t_max, and one Vector2 w per
+    direction that has a factor."""
+    for pq in _directions(vs):
+        prof = _Profile(vs, pq)
+        if n := _t_max(prof):
+            w = Vector2._of(*pq)
+            for t in range(1, n + 1):
+                yield w, prof, t
 
 
 def mutants(P: Polygon) -> list[tuple[MutationData, Polygon]]:
@@ -161,8 +191,8 @@ def mutants(P: Polygon) -> list[tuple[MutationData, Polygon]]:
     P is Fano (find_factors and mutate would each redo both)."""
     _require_fano(P)
     return [
-        (MutationData(w=w, t=t, f0=prof.f0), _polygon_from_pairs(_mutant(prof, t)))
-        for w, prof, t in _factor_walk(P)
+        (MutationData(w=w, t=t, f0=Vector2._of(*prof.f0)), _polygon_from_pairs(_mutant(prof, t)))
+        for w, prof, t in _factor_walk(_cycle(P))
     ]
 
 
@@ -170,15 +200,20 @@ def factor_for(P: Polygon, w: Vector2, t: int) -> MutationData:
     """The factor of length t for (P, w), checked as mutate checks it: P
     must be Fano at every t, the identity t = 0 included, and a t outside
     0..t_max is InvalidFactor.  height_basis refuses a non-primitive w."""
-    md = MutationData(w=w, t=t, f0=height_basis(w)[0])
+    md = _factor_data(w, t)
     _validate_mutation_data(P, md)
     return md
 
 
+def _factor_data(w: Vector2, t: int) -> MutationData:
+    """The unchecked data of factor_for, for a caller that hands it to
+    mutate, which checks it: f0 is the kernel direction of height_basis."""
+    return MutationData(w=w, t=t, f0=height_basis(w)[0])
+
+
 def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int]:
     """P's profile along md.w and the factor length signed along its f0
-    (negative if md.f0 = -prof.f0).  A non-primitive md.w is refused by
-    height_basis when the profile is built."""
+    (negative if md.f0 = -prof.f0); height_basis refuses a non-primitive w."""
     if not isinstance(md.t, int):
         raise InvalidFactor(f"factor length must be an integer: {md.t}")
     if md.t < 0:
@@ -188,9 +223,11 @@ def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int
     if md.t > 0 and not is_primitive(md.f0):
         raise InvalidFactor("factor direction must be primitive")
     _require_fano(P)
-    prof = _Profile(P, md.w)
+    if not is_primitive(md.w):
+        height_basis(md.w)  # raises NotPrimitive
+    prof = _Profile(_cycle(P), (md.w.x, md.w.y))
     # w is primitive, so a primitive lattice f0 it kills is +-prof.f0
-    ts = md.t if md.f0 == prof.f0 else -md.t
+    ts = md.t if (md.f0.x, md.f0.y) == prof.f0 else -md.t
     # the slab at a vertex height h is the lattice slice cut short by (-h)t
     # steps at either end, so both directions share t_max (see find_factors)
     if md.t > _t_max(prof):
@@ -218,19 +255,20 @@ def _mutant(prof: _Profile, t: int) -> list[tuple[int, int]]:
     # kmax + h*t concave, and both break only at vertex heights of P, where
     # they pass through lattice vertices; a valid factor keeps the row
     # nonempty at every vertex height, hence everywhere between.  So the
-    # region is a lattice polygon whose vertices all lie in the rows at
-    # vertex heights, and the hull of those rows is the whole mutant.
-    (ux, uy), (fx, fy) = (prof.vw.x, prof.vw.y), (prof.f0.x, prof.f0.y)
-    pts = []
-    for h, (a, b) in prof.rows.items():
-        if t >= 0:
-            b += h * t
-        else:
-            a += h * t
-        # the row ends h*vw + a*f0 and h*vw + b*f0
-        x, y = h * ux, h * uy
-        pts += ((x + a * fx, y + a * fy), (x + b * fx, y + b * fy))
-    cyc = _hull_pairs(pts)
+    # region is a lattice polygon whose lower chain runs up the lower ends
+    # of the rows at vertex heights and whose upper chain runs down their
+    # upper ends.
+    up, down = (t, 0) if t >= 0 else (0, t)
+    lo = _hull_chain([(h, a + h * down) for h, (a, _) in prof.rows.items()])
+    hi = _hull_chain([(h, b + h * up) for h, (_, b) in reversed(prof.rows.items())])
+    # a row of one point at the lowest or the highest height is one vertex
+    hk = lo[: len(lo) - (lo[-1] == hi[0])] + hi[: len(hi) - (hi[-1] == lo[0])]
+    # (h, k) -> h*vw + k*f0 has determinant <w, vw> = 1, so the cycle stays
+    # counterclockwise; it starts at its lex-least vertex
+    (ux, uy), (fx, fy) = prof.vw, prof.f0
+    cyc = [(h * ux + k * fx, h * uy + k * fy) for h, k in hk]
+    i = cyc.index(min(cyc))
+    cyc = cyc[i:] + cyc[:i]
     if any(type(x) is not int or type(y) is not int for x, y in cyc):  # pragma: no cover - structural guarantee
         raise AssertionError("mutation produced a non-lattice polygon")
     return cyc
@@ -319,11 +357,8 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     P has, so a point or a segment is refused as not Fano."""
     if P.dim() != 2:
         raise fano.NotFano("operation requires a Fano polygon")
-    out = []
-    for a, b in P.edges():
-        d = b - a
-        out.append(primitivize(Vector2._of(-d.y, d.x)))  # inner normal for CCW order
-    return sorted(set(out))
+    v0 = P.vertices[0]  # the edges of P - v0 are those of P
+    return [Vector2._of(p, q) for p, q in _directions([(v - v0).as_ints() for v in P.vertices])]
 
 
 # the most classes a mutation graph may hold; one more is a DomainError,
@@ -340,13 +375,13 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     found, in the order found.  Fano polygons anchor the origin, so
     translations are not quotiented out.  Only P is proved Fano: a mutant
     of a Fano polygon is Fano, so each node inherits the root's proof and
-    reads its weights off its vertices.
+    reads its weights and multiplicity off the minors of its vertices.
 
-    Each node is expanded by one _factor_walk.  Mutants stay integer (x, y)
-    vertex cycles: one hull, one class lookup (_ClassIndex: a cycle seen
-    before, else the cheap invariant geom._cycle_invariant, and normal
-    forms only when that invariant is shared), and a Polygon only for a
-    new class.  The node found by (w, t) from src is mutated by (-w, t)
+    Each node is expanded by one _factor_walk on its integer vertex cycle.
+    Mutants stay such cycles: one hull, one class lookup (_ClassIndex: a
+    cycle seen before, else the cheap invariant geom._cycle_invariant, and
+    normal forms only when that invariant is shared), and a Polygon only
+    for a new class.  The node found by (w, t) from src is mutated by (-w, t)
     back to src's representative, up to a shear along the kernel of w, so
     that edge is recorded as leading to src without building the mutant.
     More than GRAPH_CLASS_LIMIT classes is a DomainError.
@@ -355,9 +390,9 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     if depth < 0:
         raise DomainError("depth must be nonnegative")
 
-    nodes: list[GraphNode] = [_make_node(P)]
-    classes = _ClassIndex(nodes)
-    classes.setdefault([(v.x, v.y) for v in P.vertices], 0)
+    polygons, cycles = [P], [_cycle(P)]  # each class's representative and its cycle
+    classes = _ClassIndex(polygons)
+    classes.setdefault(cycles[0], 0)
     # back[i] = (w, t, src): the mutation of node i back to the node src
     # that it was found from (none for the root)
     back: list[tuple[Optional[Vector2], int, int]] = [(None, 0, 0)]
@@ -367,28 +402,31 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
         next_frontier: list[int] = []
         for src in frontier:
             w_back, t_back, home = back[src]
-            for w, prof, t in _factor_walk(nodes[src].polygon):
+            for w, prof, t in _factor_walk(cycles[src]):
                 if t == t_back and w == w_back:
                     edges.append(GraphEdge(src, home, w, t))
                     continue
                 cyc = _mutant(prof, t)
-                tgt = classes.setdefault(cyc, len(nodes))
-                if tgt == len(nodes):
+                tgt = classes.setdefault(cyc, len(polygons))
+                if tgt == len(polygons):
                     if tgt == GRAPH_CLASS_LIMIT:
                         raise DomainError(
                             f"mutation graph exceeds the class budget GRAPH_CLASS_LIMIT = {GRAPH_CLASS_LIMIT}"
                         )
-                    nodes.append(_make_node(_polygon_from_pairs(cyc)))
+                    polygons.append(_polygon_from_pairs(cyc))
+                    cycles.append(cyc)
                     back.append((-w, t, src))
                     next_frontier.append(tgt)
                 edges.append(GraphEdge(src, tgt, w, t))
         frontier = next_frontier
         if not frontier:
             break
+    wm = [fano._weights_and_multiplicity(*c) if len(c) == 3 else (None, None) for c in cycles]
+    nodes = tuple(GraphNode(Q, w, m) for Q, (w, m) in zip(polygons, wm))
     # "extra_scan" stays in the graph JSON as a constant: the edge normals
     # are complete, so no wider box of height functions is ever scanned
     meta = {"scan": "edge-normals (complete for factors)", "extra_scan": None, "depth": depth}
-    return MutationGraph(tuple(nodes), tuple(edges), meta)
+    return MutationGraph(nodes, tuple(edges), meta)
 
 
 class _ClassIndex:
@@ -396,19 +434,19 @@ class _ClassIndex:
     integer vertex cycle in three steps: an identical cycle seen before is
     in its class; a cycle whose _cycle_invariant no class has is a new
     class; only otherwise are normal forms compared, the cycle's once and
-    each class's (linear_normal_form of its node) once, when first needed.
-    The normal form alone decides class identity: the invariant only
-    skips forms that cannot match."""
+    each class's (linear_normal_form of its representative) once, when
+    first needed.  The normal form alone decides class identity: the
+    invariant only skips forms that cannot match."""
 
-    def __init__(self, nodes: list[GraphNode]):
-        self.nodes = nodes  # the graph's node list, which the caller grows
+    def __init__(self, polygons: list[Polygon]):
+        self.polygons = polygons  # the class representatives, which the caller grows
         self.cycles: dict[tuple[tuple[int, int], ...], int] = {}
         self.invariants: dict[tuple[tuple[int, int], ...], list[int]] = {}
         self.forms: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def setdefault(self, cyc: list[tuple[int, int]], new: int) -> int:
         """The class of the polygon with canonical cycle cyc; if it has
-        none, the class is recorded as new, whose node the caller appends."""
+        none, the class is recorded as new, whose polygon the caller appends."""
         key = tuple(cyc)
         tgt = self.cycles.get(key)
         if tgt is None:
@@ -426,11 +464,6 @@ class _ClassIndex:
     def _form(self, j: int) -> tuple[tuple[int, int], ...]:
         form = self.forms.get(j)
         if form is None:
-            form = self.forms[j] = linear_normal_form(self.nodes[j].polygon)
+            form = self.forms[j] = linear_normal_form(self.polygons[j])
         return form
-
-
-def _make_node(P: Polygon) -> GraphNode:
-    w = fano.triangle_weights(P)
-    return GraphNode(P, w, fano.multiplicity(P) if w else None)
 

@@ -163,6 +163,21 @@ class TestSubcommands:
         assert out["polygon"] == {"vertices": [["-1", "2"], ["0", "-1"], ["1", "-1"]]}
         check_schema(out, "mutate")
 
+    @pytest.mark.parametrize("w,code,schema", [("-1,-1", 0, "mutate"), ("1,-1", 1, "error")])
+    def test_mutate_proves_fano_once(self, capsys, monkeypatch, w, code, schema):
+        # the factor is checked once, by mutate: one Fano proof and one
+        # profile, for a factor and for a length that w has no factor of
+        from polymut import fano, mutation
+
+        proofs, profiles = [], []
+        is_fano, profile = fano.is_fano, mutation._Profile
+        monkeypatch.setattr(fano, "is_fano", lambda P: proofs.append(P) or is_fano(P))
+        monkeypatch.setattr(mutation, "_Profile", lambda vs, w: profiles.append(w) or profile(vs, w))
+        got, out = run_json(capsys, "mutate", "--polygon", P2, f"--w={w}", "--t", "1")
+        assert got == code
+        assert (len(proofs), profiles) == (1, [tuple(int(c) for c in w.split(","))])
+        check_schema(out, schema)
+
     def test_markov(self, capsys):
         code, out = run_json(capsys, "markov", "--depth", "2")
         assert code == 0
@@ -361,6 +376,27 @@ class TestInputModes:
 
 
 class TestErrorsAndDeterminism:
+    def test_mutate_sweep_output_pinned(self, capsys):
+        # every success and every refusal of `mutate` over polygons x w x t:
+        # 2,940 calls, 219 of them mutants, whose exit codes and stdout
+        # bytes are pinned by one digest
+        polygons = [
+            [[1, 0], [0, 1], [-1, -1]], [[-1, -1], [1, -1], [-1, 4]], [[1, 0], [0, 1], [-1, 0], [0, -1]],
+            [[-2, 1], [2, 1], [1, -1], [-1, -1]], [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+            [[2, 0], [0, 1], [-1, -1]], [["1/2", 0], [0, 1], [-1, -1]], [[1, 0], [-1, 0]],
+            [[-3, -2], [3, -2], [1, 3]], [[0, 0], [1, 0], [0, 1]],
+        ]
+        h, codes = hashlib.sha256(), []
+        for vs in polygons:
+            for p in range(-3, 4):
+                for q in range(-3, 4):
+                    for t in ("-1", "0", "1", "2", "3", "5"):
+                        code, out = run(capsys, "mutate", "--polygon", json.dumps({"vertices": vs}), f"--w={p},{q}", "--t", t)
+                        h.update(f"{code}|{out}".encode())
+                        codes.append(code)
+        assert (len(codes), codes.count(0)) == (2940, 219)
+        assert h.hexdigest() == "4b8f04d713bac37d03adb0f61626e47d3762b9921727aec41014d2096137da45"
+
     def test_domain_error_exit_1(self, capsys):
         code, out = run_json(capsys, "dual", "--polygon", '{"vertices":[[1,0],[0,1],[2,2]]}')
         assert code == 1
@@ -540,6 +576,17 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert out["error"]["type"] == "DomainError"
         assert budget in out["error"]["message"]
+        check_schema(out, "error")
+
+    def test_division_stops_at_the_budget(self, capsys):
+        # grade 1 is 1 + x^(2*10^7) over 1+x: its division would take
+        # 2*10^7 + 1 steps, about a minute, before it found no quotient.
+        # Each step measures 3, so it stops some 166,000 steps in
+        start = time.monotonic()
+        code, out = run_json(capsys, "laurent-mutate", "--f", "x^-10000000*y + x^10000000*y + y^-1", "--g", "1+x", "--divide", "y")
+        assert time.monotonic() - start < 2
+        assert code == 1
+        assert out["error"] == {"type": "DomainError", "message": "division steps pass the budget PARSE_POWER_LIMIT = 500000"}
         check_schema(out, "error")
 
     @pytest.mark.parametrize("missing", ["label", "part0", "part1"])

@@ -88,6 +88,19 @@ def test_one_factor_walk():
     assert len(proofs) == 1 and not any(n in proofs for loop in loops for n in ast.walk(loop))
 
 
+def test_factor_kernel_runs_on_integer_pairs():
+    # the profile, its rows, the mutant and the edge directions work on the
+    # integer vertex cycle and name no Vector2; the mutant's hull is made
+    # of geom._hull_chain, the one monotone chain, so mutation.py pops no hull
+    # vertex of its own
+    tree = ast.parse((SRC / "mutation.py").read_text())
+    kernel = {n.name: n for n in tree.body if _name(n) in {"_Profile", "_row", "_mutant", "_directions"}}
+    assert sorted(kernel) == ["_Profile", "_directions", "_mutant", "_row"]
+    assert [n.lineno for k in kernel.values() for n in ast.walk(k) if _name(n) == "Vector2"] == []
+    assert [_name(c.func) for c in ast.walk(kernel["_mutant"]) if isinstance(c, ast.Call)].count("_hull_chain") == 2
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.While) or _name(n) in {"pop", "_hull_pairs"}] == []
+
+
 def test_one_factor_check():
     # mutation._validate_mutation_data is the one check of a given factor:
     # mutate and factor_for run it, and factor_for does not scan
@@ -230,6 +243,7 @@ def test_benchmark_trace_targets_resolve():
 # public library code that no library code references, and why it stays
 UNREFERENCED_PUBLIC = {
     "geom.dilate": "documented public constructor of r*P",
+    "geom.primitivize": "exported public helper; the factor walk divides integer pairs by their gcd itself",
     "geom.Polygon.translate": "documented public polygon operation",
     "divpoly.PLFunc.constant": "documented public constructor",
     "divpoly.DivPoly.from_json": "documented reader of the divisorial polytope a certificate carries",
@@ -358,7 +372,7 @@ def test_only_geom_builds_polygons_without_a_hull():
     ]
     assert offenders == []
     # geom._polygon_from_pairs trusts its cycle to be canonical; mutation
-    # passes it only what geom._hull_pairs returned
+    # passes it only the cycles of mutation._mutant
     assert _named_outside("_polygon_from_pairs", {"geom.py", "mutation.py"}) == []
 
 

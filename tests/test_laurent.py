@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -102,9 +103,23 @@ class TestParse:
         # 100 * comb(102, 2) = 515,100 is not
         assert PARSE_POWER_LIMIT == 500_000
         assert len(parse("(x+y+x^-1*y^-1)^99").terms) == 5050
-        for s in ("(x+y+x^-1*y^-1)^100", "(x+y+x^-1*y^-1)^400", "((x+y)^500)^2", "(x)^500001"):
+        for s in ("(x+y+x^-1*y^-1)^100", "(x+y+x^-1*y^-1)^400", "((x+y)^500)^2", "(2x)^500001"):
             with pytest.raises(DomainError, match="PARSE_POWER_LIMIT"):
                 parse(s)
+        # a power of a monomial with coefficient +-1 is one 1-bit term and
+        # measures the bits of its largest exponent: 19 for (x)^500001
+        assert parse("(x)^500001") == LaurentPoly.monomial(500001, 0)
+        assert parse("(-x*y^-2)^600001 (y)^600000") == LaurentPoly.monomial(600001, -600002, -1)
+        # so nested powers still meet the budget as their exponents grow:
+        # level k of ((x)^N)^N... with N = 10^400 (1,329 bits) measures
+        # 1,329 k bits or so, and the sum passes 500,000 at level 27
+        n = 10**400
+        assert parse(f"((x)^{n})^{n}") == LaurentPoly.monomial(n * n, 0)
+        s = "x"
+        for _ in range(30):
+            s = f"({s})^{n}"
+        with pytest.raises(DomainError, match="PARSE_POWER_LIMIT"):
+            parse(s)
         # the bits of the coefficients count: (7x)^100000 measures 3 * 10^5,
         # (2^1000 x)^1000 measures 1001 * 1000
         assert parse("(7x)^100000") == LaurentPoly.monomial(100000, 0, 7**100000)
@@ -195,6 +210,20 @@ class TestArithmetic:
 
     def test_div_exact_fails(self):
         assert div_exact(parse("1 + x + x^3"), parse("1+x")) is None
+
+    def test_div_exact_takes_each_lead_off_a_heap(self):
+        # 20,000 dense terms over 1 and over 1+x: a scan of the remainder
+        # for each leading term took some 10 s over 1; the heap takes each
+        # lead in logarithmic time
+        f = LaurentPoly({(k, 0): 1 for k in range(20_000)})
+        start = time.monotonic()
+        assert div_exact(f, parse("1")) == f
+        assert div_exact(f, parse("1+x")) == LaurentPoly({(k, 0): 1 for k in range(0, 20_000, 2)})
+        assert time.monotonic() - start < 2
+        # the budget counts 1 + 2 per step over 1+x: 10,000 steps are 30,000
+        with pytest.raises(DomainError, match="division steps pass the budget"):
+            div_exact(f, parse("1+x"), 29_999)
+        assert div_exact(f, parse("1+x"), 30_000) is not None
 
     def test_div_mul_roundtrip_randomized(self):
         rng = random.Random(17)
@@ -318,6 +347,36 @@ class TestAlgebraicMutate:
                 warnings.simplefilter("ignore")
                 algebraic_mutate(f, spec)
         assert ei.value.grade == 1
+
+    def test_divisions_charged_step_by_step(self):
+        # grade 1 of x^-N*y + x^N*y + y^-1 is 1 + x^2N over 1+x: 2N steps,
+        # each writing a quotient term and subtracting the two of 1+x, then
+        # one more finds it not divisible.  The powers g and g^-1 measured
+        # 2 each, so 6N + 3 fits in the 499,996 left at N = 83,332 and not
+        # at N = 83,333
+        for n, error in ((83_332, DivisibilityFails), (83_333, DomainError)):
+            f = parse(f"x^-{n}*y + x^{n}*y + y^-1")
+            for divide, fi, spec in _both_axes(f, parse("1+x")):
+                with pytest.raises(error, match="grade 1|division steps pass the budget PARSE_POWER_LIMIT") as ei:
+                    algebraic_mutate(fi, spec)
+                assert type(ei.value) is error
+        # the charge is the steps taken, not the span walked: g = 1 divides
+        # a grade of span 600,001 in two steps, and 1+x a sparse grade of
+        # span 400,002 in two
+        f = parse("x^-300000*y + x^300000*y + y^-1")
+        for divide, fi, spec in _both_axes(f, parse("1")):
+            assert algebraic_mutate(fi, spec) == fi
+        f = parse("(1+x)*(x^-200000 + x^200000)*y + y^-1")
+        for divide, fi, spec in _both_axes(f, parse("1+x")):
+            assert algebraic_mutate(fi, spec) == _on_axis(divide, parse("x^-200000*y + x^200000*y + (1+x)*y^-1"))
+
+    def test_powers_of_a_unit_monomial_measure_their_exponent_bits(self):
+        # g = 1 at grade 600,000: g^600000 is one 1-bit term
+        f = parse("x*y^600000 + x^-1*y^-1 + x*y^-1")
+        for divide, fi, spec in _both_axes(f, parse("1")):
+            assert algebraic_mutate(fi, spec) == fi
+        # g = -1 substitutes -y for y: the even grade keeps its sign
+        assert algebraic_mutate(f, MutationSpec("y", parse("-1"))) == parse("x*y^600000 - x^-1*y^-1 - x*y^-1")
 
     def test_warns_without_mixed_grades(self):
         f = parse("y + y^2 + x")

@@ -259,6 +259,39 @@ class TestMutateAgainstDefinition:
         assert len(g.edges) == 15
 
 
+class TestIntKernelAgainstDefinition:
+    def test_every_factor_in_both_directions_randomized(self):
+        # every factor of seeded random Fano polygons, along f0 = prof.f0
+        # and along -prof.f0 (a negative signed length), and the identity
+        # t = 0; the cases below must all occur among them
+        import random
+
+        from polymut.geom import Polygon
+
+        rng = random.Random(61)
+        seen = dict.fromkeys(("negative f0", "identity", "top edge in a height line", "one top vertex",
+                              "vertex at h = 0", "bottom row cut to a point"), 0)
+        while min(seen.values()) < 10:
+            Q = Polygon([Vector2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 7))])
+            if not fano.is_fano(Q):
+                continue
+            for w in factor_directions(Q):
+                hs = [w.dot(v) for v in Q.vertices]
+                f0 = height_basis(w)[0]
+                mds = [MutationData(w, 0, f0)] + [MutationData(w, md.t, f) for md in find_factors(Q, w) for f in (f0, -f0)]
+                for md in mds:
+                    assert mutate(Q, md) == _mutate_by_definition(Q, md), (Q, md)
+                if len(mds) > 1:
+                    seen["negative f0"] += 1
+                    seen["top edge in a height line"] += hs.count(max(hs)) == 2
+                    seen["one top vertex"] += hs.count(max(hs)) == 1
+                    seen["vertex at h = 0"] += 0 in hs
+                    # at t_max the lowest row may keep a single lattice point
+                    last = mutate(Q, mds[-1])
+                    seen["bottom row cut to a point"] += [w.dot(v) for v in last.vertices].count(min(hs)) == 1
+                seen["identity"] += mutate(Q, mds[0]) == Q
+
+
 def _find_factors_by_definition(P, w):
     """Per-t, per-height sweep of the factor definition using only the
     geometry of oracles.py.  For each t up to the lattice length of the lowest slice,
@@ -385,7 +418,7 @@ def _assert_rows_match_slices(Q, w):
     from oracles import lattice_slice
 
     _, _, s = height_basis(w)
-    rows = _Profile(Q, w).rows
+    rows = _Profile(_cycle(Q), (w.x, w.y)).rows
     assert set(rows) == {w.dot(v) for v in Q.vertices}
     for h, row in rows.items():
         ks = [s.dot(v) for v in lattice_slice(Q, w, h).vertices]
@@ -548,7 +581,7 @@ class TestMutants:
             cases += [n.polygon for n in mutation_graph(fano.triangle_from_weights(weights), depth).nodes]
         calls = []
         real_profile, real_require_fano = mutation._Profile, mutation._require_fano
-        monkeypatch.setattr(mutation, "_Profile", lambda Q, w: calls.append(w) or real_profile(Q, w))
+        monkeypatch.setattr(mutation, "_Profile", lambda vs, w: calls.append(Vector2(*w)) or real_profile(vs, w))
         monkeypatch.setattr(mutation, "_require_fano", lambda Q: calls.append(Q) or real_require_fano(Q))
         pairs = 0
         for T in cases:
@@ -570,9 +603,9 @@ class TestMutants:
         profiles, proofs = [], []
         real_profile, real_require_fano = mutation._Profile, mutation._require_fano
 
-        def counting_profile(Q, w):
-            profiles.append(w)
-            return real_profile(Q, w)
+        def counting_profile(vs, w):
+            profiles.append(Vector2(*w))
+            return real_profile(vs, w)
 
         def counting_require_fano(Q):
             proofs.append(Q)
@@ -640,9 +673,9 @@ class TestMutationGraph:
         profiles, proofs = [], []
         real_profile, real_require_fano = mutation._Profile, mutation._require_fano
 
-        def counting_profile(Q, w):
-            profiles.append((Q, w))
-            return real_profile(Q, w)
+        def counting_profile(vs, w):
+            profiles.append((P(*vs), Vector2(*w)))
+            return real_profile(vs, w)
 
         def counting_require_fano(Q):
             proofs.append(Q)
@@ -655,6 +688,18 @@ class TestMutationGraph:
         # a mutant of a Fano polygon is Fano: every node inherits the root's proof
         assert proofs == [g.nodes[0].polygon]
         assert profiles == [(Q, w) for Q in expanded for w in factor_directions(Q)]
+
+    def test_vectors_built_by_the_markov_graph(self, monkeypatch):
+        # the factor walk runs on integer pairs: P^2 to depth 5 builds a
+        # Vector2 only for the 3 vertices of each of its 16 new classes, the
+        # w of each of the 27 directions with a factor of its 9 expanded
+        # nodes, and the -w back to each new class's source
+        built = []
+        real, T = Vector2._of.__func__, fano.triangle_from_weights((1, 1, 1))
+        monkeypatch.setattr(Vector2, "_of", classmethod(lambda cls, x, y: built.append((x, y)) or real(cls, x, y)))
+        g = mutation_graph(T, 5)
+        assert (len(g.nodes), len(g.edges)) == (17, 27)
+        assert len(built) == 16 * 3 + 27 + 16 == 91
 
     @pytest.mark.parametrize(
         "start,depth",
@@ -887,7 +932,7 @@ class TestClassIndex:
     @staticmethod
     def _classify(polygons):
         # each polygon's class, found as mutation_graph finds a mutant's
-        from polymut.mutation import _ClassIndex, _make_node
+        from polymut.mutation import _ClassIndex
 
         nodes = []
         index = _ClassIndex(nodes)
@@ -895,7 +940,7 @@ class TestClassIndex:
         for Q in polygons:
             tgt = index.setdefault(_cycle(Q), len(nodes))
             if tgt == len(nodes):
-                nodes.append(_make_node(Q))
+                nodes.append(Q)
             out.append(tgt)
         return out
 
