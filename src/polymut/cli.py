@@ -341,7 +341,8 @@ def _cmd_deform(args) -> dict:
     mutation = _module("mutation")
     deform = _module("deform")
     P = _triangle_arg(args)
-    md = mutation.factor_for(P, _parse_w(args.w), args.t) if args.w else _default_reducing_factor(P)
+    # mutation_to_deformation checks it, by mutate
+    md = mutation._factor_data(_parse_w(args.w), args.t) if args.w else _default_reducing_factor(P)
     cert = deform.mutation_to_deformation(P, md, _parse_dilation(args.dilation))
     return cert.to_json()
 

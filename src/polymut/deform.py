@@ -2,23 +2,25 @@
 combinatorial mutations, via admissible Minkowski decompositions of a
 divisorial-polytope coefficient.
 
-The pipeline normalizes the mutation so its height function is (0,-1),
-dilates the dual polygon to a lattice polygon, splits the infinity
-coefficient into the affine part plus an integral two-piece part, moves
-the split-off summand to a fresh point of the projective line, reduces the
+The pipeline mutates in the caller's frame, maps the polygon and its
+mutant by a normalizer that makes the height function (0,-1), dilates the
+dual polygon to a lattice polygon, splits the infinity coefficient into
+the affine part plus an integral two-piece part, moves the split-off
+summand to a fresh point of the projective line, reduces the
 three-coefficient divisorial polytope back to a polygon by affine shifts,
 and certifies the result against the dilated dual of the mutated polygon.
 
 Each step is built once and trusts what an earlier step proved:
-`geom.mat_image` keeps the source's cycle under the normalizer, whose
-determinant is 1; `geom.dual_denominator` and `geom.dilated_dual` give the
-automatic dilation and the dilated duals without the undilated duals;
-`mutate` proves the normalized source Fano, so both weight triples are read
-off the vertices (`fano.triangle_weights`); `is_admissible` checks that the
-parts are defined on the box before `DivPoly.with_split` builds the general
-fiber; and the reduction computes each divisorial polytope's nontrivial
-labels once and tries the shifts as `_shift_candidates` walks them, in
-order, building only the ones it tries.
+`mutate` checks the factor and proves the source Fano once, in the
+caller's frame; `geom.mat_image` keeps the cycles of the source and the
+mutant under the normalizer, whose determinant is 1;
+`geom.dual_denominator` and `geom.dilated_dual` give the automatic
+dilation and the dilated duals without the undilated duals; both weight
+triples are read off the vertices (`fano.triangle_weights`);
+`is_admissible` checks that the parts are defined on the box before
+`DivPoly.with_split` builds the general fiber; and the reduction computes
+each divisorial polytope's nontrivial labels once and tries the shifts as
+`_shift_candidates` walks them, in order, building only the ones it tries.
 """
 
 from __future__ import annotations
@@ -376,12 +378,13 @@ def mutation_to_deformation(
     weight-increasing mutations, whose deformation is isotrivial (the
     smooth-side surface is rigid), and the diagnostics say so.
     """
+    mutant = mutate(P, md)  # checks md and proves P Fano, so its mutant is Fano
     if len(P.vertices) != 3:
         raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
     U = _normalizer_for(md.w)
-    Pn = mat_image(U, P)  # det(U) = 1
     mdn = _transform_mutation(md, U)
-    Q = mutate(Pn, mdn)  # proves Pn Fano, so Q is Fano as well
+    # mutation commutes with U: U*mutate(P, md) is mutate(U*P, mdn)
+    Pn, Q = mat_image(U, P), mat_image(U, mutant)  # det(U) = 1
     auto = math.lcm(dual_denominator(Pn), dual_denominator(Q))
     a = auto if dilation is None else dilation
     # the automatic dilation always passes: it clears every denominator;
@@ -401,8 +404,8 @@ def mutation_to_deformation(
     # varieties; the deformation theorem sanctions it exactly in the
     # smoothing (weight-decreasing) direction.  In the opposite direction
     # the reduced polygon is formal only, so refuse to certify it.
-    # mutate proved Pn Fano, and Q is its mutant, so the weights are read
-    # off the vertices without proving either Fano again
+    # mutate proved P Fano, and Pn and Q are its image and its mutant's, so
+    # the weights are read off the vertices without proving either Fano again
     wp = fano.weights_of_vertices(*Pn.vertices)
     wq = fano.triangle_weights(Q)
     if any(not s.is_integral() for s in red.shifts) and not weights_decrease(wp, wq):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .geom import Polygon, Vector2, height_basis, is_primitive, qdiv
+from .geom import Polygon, Vector2, height_basis, qdiv
 
 WeightTriple = tuple[int, int, int]
 Solution = tuple[int, int, int]
@@ -59,7 +59,7 @@ def is_fano(P: Polygon) -> bool:
         return False
     if not P.contains_origin_interior():
         return False
-    return all(is_primitive(v) for v in P.vertices)
+    return all(math.gcd(v.x, v.y) == 1 for v in P.vertices)
 
 
 def _vertex_minors(v1: Vector2, v2: Vector2, v3: Vector2) -> tuple[WeightTriple, int]:

@@ -22,6 +22,10 @@ Polygons are stored canonically: counterclockwise, strictly convex (no
 three collinear vertices), lexicographically smallest vertex first.
 Points and segments are degenerate polygons (one or two vertices) and
 participate in all operations without special-casing by the caller.
+A polygon is built from exact (x, y) pairs in one of two ways: by the
+hull `hull_of_pairs`, which `Polygon(points)` runs, or by the trusted
+`_polygon_from_cycle`, for a cycle that is strictly convex and
+counterclockwise already.
 """
 
 from __future__ import annotations
@@ -193,13 +197,6 @@ def is_primitive(v: Vector2) -> bool:
     return math.gcd(a, b) == 1
 
 
-def _hull_of(points: Iterable[Vector2]) -> list[Vector2]:
-    # the hull runs on the (x, y) pairs, so the only Vector2s are the input
-    # points kept as hull vertices
-    byxy = {(p.x, p.y): p for p in points}
-    return [byxy[p] for p in _hull_pairs(byxy)]
-
-
 def _hull_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
     """The canonical vertex cycle of the hull of exact (x, y) pairs:
     counterclockwise, strictly convex, lex-smallest vertex first; one or two
@@ -231,28 +228,21 @@ def _hull_chain(seq: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational
 class Polygon:
     """Convex rational polygon in canonical vertex form.
 
-    Construction runs a convex hull, so any point list yields the canonical
-    representative: CCW, no collinear triples, lex-smallest vertex first.
-    Only `dilated_dual` (and `dual`), `dilate` (by r != 0), `translate` and
-    `mat_image` (by a nonsingular matrix) skip the hull, through
-    `_from_cycle`: each maps a canonical cycle to a strictly convex CCW
-    cycle (`mat_image` reverses it when the determinant is negative), so
-    only its start can move.  `_polygon_from_pairs` wraps a cycle that
-    `_hull_pairs` or the mutation kernel made canonical already.
+    Construction runs the convex hull `hull_of_pairs` on the points'
+    (x, y) pairs, so any point list yields the canonical representative:
+    CCW, no collinear triples, lex-smallest vertex first.  The one other
+    way to build a polygon is `_polygon_from_cycle`, which trusts a cycle
+    of exact pairs to be strictly convex and CCW and only rotates it to
+    its lex-least vertex: `dilated_dual` (and `dual`), `dilate` (by
+    r != 0), `translate` and `mat_image` (by a nonsingular matrix, reversing
+    the image when the determinant is negative) map a canonical cycle to
+    such a cycle, and so does the mutation kernel.
     """
 
     __slots__ = ("vertices",)
 
     def __init__(self, points: Iterable[Vector2]):
-        object.__setattr__(self, "vertices", tuple(_hull_of(points)))
-
-    @classmethod
-    def _from_cycle(cls, vs: Sequence[Vector2]) -> "Polygon":
-        # vs is a strictly convex CCW cycle (or one or two distinct points)
-        i = vs.index(min(vs))
-        P = object.__new__(cls)
-        object.__setattr__(P, "vertices", tuple(vs[i:]) + tuple(vs[:i]))
-        return P
+        object.__setattr__(self, "vertices", hull_of_pairs((p.x, p.y) for p in points).vertices)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("Polygon is immutable")
@@ -281,7 +271,7 @@ class Polygon:
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def translate(self, t: Vector2) -> "Polygon":
-        return Polygon._from_cycle([v + t for v in self.vertices])
+        return _polygon_from_cycle([(v.x + t.x, v.y + t.y) for v in self.vertices])
 
     def contains(self, p: Vector2) -> bool:
         for n, c in _halfplanes(self):
@@ -294,18 +284,20 @@ class Polygon:
         return self.dim() == 2 and all(a.cross(b) > 0 for a, b in self.edges())
 
 
-def _polygon_from_pairs(cyc: Sequence[tuple[Rational, Rational]]) -> Polygon:
-    """The polygon whose canonical vertex cycle, as exact (x, y) pairs, is
-    cyc, as _hull_pairs and mutation._mutant return it.  Nothing is
-    checked: the cycle is the hull that a Polygon of the same points has."""
+def _polygon_from_cycle(cyc: Sequence[tuple[Rational, Rational]]) -> Polygon:
+    """The polygon whose vertex cycle, as exact (x, y) pairs from any
+    start, is cyc: strictly convex and counterclockwise, or one or two
+    distinct points.  Nothing is checked; the cycle is rotated to start at
+    its lex-least vertex, as the hull of the same points does."""
+    i = cyc.index(min(cyc))
     P = object.__new__(Polygon)
-    object.__setattr__(P, "vertices", tuple(Vector2._of(x, y) for x, y in cyc))
+    object.__setattr__(P, "vertices", tuple(Vector2._of(x, y) for x, y in cyc[i:] + cyc[:i]))
     return P
 
 
 def hull_of_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> Polygon:
-    """The polygon Polygon(...) builds from the points with these exact
-    (x, y) pairs, ints or Fractions as the library computes them.  The hull
+    """The convex hull of the points with these exact (x, y) pairs, ints or
+    Fractions, as the canonical polygon; Polygon(points) runs it.  The hull
     runs on integers: the pairs are scaled by the lcm L of their
     denominators, hulled, and the hull's vertices divided back by L."""
     pairs = list(pairs)
@@ -313,15 +305,15 @@ def hull_of_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> Polygon:
     cyc = _hull_pairs([(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator)) for x, y in pairs])
     if L > 1:
         cyc = [(qdiv(x, L), qdiv(y, L)) for x, y in cyc]
-    return _polygon_from_pairs(cyc)
+    return _polygon_from_cycle(cyc)
 
 
 def dilate(P: Polygon, r: RationalLike) -> Polygon:
     """r*P; for r != 0 the scaled cycle is still CCW and strictly convex
     (r < 0 turns it by a half turn), for r == 0 it collapses to a point."""
     r = to_fraction(r)
-    vs = [v.scale(r) for v in P.vertices]
-    return Polygon._from_cycle(vs) if r else Polygon(vs)
+    cyc = [(r * v.x, r * v.y) for v in P.vertices]
+    return _polygon_from_cycle(cyc) if r else hull_of_pairs(cyc)
 
 
 def mat_apply(U: Mat2, v: Vector2) -> Vector2:
@@ -333,13 +325,14 @@ def mat_image(U: Mat2, P: Polygon) -> Polygon:
     """U*P.  A nonsingular U maps P's canonical cycle to a strictly convex
     cycle, counterclockwise when det(U) > 0 and clockwise (so reversed
     here) when det(U) < 0; a singular U collapses P and takes a hull."""
-    vs = [mat_apply(U, v) for v in P.vertices]
+    (a, b), (c, d) = U
+    cyc = [(a * v.x + b * v.y, c * v.x + d * v.y) for v in P.vertices]
     det = mat_det(U)
     if not det:
-        return Polygon(vs)
+        return hull_of_pairs(cyc)
     if det < 0:
-        vs.reverse()
-    return Polygon._from_cycle(vs)
+        cyc.reverse()
+    return _polygon_from_cycle(cyc)
 
 
 def mat_det(U: Mat2) -> int:
@@ -412,8 +405,8 @@ def dilated_dual(P: Polygon, r: Rational) -> Polygon:
         det = a.cross(b)
         if det <= 0:
             raise OriginNotInterior("dual needs the origin strictly inside")
-        verts.append(Vector2._of(qdiv(r * (a.y - b.y), det), qdiv(r * (b.x - a.x), det)))
-    return Polygon._from_cycle(verts)
+        verts.append((qdiv(r * (a.y - b.y), det), qdiv(r * (b.x - a.x), det)))
+    return _polygon_from_cycle(verts)
 
 
 def dual_denominator(P: Polygon) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .geom import Polygon, Rational, RationalLike, Vector2, _halfplanes, _lattice_basis, qdiv, to_fraction
+from .geom import Polygon, Rational, RationalLike, Vector2, _halfplanes, _lattice_basis, hull_of_pairs, qdiv, to_fraction
 from .mutation import MutationData, factor_for
 
 Exponent = tuple[int, int]
@@ -420,7 +420,7 @@ def newton_polytope(f: LaurentPoly) -> Polygon:
     """Convex hull of the exponent vectors."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton polytope")
-    return Polygon([Vector2(e1, e2) for e1, e2 in f.terms])
+    return hull_of_pairs(f.terms)
 
 
 def _exchanged(f: LaurentPoly, divide: str) -> LaurentPoly:
@@ -588,7 +588,7 @@ def period_sequence(f: LaurentPoly, dmax: int) -> list[Rational]:
     while exps:
         # integer inequalities n.e >= c of N, stored as (n, -c): a term b
         # is kept when n.(-b) >= (dmax - 1)*c, i.e. n.b <= (dmax - 1)*(-c)
-        cuts = [(int(n.x), int(n.y), -int(c)) for n, c in _halfplanes(Polygon([Vector2(*e) for e in exps]))]
+        cuts = [(int(n.x), int(n.y), -int(c)) for n, c in _halfplanes(hull_of_pairs(exps))]
         if any(m < 0 for _, _, m in cuts):
             return out
         kept = [(x, y) for x, y in exps if all(n1 * x + n2 * y <= (dmax - 1) * m for n1, n2, m in cuts)]

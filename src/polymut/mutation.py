@@ -43,7 +43,7 @@ from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     _cycle_normal_form,
     _height_frame,
     _hull_chain,
-    _polygon_from_pairs,
+    _polygon_from_cycle,
     height_basis,
     hull_of_pairs,
     is_primitive,
@@ -191,7 +191,7 @@ def mutants(P: Polygon) -> list[tuple[MutationData, Polygon]]:
     P is Fano (find_factors and mutate would each redo both)."""
     _require_fano(P)
     return [
-        (MutationData(w=w, t=t, f0=Vector2._of(*prof.f0)), _polygon_from_pairs(_mutant(prof, t)))
+        (MutationData(w=w, t=t, f0=Vector2._of(*prof.f0)), _polygon_from_cycle(_mutant(prof, t)))
         for w, prof, t in _factor_walk(_cycle(P))
     ]
 
@@ -243,7 +243,7 @@ def mutate(P: Polygon, md: MutationData) -> Polygon:
     heights.  Only the rows at vertex heights are built (see below).
     """
     prof, t = _validate_mutation_data(P, md)
-    return _polygon_from_pairs(_mutant(prof, t))
+    return _polygon_from_cycle(_mutant(prof, t))
 
 
 def _mutant(prof: _Profile, t: int) -> list[tuple[int, int]]:
@@ -413,7 +413,7 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
                         raise DomainError(
                             f"mutation graph exceeds the class budget GRAPH_CLASS_LIMIT = {GRAPH_CLASS_LIMIT}"
                         )
-                    polygons.append(_polygon_from_pairs(cyc))
+                    polygons.append(_polygon_from_cycle(cyc))
                     cycles.append(cyc)
                     back.append((-w, t, src))
                     next_frontier.append(tgt)

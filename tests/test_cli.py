@@ -178,6 +178,22 @@ class TestSubcommands:
         assert (len(proofs), profiles) == (1, [tuple(int(c) for c in w.split(","))])
         check_schema(out, schema)
 
+    @pytest.mark.parametrize("t,code,schema", [("1", 0, "deform"), ("9", 1, "error")])
+    def test_deform_w_checks_its_factor_once(self, capsys, monkeypatch, t, code, schema):
+        # deform --w hands unchecked factor data to the pipeline, whose
+        # mutate checks it: one profile, and one Fano proof beside the one
+        # that builds the triangle from its weights
+        from polymut import fano, mutation
+
+        proofs, profiles = [], []
+        is_fano, profile = fano.is_fano, mutation._Profile
+        monkeypatch.setattr(fano, "is_fano", lambda P: proofs.append(P) or is_fano(P))
+        monkeypatch.setattr(mutation, "_Profile", lambda vs, w: profiles.append(w) or profile(vs, w))
+        got, out = run_json(capsys, "deform", "--weights", "1,1,4", "--w=2,1", "--t", t)
+        assert got == code
+        assert (len(proofs), profiles) == (2, [(2, 1)])
+        check_schema(out, schema)
+
     def test_markov(self, capsys):
         code, out = run_json(capsys, "markov", "--depth", "2")
         assert code == 0

@@ -420,9 +420,50 @@ def test_digest_of_every_dilation_of_every_coprime_triple_up_to_10():
     )
 
 
+def test_mutation_commutes_with_the_normalizer():
+    # the pipeline mutates in the caller's frame and maps the mutant by the
+    # normalizer U: U*mutate(P, md) is the mutant of U*P by md along
+    # (0, -1), with f0 mapped by U, for every factor of every
+    # pairwise-coprime triple with c <= 15, forward and back
+    from polymut.deform import _normalizer_for
+    from polymut.geom import mat_apply, mat_image
+    from polymut.mutation import MutationData
+
+    checked = 0
+    for c in range(1, 16):
+        for b in range(1, c + 1):
+            for a in range(1, b + 1):
+                if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+                    T = fano.triangle_from_weights((a, b, c))
+                    for w in factor_directions(T):
+                        for md in find_factors(T, w):
+                            for P, m in ((T, md), (mutate(T, md), inverse_data(T, md))):
+                                U = _normalizer_for(m.w)
+                                mdn = MutationData(Vector2(0, -1), m.t, mat_apply(U, m.f0))
+                                assert mat_image(U, mutate(P, m)) == mutate(mat_image(U, P), mdn), (P, m)
+                                checked += 1
+    assert checked == 1840
+
+
+def test_over_long_factor_refusal_names_the_callers_w():
+    # the pipeline checks the factor by mutate in the caller's frame, so a
+    # length past t_max is refused for the caller's w, not for (0, -1)
+    from polymut.mutation import InvalidFactor, _factor_data
+
+    checked = 0
+    for weights in ((1, 1, 4), (1, 4, 25), (2, 3, 5)):
+        T = fano.triangle_from_weights(weights)
+        for w in factor_directions(T):
+            t = len(find_factors(T, w)) + 1
+            with pytest.raises(InvalidFactor, match=rf"^no factor of length {t} for w=\({w.x}, {w.y}\)$"):
+                mutation_to_deformation(T, _factor_data(w, t))
+            checked += w != Vector2(0, -1)
+    assert checked >= 6
+
+
 def test_pipeline_proves_fano_once(monkeypatch):
-    # mutate proves the normalized source Fano; its weights and the mutant's
-    # are read off their vertices without proving either Fano again
+    # mutate proves the source Fano; its weights and the mutant's are read
+    # off the vertices of their images without proving either Fano again
     calls = []
     is_fano = fano.is_fano
     monkeypatch.setattr(fano, "is_fano", lambda P: calls.append(P) or is_fano(P))

@@ -43,6 +43,48 @@ class TestIsFano:
         assert not is_fano(P((0, -1), (1, -1), (-1, 1)))
 
 
+    def test_matches_its_definition_randomized(self):
+        # the lattice-int gcd check against the definition: the origin
+        # strictly inside and every vertex a primitive lattice point, on
+        # non-lattice polygons, a zero vertex, the origin on an edge, points
+        # and segments
+        from polymut.geom import Polygon, is_primitive
+
+        def definition(Q):
+            return Q.dim() == 2 and Q.is_lattice() and Q.contains_origin_interior() and all(
+                is_primitive(v) for v in Q.vertices
+            )
+
+        def coord(den):
+            return Fraction(rng.randint(-4, 4), rng.choice(den))
+
+        rng = random.Random(61)
+        seen = {"fano": 0, "imprimitive": 0, "not lattice": 0, "zero vertex": 0, "origin on an edge": 0, "point": 0, "segment": 0}
+        for trial in range(1500):
+            kind = trial % 5
+            den = (1, 1, 1, 2) if kind == 1 else (1,)
+            pts = [Vector2(coord(den), coord(den)) for _ in range(rng.randint(1, 6))]
+            if kind == 2:
+                pts.append(Vector2(0, 0))
+            elif kind == 3:
+                p = pts[0]
+                pts.append(p.scale(-rng.randint(1, 3)))
+            elif kind == 4:
+                pts = [pts[0].scale(k) for k in range(rng.randint(-2, 0), rng.randint(1, 3))]
+            Q = Polygon(pts)
+            got = is_fano(Q)
+            assert got == definition(Q), Q
+            seen["fano"] += got
+            seen["imprimitive"] += Q.is_lattice() and Q.contains_origin_interior() and not got
+            seen["not lattice"] += not Q.is_lattice()
+            seen["zero vertex"] += Vector2(0, 0) in Q.vertices
+            if Q.dim() < 2:
+                seen["point" if Q.dim() == 0 else "segment"] += 1
+            elif Vector2(0, 0) not in Q.vertices:
+                seen["origin on an edge"] += Q.contains(Vector2(0, 0)) and not Q.contains_origin_interior()
+        assert min(seen.values()) >= 30, seen
+
+
 class TestWeights:
     def test_p2(self, p2_triangle):
         assert weights(p2_triangle) == (1, 1, 1)

@@ -141,6 +141,27 @@ class TestExactRationals:
             v.x = 0
 
 
+def _assert_canonical_hull(vs, pts):
+    """vs is the canonical hull of the points pts by its definition: input
+    points, lex-least first, CCW with no collinear triple, every point on
+    the inner side of every edge, and each coordinate an int when it is
+    integral and a Fraction otherwise."""
+    n = len(vs)
+    assert set(vs) <= set(pts)
+    assert vs[0] == min(pts)
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for v in vs for c in (v.x, v.y))
+    if n == 1:
+        assert set(pts) == {vs[0]}
+    elif n == 2:
+        a, b = vs
+        assert b == max(pts) and all((b - a).cross(p - a) == 0 for p in pts)
+    else:
+        for i in range(n):
+            a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
+            assert (b - a).cross(c - b) > 0  # CCW, no collinear triple
+            assert all((b - a).cross(p - a) >= 0 for p in pts)
+
+
 class TestConvexHull:
     def test_interior_point_removed(self):
         got = Polygon(
@@ -181,20 +202,8 @@ class TestConvexHull:
             pts += rng.sample(pts, rng.randint(0, len(pts)))  # duplicates
             rng.shuffle(pts)
             vs = Polygon(pts).vertices
-            n = len(vs)
-            shapes[min(n, 3)] += 1
-            assert set(vs) <= set(pts)
-            assert vs[0] == min(pts)
-            if n == 1:
-                assert set(pts) == {vs[0]}
-            elif n == 2:
-                a, b = vs
-                assert b == max(pts) and all((b - a).cross(p - a) == 0 for p in pts)
-            else:
-                for i in range(n):
-                    a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
-                    assert (b - a).cross(c - b) > 0  # CCW, no collinear triple
-                    assert all((b - a).cross(p - a) >= 0 for p in pts)
+            _assert_canonical_hull(vs, pts)
+            shapes[min(len(vs), 3)] += 1
         assert min(shapes.values()) >= 10, shapes
 
 
@@ -1007,8 +1016,9 @@ class TestMatImage:
 
 
 class TestHullOfPairs:
-    """hull_of_pairs hulls integers scaled by the common denominator; the
-    hull of the same points as vectors is the oracle, types included."""
+    """hull_of_pairs hulls integers scaled by the common denominator, and
+    Polygon runs it; the oracle is the definition of the canonical hull,
+    types included, which shares no code with it."""
 
     def test_random_rational_pairs(self):
         rng = random.Random(47)
@@ -1019,10 +1029,30 @@ class TestHullOfPairs:
             if rng.random() < 0.2:
                 # an integral value computed as a Fraction, as 1/2 + 1/2 is
                 pairs = [(Fraction(x) + Fraction(1, 2) - Fraction(1, 2), y) for x, y in pairs]
-            got, want = hull_of_pairs(pairs), Polygon(pts)
-            assert got == want and _types(got) == _types(want), pairs
+            _assert_canonical_hull(hull_of_pairs(pairs).vertices, pts)
             scaled += any(type(c) is Fraction and c.denominator > 1 for p in pairs for c in p)
         assert scaled > 300
+
+    def test_trusted_cycle_constructor_from_every_start(self):
+        # _polygon_from_cycle takes a strictly convex CCW cycle of exact
+        # pairs from any start, integral values computed as Fractions
+        # included, and is the polygon of the same points
+        from polymut.geom import _polygon_from_cycle
+
+        rng = random.Random(59)
+        cases = [Polygon(_origin_cases(rng)) for _ in range(300)] + _random_fano_polygons(rng, 100)
+        seen = {1: 0, 2: 0, 3: 0, "rational": 0}
+        for Q in cases:
+            cyc = [(v.x, v.y) for v in Q.vertices]
+            if rng.random() < 0.3:
+                cyc = [(Fraction(x) + Fraction(1, 3) - Fraction(1, 3), y) for x, y in cyc]
+            want = Polygon([Vector2(x, y) for x, y in cyc])
+            for i in range(len(cyc)):
+                got = _polygon_from_cycle(cyc[i:] + cyc[:i])
+                assert got == want and _types(got) == _types(want), (cyc, i)
+            seen[min(len(cyc), 3)] += 1
+            seen["rational"] += not Q.is_lattice()
+        assert min(seen.values()) >= 30, seen
 
     def test_empty_point_set_refused(self):
         with pytest.raises(DomainError, match="empty point set"):

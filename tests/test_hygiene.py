@@ -362,18 +362,24 @@ def test_readme_citations_resolve():
     assert missing == []
 
 
-def test_only_geom_builds_polygons_without_a_hull():
-    # Polygon._from_cycle trusts its input to be a strictly convex CCW
-    # cycle; only geom's dual, dilate and translate can vouch for that
+def test_one_hull_and_one_trusted_polygon_constructor():
+    # geom builds a polygon from exact pairs by its hull, hull_of_pairs
+    # (which Polygon runs), or by _polygon_from_cycle, which trusts a
+    # strictly convex CCW cycle; only geom's maps of a canonical cycle and
+    # the cycles of mutation._mutant vouch for that
+    assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py"}) == []
+    gone = {"_hull_of", "_from_cycle", "_polygon_from_pairs"}
+    assert [f"{name}:{getattr(node, 'lineno', '?')}" for name, node, _ in _nodes() if _name(node) in gone] == []
+    # no other code makes a Polygon without running its __init__
     offenders = [
-        f"{name}:{getattr(node, 'lineno', '?')}"
-        for name, node, at_home in _nodes("geom.py")
-        if _name(node) == "_from_cycle" and not at_home
+        f"{name}:{node.lineno}"
+        for name, node, at_home in _nodes("geom.py", "_polygon_from_cycle")
+        if isinstance(node, ast.Call)
+        and _name(node.func) in {"__new__", "_new"}
+        and any(_name(a) == "Polygon" for a in node.args)
+        and not at_home
     ]
     assert offenders == []
-    # geom._polygon_from_pairs trusts its cycle to be canonical; mutation
-    # passes it only the cycles of mutation._mutant
-    assert _named_outside("_polygon_from_pairs", {"geom.py", "mutation.py"}) == []
 
 
 def _named_outside(attr: str, homes: set[str], owner: str | None = None) -> list[str]:

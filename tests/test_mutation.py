@@ -737,7 +737,7 @@ class TestMutationGraph:
 
         mutants, forms, polygons = [], [], []
         real_mutant, real_form = mutation._mutant, mutation._cycle_normal_form
-        real_node_form, real_polygon = mutation.linear_normal_form, mutation._polygon_from_pairs
+        real_node_form, real_polygon = mutation.linear_normal_form, mutation._polygon_from_cycle
 
         def counting_mutant(prof, t):
             mutants.append(t)
@@ -758,7 +758,7 @@ class TestMutationGraph:
         monkeypatch.setattr(mutation, "_mutant", counting_mutant)
         monkeypatch.setattr(mutation, "_cycle_normal_form", counting_form)
         monkeypatch.setattr(mutation, "linear_normal_form", counting_node_form)
-        monkeypatch.setattr(mutation, "_polygon_from_pairs", counting_polygon)
+        monkeypatch.setattr(mutation, "_polygon_from_cycle", counting_polygon)
         g = mutation_graph(fano.triangle_from_weights(weights), depth)
         non_root_expanded = {e.source for e in g.edges} - {0}
         assert len(non_root_expanded) > 10
