@@ -350,10 +350,12 @@ def _cmd_deform(args) -> dict:
 def _default_reducing_factor(P: Polygon):
     mutation = _module("mutation")
     deform = _module("deform")
-    pairs = mutation.mutants(P)
-    # read only if there is a factor, so that a polygon without one is
+    pairs = mutation.mutants(P)  # proves P Fano
+    # refused only if there is a factor, so that a polygon without one is
     # refused as having no weight-decreasing mutation
-    wp = weights(P) if pairs else None
+    wp = triangle_weights(P)
+    if pairs and wp is None:
+        raise NotATriangle(f"expected a triangle, got {len(P.vertices)} vertices")
     for md, Q in pairs:
         if deform.weights_decrease(wp, triangle_weights(Q)):
             return md

@@ -18,16 +18,16 @@ mutant under the normalizer, whose determinant is 1;
 dilation and the dilated duals without the undilated duals; both weight
 triples are read off the vertices (`fano.triangle_weights`);
 `is_admissible` checks that the parts are defined on the box before
-`DivPoly.with_split` builds the general fiber; and the reduction computes
-each divisorial polytope's nontrivial labels once and tries the shifts as
-`_shift_candidates` walks them, in order, building only the ones it tries.
+`DivPoly.with_split` builds the general fiber; and the reduction moves
+whole affine coefficients only, reading each divisorial polytope's
+nontrivial labels once, which on the pipeline's fibers takes one shift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import DomainError
 from . import fano
@@ -188,60 +188,44 @@ def _lattice_ok(dp: DivPoly, nt: list[PointLabel]) -> bool:
     return all(dp.coeffs[l].has_lattice_graph() for l in nt)
 
 
-def _shift_candidates(dp: DivPoly) -> Iterator[ShiftRecord]:
-    """Count-reducing single shifts by affine pieces of existing
-    coefficients, in the order reduce_to_polygon tries them.
-
-    Integral shifts come first: they twist by a principal divisor and a
-    character, hence are isomorphisms and always safe.  A non-integral
-    shift is not an isomorphism; the one the deformation proof sanctions
-    absorbs the spectator coefficient into the freshest parameter label,
-    so the non-integral pass takes the targets by decreasing kind.  Within
-    a pass the walk goes by source label, then target label; each pair has
-    at most one candidate, as distinct pieces of a concave source lie on
-    distinct lines, and a target with two or more breakpoints is minus at
-    most one of them.
-    """
-    labels = dp.labels()  # by (kind, name)
-    freshest_first = [l for kind in (2, 1, 0) for l in labels if l.kind == kind]
-    for integral, targets in ((True, labels), (False, freshest_first)):
-        for frm in labels:
-            cf = dp.coeffs[frm]
-            if cf.is_zero():
-                continue
-            zeroes_from = cf.is_affine()
-            lines = [(slope, va - slope * a) for (a, _, slope), va in zip(cf.pieces(), cf.values)]
-            lines = [(s, c) for s, c in lines if (s.denominator == 1 and c.denominator == 1) == integral]
-            for to in targets:
-                if to == frm:
-                    continue
-                ct = dp.coeffs[to]
-                for slope, intercept in lines:
-                    # the shift zeroes `to` when its coefficient plus the piece
-                    # vanishes at every breakpoint of that coefficient
-                    if zeroes_from or all(v + slope * u + intercept == 0 for u, v in zip(ct.breaks, ct.values)):
-                        yield ShiftRecord(frm, to, slope, intercept)
-
-
 def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
-    """Apply affine shifts until at most two nontrivial coefficients remain
-    (all with lattice graphs), then reconstruct the polygon.
+    """Move whole affine coefficients onto other labels until at most two
+    nontrivial coefficients remain, then reconstruct the polygon.
 
-    Each step tries the affine extensions of the pieces of the stored
-    coefficients as _shift_candidates yields them, integral ones first,
-    and takes the first that reduces the count; the shifts used are
-    recorded in the result."""
+    Each step tries the nontrivial affine coefficients in label order, each
+    onto every other nontrivial label; moving the whole line zeroes the
+    source, so the count drops.  Integral lines go first: their shifts
+    twist by a principal divisor and a character, hence are isomorphisms.
+    A non-integral shift is not; the one the deformation proof sanctions
+    absorbs the spectator into the freshest parameter label, so those moves
+    take their targets by decreasing kind.  The first move that keeps every
+    graph in the lattice is taken and recorded; on the pipeline's general
+    fibers that is one shift.  A coefficient of two or more pieces never
+    moves, so a fiber without an affine one to move is refused."""
     shifts: list[ShiftRecord] = []
     cur = dp
     nt = cur.nontrivial_labels()  # kept equal to cur.nontrivial_labels()
-    for _ in range(max(1, len(dp.coeffs))):
-        if len(nt) <= 2:
-            break
-        for c in _shift_candidates(cur):
-            nxt = shift_affine(cur, c.frm, c.to, c.slope, c.intercept)
+    while len(nt) > 2:
+        lines = [  # (label, slope, intercept) of each affine coefficient
+            (l, s, f.values[0] - s * a)
+            for l in nt
+            if (f := cur.coeffs[l]).is_affine()
+            for a, _, s in f.pieces()
+        ]
+        freshest_first = sorted(nt, key=lambda l: -l.kind)  # stable: by name within a kind
+        moves = [
+            (frm, to, s, c)
+            for integral, targets in ((True, nt), (False, freshest_first))
+            for frm, s, c in lines
+            if (s.denominator == 1 and c.denominator == 1) == integral
+            for to in targets
+            if to != frm
+        ]
+        for frm, to, s, c in moves:
+            nxt = shift_affine(cur, frm, to, s, c)
             nt_next = nxt.nontrivial_labels()
-            if len(nt_next) < len(nt) and _lattice_ok(nxt, nt_next):
-                shifts.append(c)
+            if _lattice_ok(nxt, nt_next):
+                shifts.append(ShiftRecord(frm, to, s, c))
                 cur, nt = nxt, nt_next
                 break
         else:
@@ -249,7 +233,7 @@ def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
                 False, None, tuple(shifts), None,
                 "no affine shift reduces the nontrivial coefficients",
             )
-    if len(nt) > 2 or not _lattice_ok(cur, nt):
+    if not _lattice_ok(cur, nt):
         return ReductionResult(
             False, None, tuple(shifts), None,
             "reduced coefficients fail the lattice-graph condition",

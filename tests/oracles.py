@@ -5,7 +5,8 @@ integer vertex cycles.  The functions here follow the definitions instead:
 the rational slice of a polygon by Sutherland-Hodgman clipping, lattice
 slices and points, Minkowski sums and differences, the extended Euclidean
 algorithm, the weight formula of a mutated triangle, the integral of a PL
-function, the divisorial-polytope conditions and the mutation data that
+function, the divisorial-polytope conditions, the piece-by-piece shift
+search that reduces a divisorial polytope, and the mutation data that
 undoes a mutation.  They are slow and simple, and only tests call
 them.
 """
@@ -13,9 +14,10 @@ them.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
-from polymut.divpoly import DivPoly, PLFunc
+from polymut.deform import ReductionResult, ShiftRecord, _lattice_ok
+from polymut.divpoly import DivPoly, PLFunc, shift_affine, to_polygon
 from polymut.errors import DomainError
 from polymut.fano import WeightTriple
 from polymut.geom import Polygon, Rational, Vector2, ZeroVector, _halfplanes, height_basis, qdiv
@@ -191,6 +193,75 @@ def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:
                 f"coefficient at {label}: graph vertex ({bad[0]}, {bad[1]}) not lattice"
             )
     return out
+
+
+def _shift_candidates(dp: DivPoly) -> Iterator[ShiftRecord]:
+    """Count-reducing single shifts by affine pieces of existing
+    coefficients, in the order reduce_by_search tries them.
+
+    Integral shifts come first: they twist by a principal divisor and a
+    character, hence are isomorphisms and always safe.  A non-integral
+    shift is not an isomorphism; the one the deformation proof sanctions
+    absorbs the spectator coefficient into the freshest parameter label,
+    so the non-integral pass takes the targets by decreasing kind.  Within
+    a pass the walk goes by source label, then target label; each pair has
+    at most one candidate, as distinct pieces of a concave source lie on
+    distinct lines, and a target with two or more breakpoints is minus at
+    most one of them.
+    """
+    labels = dp.labels()  # by (kind, name)
+    freshest_first = [l for kind in (2, 1, 0) for l in labels if l.kind == kind]
+    for integral, targets in ((True, labels), (False, freshest_first)):
+        for frm in labels:
+            cf = dp.coeffs[frm]
+            if cf.is_zero():
+                continue
+            zeroes_from = cf.is_affine()
+            lines = [(slope, va - slope * a) for (a, _, slope), va in zip(cf.pieces(), cf.values)]
+            lines = [(s, c) for s, c in lines if (s.denominator == 1 and c.denominator == 1) == integral]
+            for to in targets:
+                if to == frm:
+                    continue
+                ct = dp.coeffs[to]
+                for slope, intercept in lines:
+                    # the shift zeroes `to` when its coefficient plus the piece
+                    # vanishes at every breakpoint of that coefficient
+                    if zeroes_from or all(v + slope * u + intercept == 0 for u, v in zip(ct.breaks, ct.values)):
+                        yield ShiftRecord(frm, to, slope, intercept)
+
+
+def reduce_by_search(dp: DivPoly) -> ReductionResult:
+    """Apply affine shifts until at most two nontrivial coefficients remain
+    (all with lattice graphs), then reconstruct the polygon.
+
+    Each step tries the affine extensions of the pieces of the stored
+    coefficients as _shift_candidates yields them, integral ones first,
+    and takes the first that reduces the count; the shifts used are
+    recorded in the result."""
+    shifts: list[ShiftRecord] = []
+    cur = dp
+    nt = cur.nontrivial_labels()  # kept equal to cur.nontrivial_labels()
+    for _ in range(max(1, len(dp.coeffs))):
+        if len(nt) <= 2:
+            break
+        for c in _shift_candidates(cur):
+            nxt = shift_affine(cur, c.frm, c.to, c.slope, c.intercept)
+            nt_next = nxt.nontrivial_labels()
+            if len(nt_next) < len(nt) and _lattice_ok(nxt, nt_next):
+                shifts.append(c)
+                cur, nt = nxt, nt_next
+                break
+        else:
+            return ReductionResult(
+                False, None, tuple(shifts), None,
+                "no affine shift reduces the nontrivial coefficients",
+            )
+    if len(nt) > 2 or not _lattice_ok(cur, nt):
+        return ReductionResult(
+            False, None, tuple(shifts), None,
+            "reduced coefficients fail the lattice-graph condition",
+        )
+    return ReductionResult(True, to_polygon(cur), tuple(shifts), cur)
 
 
 def inverse_data(P: Polygon, md: MutationData) -> MutationData:

@@ -194,6 +194,24 @@ class TestSubcommands:
         assert (len(proofs), profiles) == (2, [(2, 1)])
         check_schema(out, schema)
 
+    @pytest.mark.parametrize("source,count", [
+        (("--polygon", '{"vertices": [[0,-1],[1,2],[-1,2]]}'), 2),
+        (("--weights", "1,1,4"), 3),
+    ])
+    def test_deform_without_w_proves_fano_once_before_the_pipeline(self, capsys, monkeypatch, source, count):
+        # the default factor's search proves P Fano once, by mutants, and
+        # reads its weights off the vertices; the pipeline's mutate proves it
+        # again, and --weights adds the proof that builds the triangle
+        from polymut import fano
+
+        proofs = []
+        is_fano = fano.is_fano
+        monkeypatch.setattr(fano, "is_fano", lambda P: proofs.append(P) or is_fano(P))
+        code, out = run_json(capsys, "deform", *source)
+        assert code == 0
+        assert len(proofs) == count
+        check_schema(out, "deform")
+
     def test_markov(self, capsys):
         code, out = run_json(capsys, "markov", "--depth", "2")
         assert code == 0

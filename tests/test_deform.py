@@ -11,7 +11,6 @@ from polymut.errors import DomainError
 from polymut.deform import (
     Decomposition,
     ShiftRecord,
-    _shift_candidates,
     FiberMismatch,
     Inadmissible,
     corollary_check,
@@ -48,7 +47,7 @@ from polymut.mutation import (
     mutation_graph,
 )
 from conftest import P
-from oracles import extgcd, inverse_data
+from oracles import _shift_candidates, extgcd, inverse_data, reduce_by_search
 
 BOX = (-6, 6)
 
@@ -657,16 +656,17 @@ def _random_coefficient(rng, box, others):
 
 
 def test_shift_walk_is_the_sorted_candidate_list():
-    # _shift_candidates walks the candidates in the order that sorting the
-    # full list gives, on seeded divisorial polytopes with 3 to 5 labels and
-    # on every divisorial polytope their reductions pass through
+    # the oracle's _shift_candidates walks the candidates in the order that
+    # sorting the full list gives, on seeded divisorial polytopes with 3 to 5
+    # labels and on every divisorial polytope their reductions pass through
     import random
 
-    from polymut.divpoly import shift_affine
+    from polymut.divpoly import shift_affine, to_polygon
 
     rng = random.Random(20)
     pool = [ZERO, INFINITY, PointLabel.param("a"), PointLabel.param("s"), PointLabel.param("t")]
     seen = {"no integral": 0, "non-integral piece": 0, "minus a piece": 0, "two shifts": 0}
+    differ = 0
     for _ in range(600):
         lo = rng.randint(-4, 0)
         box = (lo, lo + rng.randint(1, 6))
@@ -681,16 +681,28 @@ def test_shift_walk_is_the_sorted_candidate_list():
         want = _shift_candidates_by_sort(dp)
         assert list(_shift_candidates(dp)) == want, dp.to_json()
         assert len({(c.frm, c.to) for c in want}) == len(want)  # one piece per pair
-        red = reduce_to_polygon(dp)
+        red = reduce_by_search(dp)
         cur = dp
         for s in red.shifts:
             cur = shift_affine(cur, s.frm, s.to, s.slope, s.intercept)
             assert list(_shift_candidates(cur)) == _shift_candidates_by_sort(cur), cur.to_json()
+        # the whole-coefficient walk reduces whatever the search reduces, and
+        # its recorded shifts replay to its divpoly and polygon
+        walk = reduce_to_polygon(dp)
+        assert walk.reducible or not red.reducible, dp.to_json()
+        cur = dp
+        for s in walk.shifts:
+            cur = shift_affine(cur, s.frm, s.to, s.slope, s.intercept)
+        if walk.reducible:
+            assert (walk.divpoly, walk.polygon) == (cur, to_polygon(cur))
+        differ += walk != red
         seen["no integral"] += bool(want) and not any(c.is_integral() for c in want)
         seen["non-integral piece"] += any(s.denominator != 1 for f in coeffs.values() for s in f.slopes())
         seen["minus a piece"] += any(not dp.coeffs[c.frm].is_affine() for c in want)
         seen["two shifts"] += len(red.shifts) >= 2
     assert min(seen.values()) >= 30, seen
+    # a few inputs, none of them built by the pipeline, reduce by other shifts
+    assert differ == 5
 
 
 @functools.cache
@@ -746,3 +758,114 @@ def test_reduction_builds_only_the_shifts_it_tries():
     calls = _forward_sweep()
     assert [b for _, b, _ in calls] == [s for _, _, s in calls]
     assert sum(b for _, b, _ in calls) == sum(s for _, _, s in calls) == 920
+
+
+def _coprime_triples(cmax):
+    for c in range(1, cmax + 1):
+        for b in range(1, c + 1):
+            for a in range(1, b + 1):
+                if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+                    yield (a, b, c)
+
+
+def _both_ways(T):
+    """Every factor of T, forward, and back from its mutant along -w: the
+    f0 of factor_for is the direction deform normalizes to, where the one
+    inverse_data keeps is refused before any fiber is built."""
+    for w in factor_directions(T):
+        for md in find_factors(T, w):
+            Q = mutate(T, md)
+            yield T, md
+            yield Q, factor_for(Q, -md.w, md.t)
+
+
+def _reduced_fibers(runs):
+    """The divisorial polytopes mutation_to_deformation hands to
+    reduce_to_polygon over runs of (polygon, factor, dilation)."""
+    fibers = []
+    reduce = deform.reduce_to_polygon
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deform, "reduce_to_polygon", lambda dp: fibers.append(dp) or reduce(dp))
+        for P, md, a in runs:
+            try:
+                mutation_to_deformation(P, md, a)
+            except DomainError:
+                pass
+    return fibers
+
+
+def _assert_walk_is_the_search(fibers):
+    for dp in fibers:
+        assert reduce_to_polygon(dp) == reduce_by_search(dp), dp.to_json()
+
+
+def test_walk_is_the_search_on_every_fiber_of_the_sweep():
+    # every factor of every pairwise-coprime triple with c <= 15, both ways
+    runs = [(P, md, None) for abc in _coprime_triples(15) for P, md in _both_ways(fano.triangle_from_weights(abc))]
+    fibers = _reduced_fibers(runs)
+    assert len(fibers) == 1164
+    _assert_walk_is_the_search(fibers)
+
+
+def test_walk_is_the_search_on_every_dilation_of_the_sweep():
+    # the forward rows of the c <= 10 dilation digest, and the same dilations
+    # back along -w, refused ones included
+    dilations = (None, 0, 1, 2, 3, 12, 60, Fraction(1, 2), Fraction(3, 2))
+    runs = [
+        (P, md, a)
+        for abc in _coprime_triples(10)
+        for P, md in _both_ways(fano.triangle_from_weights(abc))
+        for a in dilations
+    ]
+    fibers = _reduced_fibers(runs)
+    assert len(fibers) == 761
+    _assert_walk_is_the_search(fibers)
+
+
+def test_walk_is_the_search_on_the_triangle_nodes_of_a_graph():
+    # every factor of every triangle node of the P(1,4,5) graph at depth 4
+    g = mutation_graph(fano.triangle_from_weights((1, 4, 5)), 4)
+    runs = [
+        (n.polygon, md, None)
+        for n in g.nodes
+        if n.weights
+        for w in factor_directions(n.polygon)
+        for md in find_factors(n.polygon, w)
+    ]
+    fibers = _reduced_fibers(runs)
+    assert len(fibers) == 217
+    _assert_walk_is_the_search(fibers)
+
+
+def test_walk_is_the_search_on_a_seeded_sample_up_to_40():
+    # 400 of the 3,008 pairwise-coprime triples with c <= 40, both ways:
+    # about 1.4 s on a 2-vCPU Xeon VM, where all of them take about 10 s;
+    # the bound below only catches a runaway
+    import random
+    import time
+
+    start = time.monotonic()
+    triples = random.Random(31).sample(list(_coprime_triples(40)), 400)
+    runs = [(P, md, None) for abc in triples for P, md in _both_ways(fano.triangle_from_weights(abc))]
+    fibers = _reduced_fibers(runs)
+    assert len(fibers) == 2354
+    _assert_walk_is_the_search(fibers)
+    assert time.monotonic() - start < 30
+
+
+def test_lattice_fallback_keeps_the_weight_refusal():
+    # phi0 has a non-integral line, and moving it to s breaks the lattice
+    # graphs, so the reduction moves it to infinity instead; the
+    # non-isomorphism shift is then refused in this direction, not reported
+    # as an irreducible fiber
+    T = fano.triangle_from_weights((1, 4, 5))
+    md = factor_for(T, Vector2(3, -2), 1)
+    with pytest.raises(FiberMismatch) as e:
+        mutation_to_deformation(T, md, 2)
+    assert str(e.value) == (
+        "reduction needs a non-isomorphism shift but the mutation does not "
+        "decrease the weights; the general fiber is not the mutated plane in "
+        "this direction"
+    )
+    (fiber,) = _reduced_fibers([(T, md, 2)])
+    assert reduce_to_polygon(fiber).shifts == (ShiftRecord(ZERO, INFINITY, Fraction(2, 3), Fraction(2, 3)),)
