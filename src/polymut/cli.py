@@ -302,7 +302,9 @@ def _cmd_diophantine(args) -> dict:
 
 def _cmd_laurent_mutate(args) -> dict:
     laurent = _module("laurent")
-    f, md, shear, g = _laurent_mutation({"laurent": args.f, "g": args.g, "divide": args.divide})
+    f, spec = _laurent_entry({"laurent": args.f, "g": args.g, "divide": args.divide})
+    md, shear = laurent.derive_mutation_data(f, spec)
+    g = laurent.algebraic_mutate(f, spec)
     return {
         "mutated": laurent.render(g),
         "newton_before": polygon_to_json(laurent.newton_polytope(f)),
@@ -312,18 +314,14 @@ def _cmd_laurent_mutate(args) -> dict:
     }
 
 
-def _laurent_mutation(obj: dict) -> tuple:
-    """(f, md, shear, mutant) of a Laurent entry {"laurent", "g", "divide"}.
-    Its laurent is parsed before its g is read, so an entry broken both ways
-    reports the laurent's error, and the mutation data are derived before f
-    is mutated, so a derivation error comes before a mutation's.  The
-    derivation proves Newt(f) Fano, so the origin is inside it and f has
-    grades on both sides of 0: algebraic_mutate has nothing to warn about."""
+def _laurent_entry(obj: dict) -> tuple:
+    """(f, spec) of a Laurent entry {"laurent", "g", "divide"}, its laurent
+    parsed first.  Both callers check the mutation data, proving Newt(f)
+    Fano, before they mutate f, so f has grades on both sides of 0 and
+    algebraic_mutate has nothing to warn about."""
     laurent = _module("laurent")
     f = laurent.parse(obj["laurent"])
-    spec = laurent.MutationSpec(obj.get("divide", "y"), laurent.parse(_field(obj, "g", "laurent entry")))
-    md, shear = laurent.derive_mutation_data(f, spec)
-    return f, md, shear, laurent.algebraic_mutate(f, spec)
+    return f, laurent.MutationSpec(obj.get("divide", "y"), laurent.parse(_field(obj, "g", "laurent entry")))
 
 
 def _cmd_period(args) -> list:
@@ -341,13 +339,15 @@ def _cmd_deform(args) -> dict:
     mutation = _module("mutation")
     deform = _module("deform")
     P = _triangle_arg(args)
-    # mutation_to_deformation checks it, by mutate
-    md = mutation._factor_data(_parse_w(args.w), args.t) if args.w else _default_reducing_factor(P)
-    cert = deform.mutation_to_deformation(P, md, _parse_dilation(args.dilation))
-    return cert.to_json()
+    if args.w:
+        # mutation_to_deformation checks it, by mutate
+        md = mutation._factor_data(_parse_w(args.w), args.t)
+        return deform.mutation_to_deformation(P, md, _parse_dilation(args.dilation)).to_json()
+    md, Q = _default_reducing_factor(P)
+    return deform._deform(P, md, Q, _parse_dilation(args.dilation)).to_json()
 
 
-def _default_reducing_factor(P: Polygon):
+def _default_reducing_factor(P: Polygon) -> tuple:
     mutation = _module("mutation")
     deform = _module("deform")
     pairs = mutation.mutants(P)  # proves P Fano
@@ -358,7 +358,7 @@ def _default_reducing_factor(P: Polygon):
         raise NotATriangle(f"expected a triangle, got {len(P.vertices)} vertices")
     for md, Q in pairs:
         if deform.weights_decrease(wp, triangle_weights(Q)):
-            return md
+            return md, Q
     raise DomainError("no weight-decreasing mutation exists for this triangle")
 
 
@@ -447,7 +447,7 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
             out.append(_entry(path, f"diophantine-constancy [{tag}]", "pass" if ok else "fail"))
         if wT is not None and deform.weights_decrease(wT, wQ):
             try:
-                cert = deform.mutation_to_deformation(T, md)
+                cert = deform._deform(T, md, Q, None)
                 ok = cert.corollary.passed
                 out.append(_entry(path, f"deformation-certificate [{tag}]", "pass" if ok else "fail"))
             except DomainError as e:
@@ -459,10 +459,13 @@ def _verify_laurent(path: Path, obj) -> list[dict]:
     mutation = _module("mutation")
     laurent = _module("laurent")
     out = []
-    f, md, shear, g = _laurent_mutation(obj)
+    f, spec = _laurent_entry(obj)
+    md, shear = laurent._mutation_data(spec)
+    # derive_mutation_data's check, by mutate: one proof that Newt(f) is Fano
+    Q = mutation.mutate(laurent.newton_polytope(f), md)
+    g = laurent.algebraic_mutate(f, spec)
     ok = laurent.period_sequence(f, 8) == laurent.period_sequence(g, 8)
     out.append(_entry(path, "period-invariance", "pass" if ok else "fail"))
-    Q = mutation.mutate(laurent.newton_polytope(f), md)
     if not shear.is_zero():
         Q = Polygon([v + shear.scale(md.w.dot(v)) for v in Q.vertices])
     ok = laurent.newton_polytope(g) == Q

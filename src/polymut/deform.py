@@ -10,17 +10,18 @@ summand to a fresh point of the projective line, reduces the
 three-coefficient divisorial polytope back to a polygon by affine shifts,
 and certifies the result against the dilated dual of the mutated polygon.
 
-Each step is built once and trusts what an earlier step proved:
-`mutate` checks the factor and proves the source Fano once, in the
-caller's frame; `geom.mat_image` keeps the cycles of the source and the
-mutant under the normalizer, whose determinant is 1;
-`geom.dual_denominator` and `geom.dilated_dual` give the automatic
-dilation and the dilated duals without the undilated duals; both weight
-triples are read off the vertices (`fano.triangle_weights`);
-`is_admissible` checks that the parts are defined on the box before
-`DivPoly.with_split` builds the general fiber; and the reduction moves
-whole affine coefficients only, reading each divisorial polytope's
-nontrivial labels once, which on the pipeline's fibers takes one shift.
+`mutation_to_deformation` is one check and a core: `mutate` checks the
+factor and proves the source Fano once, in the caller's frame, and
+`_deform` takes the mutant from it or from a caller that holds it already
+(`batch-verify` and `polymut deform` without `--w`).  The core runs on
+integer vertex cycles: the normalized source and mutant (det 1 keeps them
+counterclockwise), the automatic dilation and the dilated duals
+(`geom._dual_denominator`, `geom._dilated_dual`), both weight triples off
+one set of minors, the divisorial polytope (`divpoly._cycle_divpoly`) and
+the witness (`geom._cycle_maps`).  `is_admissible` checks that the parts
+are defined on the box before `DivPoly.with_split` builds the general
+fiber, the reduction moves whole affine coefficients only, and the
+polygons a certificate holds are built once its witness exists.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .divpoly import (
     LabelCollision,
     PLFunc,
     PointLabel,
-    from_polygon,
+    _cycle_divpoly,
     interval_str,
     shift_affine,
     to_polygon,
@@ -49,10 +50,13 @@ from .geom import (
     Polygon,
     Rational,
     Vector2,
+    _cycle_maps,
+    _dilated_dual,
+    _dual_denominator,
+    _lex_first,
+    _require_lattice_2d,
     dilated_dual,
-    dual_denominator,
     height_basis,
-    lattice_equivalent,
     mat_apply,
     mat_image,
     polygon_to_json,
@@ -362,23 +366,34 @@ def mutation_to_deformation(
     weight-increasing mutations, whose deformation is isotrivial (the
     smooth-side surface is rigid), and the diagnostics say so.
     """
-    mutant = mutate(P, md)  # checks md and proves P Fano, so its mutant is Fano
+    return _deform(P, md, mutate(P, md), dilation)
+
+
+def _deform(
+    P: Polygon, md: MutationData, mutant: Polygon, dilation: Optional[int]
+) -> DeformationCertificate:
+    """mutation_to_deformation for mutant = mutate(P, md), which proved P
+    and so its mutant Fano.  Every polygon step runs on integer vertex
+    cycles; a certificate's polygons are built once the witness exists."""
     if len(P.vertices) != 3:
         raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
     U = _normalizer_for(md.w)
     mdn = _transform_mutation(md, U)
-    # mutation commutes with U: U*mutate(P, md) is mutate(U*P, mdn)
-    Pn, Q = mat_image(U, P), mat_image(U, mutant)  # det(U) = 1
-    auto = math.lcm(dual_denominator(Pn), dual_denominator(Q))
+    # mutation commutes with U: U*mutate(P, md) is mutate(U*P, mdn), and
+    # det(U) = 1 keeps both image cycles counterclockwise
+    (u00, u01), (u10, u11) = U
+    pn, q = (_lex_first([(u00 * v.x + u01 * v.y, u10 * v.x + u11 * v.y) for v in X.vertices]) for X in (P, mutant))
+    auto = math.lcm(_dual_denominator(pn), _dual_denominator(q))
     a = auto if dilation is None else dilation
     # the automatic dilation always passes: it clears every denominator;
     # to_fraction refuses a dilation that is not an exact rational, as
     # geom.dilate does
-    if a < 1 or not (Pa := dilated_dual(Pn, to_fraction(a))).is_lattice():
+    pa = None if a < 1 else _dilated_dual(pn, r := to_fraction(a))
+    if pa is None or any(type(c) is not int for v in pa for c in v):
         raise NoLatticeDilation(
             f"dilation {a} does not make the dual a lattice polygon (minimal valid: {auto})"
         )
-    dp = from_polygon(Pa)
+    dp = _cycle_divpoly(pa)
     d = standard_decomposition(dp, mdn.t)
     fiber_dp = general_fiber(dp, d)
     red = reduce_to_polygon(fiber_dp)
@@ -388,40 +403,42 @@ def mutation_to_deformation(
     # varieties; the deformation theorem sanctions it exactly in the
     # smoothing (weight-decreasing) direction.  In the opposite direction
     # the reduced polygon is formal only, so refuse to certify it.
-    # mutate proved P Fano, and Pn and Q are its image and its mutant's, so
-    # the weights are read off the vertices without proving either Fano again
-    wp = fano.weights_of_vertices(*Pn.vertices)
-    wq = fano.triangle_weights(Q)
+    # mutate proved P Fano, so both weight triples are read off the cycles
+    wp = fano._weights_and_multiplicity(*pn)[0]
+    wq = fano._weights_and_multiplicity(*q)[0] if len(q) == 3 else None
     if any(not s.is_integral() for s in red.shifts) and not weights_decrease(wp, wq):
         raise FiberMismatch(
             "reduction needs a non-isomorphism shift but the mutation does "
             "not decrease the weights; the general fiber is not the mutated "
             "plane in this direction"
         )
-    target = dilated_dual(Q, to_fraction(a))
-    if not target.is_lattice():
+    tq = _dilated_dual(q, r)
+    if any(type(c) is not int for v in tq for c in v):
         raise FiberMismatch(
             f"dilation {a} does not make the mutated dual a lattice polygon"
         )
-    witness = lattice_equivalent(red.polygon, target)
-    if witness is None:
+    _require_lattice_2d(red.polygon)
+    fc = [(v.x, v.y) for v in red.polygon.vertices]
+    m = next(_cycle_maps(fc, tq), None)
+    if m is None:
         diag = "fiber polygon is not equivalent to the dilated mutated dual"
-        if lattice_equivalent(red.polygon, Pa) is not None:
+        if next(_cycle_maps(fc, pa), None) is not None:
             diag += "; the family is isotrivial (fiber matches the source polarization)"
         raise FiberMismatch(diag)
     cor = corollary_check(d)
     phi0_sum = dp.coefficient(ZERO)
     # part1 = min(t*u, 0) with an integer t has integral slopes and, on the
     # lattice box, a lattice graph, as does phi0_sum, the upper envelope of
-    # the lattice polygon Pa: part1 always passes, so it alone decides
+    # the lattice polygon of pa: part1 always passes, so it alone decides
     extends = is_admissible(phi0_sum + d.part1, phi0_sum, d.part1).admissible
     in_class: Optional[bool] = None
     if wq is not None:
         in_class = fano.diophantine_class(wp) == fano.diophantine_class(wq)
+    Q = mat_image(U, mutant)  # the polygon of q
     return DeformationCertificate(
         source=P,
         normalizer=U,
-        normalized_source=Pn,
+        normalized_source=mat_image(U, P),
         mutation=mdn,
         mutated=Q,
         dilation=a,
@@ -430,8 +447,8 @@ def mutation_to_deformation(
         fiber_divpoly=fiber_dp,
         reduction=red,
         fiber_polygon=red.polygon,
-        target=target,
-        witness=witness,
+        target=dilated_dual(Q, r),
+        witness=(m[0], Vector2(*m[1])),
         corollary=cor,
         extends_over_p1=extends,
         in_diophantine_class=in_class,

@@ -20,9 +20,10 @@ along its breakpoints (`PLFunc._at`).
 
 The deformation pipeline's steps trust what came before them:
 `DivPoly.with_split` assumes parts defined on the box, which
-`deform.is_admissible` checks; `from_polygon` reads both envelopes off the
-canonical vertex cycle of a polygon it has checked to be a full-dimensional
-lattice polygon; and `to_polygon` hulls exact (u, value) pairs with
+`deform.is_admissible` checks; `from_polygon` checks that a polygon is a
+full-dimensional lattice polygon and reads both envelopes off its
+canonical integer cycle with `_cycle_divpoly`, which the pipeline calls on
+the cycle it holds; and `to_polygon` hulls exact (u, value) pairs with
 `geom.hull_of_pairs`.
 """
 
@@ -36,7 +37,6 @@ from .geom import (
     Polygon,
     Rational,
     RationalLike,
-    Vector2,
     hull_of_pairs,
     qdiv,
     to_fraction,
@@ -152,27 +152,33 @@ def interval_str(iv: tuple[Rational, Rational]) -> str:
 def _canonical_form(
     bs: Sequence[Rational], vs: Sequence[Rational]
 ) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
-    """Breakpoints and values of the concave function through the points
-    (bs[i], vs[i]), with every breakpoint where the slope does not change
-    merged away.  Refuses breakpoints that do not strictly increase
-    (DomainError), then slopes that do not decrease (ConcavityBroken).
-
-    With positive runs db, slope i-1 exceeds slope i exactly when
-    dv[i-1]*db[i] > dv[i]*db[i-1], so no slope is divided out."""
-    db = [b2 - b1 for b1, b2 in zip(bs, bs[1:])]
-    if any(d <= 0 for d in db):
-        raise DomainError("breakpoints must be strictly increasing")
-    dv = [v2 - v1 for v1, v2 in zip(vs, vs[1:])]
-    kb, kv = [bs[0]], [vs[0]]
-    for i in range(1, len(db)):
-        c = dv[i - 1] * db[i] - dv[i] * db[i - 1]
-        if c < 0:
-            raise ConcavityBroken("slopes must be nonincreasing")
-        if c:
-            kb.append(bs[i])
-            kv.append(vs[i])
-    kb.append(bs[-1])
-    kv.append(vs[-1])
+    """The concave function through the points (bs[i], vs[i]) in one pass:
+    integral Fractions folded, breakpoints where the slope does not change
+    merged.  Refuses breakpoints that do not increase (DomainError) before
+    slopes that do not decrease (ConcavityBroken); c > 0 when the slope
+    into the last kept point exceeds dv/db, so no slope is divided out."""
+    kb, kv = [], []
+    broken = False
+    for b, v in zip(bs, vs):
+        if type(b) is not int and b.denominator == 1:
+            b = b.numerator
+        if type(v) is not int and v.denominator == 1:
+            v = v.numerator
+        if kb:
+            db, dv = b - kb[-1], v - kv[-1]
+            if db <= 0:
+                raise DomainError("breakpoints must be strictly increasing")
+            if len(kb) > 1:
+                c = (kv[-1] - kv[-2]) * db - dv * (kb[-1] - kb[-2])
+                if c < 0:
+                    broken = True
+                elif not c:
+                    kb.pop()
+                    kv.pop()
+        kb.append(b)
+        kv.append(v)
+    if broken:
+        raise ConcavityBroken("slopes must be nonincreasing")
     return tuple(kb), tuple(kv)
 
 
@@ -199,12 +205,9 @@ class PLFunc:
     @classmethod
     def _canonical(cls, bs: Sequence[Rational], vs: Sequence[Rational]) -> "PLFunc":
         # bs and vs are ints or Fractions computed from stored values, at
-        # least two and as many of each; integral Fractions (1/2 + 1/2) are
-        # folded to their ints, and the merge and both checks still run
-        bs, vs = _canonical_form(
-            [b if type(b) is int or b.denominator != 1 else b.numerator for b in bs],
-            [v if type(v) is int or v.denominator != 1 else v.numerator for v in vs],
-        )
+        # least two and as many of each; _canonical_form folds integral
+        # Fractions (1/2 + 1/2) to their ints and still merges and checks
+        bs, vs = _canonical_form(bs, vs)
         f = _new(cls)
         _set(f, "breaks", bs)
         _set(f, "values", vs)
@@ -449,37 +452,37 @@ class DivPoly:
         return DivPoly(box, {PointLabel.parse(k): PLFunc.from_json(v) for k, v in coeffs.items()})
 
 
-def _chain(vs: Sequence[Vector2], i: int, step: int) -> list[tuple[Rational, Rational]]:
-    """The (x, y) pairs of the vertex cycle vs walked from vs[i] in steps
-    of +1 (counterclockwise) or -1 (clockwise) while x strictly increases."""
+def _chain(vs: Sequence[tuple[int, int]], i: int, step: int) -> list[tuple[int, int]]:
+    """The pairs of the vertex cycle vs walked from vs[i] in steps of +1
+    (counterclockwise) or -1 (clockwise) while x strictly increases."""
     n = len(vs)
-    v = vs[i]
-    chain = [(v.x, v.y)]
+    chain = [vs[i]]
     for _ in range(n - 1):
         i = (i + step) % n
-        v = vs[i]
-        if v.x <= chain[-1][0]:
+        if vs[i][0] <= chain[-1][0]:
             break
-        chain.append((v.x, v.y))
+        chain.append(vs[i])
     return chain
 
 
 def from_polygon(delta: Polygon) -> DivPoly:
     """Divisorial polytope of a lattice polygon for the first-coordinate
-    subtorus: the coefficient at zero is the upper envelope, the one at
-    infinity the negated lower envelope.
-
-    Both are read off the canonical cycle: the lower envelope
-    counterclockwise from the first vertex, the lowest of the leftmost, and
-    the upper one clockwise from the highest of the leftmost, which is the
-    last vertex when the left edge is vertical and the first otherwise."""
+    subtorus (see _cycle_divpoly)."""
     if delta.dim() != 2:
         raise NotFullDimensionalPolygon("need a full-dimensional polygon")
     if not delta.is_lattice():
         raise NotLatticePolygon("need a lattice polygon")
-    vs = delta.vertices
+    return _cycle_divpoly([(v.x, v.y) for v in delta.vertices])
+
+
+def _cycle_divpoly(vs: Sequence[tuple[int, int]]) -> DivPoly:
+    """from_polygon of the lattice polygon with the canonical integer cycle
+    vs, not checked: at zero the upper envelope, read clockwise from the
+    highest leftmost vertex (the last when the left edge is vertical, else
+    the first), at infinity the negated lower one, read counterclockwise
+    from the first."""
     lower = _chain(vs, 0, 1)
-    upper = _chain(vs, -1 if vs[-1].x == vs[0].x else 0, -1)
+    upper = _chain(vs, -1 if vs[-1][0] == vs[0][0] else 0, -1)
     phi_zero = PLFunc._canonical([x for x, _ in upper], [y for _, y in upper])
     phi_inf = PLFunc._canonical([x for x, _ in lower], [-y for _, y in lower])
     box = (lower[0][0], lower[-1][0])

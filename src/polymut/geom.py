@@ -289,10 +289,15 @@ def _polygon_from_cycle(cyc: Sequence[tuple[Rational, Rational]]) -> Polygon:
     start, is cyc: strictly convex and counterclockwise, or one or two
     distinct points.  Nothing is checked; the cycle is rotated to start at
     its lex-least vertex, as the hull of the same points does."""
-    i = cyc.index(min(cyc))
     P = object.__new__(Polygon)
-    object.__setattr__(P, "vertices", tuple(Vector2._of(x, y) for x, y in cyc[i:] + cyc[:i]))
+    object.__setattr__(P, "vertices", tuple(Vector2._of(x, y) for x, y in _lex_first(cyc)))
     return P
+
+
+def _lex_first(cyc: list[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
+    """The cycle cyc rotated to start at its lex-least pair."""
+    i = cyc.index(min(cyc))
+    return cyc[i:] + cyc[:i]
 
 
 def hull_of_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> Polygon:
@@ -343,12 +348,17 @@ def mat_det(U: Mat2) -> int:
 def area(P: Polygon) -> Rational:
     """Euclidean area by the shoelace formula (0 for points and segments)."""
     v = P.vertices
-    if len(v) < 3:
-        return 0
+    return qdiv(abs(_twice_area([(p.x, p.y) for p in v])), 2) if len(v) > 2 else 0
+
+
+def _twice_area(cyc: Sequence[tuple[Rational, Rational]]) -> Rational:
+    """Twice the signed area of the exact pair cycle cyc, > 0 when CCW."""
     s = 0
-    for i in range(len(v)):
-        s += v[i].cross(v[(i + 1) % len(v)])
-    return qdiv(abs(s), 2)
+    x1, y1 = cyc[-1]
+    for x2, y2 in cyc:
+        s += x1 * y2 - y1 * x2
+        x1, y1 = x2, y2
+    return s
 
 
 def _halfplanes(P: Polygon) -> list[tuple[Vector2, Rational]]:
@@ -391,40 +401,41 @@ def dual(P: Polygon) -> Polygon:
 
 def dilated_dual(P: Polygon, r: Rational) -> Polygon:
     """r*dual(P) for an exact int or Fraction r > 0, equal to
-    dilate(dual(P), r), coordinate types included, without the dual: the
-    CCW edge (a, b) gives the vertex r*(a.y - b.y, b.x - a.x)/det(a, b)."""
+    dilate(dual(P), r), coordinate types included, without the dual (see
+    _dilated_dual)."""
     if P.dim() != 2:
         raise NotFullDimensional("dual needs a full-dimensional polygon")
     if r <= 0:
         raise DomainError(f"dilation of a dual must be positive: {r}")
-    verts = []
-    for a, b in P.edges():
-        # the origin is strictly inside exactly when every det is positive
-        # (see contains_origin_interior); then the vertices dual to the CCW
-        # edges are again a strictly convex CCW cycle
-        det = a.cross(b)
-        if det <= 0:
-            raise OriginNotInterior("dual needs the origin strictly inside")
-        verts.append((qdiv(r * (a.y - b.y), det), qdiv(r * (b.x - a.x), det)))
-    return _polygon_from_cycle(verts)
+    return _polygon_from_cycle(_dilated_dual([(v.x, v.y) for v in P.vertices], r))
 
 
-def dual_denominator(P: Polygon) -> int:
-    """The least positive integer a with a*dual(P) a lattice polygon, for
-    a full-dimensional lattice polygon P with the origin strictly inside:
-    the lcm over CCW edges (a, b) of det / gcd(det, b.x - a.x, a.y - b.y),
-    det = det(a, b), the denominator of the dual vertex of that edge."""
-    if P.dim() != 2:
-        raise NotFullDimensional("dual needs a full-dimensional polygon")
-    if not P.is_lattice():
-        raise NotLattice("dual_denominator needs a lattice polygon")
-    out = 1
-    for a, b in P.edges():
-        det = a.cross(b)
+def _dilated_dual(cyc: Sequence[tuple[Rational, Rational]], r: Rational) -> list[tuple[Rational, Rational]]:
+    """The canonical cycle of r*dual(P) for the full-dimensional polygon P
+    with the CCW cycle cyc of exact pairs and an exact r > 0, not checked:
+    the edge (a, b) gives the vertex r*(a.y - b.y, b.x - a.x)/det(a, b)."""
+    return _lex_first([(qdiv(r * (a[1] - b[1]), det), qdiv(r * (b[0] - a[0]), det)) for a, b, det in _dual_edges(cyc)])
+
+
+def _dual_denominator(cyc: Sequence[tuple[int, int]]) -> int:
+    """The least integer a > 0 with a*dual(P) a lattice polygon, for P as in
+    _dilated_dual with an integer cycle: the lcm over its edges (a, b) of
+    their dual vertex's denominator, det / gcd(det, b.x - a.x, a.y - b.y)."""
+    return math.lcm(*(det // math.gcd(det, b[0] - a[0], a[1] - b[1]) for a, b, det in _dual_edges(cyc)))
+
+
+def _dual_edges(cyc: Sequence[tuple[Rational, Rational]]) -> Iterator[tuple[tuple, tuple, Rational]]:
+    """(a, b, det(a, b)) for each edge of the CCW cycle cyc, refusing a det
+    <= 0: all are positive exactly when the origin is strictly inside (see
+    contains_origin_interior), and then the dual vertices are again a
+    strictly convex CCW cycle."""
+    a = cyc[-1]
+    for b in cyc:
+        det = a[0] * b[1] - a[1] * b[0]
         if det <= 0:
             raise OriginNotInterior("dual needs the origin strictly inside")
-        out = math.lcm(out, det // math.gcd(det, b.x - a.x, a.y - b.y))
-    return out
+        yield a, b, det
+        a = b
 
 
 def height_basis(w: Vector2) -> tuple[Vector2, Vector2, Vector2]:
@@ -448,49 +459,39 @@ def _height_frame(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (-q, p), (a, b)
 
 
-def _solve_pair_map(d1: Vector2, d2: Vector2, e1: Vector2, e2: Vector2) -> Optional[Mat2]:
-    """Integer U with U d1 = e1 and U d2 = e2, if unimodular; else None."""
-    det = d1.cross(d2)
-    u00 = qdiv(e1.x * d2.y - e2.x * d1.y, det)
-    u01 = qdiv(-e1.x * d2.x + e2.x * d1.x, det)
-    u10 = qdiv(e1.y * d2.y - e2.y * d1.y, det)
-    u11 = qdiv(-e1.y * d2.x + e2.y * d1.x, det)
-    if any(u.denominator != 1 for u in (u00, u01, u10, u11)):
-        return None
-    U = ((u00, u01), (u10, u11))
-    if mat_det(U) not in (1, -1):
-        return None
-    return U
-
-
 def _vertex_maps(P: Polygon, Q: Polygon) -> Iterator[tuple[Mat2, Vector2]]:
-    """Every unimodular U and integer translation t with U*P + t == Q.
-
-    Brute-force vertex matching: anchor an edge-adjacent basis at one vertex
-    of P and try every vertex of Q with both orientations.  Any such map
-    sends the vertex cycle onto the vertex cycle, so these 2n candidates
-    are all of them.
-    """
+    """Every unimodular U and integer translation t with U*P + t == Q."""
     _require_lattice_2d(P, Q)
-    vp, vq = P.vertices, Q.vertices
+    for U, (tx, ty) in _cycle_maps([(v.x, v.y) for v in P.vertices], [(v.x, v.y) for v in Q.vertices]):
+        yield U, Vector2._of(tx, ty)
+
+
+def _cycle_maps(vp: Sequence[tuple[int, int]], vq: Sequence[tuple[int, int]]) -> Iterator[tuple[Mat2, tuple[int, int]]]:
+    """_vertex_maps on the canonical integer cycles vp and vq, not checked,
+    with t an int pair.  Any such map sends vertex cycle to vertex cycle, so
+    mapping the edge basis (d1, d2) at vp[0] onto the one at each vertex of
+    vq, both ways round, finds them all: U = [e1 e2] [d1 d2]^-1, integral."""
     n = len(vp)
-    if len(vq) != n or area(P) != area(Q):
+    if len(vq) != n or _twice_area(vp) != _twice_area(vq):
         return
-    p0 = vp[0]
-    d1 = vp[1] - p0
-    d2 = vp[-1] - p0
+    (px, py), (ax, ay), (bx, by) = vp[0], vp[1], vp[-1]
+    d1x, d1y, d2x, d2y = ax - px, ay - py, bx - px, by - py
+    det = d1x * d2y - d1y * d2x
     qset = set(vq)
     for i in range(n):
-        q0 = vq[i]
+        qx, qy = vq[i]
         for sgn in (1, -1):
-            e1 = vq[(i + sgn) % n] - q0
-            e2 = vq[(i - sgn) % n] - q0
-            U = _solve_pair_map(d1, d2, e1, e2)
-            if U is None:
+            (e1x, e1y), (e2x, e2y) = vq[(i + sgn) % n], vq[(i - sgn) % n]
+            e1x, e1y, e2x, e2y = e1x - qx, e1y - qy, e2x - qx, e2y - qy
+            u00, r00 = divmod(e1x * d2y - e2x * d1y, det)
+            u01, r01 = divmod(e2x * d1x - e1x * d2x, det)
+            u10, r10 = divmod(e1y * d2y - e2y * d1y, det)
+            u11, r11 = divmod(e2y * d1x - e1y * d2x, det)
+            if r00 or r01 or r10 or r11 or u00 * u11 - u01 * u10 not in (1, -1):
                 continue
-            t = q0 - mat_apply(U, p0)  # integral, as p0, q0 and U are
-            if {mat_apply(U, v) + t for v in vp} == qset:
-                yield U, t
+            tx, ty = qx - u00 * px - u01 * py, qy - u10 * px - u11 * py
+            if {(u00 * x + u01 * y + tx, u10 * x + u11 * y + ty) for x, y in vp} == qset:
+                yield ((u00, u01), (u10, u11)), (tx, ty)
 
 
 def lattice_equivalent(P: Polygon, Q: Polygon) -> Optional[tuple[Mat2, Vector2]]:

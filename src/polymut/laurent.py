@@ -510,10 +510,16 @@ def derive_mutation_data(f: LaurentPoly, spec: MutationSpec) -> tuple[MutationDa
     constant term).  factor_for refuses a Newt(f) that is not Fano, at
     every t, and a t that it has no factor of.
     """
+    md, shear = _mutation_data(spec)
+    factor_for(newton_polytope(f), md.w, md.t)
+    return md, shear
+
+
+def _mutation_data(spec: MutationSpec) -> tuple[MutationData, Vector2]:
+    """derive_mutation_data unchecked, for a caller whose mutate checks it."""
     exps = [e1 for e1, _ in _exchanged(spec.g, spec.divide).terms]
     lo, t = min(exps), max(exps) - min(exps)
     w, f0 = (Vector2(0, -1), Vector2(1, 0)) if spec.divide == "y" else (Vector2(-1, 0), Vector2(0, 1))
-    factor_for(newton_polytope(f), w, t)
     return MutationData(w=w, t=t, f0=f0), f0.scale(lo)
 
 

@@ -4,11 +4,12 @@ The library computes slices, mutations and the deformation pipeline on
 integer vertex cycles.  The functions here follow the definitions instead:
 the rational slice of a polygon by Sutherland-Hodgman clipping, lattice
 slices and points, Minkowski sums and differences, the extended Euclidean
-algorithm, the weight formula of a mutated triangle, the integral of a PL
-function, the divisorial-polytope conditions, the piece-by-piece shift
-search that reduces a divisorial polytope, and the mutation data that
-undoes a mutation.  They are slow and simple, and only tests call
-them.
+algorithm, the dual's denominator and the vertex-map search on `Vector2`
+polygons, the weight formula of a mutated triangle, the integral of a PL
+function, the two-pass canonical form of a PL function, the
+divisorial-polytope conditions, the piece-by-piece shift search that
+reduces a divisorial polytope, and the mutation data that undoes a
+mutation.  They are slow and simple, and only tests call them.
 """
 
 from __future__ import annotations
@@ -17,10 +18,26 @@ import math
 from typing import Iterator, Optional
 
 from polymut.deform import ReductionResult, ShiftRecord, _lattice_ok
-from polymut.divpoly import DivPoly, PLFunc, shift_affine, to_polygon
+from polymut.divpoly import ConcavityBroken, DivPoly, PLFunc, shift_affine, to_polygon
 from polymut.errors import DomainError
 from polymut.fano import WeightTriple
-from polymut.geom import Polygon, Rational, Vector2, ZeroVector, _halfplanes, height_basis, qdiv
+from polymut.geom import (
+    Mat2,
+    NotFullDimensional,
+    NotLattice,
+    OriginNotInterior,
+    Polygon,
+    Rational,
+    Vector2,
+    ZeroVector,
+    _halfplanes,
+    _require_lattice_2d,
+    area,
+    height_basis,
+    mat_apply,
+    mat_det,
+    qdiv,
+)
 from polymut.mutation import MutationData, mutate
 
 
@@ -127,6 +144,69 @@ def extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def dual_denominator(P: Polygon) -> int:
+    """The least positive integer a with a*dual(P) a lattice polygon, for
+    a full-dimensional lattice polygon P with the origin strictly inside:
+    the lcm over CCW edges (a, b) of det / gcd(det, b.x - a.x, a.y - b.y),
+    det = det(a, b), the denominator of the dual vertex of that edge."""
+    if P.dim() != 2:
+        raise NotFullDimensional("dual needs a full-dimensional polygon")
+    if not P.is_lattice():
+        raise NotLattice("dual_denominator needs a lattice polygon")
+    out = 1
+    for a, b in P.edges():
+        det = a.cross(b)
+        if det <= 0:
+            raise OriginNotInterior("dual needs the origin strictly inside")
+        out = math.lcm(out, det // math.gcd(det, b.x - a.x, a.y - b.y))
+    return out
+
+
+def _solve_pair_map(d1: Vector2, d2: Vector2, e1: Vector2, e2: Vector2) -> Optional[Mat2]:
+    """Integer U with U d1 = e1 and U d2 = e2, if unimodular; else None."""
+    det = d1.cross(d2)
+    u00 = qdiv(e1.x * d2.y - e2.x * d1.y, det)
+    u01 = qdiv(-e1.x * d2.x + e2.x * d1.x, det)
+    u10 = qdiv(e1.y * d2.y - e2.y * d1.y, det)
+    u11 = qdiv(-e1.y * d2.x + e2.y * d1.x, det)
+    if any(u.denominator != 1 for u in (u00, u01, u10, u11)):
+        return None
+    U = ((u00, u01), (u10, u11))
+    if mat_det(U) not in (1, -1):
+        return None
+    return U
+
+
+def vertex_maps(P: Polygon, Q: Polygon) -> Iterator[tuple[Mat2, Vector2]]:
+    """Every unimodular U and integer translation t with U*P + t == Q.
+
+    Brute-force vertex matching on Vector2s: anchor an edge-adjacent basis
+    at one vertex of P and try every vertex of Q with both orientations,
+    solving for U in rationals.  Any such map sends the vertex cycle onto
+    the vertex cycle, so these 2n candidates are all of them.
+    """
+    _require_lattice_2d(P, Q)
+    vp, vq = P.vertices, Q.vertices
+    n = len(vp)
+    if len(vq) != n or area(P) != area(Q):
+        return
+    p0 = vp[0]
+    d1 = vp[1] - p0
+    d2 = vp[-1] - p0
+    qset = set(vq)
+    for i in range(n):
+        q0 = vq[i]
+        for sgn in (1, -1):
+            e1 = vq[(i + sgn) % n] - q0
+            e2 = vq[(i - sgn) % n] - q0
+            U = _solve_pair_map(d1, d2, e1, e2)
+            if U is None:
+                continue
+            t = q0 - mat_apply(U, p0)  # integral, as p0, q0 and U are
+            if {mat_apply(U, v) + t for v in vp} == qset:
+                yield U, t
+
+
 # --- weights, divisorial polytopes and mutation data ------------------------
 
 class NotDivisible(DomainError):
@@ -155,6 +235,30 @@ def integral(f: PLFunc) -> Rational:
     for (b1, v1), (b2, v2) in zip(zip(f.breaks, f.values), zip(f.breaks[1:], f.values[1:])):
         s += qdiv((v1 + v2) * (b2 - b1), 2)
     return s
+
+
+def canonical_form_two_pass(bs, vs):
+    """PLFunc's canonical form in two passes over lists: fold integral
+    Fractions, refuse any breakpoint that does not strictly increase
+    (DomainError), then merge collinear breakpoints and refuse a slope that
+    increases (ConcavityBroken)."""
+    bs = [b if type(b) is int or b.denominator != 1 else b.numerator for b in bs]
+    vs = [v if type(v) is int or v.denominator != 1 else v.numerator for v in vs]
+    db = [b2 - b1 for b1, b2 in zip(bs, bs[1:])]
+    if any(d <= 0 for d in db):
+        raise DomainError("breakpoints must be strictly increasing")
+    dv = [v2 - v1 for v1, v2 in zip(vs, vs[1:])]
+    kb, kv = [bs[0]], [vs[0]]
+    for i in range(1, len(db)):
+        c = dv[i - 1] * db[i] - dv[i] * db[i - 1]
+        if c < 0:
+            raise ConcavityBroken("slopes must be nonincreasing")
+        if c:
+            kb.append(bs[i])
+            kv.append(vs[i])
+    kb.append(bs[-1])
+    kv.append(vs[-1])
+    return tuple(kb), tuple(kv)
 
 
 def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:

@@ -195,13 +195,14 @@ class TestSubcommands:
         check_schema(out, schema)
 
     @pytest.mark.parametrize("source,count", [
-        (("--polygon", '{"vertices": [[0,-1],[1,2],[-1,2]]}'), 2),
-        (("--weights", "1,1,4"), 3),
+        (("--polygon", '{"vertices": [[0,-1],[1,2],[-1,2]]}'), 1),
+        (("--weights", "1,1,4"), 2),
     ])
     def test_deform_without_w_proves_fano_once_before_the_pipeline(self, capsys, monkeypatch, source, count):
         # the default factor's search proves P Fano once, by mutants, and
-        # reads its weights off the vertices; the pipeline's mutate proves it
-        # again, and --weights adds the proof that builds the triangle
+        # reads its weights off the vertices; the pipeline's core takes the
+        # chosen mutant from that search, and --weights adds the proof that
+        # builds the triangle
         from polymut import fano
 
         proofs = []
@@ -943,8 +944,8 @@ class TestBatchVerify:
 
     def test_mutants_are_not_proved_fano_again(self, capsys, tmp_path, monkeypatch):
         # each entry proves T Fano through weights(T) and once more through
-        # mutation.mutants, and each certificate through its one mutate; a
-        # mutant's weights are read off its vertices
+        # mutation.mutants, whose mutants the certificates take; a mutant's
+        # weights are read off its vertices
         from polymut import fano
 
         calls = []
@@ -956,9 +957,31 @@ class TestBatchVerify:
             del calls[:]
             rows = cli._verify_polygon(tmp_path / "t.json", T)
             certified = sum(r["check"].startswith("deformation-certificate") for r in rows)
-            assert len(calls) == 2 + certified, weights
+            assert len(calls) == 2, weights
             total += certified
         assert total == 2
+
+    @pytest.mark.parametrize("entry,rows", [
+        ({}, 2),
+        ({"divide": "x", "laurent": "x^-1 + y^-1*(1+y)^2*x^2", "g": "1+y"}, 2),
+        ({"g": "(1+x)^5"}, 1),
+        ({"laurent": "x + y", "g": "1"}, 1),
+    ])
+    def test_laurent_entry_proves_fano_once(self, capsys, tmp_path, monkeypatch, entry, rows):
+        # a Laurent entry's mutation data are checked by the mutate that
+        # builds Newt(f)'s mutant: one proof that Newt(f) is Fano, also for
+        # an entry that the check refuses (t past t_max, Newt(f) not Fano)
+        from polymut import fano
+
+        proofs = []
+        is_fano = fano.is_fano
+        monkeypatch.setattr(fano, "is_fano", lambda P: proofs.append(P) or is_fano(P))
+        obj = {**json.loads((CORPUS / "laurent_p114.json").read_text()), **entry}
+        (tmp_path / "entry.json").write_text(json.dumps(obj))
+        code, out = run_json(capsys, "batch-verify", str(tmp_path))
+        assert len(proofs) == 1 and len(out["results"]) == rows
+        assert code == (0 if rows == 2 else 1)
+        check_schema(out, "batch_report")
 
     def test_dual_map_image_without_interior_origin_fails_its_row(self, capsys, tmp_path, monkeypatch):
         # the check compares dual_map(md, T*) with dual(Q), so an image that

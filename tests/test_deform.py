@@ -386,6 +386,33 @@ def test_digest_of_every_factor_of_every_coprime_triple_up_to_15():
 
 
 
+def test_digest_of_every_mutation_back_up_to_15():
+    # the mutation back of every factor of every pairwise-coprime triple
+    # with c <= 15, along -w through factor_for, whose f0 is the direction
+    # deform normalizes to: the certificate JSON, or the error type and
+    # message of the refusal.  Recorded before the pipeline ran on integer
+    # vertex cycles
+    def attempt(P, md):
+        try:
+            return mutation_to_deformation(P, md).to_json()
+        except DomainError as e:
+            return [type(e).__name__, str(e)]
+
+    rows = []
+    for abc in _coprime_triples(15):
+        T = fano.triangle_from_weights(abc)
+        for w in factor_directions(T):
+            for md in find_factors(T, w):
+                Q = mutate(T, md)
+                rows.append(attempt(Q, factor_for(Q, -md.w, md.t)))
+    blob = json.dumps(rows, sort_keys=True).encode()
+    kinds = [r[0] if isinstance(r, list) else "certificate" for r in rows]
+    assert [kinds.count(k) for k in ("certificate", "NotATriangle", "FiberMismatch")] == [239, 676, 5]
+    assert hashlib.sha256(blob).hexdigest() == (
+        "1129834ec6028c896de75dc0770671cf8af03719393cb0f80fa46a74ce05419f"
+    )
+
+
 def test_digest_of_every_dilation_of_every_coprime_triple_up_to_10():
     # every factor of every pairwise-coprime triple with c <= 10, forward and
     # back, at the automatic dilation and at explicit ones that are too small,
@@ -481,6 +508,47 @@ def test_pipeline_proves_fano_once(monkeypatch):
     assert attempts >= 10
 
 
+def test_refused_attempts_build_no_polygon_past_the_mutant(monkeypatch):
+    # the core runs on integer vertex cycles: an attempt refused after the
+    # reduction builds no Polygon outside the reduction but mutate's
+    # mutant, and a certificate adds only the normalized source, the
+    # mutated polygon and the target it holds
+    from polymut import geom, mutation
+
+    built, inside = [], []
+    make = geom._polygon_from_cycle
+    spy = lambda cyc: built.append(bool(inside)) or make(cyc)
+    monkeypatch.setattr(geom, "_polygon_from_cycle", spy)
+    monkeypatch.setattr(mutation, "_polygon_from_cycle", spy)  # every Polygon is built by it
+    reduce = deform.reduce_to_polygon
+
+    def traced(dp):
+        inside.append(1)
+        try:
+            return reduce(dp)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(deform, "reduce_to_polygon", traced)
+    seen = {"refused after the reduction": 0, "certified": 0}
+    for abc in _coprime_triples(12):
+        for P, md in _both_ways(fano.triangle_from_weights(abc)):
+            del built[:]
+            try:
+                mutation_to_deformation(P, md)
+            except FiberMismatch as e:
+                if "not reducible" in str(e):
+                    continue
+                assert built.count(False) == 1, (P, md, str(e))
+                seen["refused after the reduction"] += 1
+            except DomainError:
+                continue
+            else:
+                assert built.count(False) == 4, (P, md)
+                seen["certified"] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_inexact_factor_lengths_and_dilations_refused():
     # a boolean factor length or dilation, and a float dilation, are refused
     # as not exact rationals, as PLFunc.min_of_affines and geom.dilate did
@@ -549,7 +617,7 @@ class TestSmoothingDirection:
                                 _default_reducing_factor(T)
                             refused += 1
                         else:
-                            assert _default_reducing_factor(T) == first
+                            assert _default_reducing_factor(T) == (first, mutate(T, first))
                             picked += 1
         assert (picked, refused) == (5, 169)
 

@@ -21,7 +21,7 @@ from polymut.divpoly import (
 from polymut.errors import DomainError
 from polymut.geom import area
 from conftest import P
-from oracles import integral, validate
+from oracles import canonical_form_two_pass, integral, validate
 
 BOX = (-6, 6)
 
@@ -300,6 +300,40 @@ class TestTrustedConstructor:
                 seen["merged"] += 1
             if any(type(x) is Fraction and x.denominator == 1 for x in bs + vs):
                 seen["integral Fraction"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_one_pass_form_is_the_two_pass_form(self):
+        # the one-pass _canonical_form against the two-pass oracle on
+        # random int and Fraction points: the same stored points and types,
+        # or the same refusal and message, also when a convex turn comes
+        # before a breakpoint that does not increase, where the breakpoint
+        # fault is the one reported
+        import random
+
+        from polymut.divpoly import _canonical_form
+
+        def outcome(form, bs, vs):
+            try:
+                kb, kv = form(bs, vs)
+            except DomainError as e:
+                return type(e), str(e)
+            return kb, kv, [type(x) for x in kb + kv]
+
+        rng = random.Random(3217)
+        seen = {"merged": 0, "both faults": 0, ConcavityBroken: 0, DomainError: 0}
+        for i in range(3000):
+            bs, vs = _random_points(rng)
+            if i % 10 == 0 and len(bs) > 3:
+                # a convex turn at the second point, then a repeated breakpoint
+                vs[1] -= 5
+                bs[-1] = bs[-2]
+                seen["both faults"] += 1
+            got = outcome(_canonical_form, bs, vs)
+            assert got == outcome(canonical_form_two_pass, bs, vs), (bs, vs)
+            if got[0] in (ConcavityBroken, DomainError):
+                seen[got[0]] += 1
+            elif len(got[0]) < len(bs):
+                seen["merged"] += 1
         assert min(seen.values()) >= 100, seen
 
     def test_canonical_folds_integral_fractions(self):

@@ -17,7 +17,6 @@ from polymut.geom import (
     dilate,
     dilated_dual,
     dual,
-    dual_denominator,
     height_basis,
     hull_of_pairs,
     is_primitive,
@@ -35,6 +34,8 @@ from polymut.geom import (
 from conftest import P, random_unimodular
 from oracles import (
     contains_strictly,
+    dual_denominator,
+    vertex_maps,
     extgcd,
     height_range,
     lattice_points,
@@ -347,6 +348,69 @@ class TestLatticeEquivalent:
         moved = p2_triangle.translate(Vector2(7, 0))
         assert linear_equivalent(p2_triangle, moved) is None
         assert lattice_equivalent(p2_triangle, moved) is not None
+
+
+class TestVertexMaps:
+    """The integer vertex-map search gives the maps of the Vector2 search
+    it replaced (oracles.vertex_maps), all of them and in the same order."""
+
+    def _same(self, A, B):
+        from polymut.geom import _cycle_maps, _vertex_maps
+
+        want = list(vertex_maps(A, B))
+        assert list(_vertex_maps(A, B)) == want, (A, B)
+        assert all(type(c) is int for _, t in want for c in (t.x, t.y))
+        cycles = [[(v.x, v.y) for v in X.vertices] for X in (A, B)]
+        assert [(U, Vector2(*t)) for U, t in _cycle_maps(*cycles)] == want
+        assert lattice_equivalent(A, B) == next(iter(want), None)
+        assert linear_equivalent(A, B) == next((U for U, t in want if t.is_zero()), None)
+        return want
+
+    def test_images_randomized(self):
+        # each polygon against a random unimodular image of itself, moved,
+        # and against itself, which lists every symmetry
+        rng = random.Random(3203)
+        counts = []
+        for _ in range(300):
+            A = _random_lattice_polygon(rng, span=4, n=rng.randint(3, 7))
+            if A.dim() != 2:
+                continue
+            U, t = random_unimodular(rng), Vector2(rng.randint(-5, 5), rng.randint(-5, 5))
+            B = Polygon([mat_apply(U, v) + t for v in A.vertices])
+            assert self._same(A, B)
+            counts.append(len(self._same(A, A)))
+        assert len(counts) > 250 and max(counts) >= 4
+
+    def test_symmetric_polygons(self):
+        # every symmetry, in order: the square, the hexagon and P2
+        for A, n in (
+            (P((1, 0), (0, 1), (-1, 0), (0, -1)), 8),
+            (P((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)), 12),
+            (P((1, 0), (0, 1), (-1, -1)), 6),
+        ):
+            assert len(self._same(A, A)) == n
+
+    def test_unequal_areas_and_vertex_counts(self):
+        rng = random.Random(3209)
+        seen = {"area": 0, "count": 0, "none": 0}
+        for _ in range(300):
+            A, B = (_random_lattice_polygon(rng, span=3, n=rng.randint(3, 6)) for _ in range(2))
+            if A.dim() != 2 or B.dim() != 2:
+                continue
+            if len(A.vertices) != len(B.vertices):
+                seen["count"] += 1
+            elif area(A) != area(B):
+                seen["area"] += 1
+            seen["none"] += not self._same(A, B)
+        assert min(seen.values()) > 20
+
+    def test_refusals(self):
+        from polymut.geom import NotLattice, _vertex_maps
+
+        with pytest.raises(NotFullDimensional):
+            next(_vertex_maps(P((0, 0), (1, 0)), P((0, 0), (1, 0))))
+        with pytest.raises(NotLattice):
+            next(_vertex_maps(P((0, 0), (1, 0), (0, 1)), P((0, 0), (Fraction(1, 2), 0), (0, 1))))
 
 
 class TestArea:
@@ -943,17 +1007,28 @@ def _denominator_lcm(P):
 
 class TestDilatedDual:
     """dilated_dual(P, r) is dilate(dual(P), r), and dual_denominator(P) the
-    least common denominator of dual(P), read off P's edges in integers."""
+    least common denominator of dual(P), read off P's edges in integers;
+    the cycle kernels _dilated_dual and _dual_denominator give the same
+    from P's integer vertex cycle, started at any vertex."""
 
     RATIOS = (1, 2, 3, 12, 60, Fraction(1, 2), Fraction(3, 2), Fraction(7, 3))
 
     def _check(self, Q):
+        from polymut.geom import _dilated_dual, _dual_denominator
+
         Qstar = dual(Q)
+        cyc = [(v.x, v.y) for v in Q.vertices]
+        starts = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
         for r in self.RATIOS:
             got, want = dilated_dual(Q, r), dilate(Qstar, r)
             assert got == want and _types(got) == _types(want), (Q, r)
+            pairs = [(v.x, v.y) for v in want.vertices]
+            for c in starts:
+                kernel = _dilated_dual(c, r)
+                assert kernel == pairs and [(type(x), type(y)) for x, y in kernel] == _types(want), (Q, r)
         a = dual_denominator(Q)
         assert type(a) is int and a == _denominator_lcm(Qstar), Q
+        assert all(_dual_denominator(c) == a for c in starts), Q
         assert dilated_dual(Q, a).is_lattice()
         assert all(not dilated_dual(Q, b).is_lattice() for b in range(1, a) if a % b == 0)
 
@@ -983,6 +1058,11 @@ class TestDilatedDual:
             dual_denominator(Polygon([Vector2(Fraction(1, 2), 0), Vector2(0, 1), Vector2(-1, -1)]))
         with pytest.raises(OriginNotInterior, match="^dual needs the origin strictly inside$"):
             dilated_dual(P((1, 0), (2, 0), (1, 1)), 2)
+        from polymut.geom import _dilated_dual, _dual_denominator
+
+        for kernel in (_dual_denominator, lambda c: _dilated_dual(c, 2)):
+            with pytest.raises(OriginNotInterior, match="^dual needs the origin strictly inside$"):
+                kernel([(0, 0), (1, 0), (0, 1)])
         for r in (0, -1, Fraction(-1, 2)):
             with pytest.raises(DomainError, match="must be positive"):
                 dilated_dual(P((1, 0), (0, 1), (-1, -1)), r)

@@ -448,3 +448,51 @@ def test_geom_and_divpoly_coerce_only_at_the_boundary():
             if _name(call.func) in COERCING and scope not in allowed:
                 offenders.append(f"{fname}:{call.lineno} {scope} calls {_name(call.func)}")
     assert offenders == []
+
+
+def test_one_vertex_map_search():
+    # geom._cycle_maps is the one vertex-map search, on integer cycles:
+    # _vertex_maps wraps it for lattice_equivalent and linear_equivalent,
+    # and the deformation core calls it on the cycles it holds; the
+    # rational pair solver it replaced is gone from the library
+    tree = ast.parse((SRC / "geom.py").read_text())
+    calls = list(_calls(tree))
+    assert sorted(scope for scope, call in calls if _name(call.func) == "_cycle_maps") == ["_vertex_maps"]
+    assert sorted(scope for scope, call in calls if _name(call.func) == "_vertex_maps") == [
+        "lattice_equivalent", "linear_equivalent",
+    ]
+    assert _named_outside("_cycle_maps", {"geom.py", "deform.py"}) == []
+    assert [f"{name}:{getattr(node, 'lineno', '?')}" for name, node, _ in _nodes() if _name(node) == "_solve_pair_map"] == []
+    # one search: only _cycle_maps compares the image of a vertex set
+    setcmp = [
+        scope for scope, node in _scoped(tree)
+        if isinstance(node, ast.Compare) and any(isinstance(x, ast.SetComp) for x in [node.left, *node.comparators])
+    ]
+    assert setcmp == ["_cycle_maps"]
+
+
+def _scoped(tree, scope="<module>"):
+    """(qualified name of the enclosing function or class, node) for every
+    node in tree."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scoped(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+            continue
+        yield scope, child
+        yield from _scoped(child, scope)
+
+
+def test_deformation_core_runs_on_cycles():
+    # deform._deform reads the dilation, the divisorial polytope and the
+    # witness off integer vertex cycles: it names no Polygon-level
+    # equivalence, envelope reader or denominator, and builds the polygons
+    # of a certificate only through geom's public maps
+    tree = ast.parse((SRC / "deform.py").read_text())
+    core = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_deform")
+    names = {_name(n) for n in ast.walk(core)}
+    assert names & {"lattice_equivalent", "linear_equivalent", "from_polygon", "dual_denominator"} == set()
+    built = {_name(n.func) for n in ast.walk(core) if isinstance(n, ast.Call)}
+    assert built & {"Polygon", "hull_of_pairs", "dilate"} == set()
+    assert {"_cycle_maps", "_cycle_divpoly", "_dilated_dual", "_dual_denominator"} <= names
+    assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py"}) == []
+    assert _named_outside("dual_denominator", set()) == []
