@@ -20,7 +20,6 @@ _EXPORTS = {
         "dual",
         "lattice_equivalent",
         "linear_equivalent",
-        "linear_normal_form",
         "primitivize",
     ),
     "fano": (

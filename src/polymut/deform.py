@@ -464,7 +464,9 @@ def weights_decrease(wp: fano.WeightTriple, wq: Optional[fano.WeightTriple]) -> 
 
 
 def is_weight_reducing(P: Polygon, md: MutationData) -> bool:
-    """weights_decrease for the Fano triangle P and its mutant by md."""
-    wp = fano.weights(P)
-    Q = mutate(P, md)  # the mutant of a Fano polygon is Fano
-    return weights_decrease(wp, fano.triangle_weights(Q))
+    """weights_decrease for the Fano triangle P and its mutant by md:
+    a P that is no triangle is refused first, then mutate proves P, and
+    so its mutant, Fano once, and both weights are read off the vertices."""
+    fano._triangle_vertices(P)  # raises NotATriangle
+    Q = mutate(P, md)
+    return weights_decrease(fano.triangle_weights(P), fano.triangle_weights(Q))

@@ -507,53 +507,6 @@ def linear_equivalent(P: Polygon, Q: Polygon) -> Optional[Mat2]:
     return next((U for U, t in _vertex_maps(P, Q) if t.is_zero()), None)
 
 
-def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:
-    """Exact GL2(Z) invariant of a lattice polygon with the origin fixed:
-    linear_normal_form(P) == linear_normal_form(Q) exactly when
-    linear_equivalent(P, Q) is not None.
-
-    For each starting vertex and each orientation, the 2 x n matrix of the
-    vertices in cyclic order is brought to row Hermite normal form, and the
-    lexicographically smallest result, read as its sequence of columns, is
-    kept (Grinis and Kasprzyk, "Normal forms of convex lattice polytopes",
-    arXiv:1301.6641).  Every candidate is U*P for some U in GL2(Z), so the
-    normal form is the vertex cycle of a polygon in the class of P.
-
-    The candidates are first filtered by their second Hermite column (see
-    _second_column), which decides the order for every Fano polygon, then
-    a tie by their third (_third_column), and only those with the least
-    columns are brought to the full form.  The form itself is unchanged:
-    when some candidate has no such column, all 2n are compared in full.
-
-    _cycle_invariant is a cheaper GL2(Z) invariant that needs no Bezout
-    step but does not separate every pair of classes; the mutation graph
-    computes this form only for cycles whose invariants collide.
-    """
-    _require_lattice_2d(P)
-    return _cycle_normal_form([(v.x, v.y) for v in P.vertices])
-
-
-def _cycle_normal_form(vs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """linear_normal_form of the full-dimensional lattice polygon whose
-    vertex cycle, as integer (x, y) pairs, is vs, from any start and in
-    either orientation.  Nothing is checked."""
-    n = len(vs)
-    # both orientations start at the same vertices, so one Bezout step per
-    # vertex serves all 2n candidates
-    bez = {v: _bezout(*v) for v in vs if v != (0, 0)}
-    starts = [(cyc, i) for cyc in (vs, vs[::-1]) for i in range(n)]
-    keys = [_second_column(cyc[i], cyc[(i + 1) % n], bez) for cyc, i in starts]
-    if None not in keys:
-        least = min(keys)
-        starts = [s for s, k in zip(starts, keys) if k == least]
-        if len(starts) > 1:
-            # the tied candidates share their first two columns
-            keys = [_third_column(cyc[i], cyc[(i + 1) % n], cyc[(i + 2) % n], bez) for cyc, i in starts]
-            least = min(keys)
-            starts = [s for s, k in zip(starts, keys) if k == least]
-    return min(_hermite_columns(cyc[i:] + cyc[:i], bez) for cyc, i in starts)
-
-
 def _cycle_invariant(vs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The sorted pairs (|det(v_i, v_i+1)|, gcd of v_i+1 - v_i) over the
     vertex cycle vs of a lattice polygon, as integer (x, y) pairs.
@@ -562,7 +515,7 @@ def _cycle_invariant(vs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ..
     every edge's lattice length, and sorting forgets the start and the
     orientation, so polygons with different invariants are not linearly
     equivalent.  The converse fails: classes may share an invariant, and
-    only _cycle_normal_form tells them apart."""
+    only a vertex map with no translation (_cycle_maps) tells them apart."""
     out = []
     x1, y1 = vs[-1]
     for x2, y2 in vs:
@@ -570,43 +523,6 @@ def _cycle_invariant(vs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ..
         x1, y1 = x2, y2
     out.sort()
     return tuple(out)
-
-
-def _second_column(
-    v0: tuple[int, int], v1: tuple[int, int], bez: dict[tuple[int, int], tuple[int, int, int]]
-) -> Optional[tuple[int, int]]:
-    """The second column (r1 mod d, d) of the Hermite form of any vertex
-    cycle that starts v0, v1, when v0 is primitive, so that its first
-    column is (1, 0), and d = |det(v0, v1)| > 0; else None.
-
-    With x*a + y*b == 1 for v0 = (a, b), the unimodular ((x, y), (-b, a))
-    sends v0 to (1, 0) and v1 to (r1, +-d), r1 = x*v1[0] + y*v1[1], and the
-    Hermite form reduces r1 modulo the pivot d.  Other Bezout coefficients
-    change r1 by a multiple of d, so the column does not depend on them."""
-    if v0 not in bez:
-        return None
-    g, x, y = bez[v0]
-    d = abs(v0[0] * v1[1] - v0[1] * v1[0])
-    if g != 1 or not d:
-        return None
-    return (x * v1[0] + y * v1[1]) % d, d
-
-
-def _third_column(
-    v0: tuple[int, int], v1: tuple[int, int], v2: tuple[int, int], bez: dict[tuple[int, int], tuple[int, int, int]]
-) -> tuple[int, int]:
-    """The third column of the Hermite form of any vertex cycle that starts
-    v0, v1, v2, when _second_column(v0, v1, bez) is not None: the unimodular
-    of _second_column, its second row negated when it sends v1 below the
-    axis, then the first row reduced by q times the second, where q reduces
-    the image of v1 to its second column."""
-    _, x, y = bez[v0]
-    a, b = v0
-    d1, d2 = a * v1[1] - b * v1[0], a * v2[1] - b * v2[0]
-    if d1 < 0:
-        d1, d2 = -d1, -d2
-    q = (x * v1[0] + y * v1[1]) // d1
-    return x * v2[0] + y * v2[1] - q * d2, d2
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -646,28 +562,6 @@ def _lattice_basis(vectors: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
         if g2:
             h %= g2
     return g1, h, g2
-
-
-def _hermite_columns(
-    cols: list[tuple[int, int]], bez: dict[tuple[int, int], tuple[int, int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """Columns of the row Hermite normal form of a rank-2 integer 2 x n
-    matrix: pivots g > 0 and p > 0, zeros left of and below the first pivot,
-    and 0 <= (entry above the second pivot) < p.  Unique in the GL2(Z)
-    orbit of the matrix under left multiplication, so any Bezout
-    coefficients for the first nonzero column, looked up in bez, give it."""
-    j1 = next(j for j, c in enumerate(cols) if c != (0, 0))
-    a, b = cols[j1]
-    g, x, y = bez[a, b]
-    # ((x, y), (-b/g, a/g)) has determinant 1 and sends column j1 to (g, 0)
-    u, v = -b // g, a // g
-    r1 = [x * c0 + y * c1 for c0, c1 in cols]
-    r2 = [u * c0 + v * c1 for c0, c1 in cols]
-    j2 = next(j for j in range(j1 + 1, len(cols)) if r2[j])
-    if r2[j2] < 0:
-        r2 = [-e for e in r2]
-    q = r1[j2] // r2[j2]
-    return tuple((e1 - q * e2, e2) for e1, e2 in zip(r1, r2))
 
 
 def _require_lattice_2d(*polys: Polygon) -> None:

@@ -40,14 +40,13 @@ from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     Polygon,
     Vector2,
     _cycle_invariant,
-    _cycle_normal_form,
+    _cycle_maps,
     _height_frame,
     _hull_chain,
     _polygon_from_cycle,
     height_basis,
     hull_of_pairs,
     is_primitive,
-    linear_normal_form,
     qdiv,
 )
 
@@ -369,29 +368,32 @@ GRAPH_CLASS_LIMIT = 20_000
 def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     """Breadth-first graph of mutation classes reachable from P.
 
-    Nodes are origin-preserving (linear) lattice-equivalence classes, told
-    apart by geom.linear_normal_form; the representative of a class is the
-    first polygon found in it.  Edges record the (w, t) of each mutation
-    found, in the order found.  Fano polygons anchor the origin, so
-    translations are not quotiented out.  Only P is proved Fano: a mutant
-    of a Fano polygon is Fano, so each node inherits the root's proof and
-    reads its weights and multiplicity off the minors of its vertices.
+    Nodes are origin-preserving (linear) lattice-equivalence classes: two
+    polygons are in one class exactly when a unimodular map with no
+    translation sends one onto the other (geom._cycle_maps finds it); the
+    representative of a class is the first polygon found in it.  Edges
+    record the (w, t) of each mutation found, in the order found.  Fano
+    polygons anchor the origin, so translations are not quotiented out.
+    Only P is proved Fano: a mutant of a Fano polygon is Fano, so each node
+    inherits the root's proof and reads its weights and multiplicity off
+    the minors of its vertices.
 
     Each node is expanded by one _factor_walk on its integer vertex cycle.
     Mutants stay such cycles: one hull, one class lookup (_ClassIndex: a
     cycle seen before, else the cheap invariant geom._cycle_invariant, and
-    normal forms only when that invariant is shared), and a Polygon only
-    for a new class.  The node found by (w, t) from src is mutated by (-w, t)
-    back to src's representative, up to a shear along the kernel of w, so
-    that edge is recorded as leading to src without building the mutant.
-    More than GRAPH_CLASS_LIMIT classes is a DomainError.
+    a vertex-map search only against the classes that share it), and a
+    Polygon only for a new class.  The node found by (w, t) from src is
+    mutated by (-w, t) back to src's representative, up to a shear along
+    the kernel of w, so that edge is recorded as leading to src without
+    building the mutant.  More than GRAPH_CLASS_LIMIT classes is a
+    DomainError.
     """
     _require_fano(P)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
 
     polygons, cycles = [P], [_cycle(P)]  # each class's representative and its cycle
-    classes = _ClassIndex(polygons)
+    classes = _ClassIndex(cycles)
     classes.setdefault(cycles[0], 0)
     # back[i] = (w, t, src): the mutation of node i back to the node src
     # that it was found from (none for the root)
@@ -433,37 +435,28 @@ class _ClassIndex:
     """The classes of a mutation graph, looked up by a polygon's canonical
     integer vertex cycle in three steps: an identical cycle seen before is
     in its class; a cycle whose _cycle_invariant no class has is a new
-    class; only otherwise are normal forms compared, the cycle's once and
-    each class's (linear_normal_form of its representative) once, when
-    first needed.  The normal form alone decides class identity: the
-    invariant only skips forms that cannot match."""
+    class; only otherwise is the cycle matched against the representative
+    cycle of each class that shares its invariant, by a geom._cycle_maps
+    search for a map with translation (0, 0).  _cycle_maps lists every
+    unimodular affine map between two canonical cycles, so that map is
+    linear equivalence itself, and classes are disjoint, so at most one
+    class in the bucket matches: the witness alone decides class identity,
+    and the invariant only skips searches that cannot succeed."""
 
-    def __init__(self, polygons: list[Polygon]):
-        self.polygons = polygons  # the class representatives, which the caller grows
-        self.cycles: dict[tuple[tuple[int, int], ...], int] = {}
+    def __init__(self, cycles: list[list[tuple[int, int]]]):
+        self.cycles = cycles  # each class's representative cycle, which the caller grows
+        self.seen: dict[tuple[tuple[int, int], ...], int] = {}
         self.invariants: dict[tuple[tuple[int, int], ...], list[int]] = {}
-        self.forms: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def setdefault(self, cyc: list[tuple[int, int]], new: int) -> int:
         """The class of the polygon with canonical cycle cyc; if it has
-        none, the class is recorded as new, whose polygon the caller appends."""
+        none, the class is recorded as new, whose cycle the caller appends."""
         key = tuple(cyc)
-        tgt = self.cycles.get(key)
+        tgt = self.seen.get(key)
         if tgt is None:
             same = self.invariants.setdefault(_cycle_invariant(cyc), [])
-            form = _cycle_normal_form(cyc) if same else None
-            tgt = next((j for j in same if self._form(j) == form), None)
-            if tgt is None:
-                tgt = new
+            tgt = next((j for j in same if any(t == (0, 0) for _, t in _cycle_maps(self.cycles[j], cyc))), new)
+            if tgt == new:
                 same.append(new)
-                if form is not None:
-                    self.forms[new] = form
-            self.cycles[key] = tgt
+            self.seen[key] = tgt
         return tgt
-
-    def _form(self, j: int) -> tuple[tuple[int, int], ...]:
-        form = self.forms.get(j)
-        if form is None:
-            form = self.forms[j] = linear_normal_form(self.polygons[j])
-        return form
-

@@ -597,6 +597,23 @@ class TestSmoothingDirection:
                 assert seen[-1] == (fano.weights(S), fano.weights(mutate(S, md)))
         assert len(seen) == 3
 
+    def test_is_weight_reducing_proves_fano_once(self, monkeypatch):
+        # a polygon that is no triangle is refused first; then mutate gives
+        # the one proof that P is Fano, and P's weights are read off its
+        # vertices, so a triangle that is not Fano gets mutate's refusal
+        calls = []
+        is_fano = fano.is_fano
+        monkeypatch.setattr(fano, "is_fano", lambda P: calls.append(P) or is_fano(P))
+        T = fano.triangle_from_weights((1, 1, 4))
+        md = find_factors(T, factor_directions(T)[0])[0]
+        del calls[:]
+        assert not is_weight_reducing(T, md)
+        assert len(calls) == 1
+        with pytest.raises(fano.NotATriangle, match="^expected a triangle, got 4 vertices$"):
+            is_weight_reducing(P((1, 0), (0, 1), (-1, 0), (0, -1)), md)
+        with pytest.raises(fano.NotFano, match="^operation requires a Fano polygon$"):
+            is_weight_reducing(P((2, 0), (0, 1), (-1, -1)), md)
+
     def test_default_factor_is_the_first_weight_reducing_one(self):
         # polymut deform without --w picks the first factor, in the order of
         # factor_directions and find_factors, that is_weight_reducing accepts

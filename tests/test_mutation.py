@@ -719,51 +719,44 @@ class TestMutationGraph:
                 assert (n.weights, n.multiplicity) == (None, None)
 
     @pytest.mark.parametrize(
-        "weights,depth,n_mutants,n_forms",
-        [((2, 3, 5), 3, 115, 48), ((1, 1, 1), 12, 2051, 5), ((1, 4, 5), 4, 415, 115)],
+        "weights,depth,n_mutants,n_searches",
+        [((2, 3, 5), 3, 115, 31), ((1, 1, 1), 12, 2051, 3), ((1, 4, 5), 4, 415, 83)],
         ids=["235-depth3", "111-depth12", "145-depth4"],
     )
     def test_one_mutant_per_edge_not_leading_back_and_normal_forms_only_on_collisions(
-        self, monkeypatch, weights, depth, n_mutants, n_forms
+        self, monkeypatch, weights, depth, n_mutants, n_searches
     ):
         # the mutation back along the edge that found a node is recorded
         # without building it, a Polygon is built, from the mutant's
         # canonical cycle and with no second hull, only for a new class, and
-        # a normal form is computed only where a mutant's cycle invariant is
-        # shared by a class: once for the mutant, once for each class (at
-        # (1,4,5) depth 4, two classes are created on such a collision and
-        # later compared again, by the form kept from their creation)
+        # the class index searches for a vertex map only where a mutant's
+        # cycle invariant is shared by a class, once per class in that
+        # bucket until one matches
         from polymut import mutation
 
-        mutants, forms, polygons = [], [], []
-        real_mutant, real_form = mutation._mutant, mutation._cycle_normal_form
-        real_node_form, real_polygon = mutation.linear_normal_form, mutation._polygon_from_cycle
+        mutants, searches, polygons = [], [], []
+        real_mutant, real_maps, real_polygon = mutation._mutant, mutation._cycle_maps, mutation._polygon_from_cycle
 
         def counting_mutant(prof, t):
             mutants.append(t)
             return real_mutant(prof, t)
 
-        def counting_form(cyc):
-            forms.append(cyc)
-            return real_form(cyc)
-
-        def counting_node_form(Q):
-            forms.append(Q)
-            return real_node_form(Q)
+        def counting_maps(vp, vq):
+            searches.append(vq)
+            return real_maps(vp, vq)
 
         def counting_polygon(cyc):
             polygons.append(cyc)
             return real_polygon(cyc)
 
         monkeypatch.setattr(mutation, "_mutant", counting_mutant)
-        monkeypatch.setattr(mutation, "_cycle_normal_form", counting_form)
-        monkeypatch.setattr(mutation, "linear_normal_form", counting_node_form)
+        monkeypatch.setattr(mutation, "_cycle_maps", counting_maps)
         monkeypatch.setattr(mutation, "_polygon_from_cycle", counting_polygon)
         g = mutation_graph(fano.triangle_from_weights(weights), depth)
         non_root_expanded = {e.source for e in g.edges} - {0}
         assert len(non_root_expanded) > 10
         assert len(mutants) == len(g.edges) - len(non_root_expanded) == n_mutants
-        assert len(forms) == n_forms < n_mutants
+        assert len(searches) == n_searches < n_mutants
         assert len(polygons) == len(g.nodes) - 1
 
     def test_class_budget(self, monkeypatch):
@@ -810,7 +803,7 @@ class TestIntegralCoordinatesAreInts:
 def _find_class_pairwise(nodes, Q):
     """The class lookup mutation_graph made before normal forms: the first
     node with the same weights whose polygon is linearly equivalent to Q.
-    Oracle for the normal-form lookup."""
+    Oracle for the class index."""
     wq = tuple(sorted(fano.weights(Q))) if len(Q.vertices) == 3 else None
     for i, n in enumerate(nodes):
         nw = tuple(sorted(n.weights)) if n.weights else None
@@ -906,8 +899,8 @@ class TestGraphClasses:
         assert elapsed < 5.0
 
     def test_wide_graph_p145_depth_four(self):
-        # classes that share a cycle invariant inside a graph: 35 classes
-        # have their normal form compared
+        # classes that share a cycle invariant inside a graph: 83 vertex-map
+        # searches place mutants whose invariant a class already has
         start = time.monotonic()
         g = mutation_graph(fano.triangle_from_weights((1, 4, 5)), 4)
         elapsed = time.monotonic() - start
@@ -923,44 +916,67 @@ def _cycle(Q):
 # two Fano quadrilaterals with equal cycle invariants, ((1,1),(1,1),(4,2),(4,4)),
 # that lie in different classes
 COLLIDING = (((-1, -2), (0, -1), (1, 2), (-1, 2)), ((-2, -1), (2, -1), (2, 1), (1, 1)))
+# a Fano quadrilateral and its translate by (0, 2), also Fano, with equal
+# cycle invariants ((5,1),(5,5),(11,1),(13,1)): lattice-equivalent, but in
+# different classes, since the origin is pinned
+TRANSLATES = (((-1, -4), (3, -1), (2, 3), (-1, 1)), ((-1, -2), (3, 1), (2, 5), (-1, 3)))
 
 
 class TestClassIndex:
-    """mutation._ClassIndex against geom.linear_normal_form, the one arbiter
+    """mutation._ClassIndex against oracles.linear_normal_form, the arbiter
     of class identity."""
 
     @staticmethod
     def _classify(polygons):
-        # each polygon's class, found as mutation_graph finds a mutant's
+        # each polygon's class, found as mutation_graph finds a mutant's:
+        # the index reads the list of representative cycles, which the
+        # caller grows by each new class's cycle
         from polymut.mutation import _ClassIndex
 
-        nodes = []
-        index = _ClassIndex(nodes)
+        cycles = []
+        index = _ClassIndex(cycles)
         out = []
         for Q in polygons:
-            tgt = index.setdefault(_cycle(Q), len(nodes))
-            if tgt == len(nodes):
-                nodes.append(Q)
+            cyc = _cycle(Q)
+            tgt = index.setdefault(cyc, len(cycles))
+            if tgt == len(cycles):
+                cycles.append(cyc)
             out.append(tgt)
         return out
 
     def test_colliding_pair_kept_apart(self):
-        from polymut.geom import _cycle_invariant, linear_normal_form, mat_image
+        from polymut.geom import _cycle_invariant, mat_image
+        from oracles import linear_normal_form
 
         A, B = (P(*vs) for vs in COLLIDING)
         assert _cycle_invariant(_cycle(A)) == _cycle_invariant(_cycle(B)) == ((1, 1), (1, 1), (4, 2), (4, 4))
         assert linear_normal_form(A) != linear_normal_form(B)
         U = ((2, 1), (1, 1))
         images = [mat_image(U, A), mat_image(U, B)]
-        # the images are other cycles, so only the normal forms can place them
+        # the images are other cycles, so only a vertex map can place them
         assert {Q.vertices for Q in images}.isdisjoint({A.vertices, B.vertices})
         assert self._classify([A, B, *images, A]) == [0, 1, 0, 1, 0]
         assert self._classify([B, *images, A]) == [0, 1, 0, 1]
 
+    def test_translates_with_one_invariant_kept_apart(self):
+        # the witness must be a map with no translation: the affine maps
+        # from A onto B are not one
+        from polymut.geom import _cycle_invariant, lattice_equivalent, mat_image
+        from oracles import linear_normal_form
+
+        A, B = (P(*vs) for vs in TRANSLATES)
+        assert _cycle_invariant(_cycle(A)) == _cycle_invariant(_cycle(B))
+        assert fano.is_fano(A) and fano.is_fano(B)
+        assert lattice_equivalent(A, B) is not None
+        assert linear_normal_form(A) != linear_normal_form(B)
+        U = ((1, 1), (1, 2))
+        assert self._classify([A, B, mat_image(U, B), mat_image(U, A)]) == [0, 1, 1, 0]
+
     def test_classes_match_normal_forms_randomized(self):
         import random
 
-        from polymut.geom import _cycle_invariant, linear_normal_form, mat_image
+        from polymut.geom import _cycle_invariant, mat_image
+        from oracles import linear_normal_form
 
         rng = random.Random(53)
         pool = []
@@ -981,3 +997,46 @@ class TestClassIndex:
         for form, c in zip(forms, classes):
             assert first.setdefault(form, c) == c
         assert len(set(classes)) == len(first)
+
+    def test_one_bucket_two_classes_randomized(self):
+        # seeded unimodular images of both polygons of COLLIDING share one
+        # invariant bucket; the witness places each in the class that the
+        # oracle's form gives it, whichever class was created first
+        import random
+
+        from polymut.geom import _cycle_invariant, mat_image
+        from oracles import linear_normal_form
+
+        rng = random.Random(59)
+        A, B = (P(*vs) for vs in COLLIDING)
+        pool = [mat_image(random_unimodular(rng), rng.choice((A, B))) for _ in range(80)]
+        forms = [linear_normal_form(Q) for Q in pool]
+        assert len({_cycle_invariant(_cycle(Q)) for Q in pool}) == 1
+        assert set(forms) == {linear_normal_form(A), linear_normal_form(B)}
+        assert len({Q.vertices for Q in pool}) >= 40
+        classes = self._classify(pool)
+        assert sorted(set(classes)) == [0, 1]
+        assert len(set(zip(forms, classes))) == 2
+
+    def test_graph_classes_match_normal_forms_p145_depth_four(self):
+        # the one measured graph whose invariant buckets hold two classes:
+        # no two nodes share an oracle form, and every edge, the mutations
+        # back that the graph records without building them included, leads
+        # to the node whose form its mutant has
+        from collections import Counter
+
+        from polymut.geom import _cycle_invariant
+        from oracles import linear_normal_form
+
+        g = mutation_graph(fano.triangle_from_weights((1, 4, 5)), 4)
+        forms = [linear_normal_form(n.polygon) for n in g.nodes]
+        assert len(set(forms)) == len(forms) == 269
+        shared = Counter(_cycle_invariant(_cycle(n.polygon)) for n in g.nodes)
+        assert sorted(shared.values())[-3:] == [1, 2, 2]
+        target = {(e.source, e.w, e.t): e.target for e in g.edges}
+        checked = 0
+        for src in sorted({e.source for e in g.edges}):
+            for md, Q in mutants(g.nodes[src].polygon):
+                assert linear_normal_form(Q) == forms[target[src, md.w, md.t]]
+                checked += 1
+        assert checked == len(target) == len(g.edges)
