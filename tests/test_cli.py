@@ -410,19 +410,23 @@ class TestInputModes:
         assert out == {"weights": [4, 1, 1]}
 
 
+# Fano polygons, a non-primitive vertex, rational vertices, a segment, a
+# non-Fano square and the origin on a vertex: the inputs of the pinned sweeps
+SWEEP_POLYGONS = [
+    [[1, 0], [0, 1], [-1, -1]], [[-1, -1], [1, -1], [-1, 4]], [[1, 0], [0, 1], [-1, 0], [0, -1]],
+    [[-2, 1], [2, 1], [1, -1], [-1, -1]], [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+    [[2, 0], [0, 1], [-1, -1]], [["1/2", 0], [0, 1], [-1, -1]], [[1, 0], [-1, 0]],
+    [[-3, -2], [3, -2], [1, 3]], [[0, 0], [1, 0], [0, 1]],
+]
+
+
 class TestErrorsAndDeterminism:
     def test_mutate_sweep_output_pinned(self, capsys):
         # every success and every refusal of `mutate` over polygons x w x t:
         # 2,940 calls, 219 of them mutants, whose exit codes and stdout
         # bytes are pinned by one digest
-        polygons = [
-            [[1, 0], [0, 1], [-1, -1]], [[-1, -1], [1, -1], [-1, 4]], [[1, 0], [0, 1], [-1, 0], [0, -1]],
-            [[-2, 1], [2, 1], [1, -1], [-1, -1]], [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
-            [[2, 0], [0, 1], [-1, -1]], [["1/2", 0], [0, 1], [-1, -1]], [[1, 0], [-1, 0]],
-            [[-3, -2], [3, -2], [1, 3]], [[0, 0], [1, 0], [0, 1]],
-        ]
         h, codes = hashlib.sha256(), []
-        for vs in polygons:
+        for vs in SWEEP_POLYGONS:
             for p in range(-3, 4):
                 for q in range(-3, 4):
                     for t in ("-1", "0", "1", "2", "3", "5"):
@@ -431,6 +435,33 @@ class TestErrorsAndDeterminism:
                         codes.append(code)
         assert (len(codes), codes.count(0)) == (2940, 219)
         assert h.hexdigest() == "4b8f04d713bac37d03adb0f61626e47d3762b9921727aec41014d2096137da45"
+
+    def test_polygon_commands_output_pinned(self, capsys):
+        # every polygon command on the inputs of the mutate sweep, and
+        # `deform` by each factor that `factors` lists: exit codes and stdout
+        # bytes of each success and each refusal, by one digest
+        commands = [
+            ("hull", "--points"), ("dual", "--polygon"), ("weights", "--polygon"),
+            ("multiplicity", "--polygon"), ("factors", "--polygon"), ("divpoly", "--polygon"),
+            ("deform", "--polygon"), ("deform", "--dilation", "6", "--polygon"),
+        ]
+        h, codes = hashlib.sha256(), []
+        for vs in SWEEP_POLYGONS:
+            polygon, factors = json.dumps({"vertices": vs}), []
+            for command in commands:
+                code, out = run(capsys, *command, polygon)
+                h.update(f"{code}|{out}".encode())
+                codes.append(code)
+                if command[0] == "factors" and code == 0:
+                    factors = json.loads(out)["factors"]
+            for md in factors:
+                w = "--w=" + ",".join(md["w"])
+                for dilation in ("auto", "6"):
+                    code, out = run(capsys, "deform", w, "--t", str(md["t"]), "--dilation", dilation, "--polygon", polygon)
+                    h.update(f"{code}|{out}".encode())
+                    codes.append(code)
+        assert (len(codes), codes.count(0)) == (138, 48)
+        assert h.hexdigest() == "6ac411d2101b6f111b778138282533530364f24af3d0c45fcac48b23215b8426"
 
     def test_domain_error_exit_1(self, capsys):
         code, out = run_json(capsys, "dual", "--polygon", '{"vertices":[[1,0],[0,1],[2,2]]}')
