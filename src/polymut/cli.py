@@ -355,7 +355,7 @@ def _default_reducing_factor(P: Polygon) -> tuple:
     # refused as having no weight-decreasing mutation
     wp = triangle_weights(P)
     if pairs and wp is None:
-        raise NotATriangle(f"expected a triangle, got {len(P.vertices)} vertices")
+        raise NotATriangle(f"expected a triangle, got {len(P.cycle)} vertices")
     for md, Q in pairs:
         if deform.weights_decrease(wp, triangle_weights(Q)):
             return md, Q
@@ -427,7 +427,7 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
     Tstar = dual(T)
     ok = dual(Tstar) == T
     out.append(_entry(path, "dual-involution", "pass" if ok else "fail"))
-    wT = weights(T) if len(T.vertices) == 3 else None
+    wT = weights(T) if len(T.cycle) == 3 else None
     cls = diophantine_class(wT) if wT is not None else None
     area_star = area(Tstar)
     for md, Q in mutation.mutants(T):

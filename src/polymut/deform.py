@@ -375,14 +375,14 @@ def _deform(
     """mutation_to_deformation for mutant = mutate(P, md), which proved P
     and so its mutant Fano.  Every polygon step runs on integer vertex
     cycles; a certificate's polygons are built once the witness exists."""
-    if len(P.vertices) != 3:
+    if len(P.cycle) != 3:
         raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
     U = _normalizer_for(md.w)
     mdn = _transform_mutation(md, U)
     # mutation commutes with U: U*mutate(P, md) is mutate(U*P, mdn), and
     # det(U) = 1 keeps both image cycles counterclockwise
     (u00, u01), (u10, u11) = U
-    pn, q = (_lex_first([(u00 * v.x + u01 * v.y, u10 * v.x + u11 * v.y) for v in X.vertices]) for X in (P, mutant))
+    pn, q = (_lex_first([(u00 * x + u01 * y, u10 * x + u11 * y) for x, y in X.cycle]) for X in (P, mutant))
     auto = math.lcm(_dual_denominator(pn), _dual_denominator(q))
     a = auto if dilation is None else dilation
     # the automatic dilation always passes: it clears every denominator;
@@ -418,7 +418,7 @@ def _deform(
             f"dilation {a} does not make the mutated dual a lattice polygon"
         )
     _require_lattice_2d(red.polygon)
-    fc = [(v.x, v.y) for v in red.polygon.vertices]
+    fc = red.polygon.cycle
     m = next(_cycle_maps(fc, tq), None)
     if m is None:
         diag = "fiber polygon is not equivalent to the dilated mutated dual"
@@ -466,7 +466,7 @@ def weights_decrease(wp: fano.WeightTriple, wq: Optional[fano.WeightTriple]) -> 
 def is_weight_reducing(P: Polygon, md: MutationData) -> bool:
     """weights_decrease for the Fano triangle P and its mutant by md:
     a P that is no triangle is refused first, then mutate proves P, and
-    so its mutant, Fano once, and both weights are read off the vertices."""
-    fano._triangle_vertices(P)  # raises NotATriangle
+    so its mutant, Fano once, and both weights are read off the cycles."""
+    fano._triangle_cycle(P)  # raises NotATriangle
     Q = mutate(P, md)
     return weights_decrease(fano.triangle_weights(P), fano.triangle_weights(Q))

@@ -21,10 +21,10 @@ along its breakpoints (`PLFunc._at`).
 The deformation pipeline's steps trust what came before them:
 `DivPoly.with_split` assumes parts defined on the box, which
 `deform.is_admissible` checks; `from_polygon` checks that a polygon is a
-full-dimensional lattice polygon and reads both envelopes off its
-canonical integer cycle with `_cycle_divpoly`, which the pipeline calls on
-the cycle it holds; and `to_polygon` hulls exact (u, value) pairs with
-`geom.hull_of_pairs`.
+full-dimensional lattice polygon and reads both envelopes off the
+canonical integer cycle it stores with `_cycle_divpoly`, which the
+pipeline calls on the cycle it holds; and `to_polygon` hulls exact
+(u, value) pairs with `geom.hull_of_pairs`.
 """
 
 from __future__ import annotations
@@ -472,7 +472,7 @@ def from_polygon(delta: Polygon) -> DivPoly:
         raise NotFullDimensionalPolygon("need a full-dimensional polygon")
     if not delta.is_lattice():
         raise NotLatticePolygon("need a lattice polygon")
-    return _cycle_divpoly([(v.x, v.y) for v in delta.vertices])
+    return _cycle_divpoly(delta.cycle)
 
 
 def _cycle_divpoly(vs: Sequence[tuple[int, int]]) -> DivPoly:

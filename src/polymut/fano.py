@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .geom import Polygon, Vector2, height_basis, qdiv
+from .geom import Polygon, Rational, Vector2, height_basis, qdiv
 
 WeightTriple = tuple[int, int, int]
 Solution = tuple[int, int, int]
@@ -55,18 +55,14 @@ class DiophantineClass:
 
 def is_fano(P: Polygon) -> bool:
     """Origin strictly interior and all vertices primitive lattice points."""
-    if P.dim() != 2 or not P.is_lattice():
-        return False
-    if not P.contains_origin_interior():
-        return False
-    return all(math.gcd(v.x, v.y) == 1 for v in P.vertices)
+    return P.is_lattice() and P.contains_origin_interior() and all(math.gcd(x, y) == 1 for x, y in P.cycle)
 
 
-def _vertex_minors(v1: Vector2, v2: Vector2, v3: Vector2) -> tuple[WeightTriple, int]:
-    for v in (v1, v2, v3):
-        if not v.is_integral():
-            raise NotFano(f"triangle vertex is not a lattice point: {v}")
-    return _weights_and_multiplicity((v1.x, v1.y), (v2.x, v2.y), (v3.x, v3.y))
+def _vertex_minors(*us: tuple[Rational, Rational]) -> tuple[WeightTriple, int]:
+    for x, y in us:
+        if x.denominator != 1 or y.denominator != 1:
+            raise NotFano(f"triangle vertex is not a lattice point: ({x}, {y})")
+    return _weights_and_multiplicity(*us)
 
 
 def _weights_and_multiplicity(u1: tuple[int, int], u2: tuple[int, int], u3: tuple[int, int]) -> tuple[WeightTriple, int]:
@@ -84,27 +80,27 @@ def _weights_and_multiplicity(u1: tuple[int, int], u2: tuple[int, int], u3: tupl
 
 def weights_of_vertices(v1: Vector2, v2: Vector2, v3: Vector2) -> WeightTriple:
     """Coprime positive (a,b,c) with a*v1 + b*v2 + c*v3 = 0, in vertex order."""
-    return _vertex_minors(v1, v2, v3)[0]
+    return _vertex_minors((v1.x, v1.y), (v2.x, v2.y), (v3.x, v3.y))[0]
 
 
-def _triangle_vertices(T: Polygon) -> tuple[Vector2, Vector2, Vector2]:
-    if len(T.vertices) != 3:
-        raise NotATriangle(f"expected a triangle, got {len(T.vertices)} vertices")
-    return T.vertices  # type: ignore[return-value]
+def _triangle_cycle(T: Polygon) -> tuple[tuple[Rational, Rational], ...]:
+    if len(T.cycle) != 3:
+        raise NotATriangle(f"expected a triangle, got {len(T.cycle)} vertices")
+    return T.cycle
 
 
 def weights(T: Polygon) -> WeightTriple:
     """Weights of the fake plane of a Fano triangle, in canonical vertex order."""
-    v1, v2, v3 = _triangle_vertices(T)
+    cyc = _triangle_cycle(T)
     if not is_fano(T):
         raise NotFano("weights are defined for Fano triangles only")
-    return weights_of_vertices(v1, v2, v3)
+    return _weights_and_multiplicity(*cyc)[0]
 
 
 def triangle_weights(P: Polygon) -> WeightTriple | None:
     """The weights of P, a polygon already known to be Fano, read off its
-    vertices without proving it Fano again; None if it is no triangle."""
-    return weights_of_vertices(*P.vertices) if len(P.vertices) == 3 else None
+    vertex cycle without proving it Fano again; None if it is no triangle."""
+    return _weights_and_multiplicity(*P.cycle)[0] if len(P.cycle) == 3 else None
 
 
 def multiplicity(T: Polygon) -> int:
@@ -113,7 +109,7 @@ def multiplicity(T: Polygon) -> int:
     Equals the gcd of the three 2x2 vertex-pair determinants; the triangle
     presents a genuine weighted projective plane exactly when this is 1.
     """
-    return _vertex_minors(*_triangle_vertices(T))[1]
+    return _vertex_minors(*_triangle_cycle(T))[1]
 
 
 def triangle_from_weights(w: WeightTriple) -> Polygon:

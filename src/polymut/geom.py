@@ -8,24 +8,27 @@ immutable values and safe to share between threads.
 
 Values are coerced once, where they come in: `Vector2(x, y)`, `dilate`
 and the JSON readers run `to_fraction`.  A vector computed from stored
-coordinates (by `+`, `-`, `scale`, `mat_apply`, `dilated_dual`, or the
-mutation and divpoly kernels) is built by the trusted `Vector2._of`, which
-assumes ints and Fractions and only folds an integral Fraction, such as
-1/2 + 1/2, to its int.  `scale` takes an exact int or Fraction.
+coordinates (by `+`, `-`, `scale`, `mat_apply`, the vertex view of a
+polygon, or the mutation and divpoly kernels) is built by the trusted
+`Vector2._of`, which assumes ints and Fractions and only folds an integral
+Fraction, such as 1/2 + 1/2, to its int.  `scale` takes an exact int or
+Fraction.
 
 A vector may play the role of a point of the one-parameter-subgroup
 lattice or of a character (height function); the pairing between the two
 is the dot product.  Which role a vector plays is a documentation-level
 convention, not a runtime tag.
 
-Polygons are stored canonically: counterclockwise, strictly convex (no
-three collinear vertices), lexicographically smallest vertex first.
-Points and segments are degenerate polygons (one or two vertices) and
-participate in all operations without special-casing by the caller.
-A polygon is built from exact (x, y) pairs in one of two ways: by the
-hull `hull_of_pairs`, which `Polygon(points)` runs, or by the trusted
-`_polygon_from_cycle`, for a cycle that is strictly convex and
-counterclockwise already.
+A polygon stores one thing, its canonical vertex cycle `cycle`: a tuple
+of exact (x, y) pairs, counterclockwise, strictly convex (no three
+collinear vertices), lexicographically smallest vertex first.  Every
+kernel reads that cycle; `vertices` is a view that builds `Vector2`s on
+each read, for callers that want vectors.  Points and segments are
+degenerate polygons (one or two vertices) and participate in all
+operations without special-casing by the caller.  A polygon is built from
+exact (x, y) pairs in one of two ways: by the hull `hull_of_pairs`, which
+`Polygon(points)` runs, or by the trusted `_polygon_from_cycle`, for a
+cycle that is strictly convex and counterclockwise already.
 """
 
 from __future__ import annotations
@@ -106,6 +109,11 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+def _exact(c: Rational) -> Rational:
+    """An int or Fraction as stored: an integral Fraction folded to its int."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 @functools.total_ordering  # vectors order as their (x, y) pairs
 class Vector2:
     """A point/vector of the rational plane with exact coordinates.
@@ -124,8 +132,8 @@ class Vector2:
         # x and y are ints or Fractions computed from stored coordinates, so
         # only an integral Fraction (1/2 + 1/2) is left to fold to its int
         v = _new(cls)
-        _set(v, "x", x if type(x) is int or x.denominator != 1 else x.numerator)
-        _set(v, "y", y if type(y) is int or y.denominator != 1 else y.numerator)
+        _set(v, "x", _exact(x))
+        _set(v, "y", _exact(y))
         return v
 
     def __setattr__(self, *a):
@@ -159,9 +167,6 @@ class Vector2:
 
     def dot(self, other: "Vector2") -> Rational:
         return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Vector2") -> Rational:
-        return self.x * other.y - self.y * other.x
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -226,71 +231,70 @@ def _hull_chain(seq: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational
 
 
 class Polygon:
-    """Convex rational polygon in canonical vertex form.
+    """Convex rational polygon, stored as its canonical vertex cycle.
 
+    `cycle` is the tuple of exact (x, y) pairs, ints or Fractions that are
+    not integral: CCW, no collinear triples, lex-smallest vertex first.
     Construction runs the convex hull `hull_of_pairs` on the points'
-    (x, y) pairs, so any point list yields the canonical representative:
-    CCW, no collinear triples, lex-smallest vertex first.  The one other
-    way to build a polygon is `_polygon_from_cycle`, which trusts a cycle
-    of exact pairs to be strictly convex and CCW and only rotates it to
-    its lex-least vertex: `dilated_dual` (and `dual`), `dilate` (by
-    r != 0), `translate` and `mat_image` (by a nonsingular matrix, reversing
-    the image when the determinant is negative) map a canonical cycle to
-    such a cycle, and so does the mutation kernel.
+    (x, y) pairs, so any point list yields the canonical representative.
+    The one other way to build a polygon is `_polygon_from_cycle`, which
+    trusts a cycle of exact pairs to be strictly convex and CCW and only
+    rotates it to its lex-least vertex: `dilated_dual` (and `dual`),
+    `dilate` (by r != 0), `translate` and `mat_image` (by a nonsingular
+    matrix, reversing the image when the determinant is negative) map a
+    canonical cycle to such a cycle, and so does the mutation kernel.
+    `vertices` is a read-only view of the cycle as `Vector2`s.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("cycle",)
 
     def __init__(self, points: Iterable[Vector2]):
-        object.__setattr__(self, "vertices", hull_of_pairs((p.x, p.y) for p in points).vertices)
+        _set(self, "cycle", hull_of_pairs((p.x, p.y) for p in points).cycle)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("Polygon is immutable")
 
+    @property
+    def vertices(self) -> tuple[Vector2, ...]:
+        """The vertex cycle as vectors, built on each read."""
+        return tuple(Vector2._of(x, y) for x, y in self.cycle)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polygon) and self.vertices == other.vertices
+        return isinstance(other, Polygon) and self.cycle == other.cycle
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        # a vector hashes as its pair, so this is the hash of the vertices
+        return hash(self.cycle)
 
     def __repr__(self) -> str:
-        return "Polygon[" + ", ".join(map(repr, self.vertices)) + "]"
+        return "Polygon[" + ", ".join(f"({x}, {y})" for x, y in self.cycle) + "]"
 
     def dim(self) -> int:
-        return min(len(self.vertices) - 1, 2)
+        return min(len(self.cycle) - 1, 2)
 
     def is_lattice(self) -> bool:
-        return all(v.is_integral() for v in self.vertices)
-
-    def edges(self) -> list[tuple[Vector2, Vector2]]:
-        v = self.vertices
-        if len(v) == 1:
-            return []
-        if len(v) == 2:
-            return [(v[0], v[1])]
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+        return all(type(x) is int and type(y) is int for x, y in self.cycle)
 
     def translate(self, t: Vector2) -> "Polygon":
-        return _polygon_from_cycle([(v.x + t.x, v.y + t.y) for v in self.vertices])
+        return _polygon_from_cycle([(x + t.x, y + t.y) for x, y in self.cycle])
 
     def contains(self, p: Vector2) -> bool:
-        for n, c in _halfplanes(self):
-            if n.dot(p) < c:
-                return False
-        return True
+        return all(a * p.x + b * p.y >= c for a, b, c in _halfplanes(self))
 
     def contains_origin_interior(self) -> bool:
-        # edge (a, b) cuts out n.x >= c with c = n.a = -cross(a, b)
-        return self.dim() == 2 and all(a.cross(b) > 0 for a, b in self.edges())
+        # edge (a, b) cuts out n.x >= c with c = n.a = -det(a, b)
+        cyc = self.cycle
+        return len(cyc) > 2 and all(ax * by - ay * bx > 0 for (ax, ay), (bx, by) in zip((cyc[-1], *cyc), cyc))
 
 
 def _polygon_from_cycle(cyc: Sequence[tuple[Rational, Rational]]) -> Polygon:
     """The polygon whose vertex cycle, as exact (x, y) pairs from any
     start, is cyc: strictly convex and counterclockwise, or one or two
-    distinct points.  Nothing is checked; the cycle is rotated to start at
-    its lex-least vertex, as the hull of the same points does."""
-    P = object.__new__(Polygon)
-    object.__setattr__(P, "vertices", tuple(Vector2._of(x, y) for x, y in _lex_first(cyc)))
+    distinct points.  Nothing is checked; an integral Fraction is folded to
+    its int, and the cycle is rotated to start at its lex-least vertex, as
+    the hull of the same points does."""
+    P = _new(Polygon)
+    _set(P, "cycle", tuple((_exact(x), _exact(y)) for x, y in _lex_first(cyc)))
     return P
 
 
@@ -317,7 +321,7 @@ def dilate(P: Polygon, r: RationalLike) -> Polygon:
     """r*P; for r != 0 the scaled cycle is still CCW and strictly convex
     (r < 0 turns it by a half turn), for r == 0 it collapses to a point."""
     r = to_fraction(r)
-    cyc = [(r * v.x, r * v.y) for v in P.vertices]
+    cyc = [(r * x, r * y) for x, y in P.cycle]
     return _polygon_from_cycle(cyc) if r else hull_of_pairs(cyc)
 
 
@@ -331,7 +335,7 @@ def mat_image(U: Mat2, P: Polygon) -> Polygon:
     cycle, counterclockwise when det(U) > 0 and clockwise (so reversed
     here) when det(U) < 0; a singular U collapses P and takes a hull."""
     (a, b), (c, d) = U
-    cyc = [(a * v.x + b * v.y, c * v.x + d * v.y) for v in P.vertices]
+    cyc = [(a * x + b * y, c * x + d * y) for x, y in P.cycle]
     det = mat_det(U)
     if not det:
         return hull_of_pairs(cyc)
@@ -347,8 +351,7 @@ def mat_det(U: Mat2) -> int:
 
 def area(P: Polygon) -> Rational:
     """Euclidean area by the shoelace formula (0 for points and segments)."""
-    v = P.vertices
-    return qdiv(abs(_twice_area([(p.x, p.y) for p in v])), 2) if len(v) > 2 else 0
+    return qdiv(abs(_twice_area(P.cycle)), 2) if len(P.cycle) > 2 else 0
 
 
 def _twice_area(cyc: Sequence[tuple[Rational, Rational]]) -> Rational:
@@ -361,33 +364,20 @@ def _twice_area(cyc: Sequence[tuple[Rational, Rational]]) -> Rational:
     return s
 
 
-def _halfplanes(P: Polygon) -> list[tuple[Vector2, Rational]]:
-    """Inequalities n.x >= c cutting out P, valid in every dimension."""
-    v = P.vertices
-    if len(v) == 1:
-        p = v[0]
-        return [
-            (Vector2._of(1, 0), p.x),
-            (Vector2._of(-1, 0), -p.x),
-            (Vector2._of(0, 1), p.y),
-            (Vector2._of(0, -1), -p.y),
-        ]
-    if len(v) == 2:
-        a, b = v
-        d = b - a
-        n = Vector2._of(-d.y, d.x)
-        return [
-            (n, n.dot(a)),
-            (-n, -n.dot(a)),
-            (d, d.dot(a)),
-            (-d, -d.dot(b)),
-        ]
-    out = []
-    for a, b in P.edges():
-        d = b - a
-        n = Vector2._of(-d.y, d.x)  # inward for CCW order
-        out.append((n, n.dot(a)))
-    return out
+def _halfplanes(P: Polygon) -> list[tuple[Rational, Rational, Rational]]:
+    """Inequalities a*x + b*y >= c cutting out P, as exact (a, b, c)
+    triples off its cycle, valid in every dimension."""
+    cyc = P.cycle
+    if len(cyc) == 1:
+        (px, py), = cyc
+        return [(1, 0, px), (-1, 0, -px), (0, 1, py), (0, -1, -py)]
+    if len(cyc) == 2:
+        (ax, ay), (bx, by) = cyc
+        dx, dy = bx - ax, by - ay
+        c = dx * ay - dy * ax  # the normal (-dy, dx) at a
+        return [(-dy, dx, c), (dy, -dx, -c), (dx, dy, dx * ax + dy * ay), (-dx, -dy, -dx * bx - dy * by)]
+    # the normal (-dy, dx) of each edge points inward for CCW order
+    return [(ay - by, bx - ax, ay * bx - ax * by) for (ax, ay), (bx, by) in zip(cyc, (*cyc[1:], cyc[0]))]
 
 
 def dual(P: Polygon) -> Polygon:
@@ -407,7 +397,7 @@ def dilated_dual(P: Polygon, r: Rational) -> Polygon:
         raise NotFullDimensional("dual needs a full-dimensional polygon")
     if r <= 0:
         raise DomainError(f"dilation of a dual must be positive: {r}")
-    return _polygon_from_cycle(_dilated_dual([(v.x, v.y) for v in P.vertices], r))
+    return _polygon_from_cycle(_dilated_dual(P.cycle, r))
 
 
 def _dilated_dual(cyc: Sequence[tuple[Rational, Rational]], r: Rational) -> list[tuple[Rational, Rational]]:
@@ -462,7 +452,7 @@ def _height_frame(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def _vertex_maps(P: Polygon, Q: Polygon) -> Iterator[tuple[Mat2, Vector2]]:
     """Every unimodular U and integer translation t with U*P + t == Q."""
     _require_lattice_2d(P, Q)
-    for U, (tx, ty) in _cycle_maps([(v.x, v.y) for v in P.vertices], [(v.x, v.y) for v in Q.vertices]):
+    for U, (tx, ty) in _cycle_maps(P.cycle, Q.cycle):
         yield U, Vector2._of(tx, ty)
 
 
@@ -585,7 +575,7 @@ def vector_from_json(obj) -> Vector2:
 
 
 def polygon_to_json(P: Polygon) -> dict:
-    return {"vertices": [vector_to_json(v) for v in P.vertices]}
+    return {"vertices": [[str(x), str(y)] for x, y in P.cycle]}
 
 
 def polygon_from_json(obj) -> Polygon:
@@ -605,4 +595,4 @@ def parse_vertices(obj) -> list[Vector2]:
 
 def segment_to_json(S: Polygon) -> dict:
     """A point or segment as its ends {"a", "b"}, lex-smallest first."""
-    return {"a": vector_to_json(S.vertices[0]), "b": vector_to_json(S.vertices[-1])}
+    return {"a": [str(c) for c in S.cycle[0]], "b": [str(c) for c in S.cycle[-1]]}

@@ -594,7 +594,7 @@ def period_sequence(f: LaurentPoly, dmax: int) -> list[Rational]:
     while exps:
         # integer inequalities n.e >= c of N, stored as (n, -c): a term b
         # is kept when n.(-b) >= (dmax - 1)*c, i.e. n.b <= (dmax - 1)*(-c)
-        cuts = [(int(n.x), int(n.y), -int(c)) for n, c in _halfplanes(hull_of_pairs(exps))]
+        cuts = [(n1, n2, -c) for n1, n2, c in _halfplanes(hull_of_pairs(exps))]
         if any(m < 0 for _, _, m in cuts):
             return out
         kept = [(x, y) for x, y in exps if all(n1 * x + n2 * y <= (dmax - 1) * m for n1, n2, m in cuts)]

@@ -9,14 +9,15 @@ copies of F.  The slabs are implied by (w, F) and never stored: they exist
 exactly when t <= t_max, read off the negative vertex heights.
 
 The kernel works at the vertices only, on the integer vertex cycle
-[(x, y), ...].  In the grading by w the slice endpoints of P are piecewise
-linear and break only at vertex heights, so the valid factor lengths and
-the mutant are read off one table of integer rows (A_h, B_h), the lattice
-k-interval of P at each vertex height h, in increasing h, in the frame of
-geom.height_basis: the least ceiling and the greatest floor of the edge
-crossings at h.  The mutant's hull is one monotone chain up the lower row
-ends and one down the upper ends, with no sort of points; the cost does
-not grow with the range of heights.
+[(x, y), ...] that a Polygon stores as `cycle`.  In the grading by w the
+slice endpoints of P are piecewise linear and break only at vertex
+heights, so the valid factor lengths and the mutant are read off one table
+of integer rows (A_h, B_h), the lattice k-interval of P at each vertex
+height h, in increasing h, in the frame of geom.height_basis: the least
+ceiling and the greatest floor of the edge crossings at h.  The mutant's
+hull is one monotone chain up the lower row ends and one down the upper
+ends, with no sort of points; the cost does not grow with the range of
+heights.
 
 Sign convention: for Laurent polynomials, dividing the second variable by
 g(x) corresponds to w = (0,-1) with F = Newt(g) along +x; this is the
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DomainError
 from . import fano
@@ -123,13 +124,18 @@ def _row(hk: list[tuple[int, int]], h: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _cycle(P: Polygon) -> list[tuple[int, int]]:
-    return [(v.x, v.y) for v in P.vertices]
-
-
 def _require_fano(P: Polygon) -> None:
     if not fano.is_fano(P):
         raise fano.NotFano("operation requires a Fano polygon")
+
+
+def _profile(P: Polygon, w: Vector2) -> _Profile:
+    """The profile of P along w, once P is proved Fano and w primitive
+    (height_basis refuses a non-primitive w), in that order."""
+    _require_fano(P)
+    if not is_primitive(w):
+        height_basis(w)  # raises NotPrimitive
+    return _Profile(P.cycle, (w.x, w.y))
 
 
 def _t_max(prof: _Profile) -> int:
@@ -150,10 +156,7 @@ def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     The list is empty when no factor exists (for instance when some
     negative-height vertex sits alone in a point slice).
     """
-    _require_fano(P)
-    if not is_primitive(w):
-        height_basis(w)  # raises NotPrimitive
-    prof = _Profile(_cycle(P), (w.x, w.y))
+    prof = _profile(P, w)
     f0 = Vector2._of(*prof.f0)
     return [MutationData(w=w, t=t, f0=f0) for t in range(1, _t_max(prof) + 1)]
 
@@ -191,7 +194,7 @@ def mutants(P: Polygon) -> list[tuple[MutationData, Polygon]]:
     _require_fano(P)
     return [
         (MutationData(w=w, t=t, f0=Vector2._of(*prof.f0)), _polygon_from_cycle(_mutant(prof, t)))
-        for w, prof, t in _factor_walk(_cycle(P))
+        for w, prof, t in _factor_walk(P.cycle)
     ]
 
 
@@ -221,10 +224,7 @@ def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int
         raise InvalidFactor("factor direction must be a lattice vector killed by w")
     if md.t > 0 and not is_primitive(md.f0):
         raise InvalidFactor("factor direction must be primitive")
-    _require_fano(P)
-    if not is_primitive(md.w):
-        height_basis(md.w)  # raises NotPrimitive
-    prof = _Profile(_cycle(P), (md.w.x, md.w.y))
+    prof = _profile(P, md.w)
     # w is primitive, so a primitive lattice f0 it kills is +-prof.f0
     ts = md.t if (md.f0.x, md.f0.y) == prof.f0 else -md.t
     # the slab at a vertex height h is the lattice slice cut short by (-h)t
@@ -267,10 +267,7 @@ def _mutant(prof: _Profile, t: int) -> list[tuple[int, int]]:
     (ux, uy), (fx, fy) = prof.vw, prof.f0
     cyc = [(h * ux + k * fx, h * uy + k * fy) for h, k in hk]
     i = cyc.index(min(cyc))
-    cyc = cyc[i:] + cyc[:i]
-    if any(type(x) is not int or type(y) is not int for x, y in cyc):  # pragma: no cover - structural guarantee
-        raise AssertionError("mutation produced a non-lattice polygon")
-    return cyc
+    return cyc[i:] + cyc[:i]
 
 
 def dual_map(md: MutationData, Q: Polygon) -> Polygon:
@@ -283,10 +280,9 @@ def dual_map(md: MutationData, Q: Polygon) -> Polygon:
     fx, fy = md.t * md.f0.x, md.t * md.f0.y
     wx, wy = md.w.x, md.w.y
     pts = []
-    ax, ay = Q.vertices[-1].x, Q.vertices[-1].y
+    ax, ay = Q.cycle[-1]
     sa = ax * fx + ay * fy
-    for b in Q.vertices:
-        bx, by = b.x, b.y
+    for bx, by in Q.cycle:
         sb = bx * fx + by * fy
         if (sa > 0 > sb) or (sa < 0 < sb):
             # the crossing has <u, t*f0> = 0, so the map fixes it
@@ -356,8 +352,13 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     P has, so a point or a segment is refused as not Fano."""
     if P.dim() != 2:
         raise fano.NotFano("operation requires a Fano polygon")
-    v0 = P.vertices[0]  # the edges of P - v0 are those of P
-    return [Vector2._of(p, q) for p, q in _directions([(v - v0).as_ints() for v in P.vertices])]
+    vs = P.cycle
+    if not P.is_lattice():
+        # the edges of P - v0 are those of P; as_ints refuses a P - v0 that
+        # is no lattice polygon
+        x0, y0 = vs[0]
+        vs = [Vector2._of(x - x0, y - y0).as_ints() for x, y in vs]
+    return [Vector2._of(p, q) for p, q in _directions(vs)]
 
 
 # the most classes a mutation graph may hold; one more is a DomainError,
@@ -378,23 +379,23 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     inherits the root's proof and reads its weights and multiplicity off
     the minors of its vertices.
 
-    Each node is expanded by one _factor_walk on its integer vertex cycle.
-    Mutants stay such cycles: one hull, one class lookup (_ClassIndex: a
-    cycle seen before, else the cheap invariant geom._cycle_invariant, and
-    a vertex-map search only against the classes that share it), and a
-    Polygon only for a new class.  The node found by (w, t) from src is
-    mutated by (-w, t) back to src's representative, up to a shear along
-    the kernel of w, so that edge is recorded as leading to src without
-    building the mutant.  More than GRAPH_CLASS_LIMIT classes is a
-    DomainError.
+    Each node is expanded by one _factor_walk on the integer vertex cycle
+    its polygon stores.  Mutants stay such cycles: one hull, one class
+    lookup (_ClassIndex: a cycle seen before, else the cheap invariant
+    geom._cycle_invariant, and a vertex-map search only against the
+    representatives that share it), and a Polygon only for a new class.
+    The node found by (w, t) from src is mutated by (-w, t) back to src's
+    representative, up to a shear along the kernel of w, so that edge is
+    recorded as leading to src without building the mutant.  More than
+    GRAPH_CLASS_LIMIT classes is a DomainError.
     """
     _require_fano(P)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
 
-    polygons, cycles = [P], [_cycle(P)]  # each class's representative and its cycle
-    classes = _ClassIndex(cycles)
-    classes.setdefault(cycles[0], 0)
+    polygons = [P]  # each class's representative
+    classes = _ClassIndex(polygons)
+    classes.setdefault(P.cycle, 0)
     # back[i] = (w, t, src): the mutation of node i back to the node src
     # that it was found from (none for the root)
     back: list[tuple[Optional[Vector2], int, int]] = [(None, 0, 0)]
@@ -404,7 +405,7 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
         next_frontier: list[int] = []
         for src in frontier:
             w_back, t_back, home = back[src]
-            for w, prof, t in _factor_walk(cycles[src]):
+            for w, prof, t in _factor_walk(polygons[src].cycle):
                 if t == t_back and w == w_back:
                     edges.append(GraphEdge(src, home, w, t))
                     continue
@@ -416,14 +417,13 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
                             f"mutation graph exceeds the class budget GRAPH_CLASS_LIMIT = {GRAPH_CLASS_LIMIT}"
                         )
                     polygons.append(_polygon_from_cycle(cyc))
-                    cycles.append(cyc)
                     back.append((-w, t, src))
                     next_frontier.append(tgt)
                 edges.append(GraphEdge(src, tgt, w, t))
         frontier = next_frontier
         if not frontier:
             break
-    wm = [fano._weights_and_multiplicity(*c) if len(c) == 3 else (None, None) for c in cycles]
+    wm = [fano._weights_and_multiplicity(*Q.cycle) if len(Q.cycle) == 3 else (None, None) for Q in polygons]
     nodes = tuple(GraphNode(Q, w, m) for Q, (w, m) in zip(polygons, wm))
     # "extra_scan" stays in the graph JSON as a constant: the edge normals
     # are complete, so no wider box of height functions is ever scanned
@@ -435,27 +435,28 @@ class _ClassIndex:
     """The classes of a mutation graph, looked up by a polygon's canonical
     integer vertex cycle in three steps: an identical cycle seen before is
     in its class; a cycle whose _cycle_invariant no class has is a new
-    class; only otherwise is the cycle matched against the representative
-    cycle of each class that shares its invariant, by a geom._cycle_maps
+    class; only otherwise is the cycle matched against the cycle of each
+    representative whose class shares its invariant, by a geom._cycle_maps
     search for a map with translation (0, 0).  _cycle_maps lists every
     unimodular affine map between two canonical cycles, so that map is
     linear equivalence itself, and classes are disjoint, so at most one
     class in the bucket matches: the witness alone decides class identity,
     and the invariant only skips searches that cannot succeed."""
 
-    def __init__(self, cycles: list[list[tuple[int, int]]]):
-        self.cycles = cycles  # each class's representative cycle, which the caller grows
+    def __init__(self, polygons: list[Polygon]):
+        self.polygons = polygons  # each class's representative, which the caller grows
         self.seen: dict[tuple[tuple[int, int], ...], int] = {}
         self.invariants: dict[tuple[tuple[int, int], ...], list[int]] = {}
 
-    def setdefault(self, cyc: list[tuple[int, int]], new: int) -> int:
+    def setdefault(self, cyc: Sequence[tuple[int, int]], new: int) -> int:
         """The class of the polygon with canonical cycle cyc; if it has
-        none, the class is recorded as new, whose cycle the caller appends."""
+        none, the class is recorded as new, whose representative the caller
+        appends."""
         key = tuple(cyc)
         tgt = self.seen.get(key)
         if tgt is None:
             same = self.invariants.setdefault(_cycle_invariant(cyc), [])
-            tgt = next((j for j in same if any(t == (0, 0) for _, t in _cycle_maps(self.cycles[j], cyc))), new)
+            tgt = next((j for j in same if any(t == (0, 0) for _, t in _cycle_maps(self.polygons[j].cycle, cyc))), new)
             if tgt == new:
                 same.append(new)
             self.seen[key] = tgt

@@ -2,7 +2,8 @@
 
 The library computes slices, mutations and the deformation pipeline on
 integer vertex cycles.  The functions here follow the definitions instead:
-the rational slice of a polygon by Sutherland-Hodgman clipping, lattice
+the edges and cross products of a polygon's `Vector2` vertices, the
+rational slice of a polygon by Sutherland-Hodgman clipping, lattice
 slices and points, Minkowski sums and differences, the extended Euclidean
 algorithm, the dual's denominator and the vertex-map search on `Vector2`
 polygons, the weight formula of a mutated triangle, the integral of a PL
@@ -51,9 +52,25 @@ from polymut.mutation import MutationData, mutate
 
 # --- geometry ---------------------------------------------------------------
 
+def cross(a: Vector2, b: Vector2) -> Rational:
+    """det(a, b), the cross product of two plane vectors."""
+    return a.x * b.y - a.y * b.x
+
+
+def edges(P: Polygon) -> list[tuple[Vector2, Vector2]]:
+    """The edges (a, b) of P in counterclockwise order: one for a segment,
+    none for a point."""
+    v = P.vertices
+    if len(v) == 1:
+        return []
+    if len(v) == 2:
+        return [(v[0], v[1])]
+    return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+
+
 def contains_strictly(P: Polygon, p: Vector2) -> bool:
     """p lies in the interior of the full-dimensional polygon P."""
-    return P.dim() == 2 and all(n.dot(p) > c for n, c in _halfplanes(P))
+    return P.dim() == 2 and all(a * p.x + b * p.y > c for a, b, c in _halfplanes(P))
 
 
 def clip_halfplane(loop: list[Vector2], n: Vector2, c: Rational) -> list[Vector2]:
@@ -79,8 +96,8 @@ def clip_halfplane(loop: list[Vector2], n: Vector2, c: Rational) -> list[Vector2
 def intersect(P: Polygon, Q: Polygon) -> Optional[Polygon]:
     """Exact intersection of two convex polygons, or None if empty."""
     loop = list(P.vertices)
-    for n, c in _halfplanes(Q):
-        loop = clip_halfplane(loop, n, c)
+    for a, b, c in _halfplanes(Q):
+        loop = clip_halfplane(loop, Vector2(a, b), c)
         if not loop:
             return None
     return Polygon(loop)
@@ -162,8 +179,8 @@ def dual_denominator(P: Polygon) -> int:
     if not P.is_lattice():
         raise NotLattice("dual_denominator needs a lattice polygon")
     out = 1
-    for a, b in P.edges():
-        det = a.cross(b)
+    for a, b in edges(P):
+        det = cross(a, b)
         if det <= 0:
             raise OriginNotInterior("dual needs the origin strictly inside")
         out = math.lcm(out, det // math.gcd(det, b.x - a.x, a.y - b.y))
@@ -172,7 +189,7 @@ def dual_denominator(P: Polygon) -> int:
 
 def _solve_pair_map(d1: Vector2, d2: Vector2, e1: Vector2, e2: Vector2) -> Optional[Mat2]:
     """Integer U with U d1 = e1 and U d2 = e2, if unimodular; else None."""
-    det = d1.cross(d2)
+    det = cross(d1, d2)
     u00 = qdiv(e1.x * d2.y - e2.x * d1.y, det)
     u01 = qdiv(-e1.x * d2.x + e2.x * d1.x, det)
     u10 = qdiv(e1.y * d2.y - e2.y * d1.y, det)
@@ -227,77 +244,25 @@ def linear_normal_form(P: Polygon) -> tuple[tuple[int, int], ...]:
     arXiv:1301.6641).  Every candidate is U*P for some U in GL2(Z), so the
     normal form is the vertex cycle of a polygon in the class of P.
 
-    The candidates are first filtered by their second Hermite column (see
-    _second_column), which decides the order for every Fano polygon, then
-    a tie by their third (_third_column), and only those with the least
-    columns are brought to the full form.  The form itself is unchanged:
-    when some candidate has no such column, all 2n are compared in full.
-
     _cycle_invariant is a cheaper GL2(Z) invariant that needs no Bezout
     step but does not separate every pair of classes; the mutation graph
     tells such classes apart by a vertex map (geom._cycle_maps), and the
     tests check its classes against this form.
     """
     _require_lattice_2d(P)
-    return _cycle_normal_form([(v.x, v.y) for v in P.vertices])
+    return _cycle_normal_form(P.cycle)
 
 
 def _cycle_normal_form(vs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """linear_normal_form of the full-dimensional lattice polygon whose
     vertex cycle, as integer (x, y) pairs, is vs, from any start and in
-    either orientation.  Nothing is checked."""
+    either orientation: the least Hermite form of all 2n candidates.
+    Nothing is checked."""
     n = len(vs)
     # both orientations start at the same vertices, so one Bezout step per
     # vertex serves all 2n candidates
     bez = {v: _bezout(*v) for v in vs if v != (0, 0)}
-    starts = [(cyc, i) for cyc in (vs, vs[::-1]) for i in range(n)]
-    keys = [_second_column(cyc[i], cyc[(i + 1) % n], bez) for cyc, i in starts]
-    if None not in keys:
-        least = min(keys)
-        starts = [s for s, k in zip(starts, keys) if k == least]
-        if len(starts) > 1:
-            # the tied candidates share their first two columns
-            keys = [_third_column(cyc[i], cyc[(i + 1) % n], cyc[(i + 2) % n], bez) for cyc, i in starts]
-            least = min(keys)
-            starts = [s for s, k in zip(starts, keys) if k == least]
-    return min(_hermite_columns(cyc[i:] + cyc[:i], bez) for cyc, i in starts)
-
-
-def _second_column(
-    v0: tuple[int, int], v1: tuple[int, int], bez: dict[tuple[int, int], tuple[int, int, int]]
-) -> Optional[tuple[int, int]]:
-    """The second column (r1 mod d, d) of the Hermite form of any vertex
-    cycle that starts v0, v1, when v0 is primitive, so that its first
-    column is (1, 0), and d = |det(v0, v1)| > 0; else None.
-
-    With x*a + y*b == 1 for v0 = (a, b), the unimodular ((x, y), (-b, a))
-    sends v0 to (1, 0) and v1 to (r1, +-d), r1 = x*v1[0] + y*v1[1], and the
-    Hermite form reduces r1 modulo the pivot d.  Other Bezout coefficients
-    change r1 by a multiple of d, so the column does not depend on them."""
-    if v0 not in bez:
-        return None
-    g, x, y = bez[v0]
-    d = abs(v0[0] * v1[1] - v0[1] * v1[0])
-    if g != 1 or not d:
-        return None
-    return (x * v1[0] + y * v1[1]) % d, d
-
-
-def _third_column(
-    v0: tuple[int, int], v1: tuple[int, int], v2: tuple[int, int], bez: dict[tuple[int, int], tuple[int, int, int]]
-) -> tuple[int, int]:
-    """The third column of the Hermite form of any vertex cycle that starts
-    v0, v1, v2, when _second_column(v0, v1, bez) is not None: the unimodular
-    of _second_column, its second row negated when it sends v1 below the
-    axis, then the first row reduced by q times the second, where q reduces
-    the image of v1 to its second column."""
-    _, x, y = bez[v0]
-    a, b = v0
-    d1, d2 = a * v1[1] - b * v1[0], a * v2[1] - b * v2[0]
-    if d1 < 0:
-        d1, d2 = -d1, -d2
-    q = (x * v1[0] + y * v1[1]) // d1
-    return x * v2[0] + y * v2[1] - q * d2, d2
+    return min(_hermite_columns(cyc[i:] + cyc[:i], bez) for cyc in (vs, vs[::-1]) for i in range(n))
 
 
 def _hermite_columns(

@@ -21,7 +21,7 @@ from polymut.divpoly import (
 from polymut.errors import DomainError
 from polymut.geom import area
 from conftest import P
-from oracles import canonical_form_two_pass, integral, validate
+from oracles import canonical_form_two_pass, edges, integral, validate
 
 BOX = (-6, 6)
 
@@ -514,7 +514,7 @@ class TestFastPathOracles:
                 continue
             vs = Q.vertices
             left = vs[-1].x == vs[0].x
-            right = any(a.x == b.x for a, b in Q.edges()[1:-1])
+            right = any(a.x == b.x for a, b in edges(Q)[1:-1])
             key = "both" if left and right else "vertical left edge" if left else "vertical right edge" if right else "neither"
             seen[key] += 1
             got, want = from_polygon(Q), _from_polygon_by_definition(Q)

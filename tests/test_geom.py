@@ -33,6 +33,8 @@ from polymut.geom import (
 from conftest import P, random_unimodular
 from oracles import (
     contains_strictly,
+    cross,
+    edges,
     dual_denominator,
     vertex_maps,
     extgcd,
@@ -155,12 +157,12 @@ def _assert_canonical_hull(vs, pts):
         assert set(pts) == {vs[0]}
     elif n == 2:
         a, b = vs
-        assert b == max(pts) and all((b - a).cross(p - a) == 0 for p in pts)
+        assert b == max(pts) and all(cross(b - a, p - a) == 0 for p in pts)
     else:
         for i in range(n):
             a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
-            assert (b - a).cross(c - b) > 0  # CCW, no collinear triple
-            assert all((b - a).cross(p - a) >= 0 for p in pts)
+            assert cross(b - a, c - b) > 0  # CCW, no collinear triple
+            assert all(cross(b - a, p - a) >= 0 for p in pts)
 
 
 class TestConvexHull:
@@ -562,31 +564,6 @@ def _random_fano_polygons(rng, count, span=3):
     return out
 
 
-def _candidates(Q):
-    """The 2n vertex cycles of Q, each rotation of both orientations, and
-    the Bezout table of its vertices."""
-    from polymut.geom import _bezout
-
-    vs = [v.as_ints() for v in Q.vertices]
-    bez = {v: _bezout(*v) for v in vs if v != (0, 0)}
-    return [cyc[i:] + cyc[:i] for cyc in (vs, vs[::-1]) for i in range(len(vs))], bez
-
-
-def _normal_form_by_definition(Q):
-    """The least Hermite form over every candidate, with no filter."""
-    from oracles import _hermite_columns
-
-    cands, bez = _candidates(Q)
-    return min(_hermite_columns(c, bez) for c in cands)
-
-
-def _second_columns(Q):
-    from oracles import _second_column
-
-    cands, bez = _candidates(Q)
-    return [_second_column(c[0], c[1], bez) for c in cands]
-
-
 class TestLinearNormalForm:
     def test_invariant_and_exact_randomized(self):
         # linear_equivalent is the oracle: over every pair of a pool of random
@@ -626,82 +603,6 @@ class TestLinearNormalForm:
             assert len(R.vertices) == len(nf)
             assert linear_equivalent(Q, R) is not None
             assert linear_normal_form(R) == nf
-
-    def test_matches_the_unfiltered_minimum_randomized(self):
-        # the second-column filter only narrows the candidates: on polygons
-        # with and without a non-primitive vertex, with the origin as a
-        # vertex or on an edge (v1 = -v0, so det(v0, v1) = 0), and on Fano
-        # polygons, the form is the least Hermite form of all 2n candidates
-        rng = random.Random(41)
-        polys = [_random_lattice_polygon(rng) for _ in range(150)]
-        polys += _random_fano_polygons(rng, 150)
-        for _ in range(100):  # the origin is the vertex least in x + y
-            pts = [Vector2(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(5)]
-            polys.append(Polygon([ORIGIN] + pts))
-        while len(polys) < 500:
-            v = Vector2(rng.randint(-4, 4), rng.randint(-4, 4))
-            side = [Vector2(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)]
-            side = [p for p in side if v.cross(p) > 0]
-            if side:
-                polys.append(Polygon([v, -v] + side))
-        seen = dict.fromkeys(
-            ("filtered", "unfiltered", "non-primitive", "origin a vertex", "origin on an edge"), 0
-        )
-        for Q in polys:
-            if Q.dim() < 2:
-                continue
-            assert linear_normal_form(Q) == _normal_form_by_definition(Q), Q
-            filtered = None not in _second_columns(Q)
-            seen["filtered" if filtered else "unfiltered"] += 1
-            seen["non-primitive"] += any(not v.is_zero() and not is_primitive(v) for v in Q.vertices)
-            seen["origin a vertex"] += ORIGIN in Q.vertices
-            seen["origin on an edge"] += any(a == -b for a, b in Q.edges())
-        assert min(seen.values()) >= 50, seen
-
-    @pytest.mark.parametrize(
-        "coords",
-        [
-            [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
-            [(1, 0), (0, 1), (-1, -1)],
-            [(1, 0), (0, 1), (-1, 0), (0, -1)],
-        ],
-        ids=["hexagon", "P2", "P1xP1"],
-    )
-    def test_symmetric_polygons_tie_on_the_second_column(self, coords):
-        Q = P(*coords)
-        keys = _second_columns(Q)
-        assert keys.count(min(keys)) > 1
-        assert linear_normal_form(Q) == _normal_form_by_definition(Q)
-
-    def test_matches_the_unfiltered_minimum_on_a_mutation_graph(self):
-        from polymut.fano import triangle_from_weights
-        from polymut.mutation import mutation_graph
-
-        g = mutation_graph(triangle_from_weights((2, 3, 5)), 3)
-        assert len(g.nodes) > 50
-        for node in g.nodes:
-            assert linear_normal_form(node.polygon) == _normal_form_by_definition(node.polygon)
-
-    def test_third_column_breaks_most_ties(self, monkeypatch):
-        # on the nodes of a wide graph the second column leaves 2.4
-        # candidates per polygon and the third about one, so about one
-        # full Hermite form is computed per normal form
-        import oracles
-        from polymut.fano import triangle_from_weights
-        from polymut.mutation import mutation_graph
-
-        nodes = mutation_graph(triangle_from_weights((2, 3, 5)), 4).nodes
-        finished = []
-        real = oracles._hermite_columns
-
-        def counting(cols, bez):
-            finished.append(cols)
-            return real(cols, bez)
-
-        monkeypatch.setattr(oracles, "_hermite_columns", counting)
-        for node in nodes:
-            linear_normal_form(node.polygon)
-        assert len(finished) < 1.1 * len(nodes)
 
     def test_hermite_shape(self, p114_triangle):
         nf = linear_normal_form(p114_triangle)
@@ -793,23 +694,6 @@ class TestIntegerKernels:
                 assert _cycle_normal_form((vs[i:] + vs[:i])[::-1]) == nf
         assert full >= 150
 
-    def test_third_column_is_the_hermite_column(self):
-        # on every candidate that has a second column (see _second_column)
-        from oracles import _hermite_columns, _second_column, _third_column
-
-        rng = random.Random(31)
-        polys = [_random_lattice_polygon(rng) for _ in range(100)] + _random_fano_polygons(rng, 100)
-        checked = 0
-        for Q in polys:
-            if Q.dim() < 2:
-                continue
-            cands, bez = _candidates(Q)
-            for c in cands:
-                if _second_column(c[0], c[1], bez) is not None:
-                    assert _third_column(c[0], c[1], c[2], bez) == _hermite_columns(c, bez)[2], c
-                    checked += 1
-        assert checked >= 1000
-
 
 class TestCycleInvariant:
     def test_invariant_under_unimodular_maps_starts_and_reversal(self):
@@ -884,7 +768,7 @@ def _assert_is_hull_of(R, pts):
 def _dual_points(Q):
     # one point per edge, solved as the intersection of <u, a> = <u, b> = -1
     out = []
-    for a, b in Q.edges():
+    for a, b in edges(Q):
         det = a.x * b.y - a.y * b.x
         out.append(Vector2(Fraction(a.y - b.y, det), Fraction(b.x - a.x, det)))
     return out
@@ -956,7 +840,7 @@ def _origin_cases(rng):
     if kind == "edge":
         p = _random_point(rng)
         q = p.scale(-Fraction(rng.randint(1, 5), rng.randint(1, 5)))
-        side = [x for x in (_random_point(rng) for _ in range(rng.randint(1, 4))) if p.cross(x) > 0]
+        side = [x for x in (_random_point(rng) for _ in range(rng.randint(1, 4))) if cross(p, x) > 0]
         return [p, q] + side
     if kind == "vertex":
         return [ORIGIN] + [Vector2(_random_rational(rng), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]

@@ -75,10 +75,14 @@ def test_only_height_basis_calls_extgcd():
 def test_one_factor_walk():
     # mutation._factor_walk is the one walk over every factor of a polygon,
     # which mutants and mutation_graph share; find_factors reads one
-    # direction and _validate_mutation_data the one of a given factor
+    # direction and _validate_mutation_data the one of a given factor, both
+    # by _profile, which proves P Fano and w primitive first
     tree = ast.parse((SRC / "mutation.py").read_text())
-    callers = sorted(scope for scope, call in _calls(tree) if _name(call.func) == "_Profile")
-    assert callers == ["_factor_walk", "_validate_mutation_data", "find_factors"]
+    calls = list(_calls(tree))
+    callers = sorted(scope for scope, call in calls if _name(call.func) == "_Profile")
+    assert callers == ["_factor_walk", "_profile"]
+    callers = sorted(scope for scope, call in calls if _name(call.func) == "_profile")
+    assert callers == ["_validate_mutation_data", "find_factors"]
     assert _named_outside("_Profile", {"mutation.py"}) == []
     # a mutant of a Fano polygon is Fano: the graph proves its root once,
     # before its loop, and no node it expands
@@ -86,6 +90,28 @@ def test_one_factor_walk():
     proofs = [n for n in ast.walk(graph) if _name(n) == "_require_fano"]
     loops = [n for n in ast.walk(graph) if isinstance(n, (ast.For, ast.While))]
     assert len(proofs) == 1 and not any(n in proofs for loop in loops for n in ast.walk(loop))
+
+
+def test_polygons_are_read_by_their_cycle():
+    # a Polygon stores one form, its canonical cycle of exact (x, y) pairs,
+    # and its vertices are a Vector2 view of it: outside geom no loop over
+    # a view builds (x, y) pairs again, by .x and .y or by as_ints
+    offenders = []
+    for name, node, _ in _nodes():
+        if name == "geom.py":
+            continue
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            iters, body = [g.iter for g in node.generators], [node.elt]
+        elif isinstance(node, ast.For):
+            iters, body = [node.iter], node.body
+        else:
+            continue
+        if not any(_name(n) == "vertices" for it in iters for n in ast.walk(it)):
+            continue
+        built = [n for b in body for n in ast.walk(b) if isinstance(n, ast.Tuple) or _name(n) == "as_ints"]
+        if any(_name(n) == "as_ints" or any(_name(a) in {"x", "y"} for a in ast.walk(n)) for n in built):
+            offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_factor_kernel_runs_on_integer_pairs():

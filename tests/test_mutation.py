@@ -690,16 +690,48 @@ class TestMutationGraph:
         assert profiles == [(Q, w) for Q in expanded for w in factor_directions(Q)]
 
     def test_vectors_built_by_the_markov_graph(self, monkeypatch):
-        # the factor walk runs on integer pairs: P^2 to depth 5 builds a
-        # Vector2 only for the 3 vertices of each of its 16 new classes, the
-        # w of each of the 27 directions with a factor of its 9 expanded
-        # nodes, and the -w back to each new class's source
+        # the factor walk runs on integer pairs and a polygon stores its
+        # cycle: P^2 to depth 5 builds a Vector2 only for the w of each of
+        # the 27 directions with a factor of its 9 expanded nodes, and the
+        # -w back to each of its 16 new classes' sources
         built = []
         real, T = Vector2._of.__func__, fano.triangle_from_weights((1, 1, 1))
         monkeypatch.setattr(Vector2, "_of", classmethod(lambda cls, x, y: built.append((x, y)) or real(cls, x, y)))
         g = mutation_graph(T, 5)
         assert (len(g.nodes), len(g.edges)) == (17, 27)
-        assert len(built) == 16 * 3 + 27 + 16 == 91
+        assert len(built) == 27 + 16 == 43
+
+    def test_mutant_cycles_are_integer(self, monkeypatch):
+        # the mutant of a lattice polygon by a valid factor is a lattice
+        # polygon: _mutant's cycle holds ints only, on the pinned graphs and
+        # on 60 seeded Fano polygons by every factor, along f0 and along -f0
+        import random
+
+        from polymut import mutation
+
+        real, seen = mutation._mutant, []
+
+        def checked(prof, t):
+            cyc = real(prof, t)
+            assert all(type(c) is int for v in cyc for c in v), (prof.rows, t, cyc)
+            seen.append(t)
+            return cyc
+
+        monkeypatch.setattr(mutation, "_mutant", checked)
+        for weights, depth in [((1, 1, 1), 5), ((2, 3, 5), 4), ((1, 1, 1), 12), ((1, 4, 5), 4)]:
+            mutation_graph(fano.triangle_from_weights(weights), depth)
+        rng = random.Random(43)
+        polygons = 0
+        while polygons < 60:
+            Q = P(*((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)))
+            if not fano.is_fano(Q):
+                continue
+            polygons += 1
+            for w in factor_directions(Q):
+                for md in find_factors(Q, w):
+                    mutate(Q, md)
+                    mutate(Q, MutationData(w=md.w, t=md.t, f0=-md.f0))
+        assert (sum(t > 0 for t in seen), sum(t < 0 for t in seen)) == (2999, 195)
 
     @pytest.mark.parametrize(
         "start,depth",
@@ -910,7 +942,7 @@ class TestGraphClasses:
 
 
 def _cycle(Q):
-    return [(v.x, v.y) for v in Q.vertices]
+    return list(Q.cycle)
 
 
 # two Fano quadrilaterals with equal cycle invariants, ((1,1),(1,1),(4,2),(4,4)),
@@ -929,18 +961,17 @@ class TestClassIndex:
     @staticmethod
     def _classify(polygons):
         # each polygon's class, found as mutation_graph finds a mutant's:
-        # the index reads the list of representative cycles, which the
-        # caller grows by each new class's cycle
+        # the index reads the list of representatives, which the caller
+        # grows by each new class's polygon
         from polymut.mutation import _ClassIndex
 
-        cycles = []
-        index = _ClassIndex(cycles)
+        representatives = []
+        index = _ClassIndex(representatives)
         out = []
         for Q in polygons:
-            cyc = _cycle(Q)
-            tgt = index.setdefault(cyc, len(cycles))
-            if tgt == len(cycles):
-                cycles.append(cyc)
+            tgt = index.setdefault(Q.cycle, len(representatives))
+            if tgt == len(representatives):
+                representatives.append(Q)
             out.append(tgt)
         return out
 
