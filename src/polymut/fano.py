@@ -91,10 +91,10 @@ def _triangle_cycle(T: Polygon) -> tuple[tuple[Rational, Rational], ...]:
 
 def weights(T: Polygon) -> WeightTriple:
     """Weights of the fake plane of a Fano triangle, in canonical vertex order."""
-    cyc = _triangle_cycle(T)
+    _triangle_cycle(T)
     if not is_fano(T):
         raise NotFano("weights are defined for Fano triangles only")
-    return _weights_and_multiplicity(*cyc)[0]
+    return triangle_weights(T)
 
 
 def triangle_weights(P: Polygon) -> WeightTriple | None:

@@ -352,12 +352,10 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     P has, so a point or a segment is refused as not Fano."""
     if P.dim() != 2:
         raise fano.NotFano("operation requires a Fano polygon")
-    vs = P.cycle
-    if not P.is_lattice():
-        # the edges of P - v0 are those of P; as_ints refuses a P - v0 that
-        # is no lattice polygon
-        x0, y0 = vs[0]
-        vs = [Vector2._of(x - x0, y - y0).as_ints() for x, y in vs]
+    # the edges of P - v0 are those of P; as_ints refuses a P - v0 that is
+    # no lattice polygon
+    x0, y0 = P.cycle[0]
+    vs = [Vector2._of(x - x0, y - y0).as_ints() for x, y in P.cycle]
     return [Vector2._of(p, q) for p, q in _directions(vs)]
 
 
