@@ -1071,6 +1071,33 @@ class TestBatchVerify:
             "failed": 1,
         }
 
+    def test_polygon_entry_refusals_are_pinned(self, capsys, tmp_path):
+        # a polygon entry is refused by dual(T) first, then by weights(T)
+        # for a triangle, then by the Fano proof of mutation.mutants
+        refusals = {
+            "a_point": ([[0, 0]], "dual needs a full-dimensional polygon"),
+            "b_segment": ([[-1, 0], [1, 0]], "dual needs a full-dimensional polygon"),
+            "c_origin_on_edge": ([[-1, 0], [1, 0], [0, 1]], "dual needs the origin strictly inside"),
+            "d_origin_outside": ([[1, 1], [2, 1], [1, 2]], "dual needs the origin strictly inside"),
+            "e_rational_triangle": ([["1/2", 0], [0, 1], [-1, -1]], "weights are defined for Fano triangles only"),
+            "f_non_primitive_triangle": ([[2, 0], [0, 1], [-1, -1]], "weights are defined for Fano triangles only"),
+            "g_rational_quadrilateral": ([["1/2", 0], [0, 1], [-1, 0], [0, -1]], "operation requires a Fano polygon"),
+            "h_non_primitive_quadrilateral": ([[2, 0], [0, 1], [-1, 0], [0, -1]], "operation requires a Fano polygon"),
+        }
+        for name, (vertices, _) in refusals.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps({"vertices": vertices}))
+        code, out = run_json(capsys, "batch-verify", str(tmp_path))
+        assert code == 1
+        check_schema(out, "batch_report")
+        assert out == {
+            "results": [
+                {"file": f"{name}.json", "check": "verify", "status": "error", "detail": detail}
+                for name, (_, detail) in refusals.items()
+            ],
+            "passed": 0,
+            "failed": len(refusals),
+        }
+
     @pytest.mark.parametrize(
         "entry, detail",
         [
