@@ -33,7 +33,9 @@ from .fano import (
 from .geom import (
     Polygon,
     Vector2,
+    _dual_denominator,
     area,
+    dilated_dual,
     dual,
     parse_vertices,
     polygon_from_json,
@@ -417,28 +419,34 @@ def _verify_entry(path: Path, obj) -> list[dict]:
 
 
 def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
-    """The rows of one polygon entry.  The dual, its area and the weights of
-    T are computed once per entry, and the mutant, its dual and its weights
-    once per factor; a mutant's weights are read off its vertices, as
+    """The rows of one polygon entry.  The duality rows are read on lattice
+    polygons, a*T* once per entry and b*Q* once per factor, a and b the
+    least such dilations; a mutant's weights are read off its vertices, as
     mutation.mutants proved T Fano."""
     mutation = _module("mutation")
     deform = _module("deform")
     out = []
-    Tstar = dual(T)
-    ok = dual(Tstar) == T
-    out.append(_entry(path, "dual-involution", "pass" if ok else "fail"))
+    if not T.contains_origin_interior():
+        dual(T)  # raises: dual refuses T before weights and mutants do
     wT = weights(T) if len(T.cycle) == 3 else None
     cls = diophantine_class(wT) if wT is not None else None
-    area_star = area(Tstar)
-    for md, Q in mutation.mutants(T):
+    pairs = mutation.mutants(T)  # proves T Fano, so its cycle is integral
+    a = _dual_denominator(T.cycle)
+    Ta = dilated_dual(T, a)
+    ok = dilated_dual(Ta, a) == T  # dual(a*T*) is T/a
+    out.append(_entry(path, "dual-involution", "pass" if ok else "fail"))
+    area_a = area(Ta)
+    for md, Q in pairs:
         tag = f"w={md.w} t={md.t}"
-        Qstar = dual(Q)
-        ok = area(Qstar) == area_star
+        b = _dual_denominator(Q.cycle)
+        Qb = dilated_dual(Q, b)
+        ok = area(Qb) * a * a == area_a * b * b
         out.append(_entry(path, f"dual-area [{tag}]", "pass" if ok else "fail"))
-        # dual is an involution on polygons with the origin strictly
-        # inside, so this is dual(dual_map(md, T*)) == Q, and an image
-        # without the origin inside fails the check instead of raising
-        ok = mutation.dual_map(md, Tstar) == Qstar
+        # dual_map(md, T*) == Q* times a*b: dual_map is positively
+        # homogeneous, and scaling keeps a canonical cycle canonical.  The
+        # image is not dualised, so one without the origin inside fails
+        image = mutation.dual_map(md, Ta)
+        ok = [(b * x, b * y) for x, y in image.cycle] == [(a * x, a * y) for x, y in Qb.cycle]
         out.append(_entry(path, f"duality-commutation [{tag}]", "pass" if ok else "fail"))
         # mutants proved T Fano, and Q is its mutant, so it is Fano too
         wQ = triangle_weights(Q) if wT is not None else None

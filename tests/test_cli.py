@@ -1153,6 +1153,119 @@ class TestBatchVerify:
         assert out == {"results": [], "passed": 0, "failed": 0}
 
 
+def _scaling_cases():
+    """Every pairwise-coprime triple with c <= 15, the hexagon, P^2/Z3 and
+    60 seeded random Fano polygons."""
+    import random
+
+    from polymut.fano import is_fano, triangle_from_weights
+    from polymut.geom import Polygon, Vector2
+
+    cases = [
+        triangle_from_weights((a, b, c))
+        for c in range(1, 16)
+        for b in range(1, c + 1)
+        for a in range(1, b + 1)
+        if math.gcd(a, b) == math.gcd(b, c) == math.gcd(a, c) == 1
+    ]
+    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    cases += [Polygon([Vector2(x, y) for x, y in vs]) for vs in (hexagon, [(-1, -1), (2, -1), (-1, 2)])]
+    rng = random.Random(71)
+    found = 0
+    while found < 60:
+        Q = Polygon([Vector2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 7))])
+        if is_fano(Q):
+            cases.append(Q)
+            found += 1
+    return cases
+
+
+def _rational_verdicts(T, pairs):
+    """The duality rows of T by their rational definitions, for the (md, Q)
+    pairs that mutation.mutants handed over: (check, passed) in row order."""
+    from polymut.geom import area, dual
+    from polymut.mutation import dual_map
+
+    Tstar = dual(T)
+    out = [("dual-involution", dual(Tstar) == T)]
+    for md, Q in pairs:
+        tag = f"w={md.w} t={md.t}"
+        Qstar = dual(Q)
+        out.append((f"dual-area [{tag}]", area(Qstar) == area(Tstar)))
+        out.append((f"duality-commutation [{tag}]", dual_map(md, Tstar) == Qstar))
+    return out
+
+
+def _scaled_verdicts(T):
+    return [
+        (r["check"], r["status"] == "pass")
+        for r in cli._verify_polygon(Path("t.json"), T)
+        if r["check"].startswith("dual")
+    ]
+
+
+class TestScaledDualityRows:
+    """batch-verify reads its duality rows on a*T* and b*Q*, the least
+    lattice dilations of the duals; these pin that scaling to the rational
+    definitions of the rows."""
+
+    def test_dual_map_and_involution_scale_with_the_dilation(self):
+        from polymut.geom import _dual_denominator, dilate, dilated_dual, dual
+        from polymut.mutation import dual_map, mutants
+
+        factors = 0
+        for T in _scaling_cases():
+            a = _dual_denominator(T.cycle)
+            Ta = dilated_dual(T, a)
+            assert Ta.is_lattice() and dilated_dual(Ta, a) == T
+            Tstar = dual(T)
+            for md, Q in mutants(T):
+                assert dual_map(md, Ta) == dilate(dual_map(md, Tstar), a), (T, md)
+                factors += 1
+        assert factors >= 500
+
+    def test_rows_match_their_rational_definitions(self):
+        from polymut.mutation import mutants
+
+        for T in _scaling_cases():
+            expected = _rational_verdicts(T, mutants(T))
+            assert _scaled_verdicts(T) == expected
+            assert all(ok for _, ok in expected)
+
+    @pytest.mark.parametrize(
+        "wrong, failing",
+        [("other-factor", {"duality-commutation"}), ("translated", {"dual-area", "duality-commutation"})],
+    )
+    def test_wrong_mutant_fails_where_the_rational_rows_fail(self, monkeypatch, wrong, failing):
+        # mutants hands each factor a Q that is not its mutant: the next
+        # factor's, whose dual has the same area as mutation keeps it, or
+        # its mutant moved by a unit step that keeps the origin strictly
+        # inside
+        from polymut.geom import Vector2
+        from polymut.mutation import mutants
+
+        def wrong_pairs(T):
+            pairs = mutants(T)
+            if wrong == "other-factor":
+                return [(md, Q) for (md, _), (_, Q) in zip(pairs, pairs[1:] + pairs[:1])]
+            out = []
+            for md, Q in pairs:
+                steps = [Q.translate(Vector2(x, y)) for x, y in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+                out.append((md, next((S for S in steps if S.contains_origin_interior()), Q)))
+            return out
+
+        monkeypatch.setattr(cli._module("mutation"), "mutants", wrong_pairs)
+        # the other rows read the wrong Q too; only the duality rows are
+        # compared here
+        monkeypatch.setattr(cli._module("deform"), "weights_decrease", lambda wT, wQ: False)
+        failed = set()
+        for T in _scaling_cases():
+            expected = _rational_verdicts(T, wrong_pairs(T))
+            assert _scaled_verdicts(T) == expected, T
+            failed |= {check.split(" [")[0] for check, ok in expected if not ok}
+        assert failed == failing
+
+
 # the public names of the polymut package, by the submodule that defines them
 EXPORTS = {
     "geom": [
