@@ -33,7 +33,7 @@ from .fano import (
 from .geom import (
     Polygon,
     Vector2,
-    _dual_denominator,
+    _lattice_dual,
     area,
     dilated_dual,
     dual,
@@ -431,15 +431,13 @@ def _verify_polygon(path: Path, T: Polygon) -> list[dict]:
     wT = weights(T) if len(T.cycle) == 3 else None
     cls = diophantine_class(wT) if wT is not None else None
     pairs = mutation.mutants(T)  # proves T Fano, so its cycle is integral
-    a = _dual_denominator(T.cycle)
-    Ta = dilated_dual(T, a)
+    a, Ta = _lattice_dual(T)
     ok = dilated_dual(Ta, a) == T  # dual(a*T*) is T/a
     out.append(_entry(path, "dual-involution", "pass" if ok else "fail"))
     area_a = area(Ta)
     for md, Q in pairs:
         tag = f"w={md.w} t={md.t}"
-        b = _dual_denominator(Q.cycle)
-        Qb = dilated_dual(Q, b)
+        b, Qb = _lattice_dual(Q)
         ok = area(Qb) * a * a == area_a * b * b
         out.append(_entry(path, f"dual-area [{tag}]", "pass" if ok else "fail"))
         # dual_map(md, T*) == Q* times a*b: dual_map is positively

@@ -15,13 +15,14 @@ factor and proves the source Fano once, in the caller's frame, and
 `_deform` takes the mutant from it or from a caller that holds it already
 (`batch-verify` and `polymut deform` without `--w`).  The core runs on
 integer vertex cycles: the normalized source and mutant (det 1 keeps them
-counterclockwise), the automatic dilation and the dilated duals
-(`geom._dual_denominator`, `geom._dilated_dual`), both weight triples off
+counterclockwise), the automatic dilation and both dilated duals, off one
+dual walk per polygon (`geom._dual_walk`), both weight triples off
 one set of minors, the divisorial polytope (`divpoly._cycle_divpoly`) and
-the witness (`geom._cycle_maps`).  `is_admissible` checks that the parts
-are defined on the box before `DivPoly.with_split` builds the general
-fiber, the reduction moves whole affine coefficients only, and the
-polygons a certificate holds are built once its witness exists.
+the witness (`geom._cycle_maps`).  `is_admissible` checks the parts'
+domains, then their sum and slopes in one walk along their breakpoints,
+before `DivPoly.with_split` builds the general fiber, whose degree is
+checked pointwise too; the reduction moves whole affine coefficients
+only, and a certificate's polygons are built once its witness exists.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from .geom import (
     Rational,
     Vector2,
     _cycle_maps,
-    _dilated_dual,
-    _dual_denominator,
+    _dual_walk,
     _lex_first,
     _require_lattice_2d,
     dilated_dual,
@@ -60,6 +60,7 @@ from .geom import (
     mat_apply,
     mat_image,
     polygon_to_json,
+    qdiv,
     to_fraction,
     vector_to_json,
 )
@@ -112,28 +113,32 @@ class AdmissibilityReport:
 def is_admissible(phi: PLFunc, phi0: PLFunc, phi1: PLFunc) -> AdmissibilityReport:
     """Check the three decomposition conditions: lattice graphs of both
     parts, exact pointwise sum, and at most one part with non-integral
-    slope on each maximal affine piece of phi."""
+    slope on each maximal affine piece of phi, read in one walk along the
+    sorted union of the three functions' breakpoints, between neighbours
+    of which all three are affine."""
     if phi.domain != phi0.domain or phi.domain != phi1.domain:
         raise DomainMismatch(
             "decomposition domains differ: "
             f"{interval_str(phi.domain)}, {interval_str(phi0.domain)}, {interval_str(phi1.domain)}"
         )
-    violations = []
-    for name, part in (("part0", phi0), ("part1", phi1)):
-        if not part.has_lattice_graph():
-            violations.append(f"{name}: graph vertices not in the lattice")
-    if phi0 + phi1 != phi:
+    parts = (("part0", phi0), ("part1", phi1))
+    violations = [f"{name}: graph vertices not in the lattice" for name, f in parts if not f.has_lattice_graph()]
+    us = sorted(set(phi.breaks).union(phi0.breaks, phi1.breaks))
+    if any(x + y != z for x, y, z in zip(phi0._at(us), phi1._at(us), phi._at(us))):
         violations.append("parts do not sum to the decomposed function")
-    parts = (phi0.pieces(), phi1.pieces())
-    for a, b, _ in phi.pieces():
-        # a part is bad on [a, b] when a piece of it meeting [a, b] has a
-        # non-integral slope
-        bad = sum(
-            any(s.denominator != 1 for l, r, s in pieces if l < b and a < r)
-            for pieces in parts
-        )
-        if bad > 1:
-            violations.append(f"both parts have non-integral slope on [{a}, {b}]")
+    # part k is bad on phi's piece [bs[i], bs[i+1]] when its slope sk[jk]
+    # on a step between neighbours inside that piece is non-integral
+    (bs, b0, b1), (s0, s1) = (phi.breaks, phi0.breaks, phi1.breaks), (phi0.slopes(), phi1.slopes())
+    i = j0 = j1 = bad0 = bad1 = 0
+    for u in us[1:]:
+        bad0 |= s0[j0].denominator != 1
+        bad1 |= s1[j1].denominator != 1
+        j0 += u == b0[j0 + 1]
+        j1 += u == b1[j1 + 1]
+        if u == bs[i + 1]:
+            if bad0 and bad1:
+                violations.append(f"both parts have non-integral slope on [{bs[i]}, {u}]")
+            i, bad0, bad1 = i + 1, 0, 0
     return AdmissibilityReport(not violations, tuple(violations))
 
 
@@ -149,7 +154,9 @@ def general_fiber(dp: DivPoly, d: Decomposition) -> DivPoly:
         raise LabelCollision(f"parameter label already in use: {fresh.name!r}")
     # is_admissible proved both parts defined on phi's domain, the box
     out = dp.with_split(d.label, d.part0, fresh, d.part1)
-    assert out.degree() == dp.degree()  # degree function unchanged pointwise
+    # the degree is unchanged: both are affine between neighbours of us
+    us = sorted(set(d.part0.breaks).union(d.part1.breaks, *(f.breaks for f in dp.coeffs.values())))
+    assert out._degree_at(us) == dp._degree_at(us)
     return out
 
 
@@ -210,11 +217,10 @@ def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
     cur = dp
     nt = cur.nontrivial_labels()  # kept equal to cur.nontrivial_labels()
     while len(nt) > 2:
-        lines = [  # (label, slope, intercept) of each affine coefficient
-            (l, s, f.values[0] - s * a)
+        lines = [  # (label, slope, intercept) of each affine coefficient, off its two points
+            (l, s := qdiv(f.values[1] - f.values[0], f.breaks[1] - f.breaks[0]), f.values[0] - s * f.breaks[0])
             for l in nt
             if (f := cur.coeffs[l]).is_affine()
-            for a, _, s in f.pieces()
         ]
         freshest_first = sorted(nt, key=lambda l: -l.kind)  # stable: by name within a kind
         moves = [
@@ -383,16 +389,16 @@ def _deform(
     # det(U) = 1 keeps both image cycles counterclockwise
     (u00, u01), (u10, u11) = U
     pn, q = (_lex_first([(u00 * x + u01 * y, u10 * x + u11 * y) for x, y in X.cycle]) for X in (P, mutant))
-    auto = math.lcm(_dual_denominator(pn), _dual_denominator(q))
+    # one dual walk each: ap*dual(pn) is the lattice polygon pv, ap least
+    (ap, pv), (aq, qv) = _dual_walk(pn), _dual_walk(q)
+    auto = math.lcm(ap, aq)
     a = auto if dilation is None else dilation
     # the automatic dilation always passes: it clears every denominator;
     # to_fraction refuses a dilation that is not an exact rational, as
     # geom.dilate does
-    pa = None if a < 1 else _dilated_dual(pn, r := to_fraction(a))
+    pa = None if a < 1 else _times(pv, r := to_fraction(a), ap)
     if pa is None or any(type(c) is not int for v in pa for c in v):
-        raise NoLatticeDilation(
-            f"dilation {a} does not make the dual a lattice polygon (minimal valid: {auto})"
-        )
+        raise NoLatticeDilation(f"dilation {a} does not make the dual a lattice polygon (minimal valid: {auto})")
     dp = _cycle_divpoly(pa)
     d = standard_decomposition(dp, mdn.t)
     fiber_dp = general_fiber(dp, d)
@@ -412,11 +418,9 @@ def _deform(
             "not decrease the weights; the general fiber is not the mutated "
             "plane in this direction"
         )
-    tq = _dilated_dual(q, r)
+    tq = _times(qv, r, aq)
     if any(type(c) is not int for v in tq for c in v):
-        raise FiberMismatch(
-            f"dilation {a} does not make the mutated dual a lattice polygon"
-        )
+        raise FiberMismatch(f"dilation {a} does not make the mutated dual a lattice polygon")
     _require_lattice_2d(red.polygon)
     fc = red.polygon.cycle
     m = next(_cycle_maps(fc, tq), None)
@@ -427,9 +431,9 @@ def _deform(
         raise FiberMismatch(diag)
     cor = corollary_check(d)
     phi0_sum = dp.coefficient(ZERO)
-    # part1 = min(t*u, 0) with an integer t has integral slopes and, on the
-    # lattice box, a lattice graph, as does phi0_sum, the upper envelope of
-    # the lattice polygon of pa: part1 always passes, so it alone decides
+    # phi0_sum, the upper envelope of pa, and part1 = min(t*u, 0) have
+    # lattice graphs and part1 integral slopes, so no piece is bad for both
+    # parts: the family extends over P^1 on every certificate
     extends = is_admissible(phi0_sum + d.part1, phi0_sum, d.part1).admissible
     in_class: Optional[bool] = None
     if wq is not None:
@@ -453,6 +457,11 @@ def _deform(
         extends_over_p1=extends,
         in_diophantine_class=in_class,
     )
+
+
+def _times(vs: list[tuple[int, int]], r: Rational, d: int) -> list[tuple[Rational, Rational]]:
+    """The integer pairs vs times r/d, for an exact r > 0 and an int d > 0."""
+    return [(qdiv(r * x, d), qdiv(r * y, d)) for x, y in vs]
 
 
 def weights_decrease(wp: fano.WeightTriple, wq: Optional[fano.WeightTriple]) -> bool:

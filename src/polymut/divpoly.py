@@ -15,8 +15,9 @@ results of divpoly's own arithmetic are built by the trusted
 Fraction to its int, and still merges collinear breakpoints and refuses
 breakpoints that do not increase or slopes that do not decrease; and by
 `DivPoly._of`, which assumes a stored box and coefficients defined on it.
-Sums and the reduction evaluate a function at sorted points in one walk
-along its breakpoints (`PLFunc._at`).
+Sums, the reduction and the pipeline's identities read a function at
+sorted points in one walk along its breakpoints (`PLFunc._at`); two PL
+functions are equal when they agree at the union of their breakpoints.
 
 The deformation pipeline's steps trust what came before them:
 `DivPoly.with_split` assumes parts defined on the box, which
@@ -286,13 +287,6 @@ class PLFunc:
             _set(self, "_slopes", tuple(qdiv(vs[i + 1] - vs[i], bs[i + 1] - bs[i]) for i in range(len(bs) - 1)))
         return self._slopes
 
-    def pieces(self) -> tuple[tuple[Rational, Rational, Rational], ...]:
-        """Maximal affine pieces as (left, right, slope)."""
-        return tuple(
-            (b1, b2, s)
-            for (b1, b2), s in zip(zip(self.breaks, self.breaks[1:]), self.slopes())
-        )
-
     def is_affine(self) -> bool:
         return len(self.breaks) == 2
 
@@ -412,16 +406,10 @@ class DivPoly:
     def nontrivial_labels(self) -> list[PointLabel]:
         return [l for l in self.labels() if not self.coeffs[l].is_zero()]
 
-    def degree(self) -> PLFunc:
-        """Pointwise sum of all coefficients (piecewise linear, maybe not
-        concave in general, but sums of concave functions are concave)."""
-        fs = list(self.coeffs.values())
-        if not fs:
-            return PLFunc._canonical(self.box, (0, 0))
-        if len(fs) == 1:
-            return fs[0]
-        us = sorted(set().union(*(f.breaks for f in fs)))
-        return PLFunc._canonical(us, [sum(col) for col in zip(*(f._at(us) for f in fs))])
+    def _degree_at(self, us: Sequence[Rational]) -> list[Rational]:
+        """The degree function, the pointwise sum of all coefficients, at
+        the sorted points us of the box, read off them without building it."""
+        return [sum(col) for col in zip([0] * len(us), *(f._at(us) for f in self.coeffs.values()))]
 
     def with_split(self, label: PointLabel, part0: PLFunc, fresh: PointLabel, part1: PLFunc) -> "DivPoly":
         """self with the coefficient at label replaced by part0 and part1
@@ -496,19 +484,15 @@ def to_polygon(dp: DivPoly) -> Polygon:
     at every breakpoint of either."""
     nt = dp.nontrivial_labels()
     if len(nt) > 2:
-        raise TooManyNontrivialCoefficients(
-            f"{len(nt)} nontrivial coefficients: {[str(l) for l in nt]}"
-        )
+        raise TooManyNontrivialCoefficients(f"{len(nt)} nontrivial coefficients: {[str(l) for l in nt]}")
     upper = dp.coefficient(nt[0]) if nt else PLFunc._canonical(dp.box, (0, 0))
     lower = dp.coefficient(nt[1]) if len(nt) > 1 else PLFunc._canonical(dp.box, (0, 0))
     us = sorted(set(upper.breaks).union(lower.breaks))
     pts = []
     for u, hi, lo in zip(us, upper._at(us), lower._at(us)):
-        lo = -lo
-        if hi < lo:
+        if hi < -lo:
             raise EmptyFiber(f"empty fiber over u = {u}")
-        pts.append((u, hi))
-        pts.append((u, lo))
+        pts += ((u, hi), (u, -lo))
     return hull_of_pairs(pts)
 
 

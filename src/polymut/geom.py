@@ -28,7 +28,7 @@ degenerate polygons (one or two vertices) and participate in all
 operations without special-casing by the caller.  A polygon is built from
 exact (x, y) pairs in one of two ways: by the hull `hull_of_pairs`, which
 `Polygon(points)` runs, or by the trusted `_polygon_from_cycle`, for a
-cycle that is strictly convex and counterclockwise already.
+canonical cycle, which the maps of a polygon make with `_canonical_cycle`.
 """
 
 from __future__ import annotations
@@ -236,14 +236,11 @@ class Polygon:
     `cycle` is the tuple of exact (x, y) pairs, ints or Fractions that are
     not integral: CCW, no collinear triples, lex-smallest vertex first.
     Construction runs the convex hull `hull_of_pairs` on the points'
-    (x, y) pairs, so any point list yields the canonical representative.
-    The one other way to build a polygon is `_polygon_from_cycle`, which
-    trusts a cycle of exact pairs to be strictly convex and CCW and only
-    rotates it to its lex-least vertex: `dilated_dual` (and `dual`),
+    (x, y) pairs.  The trusted `_polygon_from_cycle` only wraps a canonical
+    cycle: the hull, the duals and the mutation kernel make one, and
     `dilate` (by r != 0), `translate` and `mat_image` (by a nonsingular
-    matrix, reversing the image when the determinant is negative) map a
-    canonical cycle to such a cycle, and so does the mutation kernel.
-    `vertices` is a read-only view of the cycle as `Vector2`s.
+    matrix, its image reversed when det < 0) make a strictly convex CCW
+    cycle that `_canonical_cycle` rotates and folds.
     """
 
     __slots__ = ("cycle",)
@@ -276,7 +273,7 @@ class Polygon:
         return all(type(x) is int and type(y) is int for x, y in self.cycle)
 
     def translate(self, t: Vector2) -> "Polygon":
-        return _polygon_from_cycle([(x + t.x, y + t.y) for x, y in self.cycle])
+        return _polygon_from_cycle(_canonical_cycle([(x + t.x, y + t.y) for x, y in self.cycle]))
 
     def contains(self, p: Vector2) -> bool:
         return all(a * p.x + b * p.y >= c for a, b, c in _halfplanes(self))
@@ -288,14 +285,19 @@ class Polygon:
 
 
 def _polygon_from_cycle(cyc: Sequence[tuple[Rational, Rational]]) -> Polygon:
-    """The polygon whose vertex cycle, as exact (x, y) pairs from any
-    start, is cyc: strictly convex and counterclockwise, or one or two
-    distinct points.  Nothing is checked; an integral Fraction is folded to
-    its int, and the cycle is rotated to start at its lex-least vertex, as
-    the hull of the same points does."""
+    """The polygon whose canonical vertex cycle is cyc: exact (x, y) pairs,
+    strictly convex and counterclockwise or one or two distinct points,
+    lex-least first.  Nothing is checked."""
     P = _new(Polygon)
-    _set(P, "cycle", tuple((_exact(x), _exact(y)) for x, y in _lex_first(cyc)))
+    _set(P, "cycle", tuple(cyc))
     return P
+
+
+def _canonical_cycle(cyc: Sequence[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
+    """A strictly convex CCW cycle of exact pairs from any start, rotated
+    to its lex-least vertex, as the hull of the same points is, with each
+    integral Fraction folded to its int."""
+    return [(_exact(x), _exact(y)) for x, y in _lex_first(cyc)]
 
 
 def _lex_first(cyc: list[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
@@ -308,13 +310,12 @@ def hull_of_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> Polygon:
     """The convex hull of the points with these exact (x, y) pairs, ints or
     Fractions, as the canonical polygon; Polygon(points) runs it.  The hull
     runs on integers: the pairs are scaled by the lcm L of their
-    denominators, hulled, and the hull's vertices divided back by L."""
+    denominators, hulled, and the hull's canonical cycle divided back by L
+    with qdiv, which keeps it canonical."""
     pairs = list(pairs)
     L = math.lcm(*{c.denominator for p in pairs for c in p})
     cyc = _hull_pairs([(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator)) for x, y in pairs])
-    if L > 1:
-        cyc = [(qdiv(x, L), qdiv(y, L)) for x, y in cyc]
-    return _polygon_from_cycle(cyc)
+    return _polygon_from_cycle([(qdiv(x, L), qdiv(y, L)) for x, y in cyc] if L > 1 else cyc)
 
 
 def dilate(P: Polygon, r: RationalLike) -> Polygon:
@@ -322,7 +323,7 @@ def dilate(P: Polygon, r: RationalLike) -> Polygon:
     (r < 0 turns it by a half turn), for r == 0 it collapses to a point."""
     r = to_fraction(r)
     cyc = [(r * x, r * y) for x, y in P.cycle]
-    return _polygon_from_cycle(cyc) if r else hull_of_pairs(cyc)
+    return _polygon_from_cycle(_canonical_cycle(cyc)) if r else hull_of_pairs(cyc)
 
 
 def mat_apply(U: Mat2, v: Vector2) -> Vector2:
@@ -341,7 +342,7 @@ def mat_image(U: Mat2, P: Polygon) -> Polygon:
         return hull_of_pairs(cyc)
     if det < 0:
         cyc.reverse()
-    return _polygon_from_cycle(cyc)
+    return _polygon_from_cycle(_canonical_cycle(cyc))
 
 
 def mat_det(U: Mat2) -> int:
@@ -407,11 +408,20 @@ def _dilated_dual(cyc: Sequence[tuple[Rational, Rational]], r: Rational) -> list
     return _lex_first([(qdiv(r * (a[1] - b[1]), det), qdiv(r * (b[0] - a[0]), det)) for a, b, det in _dual_edges(cyc)])
 
 
-def _dual_denominator(cyc: Sequence[tuple[int, int]]) -> int:
-    """The least integer a > 0 with a*dual(P) a lattice polygon, for P as in
-    _dilated_dual with an integer cycle: the lcm over its edges (a, b) of
-    their dual vertex's denominator, det / gcd(det, b.x - a.x, a.y - b.y)."""
-    return math.lcm(*(det // math.gcd(det, b[0] - a[0], a[1] - b[1]) for a, b, det in _dual_edges(cyc)))
+def _dual_walk(cyc: Sequence[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """(a, the canonical cycle of a*dual(P)) in one walk along the edges of
+    P as in _dilated_dual with an integer cycle, for the least a > 0 that
+    makes it a lattice polygon: the lcm over the edges (a, b) of their dual
+    vertex's denominator, det / gcd(det, b.x - a.x, a.y - b.y)."""
+    edges = [(p[1] - q[1], q[0] - p[0], det) for p, q, det in _dual_edges(cyc)]
+    a = math.lcm(*(det // math.gcd(det, x, y) for x, y, det in edges))
+    return a, _lex_first([(a * x // det, a * y // det) for x, y, det in edges])
+
+
+def _lattice_dual(P: Polygon) -> tuple[int, Polygon]:
+    """(a, a*dual(P)) by _dual_walk, for a Fano P, not checked."""
+    a, cyc = _dual_walk(P.cycle)
+    return a, _polygon_from_cycle(cyc)
 
 
 def _dual_edges(cyc: Sequence[tuple[Rational, Rational]]) -> Iterator[tuple[tuple, tuple, Rational]]:

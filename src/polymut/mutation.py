@@ -44,6 +44,7 @@ from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     _cycle_maps,
     _height_frame,
     _hull_chain,
+    _lex_first,
     _polygon_from_cycle,
     height_basis,
     hull_of_pairs,
@@ -265,9 +266,7 @@ def _mutant(prof: _Profile, t: int) -> list[tuple[int, int]]:
     # (h, k) -> h*vw + k*f0 has determinant <w, vw> = 1, so the cycle stays
     # counterclockwise; it starts at its lex-least vertex
     (ux, uy), (fx, fy) = prof.vw, prof.f0
-    cyc = [(h * ux + k * fx, h * uy + k * fy) for h, k in hk]
-    i = cyc.index(min(cyc))
-    return cyc[i:] + cyc[:i]
+    return _lex_first([(h * ux + k * fx, h * uy + k * fy) for h, k in hk])
 
 
 def dual_map(md: MutationData, Q: Polygon) -> Polygon:

@@ -7,10 +7,12 @@ rational slice of a polygon by Sutherland-Hodgman clipping, lattice
 slices and points, Minkowski sums and differences, the extended Euclidean
 algorithm, the dual's denominator and the vertex-map search on `Vector2`
 polygons, the weight formula of a mutated triangle, the integral of a PL
-function, the two-pass canonical form of a PL function, the
-divisorial-polytope conditions, the piece-by-piece shift search that
-reduces a divisorial polytope, and the mutation data that undoes a
-mutation.  They are slow and simple, and only tests call them.
+function, the two-pass canonical form of a PL function, its pieces, the
+degree function as a sum of PL functions, the admissibility of a
+decomposition by pairing pieces, the divisorial-polytope conditions, the
+piece-by-piece shift search that reduces a divisorial polytope, and the
+mutation data that undoes a mutation.  They are slow and simple, and only
+tests call them.
 
 One is an independent invariant rather than a definition: the GL2(Z)
 normal form `linear_normal_form`, a lexicographically least Hermite form,
@@ -25,8 +27,16 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional
 
-from polymut.deform import ReductionResult, ShiftRecord, _lattice_ok
-from polymut.divpoly import ConcavityBroken, DivPoly, PLFunc, shift_affine, to_polygon
+from polymut.deform import AdmissibilityReport, ReductionResult, ShiftRecord, _lattice_ok
+from polymut.divpoly import (
+    ConcavityBroken,
+    DivPoly,
+    DomainMismatch,
+    PLFunc,
+    interval_str,
+    shift_affine,
+    to_polygon,
+)
 from polymut.errors import DomainError
 from polymut.fano import WeightTriple
 from polymut.geom import (
@@ -309,6 +319,20 @@ def predicted_mutation_weights(w: WeightTriple, i: int) -> WeightTriple:
     return (out[0] // g, out[1] // g, out[2] // g)
 
 
+def pieces(f: PLFunc) -> tuple[tuple[Rational, Rational, Rational], ...]:
+    """The maximal affine pieces of f as (left, right, slope)."""
+    return tuple(zip(f.breaks, f.breaks[1:], f.slopes()))
+
+
+def degree(dp: DivPoly) -> PLFunc:
+    """The degree function of dp, the sum of its coefficients, built by
+    PLFunc addition: the zero function on the box when it has none."""
+    out = PLFunc.constant(dp.box, 0)
+    for f in dp.coeffs.values():
+        out = out + f
+    return out
+
+
 def integral(f: PLFunc) -> Rational:
     """Exact integral of f over its domain (trapezoid rule is exact here)."""
     s = 0
@@ -341,6 +365,31 @@ def canonical_form_two_pass(bs, vs):
     return tuple(kb), tuple(kv)
 
 
+def admissible_by_definition(phi: PLFunc, phi0: PLFunc, phi1: PLFunc) -> AdmissibilityReport:
+    """deform.is_admissible by the definitions: the parts' sum built as a
+    PL function and compared with phi, and every piece of each part paired
+    with every maximal affine piece of phi that it meets."""
+    if phi.domain != phi0.domain or phi.domain != phi1.domain:
+        raise DomainMismatch(
+            "decomposition domains differ: "
+            f"{interval_str(phi.domain)}, {interval_str(phi0.domain)}, {interval_str(phi1.domain)}"
+        )
+    violations = []
+    for name, part in (("part0", phi0), ("part1", phi1)):
+        if not part.has_lattice_graph():
+            violations.append(f"{name}: graph vertices not in the lattice")
+    if phi0 + phi1 != phi:
+        violations.append("parts do not sum to the decomposed function")
+    parts = (pieces(phi0), pieces(phi1))
+    for a, b, _ in pieces(phi):
+        # a part is bad on [a, b] when a piece of it meeting [a, b] has a
+        # non-integral slope
+        bad = sum(any(s.denominator != 1 for l, r, s in ps if l < b and a < r) for ps in parts)
+        if bad > 1:
+            violations.append(f"both parts have non-integral slope on [{a}, {b}]")
+    return AdmissibilityReport(not violations, tuple(violations))
+
+
 def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:
     """Violations of the divisorial-polytope conditions; empty means valid.
 
@@ -349,7 +398,7 @@ def validate(dp: DivPoly, include_notes: bool = False) -> list[str]:
     the lattice-graph condition per coefficient.
     """
     out = []
-    deg = dp.degree()
+    deg = degree(dp)
     lo, hi = dp.box
     for u, d in zip(deg.breaks, deg.values):
         if u in (lo, hi):
@@ -401,7 +450,7 @@ def _shift_candidates(dp: DivPoly) -> Iterator[ShiftRecord]:
             if cf.is_zero():
                 continue
             zeroes_from = cf.is_affine()
-            lines = [(slope, va - slope * a) for (a, _, slope), va in zip(cf.pieces(), cf.values)]
+            lines = [(slope, va - slope * a) for (a, _, slope), va in zip(pieces(cf), cf.values)]
             lines = [(s, c) for s, c in lines if (s.denominator == 1 and c.denominator == 1) == integral]
             for to in targets:
                 if to == frm:

@@ -1210,19 +1210,40 @@ class TestScaledDualityRows:
     definitions of the rows."""
 
     def test_dual_map_and_involution_scale_with_the_dilation(self):
-        from polymut.geom import _dual_denominator, dilate, dilated_dual, dual
+        from polymut.geom import _lattice_dual, dilate, dilated_dual, dual
         from polymut.mutation import dual_map, mutants
 
         factors = 0
         for T in _scaling_cases():
-            a = _dual_denominator(T.cycle)
-            Ta = dilated_dual(T, a)
+            a, Ta = _lattice_dual(T)
             assert Ta.is_lattice() and dilated_dual(Ta, a) == T
             Tstar = dual(T)
             for md, Q in mutants(T):
                 assert dual_map(md, Ta) == dilate(dual_map(md, Tstar), a), (T, md)
                 factors += 1
         assert factors >= 500
+
+    def test_one_dual_walk_is_the_denominator_and_the_dilated_dual(self):
+        # geom._dual_walk reads the least lattice dilation a and the integer
+        # cycle of a*T* off one walk along T's edges, from any start, and
+        # _lattice_dual wraps that cycle: both against the edge-by-edge
+        # oracle and dilated_dual, types included
+        from oracles import dual_denominator
+        from polymut.geom import OriginNotInterior, _dual_walk, _lattice_dual, dilated_dual
+
+        cases = _scaling_cases()
+        assert len(cases) == 236
+        for T in cases:
+            a = dual_denominator(T)
+            want = dilated_dual(T, a)
+            assert want.is_lattice()
+            starts = [T.cycle[i:] + T.cycle[:i] for i in range(len(T.cycle))]
+            assert all(_dual_walk(c) == (a, list(want.cycle)) for c in starts), T
+            b, Ta = _lattice_dual(T)
+            assert (b, Ta) == (a, want) and all(type(c) is int for v in Ta.cycle for c in v), T
+        for cyc in ([(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (1, 1)], [(-1, -1), (1, -1), (0, 0), (-1, 1)]):
+            with pytest.raises(OriginNotInterior, match="^dual needs the origin strictly inside$"):
+                _dual_walk(cyc)
 
     def test_rows_match_their_rational_definitions(self):
         from polymut.mutation import mutants

@@ -47,7 +47,15 @@ from polymut.mutation import (
     mutation_graph,
 )
 from conftest import P
-from oracles import _shift_candidates, extgcd, inverse_data, reduce_by_search
+from oracles import (
+    _shift_candidates,
+    admissible_by_definition,
+    degree,
+    extgcd,
+    inverse_data,
+    pieces,
+    reduce_by_search,
+)
 
 BOX = (-6, 6)
 
@@ -112,7 +120,7 @@ class TestGeneralFiber:
         assert fib.coefficient(PointLabel.param("s")) == PLFunc.min_of_affines(
             BOX, [(1, 1), (0, 1)]
         )
-        assert fib.degree() == dp.degree()
+        assert degree(fib) == degree(dp)
 
     def test_trivial_decomposition(self):
         dp = p114_divpoly()
@@ -683,7 +691,7 @@ def test_every_certificate_rational_is_stored_canonically():
         fs = [cert.decomposition.part0, cert.decomposition.part1]
         for dp in (cert.divpoly, cert.fiber_divpoly, cert.reduction.divpoly):
             rationals += dp.box
-            fs += [*dp.coeffs.values(), dp.degree()]
+            fs += [*dp.coeffs.values(), degree(dp)]
         rationals += [x for f in fs for x in f.breaks + f.values]
         bad += [x for x in rationals if not _is_stored(x)]
     assert len(certs) == 377
@@ -700,7 +708,7 @@ def _shift_candidates_by_sort(dp):
         cf = dp.coeffs[frm]
         if cf.is_zero():
             continue
-        for (a, _, slope), va in zip(cf.pieces(), cf.values):
+        for (a, _, slope), va in zip(pieces(cf), cf.values):
             intercept = va - slope * a
             for to in labels:
                 if to == frm:
@@ -728,7 +736,7 @@ def _random_coefficient(rng, box, others):
     bent = [f for f in others if not f.is_affine()]
     if r < 0.25 and bent:
         f = rng.choice(bent)
-        (a, _, s), v = rng.choice(list(zip(f.pieces(), f.values)))
+        (a, _, s), v = rng.choice(list(zip(pieces(f), f.values)))
         return PLFunc.affine(box, -s, s * a - v)
     if r < 0.3:
         return PLFunc.constant(box, 0)
@@ -759,7 +767,7 @@ def test_shift_walk_is_the_sorted_candidate_list():
         for label in rng.sample(pool, rng.randint(3, 5)):
             coeffs[label] = _random_coefficient(rng, box, list(coeffs.values()))
         # a degree negative somewhere would leave the reduced fiber empty
-        low = min(DivPoly(box, coeffs).degree().values)
+        low = min(degree(DivPoly(box, coeffs)).values)
         if low < 0:
             coeffs[label] = coeffs[label] + PLFunc.constant(box, math.ceil(-low))
         dp = DivPoly(box, coeffs)
@@ -954,3 +962,190 @@ def test_lattice_fallback_keeps_the_weight_refusal():
     )
     (fiber,) = _reduced_fibers([(T, md, 2)])
     assert reduce_to_polygon(fiber).shifts == (ShiftRecord(ZERO, INFINITY, Fraction(2, 3), Fraction(2, 3)),)
+
+
+@functools.cache
+def _admissibility_sweep():
+    """Over the digest sweep, every factor of every pairwise-coprime triple
+    with c <= 15 forward and back through inverse_data: each is_admissible
+    call as (phi, part0, part1, report), and every certificate."""
+    calls, certs = [], []
+    check = deform.is_admissible
+
+    def spying(phi, phi0, phi1):
+        report = check(phi, phi0, phi1)
+        calls.append((phi, phi0, phi1, report))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deform, "is_admissible", spying)
+        for abc in _coprime_triples(15):
+            T = fano.triangle_from_weights(abc)
+            for w in factor_directions(T):
+                for md in find_factors(T, w):
+                    for P, m in ((T, md), (mutate(T, md), inverse_data(T, md))):
+                        try:
+                            certs.append(mutation_to_deformation(P, m))
+                        except DomainError:
+                            pass
+    return calls, certs
+
+
+def test_admissibility_walk_is_the_definition_on_the_sweep():
+    # is_admissible's one walk along the merged breakpoints gives the whole
+    # report of the piece-pairing definition, flag and violations in order,
+    # on every decomposition and every extends-over-P^1 triple of the sweep
+    calls, certs = _admissibility_sweep()
+    # general_fiber checks 920 decompositions, and each certificate one
+    # extends-over-P^1 triple
+    assert (len(calls), len(certs)) == (920 + 377, 377)
+    for phi, phi0, phi1, report in calls:
+        assert admissible_by_definition(phi, phi0, phi1) == report, (phi, phi0, phi1)
+
+
+def test_extends_over_p1_on_every_certificate_of_the_sweep():
+    # part1 = min(t*u, 0) has integral slopes and a lattice graph, and the
+    # upper envelope of the dilated dual has a lattice graph, so no piece is
+    # bad for both parts: every certificate of the sweep extends over P^1
+    _, certs = _admissibility_sweep()
+    assert len(certs) == 377
+    assert all(c.extends_over_p1 for c in certs)
+    for c in certs:
+        phi0, part1 = c.divpoly.coefficient(ZERO), c.decomposition.part1
+        assert all(type(s) is int for s in part1.slopes()) and part1.has_lattice_graph()
+        assert phi0.has_lattice_graph()
+
+
+def _lattice_concave(rng, lo, hi):
+    """A concave function with a lattice graph on the integer box [lo, hi]:
+    pieces of integer length and integer rise, by decreasing slope, so a
+    slope is non-integral when the length does not divide the rise."""
+    cuts = sorted(rng.sample(range(lo + 1, hi), rng.randint(0, min(3, hi - lo - 1))))
+    lengths = [b - a for a, b in zip([lo, *cuts], [*cuts, hi])]
+    bs, vs = [lo], [rng.randint(-3, 3)]
+    for s, n in sorted(((Fraction(rng.randint(-4, 4), n), n) for n in lengths), reverse=True):
+        bs.append(bs[-1] + n)
+        vs.append(vs[-1] + s * n)
+    return PLFunc(bs, vs)
+
+
+def _rational_concave(rng, box):
+    """The minimum of one to four lines with integral, half- or
+    third-integral slopes and rational intercepts: rational breakpoints."""
+    lines = [
+        (Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))), Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2))))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return PLFunc.min_of_affines(box, lines)
+
+
+def _random_triple(rng):
+    """(phi, part0, part1, kinds): parts with lattice graphs or rational
+    breakpoints, sometimes sharing their breakpoints, and phi their sum, or
+    their sum moved off everywhere, inside the box only or on its right
+    half only, an unrelated concave function, or the chord of their sum."""
+    kinds = set()
+    if rng.random() < 0.6:
+        lo = rng.randint(-5, 0)
+        box = (lo, lo + rng.randint(1, 8))
+        make = lambda: _lattice_concave(rng, *box)
+    else:
+        box = (Fraction(rng.randint(-9, 0), rng.choice((1, 2, 3))), Fraction(rng.randint(1, 9), rng.choice((1, 2))))
+        make = lambda: _rational_concave(rng, box)
+        kinds.add("rational box")
+    phi0 = make()
+    r = rng.random()
+    if r < 0.25:
+        # part1 shares every breakpoint of part0
+        phi1 = phi0 + PLFunc.affine(box, rng.randint(-2, 2), rng.randint(-2, 2))
+        kinds.add("shared breakpoints")
+    else:
+        phi1 = make()
+    phi = phi0 + phi1
+    lo, hi = box
+    r = rng.random()
+    if r < 0.08:
+        phi = phi + PLFunc.constant(box, rng.choice((-1, 1, Fraction(1, 2))))
+    elif r < 0.16:
+        # off the sum inside the box only: a tent that is zero at both ends
+        phi = phi + PLFunc.min_of_affines(box, [(1, -lo), (-1, hi)])
+    elif r < 0.24:
+        # off the sum on the right half only
+        phi = phi + PLFunc.min_of_affines(box, [(0, 0), (-1, Fraction(lo + hi, 2))])
+    elif r < 0.3:
+        phi = make()
+    elif r < 0.38:
+        # one piece over all the parts' pieces: the chord of their sum
+        phi = PLFunc(box, [phi.values[0], phi.values[-1]])
+    return phi, phi0, phi1, kinds
+
+
+def test_admissibility_walk_is_the_definition_on_random_triples():
+    # seeded concave triples: lattice and non-lattice parts, Fraction
+    # breakpoints, shared breakpoints, wrong sums and pieces on which both
+    # parts have non-integral slopes; the walk's whole report is the
+    # definition's, and mismatched domains are refused first, by both
+    import random
+
+    rng = random.Random(36)
+    seen = dict.fromkeys(
+        ("admissible", "not lattice", "wrong sum", "both non-integral", "shared breakpoints", "rational box"), 0
+    )
+    for _ in range(400):
+        phi, phi0, phi1, kinds = _random_triple(rng)
+        report = is_admissible(phi, phi0, phi1)
+        assert report == admissible_by_definition(phi, phi0, phi1), (phi, phi0, phi1)
+        for k in kinds:
+            seen[k] += 1
+        seen["admissible"] += report.admissible
+        seen["not lattice"] += any("lattice" in v for v in report.violations)
+        seen["wrong sum"] += any("sum" in v for v in report.violations)
+        seen["both non-integral"] += any("non-integral" in v for v in report.violations)
+    assert min(seen.values()) >= 30, seen
+    moved = 0
+    for _ in range(100):
+        phi, phi0, phi1, _ = _random_triple(rng)
+        lo, hi = phi.domain
+        other = PLFunc.constant((lo, hi + rng.choice((1, Fraction(1, 2)))), 0)
+        args = [phi, phi0, phi1]
+        args[rng.randrange(3)] = other
+        with pytest.raises(DomainMismatch) as got:
+            is_admissible(*args)
+        with pytest.raises(DomainMismatch) as want:
+            admissible_by_definition(*args)
+        assert str(got.value) == str(want.value)
+        moved += 1
+    assert moved == 100
+
+
+def test_canonical_forms_and_dual_steps_of_the_sweep_are_pinned(monkeypatch):
+    # every attempt of the c <= 12 sweep, both ways: the PL functions it
+    # stores (divpoly._canonical_form calls) and the edges its dual walks
+    # take (geom._dual_edges steps).  A change that builds one more PL
+    # function or walks a dual twice moves a total
+    from polymut import divpoly, geom
+
+    runs = [(P, md) for abc in _coprime_triples(12) for P, md in _both_ways(fano.triangle_from_weights(abc))]
+    forms, steps = [0], [0]
+    canonical_form, dual_edges = divpoly._canonical_form, geom._dual_edges
+
+    def counting_form(bs, vs):
+        forms[0] += 1
+        return canonical_form(bs, vs)
+
+    def counting_edges(cyc):
+        for edge in dual_edges(cyc):
+            steps[0] += 1
+            yield edge
+
+    monkeypatch.setattr(divpoly, "_canonical_form", counting_form)
+    monkeypatch.setattr(geom, "_dual_edges", counting_edges)
+    certified = 0
+    for P, md in runs:
+        try:
+            mutation_to_deformation(P, md)
+            certified += 1
+        except DomainError:
+            pass
+    assert (len(runs), certified) == (924, 339)
+    assert (forms[0], steps[0]) == (3999, 5159)

@@ -21,7 +21,7 @@ from polymut.divpoly import (
 from polymut.errors import DomainError
 from polymut.geom import area
 from conftest import P
-from oracles import canonical_form_two_pass, edges, integral, validate
+from oracles import canonical_form_two_pass, degree, edges, integral, pieces, validate
 
 BOX = (-6, 6)
 
@@ -50,7 +50,7 @@ class TestPLFunc:
     def test_slopes_and_pieces(self):
         f = phi_inf_p114()
         assert f.slopes() == (Fraction(1, 2), Fraction(-1, 2))
-        assert f.pieces() == (
+        assert pieces(f) == (
             (Fraction(-6), Fraction(0), Fraction(1, 2)),
             (Fraction(0), Fraction(6), Fraction(-1, 2)),
         )
@@ -192,7 +192,7 @@ class TestShiftAffine:
         assert out.coefficient(ZERO) == PLFunc.affine(BOX, Fraction(-1, 2), 2)
         # 1 - |u|/2 + u/2 has slopes 1 then 0
         assert out.coefficient(INFINITY) == PLFunc.min_of_affines(BOX, [(1, 1), (0, 1)])
-        assert out.degree() == dp.degree()
+        assert degree(out) == degree(dp)
 
     def test_zero_shift_is_identity(self):
         dp = from_polygon(P((-6, 2), (6, 2), (0, -1)))
@@ -207,7 +207,7 @@ class TestShiftAffine:
     def test_degree_always_preserved(self):
         dp = from_polygon(P((-1, -1), (2, -1), (-1, 2)))
         out = shift_affine(dp, ZERO, INFINITY, 3, -1)
-        assert out.degree() == dp.degree()
+        assert degree(out) == degree(dp)
 
 
 class TestInvariants:
@@ -218,7 +218,7 @@ class TestInvariants:
             P((0, 0), (3, 1), (1, 3), (-1, 2)),
         ):
             dp = from_polygon(Q)
-            assert area(Q) == integral(dp.degree())
+            assert area(Q) == integral(degree(dp))
 
     def test_from_polygon_lattice_graphs(self):
         dp = from_polygon(P((0, 0), (3, 1), (1, 3), (-1, 2)))
@@ -427,9 +427,13 @@ class TestTrustedConstructor:
             acc = fs[0]
             for f in fs[1:]:
                 acc = acc + f
-            deg = DivPoly(box, dict(zip(labels, fs))).degree()
-            assert deg == acc
-            assert [type(x) for x in deg.breaks + deg.values] == [type(x) for x in acc.breaks + acc.values]
+            # DivPoly._degree_at reads the degree pointwise, at every
+            # breakpoint of every coefficient and between them
+            us = sorted(set().union(*(f.breaks for f in fs)))
+            us = sorted(set(us).union(Fraction(x + y, 2) for x, y in zip(us, us[1:])))
+            assert DivPoly(box, dict(zip(labels, fs)))._degree_at(us) == acc._at(us)
+            assert degree(DivPoly(box, dict(zip(labels, fs)))) == acc
+        assert DivPoly((0, 3), {})._degree_at([0, Fraction(1, 2), 3]) == [0, 0, 0]
 
 
 class TestJSONBoundary:

@@ -892,13 +892,13 @@ def _denominator_lcm(P):
 class TestDilatedDual:
     """dilated_dual(P, r) is dilate(dual(P), r), and dual_denominator(P) the
     least common denominator of dual(P), read off P's edges in integers;
-    the cycle kernels _dilated_dual and _dual_denominator give the same
-    from P's integer vertex cycle, started at any vertex."""
+    the cycle kernels _dilated_dual and _dual_walk give the same from P's
+    integer vertex cycle, started at any vertex."""
 
     RATIOS = (1, 2, 3, 12, 60, Fraction(1, 2), Fraction(3, 2), Fraction(7, 3))
 
     def _check(self, Q):
-        from polymut.geom import _dilated_dual, _dual_denominator
+        from polymut.geom import _dilated_dual, _dual_walk
 
         Qstar = dual(Q)
         cyc = [(v.x, v.y) for v in Q.vertices]
@@ -912,7 +912,7 @@ class TestDilatedDual:
                 assert kernel == pairs and [(type(x), type(y)) for x, y in kernel] == _types(want), (Q, r)
         a = dual_denominator(Q)
         assert type(a) is int and a == _denominator_lcm(Qstar), Q
-        assert all(_dual_denominator(c) == a for c in starts), Q
+        assert all(_dual_walk(c) == (a, _dilated_dual(c, a)) for c in starts), Q
         assert dilated_dual(Q, a).is_lattice()
         assert all(not dilated_dual(Q, b).is_lattice() for b in range(1, a) if a % b == 0)
 
@@ -942,9 +942,9 @@ class TestDilatedDual:
             dual_denominator(Polygon([Vector2(Fraction(1, 2), 0), Vector2(0, 1), Vector2(-1, -1)]))
         with pytest.raises(OriginNotInterior, match="^dual needs the origin strictly inside$"):
             dilated_dual(P((1, 0), (2, 0), (1, 1)), 2)
-        from polymut.geom import _dilated_dual, _dual_denominator
+        from polymut.geom import _dilated_dual, _dual_walk
 
-        for kernel in (_dual_denominator, lambda c: _dilated_dual(c, 2)):
+        for kernel in (_dual_walk, lambda c: _dilated_dual(c, 2)):
             with pytest.raises(OriginNotInterior, match="^dual needs the origin strictly inside$"):
                 kernel([(0, 0), (1, 0), (0, 1)])
         for r in (0, -1, Fraction(-1, 2)):
@@ -998,10 +998,10 @@ class TestHullOfPairs:
         assert scaled > 300
 
     def test_trusted_cycle_constructor_from_every_start(self):
-        # _polygon_from_cycle takes a strictly convex CCW cycle of exact
-        # pairs from any start, integral values computed as Fractions
-        # included, and is the polygon of the same points
-        from polymut.geom import _polygon_from_cycle
+        # _canonical_cycle takes a strictly convex CCW cycle of exact pairs
+        # from any start, integral values computed as Fractions included,
+        # and _polygon_from_cycle wraps it as the polygon of the same points
+        from polymut.geom import _canonical_cycle, _polygon_from_cycle
 
         rng = random.Random(59)
         cases = [Polygon(_origin_cases(rng)) for _ in range(300)] + _random_fano_polygons(rng, 100)
@@ -1012,7 +1012,7 @@ class TestHullOfPairs:
                 cyc = [(Fraction(x) + Fraction(1, 3) - Fraction(1, 3), y) for x, y in cyc]
             want = Polygon([Vector2(x, y) for x, y in cyc])
             for i in range(len(cyc)):
-                got = _polygon_from_cycle(cyc[i:] + cyc[:i])
+                got = _polygon_from_cycle(_canonical_cycle(cyc[i:] + cyc[:i]))
                 assert got == want and _types(got) == _types(want), (cyc, i)
             seen[min(len(cyc), 3)] += 1
             seen["rational"] += not Q.is_lattice()

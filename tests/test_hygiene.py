@@ -391,8 +391,8 @@ def test_readme_citations_resolve():
 def test_one_hull_and_one_trusted_polygon_constructor():
     # geom builds a polygon from exact pairs by its hull, hull_of_pairs
     # (which Polygon runs), or by _polygon_from_cycle, which trusts a
-    # strictly convex CCW cycle; only geom's maps of a canonical cycle and
-    # the cycles of mutation._mutant vouch for that
+    # canonical cycle; only geom's hull, duals and maps of a canonical cycle
+    # and the cycles of mutation._mutant vouch for that
     assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py"}) == []
     gone = {"_hull_of", "_from_cycle", "_polygon_from_pairs"}
     assert [f"{name}:{getattr(node, 'lineno', '?')}" for name, node, _ in _nodes() if _name(node) in gone] == []
@@ -534,6 +534,6 @@ def test_deformation_core_runs_on_cycles():
     assert names & {"lattice_equivalent", "linear_equivalent", "from_polygon", "dual_denominator"} == set()
     built = {_name(n.func) for n in ast.walk(core) if isinstance(n, ast.Call)}
     assert built & {"Polygon", "hull_of_pairs", "dilate"} == set()
-    assert {"_cycle_maps", "_cycle_divpoly", "_dilated_dual", "_dual_denominator"} <= names
+    assert {"_cycle_maps", "_cycle_divpoly", "_dual_walk"} <= names
     assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py"}) == []
     assert _named_outside("dual_denominator", set()) == []
