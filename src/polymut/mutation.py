@@ -348,14 +348,11 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     inner normals of the edges, sorted (the minimal face must be an edge,
     otherwise a negative-height vertex sits alone in a point slice).  They
     are also the rays of the normal fan of P, which only a full-dimensional
-    P has, so a point or a segment is refused as not Fano."""
-    if P.dim() != 2:
+    P has, so a point, a segment or a polygon that is no lattice polygon
+    is refused as not Fano, as find_factors refuses it."""
+    if P.dim() != 2 or not P.is_lattice():
         raise fano.NotFano("operation requires a Fano polygon")
-    # the edges of P - v0 are those of P; as_ints refuses a P - v0 that is
-    # no lattice polygon
-    x0, y0 = P.cycle[0]
-    vs = [Vector2._of(x - x0, y - y0).as_ints() for x, y in P.cycle]
-    return [Vector2._of(p, q) for p, q in _directions(vs)]
+    return [Vector2._of(p, q) for p, q in _directions(P.cycle)]
 
 
 # the most classes a mutation graph may hold; one more is a DomainError,

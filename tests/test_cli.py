@@ -461,7 +461,7 @@ class TestErrorsAndDeterminism:
                     h.update(f"{code}|{out}".encode())
                     codes.append(code)
         assert (len(codes), codes.count(0)) == (138, 48)
-        assert h.hexdigest() == "6ac411d2101b6f111b778138282533530364f24af3d0c45fcac48b23215b8426"
+        assert h.hexdigest() == "9210577124e3f832245da739341c618f43fd6db487a682529e456743ae362dcc"
 
     def test_domain_error_exit_1(self, capsys):
         code, out = run_json(capsys, "dual", "--polygon", '{"vertices":[[1,0],[0,1],[2,2]]}')
@@ -479,6 +479,20 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert out["error"] == {"message": "operation requires a Fano polygon", "type": "NotFano"}
         check_schema(out, "error")
+
+    @pytest.mark.parametrize("command", ["factors", "deform"])
+    @pytest.mark.parametrize(
+        "vertices",
+        [[["1/2", 0], [0, 1], [-1, -1]], [["1/2", "1/2"], ["3/2", "1/2"], ["1/2", "3/2"]]],
+        ids=["non-integral-edges", "translated"],
+    )
+    def test_polygon_that_is_not_lattice_is_not_fano(self, capsys, command, vertices):
+        # a polygon with a non-integral vertex is refused as not Fano whether
+        # or not its edges are integral, naming nothing outside the input
+        polygon = json.dumps({"vertices": vertices})
+        code, out = run_json(capsys, command, "--polygon", polygon)
+        assert code == 1
+        assert out["error"] == {"message": "operation requires a Fano polygon", "type": "NotFano"}
 
     @pytest.mark.parametrize(
         "vertices, error",
