@@ -22,7 +22,9 @@ the witness (`geom._cycle_maps`).  `is_admissible` checks the parts'
 domains, then their sum and slopes in one walk along their breakpoints,
 before `DivPoly.with_split` builds the general fiber, whose degree is
 checked pointwise too; the reduction moves whole affine coefficients
-only, and a certificate's polygons are built once its witness exists.
+only.  Once the witness exists, the certificate's normalized source,
+mutant and target wrap the cycles already held (`geom._polygon_from_cycle`),
+and `extends_over_p1` is written from its proof, which the tests replay.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .errors import DomainError
 from . import fano
 from .divpoly import (
     INFINITY,
-    ZERO,
     DivPoly,
     DomainMismatch,
     LabelCollision,
@@ -54,11 +55,10 @@ from .geom import (
     _cycle_maps,
     _dual_walk,
     _lex_first,
+    _polygon_from_cycle,
     _require_lattice_2d,
-    dilated_dual,
     height_basis,
     mat_apply,
-    mat_image,
     polygon_to_json,
     qdiv,
     to_fraction,
@@ -380,7 +380,8 @@ def _deform(
 ) -> DeformationCertificate:
     """mutation_to_deformation for mutant = mutate(P, md), which proved P
     and so its mutant Fano.  Every polygon step runs on integer vertex
-    cycles; a certificate's polygons are built once the witness exists."""
+    cycles; a certificate wraps the canonical ones it holds as polygons
+    once the witness exists, so a refused attempt builds none of them."""
     if len(P.cycle) != 3:
         raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
     U = _normalizer_for(md.w)
@@ -430,31 +431,30 @@ def _deform(
             diag += "; the family is isotrivial (fiber matches the source polarization)"
         raise FiberMismatch(diag)
     cor = corollary_check(d)
-    phi0_sum = dp.coefficient(ZERO)
-    # phi0_sum, the upper envelope of pa, and part1 = min(t*u, 0) have
-    # lattice graphs and part1 integral slopes, so no piece is bad for both
-    # parts: the family extends over P^1 on every certificate
-    extends = is_admissible(phi0_sum + d.part1, phi0_sum, d.part1).admissible
     in_class: Optional[bool] = None
     if wq is not None:
         in_class = fano.diophantine_class(wp) == fano.diophantine_class(wq)
-    Q = mat_image(U, mutant)  # the polygon of q
+    # pn and q are det-1 images rotated to their lex-least vertex, and tq a
+    # positive scaling of _dual_walk's canonical cycle: all three canonical
     return DeformationCertificate(
         source=P,
         normalizer=U,
-        normalized_source=mat_image(U, P),
+        normalized_source=_polygon_from_cycle(pn),
         mutation=mdn,
-        mutated=Q,
+        mutated=_polygon_from_cycle(q),
         dilation=a,
         divpoly=dp,
         decomposition=d,
         fiber_divpoly=fiber_dp,
         reduction=red,
         fiber_polygon=red.polygon,
-        target=dilated_dual(Q, r),
+        target=_polygon_from_cycle(tq),
         witness=(m[0], Vector2(*m[1])),
         corollary=cor,
-        extends_over_p1=extends,
+        # the upper envelope of the lattice polygon pa and part1 =
+        # min(t*u, 0) have lattice graphs and part1 integral slopes, so no
+        # piece is bad for both parts: the family extends over P^1
+        extends_over_p1=True,
         in_diophantine_class=in_class,
     )
 

@@ -28,7 +28,8 @@ degenerate polygons (one or two vertices) and participate in all
 operations without special-casing by the caller.  A polygon is built from
 exact (x, y) pairs in one of two ways: by the hull `hull_of_pairs`, which
 `Polygon(points)` runs, or by the trusted `_polygon_from_cycle`, for a
-canonical cycle, which the maps of a polygon make with `_canonical_cycle`.
+canonical cycle, which `dilate` and `translate` make with
+`_canonical_cycle`.
 """
 
 from __future__ import annotations
@@ -237,10 +238,9 @@ class Polygon:
     not integral: CCW, no collinear triples, lex-smallest vertex first.
     Construction runs the convex hull `hull_of_pairs` on the points'
     (x, y) pairs.  The trusted `_polygon_from_cycle` only wraps a canonical
-    cycle: the hull, the duals and the mutation kernel make one, and
-    `dilate` (by r != 0), `translate` and `mat_image` (by a nonsingular
-    matrix, its image reversed when det < 0) make a strictly convex CCW
-    cycle that `_canonical_cycle` rotates and folds.
+    cycle: the hull, the duals, the mutation kernel and the deformation
+    core make one, and `dilate` (by r != 0) and `translate` make a strictly
+    convex CCW cycle that `_canonical_cycle` rotates and folds.
     """
 
     __slots__ = ("cycle",)
@@ -329,20 +329,6 @@ def dilate(P: Polygon, r: RationalLike) -> Polygon:
 def mat_apply(U: Mat2, v: Vector2) -> Vector2:
     (a, b), (c, d) = U
     return Vector2._of(a * v.x + b * v.y, c * v.x + d * v.y)
-
-
-def mat_image(U: Mat2, P: Polygon) -> Polygon:
-    """U*P.  A nonsingular U maps P's canonical cycle to a strictly convex
-    cycle, counterclockwise when det(U) > 0 and clockwise (so reversed
-    here) when det(U) < 0; a singular U collapses P and takes a hull."""
-    (a, b), (c, d) = U
-    cyc = [(a * x + b * y, c * x + d * y) for x, y in P.cycle]
-    det = mat_det(U)
-    if not det:
-        return hull_of_pairs(cyc)
-    if det < 0:
-        cyc.reverse()
-    return _polygon_from_cycle(_canonical_cycle(cyc))
 
 
 def mat_det(U: Mat2) -> int:

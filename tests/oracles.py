@@ -4,15 +4,15 @@ The library computes slices, mutations and the deformation pipeline on
 integer vertex cycles.  The functions here follow the definitions instead:
 the edges and cross products of a polygon's `Vector2` vertices, the
 rational slice of a polygon by Sutherland-Hodgman clipping, lattice
-slices and points, Minkowski sums and differences, the extended Euclidean
-algorithm, the dual's denominator and the vertex-map search on `Vector2`
-polygons, the weight formula of a mutated triangle, the integral of a PL
-function, the two-pass canonical form of a PL function, its pieces, the
-degree function as a sum of PL functions, the admissibility of a
-decomposition by pairing pieces, the divisorial-polytope conditions, the
-piece-by-piece shift search that reduces a divisorial polytope, and the
-mutation data that undoes a mutation.  They are slow and simple, and only
-tests call them.
+slices and points, Minkowski sums and differences, the image of a
+polygon under a matrix, the extended Euclidean algorithm, the dual's
+denominator and the vertex-map search on `Vector2` polygons, the weight
+formula of a mutated triangle, the integral of a PL function, the
+two-pass canonical form of a PL function, its pieces, the degree function
+as a sum of PL functions, the admissibility of a decomposition by pairing
+pieces, the divisorial-polytope conditions, the piece-by-piece shift
+search that reduces a divisorial polytope, and the mutation data that
+undoes a mutation.  They are slow and simple, and only tests call them.
 
 One is an independent invariant rather than a definition: the GL2(Z)
 normal form `linear_normal_form`, a lexicographically least Hermite form,
@@ -125,6 +125,11 @@ def minkowski_difference(A: Polygon, F: Polygon) -> Optional[Polygon]:
         if res is None:
             return None
     return res
+
+
+def mat_image(U: Mat2, P: Polygon) -> Polygon:
+    """U*P, the hull of the images of P's vertices."""
+    return Polygon([mat_apply(U, v) for v in P.vertices])
 
 
 def height_range(P: Polygon, w: Vector2) -> tuple[Rational, Rational]:

@@ -53,6 +53,7 @@ from oracles import (
     degree,
     extgcd,
     inverse_data,
+    mat_image,
     pieces,
     reduce_by_search,
 )
@@ -460,7 +461,7 @@ def test_mutation_commutes_with_the_normalizer():
     # (0, -1), with f0 mapped by U, for every factor of every
     # pairwise-coprime triple with c <= 15, forward and back
     from polymut.deform import _normalizer_for
-    from polymut.geom import mat_apply, mat_image
+    from polymut.geom import mat_apply
     from polymut.mutation import MutationData
 
     checked = 0
@@ -520,14 +521,15 @@ def test_refused_attempts_build_no_polygon_past_the_mutant(monkeypatch):
     # the core runs on integer vertex cycles: an attempt refused after the
     # reduction builds no Polygon outside the reduction but mutate's
     # mutant, and a certificate adds only the normalized source, the
-    # mutated polygon and the target it holds
+    # mutated polygon and the target, wrapped from the cycles it holds
     from polymut import geom, mutation
 
     built, inside = [], []
     make = geom._polygon_from_cycle
     spy = lambda cyc: built.append(bool(inside)) or make(cyc)
-    monkeypatch.setattr(geom, "_polygon_from_cycle", spy)
-    monkeypatch.setattr(mutation, "_polygon_from_cycle", spy)  # every Polygon is built by it
+    # every Polygon is built by it, in each module that names it
+    for module in (geom, mutation, deform):
+        monkeypatch.setattr(module, "_polygon_from_cycle", spy)
     reduce = deform.reduce_to_polygon
 
     def traced(dp):
@@ -968,7 +970,8 @@ def test_lattice_fallback_keeps_the_weight_refusal():
 def _admissibility_sweep():
     """Over the digest sweep, every factor of every pairwise-coprime triple
     with c <= 15 forward and back through inverse_data: each is_admissible
-    call as (phi, part0, part1, report), and every certificate."""
+    call as (phi, part0, part1, report), and every certificate with the
+    caller's mutation data, as (md, certificate)."""
     calls, certs = [], []
     check = deform.is_admissible
 
@@ -985,10 +988,17 @@ def _admissibility_sweep():
                 for md in find_factors(T, w):
                     for P, m in ((T, md), (mutate(T, md), inverse_data(T, md))):
                         try:
-                            certs.append(mutation_to_deformation(P, m))
+                            certs.append((m, mutation_to_deformation(P, m)))
                         except DomainError:
                             pass
     return calls, certs
+
+
+def _extends_triple(c):
+    """(phi0 + part1, phi0, part1) of the certificate c, phi0 the
+    coefficient at 0: the decomposition extends_over_p1 records."""
+    phi0, part1 = c.divpoly.coefficient(ZERO), c.decomposition.part1
+    return phi0 + part1, phi0, part1
 
 
 def test_admissibility_walk_is_the_definition_on_the_sweep():
@@ -996,24 +1006,52 @@ def test_admissibility_walk_is_the_definition_on_the_sweep():
     # report of the piece-pairing definition, flag and violations in order,
     # on every decomposition and every extends-over-P^1 triple of the sweep
     calls, certs = _admissibility_sweep()
-    # general_fiber checks 920 decompositions, and each certificate one
-    # extends-over-P^1 triple
-    assert (len(calls), len(certs)) == (920 + 377, 377)
+    # general_fiber checks 920 decompositions; the certificate records
+    # extends_over_p1 from its proof, so its 377 triples are built here
+    assert (len(calls), len(certs)) == (920, 377)
     for phi, phi0, phi1, report in calls:
         assert admissible_by_definition(phi, phi0, phi1) == report, (phi, phi0, phi1)
+    for _, c in certs:
+        args = _extends_triple(c)
+        assert admissible_by_definition(*args) == is_admissible(*args), args
 
 
 def test_extends_over_p1_on_every_certificate_of_the_sweep():
     # part1 = min(t*u, 0) has integral slopes and a lattice graph, and the
     # upper envelope of the dilated dual has a lattice graph, so no piece is
-    # bad for both parts: every certificate of the sweep extends over P^1
+    # bad for both parts: every certificate of the sweep extends over P^1,
+    # as the certificate records without running the check
     _, certs = _admissibility_sweep()
     assert len(certs) == 377
-    assert all(c.extends_over_p1 for c in certs)
-    for c in certs:
-        phi0, part1 = c.divpoly.coefficient(ZERO), c.decomposition.part1
+    for _, c in certs:
+        phi, phi0, part1 = _extends_triple(c)
         assert all(type(s) is int for s in part1.slopes()) and part1.has_lattice_graph()
         assert phi0.has_lattice_graph()
+        assert c.extends_over_p1 and admissible_by_definition(phi, phi0, part1).admissible
+
+
+def _cycle_types(Q):
+    return [(type(x), type(y)) for x, y in Q.cycle]
+
+
+def test_certificate_polygons_are_the_maps_of_the_source():
+    # the core wraps the cycles it holds as the certificate's polygons; they
+    # are the normalizer's images of the source and of its mutant by the
+    # caller's data, and the target the mutant's image dilated dual, with
+    # the same coordinate types
+    from polymut.geom import dilated_dual
+
+    _, certs = _admissibility_sweep()
+    assert len(certs) == 377
+    for md, c in certs:
+        U = c.normalizer
+        mutated = mat_image(U, mutate(c.source, md))
+        for got, want in (
+            (c.normalized_source, mat_image(U, c.source)),
+            (c.mutated, mutated),
+            (c.target, dilated_dual(mutated, c.dilation)),
+        ):
+            assert got == want and _cycle_types(got) == _cycle_types(want), (c.source, md)
 
 
 def _lattice_concave(rng, lo, hi):
@@ -1148,4 +1186,4 @@ def test_canonical_forms_and_dual_steps_of_the_sweep_are_pinned(monkeypatch):
         except DomainError:
             pass
     assert (len(runs), certified) == (924, 339)
-    assert (forms[0], steps[0]) == (3999, 5159)
+    assert (forms[0], steps[0]) == (3660, 3974)

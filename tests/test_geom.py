@@ -23,7 +23,6 @@ from polymut.geom import (
     lattice_equivalent,
     linear_equivalent,
     mat_apply,
-    mat_image,
     polygon_from_json,
     polygon_to_json,
     primitivize,
@@ -950,33 +949,6 @@ class TestDilatedDual:
         for r in (0, -1, Fraction(-1, 2)):
             with pytest.raises(DomainError, match="must be positive"):
                 dilated_dual(P((1, 0), (0, 1), (-1, -1)), r)
-
-
-class TestMatImage:
-    """mat_image(U, P) is the hull of the images of P's vertices."""
-
-    def test_unimodular_nonsingular_and_singular_maps(self):
-        from polymut.geom import mat_det
-
-        rng = random.Random(43)
-        seen = {1: 0, -1: 0, "other": 0, 0: 0}
-        for _ in range(600):
-            Q = Polygon([_random_point(rng) for _ in range(rng.randint(1, 6))])
-            kind = rng.random()
-            if kind < 0.6:
-                U = random_unimodular(rng)
-            elif kind < 0.8:
-                U = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
-            else:
-                # rank at most one: the image is a segment or a point
-                a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-                U = ((a * c, a * d), (b * c, b * d))
-            d = mat_det(U)
-            seen[d if d in (1, -1, 0) else "other"] += 1
-            got = mat_image(U, Q)
-            want = Polygon([mat_apply(U, v) for v in Q.vertices])
-            assert got == want and _types(got) == _types(want), (U, Q)
-        assert min(seen.values()) >= 30, seen
 
 
 class TestHullOfPairs:

@@ -269,6 +269,7 @@ def test_benchmark_trace_targets_resolve():
 # public library code that no library code references, and why it stays
 UNREFERENCED_PUBLIC = {
     "geom.dilate": "documented public constructor of r*P",
+    "geom.mat_det": "the certify workload's witness check calls it",
     "geom.primitivize": "exported public helper; the factor walk divides integer pairs by their gcd itself",
     "geom.Polygon.translate": "documented public polygon operation",
     "divpoly.PLFunc.constant": "documented public constructor",
@@ -391,9 +392,12 @@ def test_readme_citations_resolve():
 def test_one_hull_and_one_trusted_polygon_constructor():
     # geom builds a polygon from exact pairs by its hull, hull_of_pairs
     # (which Polygon runs), or by _polygon_from_cycle, which trusts a
-    # canonical cycle; only geom's hull, duals and maps of a canonical cycle
-    # and the cycles of mutation._mutant vouch for that
-    assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py"}) == []
+    # canonical cycle; only geom's hull, duals and maps of a canonical cycle,
+    # the cycles of mutation._mutant and those deform._deform holds vouch
+    # for that.  _deform's cycles are det-1 images and positive scalings of
+    # canonical cycles, so in deform.py only _deform calls it
+    assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py", "deform.py"}) == []
+    assert _calls_outside("_polygon_from_cycle", "deform.py", "_deform") == []
     gone = {"_hull_of", "_from_cycle", "_polygon_from_pairs"}
     assert [f"{name}:{getattr(node, 'lineno', '?')}" for name, node, _ in _nodes() if _name(node) in gone] == []
     # no other code makes a Polygon without running its __init__
@@ -406,6 +410,16 @@ def test_one_hull_and_one_trusted_polygon_constructor():
         and not at_home
     ]
     assert offenders == []
+
+
+def _calls_outside(attr: str, home_file: str, home_function: str) -> list[str]:
+    """file:line of every call of attr in home_file outside its top-level
+    function home_function."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, node, at_home in _nodes(home_file, home_function)
+        if name == home_file and isinstance(node, ast.Call) and _name(node.func) == attr and not at_home
+    ]
 
 
 def _named_outside(attr: str, homes: set[str], owner: str | None = None) -> list[str]:
@@ -526,14 +540,21 @@ def _scoped(tree, scope="<module>"):
 def test_deformation_core_runs_on_cycles():
     # deform._deform reads the dilation, the divisorial polytope and the
     # witness off integer vertex cycles: it names no Polygon-level
-    # equivalence, envelope reader or denominator, and builds the polygons
-    # of a certificate only through geom's public maps
+    # equivalence, envelope reader, denominator, polygon map or second dual,
+    # runs no admissibility check of its own (extends_over_p1 is written
+    # from its proof), and wraps the cycles it holds as the polygons of a
+    # certificate, since they are det-1 images and positive scalings of
+    # canonical cycles
     tree = ast.parse((SRC / "deform.py").read_text())
     core = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_deform")
     names = {_name(n) for n in ast.walk(core)}
-    assert names & {"lattice_equivalent", "linear_equivalent", "from_polygon", "dual_denominator"} == set()
+    assert names & {
+        "lattice_equivalent", "linear_equivalent", "from_polygon", "dual_denominator",
+        "mat_image", "dilated_dual", "is_admissible",
+    } == set()
     built = {_name(n.func) for n in ast.walk(core) if isinstance(n, ast.Call)}
     assert built & {"Polygon", "hull_of_pairs", "dilate"} == set()
-    assert {"_cycle_maps", "_cycle_divpoly", "_dual_walk"} <= names
-    assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py"}) == []
+    assert {"_cycle_maps", "_cycle_divpoly", "_dual_walk", "_polygon_from_cycle"} <= names
+    assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py", "deform.py"}) == []
+    assert _calls_outside("_polygon_from_cycle", "deform.py", "_deform") == []
     assert _named_outside("dual_denominator", set()) == []

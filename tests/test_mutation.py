@@ -976,8 +976,8 @@ class TestClassIndex:
         return out
 
     def test_colliding_pair_kept_apart(self):
-        from polymut.geom import _cycle_invariant, mat_image
-        from oracles import linear_normal_form
+        from polymut.geom import _cycle_invariant
+        from oracles import linear_normal_form, mat_image
 
         A, B = (P(*vs) for vs in COLLIDING)
         assert _cycle_invariant(_cycle(A)) == _cycle_invariant(_cycle(B)) == ((1, 1), (1, 1), (4, 2), (4, 4))
@@ -992,8 +992,8 @@ class TestClassIndex:
     def test_translates_with_one_invariant_kept_apart(self):
         # the witness must be a map with no translation: the affine maps
         # from A onto B are not one
-        from polymut.geom import _cycle_invariant, lattice_equivalent, mat_image
-        from oracles import linear_normal_form
+        from polymut.geom import _cycle_invariant, lattice_equivalent
+        from oracles import linear_normal_form, mat_image
 
         A, B = (P(*vs) for vs in TRANSLATES)
         assert _cycle_invariant(_cycle(A)) == _cycle_invariant(_cycle(B))
@@ -1006,8 +1006,8 @@ class TestClassIndex:
     def test_classes_match_normal_forms_randomized(self):
         import random
 
-        from polymut.geom import _cycle_invariant, mat_image
-        from oracles import linear_normal_form
+        from polymut.geom import _cycle_invariant
+        from oracles import linear_normal_form, mat_image
 
         rng = random.Random(53)
         pool = []
@@ -1035,8 +1035,8 @@ class TestClassIndex:
         # oracle's form gives it, whichever class was created first
         import random
 
-        from polymut.geom import _cycle_invariant, mat_image
-        from oracles import linear_normal_form
+        from polymut.geom import _cycle_invariant
+        from oracles import linear_normal_form, mat_image
 
         rng = random.Random(59)
         A, B = (P(*vs) for vs in COLLIDING)
