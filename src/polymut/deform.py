@@ -21,10 +21,11 @@ one set of minors, the divisorial polytope (`divpoly._cycle_divpoly`) and
 the witness (`geom._cycle_maps`).  `is_admissible` checks the parts'
 domains, then their sum and slopes in one walk along their breakpoints,
 before `DivPoly.with_split` builds the general fiber, whose degree is
-checked pointwise too; the reduction moves whole affine coefficients
-only.  Once the witness exists, the certificate's normalized source,
-mutant and target wrap the cycles already held (`geom._polygon_from_cycle`),
-and `extends_over_p1` is written from its proof, which the tests replay.
+checked pointwise too; part1 = min(t*u, 0) comes off its breakpoints, and
+the reduction moves whole affine coefficients, each line two quotients.
+Once the witness exists, the certificate's normalized source, mutant and
+target wrap the cycles already held (`geom._polygon_from_cycle`), and
+`extends_over_p1` is written from its proof, which the tests replay.
 """
 
 from __future__ import annotations
@@ -218,9 +219,10 @@ def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
     nt = cur.nontrivial_labels()  # kept equal to cur.nontrivial_labels()
     while len(nt) > 2:
         lines = [  # (label, slope, intercept) of each affine coefficient, off its two points
-            (l, s := qdiv(f.values[1] - f.values[0], f.breaks[1] - f.breaks[0]), f.values[0] - s * f.breaks[0])
+            (l, qdiv(v1 - v0, b1 - b0), qdiv(v0 * b1 - v1 * b0, b1 - b0))
             for l in nt
             if (f := cur.coeffs[l]).is_affine()
+            for (b0, b1), (v0, v1) in [(f.breaks, f.values)]
         ]
         freshest_first = sorted(nt, key=lambda l: -l.kind)  # stable: by name within a kind
         moves = [
@@ -357,7 +359,7 @@ def standard_decomposition(dp: DivPoly, t: int) -> Decomposition:
     part1 = min(t*u, 0); for the maximal factor length this makes part0 the
     affine extension of the right-hand piece, as in the deformation proof."""
     phi = dp.coefficient(INFINITY)
-    part1 = PLFunc.min_of_affines(dp.box, [(t, 0), (0, 0)])
+    part1 = PLFunc._kink(dp.box, to_fraction(t))
     part0 = phi - part1
     return Decomposition(INFINITY, part0, part1)
 

@@ -18,6 +18,7 @@ breakpoints that do not increase or slopes that do not decrease; and by
 Sums, the reduction and the pipeline's identities read a function at
 sorted points in one walk along its breakpoints (`PLFunc._at`); two PL
 functions are equal when they agree at the union of their breakpoints.
+`shift_affine` and `PLFunc._kink` (min(t*u, 0)) build no Fraction on ints.
 
 The deformation pipeline's steps trust what came before them:
 `DivPoly.with_split` assumes parts defined on the box, which
@@ -31,6 +32,7 @@ pipeline calls on the cycle it holds; and `to_polygon` hulls exact
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -250,6 +252,12 @@ class PLFunc:
         vs = [min(s * u + c for s, c in fns) for u in bs]
         return PLFunc._canonical(bs, vs)
 
+    @staticmethod
+    def _kink(box: tuple[Rational, Rational], t: Rational) -> "PLFunc":
+        # min_of_affines(box, [(t, 0), (0, 0)]) for a stored box and an exact t
+        bs = (box[0], 0, box[1]) if box[0] < 0 < box[1] else box
+        return PLFunc._canonical(bs, [min(t * u, 0) for u in bs])
+
     # --- basic queries ---
 
     @property
@@ -315,9 +323,9 @@ class PLFunc:
     def __sub__(self, other: "PLFunc") -> "PLFunc":
         return self._binop(other, -1)
 
-    def _plus_affine(self, s: Rational, c: Rational) -> "PLFunc":
-        # self plus the affine function s*u + c, for exact s and c
-        return PLFunc._canonical(self.breaks, [v + s * b + c for v, b in zip(self.values, self.breaks)])
+    def _plus_affine(self, S: int, C: int, L: int) -> "PLFunc":
+        # self plus the affine function (S*u + C)/L, for ints S, C and L > 0
+        return PLFunc._canonical(self.breaks, [v + qdiv(S * b + C, L) for v, b in zip(self.values, self.breaks)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -509,8 +517,11 @@ def shift_affine(
     if frm == to:
         raise DomainError("shift endpoints must differ")
     s, c = to_fraction(slope), to_fraction(intercept)
+    # s*u + c = (S*u + C)/L over the lcm L of the denominators of s and c
+    L = math.lcm(s.denominator, c.denominator)
+    S, C = s.numerator * (L // s.denominator), c.numerator * (L // c.denominator)
     cs = dict(dp.coeffs)
-    cs[frm] = dp.coefficient(frm)._plus_affine(-s, -c)
-    cs[to] = dp.coefficient(to)._plus_affine(s, c)
+    cs[frm] = dp.coefficient(frm)._plus_affine(-S, -C, L)
+    cs[to] = dp.coefficient(to)._plus_affine(S, C, L)
     # adding an affine function keeps each coefficient's domain
     return DivPoly._of(dp.box, cs)

@@ -217,6 +217,8 @@ def _factor_data(w: Vector2, t: int) -> MutationData:
 def _validate_mutation_data(P: Polygon, md: MutationData) -> tuple[_Profile, int]:
     """P's profile along md.w and the factor length signed along its f0
     (negative if md.f0 = -prof.f0); height_basis refuses a non-primitive w."""
+    if isinstance(md.t, bool):  # an int to isinstance, but not an exact rational
+        raise InvalidFactor(f"not an exact rational: {md.t}")
     if not isinstance(md.t, int):
         raise InvalidFactor(f"factor length must be an integer: {md.t}")
     if md.t < 0:

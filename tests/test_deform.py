@@ -317,6 +317,18 @@ class TestStandardDecomposition:
         assert d.part1 == PLFunc.min_of_affines(BOX, [(1, 0), (0, 0)])
         assert d.part0 + d.part1 == dp.coefficient(INFINITY)
 
+    def test_non_exact_factor_length_refused(self):
+        # part1 is built off its breakpoints, but a t handed straight to
+        # standard_decomposition is still coerced as min_of_affines does
+        dp = p114_divpoly()
+        for t in (True, False, 1.0, 2.5):
+            with pytest.raises(DomainError, match=f"^not an exact rational: {t}$"):
+                standard_decomposition(dp, t)
+        for t in (0, 1, Fraction(1, 2)):
+            d = standard_decomposition(dp, t)
+            assert d.part1 == PLFunc.min_of_affines(BOX, [(t, 0), (0, 0)])
+            assert d.part0 == dp.coefficient(INFINITY) - d.part1
+
 
 def _inner_normals(Q):
     """Sorted primitive inner edge normals of a CCW lattice polygon."""
@@ -1187,3 +1199,40 @@ def test_canonical_forms_and_dual_steps_of_the_sweep_are_pinned(monkeypatch):
             pass
     assert (len(runs), certified) == (924, 339)
     assert (forms[0], steps[0]) == (3660, 3974)
+
+
+def test_fraction_objects_of_the_sweep_are_pinned(monkeypatch):
+    # the same c <= 12 sweep, both ways: every Fraction the deformation
+    # pipeline builds, by its constructor or, where fractions has one, the
+    # shortcut its arithmetic takes.  The affine moves, the reduction's
+    # lines and min(t*u, 0) run on ints and one exact quotient each, so a
+    # change that puts Fraction arithmetic back on them moves the total
+    import fractions
+
+    runs = [(P, md) for abc in _coprime_triples(12) for P, md in _both_ways(fano.triangle_from_weights(abc))]
+    made = [0]
+    new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    if hasattr(fractions.Fraction, "_from_coprime_ints"):
+        coprime = fractions.Fraction._from_coprime_ints.__func__
+
+        @classmethod
+        def counting_coprime(cls, numerator, denominator):
+            made[0] += 1
+            return coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(fractions.Fraction, "_from_coprime_ints", counting_coprime)
+    certified = 0
+    for P, md in runs:
+        try:
+            mutation_to_deformation(P, md)
+            certified += 1
+        except DomainError:
+            pass
+    assert (len(runs), certified) == (924, 339)
+    assert made[0] == 619

@@ -209,6 +209,58 @@ class TestShiftAffine:
         out = shift_affine(dp, ZERO, INFINITY, 3, -1)
         assert degree(out) == degree(dp)
 
+    def test_shift_is_its_pointwise_definition(self):
+        # seeded concave functions with int and Fraction breakpoints and
+        # values, moved by integral and non-integral (s, c): each value of
+        # both coefficients is v -+ (s*b + c) computed in Fraction, stored
+        # as an int exactly when it is integral, and the degree is unchanged
+        import random
+
+        rng = random.Random(39)
+        fresh = PointLabel.param("s")
+        seen = dict.fromkeys(("integral move", "non-integral move", "Fraction breaks", "sum turns integral"), 0)
+        for _ in range(600):
+            try:
+                f = PLFunc(*_random_points(rng))
+            except DomainError:
+                continue
+            box = f.domain
+            g = PLFunc.min_of_affines(box, [(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])), rng.randint(-3, 3))])
+            dp = DivPoly(box, {ZERO: f, INFINITY: g})
+            s, c = (_exact(rng, Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 6]))) for _ in range(2))
+            frm, to = rng.choice([(ZERO, INFINITY), (INFINITY, ZERO), (ZERO, fresh)])
+            out = shift_affine(dp, frm, to, s, c)
+            for label, sign in ((frm, -1), (to, 1)):
+                before, after = dp.coefficient(label), out.coefficient(label)
+                assert after.breaks == before.breaks
+                want = [Fraction(v) + sign * (Fraction(s) * b + c) for b, v in zip(before.breaks, before.values)]
+                assert after.values == tuple(want), (dp, frm, to, s, c)
+                assert all((type(x) is int) == (Fraction(x).denominator == 1) for x in after.values + after.breaks)
+                seen["sum turns integral"] += any(
+                    w.denominator == 1 and Fraction(v).denominator != 1 for v, w in zip(before.values, want)
+                )
+            us = sorted(set(f.breaks).union(g.breaks))
+            us = sorted(set(us).union(Fraction(x + y, 2) for x, y in zip(us, us[1:])))
+            assert out._degree_at(us) == dp._degree_at(us)
+            seen["integral move" if Fraction(s).denominator == Fraction(c).denominator == 1 else "non-integral move"] += 1
+            seen["Fraction breaks"] += any(type(b) is not int for b in box)
+        assert min(seen.values()) >= 30, seen
+
+
+class TestKink:
+    def test_kink_is_the_min_of_affines(self):
+        # min(t*u, 0) off its breakpoints, on boxes that hold 0 inside, at
+        # an end or not at all, with int and Fraction ends, for t = 0 and
+        # t >= 1 (and Fraction t), is the coercing constructor's function
+        h = Fraction(1, 2)
+        boxes = [(-3, 5), (-h, 7 * h), (0, 4), (0, h), (-4, 0), (-5 * h, 0), (1, 6), (h, 3), (-6, -2), (-7 * h, -h)]
+        for box in boxes:
+            for t in (0, 1, 2, 5, Fraction(3, 2)):
+                got = PLFunc._kink(box, t)
+                want = PLFunc.min_of_affines(box, [(t, 0), (0, 0)])
+                assert (got.breaks, got.values) == (want.breaks, want.values), (box, t)
+                assert [type(x) for x in got.breaks + got.values] == [type(x) for x in want.breaks + want.values]
+
 
 class TestInvariants:
     def test_area_equals_degree_integral(self):

@@ -273,6 +273,7 @@ UNREFERENCED_PUBLIC = {
     "geom.primitivize": "exported public helper; the factor walk divides integer pairs by their gcd itself",
     "geom.Polygon.translate": "documented public polygon operation",
     "divpoly.PLFunc.constant": "documented public constructor",
+    "divpoly.PLFunc.min_of_affines": "documented public coercing constructor; the pipeline builds min(t*u, 0) off its breakpoints",
     "divpoly.DivPoly.from_json": "documented reader of the divisorial polytope a certificate carries",
     "laurent.LaurentPoly.coefficient": "documented public read of one coefficient",
     "mutation.MutationGraph.weight_triples": "the correctness check of the graph workloads",

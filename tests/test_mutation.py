@@ -168,6 +168,22 @@ class TestMutate:
             with pytest.raises(error, match=message):
                 op(p114_triangle, md)
 
+    @pytest.mark.parametrize("t", [True, False])
+    def test_boolean_factor_length_refused(self, p114_triangle, t):
+        # a bool is an int to isinstance, but not an exact rational: mutate,
+        # factor_for and the deformation pipeline refuse it first, with the
+        # boundary's message, so no certificate or factor JSON holds a bool
+        from polymut.deform import mutation_to_deformation
+
+        w, f0 = Vector2(0, -1), Vector2(1, 0)
+        for call in (
+            lambda: mutate(p114_triangle, MutationData(w, t, f0)),
+            lambda: factor_for(p114_triangle, w, t),
+            lambda: mutation_to_deformation(p114_triangle, MutationData(w, t, f0)),
+        ):
+            with pytest.raises(InvalidFactor, match=f"^not an exact rational: {t}$"):
+                call()
+
     def test_point_factor_takes_any_kernel_vector(self, p114_triangle):
         # f0 need be primitive only when t > 0; t = 0 is the identity
         md = MutationData(Vector2(0, -1), 0, Vector2(2, 0))
