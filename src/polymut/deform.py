@@ -3,12 +3,13 @@ combinatorial mutations, via admissible Minkowski decompositions of a
 divisorial-polytope coefficient.
 
 The pipeline mutates in the caller's frame, maps the polygon and its
-mutant by a normalizer that makes the height function (0,-1), dilates the
-dual polygon to a lattice polygon, splits the infinity coefficient into
-the affine part plus an integral two-piece part, moves the split-off
-summand to a fresh point of the projective line, reduces the
-three-coefficient divisorial polytope back to a polygon by affine shifts,
-and certifies the result against the dilated dual of the mutated polygon.
+mutant by a normalizer whose integer rows, read off `geom._height_frame`,
+make the height function (0,-1), dilates the dual polygon to a lattice
+polygon, splits the infinity coefficient into the affine part plus an
+integral two-piece part, moves the split-off summand to a fresh point of
+the projective line, reduces the three-coefficient divisorial polytope
+back to a polygon by affine shifts, and certifies the result against the
+dilated dual of the mutated polygon.
 
 `mutation_to_deformation` is one check and a core: `mutate` checks the
 factor and proves the source Fano once, in the caller's frame, and
@@ -55,11 +56,10 @@ from .geom import (
     Vector2,
     _cycle_maps,
     _dual_walk,
+    _height_frame,
     _lex_first,
     _polygon_from_cycle,
     _require_lattice_2d,
-    height_basis,
-    mat_apply,
     polygon_to_json,
     qdiv,
     to_fraction,
@@ -331,27 +331,29 @@ class DeformationCertificate:
         }
 
 
+_NORMAL_W, _NORMAL_F0 = Vector2(0, -1), Vector2(1, 0)  # every normalized mutation's w and f0
+
+
 def _normalizer_for(w: Vector2) -> Mat2:
     """Unimodular U with heights of U*P under (0,-1) matching heights of P
-    under w, and with the factor direction mapped to (1, 0).  For a
-    non-primitive w these rows would have determinant gcd(w), so
-    height_basis refuses it."""
-    _, _, s = height_basis(w)
-    # rows: s and -w; det = <s, vw> = 1, U*f0 = U*(-q, p) = (1, 0)
-    return ((s.x, s.y), (-w.x, -w.y))
+    under w and the factor direction mapped to (1, 0), for a primitive w,
+    as mutate checked: for a non-primitive w, det U would be gcd(w)."""
+    _, (a, b) = _height_frame(w.x, w.y)
+    # rows: s = (-vw.y, vw.x) and -w; det = <s, vw> = 1, U*f0 = U*(-q, p) = (1, 0)
+    return ((-b, a), (-w.x, -w.y))
 
 
-def _transform_mutation(md: MutationData, U: Mat2) -> MutationData:
+def _transform_mutation(md: MutationData) -> MutationData:
     """md re-expressed for U*P along (0, -1).  U = _normalizer_for(md.w)
     keeps heights and sends the kernel direction (-q, p) of w = (p, q) to
-    (1, 0); a factor along the other direction is refused, since it would
-    silently turn into its negative."""
-    if mat_apply(U, md.f0) != Vector2(1, 0):
+    (1, 0), and only it, as U is invertible; a factor along the other
+    direction is refused, since it would silently turn into its negative."""
+    if (md.f0.x, md.f0.y) != (-md.w.y, md.w.x):
         raise InvalidFactor(
             f"factor direction {md.f0} is not the direction "
-            f"{Vector2(-md.w.y, md.w.x)} that deform normalizes to (1, 0) for w={md.w}"
+            f"({-md.w.y}, {md.w.x}) that deform normalizes to (1, 0) for w={md.w}"
         )
-    return MutationData(w=Vector2(0, -1), t=md.t, f0=Vector2(1, 0))
+    return MutationData(w=_NORMAL_W, t=md.t, f0=_NORMAL_F0)
 
 
 def standard_decomposition(dp: DivPoly, t: int) -> Decomposition:
@@ -387,7 +389,7 @@ def _deform(
     if len(P.cycle) != 3:
         raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
     U = _normalizer_for(md.w)
-    mdn = _transform_mutation(md, U)
+    mdn = _transform_mutation(md)
     # mutation commutes with U: U*mutate(P, md) is mutate(U*P, mdn), and
     # det(U) = 1 keeps both image cycles counterclockwise
     (u00, u01), (u10, u11) = U

@@ -239,6 +239,8 @@ class PLFunc:
         fns = [(to_fraction(s), to_fraction(c)) for s, c in affines]
         if not fns:
             raise DomainError("need at least one affine function")
+        if a >= b:
+            raise DomainError("breakpoints must be strictly increasing")
         us = {a, b}
         for i in range(len(fns)):
             for j in range(i + 1, len(fns)):

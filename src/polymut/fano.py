@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .geom import Polygon, Rational, Vector2, height_basis, qdiv
+from .geom import Polygon, Rational, Vector2, _height_frame, hull_of_pairs, qdiv
 
 WeightTriple = tuple[int, int, int]
 Solution = tuple[int, int, int]
@@ -122,15 +122,17 @@ def triangle_from_weights(w: WeightTriple) -> Polygon:
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if math.gcd(w[i], w[j]) != 1:
             raise NotWellFormed(f"weights {w[i]} and {w[j]} share a factor")
-    # <vw, (l1, l2)> = 1 and <f0, (l1, l2)> = 0, so the rows (vw, 0),
-    # (f0, 0) and (-l3*vw, 1) form a unimodular matrix sending the weight
-    # column to e1; the last two rows kill it, and their columns are the
-    # triangle's vertices.
-    f0, vw, _ = height_basis(Vector2(l1, l2))
-    verts = [Vector2(f0.x, -l3 * vw.x), Vector2(f0.y, -l3 * vw.y), Vector2(0, 1)]
-    T = Polygon(verts)
-    got = sorted(weights(T))
-    if got != sorted(w) or multiplicity(T) != 1:  # pragma: no cover - sanity
+    for l in w:
+        if type(l) is not int:  # a bool passes math.gcd but is no exact rational
+            raise DomainError(f"not an exact rational: {l!r}")
+    # <vw, (l1, l2)> = 1 and <f0, (l1, l2)> = 0 for the frame (f0, vw) of
+    # the primitive (l1, l2), so the rows (vw, 0), (f0, 0) and (-l3*vw, 1)
+    # form a unimodular matrix sending the weight column to e1; the last
+    # two rows kill it, and their columns are the triangle's vertices.
+    (fx, fy), (a, b) = _height_frame(l1, l2)
+    T = hull_of_pairs([(fx, -l3 * a), (fy, -l3 * b), (0, 1)])
+    got = _weights_and_multiplicity(*T.cycle) if len(T.cycle) == 3 and is_fano(T) else None
+    if got is None or sorted(got[0]) != sorted(w) or got[1] != 1:  # pragma: no cover - sanity
         raise AssertionError(f"triangle construction failed for {w}: got {got}")
     return T
 
@@ -233,6 +235,8 @@ def vieta_neighbors(cls: DiophantineClass, x: Solution) -> tuple[Solution, ...]:
 
 def vieta_tree(cls: DiophantineClass, root: Solution, depth: int) -> set[Solution]:
     """All solutions reachable from root in at most `depth` Vieta steps."""
+    if type(depth) is not int:  # a bool is an int subclass, but no depth
+        raise DomainError(f"depth must be an integer: {depth!r}")
     if not 0 <= depth <= VIETA_DEPTH_LIMIT:
         raise DomainError(f"depth {depth} is not in 0..{VIETA_DEPTH_LIMIT}, the Vieta tree budget VIETA_DEPTH_LIMIT")
     vieta_neighbors(cls, root)  # refuses a root that is not a positive solution

@@ -7,12 +7,12 @@ is exact, so results compare with ``==``.  Vectors and polygons are
 immutable values and safe to share between threads.
 
 Values are coerced once, where they come in: `Vector2(x, y)`, `dilate`
-and the JSON readers run `to_fraction`.  A vector computed from stored
-coordinates (by `+`, `-`, `scale`, `mat_apply`, the vertex view of a
-polygon, or the mutation and divpoly kernels) is built by the trusted
-`Vector2._of`, which assumes ints and Fractions and only folds an integral
-Fraction, such as 1/2 + 1/2, to its int.  `scale` takes an exact int or
-Fraction.
+and the JSON readers run `to_fraction`.  `Vector2(x, y)` is the one vector
+constructor: on an int or a Fraction computed from stored coordinates (by
+`+`, `-`, `scale`, `mat_apply` or the vertex view of a polygon)
+`to_fraction` only folds an integral Fraction, such as 1/2 + 1/2, to its
+int.  The kernels run on integer pairs and build a vector only where the
+Python API hands one out.  `scale` takes an exact int or Fraction.
 
 A vector may play the role of a point of the one-parameter-subgroup
 lattice or of a character (height function); the pairing between the two
@@ -119,23 +119,14 @@ def _exact(c: Rational) -> Rational:
 class Vector2:
     """A point/vector of the rational plane with exact coordinates.
 
-    The constructor reads its coordinates through to_fraction.  Vectors
-    that the library computes go through `_of`, which trusts them."""
+    The one constructor reads its coordinates through to_fraction, which
+    keeps an int and folds an integral Fraction to its int."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x: RationalLike, y: RationalLike):
         _set(self, "x", to_fraction(x))
         _set(self, "y", to_fraction(y))
-
-    @classmethod
-    def _of(cls, x: Rational, y: Rational) -> "Vector2":
-        # x and y are ints or Fractions computed from stored coordinates, so
-        # only an integral Fraction (1/2 + 1/2) is left to fold to its int
-        v = _new(cls)
-        _set(v, "x", _exact(x))
-        _set(v, "y", _exact(y))
-        return v
 
     def __setattr__(self, *a):
         raise AttributeError("Vector2 is immutable")
@@ -154,17 +145,17 @@ class Vector2:
         return (self.x, self.y) < (other.x, other.y)
 
     def __add__(self, other: "Vector2") -> "Vector2":
-        return Vector2._of(self.x + other.x, self.y + other.y)
+        return Vector2(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Vector2") -> "Vector2":
-        return Vector2._of(self.x - other.x, self.y - other.y)
+        return Vector2(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "Vector2":
-        return Vector2._of(-self.x, -self.y)
+        return Vector2(-self.x, -self.y)
 
     def scale(self, r: Rational) -> "Vector2":
         # r is an exact int or Fraction, as a vector's coordinates are
-        return Vector2._of(r * self.x, r * self.y)
+        return Vector2(r * self.x, r * self.y)
 
     def dot(self, other: "Vector2") -> Rational:
         return self.x * other.x + self.y * other.y
@@ -193,7 +184,7 @@ def primitivize(v: Vector2) -> Vector2:
         raise ZeroVector("cannot primitivize the zero vector")
     a, b = v.as_ints()
     g = math.gcd(a, b)
-    return Vector2._of(a // g, b // g)
+    return Vector2(a // g, b // g)
 
 
 def is_primitive(v: Vector2) -> bool:
@@ -254,7 +245,7 @@ class Polygon:
     @property
     def vertices(self) -> tuple[Vector2, ...]:
         """The vertex cycle as vectors, built on each read."""
-        return tuple(Vector2._of(x, y) for x, y in self.cycle)
+        return tuple(Vector2(x, y) for x, y in self.cycle)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and self.cycle == other.cycle
@@ -328,7 +319,7 @@ def dilate(P: Polygon, r: RationalLike) -> Polygon:
 
 def mat_apply(U: Mat2, v: Vector2) -> Vector2:
     (a, b), (c, d) = U
-    return Vector2._of(a * v.x + b * v.y, c * v.x + d * v.y)
+    return Vector2(a * v.x + b * v.y, c * v.x + d * v.y)
 
 
 def mat_det(U: Mat2) -> int:
@@ -435,7 +426,7 @@ def height_basis(w: Vector2) -> tuple[Vector2, Vector2, Vector2]:
     if not is_primitive(w):
         raise NotPrimitive(f"height function must be primitive: {w}")
     (fx, fy), (a, b) = _height_frame(w.x, w.y)
-    return Vector2._of(fx, fy), Vector2._of(a, b), Vector2._of(-b, a)
+    return Vector2(fx, fy), Vector2(a, b), Vector2(-b, a)
 
 
 def _height_frame(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -445,16 +436,10 @@ def _height_frame(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (-q, p), (a, b)
 
 
-def _vertex_maps(P: Polygon, Q: Polygon) -> Iterator[tuple[Mat2, Vector2]]:
-    """Every unimodular U and integer translation t with U*P + t == Q."""
-    _require_lattice_2d(P, Q)
-    for U, (tx, ty) in _cycle_maps(P.cycle, Q.cycle):
-        yield U, Vector2._of(tx, ty)
-
-
 def _cycle_maps(vp: Sequence[tuple[int, int]], vq: Sequence[tuple[int, int]]) -> Iterator[tuple[Mat2, tuple[int, int]]]:
-    """_vertex_maps on the canonical integer cycles vp and vq, not checked,
-    with t an int pair.  Any such map sends vertex cycle to vertex cycle, so
+    """Every unimodular U and integer translation t, an int pair, with
+    U*P + t == Q for the lattice polygons with canonical cycles vp and vq,
+    not checked.  Any such map sends vertex cycle to vertex cycle, so
     mapping the edge basis (d1, d2) at vp[0] onto the one at each vertex of
     vq, both ways round, finds them all: U = [e1 e2] [d1 d2]^-1, integral."""
     n = len(vp)
@@ -482,7 +467,8 @@ def _cycle_maps(vp: Sequence[tuple[int, int]], vq: Sequence[tuple[int, int]]) ->
 
 def lattice_equivalent(P: Polygon, Q: Polygon) -> Optional[tuple[Mat2, Vector2]]:
     """Unimodular U and integer translation t with U*P + t == Q, or None."""
-    return next(_vertex_maps(P, Q), None)
+    _require_lattice_2d(P, Q)
+    return next(((U, Vector2(*t)) for U, t in _cycle_maps(P.cycle, Q.cycle)), None)
 
 
 def linear_equivalent(P: Polygon, Q: Polygon) -> Optional[Mat2]:
@@ -490,7 +476,8 @@ def linear_equivalent(P: Polygon, Q: Polygon) -> Optional[Mat2]:
 
     This is the right equivalence for Fano polygons, whose origin is pinned.
     """
-    return next((U for U, t in _vertex_maps(P, Q) if t.is_zero()), None)
+    _require_lattice_2d(P, Q)
+    return next((U for U, t in _cycle_maps(P.cycle, Q.cycle) if t == (0, 0)), None)
 
 
 def _cycle_invariant(vs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -585,6 +585,8 @@ def period_sequence(f: LaurentPoly, dmax: int) -> list[Rational]:
     band, with one pass over P a step per term and one per 30-bit word of
     each distinct coefficient other than 1.
     """
+    if type(dmax) is not int:  # a bool is an int subclass, but no dmax
+        raise DomainError(f"dmax must be an integer: {dmax!r}")
     if dmax < 0:
         raise DomainError("dmax must be nonnegative")
     if dmax > PERIOD_DMAX_LIMIT:

@@ -158,7 +158,7 @@ def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     negative-height vertex sits alone in a point slice).
     """
     prof = _profile(P, w)
-    f0 = Vector2._of(*prof.f0)
+    f0 = Vector2(*prof.f0)
     return [MutationData(w=w, t=t, f0=f0) for t in range(1, _t_max(prof) + 1)]
 
 
@@ -183,7 +183,7 @@ def _factor_walk(vs: list[tuple[int, int]]):
     for pq in _directions(vs):
         prof = _Profile(vs, pq)
         if n := _t_max(prof):
-            w = Vector2._of(*pq)
+            w = Vector2(*pq)
             for t in range(1, n + 1):
                 yield w, prof, t
 
@@ -194,7 +194,7 @@ def mutants(P: Polygon) -> list[tuple[MutationData, Polygon]]:
     P is Fano (find_factors and mutate would each redo both)."""
     _require_fano(P)
     return [
-        (MutationData(w=w, t=t, f0=Vector2._of(*prof.f0)), _polygon_from_cycle(_mutant(prof, t)))
+        (MutationData(w=w, t=t, f0=Vector2(*prof.f0)), _polygon_from_cycle(_mutant(prof, t)))
         for w, prof, t in _factor_walk(P.cycle)
     ]
 
@@ -354,7 +354,7 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     is refused as not Fano, as find_factors refuses it."""
     if P.dim() != 2 or not P.is_lattice():
         raise fano.NotFano("operation requires a Fano polygon")
-    return [Vector2._of(p, q) for p, q in _directions(P.cycle)]
+    return [Vector2(p, q) for p, q in _directions(P.cycle)]
 
 
 # the most classes a mutation graph may hold; one more is a DomainError,
@@ -385,6 +385,8 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     recorded as leading to src without building the mutant.  More than
     GRAPH_CLASS_LIMIT classes is a DomainError.
     """
+    if type(depth) is not int:  # a bool is an int subclass, but no depth
+        raise DomainError(f"depth must be an integer: {depth!r}")
     _require_fano(P)
     if depth < 0:
         raise DomainError("depth must be nonnegative")

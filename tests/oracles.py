@@ -164,8 +164,8 @@ def lattice_points(P: Polygon) -> list[Vector2]:
     out = []
     xs = [v.x for v in P.vertices]
     for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
-        ys = [v.y for v in _cut(P, Vector2._of(1, 0), x)]
-        out.extend(Vector2._of(x, y) for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1))
+        ys = [v.y for v in _cut(P, Vector2(1, 0), x)]
+        out.extend(Vector2(x, y) for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1))
     return out
 
 

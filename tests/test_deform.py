@@ -362,7 +362,7 @@ def test_fan_rays(p2_triangle):
 
 
 def test_normalizer_rows_are_the_extgcd_rows():
-    # _normalizer_for takes (s, -w) from geom.height_basis; it must equal the
+    # _normalizer_for takes (s, -w) from geom._height_frame; it must equal the
     # rows built from extgcd directly, so every certificate's normalizer holds
     from polymut.deform import _normalizer_for
     from polymut.geom import is_primitive
@@ -1236,3 +1236,30 @@ def test_fraction_objects_of_the_sweep_are_pinned(monkeypatch):
             pass
     assert (len(runs), certified) == (924, 339)
     assert made[0] == 619
+
+
+def test_vectors_of_the_sweep_are_pinned(monkeypatch):
+    # the same c <= 12 sweep, both ways: every Vector2 the deformation
+    # pipeline builds.  The normalizer and the normalized mutation come off
+    # integer pairs, so a certificate builds one vector, its witness
+    # translation, and a refused attempt none
+    from polymut.geom import Vector2
+
+    runs = [(P, md) for abc in _coprime_triples(12) for P, md in _both_ways(fano.triangle_from_weights(abc))]
+    built = [0]
+    real = Vector2.__init__
+
+    def counting_init(v, x, y):
+        built[0] += 1
+        real(v, x, y)
+
+    monkeypatch.setattr(Vector2, "__init__", counting_init)
+    certified = 0
+    for P, md in runs:
+        try:
+            mutation_to_deformation(P, md)
+            certified += 1
+        except DomainError:
+            pass
+    assert (len(runs), certified) == (924, 339)
+    assert built[0] == certified == 339

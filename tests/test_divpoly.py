@@ -66,6 +66,15 @@ class TestPLFunc:
         assert f.breaks == (Fraction(-6), Fraction(0), Fraction(6))
         assert f.values == (Fraction(-5), Fraction(1), Fraction(1))
 
+    @pytest.mark.parametrize("domain", [(2, 1), (1, 1)], ids=["reversed", "one-point"])
+    def test_min_of_affines_refuses_a_domain_that_does_not_increase(self, domain):
+        # PLFunc.affine's refusal, before any intersection is sought
+        for make in (lambda: PLFunc.min_of_affines(domain, [(1, 0)]), lambda: PLFunc.affine(domain, 1, 0)):
+            with pytest.raises(DomainError, match="breakpoints must be strictly increasing"):
+                make()
+        f = PLFunc.min_of_affines((1, 2), [(1, 0), (0, 3)])
+        assert (f.breaks, f.values) == ((1, 2), (1, 2))
+
     def test_lattice_graph(self):
         assert phi_inf_p114().has_lattice_graph()
         assert not PLFunc([0, 1], [0, Fraction(1, 2)]).has_lattice_graph()

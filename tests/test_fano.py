@@ -145,6 +145,12 @@ class TestTriangleFromWeights:
         with pytest.raises(NotWellFormed):
             triangle_from_weights((2, 2, 1))
 
+    @pytest.mark.parametrize("w", [(True, 1, 1), (1, True, 2), (1, 2, True)], ids=["first", "second", "third"])
+    def test_bool_weight_refused(self, w):
+        # a bool passes math.gcd, but it is no exact rational
+        with pytest.raises(DomainError, match="not an exact rational: True"):
+            triangle_from_weights(w)
+
     def test_roundtrip_random_coprime(self):
         rng = random.Random(3)
         done = 0
@@ -366,6 +372,13 @@ class TestVietaTree:
             vieta_neighbors(cls, x)
         with pytest.raises(DomainError, match="not a positive solution"):
             vieta_tree(cls, x, 0)
+
+    @pytest.mark.parametrize("depth", [True, False, 2.0], ids=["true", "false", "float"])
+    def test_depth_that_is_no_int_refused(self, depth):
+        # a bool is an int subclass, but True is no depth of 1
+        for tree in (markov_tree, lambda d: vieta_tree(MARKOV, (1, 1, 1), d)):
+            with pytest.raises(DomainError, match=f"depth must be an integer: {depth!r}"):
+                tree(depth)
 
     def test_depth_budget(self):
         assert VIETA_DEPTH_LIMIT >= 16

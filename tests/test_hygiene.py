@@ -269,6 +269,7 @@ def test_benchmark_trace_targets_resolve():
 # public library code that no library code references, and why it stays
 UNREFERENCED_PUBLIC = {
     "geom.dilate": "documented public constructor of r*P",
+    "geom.mat_apply": "the certify workload's witness check calls it",
     "geom.mat_det": "the certify workload's witness check calls it",
     "geom.primitivize": "exported public helper; the factor walk divides integer pairs by their gcd itself",
     "geom.Polygon.translate": "documented public polygon operation",
@@ -435,18 +436,13 @@ def _named_outside(attr: str, homes: set[str], owner: str | None = None) -> list
     ]
 
 
-def test_only_geom_divpoly_and_mutation_build_trusted_vectors():
-    # Vector2._of skips to_fraction: its coordinates must be ints or
-    # Fractions computed from stored coordinates, which these modules'
-    # arithmetic vouches for; every other module goes through Vector2(...)
-    assert _named_outside("_of", {"geom.py", "divpoly.py", "mutation.py"}) == []
-
-
 def test_only_divpoly_builds_trusted_pl_functions():
     # PLFunc._canonical and DivPoly._of skip to_fraction (and DivPoly._of
-    # the domain checks); only divpoly's own arithmetic vouches for them
+    # the domain checks); only divpoly's own arithmetic vouches for them.
+    # A vector has one constructor, Vector2(...), so no module outside
+    # divpoly names an _of at all
     assert _named_outside("_canonical", {"divpoly.py"}) == []
-    assert _named_outside("_of", {"divpoly.py"}, owner="DivPoly") == []
+    assert _named_outside("_of", {"divpoly.py"}) == []
 
 
 # the functions of geom and divpoly that read values from outside the
@@ -460,8 +456,10 @@ BOUNDARY = {
     },
 }
 # to_fraction, the public constructors, and the boundary functions that
-# coerce their arguments
-COERCING = {"to_fraction", "Vector2", "PLFunc", "DivPoly"} | {
+# coerce their arguments.  Vector2 is not among them: its one constructor
+# keeps an int or a Fraction by identity and only folds an integral
+# Fraction, at the cost a trusted constructor had
+COERCING = {"to_fraction", "PLFunc", "DivPoly"} | {
     q.rsplit(".", 1)[-1] for qs in BOUNDARY.values() for q in qs if not q.endswith(("__", ">"))
 }
 
@@ -480,8 +478,8 @@ def _calls(tree, scope="<module>"):
 
 def test_geom_and_divpoly_coerce_only_at_the_boundary():
     # arithmetic on values the library computed builds its results through
-    # Vector2._of, PLFunc._canonical and DivPoly._of; only the boundary
-    # functions call to_fraction or a function that does
+    # PLFunc._canonical and DivPoly._of; only the boundary functions call
+    # to_fraction or a function that does
     offenders = []
     for fname, allowed in BOUNDARY.items():
         tree = ast.parse((SRC / fname).read_text(), fname)
@@ -493,18 +491,19 @@ def test_geom_and_divpoly_coerce_only_at_the_boundary():
 
 def test_one_vertex_map_search():
     # geom._cycle_maps is the one vertex-map search, on integer cycles:
-    # _vertex_maps wraps it for lattice_equivalent and linear_equivalent,
-    # the deformation core calls it on the cycles it holds, and the
+    # lattice_equivalent and linear_equivalent call it on the polygons'
+    # cycles, the deformation core on the cycles it holds, and the
     # mutation graph's class index on the cycles of an invariant bucket;
-    # the rational pair solver it replaced is gone from the library
+    # the rational pair solver it replaced and the _vertex_maps wrapper are
+    # gone from the library
     tree = ast.parse((SRC / "geom.py").read_text())
     calls = list(_calls(tree))
-    assert sorted(scope for scope, call in calls if _name(call.func) == "_cycle_maps") == ["_vertex_maps"]
-    assert sorted(scope for scope, call in calls if _name(call.func) == "_vertex_maps") == [
+    assert sorted(scope for scope, call in calls if _name(call.func) == "_cycle_maps") == [
         "lattice_equivalent", "linear_equivalent",
     ]
     assert _named_outside("_cycle_maps", {"geom.py", "deform.py", "mutation.py"}) == []
-    assert [f"{name}:{getattr(node, 'lineno', '?')}" for name, node, _ in _nodes() if _name(node) == "_solve_pair_map"] == []
+    gone = {"_solve_pair_map", "_vertex_maps"}
+    assert [f"{name}:{getattr(node, 'lineno', '?')}" for name, node, _ in _nodes() if _name(node) in gone] == []
     # one search: only _cycle_maps compares the image of a vertex set
     setcmp = [
         scope for scope, node in _scoped(tree)
@@ -559,3 +558,26 @@ def test_deformation_core_runs_on_cycles():
     assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py", "deform.py"}) == []
     assert _calls_outside("_polygon_from_cycle", "deform.py", "_deform") == []
     assert _named_outside("dual_denominator", set()) == []
+    # the normalizer's rows, the normalized mutation and the triangle of
+    # given weights come off geom._height_frame's integer pairs: these
+    # kernels map no vector and build none, but for the one a certificate
+    # hands out, its witness translation
+    kernels = {
+        "deform.py": {"_deform", "_normalizer_for", "_transform_mutation"},
+        "fano.py": {"triangle_from_weights"},
+    }
+    vectors = []
+    for fname, fns in kernels.items():
+        tree = ast.parse((SRC / fname).read_text())
+        defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in fns]
+        assert sorted(d.name for d in defs) == sorted(fns)
+        witness = [k for d in defs for k in ast.walk(d) if isinstance(k, ast.keyword) and k.arg == "witness"]
+        handed_out = {id(n) for k in witness for n in ast.walk(k)}
+        vectors += [
+            f"{fname}:{n.lineno}"
+            for d in defs
+            for n in ast.walk(d)
+            if _name(n) in {"mat_apply", "height_basis"}
+            or (isinstance(n, ast.Call) and _name(n.func) == "Vector2" and id(n) not in handed_out)
+        ]
+    assert vectors == []

@@ -663,6 +663,12 @@ class TestPeriodSequence:
         with pytest.raises(DomainError, match="nonnegative"):
             period_sequence(parse("x+y"), -1)
 
+    @pytest.mark.parametrize("dmax", [True, False, 2.0], ids=["true", "false", "float"])
+    def test_dmax_that_is_no_int_refused(self, dmax):
+        # a bool is an int subclass, but True is no dmax of 1
+        with pytest.raises(DomainError, match=f"dmax must be an integer: {dmax!r}"):
+            period_sequence(parse("x+y+x^-1*y^-1"), dmax)
+
     def test_work_budget(self):
         # the hexagon at the largest dmax measures 6 * 100 * 260 * 201^2 =
         # 6.3e9 units; (x+y+x^-1*y^-1)^6 has 28 terms on an index-3 lattice

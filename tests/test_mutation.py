@@ -639,6 +639,12 @@ class TestMutationGraph:
         g = mutation_graph(p114_triangle, 0)
         assert len(g.nodes) == 1 and len(g.edges) == 0
 
+    @pytest.mark.parametrize("depth", [True, False, 2.0], ids=["true", "false", "float"])
+    def test_depth_that_is_no_int_refused(self, p2_triangle, depth):
+        # a bool is an int subclass, but True is no depth of 1
+        with pytest.raises(DomainError, match=f"depth must be an integer: {depth!r}"):
+            mutation_graph(p2_triangle, depth)
+
     def test_p114_depth_one(self, p114_triangle):
         g = mutation_graph(p114_triangle, 1)
         assert g.weight_triples() == {(1, 1, 4), (1, 1, 1), (1, 4, 25)}
@@ -711,8 +717,8 @@ class TestMutationGraph:
         # the 27 directions with a factor of its 9 expanded nodes, and the
         # -w back to each of its 16 new classes' sources
         built = []
-        real, T = Vector2._of.__func__, fano.triangle_from_weights((1, 1, 1))
-        monkeypatch.setattr(Vector2, "_of", classmethod(lambda cls, x, y: built.append((x, y)) or real(cls, x, y)))
+        real, T = Vector2.__init__, fano.triangle_from_weights((1, 1, 1))
+        monkeypatch.setattr(Vector2, "__init__", lambda v, x, y: built.append((x, y)) or real(v, x, y))
         g = mutation_graph(T, 5)
         assert (len(g.nodes), len(g.edges)) == (17, 27)
         assert len(built) == 27 + 16 == 43
