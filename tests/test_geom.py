@@ -98,8 +98,11 @@ class TestExactRationals:
         v = Vector2(Fraction(3), 2)
         assert v == Vector2(3, 2) and hash(v) == hash(Vector2(3, 2))
         assert type(v.x) is int
-        # the one constructor folds a computed integral Fraction and keeps
-        # any other Fraction by identity
+
+    def test_trusted_vector_folds_integral_fractions(self):
+        # Vector2(...) is the one constructor, trusted paths included: it
+        # folds a computed integral Fraction and keeps any other Fraction
+        # by identity
         half = Fraction(1, 2)
         v = Vector2(half + half, half)
         assert v == Vector2(1, half) and type(v.x) is int and v.y is half

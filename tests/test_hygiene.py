@@ -436,13 +436,21 @@ def _named_outside(attr: str, homes: set[str], owner: str | None = None) -> list
     ]
 
 
+def test_only_geom_divpoly_and_mutation_build_trusted_vectors():
+    # a vector has one constructor, Vector2(...), which keeps an int or a
+    # Fraction by identity: there is no Vector2._of to skip it, so no
+    # module outside divpoly (whose _of is DivPoly's) names an _of at all
+    from polymut.geom import Vector2
+
+    assert not hasattr(Vector2, "_of")
+    assert _named_outside("_of", {"divpoly.py"}) == []
+
+
 def test_only_divpoly_builds_trusted_pl_functions():
     # PLFunc._canonical and DivPoly._of skip to_fraction (and DivPoly._of
-    # the domain checks); only divpoly's own arithmetic vouches for them.
-    # A vector has one constructor, Vector2(...), so no module outside
-    # divpoly names an _of at all
+    # the domain checks); only divpoly's own arithmetic vouches for them
     assert _named_outside("_canonical", {"divpoly.py"}) == []
-    assert _named_outside("_of", {"divpoly.py"}) == []
+    assert _named_outside("_of", {"divpoly.py"}, owner="DivPoly") == []
 
 
 # the functions of geom and divpoly that read values from outside the
