@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError
 from . import fano
@@ -200,6 +200,31 @@ def _lattice_ok(dp: DivPoly, nt: list[PointLabel]) -> bool:
     return all(dp.coeffs[l].has_lattice_graph() for l in nt)
 
 
+def _moves(cur: DivPoly, nt: list[PointLabel]) -> Iterator[tuple[PointLabel, PointLabel, Rational, Rational]]:
+    """(frm, to, s, c) for each move of reduce_to_polygon on cur, whose
+    nontrivial labels are nt, in the order tried: the integral lines in
+    label order, each onto every other label, then the others, each onto
+    the freshest label first.  A line s*u + c is read off its affine
+    coefficient's two points only when its first move is tried, and judged
+    integral by two remainders, which build no Fraction on an int-valued
+    line."""
+    rest = []  # (label, s*d, c*d, d) of each non-integral line
+    for frm in nt:
+        f = cur.coeffs[frm]
+        if not f.is_affine():
+            continue
+        (b0, b1), (v0, v1) = f.breaks, f.values
+        d, sd, cd = b1 - b0, v1 - v0, v0 * b1 - v1 * b0
+        if sd % d or cd % d:  # d > 0: exact, and Fraction-free on ints
+            rest.append((frm, sd, cd, d))
+            continue
+        yield from ((frm, to, sd // d, cd // d) for to in nt if to != frm)
+    freshest_first = sorted(nt, key=lambda l: -l.kind)  # stable: by name within a kind
+    for frm, sd, cd, d in rest:
+        s, c = qdiv(sd, d), qdiv(cd, d)
+        yield from ((frm, to, s, c) for to in freshest_first if to != frm)
+
+
 def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
     """Move whole affine coefficients onto other labels until at most two
     nontrivial coefficients remain, then reconstruct the polygon.
@@ -218,22 +243,7 @@ def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
     cur = dp
     nt = cur.nontrivial_labels()  # kept equal to cur.nontrivial_labels()
     while len(nt) > 2:
-        lines = [  # (label, slope, intercept) of each affine coefficient, off its two points
-            (l, qdiv(v1 - v0, b1 - b0), qdiv(v0 * b1 - v1 * b0, b1 - b0))
-            for l in nt
-            if (f := cur.coeffs[l]).is_affine()
-            for (b0, b1), (v0, v1) in [(f.breaks, f.values)]
-        ]
-        freshest_first = sorted(nt, key=lambda l: -l.kind)  # stable: by name within a kind
-        moves = [
-            (frm, to, s, c)
-            for integral, targets in ((True, nt), (False, freshest_first))
-            for frm, s, c in lines
-            if (s.denominator == 1 and c.denominator == 1) == integral
-            for to in targets
-            if to != frm
-        ]
-        for frm, to, s, c in moves:
+        for frm, to, s, c in _moves(cur, nt):
             nxt = shift_affine(cur, frm, to, s, c)
             nt_next = nxt.nontrivial_labels()
             if _lattice_ok(nxt, nt_next):

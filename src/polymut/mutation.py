@@ -37,6 +37,7 @@ from .errors import DomainError
 from . import fano
 from .geom import (  # NotPrimitive is re-exported: height_basis raises it
     ORIGIN,
+    Mat2,
     NotPrimitive,
     Polygon,
     Vector2,
@@ -380,10 +381,16 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     lookup (_ClassIndex: a cycle seen before, else the cheap invariant
     geom._cycle_invariant, and a vertex-map search only against the
     representatives that share it), and a Polygon only for a new class.
-    The node found by (w, t) from src is mutated by (-w, t) back to src's
-    representative, up to a shear along the kernel of w, so that edge is
-    recorded as leading to src without building the mutant.  More than
-    GRAPH_CLASS_LIMIT classes is a DomainError.
+
+    A mutation is undone by its negative: the mutant by (w, t) of src is
+    mutated by (-w, t) back to src, up to a shear along the kernel of w.
+    The lookup places the mutant's cycle as U*R, R the representative of
+    its class tgt, and mutation commutes with U, so R is mutated by
+    (-U^T w, t) back to src.  Every edge whose mutant was built registers
+    that reverse when tgt is not expanded yet (nodes expand in index
+    order, so when tgt >= src), and the expansion of tgt records it as an
+    edge to src with no mutant and no lookup.  More than GRAPH_CLASS_LIMIT
+    classes is a DomainError.
     """
     if type(depth) is not int:  # a bool is an int subclass, but no depth
         raise DomainError(f"depth must be an integer: {depth!r}")
@@ -394,29 +401,30 @@ def mutation_graph(P: Polygon, depth: int) -> MutationGraph:
     polygons = [P]  # each class's representative
     classes = _ClassIndex(polygons)
     classes.setdefault(P.cycle, 0)
-    # back[i] = (w, t, src): the mutation of node i back to the node src
-    # that it was found from (none for the root)
-    back: list[tuple[Optional[Vector2], int, int]] = [(None, 0, 0)]
+    # back[tgt, p, q, t] = src: the mutation of tgt's representative by
+    # ((p, q), t) leads to src; classes are disjoint, so a key registered
+    # twice names one src
+    back: dict[tuple[int, int, int, int], int] = {}
     edges: list[GraphEdge] = []  # each (src, w, t) is visited once
     frontier = [0]
     for _ in range(depth):
         next_frontier: list[int] = []
         for src in frontier:
-            w_back, t_back, home = back[src]
             for w, prof, t in _factor_walk(polygons[src].cycle):
-                if t == t_back and w == w_back:
-                    edges.append(GraphEdge(src, home, w, t))
-                    continue
-                cyc = _mutant(prof, t)
-                tgt = classes.setdefault(cyc, len(polygons))
-                if tgt == len(polygons):
-                    if tgt == GRAPH_CLASS_LIMIT:
-                        raise DomainError(
-                            f"mutation graph exceeds the class budget GRAPH_CLASS_LIMIT = {GRAPH_CLASS_LIMIT}"
-                        )
-                    polygons.append(_polygon_from_cycle(cyc))
-                    back.append((-w, t, src))
-                    next_frontier.append(tgt)
+                p, q = w.x, w.y
+                tgt = back.get((src, p, q, t))
+                if tgt is None:
+                    cyc = _mutant(prof, t)
+                    tgt, ((a, b), (c, d)) = classes.setdefault(cyc, len(polygons))
+                    if tgt == len(polygons):
+                        if tgt == GRAPH_CLASS_LIMIT:
+                            raise DomainError(
+                                f"mutation graph exceeds the class budget GRAPH_CLASS_LIMIT = {GRAPH_CLASS_LIMIT}"
+                            )
+                        polygons.append(_polygon_from_cycle(cyc))
+                        next_frontier.append(tgt)
+                    if tgt >= src:  # cyc = U*rep(tgt): the reverse is -U^T w
+                        back.setdefault((tgt, -a * p - c * q, -b * p - d * q, t), src)
                 edges.append(GraphEdge(src, tgt, w, t))
         frontier = next_frontier
         if not frontier:
@@ -439,23 +447,28 @@ class _ClassIndex:
     unimodular affine map between two canonical cycles, so that map is
     linear equivalence itself, and classes are disjoint, so at most one
     class in the bucket matches: the witness alone decides class identity,
-    and the invariant only skips searches that cannot succeed."""
+    and the invariant only skips searches that cannot succeed.  The memo
+    of cycles seen keeps the witness with the class, since a cycle seen
+    before need not be its representative."""
 
     def __init__(self, polygons: list[Polygon]):
         self.polygons = polygons  # each class's representative, which the caller grows
-        self.seen: dict[tuple[tuple[int, int], ...], int] = {}
+        self.seen: dict[tuple[tuple[int, int], ...], tuple[int, Mat2]] = {}
         self.invariants: dict[tuple[tuple[int, int], ...], list[int]] = {}
 
-    def setdefault(self, cyc: Sequence[tuple[int, int]], new: int) -> int:
-        """The class of the polygon with canonical cycle cyc; if it has
-        none, the class is recorded as new, whose representative the caller
-        appends."""
+    def setdefault(self, cyc: Sequence[tuple[int, int]], new: int) -> tuple[int, Mat2]:
+        """(class, U) for the polygon with canonical cycle cyc: U is
+        unimodular with U * (the class representative's cycle) == cyc.  If
+        cyc has no class, the class is recorded as new, whose
+        representative, cyc itself, the caller appends, and U is the
+        identity."""
         key = tuple(cyc)
-        tgt = self.seen.get(key)
-        if tgt is None:
+        hit = self.seen.get(key)
+        if hit is None:
             same = self.invariants.setdefault(_cycle_invariant(cyc), [])
-            tgt = next((j for j in same if any(t == (0, 0) for _, t in _cycle_maps(self.polygons[j].cycle, cyc))), new)
-            if tgt == new:
+            maps = ((j, U) for j in same for U, t in _cycle_maps(self.polygons[j].cycle, cyc) if t == (0, 0))
+            hit = next(maps, (new, ((1, 0), (0, 1))))
+            if hit[0] == new:
                 same.append(new)
-            self.seen[key] = tgt
-        return tgt
+            self.seen[key] = hit
+        return hit

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import math
 import time
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from polymut import fano
@@ -712,16 +715,16 @@ class TestMutationGraph:
         assert profiles == [(Q, w) for Q in expanded for w in factor_directions(Q)]
 
     def test_vectors_built_by_the_markov_graph(self, monkeypatch):
-        # the factor walk runs on integer pairs and a polygon stores its
-        # cycle: P^2 to depth 5 builds a Vector2 only for the w of each of
-        # the 27 directions with a factor of its 9 expanded nodes, and the
-        # -w back to each of its 16 new classes' sources
+        # the factor walk runs on integer pairs, a polygon stores its cycle
+        # and the mutations back are keyed by integer pairs: P^2 to depth 5
+        # builds a Vector2 only for the w of each of the 27 directions with
+        # a factor of its 9 expanded nodes
         built = []
         real, T = Vector2.__init__, fano.triangle_from_weights((1, 1, 1))
         monkeypatch.setattr(Vector2, "__init__", lambda v, x, y: built.append((x, y)) or real(v, x, y))
         g = mutation_graph(T, 5)
         assert (len(g.nodes), len(g.edges)) == (17, 27)
-        assert len(built) == 27 + 16 == 43
+        assert len(built) == 27
 
     def test_mutant_cycles_are_integer(self, monkeypatch):
         # the mutant of a lattice polygon by a valid factor is a lattice
@@ -753,7 +756,7 @@ class TestMutationGraph:
                 for md in find_factors(Q, w):
                     mutate(Q, md)
                     mutate(Q, MutationData(w=md.w, t=md.t, f0=-md.f0))
-        assert (sum(t > 0 for t in seen), sum(t < 0 for t in seen)) == (2999, 195)
+        assert (sum(t > 0 for t in seen), sum(t < 0 for t in seen)) == (2874, 195)
 
     @pytest.mark.parametrize(
         "start,depth",
@@ -774,18 +777,24 @@ class TestMutationGraph:
 
     @pytest.mark.parametrize(
         "weights,depth,n_mutants,n_searches",
-        [((2, 3, 5), 3, 115, 31), ((1, 1, 1), 12, 2051, 3), ((1, 4, 5), 4, 415, 83)],
-        ids=["235-depth3", "111-depth12", "145-depth4"],
+        [
+            ((2, 3, 5), 3, 87, 6),
+            ((2, 3, 5), 4, 259, 20),
+            ((1, 1, 1), 12, 2051, 3),
+            ((1, 4, 5), 4, 350, 23),
+        ],
+        ids=["235-depth3", "235-depth4", "111-depth12", "145-depth4"],
     )
     def test_one_mutant_per_edge_not_leading_back_and_normal_forms_only_on_collisions(
         self, monkeypatch, weights, depth, n_mutants, n_searches
     ):
-        # the mutation back along the edge that found a node is recorded
-        # without building it, a Polygon is built, from the mutant's
-        # canonical cycle and with no second hull, only for a new class, and
-        # the class index searches for a vertex map only where a mutant's
-        # cycle invariant is shared by a class, once per class in that
-        # bucket until one matches
+        # a mutation back along an edge whose mutant was built, registered
+        # before the edge's target is expanded, is recorded without building
+        # it, so the mutants built are the edges less those reverses; a
+        # Polygon is built, from the mutant's canonical cycle and with no
+        # second hull, only for a new class, and the class index searches
+        # for a vertex map only where a mutant's cycle invariant is shared
+        # by a class, once per class in that bucket until one matches
         from polymut import mutation
 
         mutants, searches, polygons = [], [], []
@@ -809,7 +818,10 @@ class TestMutationGraph:
         g = mutation_graph(fano.triangle_from_weights(weights), depth)
         non_root_expanded = {e.source for e in g.edges} - {0}
         assert len(non_root_expanded) > 10
-        assert len(mutants) == len(g.edges) - len(non_root_expanded) == n_mutants
+        monkeypatch.undo()
+        reverses = _reverse_edges(g)
+        assert len(reverses) >= len(non_root_expanded)
+        assert len(mutants) == len(g.edges) - len(reverses) == n_mutants
         assert len(searches) == n_searches < n_mutants
         assert len(polygons) == len(g.nodes) - 1
 
@@ -976,6 +988,11 @@ COLLIDING = (((-1, -2), (0, -1), (1, 2), (-1, 2)), ((-2, -1), (2, -1), (2, 1), (
 TRANSLATES = (((-1, -4), (3, -1), (2, 3), (-1, 1)), ((-1, -2), (3, 1), (2, 5), (-1, 3)))
 
 
+# the primitive lattice points of [-3, 3]^2, from which random Fano polygons
+# are drawn
+PRIMITIVE_POINTS = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if math.gcd(x, y) == 1]
+
+
 class TestClassIndex:
     """mutation._ClassIndex against oracles.linear_normal_form, the arbiter
     of class identity."""
@@ -986,14 +1003,17 @@ class TestClassIndex:
         # the index reads the list of representatives, which the caller
         # grows by each new class's polygon
         from polymut.mutation import _ClassIndex
+        from oracles import mat_image
 
         representatives = []
         index = _ClassIndex(representatives)
         out = []
         for Q in polygons:
-            tgt = index.setdefault(Q.cycle, len(representatives))
+            tgt, U = index.setdefault(Q.cycle, len(representatives))
             if tgt == len(representatives):
                 representatives.append(Q)
+            # the witness maps the representative's cycle onto the one looked up
+            assert mat_image(U, representatives[tgt]).cycle == Q.cycle
             out.append(tgt)
         return out
 
@@ -1086,10 +1106,71 @@ class TestClassIndex:
         assert len(set(forms)) == len(forms) == 269
         shared = Counter(_cycle_invariant(_cycle(n.polygon)) for n in g.nodes)
         assert sorted(shared.values())[-3:] == [1, 2, 2]
-        target = {(e.source, e.w, e.t): e.target for e in g.edges}
-        checked = 0
-        for src in sorted({e.source for e in g.edges}):
-            for md, Q in mutants(g.nodes[src].polygon):
-                assert linear_normal_form(Q) == forms[target[src, md.w, md.t]]
-                checked += 1
-        assert checked == len(target) == len(g.edges)
+        _assert_edges_lead_to_their_mutants_forms(g, forms)
+
+    @pytest.mark.parametrize("weights", [(2, 3, 5), (1, 2, 3)], ids=["235-depth4", "123-depth4"])
+    def test_graph_edges_match_normal_forms_depth_four(self, weights):
+        # the claimed graph_wide graph and a second one: every edge, built
+        # or recorded as a mutation back, leads to its mutant's class
+        from oracles import linear_normal_form
+
+        g = mutation_graph(fano.triangle_from_weights(weights), 4)
+        forms = [linear_normal_form(n.polygon) for n in g.nodes]
+        assert len(set(forms)) == len(forms)
+        _assert_edges_lead_to_their_mutants_forms(g, forms)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @hypothesis.given(st.lists(st.sampled_from(PRIMITIVE_POINTS), min_size=3, max_size=7, unique=True))
+    def test_graph_edges_match_normal_forms_random_starts(self, points):
+        # from a random Fano polygon to depth 2 the nodes are pairwise
+        # inequivalent and every edge leads to its mutant's class; a Fano
+        # polygon is the hull of its primitive vertices, so drawing only
+        # primitive points loses none with vertices in [-3, 3]^2
+        from oracles import linear_normal_form
+
+        try:
+            start = P(*points)
+        except DomainError:  # collinear points make no polygon
+            hypothesis.assume(False)
+        hypothesis.assume(fano.is_fano(start))
+        g = mutation_graph(start, 2)
+        forms = [linear_normal_form(n.polygon) for n in g.nodes]
+        assert len(set(forms)) == len(forms)
+        _assert_edges_lead_to_their_mutants_forms(g, forms)
+
+
+def _assert_edges_lead_to_their_mutants_forms(g, forms):
+    """Every factor of every expanded node is one edge of g, leading to
+    the node whose oracle form (forms[i] for node i) its mutant has."""
+    from oracles import linear_normal_form
+
+    target = {(e.source, e.w, e.t): e.target for e in g.edges}
+    checked = 0
+    for src in sorted({e.source for e in g.edges}):
+        for md, Q in mutants(g.nodes[src].polygon):
+            assert linear_normal_form(Q) == forms[target[src, md.w, md.t]]
+            checked += 1
+    assert checked == len(target) == len(g.edges)
+
+
+def _reverse_edges(g):
+    """The edges of g that mutation_graph records as mutations back, found
+    by replaying its walk with the public API: each edge whose mutant is
+    built, src -> tgt by (w, t) with tgt >= src, makes (tgt, -U^T w, t) a
+    mutation back to src, U = linear_equivalent(rep(tgt), mutant), unless
+    that key is already registered."""
+    back, out = {}, []
+    for e in g.edges:
+        key = (e.source, e.w.x, e.w.y, e.t)
+        if key in back:
+            assert back[key] == e.target
+            out.append(e)
+            continue
+        src_poly = g.nodes[e.source].polygon
+        Q = mutate(src_poly, factor_for(src_poly, e.w, e.t))
+        U = linear_equivalent(g.nodes[e.target].polygon, Q)
+        assert U is not None
+        if e.target >= e.source:
+            (a, b), (c, d) = U
+            back.setdefault((e.target, -a * e.w.x - c * e.w.y, -b * e.w.x - d * e.w.y, e.t), e.source)
+    return out
