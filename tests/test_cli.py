@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -462,6 +463,55 @@ class TestErrorsAndDeterminism:
                     codes.append(code)
         assert (len(codes), codes.count(0)) == (138, 48)
         assert h.hexdigest() == "9210577124e3f832245da739341c618f43fd6db487a682529e456743ae362dcc"
+
+    def test_polygon_reader_sweep_output_pinned(self, capsys):
+        # [argv, exit code, stdout] of every command that reads or writes a
+        # polygon as JSON: the coprime triangles with c <= 15 in both vertex
+        # orders, seeded rational point sets, malformed vertex lists,
+        # Laurent mutations, the corpus and mutation graphs, by one digest
+        triangle_commands = ("weights", "multiplicity", "dual", "divpoly", "factors")
+        argvs = []
+        for c in range(1, 16):
+            for b in range(1, c + 1):
+                for a in range(1, b + 1):
+                    if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+                        cyc = cli.triangle_from_weights((a, b, c)).cycle
+                        for order in (cyc, cyc[::-1]):
+                            polygon = json.dumps({"vertices": [list(v) for v in order]})
+                            argvs += [[command, "--polygon", polygon] for command in triangle_commands]
+                        polygon = json.dumps({"vertices": [list(v) for v in cyc]})
+                        argvs += [["hull", "--points", polygon], ["deform", "--polygon", polygon]]
+        rng = random.Random(42)
+        coords = [*range(-3, 4), "1/2", "-1/2", "2/3", "-3/2", "5/3", "-7/4"]
+        for _ in range(400):
+            polygon = json.dumps({"vertices": [[rng.choice(coords), rng.choice(coords)] for _ in range(rng.randint(1, 6))]})
+            argvs += [["hull", "--points", polygon]]
+            argvs += [[command, "--polygon", polygon] for command in ("weights", "multiplicity", "dual", "divpoly", "factors")]
+        malformed = [
+            {"vertices": [[1]]}, {"vertices": [[1, 2, 3]]}, {"vertices": [5]}, {"vertices": [[True, 1]]},
+            {"vertices": [["a", 1]]}, {"vertices": []}, [[1, 0], [0, 1], [-1, -1]],
+            {"vertices": [[1, 0], [0, 1], [-1, -1]], "extra": 1},
+        ]
+        for obj in malformed:
+            polygon = json.dumps(obj)
+            argvs += [["hull", "--points", polygon]]
+            argvs += [[command, "--polygon", polygon] for command in ("dual", "weights", "multiplicity", "factors", "divpoly", "deform")]
+            argvs += [["mutate", "--polygon", polygon, "--w", "0,-1"]]
+        for f, g, divide in [
+            ("x^-1 + y^-1*(1+y)^2*x^2", "1+y", "x"), ("x^-1 + y^-1*(1+y)^2*x^2", "y+y^2", "x"),
+            ("y^-1 + x^-1*(1+x)^2*y^2", "1+x", "y"), ("y^-1 + x^-1*(1+x)^2*y^2", "x+x^2", "y"),
+            ("x + y + x^-1*y^-1", "1+x", "y"),
+        ]:
+            argvs += [["laurent-mutate", "--f", f, "--g", g, "--divide", divide]]
+        argvs += [["batch-verify", str(CORPUS)], ["--format", "table", "batch-verify", str(CORPUS)]]
+        argvs += [["graph", "--weights", w, "--depth", "3"] for w in ("1,1,1", "1,1,4", "1,2,3", "2,3,5")]
+        h, codes = hashlib.sha256(), []
+        for argv in argvs:
+            code, out = run(capsys, *argv)
+            h.update(json.dumps([argv, code, out]).encode())
+            codes.append(code)
+        assert (len(codes), codes.count(0)) == (4563, 2480)
+        assert h.hexdigest() == "fa4437801b918163f9efd4e5c4fad5eddb7df85205538f0120eee162a52cb0f1"
 
     def test_domain_error_exit_1(self, capsys):
         code, out = run_json(capsys, "dual", "--polygon", '{"vertices":[[1,0],[0,1],[2,2]]}')
