@@ -21,6 +21,7 @@ from .errors import DomainError
 from .fano import (
     NotATriangle,
     NotFano,
+    _weights_and_multiplicity,
     diophantine_class,
     is_fano,
     markov_tree,
@@ -28,7 +29,6 @@ from .fano import (
     triangle_from_weights,
     triangle_weights,
     weights,
-    weights_of_vertices,
 )
 from .geom import (
     Polygon,
@@ -37,6 +37,7 @@ from .geom import (
     area,
     dilated_dual,
     dual,
+    hull_of_pairs,
     parse_vertices,
     polygon_from_json,
     polygon_to_json,
@@ -237,8 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_hull(args) -> dict:
-    pts = parse_vertices(_read_json_arg(args.points))
-    return polygon_to_json(Polygon(pts))
+    return polygon_to_json(hull_of_pairs(parse_vertices(_read_json_arg(args.points))))
 
 
 def _cmd_dual(args) -> dict:
@@ -246,13 +246,13 @@ def _cmd_dual(args) -> dict:
 
 
 def _cmd_weights(args) -> dict:
-    verts = parse_vertices(_read_json_arg(args.polygon))
-    if len(verts) != 3:
+    pairs = parse_vertices(_read_json_arg(args.polygon))
+    if len(pairs) != 3:
         raise NotATriangle("weights need exactly three vertices")
-    P = Polygon(verts)
-    if not is_fano(P):
+    if not is_fano(hull_of_pairs(pairs)):
         raise NotFano("weights are defined for Fano triangles only")
-    return {"weights": list(weights_of_vertices(*verts))}
+    # a Fano triangle's vertices are its three input points, in input order
+    return {"weights": list(_weights_and_multiplicity(*pairs)[0])}
 
 
 def _cmd_multiplicity(args) -> dict:
@@ -472,8 +472,9 @@ def _verify_laurent(path: Path, obj) -> list[dict]:
     g = laurent.algebraic_mutate(f, spec)
     ok = laurent.period_sequence(f, 8) == laurent.period_sequence(g, 8)
     out.append(_entry(path, "period-invariance", "pass" if ok else "fail"))
-    if not shear.is_zero():
-        Q = Polygon([v + shear.scale(md.w.dot(v)) for v in Q.vertices])
+    if not shear.is_zero():  # v -> v + <w, v> * shear on the mutant's pairs
+        hs = [(md.w.x * x + md.w.y * y, x, y) for x, y in Q.cycle]
+        Q = hull_of_pairs([(x + h * shear.x, y + h * shear.y) for h, x, y in hs])
     ok = laurent.newton_polytope(g) == Q
     out.append(_entry(path, "newton-compatibility", "pass" if ok else "fail"))
     return out

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .geom import Polygon, Rational, Vector2, _height_frame, hull_of_pairs, qdiv
+from .geom import Polygon, Rational, _height_frame, hull_of_pairs, qdiv
 
 WeightTriple = tuple[int, int, int]
 Solution = tuple[int, int, int]
@@ -58,13 +58,6 @@ def is_fano(P: Polygon) -> bool:
     return P.is_lattice() and P.contains_origin_interior() and all(math.gcd(x, y) == 1 for x, y in P.cycle)
 
 
-def _vertex_minors(*us: tuple[Rational, Rational]) -> tuple[WeightTriple, int]:
-    for x, y in us:
-        if x.denominator != 1 or y.denominator != 1:
-            raise NotFano(f"triangle vertex is not a lattice point: ({x}, {y})")
-    return _weights_and_multiplicity(*us)
-
-
 def _weights_and_multiplicity(u1: tuple[int, int], u2: tuple[int, int], u3: tuple[int, int]) -> tuple[WeightTriple, int]:
     """The weights, in vertex order, and the multiplicity of the triangle
     with integer vertices u1, u2, u3, read off one set of 2x2 minors."""
@@ -76,11 +69,6 @@ def _weights_and_multiplicity(u1: tuple[int, int], u2: tuple[int, int], u3: tupl
         raise NotFano("vertices do not positively span the plane around the origin")
     g = math.gcd(*raw)
     return (raw[0] // g, raw[1] // g, raw[2] // g), g
-
-
-def weights_of_vertices(v1: Vector2, v2: Vector2, v3: Vector2) -> WeightTriple:
-    """Coprime positive (a,b,c) with a*v1 + b*v2 + c*v3 = 0, in vertex order."""
-    return _vertex_minors((v1.x, v1.y), (v2.x, v2.y), (v3.x, v3.y))[0]
 
 
 def _triangle_cycle(T: Polygon) -> tuple[tuple[Rational, Rational], ...]:
@@ -109,22 +97,32 @@ def multiplicity(T: Polygon) -> int:
     Equals the gcd of the three 2x2 vertex-pair determinants; the triangle
     presents a genuine weighted projective plane exactly when this is 1.
     """
-    return _vertex_minors(*_triangle_cycle(T))[1]
+    for x, y in _triangle_cycle(T):
+        if x.denominator != 1 or y.denominator != 1:
+            raise NotFano(f"triangle vertex is not a lattice point: ({x}, {y})")
+    return _weights_and_multiplicity(*T.cycle)[1]
+
+
+def _require_ints(ns) -> None:
+    """Refuse an entry of ns that is not an int, a bool included."""
+    for n in ns:
+        if type(n) is not int:
+            raise DomainError(f"not an exact rational: {n!r}")
 
 
 def triangle_from_weights(w: WeightTriple) -> Polygon:
     """A Fano triangle with the given pairwise-coprime weights and
     multiplicity 1, built by completing the weight column to a basis of Z^3
     and projecting the standard basis along the complementary rows."""
+    _require_ints(w)  # before any arithmetic: a bool passes math.gcd and min
+    if len(w) != 3:
+        raise DomainError(f"expected three weights: {w!r}")
     l1, l2, l3 = w
     if min(w) < 1:
         raise NotWellFormed("weights must be positive")
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if math.gcd(w[i], w[j]) != 1:
             raise NotWellFormed(f"weights {w[i]} and {w[j]} share a factor")
-    for l in w:
-        if type(l) is not int:  # a bool passes math.gcd but is no exact rational
-            raise DomainError(f"not an exact rational: {l!r}")
     # <vw, (l1, l2)> = 1 and <f0, (l1, l2)> = 0 for the frame (f0, vw) of
     # the primitive (l1, l2), so the rows (vw, 0), (f0, 0) and (-l3*vw, 1)
     # form a unimodular matrix sending the weight column to e1; the last
@@ -160,6 +158,7 @@ def squarefree_part(n: int) -> tuple[int, int]:
     primes (all squarefree) or a prime square, and one integer square root
     tells them apart.  Raises DomainError past SQUAREFREE_TRIAL_LIMIT.
     """
+    _require_ints((n,))
     if n < 1:
         raise DomainError("squarefree part needs a positive integer")
     r = math.isqrt(n)
@@ -223,6 +222,7 @@ def _ordered(c: tuple[int, int, int], x: Solution) -> Solution:
 def vieta_neighbors(cls: DiophantineClass, x: Solution) -> tuple[Solution, ...]:
     """The distinct solutions one Vieta step from x: step i sets x_i to the other
     root m*x_j*x_k/(k*c_i) - x_i if it is an integer (x itself at a double root)."""
+    _require_ints(x)
     if min(x) < 1 or cls.m * math.prod(x) != cls.k * sum(ci * xi * xi for ci, xi in zip(cls.c, x)):
         raise DomainError(f"not a positive solution of {cls}: {tuple(x)}")
     out = set()

@@ -7,12 +7,13 @@ is exact, so results compare with ``==``.  Vectors and polygons are
 immutable values and safe to share between threads.
 
 Values are coerced once, where they come in: `Vector2(x, y)`, `dilate`
-and the JSON readers run `to_fraction`.  `Vector2(x, y)` is the one vector
-constructor: on an int or a Fraction computed from stored coordinates (by
-`+`, `-`, `scale`, `mat_apply` or the vertex view of a polygon)
-`to_fraction` only folds an integral Fraction, such as 1/2 + 1/2, to its
-int.  The kernels run on integer pairs and build a vector only where the
-Python API hands one out.  `scale` takes an exact int or Fraction.
+and the JSON reader `parse_vertices`, which returns exact (x, y) pairs,
+run `to_fraction`.  `Vector2(x, y)` is the one vector constructor: on an
+int or a Fraction computed from stored coordinates (by `+`, `-`, `scale`,
+`mat_apply` or the vertex view of a polygon) `to_fraction` only folds an
+integral Fraction, such as 1/2 + 1/2, to its int.  The kernels run on
+exact pairs; a vector is built only where the Python API hands one out.
+`scale` takes an exact int or Fraction.
 
 A vector may play the role of a point of the one-parameter-subgroup
 lattice or of a character (height function); the pairing between the two
@@ -27,9 +28,9 @@ each read, for callers that want vectors.  Points and segments are
 degenerate polygons (one or two vertices) and participate in all
 operations without special-casing by the caller.  A polygon is built from
 exact (x, y) pairs in one of two ways: by the hull `hull_of_pairs`, which
-`Polygon(points)` runs, or by the trusted `_polygon_from_cycle`, for a
-canonical cycle, which `dilate` and `translate` make with
-`_canonical_cycle`.
+`Polygon(points)`, `dilate`, `translate` and `polygon_from_json` run, or
+by the trusted `_polygon_from_cycle`, which wraps a cycle that a kernel
+(the hull, a dual, a mutation, the deformation core) proved canonical.
 """
 
 from __future__ import annotations
@@ -108,11 +109,6 @@ def qdiv(a: Rational, b: Rational) -> Rational:
 
 _new = object.__new__
 _set = object.__setattr__
-
-
-def _exact(c: Rational) -> Rational:
-    """An int or Fraction as stored: an integral Fraction folded to its int."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 @functools.total_ordering  # vectors order as their (x, y) pairs
@@ -228,10 +224,10 @@ class Polygon:
     `cycle` is the tuple of exact (x, y) pairs, ints or Fractions that are
     not integral: CCW, no collinear triples, lex-smallest vertex first.
     Construction runs the convex hull `hull_of_pairs` on the points'
-    (x, y) pairs.  The trusted `_polygon_from_cycle` only wraps a canonical
-    cycle: the hull, the duals, the mutation kernel and the deformation
-    core make one, and `dilate` (by r != 0) and `translate` make a strictly
-    convex CCW cycle that `_canonical_cycle` rotates and folds.
+    (x, y) pairs, as `dilate`, `translate` and the JSON reader do.  The
+    trusted `_polygon_from_cycle` only wraps a cycle proved canonical: the
+    hull, the duals, the mutation kernel and the deformation core make one.
+    `vertices` is the Python API's vector view of the cycle.
     """
 
     __slots__ = ("cycle",)
@@ -264,7 +260,7 @@ class Polygon:
         return all(type(x) is int and type(y) is int for x, y in self.cycle)
 
     def translate(self, t: Vector2) -> "Polygon":
-        return _polygon_from_cycle(_canonical_cycle([(x + t.x, y + t.y) for x, y in self.cycle]))
+        return hull_of_pairs([(x + t.x, y + t.y) for x, y in self.cycle])
 
     def contains(self, p: Vector2) -> bool:
         return all(a * p.x + b * p.y >= c for a, b, c in _halfplanes(self))
@@ -282,13 +278,6 @@ def _polygon_from_cycle(cyc: Sequence[tuple[Rational, Rational]]) -> Polygon:
     P = _new(Polygon)
     _set(P, "cycle", tuple(cyc))
     return P
-
-
-def _canonical_cycle(cyc: Sequence[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
-    """A strictly convex CCW cycle of exact pairs from any start, rotated
-    to its lex-least vertex, as the hull of the same points is, with each
-    integral Fraction folded to its int."""
-    return [(_exact(x), _exact(y)) for x, y in _lex_first(cyc)]
 
 
 def _lex_first(cyc: list[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
@@ -310,11 +299,9 @@ def hull_of_pairs(pairs: Iterable[tuple[Rational, Rational]]) -> Polygon:
 
 
 def dilate(P: Polygon, r: RationalLike) -> Polygon:
-    """r*P; for r != 0 the scaled cycle is still CCW and strictly convex
-    (r < 0 turns it by a half turn), for r == 0 it collapses to a point."""
+    """r*P, the hull of the scaled cycle (a point for r == 0)."""
     r = to_fraction(r)
-    cyc = [(r * x, r * y) for x, y in P.cycle]
-    return _polygon_from_cycle(_canonical_cycle(cyc)) if r else hull_of_pairs(cyc)
+    return hull_of_pairs([(r * x, r * y) for x, y in P.cycle])
 
 
 def mat_apply(U: Mat2, v: Vector2) -> Vector2:
@@ -551,29 +538,27 @@ def vector_to_json(v: Vector2) -> list[str]:
     return [str(v.x), str(v.y)]
 
 
-def vector_from_json(obj) -> Vector2:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise DomainError(f"bad vector: {obj!r}")
-    return Vector2(obj[0], obj[1])
-
-
 def polygon_to_json(P: Polygon) -> dict:
     return {"vertices": [[str(x), str(y)] for x, y in P.cycle]}
 
 
 def polygon_from_json(obj) -> Polygon:
-    pts = parse_vertices(obj)
-    return Polygon(pts)
+    return hull_of_pairs(parse_vertices(obj))
 
 
-def parse_vertices(obj) -> list[Vector2]:
-    """Vertex list from a polygon JSON object, in the order given."""
+def parse_vertices(obj) -> list[tuple[Rational, Rational]]:
+    """The vertices of a polygon JSON object as exact (x, y) pairs, in order."""
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise DomainError("polygon JSON must be an object with a 'vertices' key")
     vs = obj["vertices"]
     if not isinstance(vs, list) or not vs:
         raise DomainError("polygon 'vertices' must be a nonempty list")
-    return [vector_from_json(v) for v in vs]
+    out = []
+    for v in vs:
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            raise DomainError(f"bad vector: {v!r}")
+        out.append((to_fraction(v[0]), to_fraction(v[1])))
+    return out
 
 
 def segment_to_json(S: Polygon) -> dict:

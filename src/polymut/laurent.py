@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .geom import Polygon, Rational, RationalLike, Vector2, _halfplanes, _lattice_basis, hull_of_pairs, qdiv, to_fraction
+from .geom import ORIGIN, Polygon, Rational, RationalLike, Vector2, _halfplanes, _lattice_basis, hull_of_pairs, qdiv, to_fraction
 from .mutation import MutationData, factor_for
 
 Exponent = tuple[int, int]
@@ -471,7 +471,7 @@ def algebraic_mutate(f: LaurentPoly, spec: MutationSpec) -> LaurentPoly:
     for (e1, e2), c in f.terms.items():
         grades.setdefault(e2, {})[e1, 0] = c
     k, l = min(grades), max(grades)
-    origin_ok = newton_polytope(f).contains(Vector2(0, 0))
+    origin_ok = newton_polytope(f).contains(ORIGIN)
     if not (k < 0 < l) or not origin_ok:
         msg = (
             "mutation input does not satisfy the deformation hypotheses "

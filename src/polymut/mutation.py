@@ -36,7 +36,6 @@ from typing import Optional, Sequence
 from .errors import DomainError
 from . import fano
 from .geom import (  # NotPrimitive is re-exported: height_basis raises it
-    ORIGIN,
     Mat2,
     NotPrimitive,
     Polygon,
@@ -75,7 +74,7 @@ class MutationData:
     @property
     def factor(self) -> Polygon:
         """F = conv(0, t*f0): a segment, or the point 0 when t = 0."""
-        return Polygon([ORIGIN, self.f0.scale(self.t)])
+        return hull_of_pairs([(0, 0), (self.t * self.f0.x, self.t * self.f0.y)])
 
     def to_json(self) -> dict:
         from .geom import segment_to_json, vector_to_json

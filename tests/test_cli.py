@@ -1100,23 +1100,49 @@ class TestBatchVerify:
             "deformation-certificate": {"pass"},
         }
 
+    LAURENT_ENTRIES = [
+        {"laurent": "x^-1 + y^-1*(1+y)^2*x^2", "g": "1+y", "divide": "x"},
+        {"laurent": "x^-1 + y^-1*(1+y)^2*x^2", "g": "y+y^2", "divide": "x"},
+        {"laurent": "y^-1 + x^-1*(1+x)^2*y^2", "g": "x+x^2", "divide": "y"},
+        {"laurent": "y^-1 + x^-1*(1+x)^2*y^2", "g": "x^3+x^4", "divide": "y"},
+        {"laurent": "x^-1 + y^-1*(1+y)^2*x^2", "g": "y^-2+y^-1", "divide": "x"},
+    ]
+
     def test_laurent_entries_on_both_axes(self, capsys, tmp_path):
         # dividing x, with g with and without a constant term, and dividing
-        # y by a g without one, which is checked through the recorded shear
-        entries = [
-            {"laurent": "x^-1 + y^-1*(1+y)^2*x^2", "g": "1+y", "divide": "x"},
-            {"laurent": "x^-1 + y^-1*(1+y)^2*x^2", "g": "y+y^2", "divide": "x"},
-            {"laurent": "y^-1 + x^-1*(1+x)^2*y^2", "g": "x+x^2", "divide": "y"},
-        ]
-        for i, entry in enumerate(entries):
+        # y by a g without one, which is checked through the recorded shear;
+        # then shears of 3 and of -2 factor vectors
+        for i, entry in enumerate(self.LAURENT_ENTRIES):
             (tmp_path / f"laurent_{i}.json").write_text(json.dumps(entry))
         code, out = run_json(capsys, "batch-verify", str(tmp_path))
         assert code == 0
         check_schema(out, "batch_report")
         assert [(r["file"], r["check"], r["status"]) for r in out["results"]] == [
             (f"laurent_{i}.json", check, "pass")
-            for i in range(3)
+            for i in range(5)
             for check in ("period-invariance", "newton-compatibility")
+        ]
+
+    def test_laurent_entry_with_a_wrong_shear_fails_newton_compatibility(self, capsys, monkeypatch, tmp_path):
+        # a recorded shear one f0 off shears the mutant off Newt(g): the
+        # newton-compatibility row fails and the period row still passes
+        laurent = cli._module("laurent")
+        mutation_data = laurent._mutation_data
+
+        def off_by_f0(spec):
+            md, shear = mutation_data(spec)
+            return md, shear + md.f0
+
+        monkeypatch.setattr(laurent, "_mutation_data", off_by_f0)
+        for i, entry in enumerate(self.LAURENT_ENTRIES):
+            (tmp_path / f"laurent_{i}.json").write_text(json.dumps(entry))
+        code, out = run_json(capsys, "batch-verify", str(tmp_path))
+        assert code == 1
+        check_schema(out, "batch_report")
+        assert [(r["file"], r["check"], r["status"]) for r in out["results"]] == [
+            (f"laurent_{i}.json", check, status)
+            for i in range(5)
+            for check, status in (("period-invariance", "pass"), ("newton-compatibility", "fail"))
         ]
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,10 +93,10 @@ class TestWeights:
     def test_p114(self, p114_triangle):
         # canonical vertex order (-1,2), (0,-1), (1,2)
         assert weights(p114_triangle) == (1, 4, 1)
-        assert fano.weights_of_vertices(Vector2(0, -1), Vector2(1, 2), Vector2(-1, 2)) == (4, 1, 1)
+        assert fano._weights_and_multiplicity((0, -1), (1, 2), (-1, 2))[0] == (4, 1, 1)
 
     def test_231(self):
-        got = fano.weights_of_vertices(Vector2(1, 0), Vector2(0, 1), Vector2(-2, -3))
+        got = fano._weights_and_multiplicity((1, 0), (0, 1), (-2, -3))[0]
         assert got == (2, 3, 1)
 
     def test_not_a_triangle(self):
@@ -149,6 +150,23 @@ class TestTriangleFromWeights:
     def test_bool_weight_refused(self, w):
         # a bool passes math.gcd, but it is no exact rational
         with pytest.raises(DomainError, match="not an exact rational: True"):
+            triangle_from_weights(w)
+
+    @pytest.mark.parametrize(
+        "w, refusal",
+        [
+            ((1.0, 2, 3), "not an exact rational: 1.0"),
+            ((Fraction(1), 2, 3), "not an exact rational: Fraction(1, 1)"),
+            (("1", 2, 3), "not an exact rational: '1'"),
+            ((1, 2), "expected three weights: (1, 2)"),
+            ((1, 2, 3, 5), "expected three weights: (1, 2, 3, 5)"),
+        ],
+        ids=["float", "fraction", "string", "pair", "quadruple"],
+    )
+    def test_weights_that_are_no_int_triple_refused(self, w, refusal):
+        # refused before math.gcd or min could raise a TypeError, or the
+        # unpacking a plain ValueError
+        with pytest.raises(DomainError, match=re.escape(refusal)):
             triangle_from_weights(w)
 
     def test_roundtrip_random_coprime(self):
@@ -228,6 +246,15 @@ class TestDiophantineClass:
     def test_129(self):
         got = diophantine_class((1, 2, 9))
         assert (got.m, got.k, got.c) == (4, 1, (1, 1, 2))
+
+    @pytest.mark.parametrize("n", [4.0, True, Fraction(4), "4"], ids=["float", "bool", "fraction", "string"])
+    def test_squarefree_part_of_no_int_refused(self, n):
+        # squarefree_part(True) was (1, 1), so (True, True, True) had the
+        # Markov class
+        with pytest.raises(DomainError, match=re.escape(f"not an exact rational: {n!r}")):
+            squarefree_part(n)
+        with pytest.raises(DomainError, match=re.escape(f"not an exact rational: {n!r}")):
+            diophantine_class((n, n, n))
 
     def test_squarefree_part(self):
         assert squarefree_part(4) == (1, 2)
@@ -372,6 +399,16 @@ class TestVietaTree:
             vieta_neighbors(cls, x)
         with pytest.raises(DomainError, match="not a positive solution"):
             vieta_tree(cls, x, 0)
+
+    @pytest.mark.parametrize(
+        "x", [(1.0, 1, 1), (1, 2.0, 5), (1, 1, Fraction(2)), (True, 1, 1)], ids=["float", "float-middle", "fraction", "bool"]
+    )
+    def test_solution_entry_that_is_no_int_refused(self, x):
+        # vieta_tree(MARKOV, (1.0, 1, 1), 2) gave floats among its solutions
+        bad = next(xi for xi in x if type(xi) is not int)
+        for step in (lambda: vieta_neighbors(MARKOV, x), lambda: vieta_tree(MARKOV, x, 2)):
+            with pytest.raises(DomainError, match=re.escape(f"not an exact rational: {bad!r}")):
+                step()
 
     @pytest.mark.parametrize("depth", [True, False, 2.0], ids=["true", "false", "float"])
     def test_depth_that_is_no_int_refused(self, depth):

@@ -23,6 +23,7 @@ from polymut.geom import (
     lattice_equivalent,
     linear_equivalent,
     mat_apply,
+    parse_vertices,
     polygon_from_json,
     polygon_to_json,
     primitivize,
@@ -467,6 +468,15 @@ class TestJson:
         with pytest.raises(DomainError, match="not an exact rational"):
             polygon_from_json({"vertices": [[c, -1], [1, 2], [-1, 2]]})
 
+    def test_parse_vertices_returns_exact_pairs_in_input_order(self):
+        # ints stay ints, integral strings and Fractions fold to ints, and
+        # the rest are reduced Fractions, as to_fraction stores them
+        obj = {"vertices": [["4/2", "-3/6"], [Fraction(6, 3), 7], ["-5", Fraction(9, 6)], [2, "2"]]}
+        got = parse_vertices(obj)
+        assert got == [(2, Fraction(-1, 2)), (2, 7), (-5, Fraction(3, 2)), (2, 2)]
+        assert [tuple(type(c) for c in p) for p in got] == [(int, Fraction), (int, int), (int, Fraction), (int, int)]
+        assert all(c.denominator > 1 for p in got for c in p if type(c) is Fraction)
+
     def test_canonical_output(self):
         obj = polygon_to_json(P((0, Fraction(-1, 2)), (3, 1), (-3, 1)))
         assert obj == {"vertices": [["-3", "1"], ["0", "-1/2"], ["3", "1"]]}
@@ -776,8 +786,9 @@ def _dual_points(Q):
 
 
 class TestCycleConstructor:
-    """dual, dilate and translate keep the vertex cycle they are given and
-    skip the hull; the hull of the same points is the oracle."""
+    """dual keeps the vertex cycle it is given and skips the hull, and
+    dilate and translate hull the mapped cycle; the hull of the same points
+    is the oracle."""
 
     RATIOS = (2, Fraction(1, 3), -1, Fraction(-5, 2))
 
@@ -971,24 +982,21 @@ class TestHullOfPairs:
             scaled += any(type(c) is Fraction and c.denominator > 1 for p in pairs for c in p)
         assert scaled > 300
 
-    def test_trusted_cycle_constructor_from_every_start(self):
-        # _canonical_cycle takes a strictly convex CCW cycle of exact pairs
-        # from any start, integral values computed as Fractions included,
-        # and _polygon_from_cycle wraps it as the polygon of the same points
-        from polymut.geom import _canonical_cycle, _polygon_from_cycle
-
+    def test_dilate_and_translate_equal_the_polygon_of_the_mapped_vertices(self):
+        # dilate(Q, r) and Q.translate(t) hull the mapped cycle, so they
+        # equal Polygon(...) of the mapped vertex vectors, coordinate types
+        # included: an integral product or sum of Fractions is an int
         rng = random.Random(59)
         cases = [Polygon(_origin_cases(rng)) for _ in range(300)] + _random_fano_polygons(rng, 100)
         seen = {1: 0, 2: 0, 3: 0, "rational": 0}
         for Q in cases:
-            cyc = [(v.x, v.y) for v in Q.vertices]
-            if rng.random() < 0.3:
-                cyc = [(Fraction(x) + Fraction(1, 3) - Fraction(1, 3), y) for x, y in cyc]
-            want = Polygon([Vector2(x, y) for x, y in cyc])
-            for i in range(len(cyc)):
-                got = _polygon_from_cycle(_canonical_cycle(cyc[i:] + cyc[:i]))
-                assert got == want and _types(got) == _types(want), (cyc, i)
-            seen[min(len(cyc), 3)] += 1
+            for r in (2, Fraction(3, 2), -1, Fraction(-2, 3), 0):
+                got, want = dilate(Q, r), Polygon([v.scale(r) for v in Q.vertices])
+                assert got == want and _types(got) == _types(want), (Q, r)
+            t = Vector2(_random_rational(rng), _random_rational(rng))
+            got, want = Q.translate(t), Polygon([v + t for v in Q.vertices])
+            assert got == want and _types(got) == _types(want), (Q, t)
+            seen[min(len(Q.cycle), 3)] += 1
             seen["rational"] += not Q.is_lattice()
         assert min(seen.values()) >= 30, seen
 

@@ -273,6 +273,7 @@ UNREFERENCED_PUBLIC = {
     "geom.mat_det": "the certify workload's witness check calls it",
     "geom.primitivize": "exported public helper; the factor walk divides integer pairs by their gcd itself",
     "geom.Polygon.translate": "documented public polygon operation",
+    "geom.Polygon.vertices": "the Python API's vector view of a polygon, which the benchmark's workloads and layers.py read",
     "divpoly.PLFunc.constant": "documented public constructor",
     "divpoly.PLFunc.min_of_affines": "documented public coercing constructor; the pipeline builds min(t*u, 0) off its breakpoints",
     "divpoly.DivPoly.from_json": "documented reader of the divisorial polytope a certificate carries",
@@ -394,9 +395,8 @@ def test_readme_citations_resolve():
 def test_one_hull_and_one_trusted_polygon_constructor():
     # geom builds a polygon from exact pairs by its hull, hull_of_pairs
     # (which Polygon runs), or by _polygon_from_cycle, which trusts a
-    # canonical cycle; only geom's hull, duals and maps of a canonical cycle,
-    # the cycles of mutation._mutant and those deform._deform holds vouch
-    # for that.  _deform's cycles are det-1 images and positive scalings of
+    # canonical cycle; only geom's hull and duals, the cycles of
+    # mutation._mutant and those deform._deform holds vouch for that.  _deform's cycles are det-1 images and positive scalings of
     # canonical cycles, so in deform.py only _deform calls it
     assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py", "deform.py"}) == []
     assert _calls_outside("_polygon_from_cycle", "deform.py", "_deform") == []
@@ -412,6 +412,37 @@ def test_one_hull_and_one_trusted_polygon_constructor():
         and not at_home
     ]
     assert offenders == []
+
+
+def test_polygons_in_and_out_as_exact_pairs():
+    # the JSON readers return exact (x, y) pairs, and the CLI hulls and
+    # weighs them, so no Vector2 is built only to be read back; geom builds
+    # a polygon by its hull or wraps a cycle its hull or duals proved
+    # canonical, and Polygon.vertices is a view that only geom reads
+    vertices = [f"{name}:{node.lineno}" for name, node, _ in _nodes() if isinstance(node, ast.Attribute) and node.attr == "vertices"]
+    assert [v for v in vertices if not v.startswith("geom.py:")] == []
+    readers = {
+        "geom.py": {"parse_vertices", "polygon_from_json"},
+        "mutation.py": {"MutationData.factor"},
+        "cli.py": {"_cmd_hull", "_cmd_weights", "_verify_laurent"},
+    }
+    built = []
+    for fname, scopes in readers.items():
+        calls = [(scope, call) for scope, call in _calls(ast.parse((SRC / fname).read_text())) if scope in scopes]
+        assert {scope for scope, _ in calls} == scopes
+        built += [f"{fname}:{call.lineno}" for _, call in calls if _name(call.func) in {"Vector2", "Polygon"}]
+    assert built == []
+    gone = {"_canonical_cycle", "_exact", "vector_from_json", "weights_of_vertices", "_vertex_minors"}
+    named = [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node, _ in _nodes()
+        if _name(node) in gone or (isinstance(node, ast.Constant) and node.value in gone)
+    ]
+    assert named == []
+    geom_calls = _calls(ast.parse((SRC / "geom.py").read_text()))
+    assert sorted(scope for scope, call in geom_calls if _name(call.func) == "_polygon_from_cycle") == [
+        "_lattice_dual", "dilated_dual", "hull_of_pairs",
+    ]
 
 
 def _calls_outside(attr: str, home_file: str, home_function: str) -> list[str]:
@@ -457,7 +488,7 @@ def test_only_divpoly_builds_trusted_pl_functions():
 # library: the public constructors, the public functions that take a
 # RationalLike or an outside PLFunc, and the JSON readers
 BOUNDARY = {
-    "geom.py": {"<module>", "to_fraction", "Vector2.__init__", "dilate", "vector_from_json", "parse_vertices", "polygon_from_json"},
+    "geom.py": {"<module>", "to_fraction", "Vector2.__init__", "dilate", "parse_vertices", "polygon_from_json"},
     "divpoly.py": {
         "PLFunc.__init__", "PLFunc.constant", "PLFunc.affine", "PLFunc.min_of_affines", "PLFunc.__call__",
         "PLFunc.from_json", "DivPoly.__init__", "DivPoly.from_json", "shift_affine",
