@@ -486,7 +486,7 @@ class TestErrorsAndDeterminism:
         for _ in range(400):
             polygon = json.dumps({"vertices": [[rng.choice(coords), rng.choice(coords)] for _ in range(rng.randint(1, 6))]})
             argvs += [["hull", "--points", polygon]]
-            argvs += [[command, "--polygon", polygon] for command in ("weights", "multiplicity", "dual", "divpoly", "factors")]
+            argvs += [[command, "--polygon", polygon] for command in triangle_commands]
         malformed = [
             {"vertices": [[1]]}, {"vertices": [[1, 2, 3]]}, {"vertices": [5]}, {"vertices": [[True, 1]]},
             {"vertices": [["a", 1]]}, {"vertices": []}, [[1, 0], [0, 1], [-1, -1]],

@@ -419,8 +419,12 @@ def test_polygons_in_and_out_as_exact_pairs():
     # weighs them, so no Vector2 is built only to be read back; geom builds
     # a polygon by its hull or wraps a cycle its hull or duals proved
     # canonical, and Polygon.vertices is a view that only geom reads
-    vertices = [f"{name}:{node.lineno}" for name, node, _ in _nodes() if isinstance(node, ast.Attribute) and node.attr == "vertices"]
-    assert [v for v in vertices if not v.startswith("geom.py:")] == []
+    views = [
+        f"{name}:{node.lineno}"
+        for name, node, _ in _nodes()
+        if name != "geom.py" and isinstance(node, ast.Attribute) and node.attr == "vertices"
+    ]
+    assert views == []
     readers = {
         "geom.py": {"parse_vertices", "polygon_from_json"},
         "mutation.py": {"MutationData.factor"},
