@@ -31,6 +31,9 @@ class DiophantineClass:
     __slots__ = ("m", "k", "c")
 
     def __init__(self, m: int, k: int, c: tuple[int, int, int]):
+        ok = type(m) is type(k) is int and m > 0 and k > 0 and type(c) is tuple and len(c) == 3
+        if not (ok and all(type(ci) is int and ci > 0 for ci in c)):  # a bool is no int here
+            raise DomainError(f"m and k must be positive integers and c a triple of them: {m!r}, {k!r}, {c!r}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "c", c)
@@ -194,6 +197,8 @@ def squarefree_part(n: int) -> tuple[int, int]:
 
 def diophantine_class(w: WeightTriple) -> DiophantineClass:
     """Invariant of the relabelled-mutation chain through the weights w."""
+    if len(w) != 3:
+        raise DomainError(f"expected three weights: {w!r}")
     parts = [squarefree_part(l) for l in w]
     cs = tuple(sorted(c for c, _ in parts))
     xprod = 1
@@ -223,7 +228,7 @@ def vieta_neighbors(cls: DiophantineClass, x: Solution) -> tuple[Solution, ...]:
     """The distinct solutions one Vieta step from x: step i sets x_i to the other
     root m*x_j*x_k/(k*c_i) - x_i if it is an integer (x itself at a double root)."""
     _require_ints(x)
-    if min(x) < 1 or cls.m * math.prod(x) != cls.k * sum(ci * xi * xi for ci, xi in zip(cls.c, x)):
+    if len(x) != 3 or min(x) < 1 or cls.m * math.prod(x) != cls.k * sum(ci * xi * xi for ci, xi in zip(cls.c, x)):
         raise DomainError(f"not a positive solution of {cls}: {tuple(x)}")
     out = set()
     for i in range(3):

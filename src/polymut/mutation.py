@@ -13,11 +13,13 @@ The kernel works at the vertices only, on the integer vertex cycle
 slice endpoints of P are piecewise linear and break only at vertex
 heights, so the valid factor lengths and the mutant are read off one table
 of integer rows (A_h, B_h), the lattice k-interval of P at each vertex
-height h, in increasing h, in the frame of geom.height_basis: the least
-ceiling and the greatest floor of the edge crossings at h.  The mutant's
-hull is one monotone chain up the lower row ends and one down the upper
-ends, with no sort of points; the cost does not grow with the range of
-heights.
+height h, in increasing h, in the frame of geom.height_basis: the vertices
+at h and the one edge crossing h, rounded inwards.  The mutant's hull is
+one monotone chain up the lower row ends and one down the upper ends,
+with no sort of points; the cost does not grow with the range of heights.
+An edge of lattice length l at height r holds floor(l / r) primitive
+T-cones, and a factor along its normal needs one: an edge with none gets
+no table.
 
 Sign convention: for Laurent polynomials, dividing the second variable by
 g(x) corresponds to w = (0,-1) with F = Newt(g) along +x; this is the
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -93,36 +96,38 @@ class _Profile:
     in the (h, k) frame of geom._height_frame for a primitive integer
     height function w = (p, q), which is not checked: rows[h] = (A_h, B_h),
     the least and greatest k of a lattice point at height h, for each
-    vertex height h in increasing order.  f0 and vw are integer pairs."""
+    vertex height h in increasing order.  f0 and vw are integer pairs.
+    A row starts at its vertices.  The frame keeps the cycle counterclockwise,
+    so at each vertex height strictly inside its range an edge rising in h
+    gives A_h, the ceiling of its crossing, and one falling gives B_h, the floor."""
 
     def __init__(self, vs: list[tuple[int, int]], w: tuple[int, int]):
         p, q = w
         self.f0, self.vw = _height_frame(p, q)
         a, b = self.vw
         hk = [(p * x + q * y, a * y - b * x) for x, y in vs]
-        self.rows = {h: _row(hk, h) for h in sorted({h for h, _ in hk})}
+        rows = self.rows = {}
+        for h, k in sorted(hk):
+            rows[h] = (rows.get(h, (k,))[0], k)
+        h1, k1 = hk[-1]
+        for h2, k2 in hk:
+            if h1 < h2:
+                for h in rows:
+                    if h1 < h < h2:
+                        rows[h] = (-((k1 * (h - h2) + k2 * (h1 - h)) // (h2 - h1)), rows[h][1])
+            elif h1 > h2:
+                for h in rows:
+                    if h2 < h < h1:
+                        rows[h] = (rows[h][0], (k1 * (h - h2) + k2 * (h1 - h)) // (h1 - h2))
+            h1, k1 = h2, k2
 
+    @cached_property
+    def lower(self) -> list[tuple[int, int]]:  # the lower chain of every mutant by a t >= 0
+        return _hull_chain([(h, a) for h, (a, _) in self.rows.items()])
 
-def _row(hk: list[tuple[int, int]], h: int) -> tuple[int, int]:
-    """(A_h, B_h) of the polygon with (h, k) vertex cycle hk at a height h
-    that it meets: the least ceiling and the greatest floor of the k where
-    its edges cross h.  An edge lying in the height line is skipped, since
-    its endpoints are crossings of the neighbouring edges."""
-    lo = hi = None
-    h1, k1 = hk[-1]
-    for h2, k2 in hk:
-        if h1 != h2 and (h1 - h) * (h2 - h) <= 0:
-            d = h2 - h1
-            num = k1 * d + (k2 - k1) * (h - h1)
-            if d < 0:
-                num, d = -num, -d
-            a, b = -(-num // d), num // d
-            if lo is None or a < lo:
-                lo = a
-            if hi is None or b > hi:
-                hi = b
-        h1, k1 = h2, k2
-    return lo, hi
+    @cached_property
+    def upper(self) -> list[tuple[int, int]]:  # the upper chain of every mutant by a t < 0
+        return _hull_chain([(h, b) for h, (_, b) in reversed(self.rows.items())])
 
 
 def _require_fano(P: Polygon) -> None:
@@ -162,15 +167,17 @@ def find_factors(P: Polygon, w: Vector2) -> list[MutationData]:
     return [MutationData(w=w, t=t, f0=f0) for t in range(1, _t_max(prof) + 1)]
 
 
-def _directions(vs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The primitive inner normals of the edges of the full-dimensional
-    polygon with integer vertex cycle vs, as sorted integer pairs."""
-    out = set()
+def _directions(vs: list[tuple[int, int]]) -> list[tuple[tuple[int, int], int, int]]:
+    """Sorted (w, l*l, det) for the edges of the full-dimensional polygon
+    with integer vertex cycle vs: the primitive inner normal as an integer
+    pair, the square of the lattice length l and the determinant of the
+    ends, which for a Fano polygon is l*r > 0, r the edge's height."""
+    out = []
     x1, y1 = vs[-1]
     for x2, y2 in vs:
         dx, dy = x2 - x1, y2 - y1
         g = math.gcd(dx, dy)
-        out.add((-dy // g, dx // g))  # inner normal for CCW order
+        out.append(((-dy // g, dx // g), g * g, x1 * y2 - y1 * x2))  # inner normal for CCW order
         x1, y1 = x2, y2
     return sorted(out)
 
@@ -178,11 +185,12 @@ def _directions(vs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def _factor_walk(vs: list[tuple[int, int]]):
     """(w, profile, t) for every nontrivial factor of the polygon with
     integer vertex cycle vs, which the caller has proved Fano: one _Profile
-    per direction of _directions(vs), t = 1..t_max, and one Vector2 w per
-    direction that has a factor."""
-    for pq in _directions(vs):
-        prof = _Profile(vs, pq)
-        if n := _t_max(prof):
+    per edge normal of _directions(vs) with a nonzero cap l*l // det =
+    l // r, the number of T-cones on the edge, t = 1..t_max, and one
+    Vector2 w per direction with a factor.  The edge is the row at height
+    -r, so t_max <= l // r and a zero cap leaves no factor."""
+    for pq, ll, det in _directions(vs):
+        if ll >= det and (n := _t_max(prof := _Profile(vs, pq))):
             w = Vector2(*pq)
             for t in range(1, n + 1):
                 yield w, prof, t
@@ -190,8 +198,8 @@ def _factor_walk(vs: list[tuple[int, int]]):
 
 def mutants(P: Polygon) -> list[tuple[MutationData, Polygon]]:
     """[(md, mutate(P, md)) for w in factor_directions(P) for md in
-    find_factors(P, w)], from one profile per direction and one proof that
-    P is Fano (find_factors and mutate would each redo both)."""
+    find_factors(P, w)], from one profile per edge holding a T-cone and one
+    proof that P is Fano (find_factors and mutate would each redo both)."""
     _require_fano(P)
     return [
         (MutationData(w=w, t=t, f0=Vector2(*prof.f0)), _polygon_from_cycle(_mutant(prof, t)))
@@ -259,10 +267,10 @@ def _mutant(prof: _Profile, t: int) -> list[tuple[int, int]]:
     # nonempty at every vertex height, hence everywhere between.  So the
     # region is a lattice polygon whose lower chain runs up the lower ends
     # of the rows at vertex heights and whose upper chain runs down their
-    # upper ends.
-    up, down = (t, 0) if t >= 0 else (0, t)
-    lo = _hull_chain([(h, a + h * down) for h, (a, _) in prof.rows.items()])
-    hi = _hull_chain([(h, b + h * up) for h, (_, b) in reversed(prof.rows.items())])
+    # upper ends (the profile keeps the chain that t does not move).
+    rows = prof.rows.items()
+    lo = prof.lower if t >= 0 else _hull_chain([(h, a + h * t) for h, (a, _) in rows])
+    hi = prof.upper if t < 0 else _hull_chain([(h, b + h * t) for h, (_, b) in reversed(rows)])
     # a row of one point at the lowest or the highest height is one vertex
     hk = lo[: len(lo) - (lo[-1] == hi[0])] + hi[: len(hi) - (hi[-1] == lo[0])]
     # (h, k) -> h*vw + k*f0 has determinant <w, vw> = 1, so the cycle stays
@@ -354,7 +362,7 @@ def factor_directions(P: Polygon) -> list[Vector2]:
     is refused as not Fano, as find_factors refuses it."""
     if P.dim() != 2 or not P.is_lattice():
         raise fano.NotFano("operation requires a Fano polygon")
-    return [Vector2(p, q) for p, q in _directions(P.cycle)]
+    return [Vector2(p, q) for (p, q), _, _ in _directions(P.cycle)]
 
 
 # the most classes a mutation graph may hold; one more is a DomainError,

@@ -1,18 +1,20 @@
 """Definitional oracles that the tests check the library against.
 
 The library computes slices, mutations and the deformation pipeline on
-integer vertex cycles.  The functions here follow the definitions instead:
-the edges and cross products of a polygon's `Vector2` vertices, the
-rational slice of a polygon by Sutherland-Hodgman clipping, lattice
-slices and points, Minkowski sums and differences, the image of a
-polygon under a matrix, the extended Euclidean algorithm, the dual's
-denominator and the vertex-map search on `Vector2` polygons, the weight
-formula of a mutated triangle, the integral of a PL function, the
-two-pass canonical form of a PL function, its pieces, the degree function
-as a sum of PL functions, the admissibility of a decomposition by pairing
-pieces, the divisorial-polytope conditions, the piece-by-piece shift
-search that reduces a divisorial polytope, and the mutation data that
-undoes a mutation.  They are slow and simple, and only tests call them.
+integer vertex cycles.  The functions here follow the definitions
+instead: the edges and cross products of a polygon's `Vector2` vertices,
+the rational slice of a polygon by Sutherland-Hodgman clipping, lattice
+slices and points, the lattice rows of a polygon along a height function
+by a scan of its edges at each vertex height, the edges that hold a
+T-cone, Minkowski sums and differences, the image of a polygon under a
+matrix, the extended Euclidean algorithm, the dual's denominator and the
+vertex-map search on `Vector2` polygons, the weight formula of a mutated
+triangle, the integral of a PL function, the two-pass canonical form of
+a PL function, its pieces, the degree function as a sum of PL functions,
+the admissibility of a decomposition by pairing pieces, the
+divisorial-polytope conditions, the piece-by-piece shift search that
+reduces a divisorial polytope, and the mutation data that undoes a
+mutation.  They are slow and simple, and only tests call them.
 
 One is an independent invariant rather than a definition: the GL2(Z)
 normal form `linear_normal_form`, a lexicographically least Hermite form,
@@ -157,6 +159,41 @@ def lattice_slice(P: Polygon, w: Vector2, h: int) -> Optional[Polygon]:
     if klo > khi:
         return None
     return Polygon([vw.scale(h) + f0.scale(k) for k in (klo, khi)])
+
+
+def profile_rows(P: Polygon, w: Vector2) -> dict[int, tuple[int, int]]:
+    """The lattice rows of the lattice polygon P along the primitive w, as
+    mutation._Profile keeps them: {h: (A_h, B_h)} at each vertex height h
+    in increasing order, the least ceiling and the greatest floor of the
+    k = <s, x> (s of height_basis) where P's edges cross the line
+    <w, x> = h.  An edge lying in that line is skipped, since its
+    endpoints are crossings of the neighbouring edges."""
+    _, _, s = height_basis(w)
+    hk = [(w.dot(v), s.dot(v)) for v in P.vertices]
+    rows = {}
+    for h in sorted({h for h, _ in hk}):
+        ks = [
+            k1 + qdiv((k2 - k1) * (h - h1), h2 - h1)
+            for (h1, k1), (h2, k2) in zip(hk[-1:] + hk[:-1], hk)
+            if h1 != h2 and min(h1, h2) <= h <= max(h1, h2)
+        ]
+        rows[h] = (math.ceil(min(ks)), math.floor(max(ks)))
+    return rows
+
+
+def t_cone_normals(P: Polygon) -> list[Vector2]:
+    """The primitive inner normals, sorted, of the edges of the Fano polygon
+    P that hold a primitive T-cone: an edge of lattice length l at height r
+    holds floor(l / r) of them (Akhtar and Kasprzyk, "Singularity content",
+    arXiv:1401.5458)."""
+    out = []
+    for a, b in edges(P):
+        d = b - a
+        l = math.gcd(d.x, d.y)
+        n = Vector2(-d.y // l, d.x // l)
+        if l // -n.dot(a):
+            out.append(n)
+    return sorted(out)
 
 
 def lattice_points(P: Polygon) -> list[Vector2]:

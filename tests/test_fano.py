@@ -243,6 +243,32 @@ class TestDiophantineClass:
         with pytest.raises(AttributeError):
             cls.m = 7
 
+    @pytest.mark.parametrize("w", [(1, 2), (1, 1, 1, 1), ()], ids=["two", "four", "none"])
+    def test_weights_that_are_no_triple_refused(self, w):
+        # diophantine_class((1, 2)) was DiophantineClass(m=3, k=1, c=(1, 2))
+        with pytest.raises(DomainError, match=re.escape(f"expected three weights: {w!r}")):
+            diophantine_class(w)
+
+    @pytest.mark.parametrize("w", [(0, 1, 2), (1, -1, 1), (1, 1, -4)], ids=["zero", "negative", "negative-last"])
+    def test_weight_that_is_not_positive_refused(self, w):
+        with pytest.raises(DomainError, match="squarefree part needs a positive integer"):
+            diophantine_class(w)
+
+    @pytest.mark.parametrize(
+        "m, k, c",
+        [
+            (3.0, 1, (1, 1, 1)), (True, 1, (1, 1, 1)), (0, 1, (1, 1, 1)), (-3, 1, (1, 1, 1)),
+            (3, 1.0, (1, 1, 1)), (3, True, (1, 1, 1)), (3, 0, (1, 1, 1)), (3, Fraction(1), (1, 1, 1)),
+            (3, 1, (1, 1)), (3, 1, (1, 1, 1, 1)), (3, 1, [1, 1, 1]), (3, 1, (1, 1, 0)),
+            (3, 1, (1, 1, -1)), (3, 1, (1, 1, 1.0)), (3, 1, (1, True, 1)),
+        ],
+    )
+    def test_class_that_is_no_positive_int_triple_refused(self, m, k, c):
+        # vieta_neighbors(DiophantineClass(3.0, 1, (1, 1, 1)), (1, 1, 1))
+        # was ((1, 1, 2.0),), an inexact solution
+        with pytest.raises(DomainError, match=re.escape(f"{m!r}, {k!r}, {c!r}")):
+            DiophantineClass(m, k, c)
+
     def test_129(self):
         got = diophantine_class((1, 2, 9))
         assert (got.m, got.k, got.c) == (4, 1, (1, 1, 2))
@@ -399,6 +425,17 @@ class TestVietaTree:
             vieta_neighbors(cls, x)
         with pytest.raises(DomainError, match="not a positive solution"):
             vieta_tree(cls, x, 0)
+
+    @pytest.mark.parametrize(
+        "x", [(1, 1, 1, 1), (1, 1, 2, 5), (1, 1), (1,), ()], ids=["four-ones", "four", "two", "one", "none"]
+    )
+    def test_solution_that_is_no_triple_refused(self, x):
+        # zip truncated the equation check, so vieta_tree(MARKOV, (1, 1, 1, 1), 1)
+        # was {(1, 1, 1), (1, 1, 2)}
+        with pytest.raises(DomainError, match=re.escape(f"not a positive solution of {MARKOV}: {x}")):
+            vieta_neighbors(MARKOV, x)
+        with pytest.raises(DomainError, match=re.escape(f"not a positive solution of {MARKOV}: {x}")):
+            vieta_tree(MARKOV, x, 1)
 
     @pytest.mark.parametrize(
         "x", [(1.0, 1, 1), (1, 2.0, 5), (1, 1, Fraction(2)), (True, 1, 1)], ids=["float", "float-middle", "fraction", "bool"]

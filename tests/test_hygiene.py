@@ -115,15 +115,18 @@ def test_polygons_are_read_by_their_cycle():
 
 
 def test_factor_kernel_runs_on_integer_pairs():
-    # the profile, its rows, the mutant and the edge directions work on the
-    # integer vertex cycle and name no Vector2; the mutant's hull is made
-    # of geom._hull_chain, the one monotone chain, so mutation.py pops no hull
+    # the profile with its rows and its two t-independent chains, the
+    # mutant and the edge directions work on the integer vertex cycle and
+    # name no Vector2; the mutant's hull is made of geom._hull_chain, the
+    # one monotone chain: the profile builds the chain that the sign of t
+    # does not move and the mutant the other, so mutation.py pops no hull
     # vertex of its own
     tree = ast.parse((SRC / "mutation.py").read_text())
-    kernel = {n.name: n for n in tree.body if _name(n) in {"_Profile", "_row", "_mutant", "_directions"}}
-    assert sorted(kernel) == ["_Profile", "_directions", "_mutant", "_row"]
+    kernel = {n.name: n for n in tree.body if _name(n) in {"_Profile", "_mutant", "_directions"}}
+    assert sorted(kernel) == ["_Profile", "_directions", "_mutant"]
     assert [n.lineno for k in kernel.values() for n in ast.walk(k) if _name(n) == "Vector2"] == []
-    assert [_name(c.func) for c in ast.walk(kernel["_mutant"]) if isinstance(c, ast.Call)].count("_hull_chain") == 2
+    chains = {k: [_name(c.func) for c in ast.walk(kernel[k]) if isinstance(c, ast.Call)].count("_hull_chain") for k in kernel}
+    assert chains == {"_Profile": 2, "_directions": 0, "_mutant": 2}
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.While) or _name(n) in {"pop", "_hull_pairs"}] == []
 
 

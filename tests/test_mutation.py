@@ -592,8 +592,10 @@ class TestDualMapAgainstDefinition:
 class TestMutants:
     def test_mutants_are_find_factors_and_mutate(self, monkeypatch):
         # 200 seeded Fano polygons and every node of the pinned graphs, each
-        # from one Fano proof and one profile per direction
+        # from one Fano proof and one profile per edge normal with a nonzero
+        # cap, the edges that hold a T-cone
         from polymut import mutation
+        from oracles import t_cone_normals
 
         cases = _dual_map_cases()
         for weights, depth in (((1, 1, 1), 5), ((2, 3, 5), 4)):
@@ -606,7 +608,7 @@ class TestMutants:
         for T in cases:
             del calls[:]
             got = mutants(T)
-            assert calls == [T, *factor_directions(T)]
+            assert calls == [T, *t_cone_normals(T)]
             assert got == [(md, mutate(T, md)) for w in factor_directions(T) for md in find_factors(T, w)]
             assert all(_coordinate_types(Q) == [(int, int)] * len(Q.vertices) for _, Q in got)
             pairs += len(got)
@@ -617,7 +619,10 @@ class TestMutants:
             mutants(P((2, 0), (0, 1), (-1, -1)))
 
     def test_one_profile_and_one_fano_proof(self, monkeypatch):
+        # one profile per edge normal with a nonzero cap: the slanted edges
+        # have lattice length 1 at height 3, so they hold no T-cone
         from polymut import mutation
+        from oracles import t_cone_normals
 
         profiles, proofs = [], []
         real_profile, real_require_fano = mutation._Profile, mutation._require_fano
@@ -634,7 +639,8 @@ class TestMutants:
         monkeypatch.setattr(mutation, "_require_fano", counting_require_fano)
         T = P((-2, 1), (2, 1), (1, -1), (-1, -1))  # four factors along (0, -1)
         assert len(mutants(T)) == 4 + 2  # and two along (0, 1)
-        assert profiles == factor_directions(T) and proofs == [T]
+        assert profiles == [Vector2(0, -1), Vector2(0, 1)] == t_cone_normals(T) and proofs == [T]
+        assert len(factor_directions(T)) == 4
 
 
 class TestMutationGraph:
@@ -693,7 +699,9 @@ class TestMutationGraph:
         assert checked == 51
 
     def test_one_profile_per_direction_and_one_fano_proof_per_node(self, monkeypatch):
+        # one profile per edge normal with a nonzero cap of each expanded node
         from polymut import mutation
+        from oracles import t_cone_normals
 
         profiles, proofs = [], []
         real_profile, real_require_fano = mutation._Profile, mutation._require_fano
@@ -712,7 +720,7 @@ class TestMutationGraph:
         expanded = [g.nodes[i].polygon for i in sorted({e.source for e in g.edges})]
         # a mutant of a Fano polygon is Fano: every node inherits the root's proof
         assert proofs == [g.nodes[0].polygon]
-        assert profiles == [(Q, w) for Q in expanded for w in factor_directions(Q)]
+        assert profiles == [(Q, w) for Q in expanded for w in t_cone_normals(Q)]
 
     def test_vectors_built_by_the_markov_graph(self, monkeypatch):
         # the factor walk runs on integer pairs, a polygon stores its cycle
@@ -1174,3 +1182,78 @@ def _reverse_edges(g):
             (a, b), (c, d) = U
             back.setdefault((e.target, -a * e.w.x - c * e.w.y, -b * e.w.x - d * e.w.y, e.t), e.source)
     return out
+
+
+# the graphs whose JSON the benchmark pins by digest, and (1, 2, 3) to depth 5
+REFERENCE_GRAPHS = (((1, 1, 1), 5), ((1, 1, 1), 3), ((2, 3, 5), 4), ((2, 3, 5), 2), ((1, 2, 3), 5))
+
+
+class TestEdgeByEdgeExpansion:
+    """mutation._factor_walk expands a node edge by edge: a profile only for
+    an edge normal whose edge holds a T-cone, and its rows from one crossing
+    per vertex height, both against tests/oracles.py."""
+
+    @staticmethod
+    def _assert_rows_are_the_scan(Q, ws):
+        # the rows, key order included, equal the per-height scan
+        from polymut.mutation import _Profile
+        from oracles import profile_rows
+
+        for w in ws:
+            assert list(_Profile(_cycle(Q), (w.x, w.y)).rows.items()) == list(profile_rows(Q, w).items()), (Q, w)
+        return len(ws)
+
+    @staticmethod
+    def _assert_skipped_normals_have_no_factor(Q):
+        # the edge normals that mutants(Q) builds no profile for
+        from polymut import mutation
+
+        profiled, real = [], mutation._Profile
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mutation, "_Profile", lambda vs, w: profiled.append(Vector2(*w)) or real(vs, w))
+            mutants(Q)
+        skipped = [w for w in factor_directions(Q) if w not in profiled]
+        assert [find_factors(Q, w) for w in skipped] == [[]] * len(skipped), Q
+        return len(skipped)
+
+    def test_on_the_reference_graphs(self):
+        rows = skipped = 0
+        for weights, depth in REFERENCE_GRAPHS:
+            for n in mutation_graph(fano.triangle_from_weights(weights), depth).nodes:
+                rows += self._assert_rows_are_the_scan(n.polygon, factor_directions(n.polygon))
+                skipped += self._assert_skipped_normals_have_no_factor(n.polygon)
+        assert (rows, skipped) == (4463, 179)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @hypothesis.given(
+        st.lists(st.sampled_from(PRIMITIVE_POINTS), min_size=3, max_size=7, unique=True),
+        st.sampled_from(PRIMITIVE_POINTS),
+    )
+    def test_on_random_fano_polygons(self, points, w):
+        # every edge normal, and one primitive w that need not be one, of a
+        # random Fano polygon
+        try:
+            Q = P(*points)
+        except DomainError:  # collinear points make no polygon
+            hypothesis.assume(False)
+        hypothesis.assume(fano.is_fano(Q))
+        self._assert_rows_are_the_scan(Q, [*factor_directions(Q), Vector2(*w)])
+        self._assert_skipped_normals_have_no_factor(Q)
+
+    @pytest.mark.parametrize(
+        "weights, depth, profiles, normals",
+        [((2, 3, 5), 4, 189, 239), ((1, 1, 1), 5, 27, 27), ((1, 2, 3), 5, 856, 856), ((1, 4, 5), 4, 270, 270)],
+    )
+    def test_profiles_per_graph(self, monkeypatch, weights, depth, profiles, normals):
+        # one profile per edge normal with a nonzero cap of each expanded
+        # node, of all its edge normals: the 50 that (2, 3, 5) to depth 4
+        # skips are the basket's 1/3(1, 1) cones, edges of length 1 at height 3
+        from polymut import mutation
+        from oracles import t_cone_normals
+
+        built, real = [], mutation._Profile
+        monkeypatch.setattr(mutation, "_Profile", lambda vs, w: built.append(w) or real(vs, w))
+        g = mutation_graph(fano.triangle_from_weights(weights), depth)
+        expanded = [g.nodes[i].polygon for i in sorted({e.source for e in g.edges})]
+        assert len(built) == sum(len(t_cone_normals(Q)) for Q in expanded) == profiles
+        assert sum(len(factor_directions(Q)) for Q in expanded) == normals
