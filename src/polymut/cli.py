@@ -267,9 +267,13 @@ def _cmd_triangle(args) -> dict:
 def _cmd_factors(args) -> dict:
     mutation = _module("mutation")
     P = _read_polygon(args.polygon)
-    ws = [_parse_w(args.w)] if args.w else mutation.factor_directions(P)
-    out = [md.to_json() for w in ws for md in mutation.find_factors(P, w)]
-    return {"factors": out, "directions": [vector_to_json(w) for w in ws]}
+    ws = [_parse_w(args.w)] if args.w else mutation.factor_directions(P)  # its refusals first
+    if args.w:
+        mds = mutation.find_factors(P, ws[0])
+    else:  # one Fano proof, and one profile per edge that holds a T-cone
+        mutation._require_fano(P)
+        mds = [mutation.MutationData(w, t, Vector2(*prof.f0)) for w, prof, t in mutation._factor_walk(P.cycle)]
+    return {"factors": [md.to_json() for md in mds], "directions": [vector_to_json(w) for w in ws]}
 
 
 def _cmd_mutate(args) -> dict:

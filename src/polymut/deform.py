@@ -14,37 +14,40 @@ dilated dual of the mutated polygon.
 `mutation_to_deformation` is one check and a core: `mutate` checks the
 factor and proves the source Fano once, in the caller's frame, and
 `_deform` takes the mutant from it or from a caller that holds it already
-(`batch-verify` and `polymut deform` without `--w`).  The core runs on
-integer vertex cycles: the normalized source and mutant (det 1 keeps them
-counterclockwise), the automatic dilation and both dilated duals, off one
-dual walk per polygon (`geom._dual_walk`), both weight triples off
-one set of minors, the divisorial polytope (`divpoly._cycle_divpoly`) and
-the witness (`geom._cycle_maps`).  `is_admissible` checks the parts'
-domains, then their sum and slopes in one walk along their breakpoints,
-before `DivPoly.with_split` builds the general fiber, whose degree is
-checked pointwise too; part1 = min(t*u, 0) comes off its breakpoints, and
-the reduction moves whole affine coefficients, each line two quotients.
-Once the witness exists, the certificate's normalized source, mutant and
-target wrap the cycles already held (`geom._polygon_from_cycle`), and
-`extends_over_p1` is written from its proof, which the tests replay.
+(`batch-verify` and `polymut deform` without `--w`).  The core reads the
+normalized cycles, both dilated duals (`geom._dual_walk`), both weight
+triples and the witness (`geom._cycle_maps`) off integer vertex cycles,
+and runs the fiber steps on one integer table of the envelopes, part1 =
+min(t*u, 0) and part0 (`divpoly._envelope_table`): every check of
+`standard_decomposition`, `general_fiber` and `reduce_to_polygon`, in
+their order and with their messages, moves from `_moves`, and lattice
+tests by remainders.  Once the witness exists it builds the certificate's
+PL objects (`divpoly._certificate_divpolys`) and wraps its cycles as
+polygons, so a refusal builds neither; `extends_over_p1` is written from
+its proof.  The public steps stay the Python API; `tests/oracles.py`
+composes them as `deform_by_definition`, the core's reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError
 from . import fano
 from .divpoly import (
     INFINITY,
+    ZERO,
+    ConcavityBroken,
     DivPoly,
     DomainMismatch,
+    EmptyFiber,
     LabelCollision,
     PLFunc,
     PointLabel,
-    _cycle_divpoly,
+    _certificate_divpolys,
+    _envelope_table,
     interval_str,
     shift_affine,
     to_polygon,
@@ -53,13 +56,13 @@ from .geom import (
     Mat2,
     Polygon,
     Rational,
+    RationalLike,
     Vector2,
     _cycle_maps,
     _dual_walk,
     _height_frame,
     _lex_first,
     _polygon_from_cycle,
-    _require_lattice_2d,
     polygon_to_json,
     qdiv,
     to_fraction,
@@ -143,6 +146,9 @@ def is_admissible(phi: PLFunc, phi0: PLFunc, phi1: PLFunc) -> AdmissibilityRepor
     return AdmissibilityReport(not violations, tuple(violations))
 
 
+_FRESH = PointLabel.param("s")  # the general fiber's parameter point
+
+
 def general_fiber(dp: DivPoly, d: Decomposition) -> DivPoly:
     """Divisorial polytope of the general fiber: the decomposed coefficient
     is replaced by part0, and part1 moves to the fresh parameter point s."""
@@ -150,11 +156,10 @@ def general_fiber(dp: DivPoly, d: Decomposition) -> DivPoly:
     report = is_admissible(phi, d.part0, d.part1)
     if not report.admissible:
         raise Inadmissible("; ".join(report.violations))
-    fresh = PointLabel.param("s")
-    if fresh in dp.coeffs or fresh == d.label:
-        raise LabelCollision(f"parameter label already in use: {fresh.name!r}")
+    if _FRESH in dp.coeffs or _FRESH == d.label:
+        raise LabelCollision(f"parameter label already in use: {_FRESH.name!r}")
     # is_admissible proved both parts defined on phi's domain, the box
-    out = dp.with_split(d.label, d.part0, fresh, d.part1)
+    out = dp.with_split(d.label, d.part0, _FRESH, d.part1)
     # the degree is unchanged: both are affine between neighbours of us
     us = sorted(set(d.part0.breaks).union(d.part1.breaks, *(f.breaks for f in dp.coeffs.values())))
     assert out._degree_at(us) == dp._degree_at(us)
@@ -200,20 +205,22 @@ def _lattice_ok(dp: DivPoly, nt: list[PointLabel]) -> bool:
     return all(dp.coeffs[l].has_lattice_graph() for l in nt)
 
 
-def _moves(cur: DivPoly, nt: list[PointLabel]) -> Iterator[tuple[PointLabel, PointLabel, Rational, Rational]]:
-    """(frm, to, s, c) for each move of reduce_to_polygon on cur, whose
-    nontrivial labels are nt, in the order tried: the integral lines in
-    label order, each onto every other label, then the others, each onto
-    the freshest label first.  A line s*u + c is read off its affine
-    coefficient's two points only when its first move is tried, and judged
-    integral by two remainders, which build no Fraction on an int-valued
-    line."""
+def _moves(
+    graphs: list[tuple[PointLabel, Sequence[Rational], Sequence[Rational]]]
+) -> Iterator[tuple[PointLabel, PointLabel, Rational, Rational]]:
+    """(frm, to, s, c) for each move of the reduction on the nontrivial
+    coefficients with the graphs (label, breaks, values), in label order,
+    in the order tried: the integral lines in label order, each onto every
+    other label, then the others, each onto the freshest label first.  A
+    line s*u + c is read off its affine coefficient's two points only when
+    its first move is tried, and judged integral by two remainders, which
+    build no Fraction on an int-valued line."""
+    nt = [l for l, _, _ in graphs]
     rest = []  # (label, s*d, c*d, d) of each non-integral line
-    for frm in nt:
-        f = cur.coeffs[frm]
-        if not f.is_affine():
+    for frm, bs, vs in graphs:
+        if len(bs) != 2:
             continue
-        (b0, b1), (v0, v1) = f.breaks, f.values
+        (b0, b1), (v0, v1) = bs, vs
         d, sd, cd = b1 - b0, v1 - v0, v0 * b1 - v1 * b0
         if sd % d or cd % d:  # d > 0: exact, and Fraction-free on ints
             rest.append((frm, sd, cd, d))
@@ -243,7 +250,7 @@ def reduce_to_polygon(dp: DivPoly) -> ReductionResult:
     cur = dp
     nt = cur.nontrivial_labels()  # kept equal to cur.nontrivial_labels()
     while len(nt) > 2:
-        for frm, to, s, c in _moves(cur, nt):
+        for frm, to, s, c in _moves([(l, cur.coeffs[l].breaks, cur.coeffs[l].values) for l in nt]):
             nxt = shift_affine(cur, frm, to, s, c)
             nt_next = nxt.nontrivial_labels()
             if _lattice_ok(nxt, nt_next):
@@ -377,25 +384,27 @@ def standard_decomposition(dp: DivPoly, t: int) -> Decomposition:
 
 
 def mutation_to_deformation(
-    P: Polygon, md: MutationData, dilation: Optional[int] = None
+    P: Polygon, md: MutationData, dilation: Optional[RationalLike] = None
 ) -> DeformationCertificate:
     """Run the full mutation-to-deformation pipeline and certify it.
 
-    Raises FiberMismatch when the reduced general fiber is not equivalent
-    to the dilated dual of the mutated polygon; this happens exactly for
-    weight-increasing mutations, whose deformation is isotrivial (the
-    smooth-side surface is rigid), and the diagnostics say so.
+    dilation is coerced by to_fraction.  Raises FiberMismatch when the
+    fiber does not reduce to a polygon; when its reduction needs a
+    non-integral shift, no isomorphism, and the weight sum does not fall
+    (`weights_decrease`; a mutant that is no triangle never counts); when
+    the dilation leaves the mutated dual off the lattice; or when the fiber
+    polygon is not the dilated mutated dual, saying if it is the source's
+    (an isotrivial family).  tests/test_deform.py pins the split by weight
+    sums on the triangles with c <= 15.
     """
     return _deform(P, md, mutate(P, md), dilation)
 
 
 def _deform(
-    P: Polygon, md: MutationData, mutant: Polygon, dilation: Optional[int]
+    P: Polygon, md: MutationData, mutant: Polygon, dilation: Optional[RationalLike]
 ) -> DeformationCertificate:
     """mutation_to_deformation for mutant = mutate(P, md), which proved P
-    and so its mutant Fano.  Every polygon step runs on integer vertex
-    cycles; a certificate wraps the canonical ones it holds as polygons
-    once the witness exists, so a refused attempt builds none of them."""
+    and so its mutant Fano."""
     if len(P.cycle) != 3:
         raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
     U = _normalizer_for(md.w)
@@ -407,19 +416,65 @@ def _deform(
     # one dual walk each: ap*dual(pn) is the lattice polygon pv, ap least
     (ap, pv), (aq, qv) = _dual_walk(pn), _dual_walk(q)
     auto = math.lcm(ap, aq)
-    a = auto if dilation is None else dilation
     # the automatic dilation always passes: it clears every denominator;
     # to_fraction refuses a dilation that is not an exact rational, as
-    # geom.dilate does
-    pa = None if a < 1 else _times(pv, r := to_fraction(a), ap)
+    # geom.dilate does, before it is compared
+    a = auto if dilation is None else to_fraction(dilation)
+    pa = None if a < 1 else _times(pv, a, ap)
     if pa is None or any(type(c) is not int for v in pa for c in v):
         raise NoLatticeDilation(f"dilation {a} does not make the dual a lattice polygon (minimal valid: {auto})")
-    dp = _cycle_divpoly(pa)
-    d = standard_decomposition(dp, mdn.t)
-    fiber_dp = general_fiber(dp, d)
-    red = reduce_to_polygon(fiber_dp)
-    if not red.reducible:
-        raise FiberMismatch(f"fiber is not reducible to a toric polygon: {red.reason}")
+    # the fiber steps on one table: phi_zero, phi_inf, part1 and part0 at
+    # the abscissae us, times den, checked as the public steps check them;
+    # ks holds each column's breakpoints, which adding a line never moves
+    us, den, zero, inf = _envelope_table(pa)
+    p1 = [den * min(mdn.t * u, 0) for u in us]
+    p0 = [y - x for x, y in zip(p1, inf)]
+    labels, cols = (ZERO, INFINITY, _FRESH), [zero, p0, p1]
+    ks, ki = [_corners(us, col) for col in cols], _corners(us, inf)
+    # is_admissible's clauses, then general_fiber's degree identity
+    bad = [f"part{i - 1}: graph vertices not in the lattice" for i in (1, 2) if not _on_lattice(cols[i], ks[i], den)]
+    if any(x + y != z for x, y, z in zip(p0, p1, inf)):
+        bad.append("parts do not sum to the decomposed function")
+    n = bad0 = bad1 = 0  # phi_inf's piece [us[ki[n]], us[ki[n + 1]]]
+    for j in range(1, len(us)):
+        step = den * (us[j] - us[j - 1])
+        bad0 |= (p0[j] - p0[j - 1]) % step != 0
+        bad1 |= (p1[j] - p1[j - 1]) % step != 0
+        if j == ki[n + 1]:
+            if bad0 and bad1:
+                bad.append(f"both parts have non-integral slope on [{us[ki[n]]}, {us[j]}]")
+            n, bad0, bad1 = n + 1, 0, 0
+    if bad:
+        raise Inadmissible("; ".join(bad))
+    assert [x + y + z for x, y, z in zip(zero, p0, p1)] == [x + y for x, y in zip(zero, inf)]
+    # reduce_to_polygon: a move s*u + c = (S*u + C)/L scales every column
+    # by L, then adds the line to `to` and takes it from `frm`
+    nt, scale, shifts = [i for i, col in enumerate(cols) if any(col)], den, []
+    while len(nt) > 2:
+        for frm, to, s, c in _moves([(labels[i], [us[k] for k in ks[i]], [cols[i][k] // scale for k in ks[i]]) for i in nt]):
+            L, f, g = math.lcm(s.denominator, c.denominator), labels.index(frm), labels.index(to)
+            S, C = s.numerator * (L // s.denominator), c.numerator * (L // c.denominator)
+            nxt = [[L * x + scale * (S * u + C) * ((i == g) - (i == f)) for x, u in zip(col, us)] for i, col in enumerate(cols)]
+            nt_next = [i for i in nt if any(nxt[i])]
+            if all(_on_lattice(nxt[i], ks[i], scale * L) for i in nt_next):
+                shifts.append(ShiftRecord(frm, to, s, c))
+                cols, nt, scale = nxt, nt_next, scale * L
+                break
+        else:
+            raise FiberMismatch("fiber is not reducible to a toric polygon: no affine shift reduces the nontrivial coefficients")
+    if not all(_on_lattice(cols[i], ks[i], scale) for i in nt):
+        raise FiberMismatch("fiber is not reducible to a toric polygon: reduced coefficients fail the lattice-graph condition")
+    # to_polygon: the region between the first nontrivial column and the
+    # negated second, whose vertices are their breakpoints
+    (hi, kh), (lo, kl) = ([(cols[i], ks[i]) for i in nt] + [([0] * len(us), [0, len(us) - 1])] * 2)[:2]
+    for k in sorted(set(kh) | set(kl)):
+        if hi[k] < -lo[k]:
+            raise EmptyFiber(f"empty fiber over u = {us[k]}")
+    # the degree, hi + lo, is the width of pa, positive inside the box: the
+    # fiber is full-dimensional, with lattice vertices, and its cycle runs
+    # right along the bottom from its lex-least vertex, then left along the top
+    bottom, top = [(us[k], -lo[k] // scale) for k in kl], [(us[k], hi[k] // scale) for k in reversed(kh)]
+    fc = bottom + top[top[0] == bottom[-1]:len(top) - (top[-1] == bottom[0])]
     # A non-integral reduction shift is not an isomorphism of polarized
     # varieties; the deformation theorem sanctions it exactly in the
     # smoothing (weight-decreasing) direction.  In the opposite direction
@@ -427,24 +482,25 @@ def _deform(
     # mutate proved P Fano, so both weight triples are read off the cycles
     wp = fano._weights_and_multiplicity(*pn)[0]
     wq = fano._weights_and_multiplicity(*q)[0] if len(q) == 3 else None
-    if any(not s.is_integral() for s in red.shifts) and not weights_decrease(wp, wq):
+    if any(not s.is_integral() for s in shifts) and not weights_decrease(wp, wq):
         raise FiberMismatch(
             "reduction needs a non-isomorphism shift but the mutation does "
             "not decrease the weights; the general fiber is not the mutated "
             "plane in this direction"
         )
-    tq = _times(qv, r, aq)
+    tq = _times(qv, a, aq)
     if any(type(c) is not int for v in tq for c in v):
         raise FiberMismatch(f"dilation {a} does not make the mutated dual a lattice polygon")
-    _require_lattice_2d(red.polygon)
-    fc = red.polygon.cycle
     m = next(_cycle_maps(fc, tq), None)
     if m is None:
         diag = "fiber polygon is not equivalent to the dilated mutated dual"
         if next(_cycle_maps(fc, pa), None) is not None:
             diag += "; the family is isotrivial (fiber matches the source polarization)"
         raise FiberMismatch(diag)
-    cor = corollary_check(d)
+    graphs = [([us[k] for k in kc], [c[k] // den for k in kc]) for c, kc in zip((zero, inf, p0, p1), (ks[0], ki, *ks[1:]))]
+    dp, part0, part1, fiber_dp, reduced = _certificate_divpolys((us[0], us[-1]), _FRESH, graphs, shifts)
+    d = Decomposition(INFINITY, part0, part1)
+    fiber = _polygon_from_cycle(fc)
     in_class: Optional[bool] = None
     if wq is not None:
         in_class = fano.diophantine_class(wp) == fano.diophantine_class(wq)
@@ -460,17 +516,37 @@ def _deform(
         divpoly=dp,
         decomposition=d,
         fiber_divpoly=fiber_dp,
-        reduction=red,
-        fiber_polygon=red.polygon,
+        reduction=ReductionResult(True, fiber, tuple(shifts), reduced),
+        fiber_polygon=fiber,
         target=_polygon_from_cycle(tq),
         witness=(m[0], Vector2(*m[1])),
-        corollary=cor,
+        corollary=corollary_check(d),
         # the upper envelope of the lattice polygon pa and part1 =
         # min(t*u, 0) have lattice graphs and part1 integral slopes, so no
         # piece is bad for both parts: the family extends over P^1
         extends_over_p1=True,
         in_diophantine_class=in_class,
     )
+
+
+def _corners(us: list[int], vs: list[int]) -> list[int]:
+    """The indices of the breakpoints _canonical_form keeps of the function
+    with the values vs at the sorted ints us: both ends and every point
+    where the slope falls.  A slope that rises is ConcavityBroken."""
+    ks = [0]
+    for k in range(1, len(us) - 1):
+        c = (vs[k] - vs[k - 1]) * (us[k + 1] - us[k]) - (vs[k + 1] - vs[k]) * (us[k] - us[k - 1])
+        if c < 0:
+            raise ConcavityBroken("slopes must be nonincreasing")
+        if c:
+            ks.append(k)
+    return ks + [len(us) - 1]
+
+
+def _on_lattice(col: list[int], ks: list[int], d: int) -> bool:
+    """has_lattice_graph of the column col over d, whose breakpoints are
+    at the indices ks."""
+    return all(col[k] % d == 0 for k in ks)
 
 
 def _times(vs: list[tuple[int, int]], r: Rational, d: int) -> list[tuple[Rational, Rational]]:

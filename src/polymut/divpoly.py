@@ -20,13 +20,14 @@ sorted points in one walk along its breakpoints (`PLFunc._at`); two PL
 functions are equal when they agree at the union of their breakpoints.
 `shift_affine` and `PLFunc._kink` (min(t*u, 0)) build no Fraction on ints.
 
-The deformation pipeline's steps trust what came before them:
+The deformation pipeline's public steps trust what came before them:
 `DivPoly.with_split` assumes parts defined on the box, which
 `deform.is_admissible` checks; `from_polygon` checks that a polygon is a
 full-dimensional lattice polygon and reads both envelopes off the
-canonical integer cycle it stores with `_cycle_divpoly`, which the
-pipeline calls on the cycle it holds; and `to_polygon` hulls exact
-(u, value) pairs with `geom.hull_of_pairs`.
+canonical integer cycle it stores with `_cycle_divpoly`; and `to_polygon`
+hulls exact (u, value) pairs with `geom.hull_of_pairs`.  The deformation
+core runs them on the integer columns of `_envelope_table`, and
+`_certificate_divpolys` builds a certificate's PL objects.
 """
 
 from __future__ import annotations
@@ -473,18 +474,53 @@ def from_polygon(delta: Polygon) -> DivPoly:
     return _cycle_divpoly(delta.cycle)
 
 
+def _chains(vs: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The lower chain of the canonical integer cycle vs, counterclockwise
+    from the first vertex, and the upper one, clockwise from the highest
+    leftmost (the last when the left edge is vertical, else the first)."""
+    return _chain(vs, 0, 1), _chain(vs, -1 if vs[-1][0] == vs[0][0] else 0, -1)
+
+
 def _cycle_divpoly(vs: Sequence[tuple[int, int]]) -> DivPoly:
     """from_polygon of the lattice polygon with the canonical integer cycle
-    vs, not checked: at zero the upper envelope, read clockwise from the
-    highest leftmost vertex (the last when the left edge is vertical, else
-    the first), at infinity the negated lower one, read counterclockwise
-    from the first."""
-    lower = _chain(vs, 0, 1)
-    upper = _chain(vs, -1 if vs[-1][0] == vs[0][0] else 0, -1)
+    vs, not checked: at zero the upper envelope, at infinity the negated
+    lower one."""
+    lower, upper = _chains(vs)
     phi_zero = PLFunc._canonical([x for x, _ in upper], [y for _, y in upper])
     phi_inf = PLFunc._canonical([x for x, _ in lower], [-y for _, y in lower])
     box = (lower[0][0], lower[-1][0])
     return DivPoly._of(box, {ZERO: phi_zero, INFINITY: phi_inf})
+
+
+def _envelope_table(vs: Sequence[tuple[int, int]]) -> tuple[list[int], int, list[int], list[int]]:
+    """The sorted abscissae us of the vertices of vs and 0, which lies in
+    the box, the lcm D of the widths of the chains' edges, and D times the
+    coefficients of _cycle_divpoly(vs) at each u, as ints."""
+    lower, upper = _chains(vs)
+    us = sorted({x for x, _ in vs} | {0})
+    D = math.lcm(*(q[0] - p[0] for ch in (lower, upper) for p, q in zip(ch, ch[1:])))
+
+    def column(chain, sign):
+        out, i = [], 0
+        for u in us:
+            while chain[i + 1][0] < u:
+                i += 1
+            (x0, y0), (x1, y1) = chain[i], chain[i + 1]
+            out.append(sign * (D * y0 + (y1 - y0) * (u - x0) * (D // (x1 - x0))))
+        return out
+
+    return us, D, column(upper, 1), column(lower, -1)
+
+
+def _certificate_divpolys(box, fresh, graphs, shifts) -> tuple[DivPoly, PLFunc, PLFunc, DivPoly, DivPoly]:
+    """The divisorial polytope, the parts, the general fiber (part1 at fresh)
+    and the reduced fiber of a certificate, from the integer graphs
+    (breaks, values) of phi_zero, phi_inf, part0 and part1 and the shifts."""
+    phi_zero, phi_inf, part0, part1 = (PLFunc._canonical(bs, vs) for bs, vs in graphs)
+    fiber = reduced = DivPoly._of(box, {ZERO: phi_zero, INFINITY: part0, fresh: part1})
+    for r in shifts:
+        reduced = _shift(reduced, r.frm, r.to, r.slope, r.intercept)
+    return DivPoly._of(box, {ZERO: phi_zero, INFINITY: phi_inf}), part0, part1, fiber, reduced
 
 
 def to_polygon(dp: DivPoly) -> Polygon:
@@ -518,7 +554,11 @@ def shift_affine(
     count as the zero coefficient."""
     if frm == to:
         raise DomainError("shift endpoints must differ")
-    s, c = to_fraction(slope), to_fraction(intercept)
+    return _shift(dp, frm, to, to_fraction(slope), to_fraction(intercept))
+
+
+def _shift(dp: DivPoly, frm: PointLabel, to: PointLabel, s: Rational, c: Rational) -> DivPoly:
+    """shift_affine for distinct labels and exact s and c."""
     # s*u + c = (S*u + C)/L over the lcm L of the denominators of s and c
     L = math.lcm(s.denominator, c.denominator)
     S, C = s.numerator * (L // s.denominator), c.numerator * (L // c.denominator)

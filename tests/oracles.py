@@ -13,8 +13,10 @@ triangle, the integral of a PL function, the two-pass canonical form of
 a PL function, its pieces, the degree function as a sum of PL functions,
 the admissibility of a decomposition by pairing pieces, the
 divisorial-polytope conditions, the piece-by-piece shift search that
-reduces a divisorial polytope, and the mutation data that undoes a
-mutation.  They are slow and simple, and only tests call them.
+reduces a divisorial polytope, the mutation data that undoes a mutation,
+and the deformation pipeline composed of its public steps
+(`deform_by_definition`), the reference of the core's integer table.
+They are slow and simple, and only tests call them.
 
 One is an independent invariant rather than a definition: the GL2(Z)
 normal form `linear_normal_form`, a lexicographically least Hermite form,
@@ -29,9 +31,11 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional
 
-from polymut.deform import AdmissibilityReport, ReductionResult, ShiftRecord, _lattice_ok
+from polymut import deform, fano
+from polymut.deform import AdmissibilityReport, DeformationCertificate, ReductionResult, ShiftRecord, _lattice_ok
 from polymut.divpoly import (
     ConcavityBroken,
+    _cycle_divpoly,
     DivPoly,
     DomainMismatch,
     PLFunc,
@@ -51,13 +55,17 @@ from polymut.geom import (
     Vector2,
     ZeroVector,
     _bezout,
+    _cycle_maps,
+    _dual_walk,
     _halfplanes,
+    _lex_first,
     _require_lattice_2d,
     area,
     height_basis,
     mat_apply,
     mat_det,
     qdiv,
+    to_fraction,
 )
 from polymut.mutation import MutationData, mutate
 
@@ -545,3 +553,69 @@ def inverse_data(P: Polygon, md: MutationData) -> MutationData:
     md is checked against P by mutating P."""
     mutate(P, md)
     return MutationData(w=-md.w, t=md.t, f0=md.f0)
+
+
+def deform_by_definition(P: Polygon, md: MutationData, mutant: Polygon, dilation) -> DeformationCertificate:
+    """deform._deform by the public steps: the divisorial polytope
+    (`_cycle_divpoly`), `standard_decomposition`, `general_fiber` and
+    `reduce_to_polygon`, whose `to_polygon` hulls the fiber, each built as
+    a PL object and checked by the generic divpoly algebra.  The steps are
+    read off the deform module when called, so a test may watch them."""
+    if len(P.cycle) != 3:
+        raise fano.NotATriangle("the deformation pipeline needs a Fano triangle")
+    U = deform._normalizer_for(md.w)
+    mdn = deform._transform_mutation(md)
+    (u00, u01), (u10, u11) = U
+    pn, q = (_lex_first([(u00 * x + u01 * y, u10 * x + u11 * y) for x, y in X.cycle]) for X in (P, mutant))
+    (ap, pv), (aq, qv) = _dual_walk(pn), _dual_walk(q)
+    auto = math.lcm(ap, aq)
+    a = auto if dilation is None else to_fraction(dilation)
+    pa = None if a < 1 else deform._times(pv, a, ap)
+    if pa is None or any(type(c) is not int for v in pa for c in v):
+        raise deform.NoLatticeDilation(f"dilation {a} does not make the dual a lattice polygon (minimal valid: {auto})")
+    dp = _cycle_divpoly(pa)
+    d = deform.standard_decomposition(dp, mdn.t)
+    fiber_dp = deform.general_fiber(dp, d)
+    red = deform.reduce_to_polygon(fiber_dp)
+    if not red.reducible:
+        raise deform.FiberMismatch(f"fiber is not reducible to a toric polygon: {red.reason}")
+    wp = fano._weights_and_multiplicity(*pn)[0]
+    wq = fano._weights_and_multiplicity(*q)[0] if len(q) == 3 else None
+    if any(not s.is_integral() for s in red.shifts) and not deform.weights_decrease(wp, wq):
+        raise deform.FiberMismatch(
+            "reduction needs a non-isomorphism shift but the mutation does "
+            "not decrease the weights; the general fiber is not the mutated "
+            "plane in this direction"
+        )
+    tq = deform._times(qv, a, aq)
+    if any(type(c) is not int for v in tq for c in v):
+        raise deform.FiberMismatch(f"dilation {a} does not make the mutated dual a lattice polygon")
+    _require_lattice_2d(red.polygon)
+    fc = red.polygon.cycle
+    m = next(_cycle_maps(fc, tq), None)
+    if m is None:
+        diag = "fiber polygon is not equivalent to the dilated mutated dual"
+        if next(_cycle_maps(fc, pa), None) is not None:
+            diag += "; the family is isotrivial (fiber matches the source polarization)"
+        raise deform.FiberMismatch(diag)
+    in_class: Optional[bool] = None
+    if wq is not None:
+        in_class = fano.diophantine_class(wp) == fano.diophantine_class(wq)
+    return DeformationCertificate(
+        source=P,
+        normalizer=U,
+        normalized_source=deform._polygon_from_cycle(pn),
+        mutation=mdn,
+        mutated=deform._polygon_from_cycle(q),
+        dilation=a,
+        divpoly=dp,
+        decomposition=d,
+        fiber_divpoly=fiber_dp,
+        reduction=red,
+        fiber_polygon=red.polygon,
+        target=deform._polygon_from_cycle(tq),
+        witness=(m[0], Vector2(*m[1])),
+        corollary=deform.corollary_check(d),
+        extends_over_p1=True,
+        in_diophantine_class=in_class,
+    )

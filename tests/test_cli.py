@@ -152,6 +152,26 @@ class TestSubcommands:
         assert len(out["factors"]) == 3
         check_schema(out, "factors")
 
+    def test_factors_proves_fano_once(self, capsys, monkeypatch):
+        # without --w, one proof that P is Fano and one profile per edge that
+        # holds a T-cone: on the (2,3,5) triangle 1 proof and 2 profiles, as
+        # the edge normal (-4, -3) holds none; every normal is still listed
+        from polymut import fano, mutation
+        from polymut.geom import polygon_to_json, vector_to_json
+
+        T = fano.triangle_from_weights((2, 3, 5))
+        ws = mutation.factor_directions(T)
+        want = [md.to_json() for w in ws for md in mutation.find_factors(T, w)]
+        proofs, profiles = [], []
+        is_fano, profile = fano.is_fano, mutation._Profile
+        monkeypatch.setattr(fano, "is_fano", lambda P: proofs.append(P) or is_fano(P))
+        monkeypatch.setattr(mutation, "_Profile", lambda *a: profiles.append(a[1]) or profile(*a))
+        code, out = run_json(capsys, "factors", "--polygon", json.dumps(polygon_to_json(T)))
+        assert code == 0
+        assert (len(proofs), len(profiles)) == (1, 2)
+        assert (-4, -3) in [(w.x, w.y) for w in ws] and (-4, -3) not in profiles
+        assert out == {"factors": want, "directions": [vector_to_json(w) for w in ws]}
+
     def test_factors_single_direction(self, capsys):
         code, out = run_json(capsys, "factors", "--polygon", P114, "--w", "0,-1")
         assert code == 0

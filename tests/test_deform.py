@@ -4,6 +4,8 @@ import json
 import math
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from polymut import deform, fano
@@ -51,6 +53,7 @@ from oracles import (
     _shift_candidates,
     admissible_by_definition,
     degree,
+    deform_by_definition,
     extgcd,
     inverse_data,
     mat_image,
@@ -529,11 +532,19 @@ def test_pipeline_proves_fano_once(monkeypatch):
     assert attempts >= 10
 
 
+def _by_definition(P, md, dilation=None):
+    """deform_by_definition for mutation_to_deformation(P, md, dilation):
+    the reference the core is tested against, whose public steps a test
+    may watch on the deform module."""
+    return deform_by_definition(P, md, mutate(P, md), dilation)
+
+
 def test_refused_attempts_build_no_polygon_past_the_mutant(monkeypatch):
-    # the core runs on integer vertex cycles: an attempt refused after the
-    # reduction builds no Polygon outside the reduction but mutate's
-    # mutant, and a certificate adds only the normalized source, the
-    # mutated polygon and the target, wrapped from the cycles it holds
+    # the reference runs on integer vertex cycles outside its public steps:
+    # an attempt refused after the reduction builds no Polygon outside the
+    # reduction but mutate's mutant, and a certificate adds only the
+    # normalized source, the mutated polygon and the target, wrapped from
+    # the cycles it holds
     from polymut import geom, mutation
 
     built, inside = [], []
@@ -557,7 +568,7 @@ def test_refused_attempts_build_no_polygon_past_the_mutant(monkeypatch):
         for P, md in _both_ways(fano.triangle_from_weights(abc)):
             del built[:]
             try:
-                mutation_to_deformation(P, md)
+                _by_definition(P, md)
             except FiberMismatch as e:
                 if "not reducible" in str(e):
                     continue
@@ -569,6 +580,34 @@ def test_refused_attempts_build_no_polygon_past_the_mutant(monkeypatch):
                 assert built.count(False) == 4, (P, md)
                 seen["certified"] += 1
     assert min(seen.values()) > 50, seen
+
+
+def test_the_core_builds_polygons_only_for_a_certificate(monkeypatch):
+    # the core reads every fiber step off its table of integers: a refused
+    # attempt builds no Polygon but mutate's mutant, wherever it is
+    # refused, and a certificate adds the normalized source, the mutated
+    # polygon, the target and the fiber polygon, wrapped from cycles
+    from polymut import geom, mutation
+
+    built = []
+    make = geom._polygon_from_cycle
+    for module in (geom, mutation, deform):
+        monkeypatch.setattr(module, "_polygon_from_cycle", lambda cyc: built.append(cyc) or make(cyc))
+    seen = {"refused": 0, "certified": 0}
+    for abc in _coprime_triples(12):
+        for P, md in _both_ways(fano.triangle_from_weights(abc)):
+            del built[:]
+            try:
+                mutation_to_deformation(P, md)
+            except fano.NotATriangle:
+                continue
+            except DomainError as e:
+                assert len(built) == 1, (P, md, str(e))
+                seen["refused"] += 1
+            else:
+                assert len(built) == 5, (P, md)
+                seen["certified"] += 1
+    assert seen == {"refused": 271, "certified": 339}, seen
 
 
 def test_inexact_factor_lengths_and_dilations_refused():
@@ -815,8 +854,9 @@ def test_shift_walk_is_the_sorted_candidate_list():
 @functools.cache
 def _forward_sweep():
     """Over every factor of every pairwise-coprime triple with c <= 15,
-    forward: per reduce_to_polygon call, its input and the numbers of
-    ShiftRecords built and of shift_affine calls made during it."""
+    forward, through deform_by_definition: per reduce_to_polygon call, its
+    input and the numbers of ShiftRecords built and of shift_affine calls
+    made during it."""
     calls = []
     built, shifted = [0], [0]
     record, shift, reduce = deform.ShiftRecord, deform.shift_affine, deform.reduce_to_polygon
@@ -847,7 +887,7 @@ def _forward_sweep():
                         for w in factor_directions(T):
                             for md in find_factors(T, w):
                                 try:
-                                    mutation_to_deformation(T, md)
+                                    _by_definition(T, md)
                                 except DomainError:
                                     pass
     return calls
@@ -887,7 +927,7 @@ def _both_ways(T):
 
 
 def _reduced_fibers(runs):
-    """The divisorial polytopes mutation_to_deformation hands to
+    """The divisorial polytopes deform_by_definition hands to
     reduce_to_polygon over runs of (polygon, factor, dilation)."""
     fibers = []
     reduce = deform.reduce_to_polygon
@@ -895,7 +935,7 @@ def _reduced_fibers(runs):
         mp.setattr(deform, "reduce_to_polygon", lambda dp: fibers.append(dp) or reduce(dp))
         for P, md, a in runs:
             try:
-                mutation_to_deformation(P, md, a)
+                _by_definition(P, md, a)
             except DomainError:
                 pass
     return fibers
@@ -967,13 +1007,14 @@ def test_lattice_fallback_keeps_the_weight_refusal():
     # as an irreducible fiber
     T = fano.triangle_from_weights((1, 4, 5))
     md = factor_for(T, Vector2(3, -2), 1)
-    with pytest.raises(FiberMismatch) as e:
-        mutation_to_deformation(T, md, 2)
-    assert str(e.value) == (
-        "reduction needs a non-isomorphism shift but the mutation does not "
-        "decrease the weights; the general fiber is not the mutated plane in "
-        "this direction"
-    )
+    for attempt in (mutation_to_deformation, _by_definition):
+        with pytest.raises(FiberMismatch) as e:
+            attempt(T, md, 2)
+        assert str(e.value) == (
+            "reduction needs a non-isomorphism shift but the mutation does not "
+            "decrease the weights; the general fiber is not the mutated plane in "
+            "this direction"
+        )
     (fiber,) = _reduced_fibers([(T, md, 2)])
     assert reduce_to_polygon(fiber).shifts == (ShiftRecord(ZERO, INFINITY, Fraction(2, 3), Fraction(2, 3)),)
 
@@ -982,8 +1023,9 @@ def test_lattice_fallback_keeps_the_weight_refusal():
 def _admissibility_sweep():
     """Over the digest sweep, every factor of every pairwise-coprime triple
     with c <= 15 forward and back through inverse_data: each is_admissible
-    call as (phi, part0, part1, report), and every certificate with the
-    caller's mutation data, as (md, certificate)."""
+    call of deform_by_definition as (phi, part0, part1, report), and every
+    certificate of mutation_to_deformation with the caller's mutation
+    data, as (md, certificate)."""
     calls, certs = [], []
     check = deform.is_admissible
 
@@ -1000,6 +1042,7 @@ def _admissibility_sweep():
                 for md in find_factors(T, w):
                     for P, m in ((T, md), (mutate(T, md), inverse_data(T, md))):
                         try:
+                            _by_definition(P, m)
                             certs.append((m, mutation_to_deformation(P, m)))
                         except DomainError:
                             pass
@@ -1198,7 +1241,7 @@ def test_canonical_forms_and_dual_steps_of_the_sweep_are_pinned(monkeypatch):
         except DomainError:
             pass
     assert (len(runs), certified) == (924, 339)
-    assert (forms[0], steps[0]) == (3660, 3974)
+    assert (forms[0], steps[0]) == (2034, 3974)
 
 
 def test_fraction_objects_of_the_sweep_are_pinned(monkeypatch):
@@ -1237,7 +1280,7 @@ def test_fraction_objects_of_the_sweep_are_pinned(monkeypatch):
         except DomainError:
             pass
     assert (len(runs), certified) == (924, 339)
-    assert made[0] == 369
+    assert made[0] == 333
 
 
 def test_vectors_of_the_sweep_are_pinned(monkeypatch):
@@ -1265,3 +1308,165 @@ def test_vectors_of_the_sweep_are_pinned(monkeypatch):
             pass
     assert (len(runs), certified) == (924, 339)
     assert built[0] == certified == 339
+
+
+def _stored(cert):
+    """The label order of a certificate's divisorial polytopes and the
+    types of its stored rationals, which == does not see (1 == Fraction(1))."""
+    polygons = (cert.normalized_source, cert.mutated, cert.fiber_polygon, cert.target)
+    xs = [cert.dilation, *(x for Q in polygons for v in Q.cycle for x in v)]
+    fs = [cert.decomposition.part0, cert.decomposition.part1]
+    dps = (cert.divpoly, cert.fiber_divpoly, cert.reduction.divpoly)
+    for dp in dps:
+        xs += dp.box
+        fs += dp.coeffs.values()
+    xs += [x for f in fs for x in f.breaks + f.values]
+    xs += [x for s in cert.reduction.shifts for x in (s.slope, s.intercept)]
+    return [list(dp.coeffs) for dp in dps], [type(x) for x in xs]
+
+
+def _outcome(attempt, P, md, a):
+    """attempt(P, md, a) as a value: the certificate with _stored of it, or
+    the type and message of the refusal."""
+    try:
+        cert = attempt(P, md, a)
+    except DomainError as e:
+        return type(e).__name__, str(e)
+    return cert, _stored(cert)
+
+
+def _core_is_the_reference(runs) -> tuple[int, int]:
+    """Asserts that mutation_to_deformation and deform_by_definition give
+    equal certificates or the same refusal on every run (polygon, factor,
+    dilation); the numbers of runs and of certificates."""
+    certified = 0
+    for P, md, a in runs:
+        got = _outcome(mutation_to_deformation, P, md, a)
+        assert got == _outcome(_by_definition, P, md, a), (P, md, a)
+        certified += not isinstance(got[0], str)
+    return len(runs), certified
+
+
+class TestCoreIsTheReference:
+    """The table core against deform_by_definition, the public steps
+    composed by the generic divpoly algebra."""
+
+    def test_on_the_sweep(self):
+        # every factor of every pairwise-coprime triple with c <= 15, both ways
+        runs = [(P, md, None) for abc in _coprime_triples(15) for P, md in _both_ways(fano.triangle_from_weights(abc))]
+        assert _core_is_the_reference(runs) == (1840, 616)
+
+    def test_on_the_dilation_rows(self):
+        # the rows of the c <= 10 dilation digest, forward and back through
+        # inverse_data, and an integral Fraction and a string dilation
+        dilations = (None, 0, 1, 2, 3, 12, 60, Fraction(1, 2), Fraction(3, 2), Fraction(12, 1), "12", "3/2")
+        runs = [
+            (P, m, a)
+            for abc in _coprime_triples(10)
+            for T in [fano.triangle_from_weights(abc)]
+            for w in factor_directions(T)
+            for md in find_factors(T, w)
+            for P, m in ((T, md), (mutate(T, md), inverse_data(T, md)))
+            for a in dilations
+        ]
+        assert _core_is_the_reference(runs) == (6072, 372)
+
+    def test_on_identity_factors(self):
+        # t = 0 along every edge normal, with the f0 the core normalizes to:
+        # part1 is zero, so the fiber reduces with no move
+        from polymut.mutation import MutationData
+
+        runs = [
+            (T, MutationData(w, 0, Vector2(-w.y, w.x)), None)
+            for abc in _coprime_triples(15)
+            for T in [fano.triangle_from_weights(abc)]
+            for w in factor_directions(T)
+        ]
+        assert _core_is_the_reference(runs) == (522, 522)
+
+    def test_on_the_triangle_nodes_of_a_graph(self):
+        g = mutation_graph(fano.triangle_from_weights((1, 4, 5)), 4)
+        runs = [
+            (n.polygon, md, None)
+            for n in g.nodes
+            if n.weights
+            for w in factor_directions(n.polygon)
+            for md in find_factors(n.polygon, w)
+        ]
+        assert _core_is_the_reference(runs) == (217, 59)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @hypothesis.given(
+        st.lists(st.sampled_from([(x, y) for x in range(-4, 5) for y in range(-4, 5) if math.gcd(x, y) == 1]), min_size=3, max_size=3, unique=True),
+        st.integers(0, 99),
+        st.one_of(st.none(), st.integers(-1, 61), st.builds(Fraction, st.integers(1, 121), st.integers(1, 4))),
+    )
+    def test_on_random_fano_triangles(self, points, i, a):
+        # fake weighted projective planes included: a Fano triangle is the
+        # hull of three primitive points with the origin inside
+        try:
+            T = P(*points)
+        except DomainError:  # collinear points make no triangle
+            hypothesis.assume(False)
+        hypothesis.assume(len(T.cycle) == 3 and fano.is_fano(T))
+        runs = list(_both_ways(T))
+        hypothesis.assume(runs)
+        _core_is_the_reference([(*runs[i % len(runs)], a)])
+
+
+def test_a_dilation_is_coerced_once():
+    # the dilation is read by to_fraction before it is compared, so an
+    # integral Fraction or a string is the exact rational it names: the
+    # certificate stores it as an int, and its JSON needs no default
+    dilations = (12, Fraction(12, 1), "12", Fraction(24, 2), 3, "3", Fraction(1, 2), "1/2")
+    runs = [
+        (P, md) for abc in _coprime_triples(10) for P, md in _both_ways(fano.triangle_from_weights(abc))
+        if len(P.cycle) == 3
+    ]
+    certified = 0
+    for P, md in runs:
+        outs = [_outcome(mutation_to_deformation, P, md, a) for a in dilations]
+        for same in (outs[:4], outs[4:6], outs[6:]):
+            assert all(o == same[0] for o in same), (P, md)
+        for o in outs:
+            if not isinstance(o[0], str):
+                assert type(o[0].dilation) is int
+                json.dumps(o[0].to_json())
+                certified += 1
+    # 67 attempts certify at 12 and 29 at 3, each by four and two spellings
+    assert (len(runs), certified) == (348, 4 * 67 + 2 * 29)
+    with pytest.raises(DomainError, match="^not an exact rational: 'x'$"):
+        mutation_to_deformation(*runs[0], "x")
+
+
+def test_refusals_follow_the_weight_rule_on_the_sweep():
+    # every attempt from a triangle on the c <= 15 sweep, both ways, by
+    # how the mutation moves the weight sum: a fall or no change is
+    # certified, a rise is refused (the family is isotrivial, or the
+    # reduction needs a non-isomorphism shift), and a mutant that is no
+    # triangle is certified unless its reduction needs such a shift
+    import collections
+
+    split = collections.Counter()
+    for abc in _coprime_triples(15):
+        for T, md in _both_ways(fano.triangle_from_weights(abc)):
+            if len(T.cycle) != 3:
+                continue
+            Q = mutate(T, md)
+            way = "no triangle"
+            if len(Q.cycle) == 3:
+                sp, sq = sum(fano.weights(T)), sum(fano.weights(Q))
+                way = "falls" if sq < sp else "equal" if sq == sp else "rises"
+            try:
+                mutation_to_deformation(T, md)
+                split[way, "certified"] += 1
+            except FiberMismatch as e:
+                split[way, "isotrivial" if "isotrivial" in str(e) else "shift" if "non-isomorphism" in str(e) else str(e)] += 1
+    assert split == {
+        ("falls", "certified"): 208,
+        ("equal", "certified"): 72,
+        ("rises", "isotrivial"): 180,
+        ("rises", "shift"): 28,
+        ("no triangle", "certified"): 336,
+        ("no triangle", "shift"): 340,
+    }

@@ -277,6 +277,7 @@ UNREFERENCED_PUBLIC = {
     "geom.primitivize": "exported public helper; the factor walk divides integer pairs by their gcd itself",
     "geom.Polygon.translate": "documented public polygon operation",
     "geom.Polygon.vertices": "the Python API's vector view of a polygon, which the benchmark's workloads and layers.py read",
+    "deform.standard_decomposition": "documented public step; the reference's first step",
     "divpoly.PLFunc.constant": "documented public constructor",
     "divpoly.PLFunc.min_of_affines": "documented public coercing constructor; the pipeline builds min(t*u, 0) off its breakpoints",
     "divpoly.DivPoly.from_json": "documented reader of the divisorial polytope a certificate carries",
@@ -584,23 +585,31 @@ def _scoped(tree, scope="<module>"):
 
 
 def test_deformation_core_runs_on_cycles():
-    # deform._deform reads the dilation, the divisorial polytope and the
-    # witness off integer vertex cycles: it names no Polygon-level
-    # equivalence, envelope reader, denominator, polygon map or second dual,
-    # runs no admissibility check of its own (extends_over_p1 is written
-    # from its proof), and wraps the cycles it holds as the polygons of a
-    # certificate, since they are det-1 images and positive scalings of
-    # canonical cycles
+    # deform._deform reads the dilation and the witness off integer vertex
+    # cycles and the fiber steps off one integer table of the envelopes
+    # (divpoly._envelope_table): it names no Polygon-level equivalence,
+    # envelope reader, denominator, polygon map or second dual, none of the
+    # public fiber steps (tests/oracles.py composes those as
+    # deform_by_definition), runs no admissibility check of its own
+    # (extends_over_p1 is written from its proof), builds its PL objects
+    # through divpoly._certificate_divpolys only, and wraps the cycles it
+    # holds as the polygons of a certificate, since they are det-1 images
+    # and positive scalings of canonical cycles
     tree = ast.parse((SRC / "deform.py").read_text())
     core = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_deform")
     names = {_name(n) for n in ast.walk(core)}
     assert names & {
         "lattice_equivalent", "linear_equivalent", "from_polygon", "dual_denominator",
-        "mat_image", "dilated_dual", "is_admissible",
+        "mat_image", "dilated_dual", "is_admissible", "_cycle_divpoly",
+        "standard_decomposition", "general_fiber", "reduce_to_polygon", "to_polygon", "shift_affine",
+        "hull_of_pairs", "PLFunc", "DivPoly", "_require_lattice_2d",
     } == set()
     built = {_name(n.func) for n in ast.walk(core) if isinstance(n, ast.Call)}
     assert built & {"Polygon", "hull_of_pairs", "dilate"} == set()
-    assert {"_cycle_maps", "_cycle_divpoly", "_dual_walk", "_polygon_from_cycle"} <= names
+    assert {"_cycle_maps", "_envelope_table", "_certificate_divpolys", "_moves", "_dual_walk", "_polygon_from_cycle"} <= names
+    # the core and reduce_to_polygon take their moves from one generator
+    assert sorted(scope for scope, call in _calls(tree) if _name(call.func) == "_moves") == ["_deform", "reduce_to_polygon"]
+    assert _named_outside("_moves", {"deform.py"}) == []
     assert _named_outside("_polygon_from_cycle", {"geom.py", "mutation.py", "deform.py"}) == []
     assert _calls_outside("_polygon_from_cycle", "deform.py", "_deform") == []
     assert _named_outside("dual_denominator", set()) == []
